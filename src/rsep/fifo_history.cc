@@ -3,15 +3,33 @@
 namespace rsep::equality
 {
 
+namespace
+{
+
+/** Bucket count: the power of two at or above 2 x depth, capped at the
+ *  16-bit hash space (more buckets could not split any chain). */
+size_t
+bucketCount(size_t depth)
+{
+    size_t n = 1;
+    while (n < 2 * depth && n < (size_t{1} << 16))
+        n <<= 1;
+    return n;
+}
+
+} // namespace
+
 FifoHistory::FifoHistory(unsigned depth, bool implicit_all)
-    : ring(depth), cap(depth), implicitAll(implicit_all)
+    : ring(depth), bucketHead(bucketCount(depth), 0), cap(depth),
+      bucketMask(bucketHead.size() - 1), implicitAll(implicit_all)
 {
 }
 
 void
 FifoHistory::clear()
 {
-    head = 0;
+    // Ordinals keep counting, so every entry and bucket head from before
+    // the clear is older than the (now empty) window and reads as dead.
     valid = 0;
 }
 
@@ -20,8 +38,17 @@ FifoHistory::push(u16 hash, u32 csn, u64 seq, bool produces_reg, u64 value)
 {
     if (!implicitAll && !produces_reg)
         return;
-    ring[head] = {hash, csn & csnMask, seq, value, produces_reg};
-    head = (head + 1) % cap;
+    u64 ord = nextOrd++;
+    Entry &e = ring[ord % cap];
+    // Non-producers (implicit variant) hold a slot but join no bucket
+    // chain: the scan never compared them.
+    e = {hash, static_cast<u16>(csn & csnMask), seq, value, 0, producers};
+    if (produces_reg) {
+        u64 &bucket = bucketHead[hash & bucketMask];
+        e.prevInBucket = bucket;
+        bucket = ord;
+        ++producers;
+    }
     if (valid < cap)
         ++valid;
     ++pushes;
@@ -30,17 +57,18 @@ FifoHistory::push(u16 hash, u32 csn, u64 seq, bool produces_reg, u64 value)
 std::optional<HistoryMatch>
 FifoHistory::match(u16 hash, u32 csn, std::optional<u32> predicted_dist) const
 {
+    u32 probe = csn & csnMask;
     std::optional<HistoryMatch> nearest;
-    // Scan newest -> oldest.
-    for (size_t i = 0; i < valid; ++i) {
-        size_t pos = (head + cap - 1 - i) % cap;
-        const Entry &e = ring[pos];
-        if (!e.producer)
-            continue;
-        ++comparisons;
+    // Walk this bucket's producers newest -> oldest: the entries a scan
+    // of the whole ring accepts, in the order it accepts them. Where the
+    // scan would stop, `comparisons` takes the producers it would have
+    // compared: every one from the newest down to the stopping entry.
+    for (u64 ord = bucketHead[hash & bucketMask]; live(ord);) {
+        const Entry &e = at(ord);
+        ord = e.prevInBucket;
         if (e.hash != hash)
             continue;
-        u32 dist = csnDistance(csn & csnMask, e.csn);
+        u32 dist = csnDistance(probe, e.csn);
         // dist == 0 is the probing instruction's own entry; distances
         // beyond half the CSN space are wrapped (an entry younger in
         // the same commit group, or stale) -- hardware knows the scan
@@ -48,15 +76,23 @@ FifoHistory::match(u16 hash, u32 csn, std::optional<u32> predicted_dist) const
         if (dist == 0 || dist > csnMask / 2)
             continue;
         if (predicted_dist && dist == *predicted_dist) {
+            comparisons += producers - e.prodBefore;
             ++matches;
             ++predictedDistanceMatches;
             return HistoryMatch{dist, e.seq, e.value, true};
         }
-        if (!nearest)
+        if (!nearest) {
             nearest = HistoryMatch{dist, e.seq, e.value, false};
-        else if (!predicted_dist)
-            break; // nearest found and nothing better to look for.
+        } else if (!predicted_dist) {
+            // Nearest found and nothing better to look for.
+            comparisons += producers - e.prodBefore;
+            ++matches;
+            return nearest;
+        }
     }
+    // The walk ran out: a scan compares every producer in the window.
+    if (valid)
+        comparisons += producers - at(nextOrd - valid).prodBefore;
     if (nearest)
         ++matches;
     return nearest;

@@ -8,6 +8,16 @@
  * provided for the Section IV-D2 trade-off study). Committing
  * instructions compare their hash against the history; the match
  * yields the IDist used to train the distance predictor.
+ *
+ * The simulator finds matches through a hash-chained index over the
+ * ring instead of a linear scan: a power-of-two bucket-head array plus,
+ * per entry, a link to the previous producer in the same bucket. Links
+ * name push ordinals, so a link is live iff its ordinal is still inside
+ * the window and evicted entries need no unlinking. The walk accepts
+ * exactly the entries a newest-to-oldest scan would, in the same order,
+ * and `comparisons` still counts what that scan compares. The index is
+ * simulator bookkeeping; the hardware cost stays `storageBits` and
+ * `fifoComparators` (DESIGN.md section 15).
  */
 
 #ifndef RSEP_RSEP_FIFO_HISTORY_HH
@@ -82,7 +92,10 @@ class FifoHistory
     /** Storage for the cost model (hash + CSN per entry, explicit). */
     u64 storageBits(unsigned hash_bits) const;
 
-    /** Comparisons performed (for the Section IV-D comparator study). */
+    /**
+     * Producer entries a newest-to-oldest scan compares before it stops
+     * (for the Section IV-D comparator study).
+     */
     mutable StatCounter comparisons;
     StatCounter pushes;
     mutable StatCounter matches;
@@ -92,15 +105,27 @@ class FifoHistory
     struct Entry
     {
         u16 hash = 0;
-        u32 csn = 0;
+        u16 csn = 0;
         u64 seq = 0;
         u64 value = 0;
-        bool producer = false;
+        /** Ordinal of the previous producer in this bucket (0 = none). */
+        u64 prevInBucket = 0;
+        /** Producers pushed before this entry since construction. */
+        u64 prodBefore = 0;
     };
 
+    /** Ring slot of push ordinal @p ord (ordinals start at 1). */
+    const Entry &at(u64 ord) const { return ring[ord % cap]; }
+    /** True if push ordinal @p ord is still in the window. */
+    bool live(u64 ord) const { return ord != 0 && ord + valid >= nextOrd; }
+
     std::vector<Entry> ring;
+    /** Newest producer ordinal per bucket (0 = none). */
+    std::vector<u64> bucketHead;
     size_t cap;
-    size_t head = 0; ///< next write slot.
+    u64 bucketMask;
+    u64 nextOrd = 1;   ///< ordinal of the next push; never reset.
+    u64 producers = 0; ///< producers pushed since construction.
     size_t valid = 0;
     bool implicitAll;
 };

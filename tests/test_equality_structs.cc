@@ -124,6 +124,167 @@ TEST(FifoHistory, ComparisonCountingForPowerStudy)
     EXPECT_EQ(f.comparisons.value() - before, 8u);
 }
 
+/**
+ * The linear newest-to-oldest scan FifoHistory::match used before the
+ * hash-chained index: the reference the index must agree with, result
+ * for result and counter for counter.
+ */
+class ScanFifo
+{
+  public:
+    ScanFifo(unsigned depth, bool implicit_all)
+        : ring(depth), cap(depth), implicitAll(implicit_all)
+    {
+    }
+
+    void
+    clear()
+    {
+        head = 0;
+        valid = 0;
+    }
+
+    void
+    push(u16 hash, u32 csn, u64 seq, bool produces_reg, u64 value)
+    {
+        if (!implicitAll && !produces_reg)
+            return;
+        ring[head] = {hash, csn & csnMask, seq, value, produces_reg};
+        head = (head + 1) % cap;
+        if (valid < cap)
+            ++valid;
+    }
+
+    std::optional<HistoryMatch>
+    match(u16 hash, u32 csn, std::optional<u32> predicted_dist)
+    {
+        std::optional<HistoryMatch> nearest;
+        for (size_t i = 0; i < valid; ++i) {
+            const Entry &e = ring[(head + cap - 1 - i) % cap];
+            if (!e.producer)
+                continue;
+            ++comparisons;
+            if (e.hash != hash)
+                continue;
+            u32 dist = csnDistance(csn & csnMask, e.csn);
+            if (dist == 0 || dist > csnMask / 2)
+                continue;
+            if (predicted_dist && dist == *predicted_dist) {
+                ++matches;
+                ++predictedDistanceMatches;
+                return HistoryMatch{dist, e.seq, e.value, true};
+            }
+            if (!nearest)
+                nearest = HistoryMatch{dist, e.seq, e.value, false};
+            else if (!predicted_dist)
+                break;
+        }
+        if (nearest)
+            ++matches;
+        return nearest;
+    }
+
+    unsigned size() const { return static_cast<unsigned>(valid); }
+
+    u64 comparisons = 0;
+    u64 matches = 0;
+    u64 predictedDistanceMatches = 0;
+
+  private:
+    struct Entry
+    {
+        u16 hash = 0;
+        u32 csn = 0;
+        u64 seq = 0;
+        u64 value = 0;
+        bool producer = false;
+    };
+
+    std::vector<Entry> ring;
+    size_t cap;
+    size_t head = 0;
+    size_t valid = 0;
+    bool implicitAll;
+};
+
+class FifoIndexVsScan
+    : public ::testing::TestWithParam<std::tuple<unsigned, bool>>
+{
+};
+
+TEST_P(FifoIndexVsScan, SameMatchesAndCounters)
+{
+    auto [depth, implicit_all] = GetParam();
+    FifoHistory f(depth, implicit_all);
+    ScanFifo ref(depth, implicit_all);
+    Rng rng(depth * 2 + implicit_all);
+    std::vector<u32> lastDist(8, 0); // per hash class, like the engine's
+                                     // propagated predicted distance.
+    u32 csn = 0;
+    u64 clears = 0;
+
+    auto probe = [&](u16 hash) {
+        std::optional<u32> pdist;
+        switch (rng.below(3)) {
+          case 0:
+            break;
+          case 1: // almost always misses: the walk runs to its end.
+            pdist = 1 + static_cast<u32>(rng.below(csnMask / 2));
+            break;
+          default:
+            if (lastDist[hash & 7])
+                pdist = lastDist[hash & 7];
+        }
+        auto got = f.match(hash, csn, pdist);
+        auto want = ref.match(hash, csn, pdist);
+        ASSERT_EQ(got.has_value(), want.has_value()) << "csn " << csn;
+        if (got) {
+            EXPECT_EQ(got->distance, want->distance);
+            EXPECT_EQ(got->producerSeq, want->producerSeq);
+            EXPECT_EQ(got->producerValue, want->producerValue);
+            EXPECT_EQ(got->matchedPredicted, want->matchedPredicted);
+            lastDist[hash & 7] = got->distance;
+        }
+        EXPECT_EQ(f.comparisons.value(), ref.comparisons);
+        EXPECT_EQ(f.matches.value(), ref.matches);
+        EXPECT_EQ(f.predictedDistanceMatches.value(),
+                  ref.predictedDistanceMatches);
+    };
+
+    for (u64 step = 0; step < 30000 && !HasFailure(); ++step) {
+        // Skewed hashes: half share four values (long equal-hash
+        // chains); the rest spread over 14 bits and collide in the
+        // index buckets without being equal.
+        u16 hash = static_cast<u16>(rng.chance(1, 2) ? rng.below(4)
+                                                     : rng.below(1u << 14));
+        bool producer = rng.chance(3, 4);
+        // Gaps stand for commits the explicit variant never sees; CSNs
+        // wrap past 1024 many times.
+        csn += 1 + static_cast<u32>(rng.chance(1, 8) ? rng.below(16) : 0);
+        // Probing after the push sees the own entry (distance 0).
+        bool probe_after_push = rng.chance(1, 2);
+        if (!probe_after_push)
+            probe(hash);
+        f.push(hash, csn, step, producer, hash ^ 0x5a5a);
+        ref.push(hash, csn, step, producer, hash ^ 0x5a5a);
+        if (probe_after_push)
+            probe(hash);
+        if (rng.chance(1, 5000)) {
+            f.clear();
+            ref.clear();
+            ++clears;
+        }
+        ASSERT_EQ(f.size(), ref.size());
+    }
+    EXPECT_GT(clears, 0u);
+    EXPECT_GT(ref.predictedDistanceMatches, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(DepthsAndVariants, FifoIndexVsScan,
+                         ::testing::Combine(::testing::Values(1u, 4u, 100u,
+                                                              128u, 1024u),
+                                            ::testing::Bool()));
+
 TEST(FifoHistory, StorageMatchesPaper)
 {
     // 128 entries x (14-bit hash + 10-bit CSN) = 384 bytes (VI-A2).
