@@ -3,17 +3,19 @@
  * google-benchmark microbenchmarks of the hot hardware-model
  * structures: result-hash folding, FIFO history matching (the paper's
  * comparator-power concern, Section IV-B2), distance predictor
- * lookup/update, ISRB operations, cache tag access and TAGE lookup.
+ * lookup/update, ISRB operations, cache construction and tag access
+ * at the Table I geometries, and TAGE lookup.
  */
 
 #include <benchmark/benchmark.h>
 
 #include <iostream>
+#include <optional>
 #include <string_view>
 
 #include "bench_util.hh"
 #include "common/rng.hh"
-#include "mem/cache.hh"
+#include "mem/hierarchy.hh"
 #include "pred/tage.hh"
 #include "rsep/distance_pred.hh"
 #include "rsep/fifo_history.hh"
@@ -37,8 +39,13 @@ BM_FoldHash(benchmark::State &state)
 }
 BENCHMARK(BM_FoldHash);
 
+/**
+ * History match over a full FIFO of random hashes. Without a predicted
+ * distance the walk stops at the nearest match; with one that almost
+ * never matches (a random distance in range) it walks the whole chain.
+ */
 void
-BM_FifoHistoryMatch(benchmark::State &state)
+BM_FifoHistoryMatch(benchmark::State &state, bool predicted_miss)
 {
     const unsigned depth = static_cast<unsigned>(state.range(0));
     equality::FifoHistory fifo(depth);
@@ -47,13 +54,18 @@ BM_FifoHistoryMatch(benchmark::State &state)
         fifo.push(static_cast<u16>(rng.below(1 << 14)), i, i, true);
     u32 csn = depth;
     for (auto _ : state) {
+        std::optional<u32> pdist;
+        if (predicted_miss)
+            pdist = 1 + static_cast<u32>(rng.below(equality::csnMask / 2));
         benchmark::DoNotOptimize(
-            fifo.match(static_cast<u16>(rng.below(1 << 14)), csn,
-                       std::nullopt));
+            fifo.match(static_cast<u16>(rng.below(1 << 14)), csn, pdist));
         ++csn;
     }
 }
-BENCHMARK(BM_FifoHistoryMatch)->Arg(32)->Arg(128)->Arg(256);
+BENCHMARK_CAPTURE(BM_FifoHistoryMatch, no_pdist, false)
+    ->Arg(32)->Arg(128)->Arg(256)->Arg(1024);
+BENCHMARK_CAPTURE(BM_FifoHistoryMatch, pdist_miss, true)
+    ->Arg(128)->Arg(1024);
 
 void
 BM_FifoHistoryPush(benchmark::State &state)
@@ -110,17 +122,31 @@ BM_IsrbShareRelease(benchmark::State &state)
 }
 BENCHMARK(BM_IsrbShareRelease);
 
+/** Building one cache level: paid by every Pipeline, so every cell. */
 void
-BM_CacheAccess(benchmark::State &state)
+BM_CacheLevelConstruct(benchmark::State &state, mem::CacheParams params)
 {
-    mem::CacheLevel l1({.name = "l1", .sizeBytes = 32 * 1024, .assoc = 8,
-                        .latency = 4, .mshrs = 64});
+    for (auto _ : state) {
+        mem::CacheLevel level(params);
+        benchmark::DoNotOptimize(&level);
+    }
+}
+BENCHMARK_CAPTURE(BM_CacheLevelConstruct, l1d, mem::HierarchyParams{}.l1d);
+BENCHMARK_CAPTURE(BM_CacheLevelConstruct, l2, mem::HierarchyParams{}.l2);
+BENCHMARK_CAPTURE(BM_CacheLevelConstruct, l3, mem::HierarchyParams{}.l3);
+
+/** Tag access over an 8 MiB footprint: mostly misses in L1, mixed in L3. */
+void
+BM_CacheAccess(benchmark::State &state, mem::CacheParams params)
+{
+    mem::CacheLevel level(params);
     Rng rng(7);
     for (auto _ : state)
         benchmark::DoNotOptimize(
-            l1.accessTags(rng.below(1 << 20) << 3, false));
+            level.accessTags(rng.below(1 << 20) << 3, false));
 }
-BENCHMARK(BM_CacheAccess);
+BENCHMARK_CAPTURE(BM_CacheAccess, l1d, mem::HierarchyParams{}.l1d);
+BENCHMARK_CAPTURE(BM_CacheAccess, l3, mem::HierarchyParams{}.l3);
 
 void
 BM_TagePredict(benchmark::State &state)

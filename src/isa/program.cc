@@ -14,14 +14,16 @@ Program::disasm(size_t idx) const
     std::ostringstream os;
     os << std::hex << "0x" << pcOf(idx) << std::dec << ": "
        << mnemonic(si.op);
+    // Appends rather than `"x" + std::to_string(...)`: GCC 12 at -O3
+    // raises a false -Wrestrict on the prepend (GCC bug 105651).
     auto reg = [](ArchReg r) -> std::string {
         if (r == invalidArchReg)
             return "?";
         if (r == zeroReg)
             return "xzr";
-        if (isFpReg(r))
-            return "d" + std::to_string(r - fpRegBase);
-        return "x" + std::to_string(r);
+        std::string name = isFpReg(r) ? "d" : "x";
+        name += std::to_string(isFpReg(r) ? r - fpRegBase : r);
+        return name;
     };
     switch (si.opClass()) {
       case OpClass::Load:

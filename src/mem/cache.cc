@@ -1,5 +1,7 @@
 #include "mem/cache.hh"
 
+#include <algorithm>
+
 #include "common/bitutils.hh"
 #include "common/logging.hh"
 
@@ -8,6 +10,9 @@ namespace rsep::mem
 
 CacheLevel::CacheLevel(const CacheParams &params) : p(params)
 {
+    if (p.assoc == 0 || p.assoc > 255)
+        rsep_fatal("%s: associativity must be 1..255 (got %u)",
+                   p.name.c_str(), p.assoc);
     u64 lines = p.sizeBytes / lineBytes;
     if (lines % p.assoc != 0)
         rsep_fatal("%s: size/assoc mismatch", p.name.c_str());
@@ -15,29 +20,40 @@ CacheLevel::CacheLevel(const CacheParams &params) : p(params)
     if (!isPowerOf2(sets))
         rsep_fatal("%s: set count must be a power of two (got %u)",
                    p.name.c_str(), sets);
-    ways.assign(lines, Way{});
+    // Default-initialised: only ways below a set's fill count are read.
+    ways.reset(new Way[lines]);
+    fill.assign(sets, 0);
+    outstanding.reserve(p.mshrs);
 }
 
 bool
-CacheLevel::accessTags(Addr addr, bool is_write)
+CacheLevel::accessTags(Addr addr, bool)
 {
     size_t s = setOf(addr);
     Addr tag = tagOf(addr);
     ++useClock;
-    Way *victim = nullptr;
-    for (unsigned w = 0; w < p.assoc; ++w) {
-        Way &way = ways[s * p.assoc + w];
-        if (way.valid && way.tag == tag) {
-            way.lastUse = useClock;
+    Way *set = &ways[s * p.assoc];
+    unsigned n = fill[s];
+    for (unsigned w = 0; w < n; ++w) {
+        if (set[w].tag == tag) {
+            set[w].lastUse = useClock;
             ++hits;
             return true;
         }
-        if (!victim || (!way.valid && victim->valid) ||
-            (way.valid == victim->valid && way.lastUse < victim->lastUse))
-            victim = &way;
     }
     ++misses;
-    victim->valid = true;
+    Way *victim;
+    if (n < p.assoc) {
+        victim = &set[n];
+        fill[s] = static_cast<u8>(n + 1);
+    } else {
+        // Full set: evict the least recently used way. Every valid way
+        // has a distinct lastUse, so the minimum is unique.
+        victim = &set[0];
+        for (unsigned w = 1; w < n; ++w)
+            if (set[w].lastUse < victim->lastUse)
+                victim = &set[w];
+    }
     victim->tag = tag;
     victim->lastUse = useClock;
     return false;
@@ -48,34 +64,49 @@ CacheLevel::peek(Addr addr) const
 {
     size_t s = setOf(addr);
     Addr tag = tagOf(addr);
-    for (unsigned w = 0; w < p.assoc; ++w) {
-        const Way &way = ways[s * p.assoc + w];
-        if (way.valid && way.tag == tag)
+    const Way *set = &ways[s * p.assoc];
+    for (unsigned w = 0, n = fill[s]; w < n; ++w)
+        if (set[w].tag == tag)
             return true;
-    }
     return false;
 }
 
 void
 CacheLevel::reapMshrs(Cycle now)
 {
-    for (auto it = outstanding.begin(); it != outstanding.end();) {
-        if (it->second <= now)
-            it = outstanding.erase(it);
-        else
-            ++it;
+    if (now < earliestReady)
+        return;
+    Cycle earliest = invalidCycle;
+    for (size_t i = 0; i < outstanding.size();) {
+        if (outstanding[i].ready <= now) {
+            outstanding[i] = outstanding.back();
+            outstanding.pop_back();
+        } else {
+            earliest = std::min(earliest, outstanding[i].ready);
+            ++i;
+        }
     }
+    earliestReady = earliest;
+}
+
+const CacheLevel::Mshr *
+CacheLevel::findMshr(Addr line) const
+{
+    for (const Mshr &m : outstanding)
+        if (m.line == line)
+            return &m;
+    return nullptr;
 }
 
 std::optional<Cycle>
 CacheLevel::pendingFill(Addr addr, Cycle now)
 {
     reapMshrs(now);
-    auto it = outstanding.find(addr >> lineShift);
-    if (it == outstanding.end())
+    const Mshr *m = findMshr(addr >> lineShift);
+    if (!m)
         return std::nullopt;
     ++mshrMerges;
-    return it->second;
+    return m->ready;
 }
 
 Cycle
@@ -83,22 +114,19 @@ CacheLevel::trackMiss(Addr addr, Cycle now, Cycle ready)
 {
     reapMshrs(now);
     Addr line = addr >> lineShift;
-    auto it = outstanding.find(line);
-    if (it != outstanding.end()) {
+    if (const Mshr *m = findMshr(line)) {
         // Merge into the in-flight miss for the same line.
         ++mshrMerges;
-        return it->second;
+        return m->ready;
     }
     if (outstanding.size() >= p.mshrs) {
         // All MSHRs busy: the request waits for the earliest to free.
         ++mshrStalls;
-        Cycle earliest = invalidCycle;
-        for (const auto &[l, r] : outstanding)
-            earliest = std::min(earliest, r);
-        Cycle delay = earliest > now ? earliest - now : 0;
+        Cycle delay = earliestReady > now ? earliestReady - now : 0;
         ready += delay;
     }
-    outstanding[line] = ready;
+    outstanding.push_back({line, ready});
+    earliestReady = std::min(earliestReady, ready);
     return ready;
 }
 

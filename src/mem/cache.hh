@@ -8,12 +8,21 @@
  * scheduled (standard simplification for core-side studies -- the
  * quantities that matter here are hit/miss latencies, MSHR pressure
  * and miss traffic).
+ *
+ * Storage is sized for what a run touches, not for the capacity
+ * (DESIGN.md §16). Nothing ever invalidates a line and a miss fills the
+ * lowest free way, so the valid ways of a set are always a prefix:
+ * a per-set fill count replaces the valid bits, the tag array is never
+ * zeroed, and lookups scan only the filled ways. The MSHR file is an
+ * unordered array with a cached earliest completion, so reaping is a
+ * compare until some miss is due and tracking a miss never allocates
+ * while the file holds at most `mshrs` entries.
  */
 
 #ifndef RSEP_MEM_CACHE_HH
 #define RSEP_MEM_CACHE_HH
 
-#include <map>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -32,7 +41,7 @@ struct CacheParams
 {
     std::string name = "cache";
     u64 sizeBytes = 32 * 1024;
-    unsigned assoc = 8;
+    unsigned assoc = 8;       ///< at most 255 (the fill count is a byte).
     Cycle latency = 4;        ///< total load-to-use latency at this level.
     unsigned mshrs = 64;
 };
@@ -55,11 +64,16 @@ class CacheLevel
     /**
      * MSHR tracking: register an outstanding miss completing at
      * @p ready. @return the (possibly merged / MSHR-delayed) completion
-     * cycle the requester should use.
+     * cycle the requester should use. A miss that stalls on a full file
+     * is still registered, so the file may hold more than `mshrs`.
      */
     Cycle trackMiss(Addr addr, Cycle now, Cycle ready);
 
-    /** Expire finished MSHRs (called lazily from trackMiss too). */
+    /**
+     * Expire MSHRs completing at or before @p now (called lazily from
+     * trackMiss/pendingFill too). @p now may be earlier than on the
+     * previous call; expired entries stay gone.
+     */
     void reapMshrs(Cycle now);
 
     /**
@@ -77,22 +91,35 @@ class CacheLevel
     StatCounter prefetchFills;
 
   private:
+    /** A way's line and LRU stamp; way w of set s is valid iff w < fill[s]. */
     struct Way
     {
-        bool valid = false;
-        Addr tag = 0;
-        u64 lastUse = 0;
+        Addr tag;
+        u64 lastUse;
+    };
+
+    /** An outstanding line miss. */
+    struct Mshr
+    {
+        Addr line;
+        Cycle ready;
     };
 
     CacheParams p;
     unsigned sets;
-    std::vector<Way> ways;
+    /** sets x assoc ways, left uninitialised beyond each set's fill. */
+    std::unique_ptr<Way[]> ways;
+    /** Valid ways per set: ways [0, fill[s]) of set s hold lines. */
+    std::vector<u8> fill;
     u64 useClock = 0;
-    /** Outstanding line misses: line -> completion cycle. */
-    std::map<Addr, Cycle> outstanding;
+    /** Outstanding line misses, unordered, one entry per line. */
+    std::vector<Mshr> outstanding;
+    /** Minimum ready cycle in `outstanding` (invalidCycle if empty). */
+    Cycle earliestReady = invalidCycle;
 
     size_t setOf(Addr addr) const { return (addr >> lineShift) & (sets - 1); }
     Addr tagOf(Addr addr) const { return addr >> lineShift; }
+    const Mshr *findMshr(Addr line) const;
 };
 
 } // namespace rsep::mem

@@ -462,8 +462,9 @@ TEST_P(IsrbSizes, ConservationUnderRandomWorkload)
             IsrbRelease r = isrb.release(p);
             ASSERT_NE(r, IsrbRelease::NotShared);
             --live[p];
-            if (live[p] == 0)
+            if (live[p] == 0) {
                 ASSERT_EQ(r, IsrbRelease::Freed);
+            }
         }
         ASSERT_LE(isrb.entriesInUse(), isrb.capacity());
     }

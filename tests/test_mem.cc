@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <optional>
+#include <vector>
+
+#include "common/rng.hh"
 #include "mem/hierarchy.hh"
 #include "pred/storesets.hh"
 
@@ -63,6 +69,237 @@ TEST(Cache, MshrCapacityDelays)
     EXPECT_GE(r, 70u + 50u);
     EXPECT_EQ(c.mshrStalls.value(), 1u);
 }
+
+TEST(Cache, RejectsAssocAbove255)
+{
+    EXPECT_DEATH(CacheLevel({.name = "t", .sizeBytes = 256 * 64,
+                             .assoc = 256, .latency = 1, .mshrs = 4}),
+                 "associativity");
+}
+
+/**
+ * CacheLevel before the flat tag store: a valid bit per way with a
+ * victim scan over every way, and an ordered map of MSHRs reaped in full
+ * on every call. The reference the flat store must agree with, return
+ * for return and counter for counter.
+ */
+class RefCache
+{
+  public:
+    explicit RefCache(const CacheParams &params)
+        : p(params), sets(params.sizeBytes / lineBytes / params.assoc),
+          ways(params.sizeBytes / lineBytes)
+    {
+    }
+
+    bool
+    accessTags(Addr addr)
+    {
+        size_t s = (addr >> lineShift) & (sets - 1);
+        Addr tag = addr >> lineShift;
+        ++useClock;
+        Way *victim = nullptr;
+        for (unsigned w = 0; w < p.assoc; ++w) {
+            Way &way = ways[s * p.assoc + w];
+            if (way.valid && way.tag == tag) {
+                way.lastUse = useClock;
+                ++hits;
+                return true;
+            }
+            if (!victim || (!way.valid && victim->valid) ||
+                (way.valid == victim->valid &&
+                 way.lastUse < victim->lastUse))
+                victim = &way;
+        }
+        ++misses;
+        evictions += victim->valid;
+        victim->valid = true;
+        victim->tag = tag;
+        victim->lastUse = useClock;
+        return false;
+    }
+
+    bool
+    peek(Addr addr) const
+    {
+        size_t s = (addr >> lineShift) & (sets - 1);
+        for (unsigned w = 0; w < p.assoc; ++w) {
+            const Way &way = ways[s * p.assoc + w];
+            if (way.valid && way.tag == addr >> lineShift)
+                return true;
+        }
+        return false;
+    }
+
+    void
+    reapMshrs(Cycle now)
+    {
+        for (auto it = outstanding.begin(); it != outstanding.end();) {
+            if (it->second <= now)
+                it = outstanding.erase(it);
+            else
+                ++it;
+        }
+    }
+
+    std::optional<Cycle>
+    pendingFill(Addr addr, Cycle now)
+    {
+        reapMshrs(now);
+        auto it = outstanding.find(addr >> lineShift);
+        if (it == outstanding.end())
+            return std::nullopt;
+        ++mshrMerges;
+        return it->second;
+    }
+
+    Cycle
+    trackMiss(Addr addr, Cycle now, Cycle ready)
+    {
+        reapMshrs(now);
+        Addr line = addr >> lineShift;
+        auto it = outstanding.find(line);
+        if (it != outstanding.end()) {
+            ++mshrMerges;
+            return it->second;
+        }
+        if (outstanding.size() >= p.mshrs) {
+            ++mshrStalls;
+            Cycle earliest = invalidCycle;
+            for (const auto &[l, r] : outstanding)
+                earliest = std::min(earliest, r);
+            ready += earliest > now ? earliest - now : 0;
+        }
+        outstanding[line] = ready;
+        return ready;
+    }
+
+    size_t inFlight() const { return outstanding.size(); }
+
+    u64 hits = 0;
+    u64 misses = 0;
+    u64 mshrMerges = 0;
+    u64 mshrStalls = 0;
+    u64 evictions = 0;
+
+  private:
+    struct Way
+    {
+        bool valid = false;
+        Addr tag = 0;
+        u64 lastUse = 0;
+    };
+
+    CacheParams p;
+    u64 sets;
+    std::vector<Way> ways;
+    u64 useClock = 0;
+    std::map<Addr, Cycle> outstanding;
+};
+
+class CacheFlatVsReference : public ::testing::TestWithParam<CacheParams>
+{
+};
+
+TEST_P(CacheFlatVsReference, SameReturnsAndCounters)
+{
+    const CacheParams &cp = GetParam();
+    CacheLevel c(cp);
+    RefCache ref(cp);
+    Rng rng(cp.sizeBytes * 31 + cp.assoc * 7 + cp.mshrs);
+    const u64 sets = cp.sizeBytes / lineBytes / cp.assoc;
+    // Most lines crowd into a few sets, three tags per way, so most
+    // misses in those sets evict; the rest land anywhere.
+    const u64 hotSets = std::min<u64>(sets, 4);
+    auto randomAddr = [&] {
+        u64 set = rng.chance(15, 16) ? rng.below(hotSets) : rng.below(sets);
+        u64 tag = rng.below(3 * cp.assoc);
+        return ((tag * sets + set) << lineShift) | rng.below(lineBytes);
+    };
+    Cycle now = 1000;
+    u64 backwards = 0;
+    u64 overfull = 0;
+
+    for (u64 step = 0; step < 40000 && !HasFailure(); ++step) {
+        // The load path probes at now + TLB latency, so the next call
+        // can be earlier than the last one.
+        if (rng.chance(1, 8)) {
+            now -= std::min<Cycle>(now, rng.below(40));
+            ++backwards;
+        } else {
+            now += rng.below(4);
+        }
+        // Alternate light and heavy miss latency every 2000 steps, so
+        // the file both drains and overflows.
+        Cycle maxLat = (step / 2000) % 2 ? 40 * cp.mshrs : 100;
+        Addr a = randomAddr();
+        switch (rng.below(5)) {
+          case 0:
+          case 1:
+            ASSERT_EQ(c.accessTags(a, rng.chance(1, 4)), ref.accessTags(a))
+                << "step " << step;
+            break;
+          case 2:
+            ASSERT_EQ(c.peek(a), ref.peek(a)) << "step " << step;
+            break;
+          case 3: {
+            auto got = c.pendingFill(a, now);
+            auto want = ref.pendingFill(a, now);
+            ASSERT_EQ(got.has_value(), want.has_value()) << "step " << step;
+            if (got) {
+                ASSERT_EQ(*got, *want) << "step " << step;
+            }
+            break;
+          }
+          default: {
+            Cycle ready = now + 1 + rng.below(maxLat);
+            ASSERT_EQ(c.trackMiss(a, now, ready),
+                      ref.trackMiss(a, now, ready))
+                << "step " << step;
+          }
+        }
+        if (rng.chance(1, 16)) {
+            c.reapMshrs(now);
+            ref.reapMshrs(now);
+        }
+        overfull += ref.inFlight() > cp.mshrs;
+        ASSERT_EQ(c.hits.value(), ref.hits);
+        ASSERT_EQ(c.misses.value(), ref.misses);
+        ASSERT_EQ(c.mshrMerges.value(), ref.mshrMerges);
+        ASSERT_EQ(c.mshrStalls.value(), ref.mshrStalls);
+    }
+    EXPECT_GT(ref.hits, 0u);
+    EXPECT_GT(ref.evictions, 0u);
+    EXPECT_GT(ref.mshrMerges, 0u);
+    EXPECT_GT(ref.mshrStalls, 0u);
+    EXPECT_GT(overfull, 0u);
+    EXPECT_GT(backwards, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Geometries, CacheFlatVsReference,
+    ::testing::Values(
+        // Direct-mapped, 16 sets.
+        CacheParams{.name = "dm", .sizeBytes = 1024, .assoc = 1,
+                    .latency = 1, .mshrs = 4},
+        // 2 sets x 2 ways, 2 MSHRs: eviction and overfull file dominate.
+        CacheParams{.name = "tiny2", .sizeBytes = 256, .assoc = 2,
+                    .latency = 1, .mshrs = 2},
+        // One 8-way set.
+        CacheParams{.name = "tiny8", .sizeBytes = 512, .assoc = 8,
+                    .latency = 1, .mshrs = 2},
+        // Table I L1D.
+        CacheParams{.name = "l1d", .sizeBytes = 32 * 1024, .assoc = 8,
+                    .latency = 4, .mshrs = 64},
+        // 2 sets x 24 ways.
+        CacheParams{.name = "tiny24", .sizeBytes = 2 * 24 * 64, .assoc = 24,
+                    .latency = 1, .mshrs = 2},
+        // Table I L3.
+        CacheParams{.name = "l3", .sizeBytes = 6 * 1024 * 1024,
+                    .assoc = 24, .latency = 21, .mshrs = 64}),
+    [](const ::testing::TestParamInfo<CacheParams> &info) {
+        return info.param.name;
+    });
 
 TEST(StridePrefetcherTest, DetectsStrideAfterConfidence)
 {

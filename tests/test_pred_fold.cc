@@ -306,9 +306,10 @@ TEST(ValueEqIndex, MatchesReferenceWalkUnderRenameCommitSquash)
                                        &idx_refused);
                 ASSERT_EQ(ref.has_value(), idx.has_value())
                     << "window " << window << " step " << step;
-                if (ref)
+                if (ref) {
                     ASSERT_EQ(*ref, *idx)
                         << "window " << window << " step " << step;
+                }
                 ASSERT_EQ(ref_refused, idx_refused)
                     << "window " << window << " step " << step;
             }

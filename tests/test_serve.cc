@@ -209,8 +209,9 @@ TEST_F(ServeTest, GarbageFrameTypeRejected)
     std::string err;
     // The daemon answers Error (best effort) and closes; either way
     // it must not crash.
-    if (readFrame(fd, reply, &err))
+    if (readFrame(fd, reply, &err)) {
         EXPECT_EQ(reply.type, FrameType::Error);
+    }
     ::close(fd);
 
     expectServable(sock);
@@ -227,8 +228,9 @@ TEST_F(ServeTest, OversizedFrameRejectedBeforeAllocation)
     ASSERT_EQ(5, ::send(fd, frame, 5, MSG_NOSIGNAL));
     Frame reply;
     std::string err;
-    if (readFrame(fd, reply, &err))
+    if (readFrame(fd, reply, &err)) {
         EXPECT_EQ(reply.type, FrameType::Error);
+    }
     ::close(fd);
 
     expectServable(sock);

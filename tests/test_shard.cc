@@ -73,10 +73,11 @@ TEST(Shard, PartitionIsDisjointAndComplete)
             selected_total += plan.selectedRuns;
             for (size_t b = 0; b < benches.size(); ++b)
                 for (size_t c = 0; c < configs.size(); ++c)
-                    if (plan.selected[b][c])
+                    if (plan.selected[b][c]) {
                         EXPECT_TRUE(seen.insert({b, c}).second)
                             << "cell (" << b << "," << c
                             << ") owned by two shards at N=" << count;
+                    }
         }
         // Complete: every cell owned by exactly one shard.
         EXPECT_EQ(seen.size(), benches.size() * configs.size())

@@ -188,8 +188,9 @@ TEST(WorkloadRegistry, RegisterAndOverride)
 
     // Re-registering a pristine suite spec is a no-op on identity.
     for (const WorkloadSpec &s : suiteSpecs())
-        if (s.name == "lbm")
+        if (s.name == "lbm") {
             EXPECT_EQ(registerWorkload(s), "lbm");
+        }
     EXPECT_EQ(resolveWorkloadKey("lbm").value_or(""), "lbm");
 
     // Overriding a suite name shifts name lookups to a hash-qualified

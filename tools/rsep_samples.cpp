@@ -1,28 +1,26 @@
-/**
- * @file
- * rsep_samples — inspect, dump, merge and summarize `.rts` time-series
- * sample files (the per-cell phase-behaviour timelines the drivers
- * write with `--sample-every`; see sim/sample_io.hh).
- *
- *     rsep_samples info samples/*.rts
- *     rsep_samples dump --limit 40 samples/mcf-*.rts
- *     rsep_samples merge --csv all.csv shard0/*.rts shard1/*.rts
- *     rsep_samples summarize samples/*.rts
- *     rsep_samples diff samples/mcf-A-p0.rts samples/mcf-B-p0.rts
- *
- * `merge` pools many cells' series into one canonically-sorted CSV
- * (same row grammar as the per-cell `.csv` siblings), erroring on a
- * duplicate cell identity — the sample-side analogue of rsep_merge
- * over sharded stat dumps. `summarize` reduces each timeline to its
- * phase-behaviour headline: mean vs peak window IPC and the number of
- * abrupt phase changes, plus per-scenario geometric means. `diff`
- * aligns two cells' timelines on their shared cycle axis and reports
- * where the runs diverge: the first divergence cycle, each contiguous
- * divergence window, and the maximum per-field delta — the tool for
- * "same benchmark, two arms: when does behaviour split?" and for
- * pinning down exactly where a replayed or served run stopped matching
- * its reference.
- */
+/// @file
+/// rsep_samples — inspect, dump, merge and summarize `.rts` time-series
+/// sample files (the per-cell phase-behaviour timelines the drivers
+/// write with `--sample-every`; see sim/sample_io.hh).
+///
+///     rsep_samples info samples/*.rts
+///     rsep_samples dump --limit 40 samples/mcf-*.rts
+///     rsep_samples merge --csv all.csv shard0/*.rts shard1/*.rts
+///     rsep_samples summarize samples/*.rts
+///     rsep_samples diff samples/mcf-A-p0.rts samples/mcf-B-p0.rts
+///
+/// `merge` pools many cells' series into one canonically-sorted CSV
+/// (same row grammar as the per-cell `.csv` siblings), erroring on a
+/// duplicate cell identity — the sample-side analogue of rsep_merge
+/// over sharded stat dumps. `summarize` reduces each timeline to its
+/// phase-behaviour headline: mean vs peak window IPC and the number of
+/// abrupt phase changes, plus per-scenario geometric means. `diff`
+/// aligns two cells' timelines on their shared cycle axis and reports
+/// where the runs diverge: the first divergence cycle, each contiguous
+/// divergence window, and the maximum per-field delta — the tool for
+/// "same benchmark, two arms: when does behaviour split?" and for
+/// pinning down exactly where a replayed or served run stopped matching
+/// its reference.
 
 #include <algorithm>
 #include <cmath>

@@ -1,21 +1,19 @@
-/**
- * @file
- * rsep_trace — inspect, dump and validate `.rtr` recorded traces.
- *
- * Traces are the committed-path streams the drivers write with
- * `--record-trace` and replay with `--replay-trace` (wl/trace_io.hh).
- *
- *     rsep_trace info traces/*.rtr
- *     rsep_trace dump --limit 40 traces/mcf-p0.rtr
- *     rsep_trace validate --deep traces/*.rtr
- *
- * `validate` always checks the envelope (version, header, payload
- * size, checksum) plus — when the trace's workload resolves in the
- * registry — the workload-hash and program-length echoes and every
- * record's static-index bounds. `--deep` additionally re-runs the
- * functional emulator for the cell and requires the recorded stream to
- * match it bit for bit.
- */
+/// @file
+/// rsep_trace — inspect, dump and validate `.rtr` recorded traces.
+///
+/// Traces are the committed-path streams the drivers write with
+/// `--record-trace` and replay with `--replay-trace` (wl/trace_io.hh).
+///
+///     rsep_trace info traces/*.rtr
+///     rsep_trace dump --limit 40 traces/mcf-p0.rtr
+///     rsep_trace validate --deep traces/*.rtr
+///
+/// `validate` always checks the envelope (version, header, payload
+/// size, checksum) plus — when the trace's workload resolves in the
+/// registry — the workload-hash and program-length echoes and every
+/// record's static-index bounds. `--deep` additionally re-runs the
+/// functional emulator for the cell and requires the recorded stream to
+/// match it bit for bit.
 
 #include <chrono>
 #include <cstdio>
