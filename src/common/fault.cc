@@ -41,8 +41,13 @@ struct PointSpec {
     u64 fired = 0;
 };
 
-std::mutex registryMtx;
-std::vector<PointSpec> registry;
+// Never destroyed: rsep_fatal -> exit() runs static destructors while
+// pool and connection threads may still be inside pointSlow(), and a
+// destroyed mutex or vector under them is a use-after-free. Leaking
+// the two objects keeps every injection point valid until the process
+// is gone.
+std::mutex &registryMtx = *new std::mutex;
+std::vector<PointSpec> &registry = *new std::vector<PointSpec>;
 
 /** splitmix64 finalizer: one well-mixed word from (seed, hit index). */
 u64

@@ -418,7 +418,7 @@ Server::preflight(const PendingRequest &req)
         for (u32 p = 0; p < max_ckpts; ++p) {
             std::string path =
                 wl::tracePath(req.traceIo.replayDir, b, p);
-            wl::TraceParse tp = wl::readTraceFile(path, true);
+            wl::TraceParse tp = wl::readTraceFile(path);
             if (!tp.ok())
                 return "replay preflight: " + tp.error;
             if (tp.header.workload != b || tp.header.phase != p)

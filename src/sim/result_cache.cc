@@ -1,17 +1,13 @@
 #include "sim/result_cache.hh"
 
-#include <algorithm>
 #include <bit>
 #include <cctype>
-#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 
-#include <unistd.h>
-
 #include "common/env.hh"
-#include "common/fault.hh"
+#include "common/envelope.hh"
 #include "common/fnv.hh"
 #include "common/logging.hh"
 #include "core/pipeline.hh"
@@ -300,79 +296,20 @@ ResultCache::store(const CacheKey &key, const PhaseResult &pr)
 {
     if (!enabled())
         return false;
-    std::string path = cellPath(key);
-    std::error_code ec;
-    fs::create_directories(fs::path(path).parent_path(), ec);
-    if (ec) {
-        ++nIoErrors;
-        return false;
-    }
-
     std::string body = serializeRecord(key, pr);
     std::string text = body + "checksum = " + hex64(fnv1a64(body)) + "\n";
 
     // "cache.write" faults: an errno mode behaves as the write failing
-    // (store reports false, the cell stays uncached); short leaves a
-    // torn temp file behind; truncate *publishes* the torn record —
-    // simulating silent on-disk corruption the next load() must catch
-    // and quarantine.
-    fault::Injected winj = fault::point("cache.write");
-    if (winj.kind == fault::Kind::Delay) {
-        fault::sleepMicros(winj.amount);
-        winj.kind = fault::Kind::None;
-    }
-    if (winj.kind == fault::Kind::Errno) {
+    // (store reports false, the cell stays uncached); short fails the
+    // same way and removes its partial temp file; truncate *publishes*
+    // the torn record — simulated silent on-disk corruption the next
+    // load() must catch and quarantine. "cache.rename": any non-delay
+    // mode fails the publish step itself. The temp name carries the pid
+    // and a per-process sequence number, so overlapping shards on one
+    // directory and pool threads storing the same cell never collide.
+    if (!envelope::publishFile(cellPath(key), text, "cache.write",
+                               "cache.rename")) {
         ++nIoErrors;
-        return false;
-    }
-    std::string_view out_text = text;
-    if (winj.kind == fault::Kind::ShortWrite ||
-        winj.kind == fault::Kind::Truncate)
-        out_text = out_text.substr(
-            0, std::min<size_t>(winj.amount, out_text.size()));
-
-    // Atomic publish: a concurrent reader sees the old record or the
-    // new one, never a torn write. The temp name is per-process so
-    // overlapping shards pointed at one directory cannot collide.
-    std::string tmp =
-        path + ".tmp." + std::to_string(static_cast<unsigned long>(
-                             ::getpid()));
-    {
-        std::ofstream os(tmp, std::ios::binary | std::ios::trunc);
-        if (!os) {
-            ++nIoErrors;
-            return false;
-        }
-        os << out_text;
-        os.flush();
-        if (!os) {
-            ++nIoErrors;
-            fs::remove(tmp, ec);
-            return false;
-        }
-    }
-    if (winj.kind == fault::Kind::ShortWrite) {
-        ++nIoErrors;
-        fs::remove(tmp, ec);
-        return false;
-    }
-
-    fault::Injected rinj = fault::point("cache.rename");
-    if (rinj.kind == fault::Kind::Delay) {
-        fault::sleepMicros(rinj.amount);
-        rinj.kind = fault::Kind::None;
-    }
-    if (rinj.kind != fault::Kind::None) {
-        // Any non-delay mode fails the publish step itself.
-        ++nIoErrors;
-        fs::remove(tmp, ec);
-        return false;
-    }
-
-    fs::rename(tmp, path, ec);
-    if (ec) {
-        ++nIoErrors;
-        fs::remove(tmp, ec);
         return false;
     }
     ++nStores;

@@ -317,13 +317,15 @@ runMatrix(const std::vector<SimConfig> &configs,
         ResultCache::Counters cc = cache.counters();
         std::fprintf(stderr,
                      "[cache] %llu hit%s, %llu miss%s, %llu stored, "
-                     "%llu quarantined\n",
+                     "%llu quarantined, %llu io error%s\n",
                      static_cast<unsigned long long>(cc.hits),
                      cc.hits == 1 ? "" : "s",
                      static_cast<unsigned long long>(cc.misses),
                      cc.misses == 1 ? "" : "es",
                      static_cast<unsigned long long>(cc.stores),
-                     static_cast<unsigned long long>(cc.quarantined));
+                     static_cast<unsigned long long>(cc.quarantined),
+                     static_cast<unsigned long long>(cc.ioErrors),
+                     cc.ioErrors == 1 ? "" : "s");
     }
     if (opts.progress && !opts.traceIo.replayDir.empty()) {
         wl::DecodedTraceCache::Stats ts = wl::traceCache().stats();

@@ -1,12 +1,11 @@
 /**
  * @file
  * `.rts` time-series sample files: the on-disk form of one cell's
- * StatSample series (see core/sampler.hh). The envelope mirrors the
- * `.rtr` trace format — a line-oriented text header naming the cell
- * identity, a LEB128-varint binary payload, and a trailing FNV-1a
- * checksum — and writes publish atomically (temp + rename), so a
- * concurrent reader sees the old series or the new one, never a torn
- * file.
+ * StatSample series (see core/sampler.hh). The envelope and the
+ * atomic publish are common/envelope.hh's (DESIGN.md §17): a header
+ * naming the cell identity, a payload of LEB128 varints (every field
+ * of every row, in schema order), and the checksum trailer. Writers
+ * emit core::sampleSchemaVersion; readers accept only it.
  *
  * The header echoes the schema version AND the comma-joined field list
  * the payload was written under; a reader whose compiled-in schema
@@ -33,13 +32,12 @@ inline constexpr const char *sampleFileExtension = ".rts";
 /** Identity and provenance of one cell's sample series. */
 struct SampleSeriesHeader
 {
-    unsigned version = core::sampleSchemaVersion;
     std::string workload;   ///< benchmark name.
     std::string scenario;   ///< config label (scenario arm name).
     std::string configHash; ///< 16-hex config identity.
     u32 phase = 0;          ///< checkpoint index.
     u64 period = 0;         ///< sample period in cycles.
-    u64 rows = 0;           ///< row count (filled by the serializer).
+    u64 rows = 0;           ///< row count (read back; writers count rows).
 };
 
 /** Canonical sample-file path for one cell:
@@ -62,15 +60,12 @@ struct SamplesParse
     bool ok() const { return error.empty(); }
 };
 
-/** Parse a full `.rts` image (checksum-verified). @p header_only stops
- *  after the text header — payload untouched, rows left empty. */
+/** Parse a full `.rts` image (checksum-verified). */
 SamplesParse parseSamplesText(std::string_view text,
-                              const std::string &origin,
-                              bool header_only = false);
+                              const std::string &origin);
 
 /** Load and parse @p path. */
-SamplesParse parseSamplesFile(const std::string &path,
-                              bool header_only = false);
+SamplesParse parseSamplesFile(const std::string &path);
 
 /** Write a `.rts` file atomically (temp + rename, directories created
  *  as needed). False + @p err on failure. */

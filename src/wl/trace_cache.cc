@@ -2,6 +2,7 @@
 
 #include <chrono>
 
+#include "common/envelope.hh"
 #include "common/fnv.hh"
 #include "common/mmap_file.hh"
 
@@ -20,23 +21,6 @@ elapsedMicros(std::chrono::steady_clock::time_point t0)
             .count());
 }
 
-/**
- * Read the payload checksum out of the fixed-size trailer
- * ("\nchecksum = " + 16 hex + "\n") without parsing the file. False on
- * anything malformed — the caller falls through to the full decoder,
- * which produces the proper diagnostic.
- */
-bool
-trailerChecksum(std::string_view image, u64 &out)
-{
-    constexpr size_t trailerBytes = 12 + 16 + 1;
-    if (image.size() < trailerBytes)
-        return false;
-    std::string_view t = image.substr(image.size() - trailerBytes);
-    return t.substr(0, 12) == "\nchecksum = " && t.back() == '\n' &&
-           parseHex64(std::string(t.substr(12, 16)), out);
-}
-
 } // namespace
 
 DecodedTraceCache::Result
@@ -52,8 +36,9 @@ DecodedTraceCache::get(const std::string &path)
         out.error = std::move(io_err);
         return out;
     }
+    // The trailer's checksum keys the entry without parsing the file.
     u64 checksum = 0;
-    const bool keyed = trailerChecksum(file.view(), checksum);
+    const bool keyed = envelope::peekChecksum(file.view(), checksum);
     // Unkeyable images (truncated/corrupt) are decoded uncached so the
     // decoder's diagnostic comes back verbatim.
     if (!keyed) {

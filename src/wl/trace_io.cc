@@ -1,23 +1,14 @@
 #include "wl/trace_io.hh"
 
 #include <algorithm>
-#include <atomic>
-#include <cctype>
-#include <cstdio>
 #include <cstring>
-#include <filesystem>
-#include <fstream>
-#include <sstream>
-
-#include <unistd.h>
 
 #include "common/env.hh"
+#include "common/envelope.hh"
 #include "common/fault.hh"
 #include "common/fnv.hh"
 #include "common/logging.hh"
 #include "common/mmap_file.hh"
-
-namespace fs = std::filesystem;
 
 namespace rsep::wl
 {
@@ -25,105 +16,20 @@ namespace rsep::wl
 namespace
 {
 
-constexpr size_t recordBytes = 4 + 4 + 8 + 8 + 1;
+using envelope::getVarint;
+using envelope::putVarint;
 
-/** Workload keys are plain tokens (possibly `name@hash`), but never
- *  trust a path element. */
-std::string
-sanitized(const std::string &s)
-{
-    std::string out;
-    for (char c : s)
-        out += (std::isalnum(static_cast<unsigned char>(c)) || c == '.' ||
-                c == '-' || c == '+' || c == '_' || c == '@')
-                   ? c
-                   : '_';
-    return out.empty() ? std::string("_") : out;
-}
-
-void
-putU32(std::string &s, u32 v)
-{
-    for (int i = 0; i < 4; ++i)
-        s.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-}
-
-void
-putU64(std::string &s, u64 v)
-{
-    for (int i = 0; i < 8; ++i)
-        s.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-}
-
-u32
-getU32(const char *p)
-{
-    u32 v = 0;
-    for (int i = 3; i >= 0; --i)
-        v = (v << 8) | static_cast<unsigned char>(p[i]);
-    return v;
-}
-
-u64
-getU64(const char *p)
-{
-    u64 v = 0;
-    for (int i = 7; i >= 0; --i)
-        v = (v << 8) | static_cast<unsigned char>(p[i]);
-    return v;
-}
-
-std::string
-encodePayload(const std::vector<DynRecord> &records)
-{
-    std::string payload;
-    payload.reserve(records.size() * recordBytes);
-    for (const DynRecord &r : records) {
-        putU32(payload, r.staticIdx);
-        putU32(payload, r.nextIdx);
-        putU64(payload, r.result);
-        putU64(payload, r.effAddr);
-        payload.push_back(r.taken ? 1 : 0);
-    }
-    return payload;
-}
-
-// ---- v2 varint/delta encoding ----
+constexpr const char *traceMagic = "rsep-trace";
 
 // Per-record flag bits (see trace_io.hh).
 enum : u8 {
-    f2SameStatic = 1 << 0, ///< staticIdx == previous record's nextIdx.
-    f2Taken = 1 << 1,
-    f2SeqNext = 1 << 2,    ///< nextIdx == staticIdx + 1.
-    f2ResultZero = 1 << 3,
-    f2ResultSame = 1 << 4, ///< result == previous record's result.
-    f2EffZero = 1 << 5,    ///< effAddr == 0 (non-memory record).
+    fSameStatic = 1 << 0, ///< staticIdx == previous record's nextIdx.
+    fTaken = 1 << 1,
+    fSeqNext = 1 << 2,    ///< nextIdx == staticIdx + 1.
+    fResultZero = 1 << 3,
+    fResultSame = 1 << 4, ///< result == previous record's result.
+    fEffZero = 1 << 5,    ///< effAddr == 0 (non-memory record).
 };
-
-void
-putVarint(std::string &s, u64 v)
-{
-    while (v >= 0x80) {
-        s.push_back(static_cast<char>((v & 0x7f) | 0x80));
-        v >>= 7;
-    }
-    s.push_back(static_cast<char>(v));
-}
-
-bool
-getVarint(const char *&p, const char *end, u64 &v)
-{
-    v = 0;
-    for (unsigned shift = 0; shift < 64; shift += 7) {
-        if (p == end)
-            return false;
-        u8 byte = static_cast<u8>(*p++);
-        v |= static_cast<u64>(byte & 0x7f) << shift;
-        if (!(byte & 0x80))
-            return true;
-    }
-    return false; // over-long varint.
-}
 
 u64
 zigzag(u64 v)
@@ -139,7 +45,7 @@ unzigzag(u64 v)
 }
 
 std::string
-encodePayloadV2(const std::vector<DynRecord> &records)
+encodePayload(const std::vector<DynRecord> &records)
 {
     std::string payload;
     payload.reserve(records.size() * 4); // typical record: 1-4 bytes.
@@ -149,27 +55,27 @@ encodePayloadV2(const std::vector<DynRecord> &records)
     for (const DynRecord &r : records) {
         u8 flags = 0;
         if (r.staticIdx == prev_next)
-            flags |= f2SameStatic;
+            flags |= fSameStatic;
         if (r.taken)
-            flags |= f2Taken;
+            flags |= fTaken;
         if (r.nextIdx == r.staticIdx + 1)
-            flags |= f2SeqNext;
+            flags |= fSeqNext;
         if (r.result == 0)
-            flags |= f2ResultZero;
+            flags |= fResultZero;
         else if (r.result == prev_result)
-            flags |= f2ResultSame;
+            flags |= fResultSame;
         if (r.effAddr == 0)
-            flags |= f2EffZero;
+            flags |= fEffZero;
         payload.push_back(static_cast<char>(flags));
-        if (!(flags & f2SameStatic))
+        if (!(flags & fSameStatic))
             putVarint(payload, r.staticIdx);
-        if (!(flags & f2SeqNext))
+        if (!(flags & fSeqNext))
             putVarint(payload,
                       zigzag(static_cast<u64>(r.nextIdx) -
                              static_cast<u64>(r.staticIdx) - 1));
-        if (!(flags & (f2ResultZero | f2ResultSame)))
+        if (!(flags & (fResultZero | fResultSame)))
             putVarint(payload, zigzag(r.result - prev_result));
-        if (!(flags & f2EffZero)) {
+        if (!(flags & fEffZero)) {
             putVarint(payload, zigzag(r.effAddr - prev_eff));
             prev_eff = r.effAddr;
         }
@@ -180,14 +86,12 @@ encodePayloadV2(const std::vector<DynRecord> &records)
 }
 
 /**
- * Decode a v2 payload, emitting each record to @p emit — the ONE
- * decoder behind both the AoS and the SoA form, so the two can never
- * diverge. The payload view is read in place (zero-copy off an mmap).
+ * Decode a payload of @p count records straight into the SoA lanes of
+ * @p out. The payload view is read in place (zero-copy off an mmap).
  */
-template <class Emit>
 bool
-decodePayloadV2(std::string_view payload, u64 count, Emit &&emit,
-                std::string &msg)
+decodePayload(std::string_view payload, u64 count, DecodedTrace &out,
+              std::string &msg)
 {
     const char *p = payload.data();
     const char *end = p + payload.size();
@@ -204,20 +108,21 @@ decodePayloadV2(std::string_view payload, u64 count, Emit &&emit,
               " of " + std::to_string(payload.size()) + " bytes)";
         return false;
     };
+    out.reserveRecords(count);
     for (u64 i = 0; i < count; ++i) {
         if (p == end)
             return bad("truncated payload", i);
         u8 flags = static_cast<u8>(*p++);
         DynRecord r;
         u64 v = 0;
-        if (flags & f2SameStatic) {
+        if (flags & fSameStatic) {
             r.staticIdx = prev_next;
         } else {
             if (!getVarint(p, end, v) || v > 0xffffffffull)
                 return bad("bad staticIdx varint", i);
             r.staticIdx = static_cast<u32>(v);
         }
-        if (flags & f2SeqNext) {
+        if (flags & fSeqNext) {
             r.nextIdx = r.staticIdx + 1;
         } else {
             if (!getVarint(p, end, v))
@@ -227,16 +132,16 @@ decodePayloadV2(std::string_view payload, u64 count, Emit &&emit,
                 return bad("nextIdx overflow", i);
             r.nextIdx = static_cast<u32>(next);
         }
-        if (flags & f2ResultZero) {
+        if (flags & fResultZero) {
             r.result = 0;
-        } else if (flags & f2ResultSame) {
+        } else if (flags & fResultSame) {
             r.result = prev_result;
         } else {
             if (!getVarint(p, end, v))
                 return bad("bad result varint", i);
             r.result = prev_result + unzigzag(v);
         }
-        if (flags & f2EffZero) {
+        if (flags & fEffZero) {
             r.effAddr = 0;
         } else {
             if (!getVarint(p, end, v))
@@ -244,10 +149,10 @@ decodePayloadV2(std::string_view payload, u64 count, Emit &&emit,
             r.effAddr = prev_eff + unzigzag(v);
             prev_eff = r.effAddr;
         }
-        r.taken = (flags & f2Taken) != 0;
+        r.taken = (flags & fTaken) != 0;
         prev_next = r.nextIdx;
         prev_result = r.result;
-        emit(r);
+        out.appendRecord(r);
     }
     if (p != end) {
         msg = "payload has " + std::to_string(end - p) +
@@ -257,154 +162,55 @@ decodePayloadV2(std::string_view payload, u64 count, Emit &&emit,
     return true;
 }
 
-/** v1 fixed-width decode with the same emit shape (sizes are already
- *  validated against the record count by the envelope parse). */
-template <class Emit>
-void
-decodePayloadV1(std::string_view payload, u64 count, Emit &&emit)
-{
-    const char *p = payload.data();
-    for (u64 i = 0; i < count; ++i, p += recordBytes) {
-        DynRecord r;
-        r.staticIdx = getU32(p);
-        r.nextIdx = getU32(p + 4);
-        r.result = getU64(p + 8);
-        r.effAddr = getU64(p + 16);
-        r.taken = p[24] != 0;
-        emit(r);
-    }
-}
-
-/**
- * The validated envelope of a trace image: parsed header plus a view
- * of the (checksummed, size-checked) payload bytes. The payload view
- * aliases the input and is only valid while the input lives.
- */
-struct Envelope
+/** An opened trace image: the validated header plus the envelope
+ *  (whose payload view aliases the image). */
+struct OpenedTrace
 {
     TraceHeader header;
-    std::string_view payload;
-    u64 checksum = 0;
+    envelope::Opened env;
     std::string error; ///< "origin: message"; empty on success.
 
     bool ok() const { return error.empty(); }
 };
 
-Envelope
-parseEnvelope(std::string_view text, const std::string &origin)
+OpenedTrace
+openTrace(std::string_view text, const std::string &origin)
 {
-    Envelope out;
+    OpenedTrace out;
+    out.env = envelope::open(text, traceMagic, traceFormatVersion,
+                             {"workload", "workload_hash", "phase",
+                              "program_length", "records"},
+                             origin);
+    if (!out.env.ok()) {
+        out.error = out.env.error;
+        return out;
+    }
     auto fail = [&](const std::string &msg) {
         out.error = origin + ": " + msg;
-        out.payload = {};
         return out;
     };
-
-    // ---- text header (line oriented, fixed order) ----
-    size_t pos = 0;
-    auto nextLine = [&](std::string_view &line) {
-        size_t nl = text.find('\n', pos);
-        if (nl == std::string_view::npos)
-            return false;
-        line = text.substr(pos, nl - pos);
-        pos = nl + 1;
-        return true;
-    };
-    auto valueOf = [](std::string_view l, const char *k,
-                      std::string &v) {
-        std::string prefix = std::string(k) + " = ";
-        if (l.substr(0, prefix.size()) != prefix)
-            return false;
-        v = std::string(l.substr(prefix.size()));
-        return true;
-    };
-
-    std::string_view line;
-    std::string v;
-    if (!nextLine(line) || line.substr(0, 11) != "rsep-trace ")
-        return fail("not a trace file");
-    {
-        u64 ver = 0;
-        if (!parseU64(std::string(line.substr(11)), ver) ||
-            ver < traceFormatVersionMin || ver > traceFormatVersion)
-            return fail("bad or unsupported trace version");
-        out.header.version = static_cast<unsigned>(ver);
-    }
-    if (!nextLine(line) || !valueOf(line, "workload", v) || v.empty())
-        return fail("bad workload header");
-    out.header.workload = v;
-    u64 dummy = 0;
-    if (!nextLine(line) || !valueOf(line, "workload_hash", v) ||
-        v.size() != 16 || !parseHex64(v, dummy))
-        return fail("bad workload_hash header");
-    out.header.workloadHash = v;
+    const std::vector<std::string> &v = out.env.values;
+    TraceHeader &h = out.header;
     u64 wide = 0;
-    if (!nextLine(line) || !valueOf(line, "phase", v) ||
-        !parseU64(v, wide) || wide > 0xffffffffull)
+    if (v[0].empty())
+        return fail("bad workload header");
+    h.workload = v[0];
+    if (v[1].size() != 16 || !parseHex64(v[1], wide))
+        return fail("bad workload_hash header");
+    h.workloadHash = v[1];
+    if (!parseU64(v[2], wide) || wide > 0xffffffffull)
         return fail("bad phase header");
-    out.header.phase = static_cast<u32>(wide);
-    if (!nextLine(line) || !valueOf(line, "program_length", v) ||
-        !parseU64(v, out.header.programLength))
+    h.phase = static_cast<u32>(wide);
+    if (!parseU64(v[3], h.programLength))
         return fail("bad program_length header");
-    if (!nextLine(line) || !valueOf(line, "records", v) ||
-        !parseU64(v, out.header.records))
+    if (!parseU64(v[4], h.records))
         return fail("bad records header");
-    if (!nextLine(line) || line != "payload")
-        return fail("missing payload marker");
-
-    // ---- binary payload + trailing checksum ----
-    // "\nchecksum = " + 16 hex + "\n"
-    constexpr size_t trailerBytes = 12 + 16 + 1;
-    if (text.size() < pos || text.size() - pos < trailerBytes)
-        return fail("truncated trailer: " +
-                    std::to_string(text.size() < pos
-                                       ? 0
-                                       : text.size() - pos) +
-                    " bytes after the header (offset " +
-                    std::to_string(pos) + "), need at least " +
-                    std::to_string(trailerBytes) +
-                    " for the checksum trailer");
-    u64 payload_bytes = text.size() - pos - trailerBytes;
-    if (out.header.version == 1) {
-        // v1 is fixed-width: the payload size is implied by the record
-        // count. Guard the multiply: a corrupt header could name a
-        // count whose byte size wraps 64 bits and slips past the
-        // length check, turning reserve() downstream into an abort
-        // instead of a diagnostic.
-        if (out.header.records > (text.size() - pos) / recordBytes)
-            return fail("truncated payload: record count " +
-                        std::to_string(out.header.records) +
-                        " exceeds the available bytes");
-        if (payload_bytes != out.header.records * recordBytes)
-            return fail("truncated or oversized payload (" +
-                        std::to_string(payload_bytes) + " bytes for " +
-                        std::to_string(out.header.records) + " records)");
-    } else {
-        // Every v2 record takes at least its flag byte; reject absurd
-        // record counts before reserve() can abort on a corrupt header.
-        if (out.header.records > payload_bytes)
-            return fail("truncated payload: record count " +
-                        std::to_string(out.header.records) +
-                        " exceeds the available bytes");
-    }
-    std::string_view payload = text.substr(pos, payload_bytes);
-    std::string_view trailer = text.substr(pos + payload_bytes);
-    u64 want = 0;
-    if (trailer.substr(0, 12) != "\nchecksum = " ||
-        trailer.back() != '\n' ||
-        !parseHex64(std::string(trailer.substr(12, 16)), want))
-        return fail("truncated trace or missing checksum trailer at "
-                    "offset " +
-                    std::to_string(pos + payload_bytes));
-    u64 got = fnv1a64(payload);
-    if (got != want)
-        return fail("checksum mismatch over " +
-                    std::to_string(payload_bytes) +
-                    " payload bytes at offset " + std::to_string(pos) +
-                    ": expected " + hex64(want) + ", computed " +
-                    hex64(got));
-    out.payload = payload;
-    out.checksum = want;
+    // Every record takes at least its flag byte; reject absurd record
+    // counts before reserve() can abort on a corrupt header.
+    if (h.records > out.env.payload.size())
+        return fail("truncated payload: record count " +
+                    std::to_string(h.records) +
+                    " exceeds the available bytes");
     return out;
 }
 
@@ -440,61 +246,22 @@ injectTraceFault(const char *point_name, std::string_view &text,
 std::string
 tracePath(const std::string &dir, const std::string &workload, u32 phase)
 {
-    return dir + "/" + sanitized(workload) + "-p" + std::to_string(phase) +
-           traceFileExtension;
+    return dir + "/" + envelope::pathComponent(workload) + "-p" +
+           std::to_string(phase) + traceFileExtension;
 }
 
 std::string
 serializeTrace(const TraceHeader &header,
                const std::vector<DynRecord> &records)
 {
-    if (header.version < traceFormatVersionMin ||
-        header.version > traceFormatVersion)
-        rsep_fatal("serializeTrace: unsupported trace version %u",
-                   header.version);
-    std::string payload = header.version >= 2 ? encodePayloadV2(records)
-                                              : encodePayload(records);
-    std::ostringstream os;
-    os << "rsep-trace " << header.version << "\n";
-    os << "workload = " << header.workload << "\n";
-    os << "workload_hash = " << header.workloadHash << "\n";
-    os << "phase = " << header.phase << "\n";
-    os << "program_length = " << header.programLength << "\n";
-    os << "records = " << records.size() << "\n";
-    os << "payload\n";
-    os << payload;
-    os << "\nchecksum = " << hex64(fnv1a64(payload)) << "\n";
-    return os.str();
-}
-
-TraceParse
-parseTrace(std::string_view text, const std::string &origin,
-           bool header_only)
-{
-    TraceParse out;
-    Envelope env = parseEnvelope(text, origin);
-    if (!env.ok()) {
-        out.error = std::move(env.error);
-        return out;
-    }
-    out.header = env.header;
-    out.payloadChecksum = env.checksum;
-    if (header_only)
-        return out;
-
-    out.records.reserve(env.header.records);
-    auto emit = [&](const DynRecord &r) { out.records.push_back(r); };
-    if (env.header.version >= 2) {
-        std::string msg;
-        if (!decodePayloadV2(env.payload, env.header.records, emit, msg)) {
-            out.error = origin + ": " + msg;
-            out.records.clear();
-            return out;
-        }
-        return out;
-    }
-    decodePayloadV1(env.payload, env.header.records, emit);
-    return out;
+    return envelope::seal(
+        traceMagic, traceFormatVersion,
+        {{"workload", header.workload},
+         {"workload_hash", header.workloadHash},
+         {"phase", std::to_string(header.phase)},
+         {"program_length", std::to_string(header.programLength)},
+         {"records", std::to_string(records.size())}},
+        encodePayload(records));
 }
 
 DecodedTraceParse
@@ -503,63 +270,49 @@ decodeTraceImage(std::string_view text, const std::string &origin)
     DecodedTraceParse out;
     // "trace.decode" injects here so every decode path — the tooling
     // loader and the shared DecodedTraceCache alike — is covered.
-    std::string inj_err;
-    if (!injectTraceFault("trace.decode", text, origin, inj_err)) {
-        out.error = std::move(inj_err);
+    if (!injectTraceFault("trace.decode", text, origin, out.error))
         return out;
-    }
-    Envelope env = parseEnvelope(text, origin);
-    if (!env.ok()) {
-        out.error = std::move(env.error);
+    OpenedTrace opened = openTrace(text, origin);
+    if (!opened.ok()) {
+        out.error = std::move(opened.error);
         return out;
     }
     auto decoded = std::make_shared<DecodedTrace>();
-    decoded->header = env.header;
-    decoded->payloadChecksum = env.checksum;
-    decoded->reserveRecords(env.header.records);
-    auto emit = [&](const DynRecord &r) { decoded->appendRecord(r); };
-    if (env.header.version >= 2) {
-        std::string msg;
-        if (!decodePayloadV2(env.payload, env.header.records, emit, msg)) {
-            out.error = origin + ": " + msg;
-            return out;
-        }
-    } else {
-        decodePayloadV1(env.payload, env.header.records, emit);
+    decoded->header = opened.header;
+    decoded->payloadChecksum = opened.env.checksum;
+    std::string msg;
+    if (!decodePayload(opened.env.payload, opened.header.records, *decoded,
+                       msg)) {
+        out.error = origin + ": " + msg;
+        return out;
     }
     out.trace = std::move(decoded);
     return out;
 }
 
 TraceParse
-readTraceFile(const std::string &path, bool header_only)
+readTraceFile(const std::string &path)
 {
+    TraceParse out;
     MmapFile file;
-    std::string err;
-    if (!file.open(path, &err)) {
-        TraceParse out;
-        out.error = err;
+    if (!file.open(path, &out.error))
         return out;
-    }
     std::string_view view = file.view();
-    if (!injectTraceFault("trace.read", view, path, err)) {
-        TraceParse out;
-        out.error = err;
+    if (!injectTraceFault("trace.read", view, path, out.error))
         return out;
-    }
-    return parseTrace(view, path, header_only);
+    OpenedTrace opened = openTrace(view, path);
+    out.header = opened.header;
+    out.error = std::move(opened.error);
+    return out;
 }
 
 DecodedTraceParse
 loadDecodedTrace(const std::string &path)
 {
+    DecodedTraceParse out;
     MmapFile file;
-    std::string err;
-    if (!file.open(path, &err)) {
-        DecodedTraceParse out;
-        out.error = err;
+    if (!file.open(path, &out.error))
         return out;
-    }
     return decodeTraceImage(file.view(), path);
 }
 
@@ -580,66 +333,11 @@ bool
 writeTraceFile(const std::string &path, const TraceHeader &header,
                const std::vector<DynRecord> &records, std::string *err)
 {
-    auto fail = [&](const std::string &msg) {
-        if (err)
-            *err = path + ": " + msg;
-        return false;
-    };
-    std::error_code ec;
-    fs::path parent = fs::path(path).parent_path();
-    if (!parent.empty()) {
-        fs::create_directories(parent, ec);
-        if (ec)
-            return fail(ec.message());
-    }
-    std::string text = serializeTrace(header, records);
-
     // "trace.write" faults: errno modes fail the write; short fails it
     // after leaving no file behind; truncate *publishes* a torn trace —
     // the checksum trailer is gone, so the next read must diagnose it.
-    std::string_view out_text = text;
-    fault::Injected winj = fault::point("trace.write");
-    if (winj.kind == fault::Kind::Delay)
-        fault::sleepMicros(winj.amount);
-    else if (winj.kind == fault::Kind::Errno)
-        return fail(std::string("injected ") + std::strerror(winj.err));
-    else if (winj.kind == fault::Kind::ShortWrite ||
-             winj.kind == fault::Kind::Truncate)
-        out_text = out_text.substr(
-            0, std::min<size_t>(winj.amount, out_text.size()));
-
-    // Atomic publish (cf. the result cache): a concurrent reader sees
-    // the old trace or the new one, never a torn write. The temp name
-    // carries pid AND a process-wide sequence number: one matrix run
-    // records a (workload, phase) trace once per config, on different
-    // worker threads of the same process, so pid alone would tear.
-    static std::atomic<u64> writerSeq{0};
-    std::string tmp = path + ".tmp." +
-                      std::to_string(static_cast<unsigned long>(::getpid())) +
-                      "." + std::to_string(++writerSeq);
-    {
-        std::ofstream os(tmp, std::ios::binary | std::ios::trunc);
-        if (!os)
-            return fail("cannot open temp file for writing");
-        os << out_text;
-        os.flush();
-        if (!os) {
-            fs::remove(tmp, ec);
-            return fail("write failed");
-        }
-    }
-    if (winj.kind == fault::Kind::ShortWrite) {
-        fs::remove(tmp, ec);
-        return fail("injected short write (" +
-                    std::to_string(out_text.size()) + " of " +
-                    std::to_string(text.size()) + " bytes)");
-    }
-    fs::rename(tmp, path, ec);
-    if (ec) {
-        fs::remove(tmp, ec);
-        return fail("rename failed");
-    }
-    return true;
+    return envelope::publishFile(path, serializeTrace(header, records),
+                                 "trace.write", nullptr, err);
 }
 
 bool
@@ -666,30 +364,6 @@ ReplayTraceSource::ReplayTraceSource(
                    static_cast<unsigned long long>(
                        trace->header.programLength),
                    prog.size());
-}
-
-namespace
-{
-
-/** Decode-or-die bridge for the AoS convenience constructor. */
-std::shared_ptr<const DecodedTrace>
-decodedFromParse(TraceParse &parse)
-{
-    if (!parse.ok())
-        rsep_fatal("replay: %s", parse.error.c_str());
-    TraceHeader header = parse.header;
-    auto out = DecodedTrace::fromRecords(std::move(header), parse.records);
-    return out;
-}
-
-} // namespace
-
-ReplayTraceSource::ReplayTraceSource(TraceParse parse,
-                                     const isa::Program &program,
-                                     std::string origin_label)
-    : ReplayTraceSource(decodedFromParse(parse), program,
-                        std::move(origin_label))
-{
 }
 
 const DynRecord &

@@ -10,8 +10,8 @@
  * of a sweep (record once, replay many; warm sweeps skip functional
  * emulation entirely, stacking with the per-cell result cache).
  *
- * On-disk layout: a text header, a binary payload, and a trailing
- * FNV-1a checksum of the payload:
+ * On-disk layout: the common/envelope.hh envelope (DESIGN.md §17)
+ * with these header keys:
  *
  *     rsep-trace 2
  *     workload = mcf                 # run-cell key (name or name@hash)
@@ -23,26 +23,23 @@
  *     <encoded records>
  *     checksum = 16-hex
  *
- * Payload encodings by version (readers accept both; writers emit the
- * version in TraceHeader::version, default current):
+ * Payload: per record, a flag byte + LEB128 varints, exploiting
+ * committed-path structure to cut fleet trace-distribution cost
+ * several-fold: staticIdx is usually the previous record's nextIdx (1
+ * bit), nextIdx is usually staticIdx+1 (1 bit, else a zigzag delta),
+ * results are often zero or repeat the previous record's (1 bit each,
+ * else a zigzag delta against the previous result), and effective
+ * addresses delta against the previous memory access.
  *
- *  - v1: raw little-endian 25-byte records (u32 staticIdx, u32
- *    nextIdx, u64 result, u64 effAddr, u8 taken).
- *  - v2: per-record flag byte + LEB128 varints, exploiting committed-
- *    path structure to cut fleet trace-distribution cost several-fold:
- *    staticIdx is usually the previous record's nextIdx (1 bit),
- *    nextIdx is usually staticIdx+1 (1 bit, else a zigzag delta),
- *    results are often zero or repeat the previous record's (1 bit
- *    each, else a zigzag delta against the previous result), and
- *    effective addresses delta against the previous memory access.
+ * Version policy: writers emit traceFormatVersion and readers accept
+ * only it; a file of any other version is rejected with a diagnostic
+ * and must be re-recorded.
  *
  * The read data path is zero-copy (DESIGN.md §11): files come in
- * through MmapFile (page-cache view, read() fallback) and both
- * decoders — the AoS TraceParse used by tooling and the SoA
- * DecodedTrace used by replay — run the *same* record decoder
- * straight off the view, so the two forms cannot diverge.
+ * through MmapFile (page-cache view, read() fallback) and the decoder
+ * writes straight into the SoA DecodedTrace that replay uses.
  *
- * Files are written atomically (temp + rename). A reader rejects —
+ * Files are published atomically (temp + rename). A reader rejects —
  * with a diagnostic, never a partial result — version or checksum
  * mismatches, truncation, and malformed headers; replay additionally
  * validates the workload identity and program-length echo against the
@@ -62,12 +59,9 @@
 namespace rsep::wl
 {
 
-/** Current trace-format version (the writer default); bump on any
- *  layout change, keeping older versions readable. */
+/** The trace-format version: the only one written and read. Bump on
+ *  any layout change; files of other versions must be re-recorded. */
 constexpr unsigned traceFormatVersion = 2;
-
-/** Oldest payload encoding readers still accept. */
-constexpr unsigned traceFormatVersionMin = 1;
 
 /** Conventional file extension (tracePath appends it). */
 constexpr const char *traceFileExtension = ".rtr";
@@ -75,9 +69,6 @@ constexpr const char *traceFileExtension = ".rtr";
 /** Identity header of one `.rtr` file. */
 struct TraceHeader
 {
-    /** Payload encoding to write / that was read (1 = raw records,
-     *  2 = varint/delta). */
-    unsigned version = traceFormatVersion;
     std::string workload;     ///< run-cell key (workloadKey).
     std::string workloadHash; ///< 16-hex workloadHash of the spec.
     u32 phase = 0;
@@ -93,25 +84,18 @@ std::string tracePath(const std::string &dir, const std::string &workload,
 std::string serializeTrace(const TraceHeader &header,
                            const std::vector<DynRecord> &records);
 
-/** Outcome of reading a trace file: header+records, or a diagnostic. */
+/** Outcome of reading a trace file's header, or a diagnostic. */
 struct TraceParse
 {
     TraceHeader header;
-    std::vector<DynRecord> records;
-    u64 payloadChecksum = 0; ///< FNV-1a of the on-disk payload.
     std::string error; ///< "path: message"; empty on success.
 
     bool ok() const { return error.empty(); }
 };
 
-/** Parse a trace image. @p origin labels diagnostics. When
- *  @p header_only is set the payload is checksummed but not decoded.
- *  The view is only read during the call (nothing aliases it after). */
-TraceParse parseTrace(std::string_view text, const std::string &origin,
-                      bool header_only = false);
-
-/** Load and parse a trace file from disk (MmapFile reader). */
-TraceParse readTraceFile(const std::string &path, bool header_only = false);
+/** Read a trace file's header (MmapFile reader). The whole envelope is
+ *  validated and the payload checksummed, but not decoded. */
+TraceParse readTraceFile(const std::string &path);
 
 /**
  * A fully decoded trace in struct-of-arrays form: the replay window's
@@ -177,7 +161,7 @@ struct DecodedTrace
         effAddr.reserve(n);
     }
 
-    /** Build from an in-memory AoS stream (rsep_bench, tests). */
+    /** Build from an in-memory record vector (rsep_bench, tests). */
     static std::shared_ptr<const DecodedTrace>
     fromRecords(TraceHeader header, const std::vector<DynRecord> &records);
 };
@@ -266,10 +250,6 @@ class ReplayTraceSource : public TraceSource
      *  workload). @p origin labels diagnostics (e.g. the file path). */
     ReplayTraceSource(std::shared_ptr<const DecodedTrace> decoded,
                       const isa::Program &prog, std::string origin);
-
-    /** Convenience: decode an AoS parse (in-memory benches, tests). */
-    ReplayTraceSource(TraceParse parse, const isa::Program &prog,
-                      std::string origin);
 
     const DynRecord &step() override;
     const isa::Program &program() const override { return prog; }

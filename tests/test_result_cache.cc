@@ -3,16 +3,19 @@
  * Result-cache tests: record serialization round-trips a PhaseResult
  * exactly, hits/misses behave, every corruption mode (garbage,
  * truncation, version drift, wrong-key echo) quarantines instead of
- * serving bad data, and a warm-cache runMatrix re-simulates nothing
- * while producing bit-identical results.
+ * serving bad data, concurrent stores of one cell never tear it, and a
+ * warm-cache runMatrix re-simulates nothing while producing
+ * bit-identical results.
  */
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <thread>
 
 #include <unistd.h>
 
@@ -249,6 +252,47 @@ TEST(ResultCache, InjectedStoreFaultsFailCleanOrQuarantine)
     ASSERT_TRUE(hit.has_value());
     expectSamePhase(pr, *hit);
     fault::disarmAll();
+}
+
+TEST(ResultCache, ConcurrentStoresOfOneCellNeverTear)
+{
+    // Two pool threads can store the same cell (two daemon requests
+    // sharing an uncached cell). Each store needs its own temp file: a
+    // shared one interleaves the writers, and the rename then either
+    // fails or publishes a torn record.
+    fault::disarmAll();
+    TempDir tmp;
+    ResultCache cache(tmp.path);
+    CacheKey key{"mcf", "0123456789abcdef", 0, 0x5eed};
+    constexpr int kThreads = 8;
+    constexpr int kRounds = 200;
+
+    std::atomic<int> hits{0};
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t)
+        threads.emplace_back([&, t] {
+            PhaseResult pr;
+            pr.ipc = 1.5;
+            for (int round = 0; round < kRounds; ++round) {
+                pr.wallMicros = static_cast<u64>(round * kThreads + t);
+                cache.store(key, pr);
+                if (cache.load(key).has_value())
+                    ++hits;
+            }
+        });
+    for (std::thread &th : threads)
+        th.join();
+
+    ResultCache::Counters c = cache.counters();
+    EXPECT_EQ(c.ioErrors, 0u);
+    EXPECT_EQ(c.quarantined, 0u);
+    EXPECT_EQ(c.stores, static_cast<u64>(kThreads * kRounds));
+    EXPECT_EQ(hits.load(), kThreads * kRounds);
+    for (const auto &e : fs::directory_iterator(
+             fs::path(cache.cellPath(key)).parent_path()))
+        EXPECT_EQ(e.path().filename().string().find(".tmp."),
+                  std::string::npos)
+            << "temp debris " << e.path();
 }
 
 TEST(ResultCache, WarmMatrixSimulatesNothingAndMatchesCold)

@@ -275,6 +275,20 @@ TEST(SampleIo, RejectsCorruption)
     EXPECT_TRUE(parseSamplesText(good, "<t>").ok());
 }
 
+TEST(SampleIo, EveryTruncatedPrefixIsRejected)
+{
+    std::string good = serializeSamples(testHeader(), testRows());
+    // Each proper prefix — cut in the header, the payload or the
+    // trailer — must come back as a diagnostic, never as a series.
+    for (size_t len = 0; len < good.size(); ++len) {
+        SamplesParse p = parseSamplesText(good.substr(0, len), "<prefix>");
+        EXPECT_FALSE(p.ok()) << "prefix of " << len << " bytes accepted";
+        EXPECT_TRUE(p.rows.empty()) << len;
+        EXPECT_EQ(p.error.rfind("<prefix>: ", 0), 0u)
+            << "prefix of " << len << " bytes: '" << p.error << "'";
+    }
+}
+
 // ---- pipeline integration ----
 
 TEST(Sampling, DeltasSumToEndOfRunTotals)

@@ -2,11 +2,11 @@
  * @file
  * Trace data-path tests: MmapFile (mapping + read fallback are
  * indistinguishable to consumers), the zero-copy readers (mmap'd and
- * in-memory parses are byte-identical, SoA and AoS decodes agree
- * record for record, corruption diagnostics survive the move to
- * mmap), and DecodedTraceCache (hit/miss/keying/eviction semantics,
- * decode-once under concurrency, shared snapshots across runMatrix
- * cells for both --steal granularities).
+ * in-memory decodes are identical, every truncated prefix and every
+ * corruption is diagnosed, on the mmap path too), and
+ * DecodedTraceCache (hit/miss/keying/eviction semantics, decode-once
+ * under concurrency, shared snapshots across runMatrix cells for both
+ * --steal granularities).
  */
 
 #include <gtest/gtest.h>
@@ -78,10 +78,9 @@ sampleRecords(size_t n)
 }
 
 wl::TraceHeader
-sampleHeader(u64 records, unsigned version = wl::traceFormatVersion)
+sampleHeader(u64 records)
 {
     wl::TraceHeader h;
-    h.version = version;
     h.workload = "sample";
     h.workloadHash = "0123456789abcdef";
     h.phase = 2;
@@ -92,11 +91,10 @@ sampleHeader(u64 records, unsigned version = wl::traceFormatVersion)
 
 /** Write a sample trace; returns its path. */
 std::string
-writeSample(const std::string &dir, size_t records, unsigned version,
-            u32 phase = 2)
+writeSample(const std::string &dir, size_t records, u32 phase = 2)
 {
     auto recs = sampleRecords(records);
-    wl::TraceHeader h = sampleHeader(recs.size(), version);
+    wl::TraceHeader h = sampleHeader(recs.size());
     h.phase = phase;
     std::string path = wl::tracePath(dir, h.workload, phase);
     std::string err;
@@ -175,7 +173,7 @@ TEST(MmapFileDeathTest, NoMmapFallbackIsByteIdentical)
     // the binary) with the override set before the first open.
     ::testing::FLAGS_gtest_death_test_style = "threadsafe";
     std::string dir = scratchDir("mmap_nofallback");
-    std::string path = writeSample(dir, 500, 2);
+    std::string path = writeSample(dir, 500);
     std::string expected = slurp(path);
     EXPECT_EXIT(
         {
@@ -189,9 +187,9 @@ TEST(MmapFileDeathTest, NoMmapFallbackIsByteIdentical)
             if (f.view() != std::string_view(expected))
                 ::exit(4);
             // The fallback feeds the same bytes through the same
-            // parser: the decode must succeed identically.
-            wl::TraceParse p = wl::parseTrace(f.view(), path);
-            ::exit(p.ok() && p.records.size() == 500 ? 0 : 5);
+            // decoder: the decode must succeed identically.
+            wl::DecodedTraceParse p = wl::decodeTraceImage(f.view(), path);
+            ::exit(p.ok() && p.trace->size() == 500 ? 0 : 5);
         },
         ::testing::ExitedWithCode(0), "");
     fs::remove_all(dir);
@@ -199,70 +197,37 @@ TEST(MmapFileDeathTest, NoMmapFallbackIsByteIdentical)
 
 // ------------------------------------------- zero-copy trace readers
 
-TEST(TraceZeroCopy, MmapAndStreamParsesAreByteIdenticalV1AndV2)
+TEST(TraceZeroCopy, MmapAndStreamDecodesAreIdentical)
 {
     std::string dir = scratchDir("zc_identity");
-    for (unsigned version : {1u, 2u}) {
-        std::string path = writeSample(dir, 800, version,
-                                       /*phase=*/version);
-        // Stream read (the pre-mmap data path) vs the MmapFile reader.
-        wl::TraceParse viaStream = wl::parseTrace(slurp(path), path);
-        wl::TraceParse viaMmap = wl::readTraceFile(path);
-        ASSERT_TRUE(viaStream.ok()) << viaStream.error;
-        ASSERT_TRUE(viaMmap.ok()) << viaMmap.error;
-        EXPECT_EQ(viaMmap.header.version, version);
-        EXPECT_EQ(viaMmap.payloadChecksum, viaStream.payloadChecksum);
-        ASSERT_EQ(viaMmap.records.size(), viaStream.records.size());
-        for (size_t i = 0; i < viaMmap.records.size(); ++i) {
-            EXPECT_EQ(viaMmap.records[i].staticIdx,
-                      viaStream.records[i].staticIdx) << i;
-            EXPECT_EQ(viaMmap.records[i].nextIdx,
-                      viaStream.records[i].nextIdx) << i;
-            EXPECT_EQ(viaMmap.records[i].result,
-                      viaStream.records[i].result) << i;
-            EXPECT_EQ(viaMmap.records[i].effAddr,
-                      viaStream.records[i].effAddr) << i;
-            EXPECT_EQ(viaMmap.records[i].taken,
-                      viaStream.records[i].taken) << i;
-        }
-        // Re-serializing the mmap parse reproduces the file exactly.
-        EXPECT_EQ(wl::serializeTrace(viaMmap.header, viaMmap.records),
-                  slurp(path));
-    }
-    fs::remove_all(dir);
-}
-
-TEST(TraceZeroCopy, SoaDecodeAgreesWithAosRecordForRecord)
-{
-    std::string dir = scratchDir("zc_soa");
-    for (unsigned version : {1u, 2u}) {
-        std::string path = writeSample(dir, 600, version,
-                                       /*phase=*/version);
-        wl::TraceParse aos = wl::readTraceFile(path);
-        wl::DecodedTraceParse soa = wl::loadDecodedTrace(path);
-        ASSERT_TRUE(aos.ok()) << aos.error;
-        ASSERT_TRUE(soa.ok()) << soa.error;
-        EXPECT_EQ(soa.trace->payloadChecksum, aos.payloadChecksum);
-        EXPECT_EQ(soa.trace->header.records, aos.header.records);
-        ASSERT_EQ(soa.trace->size(), aos.records.size());
-        for (size_t i = 0; i < aos.records.size(); ++i) {
-            wl::DynRecord r = soa.trace->recordAt(i);
-            EXPECT_EQ(r.staticIdx, aos.records[i].staticIdx) << i;
-            EXPECT_EQ(r.nextIdx, aos.records[i].nextIdx) << i;
-            EXPECT_EQ(r.result, aos.records[i].result) << i;
-            EXPECT_EQ(r.effAddr, aos.records[i].effAddr) << i;
-            EXPECT_EQ(r.taken, aos.records[i].taken) << i;
-        }
-        EXPECT_EQ(soa.trace->decodedBytes(),
-                  aos.records.size() * wl::DecodedTrace::bytesPerRecord);
-    }
+    std::string path = writeSample(dir, 800);
+    // Stream read (the pre-mmap data path) vs the MmapFile reader.
+    wl::DecodedTraceParse viaStream = wl::decodeTraceImage(slurp(path), path);
+    wl::DecodedTraceParse viaMmap = wl::loadDecodedTrace(path);
+    ASSERT_TRUE(viaStream.ok()) << viaStream.error;
+    ASSERT_TRUE(viaMmap.ok()) << viaMmap.error;
+    const wl::DecodedTrace &m = *viaMmap.trace;
+    const wl::DecodedTrace &st = *viaStream.trace;
+    EXPECT_EQ(m.payloadChecksum, st.payloadChecksum);
+    EXPECT_EQ(m.header.records, 800u);
+    EXPECT_EQ(m.staticIdx, st.staticIdx);
+    EXPECT_EQ(m.nextIdx, st.nextIdx);
+    EXPECT_EQ(m.taken, st.taken);
+    EXPECT_EQ(m.result, st.result);
+    EXPECT_EQ(m.effAddr, st.effAddr);
+    EXPECT_EQ(m.decodedBytes(), 800 * wl::DecodedTrace::bytesPerRecord);
+    // Re-serializing the mmap decode reproduces the file exactly.
+    std::vector<wl::DynRecord> recs;
+    for (size_t i = 0; i < m.size(); ++i)
+        recs.push_back(m.recordAt(i));
+    EXPECT_EQ(wl::serializeTrace(m.header, recs), slurp(path));
     fs::remove_all(dir);
 }
 
 TEST(TraceZeroCopy, OnDiskCorruptionDiagnosticsSurviveTheMmapPath)
 {
     std::string dir = scratchDir("zc_corrupt");
-    std::string path = writeSample(dir, 300, 2);
+    std::string path = writeSample(dir, 300);
     std::string image = slurp(path);
 
     auto errOfFile = [&](const std::string &tag, std::string img) {
@@ -300,7 +265,30 @@ TEST(TraceZeroCopy, OnDiskCorruptionDiagnosticsSurviveTheMmapPath)
     lie.replace(at, 13, "records = 99999999999999");
     EXPECT_NE(errOfFile("t6", lie).find("exceeds"), std::string::npos);
 
+    // A retired v1 file is refused as an unsupported version, not
+    // misread as v2.
+    std::string v1 = image;
+    v1.replace(0, v1.find('\n'), "rsep-trace 1");
+    EXPECT_NE(errOfFile("t7", v1).find("unsupported rsep-trace version 1"),
+              std::string::npos);
+
     fs::remove_all(dir);
+}
+
+TEST(TraceZeroCopy, EveryTruncatedPrefixIsRejected)
+{
+    auto recs = sampleRecords(40);
+    std::string image = wl::serializeTrace(sampleHeader(recs.size()), recs);
+    // Each proper prefix — cut in the header, the payload or the
+    // trailer — must come back as a diagnostic, never as a trace.
+    for (size_t len = 0; len < image.size(); ++len) {
+        wl::DecodedTraceParse d =
+            wl::decodeTraceImage(image.substr(0, len), "<prefix>");
+        EXPECT_FALSE(d.ok()) << "prefix of " << len << " bytes accepted";
+        EXPECT_EQ(d.error.rfind("<prefix>: ", 0), 0u)
+            << "prefix of " << len << " bytes: '" << d.error << "'";
+    }
+    EXPECT_TRUE(wl::decodeTraceImage(image, "<full>").ok());
 }
 
 // ---------------------------------------------- DecodedTraceCache
@@ -308,7 +296,7 @@ TEST(TraceZeroCopy, OnDiskCorruptionDiagnosticsSurviveTheMmapPath)
 TEST(DecodedTraceCache, MissThenHitSharesOneSnapshot)
 {
     std::string dir = scratchDir("cache_hit");
-    std::string path = writeSample(dir, 400, 2);
+    std::string path = writeSample(dir, 400);
 
     wl::DecodedTraceCache cache;
     auto a = cache.get(path);
@@ -334,7 +322,7 @@ TEST(DecodedTraceCache, MissThenHitSharesOneSnapshot)
 TEST(DecodedTraceCache, OverwrittenFileMissesByChecksumKey)
 {
     std::string dir = scratchDir("cache_key");
-    std::string path = writeSample(dir, 200, 2);
+    std::string path = writeSample(dir, 200);
     wl::DecodedTraceCache cache;
     auto a = cache.get(path);
     ASSERT_TRUE(a.ok()) << a.error;
@@ -342,7 +330,7 @@ TEST(DecodedTraceCache, OverwrittenFileMissesByChecksumKey)
 
     // Same path, new bytes (e.g. re-recorded at a bigger sizing): the
     // checksum key must force a fresh decode, never stale records.
-    writeSample(dir, 250, 2);
+    writeSample(dir, 250);
     auto b = cache.get(path);
     ASSERT_TRUE(b.ok()) << b.error;
     EXPECT_FALSE(b.hit);
@@ -356,9 +344,9 @@ TEST(DecodedTraceCache, OverwrittenFileMissesByChecksumKey)
 TEST(DecodedTraceCache, LruEvictionIsBoundedAndKeepsInUseDataAlive)
 {
     std::string dir = scratchDir("cache_lru");
-    std::string p0 = writeSample(dir, 1000, 2, /*phase=*/0);
-    std::string p1 = writeSample(dir, 1000, 2, /*phase=*/1);
-    std::string p2 = writeSample(dir, 1000, 2, /*phase=*/2);
+    std::string p0 = writeSample(dir, 1000, /*phase=*/0);
+    std::string p1 = writeSample(dir, 1000, /*phase=*/1);
+    std::string p2 = writeSample(dir, 1000, /*phase=*/2);
 
     const u64 one = 1000 * wl::DecodedTrace::bytesPerRecord;
     wl::DecodedTraceCache cache(/*capacity_bytes=*/2 * one);
@@ -393,7 +381,7 @@ TEST(DecodedTraceCache, LruEvictionIsBoundedAndKeepsInUseDataAlive)
 TEST(DecodedTraceCache, CorruptFilesAreNotCached)
 {
     std::string dir = scratchDir("cache_err");
-    std::string path = writeSample(dir, 100, 2);
+    std::string path = writeSample(dir, 100);
     std::string image = slurp(path);
     writeFile(path, image.substr(0, image.size() - 7)); // truncate.
 
@@ -415,7 +403,7 @@ TEST(DecodedTraceCache, CorruptFilesAreNotCached)
 TEST(DecodedTraceCache, ConcurrentColdLookupsDecodeOnce)
 {
     std::string dir = scratchDir("cache_mt");
-    std::string path = writeSample(dir, 5000, 2);
+    std::string path = writeSample(dir, 5000);
 
     for (int round = 0; round < 8; ++round) {
         wl::DecodedTraceCache cache;

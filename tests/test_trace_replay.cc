@@ -70,26 +70,45 @@ sampleHeader(u64 records)
     return h;
 }
 
+/** Every record of @p recs, checked lane by lane against @p t. */
+void
+expectLanes(const wl::DecodedTrace &t, const std::vector<wl::DynRecord> &recs)
+{
+    ASSERT_EQ(t.size(), recs.size());
+    for (size_t i = 0; i < recs.size(); ++i) {
+        EXPECT_EQ(t.staticIdx[i], recs[i].staticIdx) << i;
+        EXPECT_EQ(t.nextIdx[i], recs[i].nextIdx) << i;
+        EXPECT_EQ(t.result[i], recs[i].result) << i;
+        EXPECT_EQ(t.effAddr[i], recs[i].effAddr) << i;
+        EXPECT_EQ(t.taken[i], recs[i].taken ? 1 : 0) << i;
+    }
+}
+
+/** The decoded stream back in record form (for re-serializing). */
+std::vector<wl::DynRecord>
+recordsOf(const wl::DecodedTrace &t)
+{
+    std::vector<wl::DynRecord> out;
+    for (size_t i = 0; i < t.size(); ++i)
+        out.push_back(t.recordAt(i));
+    return out;
+}
+
 TEST(TraceIo, RoundTripIsBitExact)
 {
     auto recs = sampleRecords(1000);
     std::string image = wl::serializeTrace(sampleHeader(recs.size()), recs);
-    wl::TraceParse parsed = wl::parseTrace(image, "<mem>");
+    wl::DecodedTraceParse parsed = wl::decodeTraceImage(image, "<mem>");
     ASSERT_TRUE(parsed.ok()) << parsed.error;
-    EXPECT_EQ(parsed.header.workload, "sample");
-    EXPECT_EQ(parsed.header.workloadHash, "0123456789abcdef");
-    EXPECT_EQ(parsed.header.phase, 2u);
-    EXPECT_EQ(parsed.header.programLength, 37u);
-    ASSERT_EQ(parsed.records.size(), recs.size());
-    for (size_t i = 0; i < recs.size(); ++i) {
-        EXPECT_EQ(parsed.records[i].staticIdx, recs[i].staticIdx) << i;
-        EXPECT_EQ(parsed.records[i].nextIdx, recs[i].nextIdx) << i;
-        EXPECT_EQ(parsed.records[i].result, recs[i].result) << i;
-        EXPECT_EQ(parsed.records[i].effAddr, recs[i].effAddr) << i;
-        EXPECT_EQ(parsed.records[i].taken, recs[i].taken) << i;
-    }
-    // Serializing the parse reproduces the image byte for byte.
-    EXPECT_EQ(wl::serializeTrace(parsed.header, parsed.records), image);
+    const wl::DecodedTrace &t = *parsed.trace;
+    EXPECT_EQ(t.header.workload, "sample");
+    EXPECT_EQ(t.header.workloadHash, "0123456789abcdef");
+    EXPECT_EQ(t.header.phase, 2u);
+    EXPECT_EQ(t.header.programLength, 37u);
+    EXPECT_EQ(t.header.records, recs.size());
+    expectLanes(t, recs);
+    // Serializing the decode reproduces the image byte for byte.
+    EXPECT_EQ(wl::serializeTrace(t.header, recordsOf(t)), image);
 }
 
 TEST(TraceIo, FileRoundTripAndHeaderOnly)
@@ -103,14 +122,14 @@ TEST(TraceIo, FileRoundTripAndHeaderOnly)
         wl::writeTraceFile(path, sampleHeader(recs.size()), recs, &err))
         << err;
 
-    wl::TraceParse full = wl::readTraceFile(path);
+    wl::DecodedTraceParse full = wl::loadDecodedTrace(path);
     ASSERT_TRUE(full.ok()) << full.error;
-    EXPECT_EQ(full.records.size(), 64u);
+    expectLanes(*full.trace, recs);
 
-    wl::TraceParse head = wl::readTraceFile(path, /*header_only=*/true);
+    wl::TraceParse head = wl::readTraceFile(path);
     ASSERT_TRUE(head.ok()) << head.error;
     EXPECT_EQ(head.header.records, 64u);
-    EXPECT_TRUE(head.records.empty());
+    EXPECT_EQ(head.header.workload, "sample");
 
     fs::remove_all(dir);
 }
@@ -121,12 +140,12 @@ TEST(TraceIo, CorruptionIsRejectedWithDiagnostics)
     std::string image = wl::serializeTrace(sampleHeader(recs.size()), recs);
 
     auto errOf = [](std::string img) {
-        return wl::parseTrace(img, "<bad>").error;
+        return wl::decodeTraceImage(img, "<bad>").error;
     };
 
     // Version mismatch.
     std::string v = image;
-    v[11] = '9'; // "rsep-trace 1" -> "rsep-trace 9"
+    v[11] = '9'; // "rsep-trace 2" -> "rsep-trace 9"
     EXPECT_NE(errOf(v).find("version"), std::string::npos);
 
     // Flipped payload byte -> checksum mismatch.
@@ -143,11 +162,11 @@ TEST(TraceIo, CorruptionIsRejectedWithDiagnostics)
     std::string lie = image;
     size_t at = lie.find("records = 50");
     lie.replace(at, 12, "records = 51");
-    EXPECT_FALSE(wl::parseTrace(lie, "<bad>").ok());
+    EXPECT_FALSE(errOf(lie).empty());
 
     // Empty / garbage input.
-    EXPECT_FALSE(wl::parseTrace("", "<bad>").ok());
-    EXPECT_FALSE(wl::parseTrace("not a trace\n", "<bad>").ok());
+    EXPECT_FALSE(errOf("").empty());
+    EXPECT_FALSE(errOf("not a trace\n").empty());
 }
 
 TEST(TraceIo, RecordingSourceTeesAndSlack)
@@ -172,36 +191,6 @@ TEST(TraceIo, RecordingSourceTeesAndSlack)
         EXPECT_EQ(rec.records()[i].staticIdx, want.staticIdx) << i;
         EXPECT_EQ(rec.records()[i].result, want.result) << i;
     }
-}
-
-TEST(TraceIo, V1StaysReadableAndMatchesV2Content)
-{
-    auto recs = sampleRecords(500);
-    wl::TraceHeader h1 = sampleHeader(recs.size());
-    h1.version = 1;
-    std::string v1 = wl::serializeTrace(h1, recs);
-    wl::TraceHeader h2 = sampleHeader(recs.size());
-    h2.version = 2;
-    std::string v2 = wl::serializeTrace(h2, recs);
-
-    EXPECT_NE(v1.substr(0, 12), v2.substr(0, 12)); // version line.
-    wl::TraceParse p1 = wl::parseTrace(v1, "<v1>");
-    wl::TraceParse p2 = wl::parseTrace(v2, "<v2>");
-    ASSERT_TRUE(p1.ok()) << p1.error;
-    ASSERT_TRUE(p2.ok()) << p2.error;
-    EXPECT_EQ(p1.header.version, 1u);
-    EXPECT_EQ(p2.header.version, 2u);
-    ASSERT_EQ(p1.records.size(), p2.records.size());
-    for (size_t i = 0; i < p1.records.size(); ++i) {
-        EXPECT_EQ(p1.records[i].staticIdx, p2.records[i].staticIdx) << i;
-        EXPECT_EQ(p1.records[i].nextIdx, p2.records[i].nextIdx) << i;
-        EXPECT_EQ(p1.records[i].result, p2.records[i].result) << i;
-        EXPECT_EQ(p1.records[i].effAddr, p2.records[i].effAddr) << i;
-        EXPECT_EQ(p1.records[i].taken, p2.records[i].taken) << i;
-    }
-    // Old files keep re-serializing as their own version (a reader
-    // that rewrites must not silently re-encode).
-    EXPECT_EQ(wl::serializeTrace(p1.header, p1.records), v1);
 }
 
 TEST(TraceIo, V2ExtremeValuesRoundTrip)
@@ -229,25 +218,17 @@ TEST(TraceIo, V2ExtremeValuesRoundTrip)
         add(static_cast<u32>(i % 7), static_cast<u32>((i + 1) % 7),
             i % 4 ? i : 0, i % 3 ? 0x1000 + 8 * (i % 16) : 0,
             i % 9 == 0);
-    wl::TraceHeader h = sampleHeader(recs.size());
-    h.version = 2;
-    std::string image = wl::serializeTrace(h, recs);
-    wl::TraceParse p = wl::parseTrace(image, "<mem>");
+    std::string image = wl::serializeTrace(sampleHeader(recs.size()), recs);
+    wl::DecodedTraceParse p = wl::decodeTraceImage(image, "<mem>");
     ASSERT_TRUE(p.ok()) << p.error;
-    ASSERT_EQ(p.records.size(), recs.size());
-    for (size_t i = 0; i < recs.size(); ++i) {
-        EXPECT_EQ(p.records[i].staticIdx, recs[i].staticIdx) << i;
-        EXPECT_EQ(p.records[i].nextIdx, recs[i].nextIdx) << i;
-        EXPECT_EQ(p.records[i].result, recs[i].result) << i;
-        EXPECT_EQ(p.records[i].effAddr, recs[i].effAddr) << i;
-        EXPECT_EQ(p.records[i].taken, recs[i].taken) << i;
-    }
+    expectLanes(*p.trace, recs);
 }
 
 TEST(TraceIo, V2CutsRealTraceSizeSeveralFold)
 {
     // The point of the encoding: a real committed-path stream shrinks
-    // several-fold against the 25-byte raw records.
+    // several-fold against 25-byte raw records (u32 staticIdx, u32
+    // nextIdx, u64 result, u64 effAddr, u8 taken).
     wl::Workload w = wl::makeWorkload("hmmer");
     wl::Emulator emu(w.program);
     emu.resetArchState();
@@ -257,16 +238,15 @@ TEST(TraceIo, V2CutsRealTraceSizeSeveralFold)
         rec.step();
     wl::TraceHeader h = sampleHeader(rec.records().size());
     h.programLength = w.program.size();
-    h.version = 1;
-    std::string v1 = wl::serializeTrace(h, rec.records());
-    h.version = 2;
-    std::string v2 = wl::serializeTrace(h, rec.records());
-    EXPECT_LT(v2.size() * 3, v1.size())
-        << "v2 should be at least 3x smaller on a real stream "
-        << "(v1 " << v1.size() << "B, v2 " << v2.size() << "B)";
-    wl::TraceParse p = wl::parseTrace(v2, "<mem>");
+    std::string image = wl::serializeTrace(h, rec.records());
+    const size_t raw = rec.records().size() * 25;
+    EXPECT_LT(image.size() * 3, raw)
+        << "the encoding should be at least 3x smaller than raw records "
+        << "on a real stream (raw " << raw << "B, file " << image.size()
+        << "B)";
+    wl::DecodedTraceParse p = wl::decodeTraceImage(image, "<mem>");
     ASSERT_TRUE(p.ok()) << p.error;
-    EXPECT_EQ(p.records.size(), rec.records().size());
+    expectLanes(*p.trace, rec.records());
 }
 
 sim::SimConfig
@@ -368,12 +348,13 @@ TEST(TraceReplay, MismatchedWorkloadHashIsRejected)
     // Tamper: rewrite the file under a different workload's name so
     // the identity echo cannot match.
     std::string path = wl::tracePath(dir, "lbm", 0);
-    wl::TraceParse t = wl::readTraceFile(path);
-    ASSERT_TRUE(t.ok());
-    t.header.workload = "mcf";
+    wl::DecodedTraceParse t = wl::loadDecodedTrace(path);
+    ASSERT_TRUE(t.ok()) << t.error;
+    wl::TraceHeader forged = t.trace->header;
+    forged.workload = "mcf";
     std::string err;
-    ASSERT_TRUE(wl::writeTraceFile(wl::tracePath(dir, "mcf", 0), t.header,
-                                   t.records, &err))
+    ASSERT_TRUE(wl::writeTraceFile(wl::tracePath(dir, "mcf", 0), forged,
+                                   recordsOf(*t.trace), &err))
         << err;
     sim::TraceIoOptions replay;
     replay.replayDir = dir;

@@ -29,6 +29,7 @@
 #include <cstring>
 #include <fstream>
 #include <map>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -272,12 +273,12 @@ timeWorkload(const sim::SimConfig &cfg, const std::string &name,
     // Slack so the replay's fetch lookahead cannot exhaust the stream.
     rec.recordSlack(8192);
 
-    wl::TraceParse parse;
-    parse.header.workload = name;
-    parse.header.programLength = w.program.size();
-    parse.header.records = rec.records().size();
-    parse.records = rec.records();
-    wl::ReplayTraceSource src(std::move(parse), w.program, "<memory>");
+    wl::TraceHeader header;
+    header.workload = name;
+    header.programLength = w.program.size();
+    wl::ReplayTraceSource src(
+        wl::DecodedTrace::fromRecords(header, rec.records()), w.program,
+        "<memory>");
     {
         core::Pipeline pipe(cfg.core, cfg.mech, src, cfg.seed ^ 0x9e37);
         pipe.run(warmup);
@@ -319,15 +320,14 @@ timeSamplingOverhead(const sim::SimConfig &cfg, const std::string &name,
     }
     rec.recordSlack(8192);
 
-    wl::TraceParse parse;
-    parse.header.workload = name;
-    parse.header.programLength = w.program.size();
-    parse.header.records = rec.records().size();
-    parse.records = rec.records();
+    wl::TraceHeader header;
+    header.workload = name;
+    header.programLength = w.program.size();
+    std::shared_ptr<const wl::DecodedTrace> trace =
+        wl::DecodedTrace::fromRecords(header, rec.records());
 
     auto timed_run = [&](bool sampling) {
-        wl::TraceParse copy = parse;
-        wl::ReplayTraceSource src(std::move(copy), w.program, "<memory>");
+        wl::ReplayTraceSource src(trace, w.program, "<memory>");
         core::Pipeline pipe(cfg.core, cfg.mech, src, cfg.seed ^ 0x9e37);
         pipe.run(warmup);
         pipe.resetStats();

@@ -127,7 +127,7 @@ cmdInfo(const std::vector<std::string> &files)
             continue;
         }
         std::printf("%s:\n", path.c_str());
-        std::printf("  version      %u\n", p.header.version);
+        std::printf("  version      %u\n", core::sampleSchemaVersion);
         std::printf("  workload     %s\n", p.header.workload.c_str());
         std::printf("  scenario     %s\n", p.header.scenario.c_str());
         std::printf("  config_hash  %s\n", p.header.configHash.c_str());

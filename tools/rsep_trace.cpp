@@ -81,7 +81,7 @@ cmdInfo(const std::vector<std::string> &files, u64 bench_decode)
 {
     bool ok = true;
     for (const std::string &path : files) {
-        wl::TraceParse t = wl::readTraceFile(path, /*header_only=*/true);
+        wl::TraceParse t = wl::readTraceFile(path);
         if (!t.ok()) {
             std::fprintf(stderr, "rsep_trace: %s\n", t.error.c_str());
             ok = false;
@@ -92,10 +92,7 @@ cmdInfo(const std::vector<std::string> &files, u64 bench_decode)
         const u64 decoded_bytes =
             t.header.records * wl::DecodedTrace::bytesPerRecord;
         std::printf("%s:\n", path.c_str());
-        std::printf("  version        %u%s\n", t.header.version,
-                    t.header.version == wl::traceFormatVersion
-                        ? ""
-                        : "  (older encoding; still replayable)");
+        std::printf("  version        %u\n", wl::traceFormatVersion);
         std::printf("  workload       %s\n", t.header.workload.c_str());
         std::printf("  workload_hash  %s%s\n",
                     t.header.workloadHash.c_str(),
@@ -158,38 +155,36 @@ cmdDump(const std::vector<std::string> &files, u64 limit)
 {
     bool ok = true;
     for (const std::string &path : files) {
-        wl::TraceParse t = wl::readTraceFile(path);
-        if (!t.ok()) {
-            std::fprintf(stderr, "rsep_trace: %s\n", t.error.c_str());
+        wl::DecodedTraceParse d = wl::loadDecodedTrace(path);
+        if (!d.ok()) {
+            std::fprintf(stderr, "rsep_trace: %s\n", d.error.c_str());
             ok = false;
             continue;
         }
+        const wl::DecodedTrace &t = *d.trace;
         std::optional<wl::WorkloadSpec> spec = specFor(t.header);
         std::optional<wl::Workload> w;
         if (spec)
             w = wl::buildWorkload(*spec);
         std::printf("%s: %s phase %u, %zu records\n", path.c_str(),
-                    t.header.workload.c_str(), t.header.phase,
-                    t.records.size());
-        u64 shown = 0;
-        for (const wl::DynRecord &r : t.records) {
-            if (limit && shown >= limit) {
-                std::printf("  ... (%zu more)\n",
-                            t.records.size() - static_cast<size_t>(shown));
+                    t.header.workload.c_str(), t.header.phase, t.size());
+        for (size_t i = 0; i < t.size(); ++i) {
+            if (limit && i >= limit) {
+                std::printf("  ... (%zu more)\n", t.size() - i);
                 break;
             }
+            const wl::DynRecord r = t.recordAt(i);
             std::string disasm =
                 w && r.staticIdx < w->program.size()
                     ? w->program.disasm(r.staticIdx)
                     : std::string("<unknown>");
             std::printf("  %8llu  si=%-5u next=%-5u result=%016llx "
                         "ea=%010llx %s  %s\n",
-                        static_cast<unsigned long long>(shown),
+                        static_cast<unsigned long long>(i),
                         r.staticIdx, r.nextIdx,
                         static_cast<unsigned long long>(r.result),
                         static_cast<unsigned long long>(r.effAddr),
                         r.taken ? "T" : "-", disasm.c_str());
-            ++shown;
         }
     }
     return ok ? 0 : 1;
@@ -205,16 +200,13 @@ cmdValidate(const std::vector<std::string> &files, bool deep)
                          msg.c_str());
             ok = false;
         };
-        wl::TraceParse t = wl::readTraceFile(path);
-        if (!t.ok()) {
-            std::fprintf(stderr, "rsep_trace: %s\n", t.error.c_str());
+        wl::DecodedTraceParse d = wl::loadDecodedTrace(path);
+        if (!d.ok()) {
+            std::fprintf(stderr, "rsep_trace: %s\n", d.error.c_str());
             ok = false;
             continue;
         }
-        if (t.records.size() != t.header.records) {
-            bad("record count mismatch");
-            continue;
-        }
+        const wl::DecodedTrace &t = *d.trace;
         std::optional<wl::WorkloadSpec> spec = specFor(t.header);
         if (!spec) {
             std::printf("%s: OK (envelope only; workload '%s' is not in "
@@ -235,9 +227,9 @@ cmdValidate(const std::vector<std::string> &files, bool deep)
             continue;
         }
         bool bounds_ok = true;
-        for (size_t i = 0; i < t.records.size() && bounds_ok; ++i)
-            if (t.records[i].staticIdx >= w.program.size() ||
-                t.records[i].nextIdx >= w.program.size()) {
+        for (size_t i = 0; i < t.size() && bounds_ok; ++i)
+            if (t.staticIdx[i] >= w.program.size() ||
+                t.nextIdx[i] >= w.program.size()) {
                 bad("record " + std::to_string(i) +
                     " indexes outside the program");
                 bounds_ok = false;
@@ -249,8 +241,8 @@ cmdValidate(const std::vector<std::string> &files, bool deep)
             emu.resetArchState();
             w.init(emu, t.header.phase);
             bool match = true;
-            for (size_t i = 0; i < t.records.size() && match; ++i) {
-                const wl::DynRecord &want = t.records[i];
+            for (size_t i = 0; i < t.size() && match; ++i) {
+                const wl::DynRecord want = t.recordAt(i);
                 const wl::DynRecord &got = emu.step();
                 if (got.staticIdx != want.staticIdx ||
                     got.nextIdx != want.nextIdx ||
@@ -265,8 +257,7 @@ cmdValidate(const std::vector<std::string> &files, bool deep)
             if (!match)
                 continue;
         }
-        std::printf("%s: OK (%zu records%s)\n", path.c_str(),
-                    t.records.size(),
+        std::printf("%s: OK (%zu records%s)\n", path.c_str(), t.size(),
                     deep ? ", deep-verified against live emulation" : "");
     }
     return ok ? 0 : 1;
