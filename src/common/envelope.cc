@@ -28,31 +28,6 @@ constexpr size_t trailerBytes = trailerMark.size() + 16 + 1;
 
 } // namespace
 
-void
-putVarint(std::string &s, u64 v)
-{
-    while (v >= 0x80) {
-        s.push_back(static_cast<char>((v & 0x7f) | 0x80));
-        v >>= 7;
-    }
-    s.push_back(static_cast<char>(v));
-}
-
-bool
-getVarint(const char *&p, const char *end, u64 &v)
-{
-    v = 0;
-    for (unsigned shift = 0; shift < 64; shift += 7) {
-        if (p == end)
-            return false;
-        u8 byte = static_cast<u8>(*p++);
-        v |= static_cast<u64>(byte & 0x7f) << shift;
-        if (!(byte & 0x80))
-            return true;
-    }
-    return false; // over-long varint.
-}
-
 std::string
 pathComponent(const std::string &name)
 {
