@@ -17,8 +17,8 @@ using isa::OpClass;
 
 Pipeline::Pipeline(const CoreParams &core_params, const MechConfig &mech_cfg,
                    wl::TraceSource &src, u64 seed)
-    : cp(core_params), mech(mech_cfg), emul(src), trace(src),
-      hier(mem::HierarchyParams{}),
+    : cp(core_params), mech(mech_cfg), engineSeed(seed), emul(src),
+      trace(src), hier(mem::HierarchyParams{}),
       bru(pred::TageParams{}, seed ^ 0x1111),
       isrbUnit(mech.rsep.isrbEntries, mech.rsep.isrbCounterBits),
       rename(core_params), fuPool(core_params),
@@ -34,38 +34,31 @@ Pipeline::Pipeline(const CoreParams &core_params, const MechConfig &mech_cfg,
                    16 + cp.fetchWidth);
     pregWaiterHead.assign(pregReady.size(), invalidWaiter);
     idealVal = mech.rsep.validation == equality::ValidationPolicy::Ideal;
-    // Engines are constructed in every configuration (their structures
-    // stay inspectable through the accessors below); only those enabled
-    // in MechConfig are registered, i.e. receive hook dispatches.
-    zeroIdiomEngine = std::make_unique<ZeroIdiomEngine>();
-    moveElimEngine = std::make_unique<MoveElimEngine>();
-    zeroPredEngine =
-        std::make_unique<ZeroPredEngine>(4096, mech.rsep.confKind);
-    // The oracle's pair-visibility window is rsep.history_depth
-    // *producers* — the FIFO's unit — so "rsep vs its oracle"
-    // compares like for like (the scan is also ROB-bounded; the
-    // registered rsep-oracle arm's 1024 exceeds any ROB).
-    oracleEqEngine =
-        std::make_unique<OracleEqEngine>(mech.rsep.historyDepth);
-    rsepEngine = std::make_unique<RsepEngine>(
-        mech.rsep, core_params.intPregs + core_params.fpPregs,
-        seed ^ 0x3333);
-    dvtageEngine = std::make_unique<DvtageEngine>(mech.vp, seed ^ 0x2222);
-
     // Registration order is dispatch order: the rename-stage priority
     // chain of the paper (Fig. 3), non-speculative mechanisms first.
+    // Speculative engines are built only when registered (or when an
+    // accessor below asks for one).
+    zeroIdiomEngine = std::make_unique<ZeroIdiomEngine>();
+    moveElimEngine = std::make_unique<MoveElimEngine>();
     if (mech.zeroIdiomElim)
         active.push_back(zeroIdiomEngine.get());
     if (mech.moveElim)
         active.push_back(moveElimEngine.get());
     if (mech.zeroPred)
-        active.push_back(zeroPredEngine.get());
-    if (mech.oracleEq)
+        active.push_back(&zeroPredEng());
+    if (mech.oracleEq) {
+        // The oracle's pair-visibility window is rsep.history_depth
+        // *producers* — the FIFO's unit — so "rsep vs its oracle"
+        // compares like for like (the scan is also ROB-bounded; the
+        // registered rsep-oracle arm's 1024 exceeds any ROB).
+        oracleEqEngine =
+            std::make_unique<OracleEqEngine>(mech.rsep.historyDepth);
         active.push_back(oracleEqEngine.get());
+    }
     if (mech.equalityPred)
-        active.push_back(rsepEngine.get());
+        active.push_back(&rsepEng());
     if (mech.valuePred)
-        active.push_back(dvtageEngine.get());
+        active.push_back(&dvtageEng());
     for (auto *e : active)
         if (e->wantsIssueHook())
             issueSubscribers.push_back(e);
@@ -117,34 +110,61 @@ Pipeline::engineByName(const std::string &name) const
     return nullptr;
 }
 
+ZeroPredEngine &
+Pipeline::zeroPredEng()
+{
+    if (!zeroPredEngine)
+        zeroPredEngine =
+            std::make_unique<ZeroPredEngine>(4096, mech.rsep.confKind);
+    return *zeroPredEngine;
+}
+
+RsepEngine &
+Pipeline::rsepEng()
+{
+    if (!rsepEngine)
+        rsepEngine = std::make_unique<RsepEngine>(
+            mech.rsep, cp.intPregs + cp.fpPregs, engineSeed ^ 0x3333);
+    return *rsepEngine;
+}
+
+DvtageEngine &
+Pipeline::dvtageEng()
+{
+    if (!dvtageEngine)
+        dvtageEngine =
+            std::make_unique<DvtageEngine>(mech.vp, engineSeed ^ 0x2222);
+    return *dvtageEngine;
+}
+
 equality::FifoHistory &
 Pipeline::fifoHistory()
 {
-    return rsepEngine->fifoHistory();
+    return rsepEng().fifoHistory();
 }
 
 equality::DistancePredictor &
 Pipeline::distancePredictor()
 {
-    return rsepEngine->distancePredictor();
+    return rsepEng().distancePredictor();
 }
 
 pred::Dvtage &
 Pipeline::valuePredictor()
 {
-    return dvtageEngine->predictor();
+    return dvtageEng().predictor();
 }
 
 equality::HashRegisterFile &
 Pipeline::hrf()
 {
-    return rsepEngine->hrf();
+    return rsepEng().hrf();
 }
 
 equality::ZeroPredictor &
 Pipeline::zeroPredictor()
 {
-    return zeroPredEngine->predictor();
+    return zeroPredEng().predictor();
 }
 
 Cycle
@@ -209,15 +229,14 @@ Pipeline::captureSample(StatSample &cum) const
     cum.memOrderSquashes = st.memOrderSquashes.value();
     cum.robOcc = nRenamed;
     cum.frontendOcc = window.size() - nRenamed;
-    // Engines fill their fixed schema slot whether registered or not
-    // (unregistered ones receive no hooks, so their counters — and
-    // hence the slot's deltas — stay zero).
+    // Every engine slot is filled; an unregistered engine receives no
+    // hooks, so its slot stays zero whether it was built or not.
     const SpeculationEngine *slots[numSampleEngineSlots] = {
         zeroIdiomEngine.get(), moveElimEngine.get(), zeroPredEngine.get(),
         oracleEqEngine.get(),  rsepEngine.get(),     dvtageEngine.get(),
     };
     for (size_t e = 0; e < numSampleEngineSlots; ++e) {
-        EngineSample es = slots[e]->sampleStats();
+        EngineSample es = slots[e] ? slots[e]->sampleStats() : EngineSample{};
         cum.engCoverage[e] = es.coverage;
         cum.engCorrect[e] = es.correct;
         cum.engMispredict[e] = es.mispredict;

@@ -250,8 +250,8 @@ class Pipeline
     mem::MemoryHierarchy &memory() { return hier; }
     equality::Isrb &isrb() { return isrbUnit; }
 
-    // Structure accessors, delegating to the owning engines (which are
-    // constructed in every configuration, registered or not).
+    // Structure accessors, delegating to the owning engines (an
+    // unregistered engine is built on first use, with its seed).
     equality::FifoHistory &fifoHistory();
     equality::DistancePredictor &distancePredictor();
     pred::Dvtage &valuePredictor();
@@ -374,6 +374,7 @@ class Pipeline
     // --- configuration ---
     CoreParams cp;
     MechConfig mech;
+    u64 engineSeed; ///< the constructor's seed (engine RNG streams).
 
     // --- substrate ---
     wl::TraceSource &emul; ///< the committed-path record stream.
@@ -391,6 +392,8 @@ class Pipeline
                              ///< the move-elim and RSEP engines).
 
     // --- speculation engines ---
+    // Null until registered or asked for by an accessor (*Eng()),
+    // except the zero-idiom and move-elim engines.
     std::unique_ptr<ZeroIdiomEngine> zeroIdiomEngine;
     std::unique_ptr<MoveElimEngine> moveElimEngine;
     std::unique_ptr<ZeroPredEngine> zeroPredEngine;
@@ -446,6 +449,12 @@ class Pipeline
     /** Fill @p cum with the cumulative counter snapshot the sampler
      *  deltas against. */
     void captureSample(StatSample &cum) const;
+
+    /** The engine, built on first use with its seed. */
+    ZeroPredEngine &zeroPredEng();
+    RsepEngine &rsepEng();
+    DvtageEngine &dvtageEng();
+
     /** Emit every sample boundary st.cycles has crossed. */
     void sampleTick();
     StatSampler *sampler = nullptr; ///< null = sampling off.

@@ -24,10 +24,10 @@
  *             squashed instruction) and atSquashAll (pipeline-wide
  *             squash notification).
  *
- * Engines are constructed unconditionally (so their structures can be
- * inspected through the pipeline accessors in any configuration) but
- * only the ones enabled in MechConfig are *registered*, i.e. receive
- * hook calls. See DESIGN.md "Speculation engines".
+ * Only the engines enabled in MechConfig are *registered*, i.e.
+ * receive hook calls; the pipeline builds an unregistered engine only
+ * when one of its structure accessors asks for it. See DESIGN.md
+ * "Speculation engines".
  */
 
 #ifndef RSEP_CORE_SPEC_ENGINE_HH

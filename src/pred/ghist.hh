@@ -139,25 +139,26 @@ class GeoFolds
     {
         sp = spec;
         f.assign(sp->size(), 0);
+        // insertDir's per-slot constants, so no division runs per
+        // branch. An empty window's zero mask keeps its fold at 0.
+        upd.clear();
+        for (const GeoFoldSpec::Slot &s : sp->slots())
+            upd.push_back({s.len ? mask(s.bits) : 0, s.bits - 1,
+                           s.len ? s.len - 1 : 0, s.len % s.bits});
     }
-
-    bool bound() const { return sp != nullptr; }
 
     /** A direction bit is inserted into the shadowed history; @p
      *  dir_before is GlobalHist::dir *before* its insert(). */
     void
     insertDir(bool taken, u64 dir_before)
     {
-        const auto &slots = sp->slots();
-        for (unsigned i = 0; i < slots.size(); ++i) {
-            const unsigned L = slots[i].len;
-            if (L == 0)
-                continue; // an empty window folds to 0 forever.
-            const unsigned B = slots[i].bits;
-            u64 v = rotateLeft(f[i], B, 1);
+        for (size_t i = 0; i < f.size(); ++i) {
+            const Update &u = upd[i];
+            // rotl(f, B, 1), which at B == 1 leaves bit 0 in place.
+            u64 v = (f[i] << 1) | (f[i] >> u.topBit);
             v ^= static_cast<u64>(taken);
-            v ^= ((dir_before >> (L - 1)) & 1) << (L % B);
-            f[i] = v;
+            v ^= ((dir_before >> u.evictBit) & 1) << u.evictPos;
+            f[i] = v & u.mask;
         }
     }
 
@@ -175,8 +176,13 @@ class GeoFolds
     u64 fold(unsigned slot) const { return f[slot]; }
 
   private:
+    /** mask(B) (0 for an empty window); B - 1, the bit the rotate
+     *  carries to 0; L - 1, the evicted bit; L % B, where it lands. */
+    struct Update { u64 mask; unsigned topBit, evictBit, evictPos; };
+
     const GeoFoldSpec *sp = nullptr;
     std::vector<u64> f;
+    std::vector<Update> upd; ///< per slot, parallel to f.
 };
 
 /** geoIndex with the direction fold precomputed (identical hash). */

@@ -15,8 +15,8 @@ computeStorage(const RsepConfig &cfg, unsigned num_pregs, unsigned rob_size)
     DistancePredictor dp(cfg.distParams());
     s.predictorKB = static_cast<double>(dp.storageBits()) / 8.0 / 1024.0;
 
-    // FIFO history: hash + 10-bit CSN per entry (explicit variant).
-    s.fifoHistoryB = cfg.historyDepth * (cfg.hashBits + csnBits) / 8.0;
+    FifoHistory fifo(cfg.historyDepth, cfg.implicitHistory);
+    s.fifoHistoryB = fifo.storageBits(cfg.hashBits) / 8.0;
 
     // Dedicated FIFO propagating predicted distances from Rename to
     // Commit: 8-bit distance per in-flight-window slot (paper: 224B).

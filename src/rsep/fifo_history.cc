@@ -101,8 +101,6 @@ FifoHistory::match(u16 hash, u32 csn, std::optional<u32> predicted_dist) const
 u64
 FifoHistory::storageBits(unsigned hash_bits) const
 {
-    // Explicit variant: hash + CSN per entry. Implicit variant: hash
-    // plus a producer bit (no CSN needed).
     return cap * (implicitAll ? hash_bits + 1 : hash_bits + csnBits);
 }
 

@@ -85,11 +85,11 @@ class FifoHistory
     void clear();
 
     unsigned depth() const { return static_cast<unsigned>(cap); }
-    bool implicitVariant() const { return implicitAll; }
     /** Current number of valid entries. */
     unsigned size() const { return static_cast<unsigned>(valid); }
 
-    /** Storage for the cost model (hash + CSN per entry, explicit). */
+    /** Storage, as computeStorage charges it too: hash + CSN per entry
+     *  (explicit variant) or hash + a producer bit (implicit). */
     u64 storageBits(unsigned hash_bits) const;
 
     /**

@@ -12,28 +12,10 @@ Isrb::Isrb(unsigned num_entries, unsigned counter_bits)
 {
 }
 
-Isrb::Entry *
-Isrb::find(PhysReg preg)
-{
-    for (auto &e : table)
-        if (e.valid && e.preg == preg)
-            return &e;
-    return nullptr;
-}
-
-const Isrb::Entry *
-Isrb::find(PhysReg preg) const
-{
-    for (const auto &e : table)
-        if (e.valid && e.preg == preg)
-            return &e;
-    return nullptr;
-}
-
 void
 Isrb::freeEntry(Entry &e)
 {
-    e.valid = false;
+    slotOf[e.preg] = noSlot;
     e.preg = invalidPhysReg;
     e.referenced = 0;
     e.committed = 0;
@@ -53,8 +35,10 @@ Isrb::share(PhysReg preg)
         return true;
     }
     for (auto &e : table) {
-        if (!e.valid) {
-            e.valid = true;
+        if (e.preg == invalidPhysReg) {
+            if (preg >= slotOf.size())
+                slotOf.resize(preg + 1, noSlot);
+            slotOf[preg] = static_cast<u32>(&e - table.data());
             e.preg = preg;
             // Producer's original mapping + this sharer.
             e.referenced = 2;
@@ -106,14 +90,16 @@ Isrb::squashSharer(PhysReg preg)
 bool
 Isrb::isShared(PhysReg preg) const
 {
-    return find(preg) != nullptr;
+    return preg < slotOf.size() && slotOf[preg] != noSlot;
 }
 
 unsigned
 Isrb::liveMappings(PhysReg preg) const
 {
-    const Entry *e = find(preg);
-    return e ? static_cast<unsigned>(e->referenced - e->committed) : 0;
+    if (!isShared(preg))
+        return 0;
+    const Entry &e = table[slotOf[preg]];
+    return static_cast<unsigned>(e.referenced - e.committed);
 }
 
 Isrb::Checkpoint
@@ -121,7 +107,7 @@ Isrb::checkpoint() const
 {
     Checkpoint cp;
     for (const auto &e : table)
-        if (e.valid)
+        if (e.preg != invalidPhysReg)
             cp.referenced.push_back({e.preg, e.referenced});
     return cp;
 }
@@ -131,7 +117,7 @@ Isrb::restore(const Checkpoint &cp)
 {
     std::vector<PhysReg> freed;
     for (auto &e : table) {
-        if (!e.valid)
+        if (e.preg == invalidPhysReg)
             continue;
         bool in_cp = false;
         for (const auto &[preg, referenced] : cp.referenced) {
@@ -161,7 +147,7 @@ Isrb::entriesInUse() const
 {
     unsigned n = 0;
     for (const auto &e : table)
-        if (e.valid)
+        if (e.preg != invalidPhysReg)
             ++n;
     return n;
 }

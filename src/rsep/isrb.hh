@@ -19,6 +19,9 @@
  * the vector of referenced counters (checkpoint()/restore()); the
  * pipeline may alternatively undo sharers one by one while walking the
  * ROB backwards (squashSharer()), which is what our core does.
+ *
+ * Lookups (one per committed register release) go through a per-preg
+ * slot index in O(1); allocation takes the lowest free slot.
  */
 
 #ifndef RSEP_RSEP_ISRB_HH
@@ -94,17 +97,22 @@ class Isrb
   private:
     struct Entry
     {
-        bool valid = false;
-        PhysReg preg = invalidPhysReg;
+        PhysReg preg = invalidPhysReg; ///< invalidPhysReg: slot free.
         u8 referenced = 0;
         u8 committed = 0;
     };
 
-    Entry *find(PhysReg preg);
-    const Entry *find(PhysReg preg) const;
+    Entry *
+    find(PhysReg preg)
+    {
+        return isShared(preg) ? &table[slotOf[preg]] : nullptr;
+    }
     void freeEntry(Entry &e);
 
+    static constexpr u32 noSlot = ~u32{0};
+
     std::vector<Entry> table;
+    std::vector<u32> slotOf; ///< preg -> table slot; noSlot if unshared.
     u8 counterMax;
 };
 

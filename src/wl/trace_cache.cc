@@ -87,7 +87,6 @@ DecodedTraceCache::get(const std::string &path)
     lock.lock();
     ++counters.misses;
     counters.decodeMicros += micros;
-    out.decodeMicros = micros;
     // The map slot may no longer be ours (clear() ran while we
     // decoded): publish to waiters via the shared entry regardless,
     // and only touch map/LRU state when the slot still points at us.
@@ -103,7 +102,7 @@ DecodedTraceCache::get(const std::string &path)
         return out;
     }
     e->trace = parse.trace;
-    e->bytes = parse.trace->decodedBytes();
+    e->bytes = parse.trace->payload.size();
     e->ready = true;
     if (slotOurs) {
         lru.push_front(key);
@@ -150,13 +149,6 @@ DecodedTraceCache::setCapacityBytes(u64 bytes)
 {
     std::lock_guard<std::mutex> lock(mu);
     capacity = bytes;
-}
-
-u64
-DecodedTraceCache::capacityBytes() const
-{
-    std::lock_guard<std::mutex> lock(mu);
-    return capacity;
 }
 
 DecodedTraceCache::Stats

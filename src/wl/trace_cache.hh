@@ -1,10 +1,11 @@
 /**
  * @file
- * Process-wide shared cache of decoded `.rtr` traces.
+ * Process-wide shared cache of validated `.rtr` traces.
  *
  * A matrix sweep replays the same (workload, phase) trace once per
- * mechanism arm: S scenarios x one file = S decodes of identical
- * bytes. DecodedTraceCache collapses that to one decode — cells ask
+ * mechanism arm: S scenarios x one file = S loads of identical
+ * bytes. DecodedTraceCache collapses that to one load (envelope,
+ * checksum and a validating walk of every record) — cells ask
  * for a trace by path, the cache hands every caller the same immutable
  * `shared_ptr<const DecodedTrace>` snapshot, and the work-stealing
  * pool's threads replay it concurrently with nothing but a private
@@ -14,15 +15,15 @@
  * fixed-size trailer of the (mmap'd) file on every lookup, so a trace
  * overwritten on disk — re-recorded under a different sizing, say —
  * misses naturally instead of replaying stale records. The lookup cost
- * on a hit is one open + one trailer page touch, not a decode.
+ * on a hit is one open + one trailer page touch, not a load.
  *
  * Concurrency: one mutex guards the map; a cold lookup inserts an
- * in-flight marker, decodes OUTSIDE the lock, then publishes and
+ * in-flight marker, loads OUTSIDE the lock, then publishes and
  * notifies. Concurrent lookups of the same key wait on a condition
  * variable and count as hits — the decode-once guarantee holds even
  * when every pool thread starts on the same benchmark simultaneously.
  *
- * Bounding: LRU by decodedBytes(), capacity set with setCapacityBytes
+ * Bounding: LRU by payload bytes, capacity set with setCapacityBytes
  * (`--trace-cache-mb`; 0 = unlimited). Eviction drops only the map's
  * reference — cells mid-replay keep the data alive through their own
  * shared_ptr, so eviction can never invalidate a running cell.
@@ -52,7 +53,6 @@ class DecodedTraceCache
         std::shared_ptr<const DecodedTrace> trace; ///< null on error.
         std::string error; ///< "path: message"; empty on success.
         bool hit = false;  ///< served from cache (incl. decode waiters).
-        u64 decodeMicros = 0; ///< this call's own decode time (miss only).
 
         bool ok() const { return trace != nullptr; }
     };
@@ -64,7 +64,7 @@ class DecodedTraceCache
         u64 misses = 0;
         u64 evictions = 0;
         u64 decodeMicros = 0;  ///< total wall time spent decoding.
-        u64 residentBytes = 0; ///< current decoded bytes held (gauge).
+        u64 residentBytes = 0; ///< current payload bytes held (gauge).
     };
 
     explicit DecodedTraceCache(u64 capacity_bytes = defaultCapacityBytes)
@@ -78,7 +78,6 @@ class DecodedTraceCache
     /** Resize the LRU bound; 0 = unlimited. Shrinking evicts at the
      *  next insertion, not eagerly. */
     void setCapacityBytes(u64 bytes);
-    u64 capacityBytes() const;
 
     Stats stats() const;
     void resetStats();
@@ -86,9 +85,9 @@ class DecodedTraceCache
     /** Drop every cached entry (tests; in-use shared_ptrs stay valid). */
     void clear();
 
-    /** 1 GiB default: ~34 minutes of committed path at the repo's 25
-     *  decoded bytes/record — far above any registered scenario, so
-     *  the bound only matters when a fleet host dials it down. */
+    /** 1 GiB default: ~250M records at ~4 payload bytes each — far
+     *  above any registered scenario, so the bound only matters when
+     *  a fleet host dials it down. */
     static constexpr u64 defaultCapacityBytes = 1024ull << 20;
 
   private:

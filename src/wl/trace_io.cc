@@ -85,83 +85,6 @@ encodePayload(const std::vector<DynRecord> &records)
     return payload;
 }
 
-/**
- * Decode a payload of @p count records straight into the SoA lanes of
- * @p out. The payload view is read in place (zero-copy off an mmap).
- */
-bool
-decodePayload(std::string_view payload, u64 count, DecodedTrace &out,
-              std::string &msg)
-{
-    const char *p = payload.data();
-    const char *end = p + payload.size();
-    u32 prev_next = 0;
-    u64 prev_result = 0;
-    Addr prev_eff = 0;
-    // Truncation diagnostics carry the byte offset: a torn download or
-    // short copy fails here, and "record 48127" alone doesn't say
-    // where in the file to look.
-    auto bad = [&](const char *what, u64 i) {
-        msg = std::string(what) + " at record " + std::to_string(i) +
-              " (payload offset " +
-              std::to_string(static_cast<u64>(p - payload.data())) +
-              " of " + std::to_string(payload.size()) + " bytes)";
-        return false;
-    };
-    out.reserveRecords(count);
-    for (u64 i = 0; i < count; ++i) {
-        if (p == end)
-            return bad("truncated payload", i);
-        u8 flags = static_cast<u8>(*p++);
-        DynRecord r;
-        u64 v = 0;
-        if (flags & fSameStatic) {
-            r.staticIdx = prev_next;
-        } else {
-            if (!getVarint(p, end, v) || v > 0xffffffffull)
-                return bad("bad staticIdx varint", i);
-            r.staticIdx = static_cast<u32>(v);
-        }
-        if (flags & fSeqNext) {
-            r.nextIdx = r.staticIdx + 1;
-        } else {
-            if (!getVarint(p, end, v))
-                return bad("bad nextIdx varint", i);
-            u64 next = static_cast<u64>(r.staticIdx) + 1 + unzigzag(v);
-            if ((next & 0xffffffffull) != next)
-                return bad("nextIdx overflow", i);
-            r.nextIdx = static_cast<u32>(next);
-        }
-        if (flags & fResultZero) {
-            r.result = 0;
-        } else if (flags & fResultSame) {
-            r.result = prev_result;
-        } else {
-            if (!getVarint(p, end, v))
-                return bad("bad result varint", i);
-            r.result = prev_result + unzigzag(v);
-        }
-        if (flags & fEffZero) {
-            r.effAddr = 0;
-        } else {
-            if (!getVarint(p, end, v))
-                return bad("bad effAddr varint", i);
-            r.effAddr = prev_eff + unzigzag(v);
-            prev_eff = r.effAddr;
-        }
-        r.taken = (flags & fTaken) != 0;
-        prev_next = r.nextIdx;
-        prev_result = r.result;
-        out.appendRecord(r);
-    }
-    if (p != end) {
-        msg = "payload has " + std::to_string(end - p) +
-              " trailing bytes after the last record";
-        return false;
-    }
-    return true;
-}
-
 /** An opened trace image: the validated header plus the envelope
  *  (whose payload view aliases the image). */
 struct OpenedTrace
@@ -205,8 +128,7 @@ openTrace(std::string_view text, const std::string &origin)
         return fail("bad program_length header");
     if (!parseU64(v[4], h.records))
         return fail("bad records header");
-    // Every record takes at least its flag byte; reject absurd record
-    // counts before reserve() can abort on a corrupt header.
+    // Every record takes at least its flag byte.
     if (h.records > out.env.payload.size())
         return fail("truncated payload: record count " +
                     std::to_string(h.records) +
@@ -243,6 +165,66 @@ injectTraceFault(const char *point_name, std::string_view &text,
 
 } // namespace
 
+bool
+TraceCursor::next(DynRecord &r)
+{
+    if (p == end)
+        return fail("truncated payload");
+    const u8 flags = static_cast<u8>(*p++);
+    u64 v = 0;
+    if (flags & fSameStatic) {
+        r.staticIdx = prevNext;
+    } else {
+        if (!getVarint(p, end, v) || v > 0xffffffffull)
+            return fail("bad staticIdx varint");
+        r.staticIdx = static_cast<u32>(v);
+    }
+    if (flags & fSeqNext) {
+        r.nextIdx = r.staticIdx + 1;
+    } else {
+        if (!getVarint(p, end, v))
+            return fail("bad nextIdx varint");
+        u64 next = static_cast<u64>(r.staticIdx) + 1 + unzigzag(v);
+        if ((next & 0xffffffffull) != next)
+            return fail("nextIdx overflow");
+        r.nextIdx = static_cast<u32>(next);
+    }
+    if (flags & fResultZero) {
+        r.result = 0;
+    } else if (flags & fResultSame) {
+        r.result = prevResult;
+    } else {
+        if (!getVarint(p, end, v))
+            return fail("bad result varint");
+        r.result = prevResult + unzigzag(v);
+    }
+    if (flags & fEffZero) {
+        r.effAddr = 0;
+    } else {
+        if (!getVarint(p, end, v))
+            return fail("bad effAddr varint");
+        r.effAddr = prevEff + unzigzag(v);
+        prevEff = r.effAddr;
+    }
+    r.taken = (flags & fTaken) != 0;
+    prevNext = r.nextIdx;
+    prevResult = r.result;
+    ++idx;
+    return true;
+}
+
+bool
+TraceCursor::fail(const char *what)
+{
+    // The byte offset matters: a torn download or short copy fails
+    // here, and "record 48127" alone doesn't say where in the file to
+    // look.
+    err = std::string(what) + " at record " + std::to_string(idx) +
+          " (payload offset " + std::to_string(p - base) + " of " +
+          std::to_string(end - base) + " bytes)";
+    return false;
+}
+
 std::string
 tracePath(const std::string &dir, const std::string &workload, u32 phase)
 {
@@ -277,15 +259,25 @@ decodeTraceImage(std::string_view text, const std::string &origin)
         out.error = std::move(opened.error);
         return out;
     }
-    auto decoded = std::make_shared<DecodedTrace>();
-    decoded->header = opened.header;
-    decoded->payloadChecksum = opened.env.checksum;
-    std::string msg;
-    if (!decodePayload(opened.env.payload, opened.header.records, *decoded,
-                       msg)) {
-        out.error = origin + ": " + msg;
+    // Validate every record once, here, so replay never meets a bad
+    // byte; then keep the payload itself rather than a decoded copy.
+    TraceCursor cursor(opened.env.payload);
+    DynRecord r;
+    for (u64 i = 0; i < opened.header.records; ++i) {
+        if (!cursor.next(r)) {
+            out.error = origin + ": " + cursor.error();
+            return out;
+        }
+    }
+    if (cursor.remaining() != 0) {
+        out.error = origin + ": payload has " +
+                    std::to_string(cursor.remaining()) +
+                    " trailing bytes after the last record";
         return out;
     }
+    auto decoded = std::make_shared<DecodedTrace>();
+    decoded->header = opened.header;
+    decoded->payload.assign(opened.env.payload);
     out.trace = std::move(decoded);
     return out;
 }
@@ -323,9 +315,7 @@ DecodedTrace::fromRecords(TraceHeader header,
     auto out = std::make_shared<DecodedTrace>();
     header.records = records.size();
     out->header = std::move(header);
-    out->reserveRecords(records.size());
-    for (const DynRecord &r : records)
-        out->appendRecord(r);
+    out->payload = encodePayload(records);
     return out;
 }
 
@@ -357,6 +347,7 @@ ReplayTraceSource::ReplayTraceSource(
 {
     if (!trace)
         rsep_fatal("replay: %s: null decoded trace", origin.c_str());
+    cursor = TraceCursor(trace->payload);
     if (trace->header.programLength != prog.size())
         rsep_fatal("replay: %s: program length %llu does not match the "
                    "registry workload's %zu instructions",
@@ -369,18 +360,17 @@ ReplayTraceSource::ReplayTraceSource(
 const DynRecord &
 ReplayTraceSource::step()
 {
-    if (next >= trace->size())
+    const u64 i = cursor.index();
+    if (i >= trace->size())
         rsep_fatal("replay: %s: trace exhausted after %zu records — the "
                    "trace was recorded under a smaller run sizing than "
                    "this replay needs; re-record with at least this "
                    "run's warmup+measure window",
                    origin.c_str(), trace->size());
-    const size_t i = next++;
-    cur.staticIdx = trace->staticIdx[i];
-    cur.nextIdx = trace->nextIdx[i];
-    cur.result = trace->result[i];
-    cur.effAddr = trace->effAddr[i];
-    cur.taken = trace->taken[i] != 0;
+    // The payload was validated at load; a failure here is a bug.
+    if (!cursor.next(cur))
+        rsep_panic("replay: %s: %s", origin.c_str(),
+                   cursor.error().c_str());
     if (cur.staticIdx >= prog.size() || cur.nextIdx >= prog.size())
         rsep_fatal("replay: %s: record %llu indexes outside the program "
                    "(staticIdx %u, nextIdx %u, program %zu)",

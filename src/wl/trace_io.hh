@@ -35,9 +35,10 @@
  * only it; a file of any other version is rejected with a diagnostic
  * and must be re-recorded.
  *
- * The read data path is zero-copy (DESIGN.md §11): files come in
- * through MmapFile (page-cache view, read() fallback) and the decoder
- * writes straight into the SoA DecodedTrace that replay uses.
+ * The read data path (DESIGN.md §11): files come in through MmapFile
+ * (page-cache view, read() fallback), are validated once at load by
+ * walking every record with a TraceCursor, and keep only their
+ * encoded payload; replay decodes records from it on demand.
  *
  * Files are published atomically (temp + rename). A reader rejects —
  * with a diagnostic, never a partial result — version or checksum
@@ -98,75 +99,66 @@ struct TraceParse
 TraceParse readTraceFile(const std::string &path);
 
 /**
- * A fully decoded trace in struct-of-arrays form: the replay window's
- * storage format. The pipeline's fetch path touches staticIdx/nextIdx/
- * taken on every record; result and effAddr matter only to the value-
- * speculation engines and the memory system, so the hot lanes stream
- * contiguously instead of dragging 16 cold bytes per record through
- * the cache. Immutable after decode — DecodedTraceCache shares one
+ * The one `.rtr` payload decoder, one record per next() call, used by
+ * load-time validation, replay and the tooling. It reads the payload
+ * in place; the bytes must outlive it.
+ */
+class TraceCursor
+{
+  public:
+    TraceCursor() = default;
+    explicit TraceCursor(std::string_view payload)
+        : base(payload.data()), p(payload.data()),
+          end(payload.data() + payload.size())
+    {}
+
+    /** Decode the next record into @p r. False on malformed bytes;
+     *  error() then says what went wrong and where. */
+    bool next(DynRecord &r);
+
+    /** Records decoded so far: the index of the next record. */
+    u64 index() const { return idx; }
+
+    /** Payload bytes not yet consumed. */
+    u64 remaining() const { return static_cast<u64>(end - p); }
+
+    /** Why next() failed: what, at which record and payload offset. */
+    const std::string &error() const { return err; }
+
+  private:
+    bool fail(const char *what);
+
+    const char *base = nullptr;
+    const char *p = nullptr;
+    const char *end = nullptr;
+    u64 idx = 0;
+    // Delta bases: the previous record's nextIdx and result, and the
+    // last memory record's address.
+    u32 prevNext = 0;
+    u64 prevResult = 0;
+    Addr prevEff = 0;
+    std::string err;
+};
+
+/**
+ * A trace whose every record decoded cleanly at load: its header and
+ * encoded payload, which replay decodes on demand, so a cell pays only
+ * for the records it consumes. Immutable; DecodedTraceCache shares one
  * instance across every matrix cell replaying the same file.
  */
 struct DecodedTrace
 {
     TraceHeader header;
-    u64 payloadChecksum = 0; ///< cache-key component (trace_cache.hh).
+    std::string payload; ///< header.records encoded records.
 
-    // Hot lanes (fetch path), index-parallel.
-    std::vector<u32> staticIdx;
-    std::vector<u32> nextIdx;
-    std::vector<u8> taken;
-    // Cold lanes.
-    std::vector<u64> result;
-    std::vector<Addr> effAddr;
-
-    size_t size() const { return staticIdx.size(); }
-
-    /** Decoded footprint of one record across the five lanes. */
-    static constexpr u64 bytesPerRecord =
-        sizeof(u32) * 2 + sizeof(u8) + sizeof(u64) + sizeof(Addr);
-
-    /** In-memory footprint of the record lanes (LRU accounting). */
-    u64 decodedBytes() const { return size() * bytesPerRecord; }
-
-    /** Materialize record @p i (tooling/tests; replay fills in place). */
-    DynRecord
-    recordAt(size_t i) const
-    {
-        DynRecord r;
-        r.staticIdx = staticIdx[i];
-        r.nextIdx = nextIdx[i];
-        r.result = result[i];
-        r.effAddr = effAddr[i];
-        r.taken = taken[i] != 0;
-        return r;
-    }
-
-    void
-    appendRecord(const DynRecord &r)
-    {
-        staticIdx.push_back(r.staticIdx);
-        nextIdx.push_back(r.nextIdx);
-        taken.push_back(r.taken ? 1 : 0);
-        result.push_back(r.result);
-        effAddr.push_back(r.effAddr);
-    }
-
-    void
-    reserveRecords(size_t n)
-    {
-        staticIdx.reserve(n);
-        nextIdx.reserve(n);
-        taken.reserve(n);
-        result.reserve(n);
-        effAddr.reserve(n);
-    }
+    size_t size() const { return header.records; }
 
     /** Build from an in-memory record vector (rsep_bench, tests). */
     static std::shared_ptr<const DecodedTrace>
     fromRecords(TraceHeader header, const std::vector<DynRecord> &records);
 };
 
-/** Outcome of decoding a trace straight to SoA form. */
+/** Outcome of loading and validating a trace. */
 struct DecodedTraceParse
 {
     std::shared_ptr<const DecodedTrace> trace; ///< null on error.
@@ -175,12 +167,13 @@ struct DecodedTraceParse
     bool ok() const { return trace != nullptr; }
 };
 
-/** Decode a trace image directly into SoA form — one pass over the
- *  (typically mmap'd) bytes, no intermediate record vector. */
+/** Validate a trace image (envelope, checksum, then every record
+ *  through a TraceCursor) and copy out its payload: @p text (typically
+ *  mmap'd) need not outlive the call. */
 DecodedTraceParse decodeTraceImage(std::string_view text,
                                    const std::string &origin);
 
-/** Map (or read-fallback) and decode a trace file to SoA form. */
+/** Map (or read-fallback), validate and load a trace file. */
 DecodedTraceParse loadDecodedTrace(const std::string &path);
 
 /** Atomically write a trace file (temp + rename, directories created).
@@ -236,10 +229,10 @@ class RecordingTraceSource : public TraceSource
 
 /**
  * TraceSource replaying a decoded `.rtr` stream against the workload's
- * registry-built Program. The decoded trace is shared and immutable
- * (many concurrent sources can replay one DecodedTrace); each source
- * keeps only a cursor and materializes the current record from the
- * SoA lanes. Exhausting the stream is fatal (the trace was recorded
+ * registry-built Program. The trace is shared and immutable (many
+ * concurrent sources can replay one DecodedTrace); each source keeps
+ * a private TraceCursor and decodes one record per step(). Exhausting
+ * the stream is fatal (the trace was recorded
  * under a smaller run sizing than the replay asks for); so is a
  * record indexing outside the program.
  */
@@ -254,14 +247,11 @@ class ReplayTraceSource : public TraceSource
     const DynRecord &step() override;
     const isa::Program &program() const override { return prog; }
 
-    const TraceHeader &header() const { return trace->header; }
-    u64 consumed() const { return next; }
-
   private:
     std::shared_ptr<const DecodedTrace> trace;
     const isa::Program &prog;
     std::string origin;
-    u64 next = 0;
+    TraceCursor cursor;
     DynRecord cur;
 };
 

@@ -10,10 +10,11 @@
  * replay many: warm sweeps skip emulation entirely.
  *
  * The replay side of the interface is deliberately thin: a replay
- * source is a cursor over an immutable, shared, SoA-decoded trace
- * (DecodedTrace, handed out by the process-wide DecodedTraceCache), so
- * any number of matrix cells can stream the same decoded bytes
- * concurrently without copies. See DESIGN.md §11 for the data path.
+ * source is a cursor over an immutable, shared, validated trace
+ * payload (DecodedTrace, handed out by the process-wide
+ * DecodedTraceCache), so any number of matrix cells can stream the
+ * same bytes concurrently without copies. See DESIGN.md §11 for the
+ * data path.
  */
 
 #ifndef RSEP_WL_TRACE_SOURCE_HH

@@ -473,6 +473,187 @@ TEST_P(IsrbSizes, ConservationUnderRandomWorkload)
 INSTANTIATE_TEST_SUITE_P(Sizes, IsrbSizes,
                          ::testing::Values(2u, 8u, 24u, 64u));
 
+/**
+ * The ISRB as a first-fit, linearly scanned table: the reference the
+ * indexed Isrb must agree with call for call, slot order included.
+ */
+class LinearIsrb
+{
+  public:
+    LinearIsrb(unsigned entries, unsigned counter_bits)
+        : table(entries), counterMax(static_cast<u8>(mask(counter_bits)))
+    {}
+
+    bool
+    share(PhysReg preg)
+    {
+        if (Entry *e = find(preg)) {
+            if (e->referenced >= counterMax)
+                return false;
+            ++e->referenced;
+            return true;
+        }
+        for (Entry &e : table) {
+            if (!e.valid) {
+                e = Entry{true, preg, 2, 0};
+                return true;
+            }
+        }
+        return false;
+    }
+
+    IsrbRelease
+    release(PhysReg preg)
+    {
+        Entry *e = find(preg);
+        if (!e)
+            return IsrbRelease::NotShared;
+        if (++e->committed == e->referenced) {
+            *e = Entry{};
+            return IsrbRelease::Freed;
+        }
+        return IsrbRelease::StillLive;
+    }
+
+    IsrbRelease
+    squashSharer(PhysReg preg)
+    {
+        Entry *e = find(preg);
+        --e->referenced;
+        if (e->committed == e->referenced) {
+            *e = Entry{};
+            return IsrbRelease::Freed;
+        }
+        if (e->referenced == 1 && e->committed == 0)
+            *e = Entry{};
+        return IsrbRelease::StillLive;
+    }
+
+    unsigned
+    liveMappings(PhysReg preg)
+    {
+        const Entry *e = find(preg);
+        return e ? static_cast<unsigned>(e->referenced - e->committed) : 0;
+    }
+
+    Isrb::Checkpoint
+    checkpoint() const
+    {
+        Isrb::Checkpoint cp;
+        for (const Entry &e : table)
+            if (e.valid)
+                cp.referenced.push_back({e.preg, e.referenced});
+        return cp;
+    }
+
+    std::vector<PhysReg>
+    restore(const Isrb::Checkpoint &cp)
+    {
+        std::vector<PhysReg> freed;
+        for (Entry &e : table) {
+            if (!e.valid)
+                continue;
+            e.referenced = 1;
+            for (const auto &[preg, referenced] : cp.referenced)
+                if (preg == e.preg)
+                    e.referenced = referenced;
+            if (e.committed >= e.referenced) {
+                freed.push_back(e.preg);
+                e = Entry{};
+            } else if (e.referenced == 1 && e.committed == 0) {
+                e = Entry{};
+            }
+        }
+        return freed;
+    }
+
+    unsigned
+    entriesInUse() const
+    {
+        unsigned n = 0;
+        for (const Entry &e : table)
+            n += e.valid;
+        return n;
+    }
+
+  private:
+    struct Entry
+    {
+        bool valid = false;
+        PhysReg preg = invalidPhysReg;
+        u8 referenced = 0;
+        u8 committed = 0;
+    };
+
+    Entry *
+    find(PhysReg preg)
+    {
+        for (Entry &e : table)
+            if (e.valid && e.preg == preg)
+                return &e;
+        return nullptr;
+    }
+
+    std::vector<Entry> table;
+    u8 counterMax;
+};
+
+class IsrbIndexVsScan : public ::testing::TestWithParam<unsigned>
+{
+};
+
+TEST_P(IsrbIndexVsScan, SameOutcomesAndSlotOrder)
+{
+    // Seeded random share/release/squash/checkpoint-restore sequences;
+    // 24 entries is the paper's ISRB, 512 the rsep-oracle arm's. The
+    // preg range exceeds the capacity so the buffer fills and refuses.
+    const unsigned entries = GetParam();
+    const unsigned pregs = entries * 2 + 8;
+    for (u64 seed = 1; seed <= 4; ++seed) {
+        Isrb isrb(entries, 6);
+        LinearIsrb ref(entries, 6);
+        Rng rng(seed * 1000 + entries);
+        std::vector<Isrb::Checkpoint> cps;
+        for (int step = 0; step < 30000; ++step) {
+            const auto p = static_cast<PhysReg>(1 + rng.below(pregs));
+            // Alternate share-heavy phases, which fill the buffer, with
+            // release-heavy ones, which drain it. Restores are rare: one
+            // to an old checkpoint drops most entries.
+            const u64 shares = (step / 3000) % 2 ? 25 : 70;
+            const u64 op = rng.below(1000);
+            if (op < 10 * shares) {
+                ASSERT_EQ(isrb.share(p), ref.share(p)) << step;
+            } else if (op < 850) {
+                // Releasing an unshared preg is the common commit case.
+                ASSERT_EQ(isrb.release(p), ref.release(p)) << step;
+            } else if (op < 990) {
+                if (ref.liveMappings(p) == 0)
+                    continue; // squashSharer needs a sharer to undo.
+                ASSERT_EQ(isrb.squashSharer(p), ref.squashSharer(p)) << step;
+            } else if (op < 997 || cps.empty()) {
+                cps.push_back(ref.checkpoint());
+            } else {
+                const Isrb::Checkpoint &cp = cps[rng.below(cps.size())];
+                ASSERT_EQ(isrb.restore(cp), ref.restore(cp)) << step;
+            }
+            ASSERT_EQ(isrb.entriesInUse(), ref.entriesInUse()) << step;
+            ASSERT_EQ(isrb.isShared(p), ref.liveMappings(p) != 0) << step;
+            ASSERT_EQ(isrb.liveMappings(p), ref.liveMappings(p)) << step;
+            if (step % 64 == 0) {
+                // Same entries in the same slots.
+                ASSERT_EQ(isrb.checkpoint().referenced,
+                          ref.checkpoint().referenced)
+                    << step;
+            }
+        }
+        EXPECT_GT(isrb.shareRefusalsFull.value(), 0u) << seed;
+        EXPECT_GT(isrb.entriesFreed.value(), 0u) << seed;
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(PaperAndOracleSizes, IsrbIndexVsScan,
+                         ::testing::Values(24u, 512u));
+
 // --------------------------- zero predictor ---------------------------
 
 TEST(ZeroPred, SaturatesOnAlwaysZero)
@@ -563,6 +744,25 @@ TEST(CostModel, PaperTotals)
     EXPECT_NEAR(s.distanceFifoB, 224.0, 1.0);
     EXPECT_NEAR(s.isrbB, 63.0, 1.0);
     EXPECT_NEAR(s.totalKB, 10.8, 0.3);
+}
+
+TEST(CostModel, FifoTermMatchesFifoHistoryForBothVariants)
+{
+    // One storage formula: the cost model's FIFO term is what the
+    // history itself reports, explicit (hash + CSN) and implicit
+    // (hash + producer bit) alike.
+    for (bool implicit : {false, true}) {
+        RsepConfig cfg = RsepConfig::realistic();
+        cfg.implicitHistory = implicit;
+        FifoHistory f(cfg.historyDepth, implicit);
+        RsepStorage s = computeStorage(cfg, 470, 192);
+        EXPECT_EQ(s.fifoHistoryB, f.storageBits(cfg.hashBits) / 8.0)
+            << implicit;
+    }
+    RsepConfig implicit = RsepConfig::realistic();
+    implicit.implicitHistory = true;
+    EXPECT_NEAR(computeStorage(implicit, 470, 192).fifoHistoryB,
+                128 * (14 + 1) / 8.0, 0.01);
 }
 
 TEST(CostModel, IdealPredictorIs42KB)

@@ -30,7 +30,7 @@ namespace
 TEST(GeoFolds, MatchesFromScratchAcrossInsertsAndRestores)
 {
     // Every geometry the repo's predictors use, plus edge cases:
-    // len < bits, len == bits, len == 64, full-width fold.
+    // len < bits, len == bits, len == 64, full-width fold, 1-bit fold.
     GeoFoldSpec spec;
     TageParams tp;
     for (unsigned c = 0; c < tp.numTagged; ++c) {
@@ -47,6 +47,9 @@ TEST(GeoFolds, MatchesFromScratchAcrossInsertsAndRestores)
     spec.require(9, 9);   // len == bits.
     spec.require(64, 64); // full-width identity fold.
     spec.require(63, 2);  // narrow fold, maximal chunk count.
+    spec.require(1, 1);   // 1-bit fold: the rotate is the identity.
+    spec.require(17, 1);  // 1-bit fold of a window: its parity.
+    spec.require(64, 1);  // 1-bit fold of a full-width window.
 
     GeoFolds folds;
     folds.bind(&spec);

@@ -89,6 +89,18 @@ sampleHeader(u64 records)
     return h;
 }
 
+/** The validated stream in record form, through its cursor. */
+std::vector<wl::DynRecord>
+recordsOf(const wl::DecodedTrace &t)
+{
+    std::vector<wl::DynRecord> out(t.size());
+    wl::TraceCursor cursor(t.payload);
+    for (wl::DynRecord &r : out)
+        EXPECT_TRUE(cursor.next(r)) << cursor.error();
+    EXPECT_EQ(cursor.remaining(), 0u);
+    return out;
+}
+
 /** Write a sample trace; returns its path. */
 std::string
 writeSample(const std::string &dir, size_t records, u32 phase = 2)
@@ -208,18 +220,21 @@ TEST(TraceZeroCopy, MmapAndStreamDecodesAreIdentical)
     ASSERT_TRUE(viaMmap.ok()) << viaMmap.error;
     const wl::DecodedTrace &m = *viaMmap.trace;
     const wl::DecodedTrace &st = *viaStream.trace;
-    EXPECT_EQ(m.payloadChecksum, st.payloadChecksum);
     EXPECT_EQ(m.header.records, 800u);
-    EXPECT_EQ(m.staticIdx, st.staticIdx);
-    EXPECT_EQ(m.nextIdx, st.nextIdx);
-    EXPECT_EQ(m.taken, st.taken);
-    EXPECT_EQ(m.result, st.result);
-    EXPECT_EQ(m.effAddr, st.effAddr);
-    EXPECT_EQ(m.decodedBytes(), 800 * wl::DecodedTrace::bytesPerRecord);
-    // Re-serializing the mmap decode reproduces the file exactly.
-    std::vector<wl::DynRecord> recs;
-    for (size_t i = 0; i < m.size(); ++i)
-        recs.push_back(m.recordAt(i));
+    EXPECT_EQ(m.payload, st.payload);
+    // Both cursors yield the written records; re-serializing them
+    // reproduces the file exactly.
+    const std::vector<wl::DynRecord> want = sampleRecords(800);
+    const std::vector<wl::DynRecord> recs = recordsOf(m);
+    ASSERT_EQ(recs.size(), want.size());
+    EXPECT_EQ(recordsOf(st).size(), want.size());
+    for (size_t i = 0; i < want.size(); ++i) {
+        EXPECT_EQ(recs[i].staticIdx, want[i].staticIdx) << i;
+        EXPECT_EQ(recs[i].nextIdx, want[i].nextIdx) << i;
+        EXPECT_EQ(recs[i].result, want[i].result) << i;
+        EXPECT_EQ(recs[i].effAddr, want[i].effAddr) << i;
+        EXPECT_EQ(recs[i].taken, want[i].taken) << i;
+    }
     EXPECT_EQ(wl::serializeTrace(m.header, recs), slurp(path));
     fs::remove_all(dir);
 }
@@ -311,11 +326,12 @@ TEST(DecodedTraceCache, MissThenHitSharesOneSnapshot)
     EXPECT_EQ(s.hits, 1u);
     EXPECT_EQ(s.misses, 1u);
     EXPECT_EQ(s.evictions, 0u);
-    EXPECT_EQ(s.residentBytes, a.trace->decodedBytes());
+    EXPECT_EQ(s.residentBytes, a.trace->payload.size());
+    EXPECT_GT(s.residentBytes, 0u);
 
     cache.resetStats();
     EXPECT_EQ(cache.stats().hits, 0u);
-    EXPECT_EQ(cache.stats().residentBytes, a.trace->decodedBytes());
+    EXPECT_EQ(cache.stats().residentBytes, a.trace->payload.size());
     fs::remove_all(dir);
 }
 
@@ -348,7 +364,8 @@ TEST(DecodedTraceCache, LruEvictionIsBoundedAndKeepsInUseDataAlive)
     std::string p1 = writeSample(dir, 1000, /*phase=*/1);
     std::string p2 = writeSample(dir, 1000, /*phase=*/2);
 
-    const u64 one = 1000 * wl::DecodedTrace::bytesPerRecord;
+    // The three files carry the same records: one payload size each.
+    const u64 one = wl::loadDecodedTrace(p0).trace->payload.size();
     wl::DecodedTraceCache cache(/*capacity_bytes=*/2 * one);
     auto a = cache.get(p0);
     auto b = cache.get(p1);
@@ -366,7 +383,7 @@ TEST(DecodedTraceCache, LruEvictionIsBoundedAndKeepsInUseDataAlive)
     EXPECT_FALSE(cache.get(p1).hit);  // evicted: decodes again.
     // The evicted snapshot `b` holds is still fully usable.
     EXPECT_EQ(b.trace->size(), 1000u);
-    EXPECT_EQ(b.trace->recordAt(999).nextIdx,
+    EXPECT_EQ(recordsOf(*b.trace)[999].nextIdx,
               sampleRecords(1000)[999].nextIdx);
 
     // Capacity 0 = unlimited: no evictions however much lands.

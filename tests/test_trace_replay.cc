@@ -19,6 +19,8 @@
 #include "sim/runner.hh"
 #include "sim/scenario.hh"
 #include "wl/emulator.hh"
+#include "wl/suite.hh"
+#include "wl/trace_cache.hh"
 #include "wl/trace_io.hh"
 #include "wl/workload_spec.hh"
 
@@ -70,28 +72,32 @@ sampleHeader(u64 records)
     return h;
 }
 
-/** Every record of @p recs, checked lane by lane against @p t. */
-void
-expectLanes(const wl::DecodedTrace &t, const std::vector<wl::DynRecord> &recs)
-{
-    ASSERT_EQ(t.size(), recs.size());
-    for (size_t i = 0; i < recs.size(); ++i) {
-        EXPECT_EQ(t.staticIdx[i], recs[i].staticIdx) << i;
-        EXPECT_EQ(t.nextIdx[i], recs[i].nextIdx) << i;
-        EXPECT_EQ(t.result[i], recs[i].result) << i;
-        EXPECT_EQ(t.effAddr[i], recs[i].effAddr) << i;
-        EXPECT_EQ(t.taken[i], recs[i].taken ? 1 : 0) << i;
-    }
-}
-
-/** The decoded stream back in record form (for re-serializing). */
+/** The validated stream back in record form, through its cursor. */
 std::vector<wl::DynRecord>
 recordsOf(const wl::DecodedTrace &t)
 {
-    std::vector<wl::DynRecord> out;
-    for (size_t i = 0; i < t.size(); ++i)
-        out.push_back(t.recordAt(i));
+    std::vector<wl::DynRecord> out(t.size());
+    wl::TraceCursor cursor(t.payload);
+    for (wl::DynRecord &r : out)
+        EXPECT_TRUE(cursor.next(r)) << cursor.error();
+    EXPECT_EQ(cursor.remaining(), 0u);
     return out;
+}
+
+/** Every record of @p recs, checked field by field against @p t. */
+void
+expectRecords(const wl::DecodedTrace &t,
+              const std::vector<wl::DynRecord> &recs)
+{
+    ASSERT_EQ(t.size(), recs.size());
+    const std::vector<wl::DynRecord> got = recordsOf(t);
+    for (size_t i = 0; i < recs.size(); ++i) {
+        EXPECT_EQ(got[i].staticIdx, recs[i].staticIdx) << i;
+        EXPECT_EQ(got[i].nextIdx, recs[i].nextIdx) << i;
+        EXPECT_EQ(got[i].result, recs[i].result) << i;
+        EXPECT_EQ(got[i].effAddr, recs[i].effAddr) << i;
+        EXPECT_EQ(got[i].taken, recs[i].taken) << i;
+    }
 }
 
 TEST(TraceIo, RoundTripIsBitExact)
@@ -106,7 +112,7 @@ TEST(TraceIo, RoundTripIsBitExact)
     EXPECT_EQ(t.header.phase, 2u);
     EXPECT_EQ(t.header.programLength, 37u);
     EXPECT_EQ(t.header.records, recs.size());
-    expectLanes(t, recs);
+    expectRecords(t, recs);
     // Serializing the decode reproduces the image byte for byte.
     EXPECT_EQ(wl::serializeTrace(t.header, recordsOf(t)), image);
 }
@@ -124,7 +130,7 @@ TEST(TraceIo, FileRoundTripAndHeaderOnly)
 
     wl::DecodedTraceParse full = wl::loadDecodedTrace(path);
     ASSERT_TRUE(full.ok()) << full.error;
-    expectLanes(*full.trace, recs);
+    expectRecords(*full.trace, recs);
 
     wl::TraceParse head = wl::readTraceFile(path);
     ASSERT_TRUE(head.ok()) << head.error;
@@ -221,7 +227,7 @@ TEST(TraceIo, V2ExtremeValuesRoundTrip)
     std::string image = wl::serializeTrace(sampleHeader(recs.size()), recs);
     wl::DecodedTraceParse p = wl::decodeTraceImage(image, "<mem>");
     ASSERT_TRUE(p.ok()) << p.error;
-    expectLanes(*p.trace, recs);
+    expectRecords(*p.trace, recs);
 }
 
 TEST(TraceIo, V2CutsRealTraceSizeSeveralFold)
@@ -246,7 +252,7 @@ TEST(TraceIo, V2CutsRealTraceSizeSeveralFold)
         << "B)";
     wl::DecodedTraceParse p = wl::decodeTraceImage(image, "<mem>");
     ASSERT_TRUE(p.ok()) << p.error;
-    expectLanes(*p.trace, rec.records());
+    expectRecords(*p.trace, rec.records());
 }
 
 sim::SimConfig
@@ -334,6 +340,81 @@ TEST(TraceReplay, RunMatrixRecordThenReplayIsIdentical)
                             rep[b].byConfig[0].phases[p]);
         }
     }
+    fs::remove_all(dir);
+}
+
+TEST(TraceReplay, ReplayEqualsLiveAcrossTheSuite)
+{
+    // Every suite workload, the baseline and rsep+vpred arms: record
+    // live, drop every cached trace, replay, and require the same stat
+    // records cell for cell.
+    std::string dir = scratchDir("suite");
+    std::vector<sim::SimConfig> configs = {sim::SimConfig::baseline(),
+                                           sim::SimConfig::rsepPlusVp()};
+    for (sim::SimConfig &cfg : configs) {
+        cfg.warmupInsts = 500;
+        cfg.measureInsts = 2'000;
+        cfg.checkpoints = 1;
+        cfg.seed = 0x5eed;
+    }
+    const std::vector<std::string> &benches = wl::suiteNames();
+    ASSERT_EQ(benches.size(), 29u);
+
+    sim::MatrixOptions rec_opts;
+    rec_opts.jobs = 2;
+    rec_opts.progress = false;
+    rec_opts.traceIo.recordDir = dir;
+    auto live = sim::runMatrix(configs, benches, rec_opts);
+
+    wl::traceCache().clear();
+    sim::MatrixOptions rep_opts;
+    rep_opts.jobs = 2;
+    rep_opts.progress = false;
+    rep_opts.traceIo.replayDir = dir;
+    auto rep = sim::runMatrix(configs, benches, rep_opts);
+
+    ASSERT_EQ(live.size(), benches.size());
+    ASSERT_EQ(rep.size(), benches.size());
+    for (size_t b = 0; b < live.size(); ++b) {
+        for (size_t c = 0; c < configs.size(); ++c) {
+            const auto &lp = live[b].byConfig[c].phases;
+            const auto &rp = rep[b].byConfig[c].phases;
+            ASSERT_EQ(lp.size(), 1u) << benches[b];
+            ASSERT_EQ(rp.size(), 1u) << benches[b];
+            SCOPED_TRACE(benches[b] + " / " + configs[c].label);
+            EXPECT_FALSE(lp[0].replayed);
+            EXPECT_TRUE(rp[0].replayed);
+            expectSamePhase(lp[0], rp[0]);
+        }
+    }
+    fs::remove_all(dir);
+}
+
+TEST(TraceReplayDeathTest, ReplayPastTheRecordedCountIsFatal)
+{
+    std::string dir = scratchDir("exhaust");
+    sim::SimConfig cfg = tinyConfig();
+    sim::TraceIoOptions record;
+    record.recordDir = dir;
+    sim::runPhase(cfg, "mcf", 0, record);
+
+    // The source itself: the record after the last recorded one.
+    wl::DecodedTraceParse t =
+        wl::loadDecodedTrace(wl::tracePath(dir, "mcf", 0));
+    ASSERT_TRUE(t.ok()) << t.error;
+    wl::Workload w = wl::makeWorkload("mcf");
+    wl::ReplayTraceSource src(t.trace, w.program, "<exhaust>");
+    for (size_t i = 0; i < t.trace->size(); ++i)
+        src.step();
+    EXPECT_DEATH(src.step(), "trace exhausted after");
+
+    // A run sized past the recording hits the same fatal.
+    sim::SimConfig longer = cfg;
+    longer.measureInsts = 10 * (t.trace->size() + 1);
+    sim::TraceIoOptions replay;
+    replay.replayDir = dir;
+    EXPECT_DEATH(sim::runPhase(longer, "mcf", 0, replay),
+                 "trace exhausted after");
     fs::remove_all(dir);
 }
 

@@ -48,7 +48,7 @@ printHelp()
         "\noptions:\n"
         "  --limit N        dump: stop after N records (default 32,\n"
         "                   0 = all)\n"
-        "  --bench-decode N info: time N full decode passes over each\n"
+        "  --bench-decode N info: time N full validating loads of each\n"
         "                   trace (straight off the mmap'd bytes) and\n"
         "                   report per-pass wall time and throughput —\n"
         "                   the microbench behind the decoded-trace\n"
@@ -87,10 +87,6 @@ cmdInfo(const std::vector<std::string> &files, u64 bench_decode)
             ok = false;
             continue;
         }
-        // Decoded SoA footprint: what one DecodedTraceCache entry for
-        // this trace costs (see DecodedTrace::decodedBytes).
-        const u64 decoded_bytes =
-            t.header.records * wl::DecodedTrace::bytesPerRecord;
         std::printf("%s:\n", path.c_str());
         std::printf("  version        %u\n", wl::traceFormatVersion);
         std::printf("  workload       %s\n", t.header.workload.c_str());
@@ -100,8 +96,6 @@ cmdInfo(const std::vector<std::string> &files, u64 bench_decode)
         std::printf("  phase          %u\n", t.header.phase);
         std::printf("  records        %llu\n",
                     static_cast<unsigned long long>(t.header.records));
-        std::printf("  decoded_bytes  %llu\n",
-                    static_cast<unsigned long long>(decoded_bytes));
         std::printf("  program_length %llu\n",
                     static_cast<unsigned long long>(
                         t.header.programLength));
@@ -114,7 +108,7 @@ cmdInfo(const std::vector<std::string> &files, u64 bench_decode)
             ok = false;
             continue;
         }
-        u64 best = ~0ull, total = 0;
+        u64 best = ~0ull, total = 0, payload_bytes = 0;
         for (u64 pass = 0; pass < bench_decode; ++pass) {
             auto t0 = std::chrono::steady_clock::now();
             wl::DecodedTraceParse d =
@@ -130,12 +124,13 @@ cmdInfo(const std::vector<std::string> &files, u64 bench_decode)
             }
             best = std::min(best, micros);
             total += micros;
+            payload_bytes = d.trace->payload.size();
         }
         if (best == ~0ull)
             continue;
         double best_s = static_cast<double>(best) / 1e6;
         std::printf("  decode x%llu    best %llu us, mean %.0f us "
-                    "(%.0f Mrec/s, %.0f MB/s decoded)\n",
+                    "(%.0f Mrec/s, %.0f MB/s of payload)\n",
                     static_cast<unsigned long long>(bench_decode),
                     static_cast<unsigned long long>(best),
                     static_cast<double>(total) /
@@ -143,7 +138,7 @@ cmdInfo(const std::vector<std::string> &files, u64 bench_decode)
                     best_s > 0.0 ? static_cast<double>(t.header.records) /
                                        best_s / 1e6
                                  : 0.0,
-                    best_s > 0.0 ? static_cast<double>(decoded_bytes) /
+                    best_s > 0.0 ? static_cast<double>(payload_bytes) /
                                        best_s / (1 << 20)
                                  : 0.0);
     }
@@ -168,12 +163,14 @@ cmdDump(const std::vector<std::string> &files, u64 limit)
             w = wl::buildWorkload(*spec);
         std::printf("%s: %s phase %u, %zu records\n", path.c_str(),
                     t.header.workload.c_str(), t.header.phase, t.size());
+        wl::TraceCursor cursor(t.payload);
+        wl::DynRecord r;
         for (size_t i = 0; i < t.size(); ++i) {
             if (limit && i >= limit) {
                 std::printf("  ... (%zu more)\n", t.size() - i);
                 break;
             }
-            const wl::DynRecord r = t.recordAt(i);
+            cursor.next(r); // validated at load.
             std::string disasm =
                 w && r.staticIdx < w->program.size()
                     ? w->program.disasm(r.staticIdx)
@@ -227,22 +224,27 @@ cmdValidate(const std::vector<std::string> &files, bool deep)
             continue;
         }
         bool bounds_ok = true;
-        for (size_t i = 0; i < t.size() && bounds_ok; ++i)
-            if (t.staticIdx[i] >= w.program.size() ||
-                t.nextIdx[i] >= w.program.size()) {
+        wl::TraceCursor cursor(t.payload);
+        wl::DynRecord want;
+        for (size_t i = 0; i < t.size() && bounds_ok; ++i) {
+            cursor.next(want); // validated at load.
+            if (want.staticIdx >= w.program.size() ||
+                want.nextIdx >= w.program.size()) {
                 bad("record " + std::to_string(i) +
                     " indexes outside the program");
                 bounds_ok = false;
             }
+        }
         if (!bounds_ok)
             continue;
         if (deep) {
             wl::Emulator emu(w.program);
             emu.resetArchState();
             w.init(emu, t.header.phase);
+            cursor = wl::TraceCursor(t.payload);
             bool match = true;
             for (size_t i = 0; i < t.size() && match; ++i) {
-                const wl::DynRecord want = t.recordAt(i);
+                cursor.next(want);
                 const wl::DynRecord &got = emu.step();
                 if (got.staticIdx != want.staticIdx ||
                     got.nextIdx != want.nextIdx ||
