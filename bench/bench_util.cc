@@ -134,12 +134,6 @@ printHelp(const HarnessSpec &spec)
         "                             list is printed below, generated\n"
         "                             from the RunTiming schema so it\n"
         "                             cannot drift from the code\n"
-        "  --steal cell|window        work-stealing granularity of the\n"
-        "                             parallel matrix: per-checkpoint\n"
-        "                             cells (default) or whole\n"
-        "                             (benchmark, scenario) run windows;\n"
-        "                             results are bit-identical either\n"
-        "                             way, only wall-clock changes\n"
         "  --seed N                   override every scenario's [sim]\n"
         "                             seed (new config hash: fresh cache\n"
         "                             cells and shard assignment)\n"
@@ -175,7 +169,7 @@ printHelp(const HarnessSpec &spec)
         "                             output; amortizes startup, trace\n"
         "                             decode and caches across runs).\n"
         "                             Server-side knobs (--jobs,\n"
-        "                             --cache-dir, --shard, --steal,\n"
+        "                             --cache-dir, --shard,\n"
         "                             --record-trace, --trace-cache-mb)\n"
         "                             are rejected here: set them on the\n"
         "                             rsep_serve command line\n"
@@ -288,7 +282,7 @@ parseDriverArgs(int argc, char **argv, const HarnessSpec &spec,
     // Flags that conflict with --connect but leave no trace in ctx
     // (default values / applied immediately), tracked for the combo
     // check after the loop — --connect may come later in argv.
-    bool saw_steal = false, saw_trace_cache = false, saw_jobs = false;
+    bool saw_trace_cache = false, saw_jobs = false;
     bool saw_connect_timeout = false, saw_deadline = false,
          saw_retries = false;
     auto addWorkloadFile = [&](const std::string &path, std::string &err) {
@@ -385,15 +379,6 @@ parseDriverArgs(int argc, char **argv, const HarnessSpec &spec,
                                         "(e.g. 0/4)");
             if (!sim::parseShardValue(value, ctx.matrix.shard, err))
                 return usageError(spec, err);
-            continue;
-        }
-        if ((hit = valueOf("--steal", value)) != 0) {
-            if (hit < 0)
-                return usageError(spec, "--steal requires 'cell' or "
-                                        "'window'");
-            if (!sim::parseStealValue(value, ctx.matrix.steal, err))
-                return usageError(spec, err);
-            saw_steal = true;
             continue;
         }
         if ((hit = valueOf("--cache-dir", value)) != 0) {
@@ -585,8 +570,6 @@ parseDriverArgs(int argc, char **argv, const HarnessSpec &spec,
         const char *clash = nullptr;
         if (saw_jobs)
             clash = "--jobs";
-        else if (saw_steal)
-            clash = "--steal";
         else if (saw_trace_cache)
             clash = "--trace-cache-mb";
         else if (ctx.matrix.shard.active())

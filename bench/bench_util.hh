@@ -6,7 +6,7 @@
  * the matrix run and stat export to runHarness. All drivers accept the
  * same flags: --scenario, --scenario-file, --list-scenarios,
  * --workload, --workload-file, --list-workloads, --csv, --json,
- * --stats, --timings, --seed, --jobs, --steal, --shard, --cache-dir,
+ * --stats, --timings, --seed, --jobs, --shard, --cache-dir,
  * --record-trace, --replay-trace, --sample-every, --sample-dir and
  * --help.
  */
@@ -43,7 +43,7 @@ std::vector<std::string> highlightBenchmarks();
 /** Everything runHarness parsed off the command line. */
 struct DriverContext
 {
-    sim::MatrixOptions matrix; ///< jobs, --steal, --shard, --cache-dir,
+    sim::MatrixOptions matrix; ///< jobs, --shard, --cache-dir,
                                ///< --record-trace/--replay-trace.
     /** From --scenario / --scenario-file, in flag order. */
     std::vector<sim::Scenario> scenarios;
@@ -66,7 +66,7 @@ struct DriverContext
     /** --connect SOCK: run the matrix on a warm rsep_serve daemon
      *  instead of in-process. Output is byte-identical to a direct
      *  run; server-side resources (--jobs, --cache-dir, --shard,
-     *  --record-trace, --steal, --trace-cache-mb) are rejected with a
+     *  --record-trace, --trace-cache-mb) are rejected with a
      *  clear error — they belong on the rsep_serve command line. */
     std::string connectSocket;
     /** --connect-timeout MS: keep re-trying the initial connect this

@@ -51,7 +51,7 @@ BM_FifoHistoryMatch(benchmark::State &state, bool predicted_miss)
     equality::FifoHistory fifo(depth);
     Rng rng(2);
     for (unsigned i = 0; i < depth; ++i)
-        fifo.push(static_cast<u16>(rng.below(1 << 14)), i, i, true);
+        fifo.push(static_cast<u16>(rng.below(1 << 14)), i, i);
     u32 csn = depth;
     for (auto _ : state) {
         std::optional<u32> pdist;
@@ -74,7 +74,7 @@ BM_FifoHistoryPush(benchmark::State &state)
     Rng rng(3);
     u32 csn = 0;
     for (auto _ : state) {
-        fifo.push(static_cast<u16>(rng.below(1 << 14)), csn, csn, true);
+        fifo.push(static_cast<u16>(rng.below(1 << 14)), csn, csn);
         ++csn;
     }
 }

@@ -11,7 +11,7 @@ RsepEngine::RsepEngine(const equality::RsepConfig &rsep_cfg,
                        unsigned total_pregs, u64 seed)
     : SpeculationEngine("rsep"), cfg(rsep_cfg),
       distPred(cfg.distParams(), seed),
-      fifo(cfg.historyDepth, cfg.implicitHistory), ddtUnit(cfg.ddtEntries),
+      fifo(cfg.historyDepth), ddtUnit(cfg.ddtEntries),
       hrfUnit(total_pregs, cfg.hashBits)
 {
     registerStat("shared", &shared);
@@ -183,7 +183,7 @@ RsepEngine::atCommit(InflightInst &di, EngineContext &ctx)
                     distPred.train(di.distLk, m->distance);
             }
         } else {
-            fifo.push(hash, csn, di.traceIdx, true, di.rec.result);
+            fifo.push(hash, csn, di.traceIdx, di.rec.result);
             // Plain producers probe the FIFO after the whole commit
             // group pushed (so within-group pairs are visible); defer.
             // A commit that a squash immediately follows (VP

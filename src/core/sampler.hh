@@ -23,8 +23,8 @@
  * Determinism: samples fire on the deterministic st.cycles axis of the
  * measurement run, and capture only architectural counters — never
  * wall-clock, cache-temperature or scheduling-dependent state — so a
- * cell's sample series is byte-identical at any thread count, steal
- * granularity or shard split (tests/test_samples.cc pins this).
+ * cell's sample series is byte-identical at any thread count or shard
+ * split (tests/test_samples.cc pins this).
  */
 
 #ifndef RSEP_CORE_SAMPLER_HH

@@ -33,7 +33,6 @@ struct RsepConfig
     unsigned historyDepth = 128;  ///< FIFO entries (paper: 128 suffices).
     bool useDdt = false;          ///< DDT variant instead of FIFO.
     unsigned ddtEntries = 8192;   ///< "unrealistic 16KB DDT".
-    bool implicitHistory = false; ///< push non-producers too (IV-D2b).
     unsigned hashBits = 14;
 
     // Predictor.
@@ -120,7 +119,6 @@ visitFields(RsepConfig &c, V &&v)
     v("history_depth", c.historyDepth);
     v("use_ddt", c.useDdt);
     v("ddt_entries", c.ddtEntries);
-    v("implicit_history", c.implicitHistory);
     v("hash_bits", c.hashBits);
     v("ideal_predictor", c.idealPredictor);
     v("conf_kind", c.confKind);

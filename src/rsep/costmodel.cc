@@ -15,7 +15,7 @@ computeStorage(const RsepConfig &cfg, unsigned num_pregs, unsigned rob_size)
     DistancePredictor dp(cfg.distParams());
     s.predictorKB = static_cast<double>(dp.storageBits()) / 8.0 / 1024.0;
 
-    FifoHistory fifo(cfg.historyDepth, cfg.implicitHistory);
+    FifoHistory fifo(cfg.historyDepth);
     s.fifoHistoryB = fifo.storageBits(cfg.hashBits) / 8.0;
 
     // Dedicated FIFO propagating predicted distances from Rename to

@@ -19,9 +19,9 @@ bucketCount(size_t depth)
 
 } // namespace
 
-FifoHistory::FifoHistory(unsigned depth, bool implicit_all)
+FifoHistory::FifoHistory(unsigned depth)
     : ring(depth), bucketHead(bucketCount(depth), 0), cap(depth),
-      bucketMask(bucketHead.size() - 1), implicitAll(implicit_all)
+      bucketMask(bucketHead.size() - 1)
 {
 }
 
@@ -34,21 +34,13 @@ FifoHistory::clear()
 }
 
 void
-FifoHistory::push(u16 hash, u32 csn, u64 seq, bool produces_reg, u64 value)
+FifoHistory::push(u16 hash, u32 csn, u64 seq, u64 value)
 {
-    if (!implicitAll && !produces_reg)
-        return;
     u64 ord = nextOrd++;
-    Entry &e = ring[ord % cap];
-    // Non-producers (implicit variant) hold a slot but join no bucket
-    // chain: the scan never compared them.
-    e = {hash, static_cast<u16>(csn & csnMask), seq, value, 0, producers};
-    if (produces_reg) {
-        u64 &bucket = bucketHead[hash & bucketMask];
-        e.prevInBucket = bucket;
-        bucket = ord;
-        ++producers;
-    }
+    u64 &bucket = bucketHead[hash & bucketMask];
+    ring[ord % cap] = {hash, static_cast<u16>(csn & csnMask), seq, value,
+                       bucket};
+    bucket = ord;
     if (valid < cap)
         ++valid;
     ++pushes;
@@ -59,13 +51,15 @@ FifoHistory::match(u16 hash, u32 csn, std::optional<u32> predicted_dist) const
 {
     u32 probe = csn & csnMask;
     std::optional<HistoryMatch> nearest;
-    // Walk this bucket's producers newest -> oldest: the entries a scan
+    // Walk this bucket's entries newest -> oldest: the entries a scan
     // of the whole ring accepts, in the order it accepts them. Where the
-    // scan would stop, `comparisons` takes the producers it would have
-    // compared: every one from the newest down to the stopping entry.
-    for (u64 ord = bucketHead[hash & bucketMask]; live(ord);) {
+    // scan would stop, `comparisons` takes the entries it would have
+    // compared: every one from the newest (ordinal nextOrd - 1) down to
+    // the stopping entry.
+    for (u64 next = bucketHead[hash & bucketMask]; live(next);) {
+        u64 ord = next;
         const Entry &e = at(ord);
-        ord = e.prevInBucket;
+        next = e.prevInBucket;
         if (e.hash != hash)
             continue;
         u32 dist = csnDistance(probe, e.csn);
@@ -76,7 +70,7 @@ FifoHistory::match(u16 hash, u32 csn, std::optional<u32> predicted_dist) const
         if (dist == 0 || dist > csnMask / 2)
             continue;
         if (predicted_dist && dist == *predicted_dist) {
-            comparisons += producers - e.prodBefore;
+            comparisons += nextOrd - ord;
             ++matches;
             ++predictedDistanceMatches;
             return HistoryMatch{dist, e.seq, e.value, true};
@@ -85,14 +79,13 @@ FifoHistory::match(u16 hash, u32 csn, std::optional<u32> predicted_dist) const
             nearest = HistoryMatch{dist, e.seq, e.value, false};
         } else if (!predicted_dist) {
             // Nearest found and nothing better to look for.
-            comparisons += producers - e.prodBefore;
+            comparisons += nextOrd - ord;
             ++matches;
             return nearest;
         }
     }
-    // The walk ran out: a scan compares every producer in the window.
-    if (valid)
-        comparisons += producers - at(nextOrd - valid).prodBefore;
+    // The walk ran out: a scan compares every entry in the window.
+    comparisons += valid;
     if (nearest)
         ++matches;
     return nearest;
@@ -101,7 +94,7 @@ FifoHistory::match(u16 hash, u32 csn, std::optional<u32> predicted_dist) const
 u64
 FifoHistory::storageBits(unsigned hash_bits) const
 {
-    return cap * (implicitAll ? hash_bits + 1 : hash_bits + csnBits);
+    return cap * (hash_bits + csnBits);
 }
 
 } // namespace rsep::equality

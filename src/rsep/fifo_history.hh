@@ -3,15 +3,14 @@
  * FIFO commit history for pair discovery (paper Sections IV-B2/IV-D2).
  *
  * Holds the hashes and 10-bit Commit Sequence Numbers of the last N
- * committed register-producing instructions (the explicit-IDist
- * variant; an implicit variant that pushes *all* instructions is also
- * provided for the Section IV-D2 trade-off study). Committing
- * instructions compare their hash against the history; the match
- * yields the IDist used to train the distance predictor.
+ * committed register-producing instructions (the paper's explicit-IDist
+ * variant). Committing instructions compare their hash against the
+ * history; the match yields the IDist used to train the distance
+ * predictor.
  *
  * The simulator finds matches through a hash-chained index over the
  * ring instead of a linear scan: a power-of-two bucket-head array plus,
- * per entry, a link to the previous producer in the same bucket. Links
+ * per entry, a link to the previous entry in the same bucket. Links
  * name push ordinals, so a link is live iff its ordinal is still inside
  * the window and evicted entries need no unlinking. The walk accepts
  * exactly the entries a newest-to-oldest scan would, in the same order,
@@ -59,12 +58,8 @@ struct HistoryMatch
 class FifoHistory
 {
   public:
-    /**
-     * @param depth entries kept (register producers for the explicit
-     *        variant, all instructions for the implicit one).
-     * @param implicit_all push non-producers too (implicit variant).
-     */
-    explicit FifoHistory(unsigned depth = 128, bool implicit_all = false);
+    /** @param depth register producers kept. */
+    explicit FifoHistory(unsigned depth = 128);
 
     /**
      * Find the match for @p hash from an instruction at CSN @p csn.
@@ -76,11 +71,18 @@ class FifoHistory
     match(u16 hash, u32 csn, std::optional<u32> predicted_dist) const;
 
     /**
-     * Push a committed instruction into the history. @p value is
+     * Push a committed register producer into the history. @p value is
      * simulator bookkeeping only (hash false-positive statistics);
      * hardware stores just hash + CSN.
      */
-    void push(u16 hash, u32 csn, u64 seq, bool produces_reg, u64 value = 0);
+    void push(u16 hash, u32 csn, u64 seq, u64 value = 0);
+    /** Form for callers that still pass a producer flag. Every push
+     *  is a producer, so the flag is ignored. */
+    void
+    push(u16 hash, u32 csn, u64 seq, bool, u64 value)
+    {
+        push(hash, csn, seq, value);
+    }
 
     void clear();
 
@@ -88,13 +90,13 @@ class FifoHistory
     /** Current number of valid entries. */
     unsigned size() const { return static_cast<unsigned>(valid); }
 
-    /** Storage, as computeStorage charges it too: hash + CSN per entry
-     *  (explicit variant) or hash + a producer bit (implicit). */
+    /** Storage, as computeStorage charges it too: hash + CSN per
+     *  entry. */
     u64 storageBits(unsigned hash_bits) const;
 
     /**
-     * Producer entries a newest-to-oldest scan compares before it stops
-     * (for the Section IV-D comparator study).
+     * Entries a newest-to-oldest scan compares before it stops (for
+     * the Section IV-D comparator study).
      */
     mutable StatCounter comparisons;
     StatCounter pushes;
@@ -108,10 +110,8 @@ class FifoHistory
         u16 csn = 0;
         u64 seq = 0;
         u64 value = 0;
-        /** Ordinal of the previous producer in this bucket (0 = none). */
+        /** Ordinal of the previous entry in this bucket (0 = none). */
         u64 prevInBucket = 0;
-        /** Producers pushed before this entry since construction. */
-        u64 prodBefore = 0;
     };
 
     /** Ring slot of push ordinal @p ord (ordinals start at 1). */
@@ -120,14 +120,12 @@ class FifoHistory
     bool live(u64 ord) const { return ord != 0 && ord + valid >= nextOrd; }
 
     std::vector<Entry> ring;
-    /** Newest producer ordinal per bucket (0 = none). */
+    /** Newest ordinal per bucket (0 = none). */
     std::vector<u64> bucketHead;
     size_t cap;
     u64 bucketMask;
-    u64 nextOrd = 1;   ///< ordinal of the next push; never reset.
-    u64 producers = 0; ///< producers pushed since construction.
+    u64 nextOrd = 1; ///< ordinal of the next push; never reset.
     size_t valid = 0;
-    bool implicitAll;
 };
 
 } // namespace rsep::equality

@@ -1,5 +1,6 @@
 #include "sim/runner.hh"
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
@@ -114,22 +115,6 @@ parseJobsArg(int argc, char **argv)
     return jobs;
 }
 
-bool
-parseStealValue(const std::string &s, StealMode &mode, std::string &err)
-{
-    if (s == "cell") {
-        mode = StealMode::Cell;
-        return true;
-    }
-    if (s == "window") {
-        mode = StealMode::Window;
-        return true;
-    }
-    err = "invalid steal granularity '" + s +
-          "' (expected 'cell' or 'window')";
-    return false;
-}
-
 PhaseResult
 runCachedCell(ResultCache *cache, const SimConfig &cfg,
               const std::string &benchmark,
@@ -201,8 +186,6 @@ runMatrix(const std::vector<SimConfig> &configs,
             std::fprintf(stderr, " (shard %u/%u: %zu of %zu runs)",
                          opts.shard.index, opts.shard.count,
                          plan.selectedRuns, plan.totalRuns);
-        if (opts.steal == StealMode::Window)
-            std::fprintf(stderr, " [steal window]");
         if (use_cache)
             std::fprintf(stderr, " [cache %s]", cache.dir().c_str());
         if (opts.sampling.active())
@@ -222,9 +205,8 @@ runMatrix(const std::vector<SimConfig> &configs,
     std::atomic<size_t> done{0};
     std::mutex progress_mtx;
 
-    // One cell's work, identical under either steal granularity: the
-    // cell computes from its own seed into its own slot, so the steal
-    // mode only decides how cells are batched into pool tasks.
+    // One pool task per cell: the cell computes from its own seed into
+    // its own slot, so which worker runs it never changes a result.
     auto run_cell = [&](size_t b, size_t c, u32 p) {
         rows[b].byConfig[c].phases[p] = runCachedCell(
             use_cache ? &cache : nullptr, configs[c], benchmarks[b],
@@ -249,14 +231,6 @@ runMatrix(const std::vector<SimConfig> &configs,
         for (size_t c = 0; c < configs.size(); ++c) {
             if (!plan.selected[b][c])
                 continue;
-            if (opts.steal == StealMode::Window) {
-                // Per-window granularity: the whole run is one task.
-                pool.submit([&run_cell, b, c, &configs] {
-                    for (u32 p = 0; p < configs[c].checkpoints; ++p)
-                        run_cell(b, c, p);
-                });
-                continue;
-            }
             for (u32 p = 0; p < configs[c].checkpoints; ++p)
                 pool.submit([&run_cell, b, c, p] { run_cell(b, c, p); });
         }
@@ -270,8 +244,6 @@ runMatrix(const std::vector<SimConfig> &configs,
         for (RunResult &rr : row.byConfig) {
             if (!rr.inShard)
                 continue;
-            if (opts.steal == StealMode::Window)
-                ++rr.timing.stealWindow;
             for (const PhaseResult &ph : rr.phases) {
                 accountPhaseTiming(rr.timing, ph);
                 if (use_cache && !ph.fromCache)
@@ -351,13 +323,27 @@ fmtPct(double v)
     return buf;
 }
 
+namespace
+{
+
+/** Width of a table column: the 18-character default, widened so the
+ *  header @p label keeps at least one space before it. */
+int
+columnWidth(const std::string &label)
+{
+    return static_cast<int>(std::max<size_t>(18, label.size() + 1));
+}
+
+} // namespace
+
 void
 printSpeedupTable(std::ostream &os, const std::vector<MatrixRow> &rows,
                   const std::vector<SimConfig> &configs)
 {
     os << std::left << std::setw(12) << "benchmark";
     for (size_t c = 1; c < configs.size(); ++c)
-        os << std::right << std::setw(18) << configs[c].label;
+        os << std::right << std::setw(columnWidth(configs[c].label))
+           << configs[c].label;
     os << "\n";
 
     std::vector<std::vector<double>> ratios(configs.size());
@@ -368,14 +354,15 @@ printSpeedupTable(std::ostream &os, const std::vector<MatrixRow> &rows,
             double pct = speedupPct(row.byConfig[c], row.byConfig[0]);
             if (base > 0.0)
                 ratios[c].push_back(row.byConfig[c].ipcHmean() / base);
-            os << std::right << std::setw(18) << fmtPct(pct);
+            os << std::right << std::setw(columnWidth(configs[c].label))
+               << fmtPct(pct);
         }
         os << "\n";
     }
     os << std::left << std::setw(12) << "gmean";
     for (size_t c = 1; c < configs.size(); ++c) {
         double g = geometricMean(ratios[c]);
-        os << std::right << std::setw(18)
+        os << std::right << std::setw(columnWidth(configs[c].label))
            << fmtPct(g > 0.0 ? (g - 1.0) * 100.0 : 0.0);
     }
     os << "\n";
@@ -389,12 +376,13 @@ printPctTable(std::ostream &os, const std::vector<MatrixRow> &rows,
 {
     os << std::left << std::setw(12) << "benchmark";
     for (const auto &name : col_names)
-        os << std::right << std::setw(18) << name;
+        os << std::right << std::setw(columnWidth(name)) << name;
     os << "\n";
     for (const auto &row : rows) {
         os << std::left << std::setw(12) << row.benchmark;
         for (size_t c = 0; c < col_names.size(); ++c)
-            os << std::right << std::setw(18) << fmtPct(cell(row, c));
+            os << std::right << std::setw(columnWidth(col_names[c]))
+               << fmtPct(cell(row, c));
         os << "\n";
     }
 }

@@ -26,24 +26,6 @@ struct MatrixRow
 };
 
 /**
- * Work-stealing granularity of the matrix runner (`--steal`).
- *
- * Cell: one pool task per (benchmark, config, checkpoint) cell — the
- * finest deterministic unit, best load balance at high thread counts.
- * Window: one pool task per (benchmark, config) run window — all of a
- * run's checkpoints execute consecutively on one worker, fewer/larger
- * tasks with less scheduling overhead and better locality, at the
- * price of coarser balancing. Results are bit-identical either way
- * (cells keep their own seeds and output slots); only wall-clock
- * changes, which is what the scaling study measures.
- */
-enum class StealMode : u8 { Cell, Window };
-
-/** Parse a `--steal` value ("cell" or "window"). */
-bool parseStealValue(const std::string &s, StealMode &mode,
-                     std::string &err);
-
-/**
  * Time-series sampling options of a run (`--sample-every` /
  * `--sample-dir` on every driver; see core/sampler.hh for the row
  * schema and sim/sample_io.hh for the `.rts` files).
@@ -81,8 +63,6 @@ struct MatrixOptions
      *  `--replay-trace`); see TraceIoOptions. Replay is consulted only
      *  for cells the result cache could not serve. */
     TraceIoOptions traceIo;
-    /** Steal granularity (`--steal cell|window`). */
-    StealMode steal = StealMode::Cell;
     /** Time-series sampling (`--sample-every`, `--sample-dir`). */
     SampleOptions sampling;
 };

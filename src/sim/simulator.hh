@@ -78,7 +78,7 @@ struct TraceIoOptions
 };
 
 /**
- * Wall-clock and cache accounting of one run, for the scaling study.
+ * Wall-clock and cache accounting of one run.
  * Deliberately separate from PipelineStats: these counters are
  * host-dependent, so the stat-export layer only emits them on request
  * (`--timings`) — the default dump stays bit-reproducible.
@@ -89,11 +89,6 @@ struct RunTiming
     StatCounter cellsRun;     ///< cells actually simulated.
     StatCounter cacheHits;    ///< cells served by the result cache.
     StatCounter cacheMisses;  ///< cells the cache could not serve.
-    /** 1 when the matrix ran at per-window steal granularity
-     *  (`--steal window`), 0 for per-cell — recorded so merged
-     *  `--timings` summaries stay self-describing about how their
-     *  wall-clock numbers were produced. */
-    StatCounter stealWindow;
     /** Trace data-path cost: wall-clock spent loading traces for
      *  replayed cells (decode on a miss, lookup on a hit) — the slice
      *  of wallMicros the decoded-trace cache exists to shrink. */
@@ -114,7 +109,6 @@ visitStats(RunTiming &t, V &&v)
     v("timing.cells_run", t.cellsRun);
     v("timing.cache_hits", t.cacheHits);
     v("timing.cache_misses", t.cacheMisses);
-    v("timing.steal_window", t.stealWindow);
     v("timing.trace_load_micros", t.traceLoadMicros);
     v("timing.trace_decode_hits", t.traceDecodeHits);
     v("timing.trace_decode_misses", t.traceDecodeMisses);
@@ -159,9 +153,9 @@ struct RunResult
  * and fills PhaseResult::samples with one row per @p sample_every
  * cycles (plus the final partial row). Sampling reads only
  * deterministic architectural counters, so the rows — like the stats —
- * are bit-identical at any thread count or steal mode. It is a
- * run-level knob, NOT part of SimConfig: it must not perturb config
- * hashes, cached results or golden dumps.
+ * are bit-identical at any thread count. It is a run-level knob, NOT
+ * part of SimConfig: it must not perturb config hashes, cached results
+ * or golden dumps.
  */
 PhaseResult runPhase(const SimConfig &cfg, const std::string &bench_name,
                      u32 phase, const TraceIoOptions &trace_io = {},

@@ -153,7 +153,7 @@ struct DecodedTrace
 
     size_t size() const { return header.records; }
 
-    /** Build from an in-memory record vector (rsep_bench, tests). */
+    /** Build from an in-memory record vector (perfbench, tests). */
     static std::shared_ptr<const DecodedTrace>
     fromRecords(TraceHeader header, const std::vector<DynRecord> &records);
 };

@@ -46,9 +46,9 @@ TEST(CsnArithmetic, WraparoundDistance)
 TEST(FifoHistory, NearestMatchWins)
 {
     FifoHistory f(16);
-    f.push(100, 1, 1, true, 0xaaaa);
-    f.push(200, 2, 2, true, 0xbbbb);
-    f.push(100, 3, 3, true, 0xaaaa);
+    f.push(100, 1, 1, 0xaaaa);
+    f.push(200, 2, 2, 0xbbbb);
+    f.push(100, 3, 3, 0xaaaa);
     auto m = f.match(100, 5, std::nullopt);
     ASSERT_TRUE(m.has_value());
     EXPECT_EQ(m->distance, 2u); // csn 3 is nearer than csn 1.
@@ -60,8 +60,8 @@ TEST(FifoHistory, PredictedDistancePreferred)
     // Section VI-A2: with the propagated predicted distance, the match
     // at that distance wins over the nearest one.
     FifoHistory f(16);
-    f.push(100, 1, 1, true, 0x1);
-    f.push(100, 3, 3, true, 0x2);
+    f.push(100, 1, 1, 0x1);
+    f.push(100, 3, 3, 0x2);
     auto m = f.match(100, 5, 4u); // prefers csn 1 (distance 4).
     ASSERT_TRUE(m.has_value());
     EXPECT_TRUE(m->matchedPredicted);
@@ -72,42 +72,21 @@ TEST(FifoHistory, PredictedDistancePreferred)
 TEST(FifoHistory, SelfAndWrappedEntriesIgnored)
 {
     FifoHistory f(16);
-    f.push(100, 7, 1, true, 0x1);
+    f.push(100, 7, 1, 0x1);
     // Same CSN (distance 0 = own entry): no match.
     EXPECT_FALSE(f.match(100, 7, std::nullopt).has_value());
     // An entry "younger" than the prober (wrapped distance beyond half
     // the CSN space): ignored.
     FifoHistory g(16);
-    g.push(100, 250, 1, true, 0x1);
+    g.push(100, 250, 1, 0x1);
     EXPECT_FALSE(g.match(100, 200, std::nullopt).has_value());
-}
-
-TEST(FifoHistory, ExplicitVariantSkipsNonProducers)
-{
-    FifoHistory f(4, false);
-    f.push(1, 1, 1, false); // branch/store: not pushed.
-    EXPECT_EQ(f.size(), 0u);
-    f.push(1, 2, 2, true);
-    EXPECT_EQ(f.size(), 1u);
-}
-
-TEST(FifoHistory, ImplicitVariantPushesEverything)
-{
-    FifoHistory f(4, true);
-    f.push(1, 1, 1, false);
-    f.push(1, 2, 2, true);
-    EXPECT_EQ(f.size(), 2u);
-    // Non-producer entries never match.
-    auto m = f.match(1, 5, std::nullopt);
-    ASSERT_TRUE(m.has_value());
-    EXPECT_EQ(m->distance, 3u); // matched the producer at csn 2.
 }
 
 TEST(FifoHistory, DepthEviction)
 {
     FifoHistory f(4);
     for (u32 i = 0; i < 6; ++i)
-        f.push(50 + i, i, i, true);
+        f.push(50 + i, i, i);
     EXPECT_EQ(f.size(), 4u);
     // Oldest (hash 50, 51) evicted.
     EXPECT_FALSE(f.match(50, 10, std::nullopt).has_value());
@@ -118,7 +97,7 @@ TEST(FifoHistory, ComparisonCountingForPowerStudy)
 {
     FifoHistory f(8);
     for (u32 i = 0; i < 8; ++i)
-        f.push(i, i, i, true);
+        f.push(i, i, i);
     u64 before = f.comparisons.value();
     f.match(99, 20, std::nullopt); // no match: compares all 8.
     EXPECT_EQ(f.comparisons.value() - before, 8u);
@@ -132,10 +111,7 @@ TEST(FifoHistory, ComparisonCountingForPowerStudy)
 class ScanFifo
 {
   public:
-    ScanFifo(unsigned depth, bool implicit_all)
-        : ring(depth), cap(depth), implicitAll(implicit_all)
-    {
-    }
+    explicit ScanFifo(unsigned depth) : ring(depth), cap(depth) {}
 
     void
     clear()
@@ -145,11 +121,9 @@ class ScanFifo
     }
 
     void
-    push(u16 hash, u32 csn, u64 seq, bool produces_reg, u64 value)
+    push(u16 hash, u32 csn, u64 seq, u64 value)
     {
-        if (!implicitAll && !produces_reg)
-            return;
-        ring[head] = {hash, csn & csnMask, seq, value, produces_reg};
+        ring[head] = {hash, csn & csnMask, seq, value};
         head = (head + 1) % cap;
         if (valid < cap)
             ++valid;
@@ -161,8 +135,6 @@ class ScanFifo
         std::optional<HistoryMatch> nearest;
         for (size_t i = 0; i < valid; ++i) {
             const Entry &e = ring[(head + cap - 1 - i) % cap];
-            if (!e.producer)
-                continue;
             ++comparisons;
             if (e.hash != hash)
                 continue;
@@ -197,27 +169,24 @@ class ScanFifo
         u32 csn = 0;
         u64 seq = 0;
         u64 value = 0;
-        bool producer = false;
     };
 
     std::vector<Entry> ring;
     size_t cap;
     size_t head = 0;
     size_t valid = 0;
-    bool implicitAll;
 };
 
-class FifoIndexVsScan
-    : public ::testing::TestWithParam<std::tuple<unsigned, bool>>
+class FifoIndexVsScan : public ::testing::TestWithParam<unsigned>
 {
 };
 
 TEST_P(FifoIndexVsScan, SameMatchesAndCounters)
 {
-    auto [depth, implicit_all] = GetParam();
-    FifoHistory f(depth, implicit_all);
-    ScanFifo ref(depth, implicit_all);
-    Rng rng(depth * 2 + implicit_all);
+    unsigned depth = GetParam();
+    FifoHistory f(depth);
+    ScanFifo ref(depth);
+    Rng rng(depth * 2);
     std::vector<u32> lastDist(8, 0); // per hash class, like the engine's
                                      // propagated predicted distance.
     u32 csn = 0;
@@ -257,16 +226,15 @@ TEST_P(FifoIndexVsScan, SameMatchesAndCounters)
         // index buckets without being equal.
         u16 hash = static_cast<u16>(rng.chance(1, 2) ? rng.below(4)
                                                      : rng.below(1u << 14));
-        bool producer = rng.chance(3, 4);
-        // Gaps stand for commits the explicit variant never sees; CSNs
-        // wrap past 1024 many times.
+        // Gaps stand for commits that produce no register (the history
+        // never sees them); CSNs wrap past 1024 many times.
         csn += 1 + static_cast<u32>(rng.chance(1, 8) ? rng.below(16) : 0);
         // Probing after the push sees the own entry (distance 0).
         bool probe_after_push = rng.chance(1, 2);
         if (!probe_after_push)
             probe(hash);
-        f.push(hash, csn, step, producer, hash ^ 0x5a5a);
-        ref.push(hash, csn, step, producer, hash ^ 0x5a5a);
+        f.push(hash, csn, step, hash ^ 0x5a5a);
+        ref.push(hash, csn, step, hash ^ 0x5a5a);
         if (probe_after_push)
             probe(hash);
         if (rng.chance(1, 5000)) {
@@ -280,10 +248,8 @@ TEST_P(FifoIndexVsScan, SameMatchesAndCounters)
     EXPECT_GT(ref.predictedDistanceMatches, 0u);
 }
 
-INSTANTIATE_TEST_SUITE_P(DepthsAndVariants, FifoIndexVsScan,
-                         ::testing::Combine(::testing::Values(1u, 4u, 100u,
-                                                              128u, 1024u),
-                                            ::testing::Bool()));
+INSTANTIATE_TEST_SUITE_P(Depths, FifoIndexVsScan,
+                         ::testing::Values(1u, 4u, 100u, 128u, 1024u));
 
 TEST(FifoHistory, StorageMatchesPaper)
 {
@@ -746,23 +712,14 @@ TEST(CostModel, PaperTotals)
     EXPECT_NEAR(s.totalKB, 10.8, 0.3);
 }
 
-TEST(CostModel, FifoTermMatchesFifoHistoryForBothVariants)
+TEST(CostModel, FifoTermMatchesFifoHistory)
 {
-    // One storage formula: the cost model's FIFO term is what the
-    // history itself reports, explicit (hash + CSN) and implicit
-    // (hash + producer bit) alike.
-    for (bool implicit : {false, true}) {
-        RsepConfig cfg = RsepConfig::realistic();
-        cfg.implicitHistory = implicit;
-        FifoHistory f(cfg.historyDepth, implicit);
-        RsepStorage s = computeStorage(cfg, 470, 192);
-        EXPECT_EQ(s.fifoHistoryB, f.storageBits(cfg.hashBits) / 8.0)
-            << implicit;
-    }
-    RsepConfig implicit = RsepConfig::realistic();
-    implicit.implicitHistory = true;
-    EXPECT_NEAR(computeStorage(implicit, 470, 192).fifoHistoryB,
-                128 * (14 + 1) / 8.0, 0.01);
+    // One storage formula: the cost model's FIFO term (hash + CSN per
+    // entry) is what the history itself reports.
+    RsepConfig cfg = RsepConfig::realistic();
+    FifoHistory f(cfg.historyDepth);
+    RsepStorage s = computeStorage(cfg, 470, 192);
+    EXPECT_EQ(s.fifoHistoryB, f.storageBits(cfg.hashBits) / 8.0);
 }
 
 TEST(CostModel, IdealPredictorIs42KB)

@@ -8,10 +8,11 @@
  * This test pins that promise: for each registered scenario (and each
  * arm of the CI smoke scenario file) it runs a small fixed-size matrix
  * over two benchmarks and hashes the canonical CSV dump. The golden
- * hashes were generated from the PR 4 tree (the pre-overhaul
- * simulator) at exactly this sizing; any behavioural drift in the
- * issue/validate/commit machinery shows up as a hash mismatch with the
- * offending scenario named.
+ * stat rows are the pre-overhaul simulator's at exactly this sizing;
+ * the hash also covers the config_hash column, so a change to the
+ * config hash regenerates the table without changing a stat. Any
+ * behavioural drift in the issue/validate/commit machinery shows up as
+ * a hash mismatch with the offending scenario named.
  *
  * Regenerating (only legitimate when a PR *intentionally* changes
  * timing behaviour): RSEP_GOLDEN_REGEN=1 ./test_golden_dumps prints
@@ -41,30 +42,31 @@ namespace rsep::sim
 namespace
 {
 
-/** Golden (scenario -> CSV dump hash) table, generated on the PR 4
- *  tree. Sizing: warmup 4000, measure 12000, 1 checkpoint, seed
- *  0x5eed, benchmarks mcf + hmmer, single thread. */
+/** Golden (scenario -> CSV dump hash) table: the pre-overhaul
+ *  simulator's stat rows under the current config hashes. Sizing:
+ *  warmup 4000, measure 12000, 1 checkpoint, seed 0x5eed, benchmarks
+ *  mcf + hmmer, single thread. */
 const std::map<std::string, std::string> goldenHashes = {
     // clang-format off
-    {"baseline",               "04a515b479a1d26d"},
-    {"zero-pred",              "2d9b8c6ab9ade9b8"},
-    {"move-elim",              "192336dc08e069db"},
-    {"rsep",                   "d64281bca78a52ca"},
-    {"vpred",                  "07edf1aff4d902d7"},
-    {"rsep+vpred",             "9db33a9f3d3b168a"},
-    {"rsep-val-ideal",         "2266057bf7aa0e1e"},
-    {"rsep-val-2x-lock",       "663cbb5c1254ad1c"},
-    {"rsep-val-2x-any",        "32fea7d7675ed2d7"},
-    {"rsep-val-2x-sample15",   "6a87b03a1cbb6deb"},
-    {"rsep-val-2x-sample63",   "231542d1f87deb63"},
-    {"rsep-realistic",         "5d8653964aa0b890"},
-    {"fig1-probe",             "40ba0373a0a91ad0"},
-    {"fig1-redundancy",        "2e3476dcadab2410"},
-    {"rsep+zp",                "5ed1e0d1a8577530"},
-    {"rsep+vpred+zp",          "e68472a2f8bf89e7"},
-    {"rsep-oracle",            "fa7480e50fbb1ae9"},
-    {"ci_smoke:smoke-baseline","03031da18d82ebae"},
-    {"ci_smoke:smoke-rsep",    "3a9adbd721a9391e"},
+    {"baseline",               "ffa4740de260edfd"},
+    {"zero-pred",              "1e4a1ff0a2448fb8"},
+    {"move-elim",              "9792ed2fcde782b9"},
+    {"rsep",                   "d1bc1e8cac060ea2"},
+    {"vpred",                  "377d0df3d7d6caf7"},
+    {"rsep+vpred",             "7817781bbe8b74d2"},
+    {"rsep-val-ideal",         "9373cbae4e1b4f1e"},
+    {"rsep-val-2x-lock",       "2a9f335c62a66e9c"},
+    {"rsep-val-2x-any",        "f688b235ec883a57"},
+    {"rsep-val-2x-sample15",   "4bc4a4b7503af9f5"},
+    {"rsep-val-2x-sample63",   "2ad4f932193e1623"},
+    {"rsep-realistic",         "5a3ed6a087d02dfa"},
+    {"fig1-probe",             "b866679ee8fcc26e"},
+    {"fig1-redundancy",        "85ed4365358a58d0"},
+    {"rsep+zp",                "2c785861ad9796a8"},
+    {"rsep+vpred+zp",          "36ac9e8d6fbe9127"},
+    {"rsep-oracle",            "c8f0c9b387ab657d"},
+    {"ci_smoke:smoke-baseline","3d78919d4e5cf0bc"},
+    {"ci_smoke:smoke-rsep",    "42513ea5da94ec36"},
     // clang-format on
 };
 

@@ -84,44 +84,6 @@ TEST(RunnerParallel, MatrixIsThreadCountInvariant)
     expectIdentical(rows1, rows4);
 }
 
-TEST(RunnerParallel, WindowStealGranularityIsBitIdentical)
-{
-    // `--steal window` batches a run's checkpoints into one pool task;
-    // results must stay bit-identical to per-cell stealing at any
-    // thread count (only wall-clock may differ).
-    std::vector<SimConfig> configs = {shrunk(SimConfig::baseline()),
-                                      shrunk(SimConfig::rsepRealistic())};
-    std::vector<std::string> benches = {"namd", "hmmer"};
-
-    MatrixOptions cell;
-    cell.jobs = 1;
-    cell.progress = false;
-    MatrixOptions window;
-    window.jobs = 4;
-    window.progress = false;
-    window.steal = StealMode::Window;
-
-    auto by_cell = runMatrix(configs, benches, cell);
-    auto by_window = runMatrix(configs, benches, window);
-    expectIdentical(by_cell, by_window);
-    // The steal mode is recorded in the run timing so `--timings`
-    // summaries stay self-describing.
-    EXPECT_EQ(by_cell[0].byConfig[0].timing.stealWindow.value(), 0u);
-    EXPECT_EQ(by_window[0].byConfig[0].timing.stealWindow.value(), 1u);
-}
-
-TEST(RunnerParallel, StealValueParsing)
-{
-    StealMode mode = StealMode::Cell;
-    std::string err;
-    EXPECT_TRUE(parseStealValue("window", mode, err));
-    EXPECT_EQ(mode, StealMode::Window);
-    EXPECT_TRUE(parseStealValue("cell", mode, err));
-    EXPECT_EQ(mode, StealMode::Cell);
-    EXPECT_FALSE(parseStealValue("row", mode, err));
-    EXPECT_NE(err.find("steal granularity"), std::string::npos);
-}
-
 TEST(RunnerParallel, MatrixMatchesSerialRunWorkload)
 {
     SimConfig cfg = shrunk(SimConfig::rsepRealistic());

@@ -4,8 +4,7 @@
  * `.rts` round-trips and corruption rejection, the delta-sums-equal-
  * totals invariant against the pipeline's own end-of-run counters, and
  * the determinism contract — a cell's sample series is byte-identical
- * at any thread count and both steal granularities, and sampling off
- * leaves no files behind.
+ * at any thread count, and sampling off leaves no files behind.
  */
 
 #include <gtest/gtest.h>
@@ -336,17 +335,16 @@ TEST(Sampling, DeltasSumToEndOfRunTotals)
     EXPECT_EQ(rsep_cov, shared + mispredicts);
 }
 
-TEST(Sampling, MatrixSeriesIdenticalAcrossJobsAndStealModes)
+TEST(Sampling, MatrixSeriesIdenticalAcrossJobs)
 {
     std::vector<SimConfig> configs{shrunk(scenarioConfig("baseline")),
                                    shrunk(scenarioConfig("rsep"))};
     std::vector<std::string> benches{"mcf", "hmmer"};
 
-    auto run = [&](unsigned jobs, StealMode steal, const TempDir &dir) {
+    auto run = [&](unsigned jobs, const TempDir &dir) {
         MatrixOptions mo;
         mo.jobs = jobs;
         mo.progress = false;
-        mo.steal = steal;
         mo.sampling.every = 500;
         mo.sampling.dir = dir.path;
         runMatrix(configs, benches, mo);
@@ -358,16 +356,14 @@ TEST(Sampling, MatrixSeriesIdenticalAcrossJobsAndStealModes)
         return bytes;
     };
 
-    TempDir d1, d8, dw;
-    auto base = run(1, StealMode::Cell, d1);
-    auto jobs8 = run(8, StealMode::Cell, d8);
-    auto window = run(8, StealMode::Window, dw);
+    TempDir d1, d8;
+    auto base = run(1, d1);
+    auto jobs8 = run(8, d8);
 
     // One series per (bench, config, phase) cell.
     EXPECT_EQ(base.size(),
               benches.size() * configs.size() * configs[0].checkpoints);
-    EXPECT_EQ(base, jobs8);  // byte-identical across thread counts.
-    EXPECT_EQ(base, window); // ... and steal granularities.
+    EXPECT_EQ(base, jobs8); // byte-identical across thread counts.
 }
 
 TEST(Sampling, OffLeavesNoFilesAndCacheUntouched)

@@ -113,20 +113,38 @@ TEST(Runner, MatrixAndTables)
     rsep.warmupInsts = 1000;
     rsep.measureInsts = 4000;
     rsep.checkpoints = 1;
+    // 20 characters: wider than the default 18-character column.
+    rsep.label = "rsep-val-2x-sample15";
 
     auto rows = runMatrix({base, rsep}, {"namd", "dealII"});
     ASSERT_EQ(rows.size(), 2u);
     ASSERT_EQ(rows[0].byConfig.size(), 2u);
 
+    // Every header name must stand alone, however long.
+    auto header_words = [](const std::string &table) {
+        std::istringstream is(table.substr(0, table.find('\n')));
+        std::vector<std::string> words;
+        for (std::string w; is >> w;)
+            words.push_back(w);
+        return words;
+    };
+
     std::ostringstream os;
     printSpeedupTable(os, rows, {base, rsep});
     EXPECT_NE(os.str().find("namd"), std::string::npos);
     EXPECT_NE(os.str().find("gmean"), std::string::npos);
+    EXPECT_EQ(header_words(os.str()),
+              (std::vector<std::string>{"benchmark", rsep.label}));
 
+    std::vector<std::string> cols = {"x", "rsep-val-2x-sample15",
+                                     "rsep-val-2x-sample63"};
     std::ostringstream os2;
-    printPctTable(os2, rows, {"x"},
+    printPctTable(os2, rows, cols,
                   [](const MatrixRow &, size_t) { return 1.0; });
     EXPECT_NE(os2.str().find("1.00%"), std::string::npos);
+    std::vector<std::string> want = {"benchmark"};
+    want.insert(want.end(), cols.begin(), cols.end());
+    EXPECT_EQ(header_words(os2.str()), want);
 }
 
 } // namespace

@@ -241,6 +241,41 @@ TEST(StatMerge, MalformedDumpsAreRejected)
     EXPECT_TRUE(parseJsonDump("[]", "empty.json").ok());
 }
 
+TEST(StatMerge, UnknownTimingCountersFlagsRetiredKeys)
+{
+    // A --timings dump row from an older build: every key the current
+    // RunTiming schema writes, a per-checkpoint wall time, one pipeline
+    // counter, and timing.steal_window, which older dumps carry but
+    // this schema no longer defines.
+    StatRow row;
+    row.benchmark = "mcf";
+    row.scenario = "baseline";
+    row.configHash = "0123456789abcdef";
+    row.checkpoints = 1;
+    row.ipcHmean = 1.0;
+    std::vector<std::string> current;
+    RunTiming t;
+    visitStats(t, [&](const char *name, StatCounter &) {
+        current.emplace_back(name);
+        row.counters.emplace_back(name, 1);
+    });
+    ASSERT_FALSE(current.empty());
+    row.counters.emplace_back("timing.phase0_wall_micros", 1);
+    row.counters.emplace_back("timing.steal_window", 1);
+    row.counters.emplace_back("cycles", 1);
+    std::vector<StatRow> rows{row};
+    canonicalizeStatRows(rows);
+    DumpParse p = parseCsvDump(emitCsv(rows), "old.csv");
+    ASSERT_TRUE(p.ok()) << p.error;
+
+    EXPECT_EQ(unknownTimingCounters(p.rows),
+              std::vector<std::string>{"timing.steal_window"});
+    for (const std::string &name : current)
+        EXPECT_TRUE(knownTimingCounter(name)) << name;
+    EXPECT_TRUE(knownTimingCounter("timing.phase0_wall_micros"));
+    EXPECT_FALSE(knownTimingCounter("cycles"));
+}
+
 TEST(StatMerge, FigureSummaryHasBarsAndGmeanRows)
 {
     const Fixture &f = fixture();

@@ -5,8 +5,7 @@
  * in-memory decodes are identical, every truncated prefix and every
  * corruption is diagnosed, on the mmap path too), and
  * DecodedTraceCache (hit/miss/keying/eviction semantics, decode-once
- * under concurrency, shared snapshots across runMatrix cells for both
- * --steal granularities).
+ * under concurrency, shared snapshots across runMatrix cells).
  */
 
 #include <gtest/gtest.h>
@@ -459,7 +458,7 @@ tinyConfig(const char *label_base)
     return cfg;
 }
 
-TEST(TraceCacheMatrix, CellsShareOneDecodePerTraceUnderBothStealModes)
+TEST(TraceCacheMatrix, CellsShareOneDecodePerTrace)
 {
     std::string dir = scratchDir("matrix_share");
     sim::SimConfig base = tinyConfig("cache-a");
@@ -475,42 +474,38 @@ TEST(TraceCacheMatrix, CellsShareOneDecodePerTraceUnderBothStealModes)
     auto live = sim::runMatrix({base}, benches, rec_opts);
 
     // 2 benches x 2 checkpoints = 4 traces; 2 configs replay them =
-    // 8 cells. Per steal mode the 4 first touches decode, the other 4
-    // share — the decode-once-replay-many invariant, irrespective of
-    // which worker thread got which cell.
-    for (sim::StealMode steal :
-         {sim::StealMode::Cell, sim::StealMode::Window}) {
-        wl::traceCache().clear();
-        sim::MatrixOptions rep_opts;
-        rep_opts.jobs = 4;
-        rep_opts.progress = false;
-        rep_opts.steal = steal;
-        rep_opts.traceIo.replayDir = dir;
-        auto rep = sim::runMatrix(configs, benches, rep_opts);
+    // 8 cells. The 4 first touches decode, the other 4 share — the
+    // decode-once-replay-many invariant, irrespective of which worker
+    // thread got which cell.
+    wl::traceCache().clear();
+    sim::MatrixOptions rep_opts;
+    rep_opts.jobs = 4;
+    rep_opts.progress = false;
+    rep_opts.traceIo.replayDir = dir;
+    auto rep = sim::runMatrix(configs, benches, rep_opts);
 
-        u64 hits = 0, misses = 0, load_micros_cells = 0;
-        for (const auto &row : rep)
-            for (const sim::RunResult &rr : row.byConfig) {
-                hits += rr.timing.traceDecodeHits.value();
-                misses += rr.timing.traceDecodeMisses.value();
-                load_micros_cells += rr.timing.cellsRun.value();
-            }
-        EXPECT_EQ(misses, 4u);
-        EXPECT_EQ(hits, 4u);
-        EXPECT_EQ(load_micros_cells, 8u);
+    u64 hits = 0, misses = 0, load_micros_cells = 0;
+    for (const auto &row : rep)
+        for (const sim::RunResult &rr : row.byConfig) {
+            hits += rr.timing.traceDecodeHits.value();
+            misses += rr.timing.traceDecodeMisses.value();
+            load_micros_cells += rr.timing.cellsRun.value();
+        }
+    EXPECT_EQ(misses, 4u);
+    EXPECT_EQ(hits, 4u);
+    EXPECT_EQ(load_micros_cells, 8u);
 
-        // And the shared-decode replay still reproduces live bit for
-        // bit (config 0 matches its recording run).
-        for (size_t b = 0; b < rep.size(); ++b)
-            for (size_t p = 0; p < rep[b].byConfig[0].phases.size(); ++p) {
-                const sim::PhaseResult &l = live[b].byConfig[0].phases[p];
-                const sim::PhaseResult &r = rep[b].byConfig[0].phases[p];
-                EXPECT_EQ(l.stats.committedInsts.value(),
-                          r.stats.committedInsts.value());
-                EXPECT_EQ(l.stats.cycles.value(), r.stats.cycles.value());
-                EXPECT_EQ(l.engineStats, r.engineStats);
-            }
-    }
+    // And the shared-decode replay still reproduces live bit for bit
+    // (config 0 matches its recording run).
+    for (size_t b = 0; b < rep.size(); ++b)
+        for (size_t p = 0; p < rep[b].byConfig[0].phases.size(); ++p) {
+            const sim::PhaseResult &l = live[b].byConfig[0].phases[p];
+            const sim::PhaseResult &r = rep[b].byConfig[0].phases[p];
+            EXPECT_EQ(l.stats.committedInsts.value(),
+                      r.stats.committedInsts.value());
+            EXPECT_EQ(l.stats.cycles.value(), r.stats.cycles.value());
+            EXPECT_EQ(l.engineStats, r.engineStats);
+        }
 
     // A warm second sweep replays with zero fresh decodes.
     sim::MatrixOptions warm_opts;

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Render rsep benchmark outputs as figure images.
 
-Three input formats are auto-detected:
+Two input formats are auto-detected:
 
 1. `rsep_merge --summary` CSV (stat_merge.cc, writeFigureSummary):
 
@@ -15,32 +15,25 @@ Three input formats are auto-detected:
    benchmark, one bar per scenario arm) with the gmean rows as a
    legend annotation.
 
-2. `rsep_bench --perf-json` output (a JSON object; detected by a
-   leading '{'): per-workload live/replay Minst/s bars, and — when the
-   run was given a --baseline — a second panel of replay speedup vs
-   that baseline with the gmean annotated.
-
-3. Time-series sample CSV (`rsep_samples dump`/`merge`, or the `.csv`
+2. Time-series sample CSV (`rsep_samples dump`/`merge`, or the `.csv`
    sibling a `--sample-every` run writes next to each `.rts` file;
    detected by the `benchmark,scenario,config_hash,phase,cycle,...`
    header): per-window IPC timelines, one panel per (benchmark, phase)
    cell with one line per scenario arm — the phase-behaviour view of
    the paper's speedup bars.
 
-All modes need matplotlib, which is deliberately NOT a build
+Both modes need matplotlib, which is deliberately NOT a build
 dependency: when matplotlib is missing the script exits with status 2
 and a clear message, so CI can treat the image as an optional artifact.
 
     rsep_merge --summary bars.csv shard*.csv
     tools/plot_summary.py bars.csv -o bars.png
-    tools/plot_summary.py BENCH_PR6.json -o bench.png
     rsep_samples merge --csv timeline.csv samples/*.rts
     tools/plot_summary.py timeline.csv -o timeline.png
 """
 
 import argparse
 import csv
-import json
 import sys
 
 
@@ -84,64 +77,6 @@ def load_matplotlib():
             "plot_summary: matplotlib is not available; skipping figure "
             "rendering (pip install matplotlib to enable)\n")
         sys.exit(2)
-
-
-def plot_perf_json(path, args):
-    """Render an rsep_bench --perf-json file: per-workload live/replay
-    Minst/s bars, plus a replay-speedup-vs-baseline panel when the run
-    had a --baseline."""
-    with open(path) as fh:
-        data = json.load(fh)
-    rows = data.get("single_thread") or []
-    if not rows:
-        sys.exit(f"{path}: no single_thread rows in perf JSON")
-    plt = load_matplotlib()
-
-    names = [r["workload"] for r in rows]
-    live = [r["live_minst_per_s"] for r in rows]
-    replay = [r["replay_minst_per_s"] for r in rows]
-    speedups = [r.get("speedup_vs_baseline") for r in rows]
-    have_baseline = any(s is not None for s in speedups)
-
-    npanels = 2 if have_baseline else 1
-    fig_w = max(7.0, 0.42 * len(names))
-    fig, axes = plt.subplots(npanels, 1, figsize=(fig_w, 4.0 * npanels),
-                             sharex=True, squeeze=False)
-    ax = axes[0][0]
-    xs = range(len(names))
-    width = 0.4
-    ax.bar([x - width / 2 for x in xs], live, width=width, label="live")
-    ax.bar([x + width / 2 for x in xs], replay, width=width, label="replay")
-    gm = data.get("gmean", {})
-    title = args.title
-    if title == DEFAULT_TITLE:
-        title = f"{data.get('suite', 'rsep_bench')} throughput " \
-                f"(workload set: {data.get('workload_set', 'all')})"
-    if "live_minst_per_s" in gm:
-        title += (f" — gmean live {gm['live_minst_per_s']:.2f} / "
-                  f"replay {gm['replay_minst_per_s']:.2f} Minst/s")
-    ax.set_title(title, fontsize=10)
-    ax.set_ylabel("Minst/s")
-    ax.legend(fontsize=8)
-
-    if have_baseline:
-        ax2 = axes[1][0]
-        sx = [x for x, s in zip(xs, speedups) if s is not None]
-        sy = [s for s in speedups if s is not None]
-        ax2.bar(sx, sy, width=0.6, color="tab:green")
-        ax2.axhline(1.0, color="black", linewidth=0.8)
-        label = "replay speedup vs baseline"
-        if "speedup_vs_baseline" in gm:
-            label += f" (gmean {gm['speedup_vs_baseline']:.3f}x)"
-        ax2.set_ylabel("speedup (x)")
-        ax2.set_title(label, fontsize=10)
-
-    axes[-1][0].set_xticks(list(xs))
-    axes[-1][0].set_xticklabels(names, rotation=60, ha="right", fontsize=8)
-    fig.tight_layout()
-    fig.savefig(args.output, dpi=args.dpi)
-    print(f"plot_summary: wrote {args.output} "
-          f"({len(names)} workloads, {npanels} panel(s))")
 
 
 # The identity-column prefix of a sample CSV (sim/sample_io.hh,
@@ -222,11 +157,10 @@ DEFAULT_TITLE = "Speedup over baseline (percent)"
 
 def main():
     ap = argparse.ArgumentParser(
-        description="Turn rsep_merge --summary CSV or rsep_bench "
-                    "--perf-json output into figure images.")
-    ap.add_argument("summary", help="summary CSV from rsep_merge --summary, "
-                                    "a perf JSON from rsep_bench, or a "
-                                    "sample CSV from rsep_samples "
+        description="Turn rsep_merge --summary CSV or rsep_samples "
+                    "sample CSV into figure images.")
+    ap.add_argument("summary", help="summary CSV from rsep_merge --summary "
+                                    "or a sample CSV from rsep_samples "
                                     "dump/merge")
     ap.add_argument("-o", "--output", default="summary.png",
                     help="output image path (default: %(default)s; the "
@@ -235,13 +169,10 @@ def main():
     ap.add_argument("--dpi", type=int, default=150)
     args = ap.parse_args()
 
-    # A perf JSON starts with '{'; a sample CSV declares itself by its
-    # identity-column header; everything else is the merge summary.
+    # A sample CSV declares itself by its identity-column header;
+    # everything else is the merge summary.
     with open(args.summary) as fh:
         first = fh.read(128).lstrip()
-    if first.startswith("{"):
-        plot_perf_json(args.summary, args)
-        return
     if first.startswith(SAMPLE_CSV_PREFIX):
         plot_samples(args.summary, args)
         return
