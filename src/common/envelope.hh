@@ -1,11 +1,12 @@
 /**
  * @file
- * The one envelope behind the repo's persisted files. It owns four
- * things, so no format carries its own copy of them:
+ * The one envelope behind the repo's four formats: `.rtr` traces,
+ * `.rts` sample series, `.cell` result-cache records and the
+ * rsep_serve frame payloads (DESIGN.md §17). It owns five things, so no
+ * format carries its own copy of them:
  *
  *  - the LEB128 varint codec the binary payloads are built from;
- *  - seal(), which writes the checksummed layout shared by `.rtr`
- *    traces and `.rts` sample series:
+ *  - seal(), which writes the checksummed layout every format shares:
  *
  *        <magic> <version>
  *        key = value            # fixed order, one line per key
@@ -15,18 +16,19 @@
  *        checksum = <16-hex FNV-1a 64 of the payload bytes>
  *
  *    (the checksum line is preceded by a newline of its own, so the
- *    image always ends in a fixed 29-byte trailer);
+ *    image always ends in a fixed 29-byte trailer and the payload is
+ *    found by position; it may itself be a sealed image);
  *  - open(), the matching reader, which rejects a wrong magic, any
  *    version other than the current one, a missing or out-of-order
  *    key, truncation and checksum mismatches with byte-offset
  *    diagnostics, and never returns a partial result; plus
  *    peekChecksum(), the trailer read DecodedTraceCache keys on;
+ *  - pathComponent(), the file-name sanitizer of `.rtr` and `.rts`;
  *  - publishFile(), the atomic temp-file + rename writer with its
- *    fault points, used by those two formats and by the `.cell`
- *    result-cache records (whose own body + checksum layout is
- *    ResultCache's).
+ *    fault points, used by every file format.
  *
  * What the header values and the payload mean stays with each format.
+ * Header values are not checksummed.
  */
 
 #ifndef RSEP_COMMON_ENVELOPE_HH

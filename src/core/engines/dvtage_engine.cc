@@ -2,9 +2,6 @@
 
 #include <cassert>
 
-#include <cstdio>
-#include <cstdlib>
-
 #include "core/pipeline.hh"
 
 namespace rsep::core
@@ -47,11 +44,6 @@ DvtageEngine::atCommitHead(InflightInst &di, EngineContext &ctx)
     ++ctx.st.vpMispredicts;
     ++mispredicts;
     ++ctx.st.commitSquashes;
-    if (std::getenv("RSEP_VP_DEBUG"))
-        std::fprintf(stderr, "vp-miss pc=%llx pred=%llx actual=%llx\n",
-                     (unsigned long long)di.pc,
-                     (unsigned long long)di.vpLk.predicted,
-                     (unsigned long long)di.rec.result);
     return CommitVerdict::CommitThenSquash;
 }
 

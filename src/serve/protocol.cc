@@ -3,12 +3,12 @@
 #include <algorithm>
 #include <cerrno>
 #include <cstring>
-#include <sstream>
 
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include "common/env.hh"
+#include "common/envelope.hh"
 #include "common/fault.hh"
 
 namespace rsep::serve
@@ -96,74 +96,73 @@ knownFrameType(u8 t)
            t <= static_cast<u8>(FrameType::Error);
 }
 
-// ---------------------------------------------- payload text helpers
+// ---------------------------------------------- sealed payloads
 
-/** Cursor over a line-oriented payload with a trailing raw blob. */
-struct PayloadReader
+/** Every payload but Hello is an envelope image of version 1 under
+ *  its own magic; protocolVersion covers their layouts as a set. */
+constexpr unsigned payloadVersion = 1;
+constexpr std::string_view submitMagic = "rsep-serve-submit";
+constexpr std::string_view cellMagic = "rsep-serve-cell";
+constexpr std::string_view samplesMagic = "rsep-serve-samples";
+constexpr std::string_view doneMagic = "rsep-serve-done";
+constexpr std::string_view busyMagic = "rsep-serve-busy";
+
+constexpr u64 u32Max = 0xffffffffull;
+
+/** An opened payload whose header values are read in key order; the
+ *  first bad value becomes the payload's diagnostic. */
+class SealedPayload
 {
-    std::string_view text;
-    size_t pos = 0;
+  public:
+    SealedPayload(std::string_view payload, std::string_view magic,
+                  std::initializer_list<const char *> keys)
+        : magic(magic), keys(keys),
+          env(envelope::open(payload, magic, payloadVersion, keys,
+                             std::string(magic)))
+    {
+    }
 
-    /** Next header line (without '\n'); false at end or blank line
-     *  (the blob separator, which is consumed). */
+    std::string
+    text()
+    {
+        return env.ok() ? env.values[next++] : std::string();
+    }
+
+    /** A decimal value no larger than @p max (1 for a 0/1 flag). */
+    u64
+    number(u64 max = ~u64{0})
+    {
+        if (!env.ok())
+            return 0;
+        const std::string &v = env.values[next];
+        u64 n = 0;
+        if (!parseU64(v, n) || n > max) {
+            env.error = std::string(magic) + ": bad " + keys[next] +
+                        " '" + v + "'";
+            env.values.clear();
+            return 0;
+        }
+        ++next;
+        return n;
+    }
+
+    std::string blob() const { return std::string(env.payload); }
+
+    /** True when the envelope and every value read were valid. */
     bool
-    nextLine(std::string_view &line)
+    ok(std::string *err) const
     {
-        if (pos >= text.size())
-            return false;
-        size_t nl = text.find('\n', pos);
-        if (nl == std::string_view::npos)
-            nl = text.size();
-        line = text.substr(pos, nl - pos);
-        pos = nl + 1;
-        return !line.empty();
+        if (!env.ok() && err)
+            *err = env.error;
+        return env.ok();
     }
 
-    /** The raw blob after the blank separator line. */
-    std::string_view
-    rest() const
-    {
-        return pos >= text.size() ? std::string_view{}
-                                  : text.substr(pos);
-    }
+  private:
+    std::string_view magic;
+    std::vector<const char *> keys;
+    envelope::Opened env;
+    size_t next = 0;
 };
-
-bool
-splitKeyValue(std::string_view line, std::string_view &key,
-              std::string_view &value)
-{
-    size_t eq = line.find(" = ");
-    if (eq == std::string_view::npos)
-        return false;
-    key = line.substr(0, eq);
-    value = line.substr(eq + 3);
-    return true;
-}
-
-bool
-parseBool01(std::string_view v, bool &out)
-{
-    if (v == "0")
-        return out = false, true;
-    if (v == "1")
-        return out = true, true;
-    return false;
-}
-
-void
-appendKv(std::string &out, const char *key, const std::string &value)
-{
-    out += key;
-    out += " = ";
-    out += value;
-    out += '\n';
-}
-
-void
-appendKvU64(std::string &out, const char *key, u64 value)
-{
-    appendKv(out, key, std::to_string(value));
-}
 
 std::vector<std::string>
 splitCommaList(std::string_view v)
@@ -191,21 +190,6 @@ joinCommaList(const std::vector<std::string> &items)
         out += s;
     }
     return out;
-}
-
-/** Validate a `<name>_bytes` announcement against what follows. */
-bool
-checkBlobSize(const PayloadReader &r, u64 announced, const char *what,
-              std::string *err)
-{
-    if (r.rest().size() != announced) {
-        if (err)
-            *err = std::string(what) + "_bytes announces " +
-                   std::to_string(announced) + " but " +
-                   std::to_string(r.rest().size()) + " bytes follow";
-        return false;
-    }
-    return true;
 }
 
 } // namespace
@@ -378,322 +362,145 @@ parseHello(std::string_view payload, std::string *err)
 std::string
 serializeSubmit(const SubmitRequest &req)
 {
-    std::string out = "rsep-submit 1\n";
-    appendKv(out, "benchmarks", joinCommaList(req.benchmarks));
-    appendKvU64(out, "sample_every", req.sampleEvery);
-    appendKv(out, "replay_dir", req.replayDir);
-    if (req.retry > 0)
-        appendKvU64(out, "retry", req.retry);
-    appendKvU64(out, "scn_bytes", req.scnText.size());
-    out += '\n';
-    out += req.scnText;
-    return out;
+    return envelope::seal(submitMagic, payloadVersion,
+                          {{"benchmarks", joinCommaList(req.benchmarks)},
+                           {"sample_every", std::to_string(req.sampleEvery)},
+                           {"replay_dir", req.replayDir},
+                           {"retry", std::to_string(req.retry)}},
+                          req.scnText);
 }
 
 bool
 parseSubmit(std::string_view payload, SubmitRequest &out, std::string *err)
 {
-    PayloadReader r{payload};
-    std::string_view line;
-    if (!r.nextLine(line) || line != "rsep-submit 1") {
-        if (err)
-            *err = "bad submit magic/version";
+    SealedPayload p(payload, submitMagic,
+                    {"benchmarks", "sample_every", "replay_dir", "retry"});
+    out.benchmarks = splitCommaList(p.text());
+    out.sampleEvery = p.number();
+    out.replayDir = p.text();
+    out.retry = static_cast<u32>(p.number(u32Max));
+    out.scnText = p.blob();
+    if (!p.ok(err))
         return false;
-    }
-    u64 scn_bytes = 0;
-    bool have_bench = false, have_bytes = false;
-    while (r.nextLine(line)) {
-        std::string_view k, v;
-        if (!splitKeyValue(line, k, v)) {
-            if (err)
-                *err = "malformed submit header line '" +
-                       std::string(line) + "'";
-            return false;
-        }
-        if (k == "benchmarks") {
-            out.benchmarks = splitCommaList(v);
-            have_bench = true;
-        } else if (k == "sample_every") {
-            if (!parseU64(std::string(v), out.sampleEvery)) {
-                if (err)
-                    *err = "bad sample_every '" + std::string(v) + "'";
-                return false;
-            }
-        } else if (k == "replay_dir") {
-            out.replayDir = std::string(v);
-        } else if (k == "retry") {
-            u64 u = 0;
-            if (!parseU64(std::string(v), u)) {
-                if (err)
-                    *err = "bad retry '" + std::string(v) + "'";
-                return false;
-            }
-            out.retry = static_cast<u32>(u);
-        } else if (k == "scn_bytes") {
-            if (!parseU64(std::string(v), scn_bytes)) {
-                if (err)
-                    *err = "bad scn_bytes '" + std::string(v) + "'";
-                return false;
-            }
-            have_bytes = true;
-        } else {
-            if (err)
-                *err = "unknown submit header key '" + std::string(k) +
-                       "'";
-            return false;
-        }
-    }
-    if (!have_bench || out.benchmarks.empty()) {
+    if (out.benchmarks.empty()) {
         if (err)
             *err = "submit names no benchmarks";
         return false;
     }
-    if (!have_bytes || !checkBlobSize(r, scn_bytes, "scn", err)) {
-        if (err && err->empty())
-            *err = "submit missing scn_bytes";
-        return false;
-    }
-    out.scnText = std::string(r.rest());
     return true;
 }
 
 std::string
 serializeCell(const CellResult &cell)
 {
-    std::string out;
-    appendKv(out, "bench", cell.benchmark);
-    appendKvU64(out, "config", cell.config);
-    appendKvU64(out, "phase", cell.phase);
-    appendKvU64(out, "from_cache", cell.fromCache ? 1 : 0);
-    appendKvU64(out, "replayed", cell.replayed ? 1 : 0);
-    appendKvU64(out, "decode_hit", cell.decodeHit ? 1 : 0);
-    appendKvU64(out, "trace_load_micros", cell.traceLoadMicros);
-    appendKvU64(out, "record_bytes", cell.record.size());
-    out += '\n';
-    out += cell.record;
-    return out;
+    return envelope::seal(
+        cellMagic, payloadVersion,
+        {{"bench", cell.benchmark},
+         {"config", std::to_string(cell.config)},
+         {"phase", std::to_string(cell.phase)},
+         {"from_cache", cell.fromCache ? "1" : "0"},
+         {"replayed", cell.replayed ? "1" : "0"},
+         {"decode_hit", cell.decodeHit ? "1" : "0"},
+         {"trace_load_micros", std::to_string(cell.traceLoadMicros)}},
+        cell.record);
 }
 
 bool
 parseCell(std::string_view payload, CellResult &out, std::string *err)
 {
-    PayloadReader r{payload};
-    std::string_view line;
-    u64 record_bytes = 0;
-    bool have_bytes = false;
-    while (r.nextLine(line)) {
-        std::string_view k, v;
-        if (!splitKeyValue(line, k, v)) {
-            if (err)
-                *err = "malformed cell header line '" + std::string(line) +
-                       "'";
-            return false;
-        }
-        std::string vs(v);
-        u64 u = 0;
-        bool b = false;
-        if (k == "bench") {
-            out.benchmark = vs;
-        } else if (k == "config" && parseU64(vs, u)) {
-            out.config = static_cast<u32>(u);
-        } else if (k == "phase" && parseU64(vs, u)) {
-            out.phase = static_cast<u32>(u);
-        } else if (k == "from_cache" && parseBool01(v, b)) {
-            out.fromCache = b;
-        } else if (k == "replayed" && parseBool01(v, b)) {
-            out.replayed = b;
-        } else if (k == "decode_hit" && parseBool01(v, b)) {
-            out.decodeHit = b;
-        } else if (k == "trace_load_micros" && parseU64(vs, u)) {
-            out.traceLoadMicros = u;
-        } else if (k == "record_bytes" && parseU64(vs, u)) {
-            record_bytes = u;
-            have_bytes = true;
-        } else {
-            if (err)
-                *err = "bad cell header line '" + std::string(line) + "'";
-            return false;
-        }
-    }
-    if (out.benchmark.empty() || !have_bytes) {
-        if (err)
-            *err = "cell frame missing bench/record_bytes";
-        return false;
-    }
-    if (!checkBlobSize(r, record_bytes, "record", err))
-        return false;
-    out.record = std::string(r.rest());
-    return true;
+    SealedPayload p(payload, cellMagic,
+                    {"bench", "config", "phase", "from_cache", "replayed",
+                     "decode_hit", "trace_load_micros"});
+    out.benchmark = p.text();
+    out.config = static_cast<u32>(p.number(u32Max));
+    out.phase = static_cast<u32>(p.number(u32Max));
+    out.fromCache = p.number(1);
+    out.replayed = p.number(1);
+    out.decodeHit = p.number(1);
+    out.traceLoadMicros = p.number();
+    out.record = p.blob();
+    return p.ok(err);
 }
 
 std::string
 serializeSamplesFrame(const SamplesFrame &sf)
 {
-    std::string out;
-    appendKv(out, "bench", sf.benchmark);
-    appendKvU64(out, "config", sf.config);
-    appendKvU64(out, "phase", sf.phase);
-    appendKvU64(out, "rts_bytes", sf.rts.size());
-    out += '\n';
-    out += sf.rts;
-    return out;
+    return envelope::seal(samplesMagic, payloadVersion,
+                          {{"bench", sf.benchmark},
+                           {"config", std::to_string(sf.config)},
+                           {"phase", std::to_string(sf.phase)}},
+                          sf.rts);
 }
 
 bool
 parseSamplesFrame(std::string_view payload, SamplesFrame &out,
                   std::string *err)
 {
-    PayloadReader r{payload};
-    std::string_view line;
-    u64 rts_bytes = 0;
-    bool have_bytes = false;
-    while (r.nextLine(line)) {
-        std::string_view k, v;
-        if (!splitKeyValue(line, k, v)) {
-            if (err)
-                *err = "malformed samples header line '" +
-                       std::string(line) + "'";
-            return false;
-        }
-        std::string vs(v);
-        u64 u = 0;
-        if (k == "bench") {
-            out.benchmark = vs;
-        } else if (k == "config" && parseU64(vs, u)) {
-            out.config = static_cast<u32>(u);
-        } else if (k == "phase" && parseU64(vs, u)) {
-            out.phase = static_cast<u32>(u);
-        } else if (k == "rts_bytes" && parseU64(vs, u)) {
-            rts_bytes = u;
-            have_bytes = true;
-        } else {
-            if (err)
-                *err = "bad samples header line '" + std::string(line) +
-                       "'";
-            return false;
-        }
-    }
-    if (out.benchmark.empty() || !have_bytes) {
-        if (err)
-            *err = "samples frame missing bench/rts_bytes";
-        return false;
-    }
-    if (!checkBlobSize(r, rts_bytes, "rts", err))
-        return false;
-    out.rts = std::string(r.rest());
-    return true;
+    SealedPayload p(payload, samplesMagic, {"bench", "config", "phase"});
+    out.benchmark = p.text();
+    out.config = static_cast<u32>(p.number(u32Max));
+    out.phase = static_cast<u32>(p.number(u32Max));
+    out.rts = p.blob();
+    return p.ok(err);
 }
 
 std::string
 serializeDone(const DoneSummary &done)
 {
-    std::string out = "status = ok\n";
-    appendKvU64(out, "serve.requests", done.requests);
-    appendKvU64(out, "serve.batched_cells", done.batchedCells);
-    appendKvU64(out, "serve.queue_wait_micros", done.queueWaitMicros);
-    appendKvU64(out, "serve.wall_micros", done.wallMicros);
-    appendKvU64(out, "serve.cells_run", done.cellsRun);
-    appendKvU64(out, "serve.cache_hits", done.cacheHits);
-    appendKvU64(out, "serve.trace_decode_hits", done.traceDecodeHits);
-    appendKvU64(out, "serve.trace_decode_misses", done.traceDecodeMisses);
-    appendKvU64(out, "serve.cache_enabled", done.cacheEnabled ? 1 : 0);
-    appendKvU64(out, "dump_bytes", done.dump.size());
-    out += '\n';
-    out += done.dump;
-    return out;
+    return envelope::seal(
+        doneMagic, payloadVersion,
+        {{"requests", std::to_string(done.requests)},
+         {"batched_cells", std::to_string(done.batchedCells)},
+         {"queue_wait_micros", std::to_string(done.queueWaitMicros)},
+         {"wall_micros", std::to_string(done.wallMicros)},
+         {"cells_run", std::to_string(done.cellsRun)},
+         {"cache_hits", std::to_string(done.cacheHits)},
+         {"trace_decode_hits", std::to_string(done.traceDecodeHits)},
+         {"trace_decode_misses", std::to_string(done.traceDecodeMisses)},
+         {"cache_enabled", done.cacheEnabled ? "1" : "0"}},
+        done.dump);
 }
 
 bool
 parseDone(std::string_view payload, DoneSummary &out, std::string *err)
 {
-    PayloadReader r{payload};
-    std::string_view line;
-    if (!r.nextLine(line) || line != "status = ok") {
-        if (err)
-            *err = "done frame without ok status";
-        return false;
-    }
-    u64 dump_bytes = 0;
-    bool have_bytes = false;
-    while (r.nextLine(line)) {
-        std::string_view k, v;
-        if (!splitKeyValue(line, k, v)) {
-            if (err)
-                *err = "malformed done header line '" + std::string(line) +
-                       "'";
-            return false;
-        }
-        std::string vs(v);
-        u64 u = 0;
-        bool b = false;
-        if (k == "serve.requests" && parseU64(vs, u)) {
-            out.requests = u;
-        } else if (k == "serve.batched_cells" && parseU64(vs, u)) {
-            out.batchedCells = u;
-        } else if (k == "serve.queue_wait_micros" && parseU64(vs, u)) {
-            out.queueWaitMicros = u;
-        } else if (k == "serve.wall_micros" && parseU64(vs, u)) {
-            out.wallMicros = u;
-        } else if (k == "serve.cells_run" && parseU64(vs, u)) {
-            out.cellsRun = u;
-        } else if (k == "serve.cache_hits" && parseU64(vs, u)) {
-            out.cacheHits = u;
-        } else if (k == "serve.trace_decode_hits" && parseU64(vs, u)) {
-            out.traceDecodeHits = u;
-        } else if (k == "serve.trace_decode_misses" && parseU64(vs, u)) {
-            out.traceDecodeMisses = u;
-        } else if (k == "serve.cache_enabled" && parseBool01(v, b)) {
-            out.cacheEnabled = b;
-        } else if (k == "dump_bytes" && parseU64(vs, u)) {
-            dump_bytes = u;
-            have_bytes = true;
-        } else {
-            if (err)
-                *err = "bad done header line '" + std::string(line) + "'";
-            return false;
-        }
-    }
-    if (!have_bytes || !checkBlobSize(r, dump_bytes, "dump", err)) {
-        if (err && err->empty())
-            *err = "done frame missing dump_bytes";
-        return false;
-    }
-    out.dump = std::string(r.rest());
-    return true;
+    SealedPayload p(payload, doneMagic,
+                    {"requests", "batched_cells", "queue_wait_micros",
+                     "wall_micros", "cells_run", "cache_hits",
+                     "trace_decode_hits", "trace_decode_misses",
+                     "cache_enabled"});
+    out.requests = p.number();
+    out.batchedCells = p.number();
+    out.queueWaitMicros = p.number();
+    out.wallMicros = p.number();
+    out.cellsRun = p.number();
+    out.cacheHits = p.number();
+    out.traceDecodeHits = p.number();
+    out.traceDecodeMisses = p.number();
+    out.cacheEnabled = p.number(1);
+    out.dump = p.blob();
+    return p.ok(err);
 }
 
 std::string
 serializeBusy(u64 retryAfterMs, const std::string &why)
 {
-    std::string out = "busy\n";
-    appendKvU64(out, "retry_after_ms", retryAfterMs);
-    appendKv(out, "reason", why);
-    return out;
+    return envelope::seal(busyMagic, payloadVersion,
+                          {{"retry_after_ms", std::to_string(retryAfterMs)}},
+                          why);
 }
 
 bool
 parseBusy(std::string_view payload, u64 &retryAfterMs, std::string *why)
 {
-    PayloadReader r{payload};
-    std::string_view line;
-    if (!r.nextLine(line) || line != "busy")
+    SealedPayload p(payload, busyMagic, {"retry_after_ms"});
+    u64 hint = p.number();
+    if (!p.ok(nullptr))
         return false;
-    bool have_hint = false;
-    while (r.nextLine(line)) {
-        std::string_view k, v;
-        if (!splitKeyValue(line, k, v))
-            return false;
-        if (k == "retry_after_ms") {
-            if (!parseU64(std::string(v), retryAfterMs))
-                return false;
-            have_hint = true;
-        } else if (k == "reason") {
-            if (why)
-                *why = std::string(v);
-        }
-        // Unknown busy keys are ignored: a newer server may add hints.
-    }
-    return have_hint;
+    retryAfterMs = hint;
+    if (why)
+        *why = p.blob();
+    return true;
 }
 
 } // namespace rsep::serve

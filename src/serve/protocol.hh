@@ -24,14 +24,17 @@
  *     <- Done         serve.* counters + the canonical CSV dump
  *     <- Error        instead of any of the above, with a diagnostic
  *
- * Payloads are line-oriented `key = value` text headers, optionally
- * followed by a blank line and a raw blob whose size a `<name>_bytes`
- * header announced — the same self-describing text-envelope discipline
- * as the `.scn`/`.rtr`/`.rts`/cell-cache formats. Cell results reuse
- * the result-cache record serialization verbatim (the one format that
- * already round-trips a PhaseResult bit-exactly), and Submit carries
- * canonical `.scn` text, so the protocol layer adds no new
- * serialization of simulation state at all.
+ * Hello is the one plain-text payload. Every other payload is an
+ * envelope::seal image (common/envelope.hh) under its own magic
+ * (`rsep-serve-submit`, `-cell`, `-samples`, `-done`, `-busy`), version
+ * 1: fixed-order `key = value` header lines, then the frame's blob
+ * (`.scn` text, cell record, `.rts` image, CSV dump, busy reason) as the
+ * payload, then the checksum trailer. The parsers are envelope::open,
+ * so a torn, reordered or bit-flipped payload is rejected with the same
+ * diagnostics as a damaged file. Cell results carry the sealed `.cell`
+ * record (ResultCache::serializeRecord, the one format that round-trips
+ * a PhaseResult bit-exactly) and Submit carries canonical `.scn` text,
+ * so the protocol adds no serialization of simulation state.
  */
 
 #ifndef RSEP_SERVE_PROTOCOL_HH
@@ -46,10 +49,10 @@
 namespace rsep::serve
 {
 
-/** Protocol version, exchanged in Hello; bump on any wire change.
- *  v2: Submit carries a `retry` header, Error frames may be structured
- *  `busy` rejections with a retry-after hint. */
-constexpr unsigned protocolVersion = 2;
+/** Protocol version, exchanged in Hello; bump on any wire change
+ *  (including the layout of the `.cell` record a Cell frame carries).
+ *  v3: every payload but Hello is a sealed envelope image. */
+constexpr unsigned protocolVersion = 3;
 
 /** Hard ceiling on one frame's payload. Generous for a full-suite
  *  dump, small enough that a garbage length prefix (random 4 bytes
@@ -146,7 +149,7 @@ struct CellResult
     bool replayed = false;
     bool decodeHit = false;
     u64 traceLoadMicros = 0;
-    /** ResultCache::serializeRecord text of the PhaseResult. */
+    /** ResultCache::serializeRecord image of the PhaseResult. */
     std::string record;
 };
 

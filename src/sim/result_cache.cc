@@ -20,6 +20,8 @@ namespace rsep::sim
 namespace
 {
 
+constexpr std::string_view cellMagic = "rsep-cell-cache";
+
 /** Benchmark names are plain tokens, but never trust a path element. */
 std::string
 sanitized(const std::string &s)
@@ -114,11 +116,6 @@ std::string
 ResultCache::serializeRecord(const CacheKey &key, const PhaseResult &pr)
 {
     std::ostringstream os;
-    os << "rsep-cell-cache " << resultCacheVersion << "\n";
-    os << "benchmark = " << key.benchmark << "\n";
-    os << "config_hash = " << key.configHash << "\n";
-    os << "phase = " << key.phase << "\n";
-    os << "seed = " << hex64(key.seed) << "\n";
     // The IPC is stored bit-exactly: a cache hit must reproduce the
     // dump of the run that filled the cache byte for byte.
     os << "ipc_bits = " << hex64(std::bit_cast<u64>(pr.ipc)) << "\n";
@@ -134,45 +131,49 @@ ResultCache::serializeRecord(const CacheKey &key, const PhaseResult &pr)
         os << "bucket " << b << " = " << h.bucket(b) << "\n";
     for (const auto &[name, value] : pr.engineStats)
         os << "engine " << name << " = " << value << "\n";
-    return os.str();
+    // Only the key echo sits in the unchecksummed header: a damaged
+    // echo already fails the key comparison in parseRecord.
+    return envelope::seal(cellMagic, resultCacheVersion,
+                          {{"benchmark", key.benchmark},
+                           {"config_hash", key.configHash},
+                           {"phase", std::to_string(key.phase)},
+                           {"seed", hex64(key.seed)}},
+                          os.str());
 }
 
 std::string
 ResultCache::parseRecord(const std::string &text, const CacheKey &key,
                          PhaseResult &out)
 {
-    std::istringstream is(text);
-    std::string line;
+    envelope::Opened env =
+        envelope::open(text, cellMagic, resultCacheVersion,
+                       {"benchmark", "config_hash", "phase", "seed"},
+                       "cell record");
+    if (!env.ok())
+        return env.error;
 
-    auto valueOf = [&](const std::string &l, const char *k,
-                       std::string &v) {
+    // Key echo: a record reached through the wrong filename (copied
+    // caches, hash collisions) must not be served.
+    u64 seed = 0;
+    if (env.values[0] != key.benchmark)
+        return "benchmark echo mismatch";
+    if (env.values[1] != key.configHash)
+        return "config-hash echo mismatch";
+    if (env.values[2] != std::to_string(key.phase))
+        return "phase echo mismatch";
+    if (!parseHex64(env.values[3], seed) || seed != key.seed)
+        return "seed echo mismatch";
+
+    auto valueOf = [](const std::string &l, const char *k,
+                      std::string &v) {
         std::string prefix = std::string(k) + " = ";
         if (l.rfind(prefix, 0) != 0)
             return false;
         v = l.substr(prefix.size());
         return true;
     };
-
-    if (!std::getline(is, line) ||
-        line != "rsep-cell-cache " + std::to_string(resultCacheVersion))
-        return "bad or unsupported record version";
-
-    // Key echo: a record reached through the wrong filename (copied
-    // caches, hash collisions) must not be served.
-    std::string v;
-    u64 seed = 0;
-    if (!std::getline(is, line) || !valueOf(line, "benchmark", v) ||
-        v != key.benchmark)
-        return "benchmark echo mismatch";
-    if (!std::getline(is, line) || !valueOf(line, "config_hash", v) ||
-        v != key.configHash)
-        return "config-hash echo mismatch";
-    if (!std::getline(is, line) || !valueOf(line, "phase", v) ||
-        v != std::to_string(key.phase))
-        return "phase echo mismatch";
-    if (!std::getline(is, line) || !valueOf(line, "seed", v) ||
-        !parseHex64(v, seed) || seed != key.seed)
-        return "seed echo mismatch";
+    std::istringstream is{std::string(env.payload)};
+    std::string line, v;
 
     PhaseResult pr;
     pr.fromCache = true;
@@ -272,19 +273,8 @@ ResultCache::load(const CacheKey &key)
         return std::nullopt;
     };
 
-    // Outer envelope: "<body>checksum = <fnv1a64(body)>\n".
-    size_t mark = text.rfind("checksum = ");
-    if (mark == std::string::npos || text.back() != '\n')
-        return quarantine("missing checksum");
-    std::string body = text.substr(0, mark);
-    u64 want = 0;
-    if (!parseHex64(text.substr(mark + 11, text.size() - mark - 12),
-                    want) ||
-        fnv1a64(body) != want)
-        return quarantine("checksum mismatch");
-
     PhaseResult pr;
-    std::string err = parseRecord(body, key, pr);
+    std::string err = parseRecord(text, key, pr);
     if (!err.empty())
         return quarantine(err);
     ++nHits;
@@ -296,8 +286,6 @@ ResultCache::store(const CacheKey &key, const PhaseResult &pr)
 {
     if (!enabled())
         return false;
-    std::string body = serializeRecord(key, pr);
-    std::string text = body + "checksum = " + hex64(fnv1a64(body)) + "\n";
 
     // "cache.write" faults: an errno mode behaves as the write failing
     // (store reports false, the cell stays uncached); short fails the
@@ -307,8 +295,8 @@ ResultCache::store(const CacheKey &key, const PhaseResult &pr)
     // mode fails the publish step itself. The temp name carries the pid
     // and a per-process sequence number, so overlapping shards on one
     // directory and pool threads storing the same cell never collide.
-    if (!envelope::publishFile(cellPath(key), text, "cache.write",
-                               "cache.rename")) {
+    if (!envelope::publishFile(cellPath(key), serializeRecord(key, pr),
+                               "cache.write", "cache.rename")) {
         ++nIoErrors;
         return false;
     }

@@ -10,15 +10,17 @@
  * (re-runs, overlapping shards, grown scenario files) never re-simulate
  * a cell.
  *
- * Records are plain text (a versioned header echoing the key, every
- * introspected pipeline counter, the commit-group histogram, the
- * per-engine counters, and a trailing checksum) and are written
- * atomically via write-to-temp + rename. A record that fails any
- * validation step — version or checksum mismatch, key echo that does
- * not match the requested cell, counter-set drift against the current
- * binary — is **quarantined** (renamed to `<cell>.corrupt`) and treated
- * as a miss, so one damaged file can never poison a sweep or wedge a
- * resume loop.
+ * A record is an envelope::seal image (common/envelope.hh): the key
+ * echo (benchmark, config hash, phase, seed) in the header, and the
+ * IPC bits, wall time, every introspected pipeline counter, the
+ * commit-group histogram and the per-engine counters as checksummed
+ * text lines in the payload. Records are published atomically
+ * (envelope::publishFile). A record that fails any validation step —
+ * wrong magic or version, checksum mismatch, truncation, a key echo
+ * that does not match the requested cell, counter-set drift against
+ * the current binary — is **quarantined** (renamed to `<cell>.corrupt`)
+ * and treated as a miss, so one damaged file can never poison a sweep
+ * or wedge a resume loop.
  */
 
 #ifndef RSEP_SIM_RESULT_CACHE_HH
@@ -43,7 +45,7 @@ struct CacheKey
 };
 
 /** Record-format version; bump on any layout change. */
-constexpr unsigned resultCacheVersion = 1;
+constexpr unsigned resultCacheVersion = 2;
 
 /** A file-backed, thread-safe cell cache rooted at one directory. */
 class ResultCache
@@ -87,7 +89,8 @@ class ResultCache
      */
     static std::string fileConfigHash(const std::string &filename);
 
-    /** Serialize / parse one record body (exposed for tests). */
+    /** Serialize / parse one sealed record image (the file bytes, and
+     *  the blob of an rsep_serve Cell frame). */
     static std::string serializeRecord(const CacheKey &key,
                                        const PhaseResult &pr);
     /** Empty error = success. A non-empty error means "invalid record"

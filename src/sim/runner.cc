@@ -105,16 +105,6 @@ parseJobsArg(int argc, char **argv, unsigned &jobs, std::string &err)
     return true; // absent: leave jobs untouched (0 = auto).
 }
 
-unsigned
-parseJobsArg(int argc, char **argv)
-{
-    unsigned jobs = 0;
-    std::string err;
-    if (!parseJobsArg(argc, argv, jobs, err))
-        rsep_fatal("%s", err.c_str());
-    return jobs;
-}
-
 PhaseResult
 runCachedCell(ResultCache *cache, const SimConfig &cfg,
               const std::string &benchmark,

@@ -91,9 +91,6 @@ bool parseJobsValue(const std::string &s, unsigned &jobs,
 bool parseJobsArg(int argc, char **argv, unsigned &jobs,
                   std::string &err);
 
-/** Legacy convenience wrapper: fatals on a malformed jobs value. */
-unsigned parseJobsArg(int argc, char **argv);
-
 /**
  * Run every benchmark under every configuration (config 0 is
  * conventionally the baseline). The (benchmark x config x checkpoint)

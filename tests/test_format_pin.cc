@@ -1,16 +1,17 @@
 /**
  * @file
- * Byte pins for the three persisted formats: a `.rtr` v2 trace, a
- * `.rts` sample series and a `.cell` result-cache record, each built
- * from fixed inputs, serialized in memory AND written through the
- * format's own publish path, then hashed (FNV-1a 64). The constants
- * were generated once and must never move with a refactor of the
- * envelope code: any change to them is an on-disk format change and
- * needs a version bump, not a new constant.
+ * Byte pins for the persisted and wire formats: a `.rtr` v2 trace, a
+ * `.rts` sample series, a `.cell` result-cache record and two
+ * rsep_serve frame payloads, each built from fixed inputs and hashed
+ * (FNV-1a 64); the files are also written through the format's own
+ * publish path. The constants were generated once and must never move
+ * with a refactor of the envelope code: any change to them is a format
+ * change and needs a version bump, not a new constant.
  *
  * The `.cell` image lists every introspected pipeline counter, so
  * adding a counter legitimately moves its pin (as it moves the
- * goldens); the `.rtr` and `.rts` pins depend only on their codecs.
+ * goldens); the `.rtr`, `.rts` and frame pins depend only on their
+ * codecs.
  */
 
 #include <gtest/gtest.h>
@@ -23,6 +24,7 @@
 
 #include "common/fnv.hh"
 #include "core/sampler.hh"
+#include "serve/protocol.hh"
 #include "sim/result_cache.hh"
 #include "sim/sample_io.hh"
 #include "wl/trace_io.hh"
@@ -36,7 +38,9 @@ namespace
 
 constexpr u64 rtrPin = 0x237a0fa6c644f533ull;
 constexpr u64 rtsPin = 0x034883504a15ab7aull;
-constexpr u64 cellPin = 0xd8af248d2d307b85ull;
+constexpr u64 cellPin = 0xc3fdc4e6d3620073ull;
+constexpr u64 submitPin = 0xae89b2a4fee1dae9ull;
+constexpr u64 cellFramePin = 0x6d0c729441bcb96eull;
 
 std::string
 scratchDir(const std::string &tag)
@@ -194,12 +198,36 @@ TEST(FormatPin, CellRecordBytesArePinned)
                               2, 0x5eed}),
               dir + "/pin_0123456789abcdef/"
                     "00112233445566ff-p2-s0000000000005eed.cell");
-    // The file is the record body the daemon embeds, plus its trailer.
-    EXPECT_EQ(file.rfind(sim::ResultCache::serializeRecord(pinKey(),
-                                                           pinPhase()),
-                         0),
-              0u);
+    // The file is exactly the sealed record a Cell frame carries.
+    EXPECT_EQ(file, sim::ResultCache::serializeRecord(pinKey(), pinPhase()));
     fs::remove_all(dir);
+}
+
+// A change to these bytes is a wire change: bump serve::protocolVersion.
+TEST(FormatPin, ServeFramePayloadsArePinned)
+{
+    serve::SubmitRequest sub;
+    sub.benchmarks = {"mcf", "pin@0123456789abcdef"};
+    sub.sampleEvery = 500;
+    sub.replayDir = "traces/pin";
+    sub.scnText = "[scenario]\nname = pin\nrsep = on\n";
+    sub.retry = 2;
+    EXPECT_EQ(hex64(fnv1a64(serve::serializeSubmit(sub))),
+              hex64(submitPin));
+
+    // A fixed record blob, so this pin moves with the frame codec only
+    // (the record itself is pinned above).
+    serve::CellResult cell;
+    cell.benchmark = "mcf";
+    cell.config = 1;
+    cell.phase = 2;
+    cell.fromCache = true;
+    cell.replayed = false;
+    cell.decodeHit = true;
+    cell.traceLoadMicros = 4321;
+    cell.record = "record bytes\n";
+    EXPECT_EQ(hex64(fnv1a64(serve::serializeCell(cell))),
+              hex64(cellFramePin));
 }
 
 } // namespace

@@ -2,10 +2,10 @@
  * @file
  * Result-cache tests: record serialization round-trips a PhaseResult
  * exactly, hits/misses behave, every corruption mode (garbage,
- * truncation, version drift, wrong-key echo) quarantines instead of
- * serving bad data, concurrent stores of one cell never tear it, and a
- * warm-cache runMatrix re-simulates nothing while producing
- * bit-identical results.
+ * truncation, version drift, wrong-key echo, a record in the previous
+ * version's layout) quarantines instead of serving bad data,
+ * concurrent stores of one cell never tear it, and a warm-cache
+ * runMatrix re-simulates nothing while producing bit-identical results.
  */
 
 #include <gtest/gtest.h>
@@ -19,7 +19,9 @@
 
 #include <unistd.h>
 
+#include "common/envelope.hh"
 #include "common/fault.hh"
+#include "common/fnv.hh"
 #include "sim/result_cache.hh"
 #include "sim/runner.hh"
 #include "sim/scenario.hh"
@@ -199,12 +201,52 @@ TEST(ResultCache, CorruptionQuarantines)
     // Version drift.
     PhaseResult back;
     std::string body = ResultCache::serializeRecord(key, pr);
-    body.replace(body.find("rsep-cell-cache 1"), 17, "rsep-cell-cache 9");
+    const std::string current =
+        "rsep-cell-cache " + std::to_string(resultCacheVersion);
+    body.replace(body.find(current), current.size(), "rsep-cell-cache 9");
     EXPECT_FALSE(ResultCache::parseRecord(body, key, back).empty());
 
     // After all that abuse a fresh store still works.
     ASSERT_TRUE(cache.store(key, pr));
     EXPECT_TRUE(cache.load(key).has_value());
+}
+
+TEST(ResultCache, PreviousVersionRecordIsQuarantined)
+{
+    TempDir tmp;
+    ResultCache cache(tmp.path);
+
+    SimConfig cfg = shrunk(SimConfig::baseline());
+    PhaseResult pr = runPhase(cfg, "mcf", 0);
+    CacheKey key{"mcf", configHash(cfg), 0, cfg.seed};
+
+    // The version-1 layout: the key echo and the same counter lines as
+    // one text body, then `checksum = <fnv1a64(body)>`. It is
+    // self-consistent, so only the version check can turn it away.
+    std::string image = ResultCache::serializeRecord(key, pr);
+    envelope::Opened cur = envelope::open(
+        image, "rsep-cell-cache", resultCacheVersion,
+        {"benchmark", "config_hash", "phase", "seed"}, "test");
+    ASSERT_TRUE(cur.ok()) << cur.error;
+    std::string body = "rsep-cell-cache 1\nbenchmark = " + key.benchmark +
+                       "\nconfig_hash = " + key.configHash +
+                       "\nphase = " + std::to_string(key.phase) +
+                       "\nseed = " + hex64(key.seed) + "\n" +
+                       std::string(cur.payload);
+    std::string path = cache.cellPath(key);
+    fs::create_directories(fs::path(path).parent_path());
+    {
+        std::ofstream os(path, std::ios::binary);
+        os << body << "checksum = " << hex64(fnv1a64(body)) << "\n";
+    }
+
+    EXPECT_FALSE(cache.load(key).has_value());
+    EXPECT_FALSE(fs::exists(path));
+    EXPECT_TRUE(fs::exists(path + ".corrupt"));
+    ResultCache::Counters c = cache.counters();
+    EXPECT_EQ(c.hits, 0u);
+    EXPECT_EQ(c.misses, 1u);
+    EXPECT_EQ(c.quarantined, 1u);
 }
 
 TEST(ResultCache, InjectedStoreFaultsFailCleanOrQuarantine)

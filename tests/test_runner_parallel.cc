@@ -124,14 +124,20 @@ TEST(RunnerParallel, JobsResolution)
     EXPECT_EQ(resolveJobs(7), 7u);
     EXPECT_GE(resolveJobs(0), 1u);
 
-    const char *argv1[] = {"prog", "--jobs", "5"};
-    EXPECT_EQ(parseJobsArg(3, const_cast<char **>(argv1)), 5u);
-    const char *argv2[] = {"prog", "--jobs=9"};
-    EXPECT_EQ(parseJobsArg(2, const_cast<char **>(argv2)), 9u);
-    const char *argv3[] = {"prog", "-j3"};
-    EXPECT_EQ(parseJobsArg(2, const_cast<char **>(argv3)), 3u);
-    const char *argv4[] = {"prog", "other"};
-    EXPECT_EQ(parseJobsArg(2, const_cast<char **>(argv4)), 0u);
+    auto parsed = [](std::vector<const char *> args) {
+        args.insert(args.begin(), "prog");
+        unsigned jobs = 0;
+        std::string err;
+        EXPECT_TRUE(parseJobsArg(static_cast<int>(args.size()),
+                                 const_cast<char **>(args.data()), jobs,
+                                 err))
+            << err;
+        return jobs;
+    };
+    EXPECT_EQ(parsed({"--jobs", "5"}), 5u);
+    EXPECT_EQ(parsed({"--jobs=9"}), 9u);
+    EXPECT_EQ(parsed({"-j3"}), 3u);
+    EXPECT_EQ(parsed({"other"}), 0u);
 }
 
 TEST(RunnerParallel, JobsParsingRejectsMalformedValues)

@@ -14,7 +14,10 @@
  *  - concurrent clients batch into the shared pool and each get
  *    exactly their own cells back;
  *  - suite-name workload overrides are rejected over the wire (the
- *    registry-determinism rule of DESIGN.md §13).
+ *    registry-determinism rule of DESIGN.md §13);
+ *  - each frame payload codec round-trips field for field (empty and
+ *    trailer-like blobs included) and rejects flipped bytes, every
+ *    truncation, a wrong magic and an out-of-range flag.
  *
  * Socket paths live directly under /tmp: sockaddr_un caps paths at
  * ~107 bytes, so deep build-tree paths are not usable here.
@@ -123,6 +126,164 @@ expectServable(const std::string &sock)
         runMatrixRemote(scenarios, {"mcf"}, copts);
     ASSERT_EQ(rows.size(), 1u);
     EXPECT_GT(rows[0].byConfig[0].phases[0].ipc, 0.0);
+}
+
+// ------------------------------------------------------ frame codecs
+
+/** Blobs every codec must carry verbatim: empty, and one that ends
+ *  like a checksum trailer, so a parser that scans for the trailer
+ *  mark instead of measuring from the end would cut it short. */
+const std::vector<std::string> trickyBlobs = {
+    "", "rows\nchecksum = 0123456789abcdef\n"};
+
+CellResult
+sampleCell(const std::string &record)
+{
+    CellResult c;
+    c.benchmark = "pin@0123456789abcdef";
+    c.config = 7;
+    c.phase = 3;
+    c.fromCache = true;
+    c.replayed = false;
+    c.decodeHit = true;
+    c.traceLoadMicros = 987654321;
+    c.record = record;
+    return c;
+}
+
+TEST(ServeProtocol, SubmitRoundTrips)
+{
+    for (const std::string &blob : trickyBlobs) {
+        SubmitRequest in;
+        in.benchmarks = {"mcf", "pin@0123456789abcdef"};
+        in.sampleEvery = 500;
+        in.replayDir = "traces/run one";
+        in.scnText = blob;
+        in.retry = 4;
+        SubmitRequest out;
+        std::string err;
+        ASSERT_TRUE(parseSubmit(serializeSubmit(in), out, &err)) << err;
+        EXPECT_EQ(out.benchmarks, in.benchmarks);
+        EXPECT_EQ(out.sampleEvery, in.sampleEvery);
+        EXPECT_EQ(out.replayDir, in.replayDir);
+        EXPECT_EQ(out.scnText, blob);
+        EXPECT_EQ(out.retry, in.retry);
+    }
+}
+
+TEST(ServeProtocol, CellRoundTrips)
+{
+    for (const std::string &blob : trickyBlobs) {
+        CellResult in = sampleCell(blob);
+        CellResult out;
+        std::string err;
+        ASSERT_TRUE(parseCell(serializeCell(in), out, &err)) << err;
+        EXPECT_EQ(out.benchmark, in.benchmark);
+        EXPECT_EQ(out.config, in.config);
+        EXPECT_EQ(out.phase, in.phase);
+        EXPECT_EQ(out.fromCache, in.fromCache);
+        EXPECT_EQ(out.replayed, in.replayed);
+        EXPECT_EQ(out.decodeHit, in.decodeHit);
+        EXPECT_EQ(out.traceLoadMicros, in.traceLoadMicros);
+        EXPECT_EQ(out.record, blob);
+    }
+}
+
+TEST(ServeProtocol, SamplesRoundTrips)
+{
+    for (const std::string &blob : trickyBlobs) {
+        SamplesFrame in{"mcf", 2, 5, blob};
+        SamplesFrame out;
+        std::string err;
+        ASSERT_TRUE(parseSamplesFrame(serializeSamplesFrame(in), out, &err))
+            << err;
+        EXPECT_EQ(out.benchmark, in.benchmark);
+        EXPECT_EQ(out.config, in.config);
+        EXPECT_EQ(out.phase, in.phase);
+        EXPECT_EQ(out.rts, blob);
+    }
+}
+
+TEST(ServeProtocol, DoneRoundTrips)
+{
+    for (const std::string &blob : trickyBlobs) {
+        DoneSummary in;
+        in.requests = 1;
+        in.batchedCells = 2;
+        in.queueWaitMicros = 3;
+        in.wallMicros = 4;
+        in.cellsRun = 5;
+        in.cacheHits = 6;
+        in.traceDecodeHits = 7;
+        in.traceDecodeMisses = ~u64{0};
+        in.cacheEnabled = true;
+        in.dump = blob;
+        DoneSummary out;
+        std::string err;
+        ASSERT_TRUE(parseDone(serializeDone(in), out, &err)) << err;
+        EXPECT_EQ(out.requests, in.requests);
+        EXPECT_EQ(out.batchedCells, in.batchedCells);
+        EXPECT_EQ(out.queueWaitMicros, in.queueWaitMicros);
+        EXPECT_EQ(out.wallMicros, in.wallMicros);
+        EXPECT_EQ(out.cellsRun, in.cellsRun);
+        EXPECT_EQ(out.cacheHits, in.cacheHits);
+        EXPECT_EQ(out.traceDecodeHits, in.traceDecodeHits);
+        EXPECT_EQ(out.traceDecodeMisses, in.traceDecodeMisses);
+        EXPECT_EQ(out.cacheEnabled, in.cacheEnabled);
+        EXPECT_EQ(out.dump, blob);
+    }
+}
+
+TEST(ServeProtocol, BusyRoundTripsAndPlainErrorIsNotBusy)
+{
+    for (const std::string &blob : trickyBlobs) {
+        u64 hint = 0;
+        std::string why = "stale";
+        ASSERT_TRUE(parseBusy(serializeBusy(250, blob), hint, &why));
+        EXPECT_EQ(hint, 250u);
+        EXPECT_EQ(why, blob);
+    }
+    u64 hint = 0;
+    EXPECT_FALSE(parseBusy("simulated failure", hint));
+    EXPECT_FALSE(parseBusy("busy\nretry_after_ms = 5\n", hint)); // v2.
+}
+
+TEST(ServeProtocol, FlippedBlobByteIsRejected)
+{
+    std::string payload = serializeCell(sampleCell("record bytes\n"));
+    payload[payload.find("record bytes")] ^= 0x20;
+    CellResult out;
+    std::string err;
+    EXPECT_FALSE(parseCell(payload, out, &err));
+    EXPECT_NE(err.find("checksum mismatch"), std::string::npos) << err;
+}
+
+TEST(ServeProtocol, EveryProperPrefixOfACellIsRejected)
+{
+    std::string payload = serializeCell(sampleCell("record bytes\n"));
+    for (size_t n = 0; n < payload.size(); ++n) {
+        CellResult out;
+        std::string err;
+        EXPECT_FALSE(parseCell(payload.substr(0, n), out, &err)) << n;
+        EXPECT_FALSE(err.empty()) << n;
+    }
+}
+
+TEST(ServeProtocol, WrongMagicAndBadFlagAreRejected)
+{
+    std::string payload = serializeCell(sampleCell("record bytes\n"));
+    DoneSummary done;
+    std::string err;
+    EXPECT_FALSE(parseDone(payload, done, &err));
+    EXPECT_NE(err.find("not a rsep-serve-done"), std::string::npos) << err;
+
+    size_t flag = payload.find("from_cache = 1\n");
+    ASSERT_NE(flag, std::string::npos);
+    payload[flag + 13] = '2';
+    CellResult cell;
+    err.clear();
+    EXPECT_FALSE(parseCell(payload, cell, &err));
+    EXPECT_NE(err.find("bad from_cache '2'"), std::string::npos) << err;
 }
 
 class ServeTest : public ::testing::Test
