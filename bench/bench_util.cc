@@ -493,22 +493,10 @@ parseDriverArgs(int argc, char **argv, const HarnessSpec &spec,
             ctx.jsonPath = value;
             continue;
         }
-        if (a == "--jobs" || a == "-j" || a.rfind("--jobs=", 0) == 0 ||
-            (a.rfind("-j", 0) == 0 && a.size() > 2)) {
-            // Delegate to the strict shared jobs grammar: hand it a
-            // two-entry argv slice so `--jobs N` consumes its value.
-            char *slice[3] = {argv[0], argv[i],
-                              i + 1 < argc ? argv[i + 1] : nullptr};
-            int slice_argc = (a == "--jobs" || a == "-j") && slice[2]
-                                 ? 3
-                                 : 2;
-            unsigned jobs = 0;
-            if (!sim::parseJobsArg(slice_argc, slice, jobs, err))
+        if (sim::matchJobsArg(argc, argv, i, ctx.matrix.jobs, err)) {
+            if (!err.empty())
                 return usageError(spec, err);
-            ctx.matrix.jobs = jobs;
             saw_jobs = true;
-            if (slice_argc == 3)
-                ++i;
             continue;
         }
         if ((hit = valueOf("--connect-timeout", value)) != 0) {

@@ -17,6 +17,7 @@
 #include <cstring>
 #include <map>
 #include <optional>
+#include <set>
 #include <sstream>
 #include <thread>
 #include <tuple>
@@ -146,11 +147,6 @@ struct Transient
     u64 waitHintMs = 0; ///< server Busy retry-after hint.
 };
 
-using SampleSeries =
-    std::map<std::tuple<size_t, size_t, u32>,
-             std::pair<sim::SampleSeriesHeader,
-                       std::vector<core::StatSample>>>;
-
 } // namespace
 
 std::vector<sim::MatrixRow>
@@ -164,18 +160,11 @@ runMatrixRemote(const std::vector<sim::Scenario> &scenarios,
                    scenarios.size(), benchmarks.size());
 
     std::vector<sim::SimConfig> configs;
-    std::vector<std::string> hashes;
-    for (const sim::Scenario &s : scenarios) {
+    for (const sim::Scenario &s : scenarios)
         configs.push_back(s.config);
-        hashes.push_back(sim::configHash(s.config));
-    }
     std::map<std::string, size_t> bench_index;
     for (size_t b = 0; b < benchmarks.size(); ++b)
         bench_index[benchmarks[b]] = b;
-
-    size_t total_cells = 0;
-    for (size_t c = 0; c < configs.size(); ++c)
-        total_cells += size_t(configs[c].checkpoints) * benchmarks.size();
 
     const std::string scn_text = buildScnText(scenarios, benchmarks);
     Deadline dl;
@@ -186,28 +175,13 @@ runMatrixRemote(const std::vector<sim::Scenario> &scenarios,
     // idempotent (the result cache answers bit-exactly and the dump is
     // hard-verified below), so every attempt that completes returns
     // byte-identical rows.
-    auto attemptRequest = [&](unsigned attempt,
-                              std::vector<sim::MatrixRow> &rows,
-                              DoneSummary &done, SampleSeries &series,
-                              Transient &t) -> bool {
-        rows.assign(benchmarks.size(), sim::MatrixRow{});
-        for (size_t b = 0; b < benchmarks.size(); ++b) {
-            rows[b].benchmark = benchmarks[b];
-            rows[b].byConfig.resize(configs.size());
-            for (size_t c = 0; c < configs.size(); ++c) {
-                sim::RunResult &rr = rows[b].byConfig[c];
-                rr.benchmark = benchmarks[b];
-                rr.configLabel = configs[c].label;
-                rr.phases.resize(configs[c].checkpoints);
-            }
-        }
-        std::vector<std::vector<std::vector<bool>>> filled(
-            benchmarks.size(),
-            std::vector<std::vector<bool>>(configs.size()));
-        for (size_t b = 0; b < benchmarks.size(); ++b)
-            for (size_t c = 0; c < configs.size(); ++c)
-                filled[b][c].assign(configs[c].checkpoints, false);
-        series.clear();
+    auto attemptRequest = [&](unsigned attempt, sim::MatrixPlan &plan,
+                              DoneSummary &done, Transient &t) -> bool {
+        // The same layout a direct run fills; Cell frames fill its
+        // slots and Samples frames their series.
+        plan = sim::planMatrix(configs, benchmarks);
+        const size_t total_cells = plan.cells;
+        std::set<std::tuple<size_t, size_t, u32>> cells_in, series_in;
 
         // Connect, re-trying refused connects while --connect-timeout
         // budget remains (a daemon may still be warming up).
@@ -294,7 +268,10 @@ runMatrixRemote(const std::vector<sim::Scenario> &scenarios,
                          opts.socketPath.c_str(),
                          attempt > 0 ? " (resubmit)" : "");
 
-        size_t received = 0;
+        auto cells_in_text = [&] {
+            return std::to_string(cells_in.size()) + " of " +
+                   std::to_string(total_cells) + " cells in";
+        };
         for (;;) {
             clean = false;
             timed_out = false;
@@ -307,24 +284,18 @@ runMatrixRemote(const std::vector<sim::Scenario> &scenarios,
                                    std::to_string(dl.limitMs) +
                                    " ms exceeded draining the result "
                                    "stream (" +
-                                   std::to_string(received) + " of " +
-                                   std::to_string(total_cells) +
-                                   " cells in)");
+                                   cells_in_text() + ")");
                 if (clean)
                     t = {exitDaemonGone,
                          "--connect: daemon shut down cleanly "
                          "mid-drain (connection closed at a frame "
                          "boundary, " +
-                             std::to_string(received) + " of " +
-                             std::to_string(total_cells) +
-                             " cells in)",
+                             cells_in_text() + ")",
                          0};
                 else
                     t = {exitTruncated,
                          "--connect: result stream: " + err + " (" +
-                             std::to_string(received) + " of " +
-                             std::to_string(total_cells) +
-                             " cells in)",
+                             cells_in_text() + ")",
                          0};
                 return false;
             }
@@ -355,9 +326,15 @@ runMatrixRemote(const std::vector<sim::Scenario> &scenarios,
                                cell.benchmark.c_str(), cell.config,
                                cell.phase);
                 size_t b = it->second, c = cell.config;
-                sim::CacheKey key{cell.benchmark, hashes[c], cell.phase,
-                                  configs[c].seed};
-                sim::PhaseResult pr;
+                if (!cells_in.insert({b, c, cell.phase}).second)
+                    rsep_fatal("--connect: duplicate cell (%s, config "
+                               "%u, phase %u)",
+                               cell.benchmark.c_str(), cell.config,
+                               cell.phase);
+                sim::CacheKey key{cell.benchmark, plan.configHashes[c],
+                                  cell.phase, configs[c].seed};
+                sim::PhaseResult &pr =
+                    plan.rows[b].byConfig[c].phases[cell.phase];
                 std::string perr =
                     sim::ResultCache::parseRecord(cell.record, key, pr);
                 if (!perr.empty())
@@ -371,26 +348,10 @@ runMatrixRemote(const std::vector<sim::Scenario> &scenarios,
                 pr.replayed = cell.replayed;
                 pr.traceDecodeHit = cell.decodeHit;
                 pr.traceLoadMicros = cell.traceLoadMicros;
-                if (filled[b][c][cell.phase])
-                    rsep_fatal("--connect: duplicate cell (%s, config "
-                               "%u, phase %u)",
-                               cell.benchmark.c_str(), cell.config,
-                               cell.phase);
-                filled[b][c][cell.phase] = true;
-                rows[b].byConfig[c].phases[cell.phase] = std::move(pr);
-                ++received;
-                if (opts.progress) {
-                    const sim::PhaseResult &ph =
-                        rows[b].byConfig[c].phases[cell.phase];
-                    std::fprintf(
-                        stderr,
-                        "[%s] %-12s %-20s ckpt %u ipc=%.3f (%zu/%zu)\n",
-                        ph.fromCache    ? "hit"
-                        : ph.replayed   ? "rpl"
-                                        : "run",
-                        cell.benchmark.c_str(), configs[c].label.c_str(),
-                        cell.phase, ph.ipc, received, total_cells);
-                }
+                if (opts.progress)
+                    sim::printCellProgress(pr, cell.benchmark,
+                                           configs[c].label, cell.phase,
+                                           cells_in.size(), total_cells);
                 continue;
             }
             if (f.type == FrameType::Samples) {
@@ -398,37 +359,64 @@ runMatrixRemote(const std::vector<sim::Scenario> &scenarios,
                 if (!parseSamplesFrame(f.payload, sf, &err))
                     rsep_fatal("--connect: samples frame: %s",
                                err.c_str());
+                // The series goes into its cell's slot and finishMatrix
+                // writes it under the header a direct run would, so the
+                // frame must name a delivered cell exactly once and
+                // carry that very header.
+                std::string frame = "samples frame (" + sf.benchmark +
+                                    ", config " +
+                                    std::to_string(sf.config) +
+                                    ", phase " +
+                                    std::to_string(sf.phase) + ")";
                 auto it = bench_index.find(sf.benchmark);
                 if (it == bench_index.end() ||
-                    sf.config >= configs.size())
-                    rsep_fatal("--connect: samples frame names an "
-                               "unknown cell (%s, config %u)",
-                               sf.benchmark.c_str(), sf.config);
+                    sf.config >= configs.size() ||
+                    sf.phase >= configs[sf.config].checkpoints)
+                    rsep_fatal("--connect: %s names an unknown cell",
+                               frame.c_str());
+                size_t b = it->second, c = sf.config;
+                if (!cells_in.count({b, c, sf.phase}))
+                    rsep_fatal("--connect: %s arrived before its cell",
+                               frame.c_str());
+                if (!series_in.insert({b, c, sf.phase}).second)
+                    rsep_fatal("--connect: duplicate %s", frame.c_str());
                 sim::SamplesParse sp =
                     sim::parseSamplesText(sf.rts, "<samples frame>");
                 if (!sp.ok())
                     rsep_fatal("--connect: %s", sp.error.c_str());
-                series[{it->second, sf.config, sf.phase}] = {
-                    sp.header, std::move(sp.rows)};
+                sim::SampleSeriesHeader want = sim::seriesHeader(
+                    plan, configs, b, c, sf.phase, opts.sampleEvery);
+                const sim::SampleSeriesHeader &got = sp.header;
+                if (got.workload != want.workload ||
+                    got.scenario != want.scenario ||
+                    got.configHash != want.configHash ||
+                    got.phase != want.phase || got.period != want.period)
+                    rsep_fatal("--connect: %s carries the series of (%s, "
+                               "%s, %s, phase %u, every %llu)",
+                               frame.c_str(), got.workload.c_str(),
+                               got.scenario.c_str(),
+                               got.configHash.c_str(), got.phase,
+                               static_cast<unsigned long long>(
+                                   got.period));
+                plan.rows[b].byConfig[c].phases[sf.phase].samples =
+                    std::move(sp.rows);
                 continue;
             }
             rsep_fatal("--connect: unexpected frame type %u mid-stream",
                        unsigned(f.type));
         }
 
-        if (received != total_cells)
-            rsep_fatal("--connect: server completed with %zu of %zu "
-                       "cells delivered",
-                       received, total_cells);
+        if (cells_in.size() != total_cells)
+            rsep_fatal("--connect: server completed with %s delivered",
+                       cells_in_text().c_str());
         return true;
     };
 
-    std::vector<sim::MatrixRow> rows;
+    sim::MatrixPlan plan;
     DoneSummary done;
-    SampleSeries sample_series;
     for (unsigned attempt = 0;; ++attempt) {
         Transient t;
-        if (attemptRequest(attempt, rows, done, sample_series, t))
+        if (attemptRequest(attempt, plan, done, t))
             break;
         if (dl.expired())
             clientExit(exitDeadline,
@@ -457,44 +445,16 @@ runMatrixRemote(const std::vector<sim::Scenario> &scenarios,
         std::this_thread::sleep_for(std::chrono::milliseconds(wait));
     }
 
-    // Mirror runMatrix's post-barrier accounting so --timings dumps
-    // match a direct run against the server's cache configuration.
-    for (auto &row : rows) {
-        for (sim::RunResult &rr : row.byConfig) {
-            for (const sim::PhaseResult &ph : rr.phases) {
-                sim::accountPhaseTiming(rr.timing, ph);
-                if (done.cacheEnabled && !ph.fromCache)
-                    ++rr.timing.cacheMisses;
-            }
-        }
-    }
-
-    // Flush streamed series exactly like the local sampling path.
-    if (opts.sampleEvery > 0) {
-        sim::TimeSeriesSink sink(opts.sampleDir);
-        for (size_t b = 0; b < benchmarks.size(); ++b)
-            for (size_t c = 0; c < configs.size(); ++c)
-                for (u32 p = 0; p < configs[c].checkpoints; ++p) {
-                    auto it = sample_series.find({b, c, p});
-                    if (it == sample_series.end())
-                        continue;
-                    sink.add(it->second.first,
-                             std::move(it->second.second));
-                }
-        size_t n = sink.queued();
-        std::string serr;
-        if (!sink.flush(&serr))
-            rsep_warn("sampling: %s", serr.c_str());
-        else if (opts.progress)
-            std::fprintf(stderr, "[samples] wrote %zu series to %s\n",
-                         n, opts.sampleDir.c_str());
-    }
+    // The post-barrier step of a direct run, against the server's cache
+    // setting, so --timings dumps and sample files match it too.
+    sim::finishMatrix(plan, configs, done.cacheEnabled,
+                      {opts.sampleEvery, opts.sampleDir}, opts.progress);
 
     // Cross-check: our reconstruction must reproduce the server's
     // canonical dump byte for byte — the wire-level guarantee every
     // downstream export inherits.
     std::vector<sim::StatRow> stat_rows =
-        sim::collectStatRows(configs, rows, false);
+        sim::collectStatRows(configs, plan.rows, false);
     std::ostringstream os;
     sim::CsvStatSink{}.write(os, stat_rows);
     if (os.str() != done.dump)
@@ -515,7 +475,7 @@ runMatrixRemote(const std::vector<sim::Scenario> &scenarios,
                      double(done.wallMicros) / 1000.0,
                      static_cast<unsigned long long>(done.requests));
 
-    return rows;
+    return std::move(plan.rows);
 }
 
 } // namespace rsep::serve

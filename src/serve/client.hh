@@ -5,14 +5,14 @@
  * driver).
  *
  * runMatrixRemote is a drop-in stand-in for sim::runMatrix over the
- * same (scenarios, benchmarks) request: it reconstructs the identical
- * vector<MatrixRow> from the streamed Cell frames (the result-cache
- * record format round-trips a PhaseResult bit-exactly), mirrors the
- * runMatrix post-barrier accounting, flushes streamed Samples frames
- * through the same TimeSeriesSink, and finally checks its own
- * recomputed canonical CSV dump against the server's Done reference —
- * so every downstream report/export path produces byte-identical
- * output whether the cells ran locally or on the daemon.
+ * same (scenarios, benchmarks) request. It lays the request out with
+ * the same sim::planMatrix, fills the slots from the streamed Cell
+ * frames (the result-cache record format round-trips a PhaseResult
+ * bit-exactly) and each cell's series from its checked Samples frame,
+ * runs the same sim::finishMatrix, and finally checks its recomputed
+ * canonical CSV dump against the server's Done reference — so every
+ * downstream report/export path produces byte-identical output
+ * whether the cells ran locally or on the daemon.
  *
  * Error discipline: *permanent* errors (a server-reported diagnostic,
  * a protocol mismatch, a diverging dump) are fatal (rsep_fatal, exit

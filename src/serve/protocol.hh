@@ -144,7 +144,8 @@ struct CellResult
     u32 config = 0; ///< index into the Submit scenario order.
     u32 phase = 0;
     // Transient provenance flags (ResultCache records deliberately do
-    // not carry them): the client mirrors the server's RunTiming.
+    // not carry them): the client re-applies them, so its finishMatrix
+    // folds the same RunTiming as the server's.
     bool fromCache = false;
     bool replayed = false;
     bool decodeHit = false;
@@ -182,8 +183,8 @@ struct DoneSummary
     u64 cacheHits = 0;         ///< cells served from the result cache.
     u64 traceDecodeHits = 0;   ///< replayed cells with a warm decode.
     u64 traceDecodeMisses = 0;
-    bool cacheEnabled = false; ///< result cache consulted (off during
-                               ///< sampling, mirroring runMatrix).
+    bool cacheEnabled = false; ///< result cache consulted
+                               ///< (sim::matrixUsesCache).
     /** Canonical CSV dump of the request's stat rows (no timings) —
      *  the reference the client checks its reconstruction against. */
     std::string dump;

@@ -15,7 +15,6 @@
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
-#include <condition_variable>
 #include <cstdio>
 #include <cstring>
 #include <optional>
@@ -85,14 +84,13 @@ constexpr size_t maxRequestCells = 1u << 20;
 } // namespace
 
 /** One in-flight Submit: the request's matrix plus the bookkeeping its
- *  pool tasks share. Held by shared_ptr so cells streaming after a
- *  client vanished still have their slots. */
+ *  pool tasks share. Lives on the handler thread's stack; runCells
+ *  returns only after every cell task has finished with it. */
 struct Server::PendingRequest
 {
     std::vector<sim::SimConfig> configs;
-    std::vector<std::string> hashes;
     std::vector<std::string> benchmarks;
-    std::vector<sim::MatrixRow> rows;
+    sim::MatrixPlan plan;
     sim::TraceIoOptions traceIo;
     u64 sampleEvery = 0;
     bool useCache = false;
@@ -105,10 +103,6 @@ struct Server::PendingRequest
     std::atomic<bool> sawFirstCell{false};
     std::atomic<u64> queueWaitMicros{0};
     std::atomic<u64> batchedCells{0};
-
-    std::mutex mtx;
-    std::condition_variable cv;
-    size_t pendingCells = 0;
 
     /** First cell failure (empty = none): a contained rsep_fatal from
      *  a worker — the request answers Error instead of Done, the
@@ -464,12 +458,12 @@ Server::handleSubmit(int fd, std::mutex &write_mtx,
         return true;
     }
 
-    auto req = std::make_shared<PendingRequest>();
-    req->fd = fd;
-    req->writeMtx = &write_mtx;
-    req->benchmarks = sub.benchmarks;
-    req->sampleEvery = sub.sampleEvery;
-    req->traceIo.replayDir = sub.replayDir;
+    PendingRequest req;
+    req.fd = fd;
+    req.writeMtx = &write_mtx;
+    req.benchmarks = sub.benchmarks;
+    req.sampleEvery = sub.sampleEvery;
+    req.traceIo.replayDir = sub.replayDir;
 
     sim::ScenarioParse parsed =
         sim::parseScenarioText(sub.scnText, "<submit>");
@@ -494,39 +488,22 @@ Server::handleSubmit(int fd, std::mutex &write_mtx,
         sendError(fd, write_mtx, "submit carries no [scenario] blocks");
         return true;
     }
-    if (req->benchmarks.empty()) {
+    if (req.benchmarks.empty()) {
         sendError(fd, write_mtx, "submit names no benchmarks");
         return true;
     }
-    for (const sim::Scenario &s : parsed.scenarios) {
-        req->configs.push_back(s.config);
-        req->hashes.push_back(sim::configHash(s.config));
-    }
+    for (const sim::Scenario &s : parsed.scenarios)
+        req.configs.push_back(s.config);
 
-    std::string pre = preflight(*req);
+    std::string pre = preflight(req);
     if (!pre.empty()) {
         sendError(fd, write_mtx, pre);
         return true;
     }
 
-    // Mirror runMatrix: sampling bypasses the result cache (a cached
-    // cell has no timeline), which keeps client-vs-direct byte-
-    // identity across cache temperatures.
-    req->useCache = cache->enabled() && req->sampleEvery == 0;
-
-    size_t total_cells = 0;
-    req->rows.resize(req->benchmarks.size());
-    for (size_t b = 0; b < req->benchmarks.size(); ++b) {
-        req->rows[b].benchmark = req->benchmarks[b];
-        req->rows[b].byConfig.resize(req->configs.size());
-        for (size_t c = 0; c < req->configs.size(); ++c) {
-            sim::RunResult &rr = req->rows[b].byConfig[c];
-            rr.benchmark = req->benchmarks[b];
-            rr.configLabel = req->configs[c].label;
-            rr.phases.resize(req->configs[c].checkpoints);
-            total_cells += req->configs[c].checkpoints;
-        }
-    }
+    req.useCache = sim::matrixUsesCache(cache->enabled(), req.sampleEvery);
+    req.plan = sim::planMatrix(req.configs, req.benchmarks);
+    size_t total_cells = req.plan.cells;
 
     // Cell-count admission: taking this request must not push the
     // server-wide in-flight cell gauge past the ceiling. A request
@@ -553,74 +530,51 @@ Server::handleSubmit(int fd, std::mutex &write_mtx,
         inflightCells.fetch_add(total_cells);
     }
 
-    req->pendingCells = total_cells;
-    req->t0 = std::chrono::steady_clock::now();
+    req.t0 = std::chrono::steady_clock::now();
     activeRequests.fetch_add(1);
-
-    for (size_t b = 0; b < req->benchmarks.size(); ++b) {
-        for (size_t c = 0; c < req->configs.size(); ++c) {
-            for (u32 p = 0; p < req->configs[c].checkpoints; ++p) {
-                pool->submit([this, req, b, c, p] {
-                    runRequestCell(*req, b, c, p);
-                    inflightCells.fetch_sub(1);
-                    std::lock_guard<std::mutex> lk(req->mtx);
-                    if (--req->pendingCells == 0)
-                        req->cv.notify_all();
-                });
-            }
-        }
-    }
-
-    if (total_cells > 0) {
-        std::unique_lock<std::mutex> lk(req->mtx);
-        req->cv.wait(lk, [&] { return req->pendingCells == 0; });
-    }
+    sim::runCells(*pool, req.plan, [&](size_t b, size_t c, u32 p) {
+        runRequestCell(req, b, c, p);
+        inflightCells.fetch_sub(1);
+    });
     activeRequests.fetch_sub(1);
-    u64 wall = microsSince(req->t0);
+    u64 wall = microsSince(req.t0);
 
     // A contained cell failure (rsep_fatal caught on a worker) fails
     // this request with the first diagnostic; the daemon, the shared
     // caches and every other connection are untouched.
     {
-        std::lock_guard<std::mutex> flk(req->failMtx);
-        if (!req->failMsg.empty()) {
-            sendError(fd, write_mtx, req->failMsg);
-            return !req->writeFailed.load();
+        std::lock_guard<std::mutex> flk(req.failMtx);
+        if (!req.failMsg.empty()) {
+            sendError(fd, write_mtx, req.failMsg);
+            return !req.writeFailed.load();
         }
     }
 
-    // Request accounting from the finished cells.
-    u64 cache_hits = 0, cells_run = 0, dec_hits = 0, dec_misses = 0;
-    for (const sim::MatrixRow &row : req->rows) {
-        for (const sim::RunResult &rr : row.byConfig) {
-            for (const sim::PhaseResult &ph : rr.phases) {
-                if (ph.fromCache)
-                    ++cache_hits;
-                else
-                    ++cells_run;
-                if (ph.replayed)
-                    ++(ph.traceDecodeHit ? dec_hits : dec_misses);
-            }
-        }
-    }
-
+    // Request accounting from the same RunTiming fold a direct run
+    // does. Sampling is off here: the daemon streams series and never
+    // writes them.
+    sim::finishMatrix(req.plan, req.configs, req.useCache, {}, false);
     DoneSummary done;
-    done.batchedCells = req->batchedCells.load();
-    done.queueWaitMicros = req->queueWaitMicros.load();
+    for (const sim::MatrixRow &row : req.plan.rows) {
+        for (const sim::RunResult &rr : row.byConfig) {
+            done.cellsRun += rr.timing.cellsRun.value();
+            done.cacheHits += rr.timing.cacheHits.value();
+            done.traceDecodeHits += rr.timing.traceDecodeHits.value();
+            done.traceDecodeMisses += rr.timing.traceDecodeMisses.value();
+        }
+    }
+    done.batchedCells = req.batchedCells.load();
+    done.queueWaitMicros = req.queueWaitMicros.load();
     done.wallMicros = wall;
-    done.cellsRun = cells_run;
-    done.cacheHits = cache_hits;
-    done.traceDecodeHits = dec_hits;
-    done.traceDecodeMisses = dec_misses;
-    done.cacheEnabled = req->useCache;
+    done.cacheEnabled = req.useCache;
     {
         std::lock_guard<std::mutex> lk(countersMtx);
         done.requests = ++stats.requests;
-        stats.cellsRun += cells_run;
-        stats.cacheHits += cache_hits;
+        stats.cellsRun += done.cellsRun;
+        stats.cacheHits += done.cacheHits;
         stats.batchedCells += done.batchedCells;
-        stats.traceDecodeHits += dec_hits;
-        stats.traceDecodeMisses += dec_misses;
+        stats.traceDecodeHits += done.traceDecodeHits;
+        stats.traceDecodeMisses += done.traceDecodeMisses;
         stats.queueWaitMicros += done.queueWaitMicros;
     }
 
@@ -628,7 +582,7 @@ Server::handleSubmit(int fd, std::mutex &write_mtx,
     // against: same collector, same sink, no timings — byte-identical
     // to what a direct run of this request would export.
     std::vector<sim::StatRow> stat_rows =
-        sim::collectStatRows(req->configs, req->rows, false);
+        sim::collectStatRows(req.configs, req.plan.rows, false);
     std::ostringstream os;
     sim::CsvStatSink{}.write(os, stat_rows);
     done.dump = os.str();
@@ -639,12 +593,12 @@ Server::handleSubmit(int fd, std::mutex &write_mtx,
                      "cached, %llu batched) in %.1f ms\n",
                      static_cast<unsigned long long>(done.requests),
                      total_cells,
-                     static_cast<unsigned long long>(cells_run),
-                     static_cast<unsigned long long>(cache_hits),
+                     static_cast<unsigned long long>(done.cellsRun),
+                     static_cast<unsigned long long>(done.cacheHits),
                      static_cast<unsigned long long>(done.batchedCells),
                      double(wall) / 1000.0);
 
-    if (req->writeFailed.load())
+    if (req.writeFailed.load())
         return false;
     std::lock_guard<std::mutex> lk(write_mtx);
     return writeFrame(fd, FrameType::Done, serializeDone(done), &err,
@@ -687,8 +641,8 @@ Server::runRequestCell(PendingRequest &req, size_t b, size_t c, u32 p)
         ScopedFatalCapture capture;
         pr = sim::runCachedCell(req.useCache ? cache.get() : nullptr,
                                 req.configs[c], req.benchmarks[b],
-                                req.hashes[c], p, req.traceIo,
-                                req.sampleEvery);
+                                req.plan.configHashes[c], p,
+                                req.traceIo, req.sampleEvery);
     } catch (const FatalError &e) {
         failCell(e.what());
         return;
@@ -703,8 +657,8 @@ Server::runRequestCell(PendingRequest &req, size_t b, size_t c, u32 p)
         cell.replayed = pr.replayed;
         cell.decodeHit = pr.traceDecodeHit;
         cell.traceLoadMicros = pr.traceLoadMicros;
-        sim::CacheKey key{req.benchmarks[b], req.hashes[c], p,
-                          req.configs[c].seed};
+        sim::CacheKey key{req.benchmarks[b], req.plan.configHashes[c],
+                          p, req.configs[c].seed};
         cell.record = sim::ResultCache::serializeRecord(key, pr);
 
         std::string sframe;
@@ -713,13 +667,10 @@ Server::runRequestCell(PendingRequest &req, size_t b, size_t c, u32 p)
             sf.benchmark = req.benchmarks[b];
             sf.config = static_cast<u32>(c);
             sf.phase = p;
-            sim::SampleSeriesHeader h;
-            h.workload = req.benchmarks[b];
-            h.scenario = req.configs[c].label;
-            h.configHash = req.hashes[c];
-            h.phase = p;
-            h.period = req.sampleEvery;
-            sf.rts = sim::serializeSamples(h, pr.samples);
+            sf.rts = sim::serializeSamples(
+                sim::seriesHeader(req.plan, req.configs, b, c, p,
+                                  req.sampleEvery),
+                pr.samples);
             sframe = serializeSamplesFrame(sf);
         }
 
@@ -735,7 +686,7 @@ Server::runRequestCell(PendingRequest &req, size_t b, size_t c, u32 p)
             req.writeFailed.store(true);
     }
 
-    req.rows[b].byConfig[c].phases[p] = std::move(pr);
+    req.plan.rows[b].byConfig[c].phases[p] = std::move(pr);
 }
 
 } // namespace rsep::serve

@@ -7,11 +7,13 @@
  * pays to rebuild on every invocation — the workload registry, the
  * decoded-trace cache (wl::traceCache()) and the persistent result
  * cache — plus one work-stealing ThreadPool. Each client connection
- * gets a handler thread that validates Submit requests and fans their
- * (benchmark, config, checkpoint) cells into the shared pool, so
- * concurrently-pending requests batch into one execution: their cells
- * interleave on the same workers, share the same caches, and stream
- * back to their own clients as they complete.
+ * gets a handler thread that validates Submit requests, lays each out
+ * with sim::planMatrix and fans its (benchmark, config, checkpoint)
+ * cells into the shared pool with sim::runCells, so concurrently-
+ * pending requests batch into one execution: their cells interleave on
+ * the same workers, share the same caches, and stream back to their
+ * own clients as they complete. The Done counters come from the
+ * RunTiming that sim::finishMatrix folds, as in a direct run.
  *
  * Determinism contract: a cell's result depends only on its
  * (benchmark, config, checkpoint) identity — never on batching,

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -13,6 +14,7 @@
 #include "common/logging.hh"
 #include "common/stats.hh"
 #include "sim/result_cache.hh"
+#include "sim/scenario.hh"
 #include "sim/stat_export.hh"
 #include "sim/thread_pool.hh"
 #include "wl/trace_cache.hh"
@@ -56,53 +58,28 @@ parseJobsValue(const std::string &s, unsigned &jobs, std::string &err)
     return true;
 }
 
-namespace
-{
-
-/**
- * The single definition of the jobs-flag grammar. When argv[i] is a
- * jobs argument, reports the raw value string (nullptr when the flag
- * is dangling) and how many argv entries it spans (1 or 2).
- */
 bool
-matchJobsArg(int argc, char **argv, int i, const char *&value, int &span)
+matchJobsArg(int argc, char **argv, int &i, unsigned &jobs,
+             std::string &err)
 {
     const char *a = argv[i];
+    const char *value = nullptr;
     if (std::strcmp(a, "--jobs") == 0 || std::strcmp(a, "-j") == 0) {
-        value = i + 1 < argc ? argv[i + 1] : nullptr;
-        span = i + 1 < argc ? 2 : 1;
-        return true;
-    }
-    if (std::strncmp(a, "--jobs=", 7) == 0) {
-        value = a + 7;
-        span = 1;
-        return true;
-    }
-    if (std::strncmp(a, "-j", 2) == 0 && a[2] != '\0') {
-        value = a + 2;
-        span = 1;
-        return true;
-    }
-    return false;
-}
-
-} // namespace
-
-bool
-parseJobsArg(int argc, char **argv, unsigned &jobs, std::string &err)
-{
-    for (int i = 1; i < argc; ++i) {
-        const char *value = nullptr;
-        int span = 0;
-        if (!matchJobsArg(argc, argv, i, value, span))
-            continue;
-        if (!value) {
-            err = std::string(argv[i]) + " requires a value (0 = auto)";
-            return false;
+        if (i + 1 >= argc) {
+            err = std::string(a) + " requires a value (0 = auto)";
+            return true;
         }
-        return parseJobsValue(value, jobs, err);
+        value = argv[++i];
+    } else if (std::strncmp(a, "--jobs=", 7) == 0) {
+        value = a + 7;
+    } else if (std::strncmp(a, "-j", 2) == 0 && a[2] != '\0') {
+        value = a + 2;
+    } else {
+        return false;
     }
-    return true; // absent: leave jobs untouched (0 = auto).
+    err.clear();
+    parseJobsValue(value, jobs, err);
+    return true;
 }
 
 PhaseResult
@@ -123,44 +100,135 @@ runCachedCell(ResultCache *cache, const SimConfig &cfg,
     return pr;
 }
 
+MatrixPlan
+planMatrix(const std::vector<SimConfig> &configs,
+           const std::vector<std::string> &benchmarks,
+           const ShardSpec &shard)
+{
+    MatrixPlan plan;
+    plan.configHashes.reserve(configs.size());
+    for (const SimConfig &cfg : configs)
+        plan.configHashes.push_back(configHash(cfg));
+
+    plan.rows.resize(benchmarks.size());
+    for (size_t b = 0; b < benchmarks.size(); ++b) {
+        plan.rows[b].benchmark = benchmarks[b];
+        plan.rows[b].byConfig.resize(configs.size());
+        for (size_t c = 0; c < configs.size(); ++c) {
+            RunResult &rr = plan.rows[b].byConfig[c];
+            rr.benchmark = benchmarks[b];
+            rr.configLabel = configs[c].label;
+            rr.inShard = shardOf(benchmarks[b], plan.configHashes[c],
+                                 shard.count) == shard.index;
+            if (!rr.inShard)
+                continue; // another shard's run: no phases at all.
+            rr.phases.resize(configs[c].checkpoints);
+            plan.cells += configs[c].checkpoints;
+            ++plan.runs;
+        }
+    }
+    return plan;
+}
+
+void
+runCells(ThreadPool &pool, const MatrixPlan &plan,
+         const std::function<void(size_t b, size_t c, u32 p)> &run_cell)
+{
+    // A latch of this plan's own: a daemon's pool also runs other
+    // requests' cells, which pool.wait() would wait for too.
+    std::mutex mtx;
+    std::condition_variable cv;
+    size_t pending = plan.cells;
+    for (size_t b = 0; b < plan.rows.size(); ++b) {
+        const std::vector<RunResult> &runs = plan.rows[b].byConfig;
+        for (size_t c = 0; c < runs.size(); ++c) {
+            u32 phases = static_cast<u32>(runs[c].phases.size());
+            for (u32 p = 0; p < phases; ++p) {
+                pool.submit([&, b, c, p] {
+                    run_cell(b, c, p);
+                    // Notify under the lock: the waiter cannot return
+                    // (and destroy mtx and cv) before this releases it.
+                    std::lock_guard<std::mutex> lk(mtx);
+                    if (--pending == 0)
+                        cv.notify_all();
+                });
+            }
+        }
+    }
+    std::unique_lock<std::mutex> lk(mtx);
+    cv.wait(lk, [&] { return pending == 0; });
+}
+
+SampleSeriesHeader
+seriesHeader(const MatrixPlan &plan, const std::vector<SimConfig> &configs,
+             size_t b, size_t c, u32 p, u64 every)
+{
+    SampleSeriesHeader h;
+    h.workload = plan.rows[b].benchmark;
+    h.scenario = configs[c].label;
+    h.configHash = plan.configHashes[c];
+    h.phase = p;
+    h.period = every;
+    return h;
+}
+
+void
+finishMatrix(MatrixPlan &plan, const std::vector<SimConfig> &configs,
+             bool use_cache, const SampleOptions &sampling, bool progress)
+{
+    // The sink flushes single-threaded; the rows are deterministic, so
+    // flush order never affects file bytes. Timeline rows are moved
+    // out here, not carried into stat export.
+    TimeSeriesSink sink(sampling.dir);
+    for (size_t b = 0; b < plan.rows.size(); ++b) {
+        for (size_t c = 0; c < configs.size(); ++c) {
+            RunResult &rr = plan.rows[b].byConfig[c];
+            for (u32 p = 0; p < rr.phases.size(); ++p) {
+                PhaseResult &ph = rr.phases[p];
+                accountPhaseTiming(rr.timing, ph);
+                if (use_cache && !ph.fromCache)
+                    ++rr.timing.cacheMisses;
+                if (!sampling.active())
+                    continue;
+                sink.add(seriesHeader(plan, configs, b, c, p,
+                                      sampling.every),
+                         std::move(ph.samples));
+                ph.samples.clear();
+            }
+        }
+    }
+    if (!sampling.active())
+        return;
+    size_t n = sink.queued();
+    std::string err;
+    if (!sink.flush(&err))
+        rsep_warn("sampling: %s", err.c_str());
+    else if (progress)
+        std::fprintf(stderr, "[samples] wrote %zu series to %s\n", n,
+                     sampling.dir.c_str());
+}
+
+void
+printCellProgress(const PhaseResult &ph, const std::string &benchmark,
+                  const std::string &label, u32 p, size_t k, size_t total)
+{
+    std::fprintf(stderr, "[%s] %-12s %-20s ckpt %u ipc=%.3f (%zu/%zu)\n",
+                 ph.fromCache    ? "hit"
+                 : ph.replayed   ? "rpl"
+                                 : "run",
+                 benchmark.c_str(), label.c_str(), p, ph.ipc, k, total);
+}
+
 std::vector<MatrixRow>
 runMatrix(const std::vector<SimConfig> &configs,
           const std::vector<std::string> &benchmarks,
           const MatrixOptions &opts)
 {
-    // Preallocate every result slot so workers write disjoint memory:
-    // cell (b, c, p) -> rows[b].byConfig[c].phases[p]. The layout (and
-    // the per-cell seed, see runPhase) depends only on the inputs,
-    // never on scheduling, which makes the matrix bit-identical at any
-    // thread count — and, because shard assignment and the cache key
-    // hang off the same cell identity, at any shard split or cache
-    // temperature too.
-    ShardPlan plan = planShard(configs, benchmarks, opts.shard);
-    const std::vector<std::string> &hashes = plan.configHashes;
-
-    std::vector<MatrixRow> rows(benchmarks.size());
-    size_t total_cells = 0;
-    for (size_t b = 0; b < benchmarks.size(); ++b) {
-        rows[b].benchmark = benchmarks[b];
-        rows[b].byConfig.resize(configs.size());
-        for (size_t c = 0; c < configs.size(); ++c) {
-            RunResult &rr = rows[b].byConfig[c];
-            rr.benchmark = benchmarks[b];
-            rr.configLabel = configs[c].label;
-            rr.inShard = plan.selected[b][c];
-            if (!rr.inShard)
-                continue; // another shard's run: no phases at all.
-            rr.phases.resize(configs[c].checkpoints);
-            total_cells += configs[c].checkpoints;
-        }
-    }
+    MatrixPlan plan = planMatrix(configs, benchmarks, opts.shard);
 
     ResultCache cache(opts.cacheDir);
-    // Sampling bypasses the result cache: a cached cell has only
-    // end-of-run totals, no timeline, and silently sample-less cells
-    // would poison merged series. Warn once instead of per cell.
-    bool use_cache = cache.enabled() && !opts.sampling.active();
-    if (cache.enabled() && opts.sampling.active())
+    bool use_cache = matrixUsesCache(cache.enabled(), opts.sampling.every);
+    if (cache.enabled() && !use_cache) // warn once, not per cell.
         rsep_warn("sampling: --sample-every bypasses the result cache "
                   "(cached cells cannot produce timelines); cells will "
                   "be re-simulated");
@@ -170,12 +238,12 @@ runMatrix(const std::vector<SimConfig> &configs,
         std::fprintf(stderr,
                      "[matrix] %zu benchmarks x %zu configs = %zu cells "
                      "on %u thread%s",
-                     benchmarks.size(), configs.size(), total_cells, jobs,
+                     benchmarks.size(), configs.size(), plan.cells, jobs,
                      jobs == 1 ? "" : "s");
         if (opts.shard.active())
             std::fprintf(stderr, " (shard %u/%u: %zu of %zu runs)",
-                         opts.shard.index, opts.shard.count,
-                         plan.selectedRuns, plan.totalRuns);
+                         opts.shard.index, opts.shard.count, plan.runs,
+                         benchmarks.size() * configs.size());
         if (use_cache)
             std::fprintf(stderr, " [cache %s]", cache.dir().c_str());
         if (opts.sampling.active())
@@ -192,88 +260,21 @@ runMatrix(const std::vector<SimConfig> &configs,
         std::fprintf(stderr, "\n");
     }
 
-    std::atomic<size_t> done{0};
-    std::mutex progress_mtx;
-
     // One pool task per cell: the cell computes from its own seed into
     // its own slot, so which worker runs it never changes a result.
-    auto run_cell = [&](size_t b, size_t c, u32 p) {
-        rows[b].byConfig[c].phases[p] = runCachedCell(
-            use_cache ? &cache : nullptr, configs[c], benchmarks[b],
-            hashes[c], p, opts.traceIo, opts.sampling.every);
-        size_t k = ++done;
-        if (opts.progress) {
-            const PhaseResult &ph = rows[b].byConfig[c].phases[p];
-            std::lock_guard<std::mutex> lk(progress_mtx);
-            std::fprintf(
-                stderr,
-                "[%s] %-12s %-20s ckpt %u ipc=%.3f (%zu/%zu)\n",
-                ph.fromCache    ? "hit"
-                : ph.replayed   ? "rpl"
-                                : "run",
-                benchmarks[b].c_str(), configs[c].label.c_str(), p,
-                ph.ipc, k, total_cells);
-        }
-    };
-
+    std::atomic<size_t> done{0};
     ThreadPool pool(jobs);
-    for (size_t b = 0; b < benchmarks.size(); ++b) {
-        for (size_t c = 0; c < configs.size(); ++c) {
-            if (!plan.selected[b][c])
-                continue;
-            for (u32 p = 0; p < configs[c].checkpoints; ++p)
-                pool.submit([&run_cell, b, c, p] { run_cell(b, c, p); });
-        }
-    }
-    pool.wait();
-
-    // Timing/cache accounting runs after the barrier: checkpoints of
-    // one run land on different workers, so accumulating RunTiming
-    // inside the tasks would race.
-    for (auto &row : rows) {
-        for (RunResult &rr : row.byConfig) {
-            if (!rr.inShard)
-                continue;
-            for (const PhaseResult &ph : rr.phases) {
-                accountPhaseTiming(rr.timing, ph);
-                if (use_cache && !ph.fromCache)
-                    ++rr.timing.cacheMisses;
-            }
-        }
-    }
-
-    // Flush sample series post-barrier (single-threaded; the rows are
-    // deterministic so flush order never affects file bytes). The
-    // timeline rows are transient — moved out of the results here, not
-    // carried into stat export.
-    if (opts.sampling.active()) {
-        TimeSeriesSink sink(opts.sampling.dir);
-        for (size_t b = 0; b < benchmarks.size(); ++b) {
-            for (size_t c = 0; c < configs.size(); ++c) {
-                RunResult &rr = rows[b].byConfig[c];
-                if (!rr.inShard)
-                    continue;
-                for (u32 p = 0; p < rr.phases.size(); ++p) {
-                    SampleSeriesHeader h;
-                    h.workload = benchmarks[b];
-                    h.scenario = configs[c].label;
-                    h.configHash = hashes[c];
-                    h.phase = p;
-                    h.period = opts.sampling.every;
-                    sink.add(std::move(h),
-                             std::move(rr.phases[p].samples));
-                    rr.phases[p].samples.clear();
-                }
-            }
-        }
-        size_t n = sink.queued();
-        std::string err;
-        if (!sink.flush(&err))
-            rsep_warn("sampling: %s", err.c_str());
-        else if (opts.progress)
-            std::fprintf(stderr, "[samples] wrote %zu series to %s\n", n,
-                         opts.sampling.dir.c_str());
-    }
+    runCells(pool, plan, [&](size_t b, size_t c, u32 p) {
+        PhaseResult &ph = plan.rows[b].byConfig[c].phases[p];
+        ph = runCachedCell(use_cache ? &cache : nullptr, configs[c],
+                           benchmarks[b], plan.configHashes[c], p,
+                           opts.traceIo, opts.sampling.every);
+        size_t k = ++done;
+        if (opts.progress)
+            printCellProgress(ph, benchmarks[b], configs[c].label, p, k,
+                              plan.cells);
+    });
+    finishMatrix(plan, configs, use_cache, opts.sampling, opts.progress);
 
     if (opts.progress && use_cache) {
         ResultCache::Counters cc = cache.counters();
@@ -302,7 +303,7 @@ runMatrix(const std::vector<SimConfig> &configs,
                      static_cast<double>(ts.residentBytes) / (1 << 20),
                      static_cast<double>(ts.decodeMicros) / 1e6);
     }
-    return rows;
+    return std::move(plan.rows);
 }
 
 std::string

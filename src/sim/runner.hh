@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "sim/sample_io.hh"
 #include "sim/shard.hh"
 #include "sim/simulator.hh"
 
@@ -83,12 +84,13 @@ bool parseJobsValue(const std::string &s, unsigned &jobs,
                     std::string &err);
 
 /**
- * Parse a `--jobs N` / `--jobs=N` / `-jN` override out of argv (the
- * bench and example drivers all accept it), leaving 0 (= auto) when
- * absent. Unrelated arguments are left untouched. On a malformed
- * value, returns false with a diagnostic in @p err.
+ * Match a jobs flag at argv[@p i] (`--jobs N`, `--jobs=N`, `-j N`,
+ * `-jN`; every driver accepts it). Returns false when argv[i] is some
+ * other argument. Otherwise parses the value into @p jobs, advances
+ * @p i past a separate value, and returns true; a dangling flag or a
+ * malformed value leaves a diagnostic in @p err (empty on success).
  */
-bool parseJobsArg(int argc, char **argv, unsigned &jobs,
+bool matchJobsArg(int argc, char **argv, int &i, unsigned &jobs,
                   std::string &err);
 
 /**
@@ -96,12 +98,92 @@ bool parseJobsArg(int argc, char **argv, unsigned &jobs,
  * conventionally the baseline). The (benchmark x config x checkpoint)
  * cells fan out across a work-stealing thread pool; per-cell seeding
  * is deterministic, so results are bit-identical at any thread count.
- * Progress goes to stderr.
+ * Progress goes to stderr. This is planMatrix, runCells and
+ * finishMatrix plus the cache and trace-cache summaries.
  */
 std::vector<MatrixRow>
 runMatrix(const std::vector<SimConfig> &configs,
           const std::vector<std::string> &benchmarks,
           const MatrixOptions &opts = {});
+
+/**
+ * The layout of one matrix, shared by direct runs, the rsep_serve
+ * daemon and the `--connect` client: cell (b, c, p) lives in
+ * rows[b].byConfig[c].phases[p]. The layout and the per-cell seed
+ * depend only on the inputs, never on scheduling, so a matrix is
+ * bit-identical at any thread count, shard split, cache temperature
+ * and over the wire.
+ */
+struct MatrixPlan
+{
+    /** Every (benchmark, config) run, labelled and marked inShard, with
+     *  one empty phase slot per checkpoint when in this shard and none
+     *  otherwise. */
+    std::vector<MatrixRow> rows;
+    /** configHash per config (computed once here; callers reuse it as
+     *  the cache key and the stat-row identity). */
+    std::vector<std::string> configHashes;
+    size_t cells = 0; ///< in-shard (benchmark, config, checkpoint) cells.
+    size_t runs = 0;  ///< in-shard (benchmark, config) runs.
+};
+
+/**
+ * Lay out the (benchmark x config) matrix and mark @p shard's slice.
+ * Config identity is the config hash, so two identical configs under
+ * different labels land on the same shard.
+ */
+MatrixPlan planMatrix(const std::vector<SimConfig> &configs,
+                      const std::vector<std::string> &benchmarks,
+                      const ShardSpec &shard = {});
+
+class ThreadPool;
+
+/**
+ * Submit one @p pool task per cell of @p plan, calling
+ * @p run_cell(b, c, p), and return when all of this plan's cells have
+ * finished. Tasks other callers put on the same pool are not waited
+ * for, so concurrent requests can share one pool. @p run_cell writes
+ * only its own slot.
+ */
+void runCells(ThreadPool &pool, const MatrixPlan &plan,
+              const std::function<void(size_t b, size_t c, u32 p)>
+                  &run_cell);
+
+/**
+ * The post-barrier step of a matrix. Folds every in-shard phase into
+ * its run's RunTiming (checkpoints of one run land on different
+ * workers, so this cannot happen inside the tasks) and, when
+ * @p use_cache, counts each cell the cache did not serve as a miss.
+ * When @p sampling is active, writes each phase's samples under
+ * seriesHeader to sampling.dir and clears them.
+ */
+void finishMatrix(MatrixPlan &plan, const std::vector<SimConfig> &configs,
+                  bool use_cache, const SampleOptions &sampling,
+                  bool progress);
+
+/**
+ * Whether a matrix consults an enabled result cache: never while
+ * sampling, because a cached cell has only end-of-run totals and no
+ * timeline. Keeping every run on this one rule keeps direct, daemon
+ * and `--connect` output identical at any cache temperature.
+ */
+inline bool
+matrixUsesCache(bool cache_enabled, u64 sample_every)
+{
+    return cache_enabled && sample_every == 0;
+}
+
+/** The `.rts` header of cell (b, c, p)'s series, sampled every
+ *  @p every cycles. */
+SampleSeriesHeader seriesHeader(const MatrixPlan &plan,
+                                const std::vector<SimConfig> &configs,
+                                size_t b, size_t c, u32 p, u64 every);
+
+/** One `[run]`/`[hit]`/`[rpl]` progress line on stderr for a finished
+ *  cell, the @p k-th of @p total. */
+void printCellProgress(const PhaseResult &ph, const std::string &benchmark,
+                       const std::string &label, u32 p, size_t k,
+                       size_t total);
 
 class ResultCache;
 

@@ -1,7 +1,6 @@
 #include "sim/shard.hh"
 
 #include "common/env.hh"
-#include "sim/scenario.hh"
 
 namespace rsep::sim
 {
@@ -68,31 +67,6 @@ parseShardValue(const std::string &s, ShardSpec &shard, std::string &err)
     shard.index = static_cast<unsigned>(index);
     shard.count = static_cast<unsigned>(count);
     return true;
-}
-
-ShardPlan
-planShard(const std::vector<SimConfig> &configs,
-          const std::vector<std::string> &benchmarks,
-          const ShardSpec &shard)
-{
-    ShardPlan plan;
-    plan.configHashes.reserve(configs.size());
-    for (const SimConfig &cfg : configs)
-        plan.configHashes.push_back(configHash(cfg));
-
-    plan.selected.assign(benchmarks.size(),
-                         std::vector<bool>(configs.size(), false));
-    plan.totalRuns = benchmarks.size() * configs.size();
-    for (size_t b = 0; b < benchmarks.size(); ++b) {
-        for (size_t c = 0; c < configs.size(); ++c) {
-            bool mine = shardOf(benchmarks[b], plan.configHashes[c],
-                                shard.count) == shard.index;
-            plan.selected[b][c] = mine;
-            if (mine)
-                ++plan.selectedRuns;
-        }
-    }
-    return plan;
 }
 
 } // namespace rsep::sim

@@ -14,16 +14,16 @@
  * list: adding or removing scenarios or benchmarks never reshuffles
  * the shard that any existing cell lands on, which is what lets a
  * partially-complete sweep grow without invalidating cached or
- * already-exported shards.
+ * already-exported shards. sim::planMatrix (runner.hh) marks a
+ * shard's slice in the matrix layout.
  */
 
 #ifndef RSEP_SIM_SHARD_HH
 #define RSEP_SIM_SHARD_HH
 
 #include <string>
-#include <vector>
 
-#include "sim/sim_config.hh"
+#include "common/types.hh"
 
 namespace rsep::sim
 {
@@ -55,27 +55,6 @@ unsigned shardOf(const std::string &benchmark,
  */
 bool parseShardValue(const std::string &s, ShardSpec &shard,
                      std::string &err);
-
-/** The matrix slice a shard owns, precomputed per (benchmark, config). */
-struct ShardPlan
-{
-    /** selected[b][c]: does this shard run benchmark b under config c? */
-    std::vector<std::vector<bool>> selected;
-    /** configHash per config (computed once here; callers reuse it as
-     *  the cache key and the stat-row identity). */
-    std::vector<std::string> configHashes;
-    size_t selectedRuns = 0;
-    size_t totalRuns = 0;
-};
-
-/**
- * Expand the (benchmark x config) run-cell list and mark this shard's
- * slice. Config identity is the config hash, so two identical configs
- * under different labels land on the same shard.
- */
-ShardPlan planShard(const std::vector<SimConfig> &configs,
-                    const std::vector<std::string> &benchmarks,
-                    const ShardSpec &shard);
 
 } // namespace rsep::sim
 

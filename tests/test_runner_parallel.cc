@@ -124,20 +124,38 @@ TEST(RunnerParallel, JobsResolution)
     EXPECT_EQ(resolveJobs(7), 7u);
     EXPECT_GE(resolveJobs(0), 1u);
 
-    auto parsed = [](std::vector<const char *> args) {
+    // Each spelling matches at position 1 and leaves i on the last
+    // argv entry it consumed.
+    auto parsed = [](std::vector<const char *> args, int last) {
         args.insert(args.begin(), "prog");
+        int i = 1;
         unsigned jobs = 0;
         std::string err;
-        EXPECT_TRUE(parseJobsArg(static_cast<int>(args.size()),
-                                 const_cast<char **>(args.data()), jobs,
+        EXPECT_TRUE(matchJobsArg(static_cast<int>(args.size()),
+                                 const_cast<char **>(args.data()), i, jobs,
                                  err))
-            << err;
+            << args[1];
+        EXPECT_TRUE(err.empty()) << err;
+        EXPECT_EQ(i, last) << args[1];
         return jobs;
     };
-    EXPECT_EQ(parsed({"--jobs", "5"}), 5u);
-    EXPECT_EQ(parsed({"--jobs=9"}), 9u);
-    EXPECT_EQ(parsed({"-j3"}), 3u);
-    EXPECT_EQ(parsed({"other"}), 0u);
+    EXPECT_EQ(parsed({"--jobs", "5"}, 2), 5u);
+    EXPECT_EQ(parsed({"--jobs=9"}, 1), 9u);
+    EXPECT_EQ(parsed({"-j", "4"}, 2), 4u);
+    EXPECT_EQ(parsed({"-j3"}, 1), 3u);
+
+    // Any other argument is not a jobs flag: no match, nothing parsed.
+    for (const char *other : {"other", "--jobsx", "-", "--j=2"}) {
+        std::vector<const char *> args = {"prog", other, "7"};
+        int i = 1;
+        unsigned jobs = 0;
+        std::string err;
+        EXPECT_FALSE(matchJobsArg(3, const_cast<char **>(args.data()), i,
+                                  jobs, err))
+            << other;
+        EXPECT_EQ(i, 1);
+        EXPECT_EQ(jobs, 0u);
+    }
 }
 
 TEST(RunnerParallel, JobsParsingRejectsMalformedValues)
@@ -159,22 +177,40 @@ TEST(RunnerParallel, JobsParsingRejectsMalformedValues)
         EXPECT_FALSE(err.empty()) << bad;
     }
 
+    // A matched flag with a bad value: matched, with a diagnostic.
     auto scan = [&](std::vector<const char *> args) {
         args.insert(args.begin(), "prog");
+        int i = 1;
         jobs = 0;
         err.clear();
-        return parseJobsArg(static_cast<int>(args.size()),
-                            const_cast<char **>(args.data()), jobs, err);
+        bool matched = matchJobsArg(static_cast<int>(args.size()),
+                                    const_cast<char **>(args.data()), i,
+                                    jobs, err);
+        return matched && err.empty();
     };
     EXPECT_TRUE(scan({"--jobs", "6"}));
     EXPECT_EQ(jobs, 6u);
     EXPECT_FALSE(scan({"--jobs", "abc"}));
     EXPECT_NE(err.find("invalid jobs count"), std::string::npos);
     EXPECT_FALSE(scan({"--jobs=1e3"}));
+    EXPECT_FALSE(err.empty());
     EXPECT_FALSE(scan({"-jfast"}));
+    EXPECT_FALSE(err.empty());
+    EXPECT_FALSE(scan({"-j", "-1"}));
+    EXPECT_FALSE(err.empty());
     EXPECT_FALSE(scan({"--jobs"})); // dangling flag.
     EXPECT_NE(err.find("requires a value"), std::string::npos);
-    EXPECT_TRUE(scan({"unrelated"})); // absent: stays auto.
+    EXPECT_FALSE(scan({"-j"}));
+    EXPECT_NE(err.find("requires a value"), std::string::npos);
+    EXPECT_FALSE(scan({"--jobs=4097"})); // over the ceiling.
+    EXPECT_NE(err.find("ceiling"), std::string::npos);
+
+    // Absent: an unrelated argument is not matched and jobs stays auto.
+    std::vector<const char *> unrelated = {"prog", "unrelated"};
+    int i = 1;
+    jobs = 0;
+    EXPECT_FALSE(matchJobsArg(2, const_cast<char **>(unrelated.data()), i,
+                              jobs, err));
     EXPECT_EQ(jobs, 0u);
 }
 

@@ -15,6 +15,10 @@
  *    exactly their own cells back;
  *  - suite-name workload overrides are rejected over the wire (the
  *    registry-determinism rule of DESIGN.md §13);
+ *  - `--timings` counters (runs, hits, misses, decodes) of a remote
+ *    run equal a direct run's, cold and warm;
+ *  - the client rejects a Samples frame that names no requested cell,
+ *    precedes its Cell, repeats, or carries another cell's series;
  *  - each frame payload codec round-trips field for field (empty and
  *    trailer-like blobs included) and rejects flipped bytes, every
  *    truncation, a wrong magic and an out-of-range flag.
@@ -25,6 +29,7 @@
 
 #include <gtest/gtest.h>
 
+#include <poll.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
@@ -33,13 +38,17 @@
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <set>
 #include <sstream>
 #include <thread>
 
+#include "common/logging.hh"
 #include "serve/client.hh"
 #include "serve/protocol.hh"
 #include "serve/server.hh"
+#include "sim/result_cache.hh"
 #include "sim/runner.hh"
+#include "sim/sample_io.hh"
 #include "sim/scenario.hh"
 #include "sim/stat_export.hh"
 
@@ -578,6 +587,187 @@ TEST_F(ServeTest, SamplingStreamsByteIdenticalSeries)
         EXPECT_EQ(bytes, r_files[name]);
     }
     fs::remove_all(base);
+}
+
+/** The non-wall-clock timing.* counters of each stat row, keyed
+ *  "benchmark/scenario/counter". */
+std::map<std::string, u64>
+timingCounters(const std::vector<sim::SimConfig> &configs,
+               const std::vector<sim::MatrixRow> &rows)
+{
+    static const std::set<std::string> kept = {
+        "timing.cells_run", "timing.cache_hits", "timing.cache_misses",
+        "timing.trace_decode_hits", "timing.trace_decode_misses"};
+    std::map<std::string, u64> out;
+    for (const sim::StatRow &r : sim::collectStatRows(configs, rows, true))
+        for (const auto &[name, value] : r.counters)
+            if (kept.count(name))
+                out[r.benchmark + "/" + r.scenario + "/" + name] = value;
+    return out;
+}
+
+TEST_F(ServeTest, TimingCountersMatchDirectRun)
+{
+    // `--timings` through the daemon: the client folds the streamed
+    // cells exactly like a direct run, against the server's cache, so
+    // cold and warm rounds count the same runs, hits and misses.
+    fs::path base = fs::temp_directory_path() /
+                    ("rsep_serve_timings_" + std::to_string(::getpid()));
+    fs::remove_all(base);
+    ServeOptions sopts;
+    sopts.cacheDir = (base / "server").string();
+    startServer(sopts);
+
+    std::vector<sim::Scenario> scenarios = smokeScenarios();
+    std::vector<sim::SimConfig> configs = configsOf(scenarios);
+    std::vector<std::string> benchmarks = {"mcf", "hmmer"};
+    sim::MatrixOptions mopts;
+    mopts.jobs = 2;
+    mopts.progress = false;
+    mopts.cacheDir = (base / "direct").string();
+    ClientOptions copts;
+    copts.socketPath = sock;
+    copts.progress = false;
+
+    const size_t cells_per_row = configs[0].checkpoints;
+    for (bool warm : {false, true}) {
+        SCOPED_TRACE(warm ? "warm" : "cold");
+        std::map<std::string, u64> direct = timingCounters(
+            configs, sim::runMatrix(configs, benchmarks, mopts));
+        std::map<std::string, u64> remote = timingCounters(
+            configs, runMatrixRemote(scenarios, benchmarks, copts));
+        // Five counters for each (benchmark, scenario) row.
+        EXPECT_EQ(direct.size(), 5 * benchmarks.size() * configs.size());
+        EXPECT_EQ(direct, remote);
+        EXPECT_EQ(direct["mcf/t-base/timing.cells_run"],
+                  warm ? 0 : cells_per_row);
+        EXPECT_EQ(direct["mcf/t-base/timing.cache_hits"],
+                  warm ? cells_per_row : 0);
+    }
+    fs::remove_all(base);
+}
+
+/** Accept one client on @p listen_fd (10 s budget) and play a daemon:
+ *  answer Hello, read the Submit, send @p frames, then read until the
+ *  client hangs up. */
+void
+playDaemon(int listen_fd,
+           const std::vector<std::pair<FrameType, std::string>> &frames)
+{
+    pollfd pfd{listen_fd, POLLIN, 0};
+    ASSERT_EQ(::poll(&pfd, 1, 10'000), 1) << "client never connected";
+    int fd = ::accept(listen_fd, nullptr, nullptr);
+    ASSERT_GE(fd, 0);
+    Frame f;
+    std::string err;
+    if (readFrame(fd, f, &err) && f.type == FrameType::Hello &&
+        writeFrame(fd, FrameType::Hello, helloPayload(), &err) &&
+        readFrame(fd, f, &err) && f.type == FrameType::Submit) {
+        // A client that rejects a frame hangs up; later writes fail.
+        for (const auto &[type, payload] : frames)
+            if (!writeFrame(fd, type, payload, &err))
+                break;
+        while (readFrame(fd, f, &err)) {
+        }
+    }
+    ::close(fd);
+}
+
+TEST_F(ServeTest, MismatchedSamplesFramesAreRejected)
+{
+    // A Samples frame lands in its cell's slot and is written under the
+    // header a direct run would use, so one that names no requested
+    // cell, precedes its Cell, repeats, or carries another cell's
+    // series must fail the run instead of being dropped, replacing a
+    // series, or being written under the wrong file name.
+    constexpr u64 every = 1000;
+    std::vector<sim::Scenario> scenarios = smokeScenarios();
+    scenarios.resize(1);
+    scenarios[0].config.checkpoints = 1;
+    std::vector<sim::SimConfig> configs = configsOf(scenarios);
+    std::vector<std::string> benchmarks = {"mcf", "hmmer"};
+
+    // Real cells (0 = mcf, 1 = hmmer, both config 0, phase 0), and the
+    // Done a faithful daemon would send after them.
+    sim::MatrixPlan plan = sim::planMatrix(configs, benchmarks);
+    std::vector<std::pair<FrameType, std::string>> cell_frames;
+    for (size_t b = 0; b < benchmarks.size(); ++b) {
+        sim::PhaseResult &pr = plan.rows[b].byConfig[0].phases[0];
+        pr = sim::runCachedCell(nullptr, configs[0], benchmarks[b],
+                                plan.configHashes[0], 0, {}, every);
+        ASSERT_FALSE(pr.samples.empty());
+        CellResult cell;
+        cell.benchmark = benchmarks[b];
+        cell.record = sim::ResultCache::serializeRecord(
+            {benchmarks[b], plan.configHashes[0], 0, configs[0].seed}, pr);
+        cell_frames.push_back({FrameType::Cell, serializeCell(cell)});
+    }
+    DoneSummary done;
+    done.cellsRun = benchmarks.size();
+    done.dump = canonicalDump(configs, plan.rows);
+    auto samples = [&](size_t b, u32 phase, size_t header_of) {
+        sim::SampleSeriesHeader h =
+            sim::seriesHeader(plan, configs, header_of, 0, 0, every);
+        h.phase = phase;
+        SamplesFrame sf{benchmarks[b], 0, phase,
+                        sim::serializeSamples(
+                            h, plan.rows[b].byConfig[0].phases[0].samples)};
+        return std::make_pair(FrameType::Samples, serializeSamplesFrame(sf));
+    };
+
+    const std::vector<std::pair<
+        const char *, std::vector<std::pair<FrameType, std::string>>>>
+        cases = {
+            {"phase 5 of a 1-checkpoint request", {samples(0, 5, 0)}},
+            {"mcf frame whose header names hmmer", {samples(0, 0, 1)}},
+            {"second frame for the same cell",
+             {samples(0, 0, 0), samples(0, 0, 0)}},
+            {"hmmer frame before hmmer's cell", {samples(1, 0, 1)}},
+        };
+
+    fs::path sample_dir =
+        fs::temp_directory_path() /
+        ("rsep_serve_badsamples_" + std::to_string(::getpid()));
+    sock = shortSockPath();
+    int listen_fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+    ASSERT_GE(listen_fd, 0);
+    sockaddr_un addr{};
+    addr.sun_family = AF_UNIX;
+    std::strncpy(addr.sun_path, sock.c_str(), sizeof(addr.sun_path) - 1);
+    ASSERT_EQ(0, ::bind(listen_fd, reinterpret_cast<sockaddr *>(&addr),
+                        sizeof(addr)));
+    ASSERT_EQ(0, ::listen(listen_fd, 4));
+
+    ClientOptions copts;
+    copts.socketPath = sock;
+    copts.progress = false;
+    copts.maxRetries = 0;
+    copts.sampleEvery = every;
+    copts.sampleDir = sample_dir.string();
+    for (const auto &[name, bad] : cases) {
+        SCOPED_TRACE(name);
+        // Cell(mcf), the bad frames, Cell(hmmer), Done: without the
+        // checks the client would finish this stream cleanly.
+        std::vector<std::pair<FrameType, std::string>> frames = {
+            cell_frames[0]};
+        frames.insert(frames.end(), bad.begin(), bad.end());
+        frames.push_back(cell_frames[1]);
+        frames.push_back({FrameType::Done, serializeDone(done)});
+        std::thread daemon([&] { playDaemon(listen_fd, frames); });
+        std::string what;
+        try {
+            ScopedFatalCapture capture;
+            runMatrixRemote(scenarios, benchmarks, copts);
+        } catch (const FatalError &e) {
+            what = e.what();
+        }
+        daemon.join();
+        EXPECT_NE(what.find("samples frame"), std::string::npos)
+            << "no FatalError naming the frame; got '" << what << "'";
+    }
+    ::close(listen_fd);
+    ::unlink(sock.c_str());
+    fs::remove_all(sample_dir);
 }
 
 TEST_F(ServeTest, StaleSocketFileIsReclaimed)

@@ -5,6 +5,8 @@
  * complete for any N, assignment is stable under scenario additions
  * (the property that keeps grown sweeps from reshuffling cached or
  * exported shards), and a sharded runMatrix marks exactly its slice.
+ * The partition is read off planMatrix, the layout every matrix run
+ * (direct, daemon, `--connect`) fills.
  */
 
 #include <gtest/gtest.h>
@@ -68,16 +70,27 @@ TEST(Shard, PartitionIsDisjointAndComplete)
         std::set<std::pair<size_t, size_t>> seen;
         size_t selected_total = 0;
         for (unsigned i = 0; i < count; ++i) {
-            ShardPlan plan = planShard(configs, benches, {i, count});
-            EXPECT_EQ(plan.totalRuns, benches.size() * configs.size());
-            selected_total += plan.selectedRuns;
-            for (size_t b = 0; b < benches.size(); ++b)
-                for (size_t c = 0; c < configs.size(); ++c)
-                    if (plan.selected[b][c]) {
+            MatrixPlan plan = planMatrix(configs, benches, {i, count});
+            ASSERT_EQ(plan.rows.size(), benches.size());
+            selected_total += plan.runs;
+            size_t cells = 0;
+            for (size_t b = 0; b < benches.size(); ++b) {
+                ASSERT_EQ(plan.rows[b].byConfig.size(), configs.size());
+                for (size_t c = 0; c < configs.size(); ++c) {
+                    const RunResult &rr = plan.rows[b].byConfig[c];
+                    // An in-shard run has one empty slot per
+                    // checkpoint; another shard's run has none.
+                    EXPECT_EQ(rr.phases.size(),
+                              rr.inShard ? configs[c].checkpoints : 0u);
+                    cells += rr.phases.size();
+                    if (rr.inShard) {
                         EXPECT_TRUE(seen.insert({b, c}).second)
                             << "cell (" << b << "," << c
                             << ") owned by two shards at N=" << count;
                     }
+                }
+            }
+            EXPECT_EQ(plan.cells, cells);
         }
         // Complete: every cell owned by exactly one shard.
         EXPECT_EQ(seen.size(), benches.size() * configs.size())
@@ -93,9 +106,9 @@ TEST(Shard, AssignmentIsStableUnderScenarioAdditions)
     std::vector<std::string> benches = {"hmmer", "mcf", "namd", "astar"};
 
     constexpr unsigned count = 4;
-    std::vector<std::vector<std::vector<bool>>> before;
+    std::vector<MatrixPlan> before;
     for (unsigned i = 0; i < count; ++i)
-        before.push_back(planShard(configs, benches, {i, count}).selected);
+        before.push_back(planMatrix(configs, benches, {i, count}));
 
     // Grow the matrix: new scenarios AND new benchmarks.
     std::vector<SimConfig> more = configs;
@@ -105,10 +118,11 @@ TEST(Shard, AssignmentIsStableUnderScenarioAdditions)
     more_benches.push_back("omnetpp");
 
     for (unsigned i = 0; i < count; ++i) {
-        ShardPlan after = planShard(more, more_benches, {i, count});
+        MatrixPlan after = planMatrix(more, more_benches, {i, count});
         for (size_t b = 0; b < benches.size(); ++b)
             for (size_t c = 0; c < configs.size(); ++c)
-                EXPECT_EQ(after.selected[b][c], before[i][b][c])
+                EXPECT_EQ(after.rows[b].byConfig[c].inShard,
+                          before[i].rows[b].byConfig[c].inShard)
                     << "cell (" << benches[b] << ", config " << c
                     << ") moved shards when the matrix grew";
     }
@@ -138,11 +152,11 @@ TEST(Shard, ShardedMatrixRunsExactlyItsSlice)
         MatrixOptions opts = base;
         opts.shard = {i, 2};
         auto rows = runMatrix(configs, benches, opts);
-        ShardPlan plan = planShard(configs, benches, opts.shard);
+        MatrixPlan plan = planMatrix(configs, benches, opts.shard);
         for (size_t b = 0; b < benches.size(); ++b) {
             for (size_t c = 0; c < configs.size(); ++c) {
                 const RunResult &rr = rows[b].byConfig[c];
-                EXPECT_EQ(rr.inShard, plan.selected[b][c]);
+                EXPECT_EQ(rr.inShard, plan.rows[b].byConfig[c].inShard);
                 if (!rr.inShard) {
                     EXPECT_TRUE(rr.phases.empty());
                     continue;

@@ -161,20 +161,11 @@ main(int argc, char **argv)
             }
             continue;
         }
-        if (a == "--jobs" || a == "-j" || a.rfind("--jobs=", 0) == 0 ||
-            (a.rfind("-j", 0) == 0 && a.size() > 2)) {
-            char *slice[3] = {argv[0], argv[i],
-                              i + 1 < argc ? argv[i + 1] : nullptr};
-            int slice_argc =
-                (a == "--jobs" || a == "-j") && slice[2] ? 3 : 2;
-            unsigned jobs = 0;
-            if (!sim::parseJobsArg(slice_argc, slice, jobs, err)) {
+        if (sim::matchJobsArg(argc, argv, i, opts.jobs, err)) {
+            if (!err.empty()) {
                 std::fprintf(stderr, "rsep_serve: %s\n", err.c_str());
                 return 2;
             }
-            opts.jobs = jobs;
-            if (slice_argc == 3)
-                ++i;
             continue;
         }
         std::fprintf(stderr, "rsep_serve: unknown option '%s'\n",
