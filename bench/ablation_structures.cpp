@@ -10,7 +10,10 @@
  *  - distance predictor size (42.6KB ideal vs 10.1KB realistic).
  *
  * Every arm is a registered scenario plus dotted-key overrides, so the
- * sweeps exercise exactly the path scenario files use.
+ * sweeps exercise exactly the path scenario files use. All sweeps run
+ * as one matrix through the shared arm path (so --seed, --workload,
+ * --shard and --connect apply); the dumps hold the baseline once plus
+ * every arm.
  */
 
 #include <cstdio>
@@ -24,7 +27,7 @@ namespace
 
 using namespace rsep;
 
-/** A sweep arm: the `rsep` scenario + overrides, bench-default sized. */
+/** A sweep arm: the `rsep` scenario + overrides. */
 sim::Scenario
 rsepArm(const std::string &label,
         const std::vector<std::pair<std::string, std::string>> &overrides)
@@ -37,9 +40,16 @@ rsepArm(const std::string &label,
         if (!sim::applyScenarioKey(sc.config, key, value, &err))
             rsep_fatal("%s", err.c_str());
     }
-    bench::applyBenchDefaults(sc.config);
     return sc;
 }
+
+/** One ablation: its arms' columns in the shared matrix. */
+struct Sweep
+{
+    std::string title;
+    std::string paperShape;
+    size_t first = 0, count = 0;
+};
 
 } // namespace
 
@@ -54,101 +64,87 @@ main(int argc, char **argv)
         "Structure ablations (Sections IV, VI-A) on the paper's "
         "highlight benchmarks:\nFIFO depth vs DDT, ISRB size, hash "
         "width, distance predictor size.";
-    spec.custom = [&spec](const bench::DriverContext &ctx) {
-        if (ctx.scenariosOverridden)
-            return bench::runScenarioMatrix(spec, ctx, ctx.scenarios);
-
-        sim::Scenario base = *sim::findScenario("baseline");
-        bench::applyBenchDefaults(base.config);
-
-        // Accumulated across sweeps for --csv/--json/--stats. The
-        // shared baseline column recurs in every sweep; keep one copy
-        // so (benchmark, scenario, hash) stays a unique export key.
-        std::vector<sim::SimConfig> all_configs;
-        std::vector<sim::MatrixRow> all_rows;
-        std::vector<std::string> seen_keys;
-
-        auto sweep = [&](const std::string &title,
-                         const std::vector<sim::Scenario> &arms) {
-            std::vector<sim::SimConfig> configs;
-            configs.push_back(base.config);
-            for (const auto &arm : arms)
-                configs.push_back(arm.config);
-            std::cout << "\n=== " << title << " ===\n";
-            auto rows = sim::runMatrix(
-                configs, bench::highlightBenchmarks(), ctx.matrix);
-            sim::printSpeedupTable(std::cout, rows, configs);
-
-            for (size_t b = 0; b < rows.size(); ++b)
-                if (b >= all_rows.size())
-                    all_rows.push_back({rows[b].benchmark, {}});
-            for (size_t c = 0; c < configs.size(); ++c) {
-                // Arms may share a config (e.g. fifo-1024 == the rsep
-                // base) under different names, so key on label + hash.
-                std::string key =
-                    configs[c].label + "/" + sim::configHash(configs[c]);
-                bool dup = false;
-                for (const auto &k : seen_keys)
-                    dup = dup || k == key;
-                if (dup)
-                    continue;
-                seen_keys.push_back(key);
-                all_configs.push_back(configs[c]);
-                for (size_t b = 0; b < rows.size(); ++b)
-                    all_rows[b].byConfig.push_back(
-                        std::move(rows[b].byConfig[c]));
-            }
+    spec.custom = [](const bench::DriverContext &ctx) {
+        // Every sweep's arms run as one matrix after the shared
+        // baseline column; each sweep then reports its own columns.
+        std::vector<sim::Scenario> arms{*sim::findScenario("baseline")};
+        std::vector<Sweep> sweeps;
+        auto sweep = [&](const std::string &title, const char *shape,
+                         std::vector<sim::Scenario> sweep_arms) {
+            sweeps.push_back({title, shape, arms.size(), sweep_arms.size()});
+            for (sim::Scenario &arm : sweep_arms)
+                arms.push_back(std::move(arm));
         };
 
         // --- history depth / DDT (Section VI-A2) ---
         {
-            std::vector<sim::Scenario> arms;
-            for (unsigned depth : {32u, 128u, 256u, 1024u})
-                arms.push_back(rsepArm(
-                    "fifo-" + std::to_string(depth),
-                    {{"rsep.history_depth", std::to_string(depth)}}));
-            arms.push_back(rsepArm("ddt-16KB", {{"rsep.use_ddt", "true"}}));
-            sweep("history depth sweep + DDT (VI-A2)", arms);
-            std::cout << "paper shape: 128 entries reach most of the "
-                         "potential (32 suffices except hmmer/xalancbmk); "
-                         "the FIFO is >= the DDT by 0-2.5 points.\n";
+            std::vector<sim::Scenario> depth;
+            for (unsigned d : {32u, 128u, 256u, 1024u})
+                depth.push_back(
+                    rsepArm("fifo-" + std::to_string(d),
+                            {{"rsep.history_depth", std::to_string(d)}}));
+            depth.push_back(rsepArm("ddt-16KB", {{"rsep.use_ddt", "true"}}));
+            sweep("history depth sweep + DDT (VI-A2)",
+                  "paper shape: 128 entries reach most of the potential "
+                  "(32 suffices except hmmer/xalancbmk); the FIFO is >= "
+                  "the DDT by 0-2.5 points.",
+                  std::move(depth));
         }
 
         // --- ISRB size (Section VI-A3) ---
         {
-            std::vector<sim::Scenario> arms;
+            std::vector<sim::Scenario> isrb;
             for (unsigned entries : {4u, 8u, 24u, 64u})
-                arms.push_back(rsepArm(
+                isrb.push_back(rsepArm(
                     "isrb-" + std::to_string(entries),
                     {{"rsep.isrb_entries", std::to_string(entries)}}));
-            sweep("ISRB size sweep (VI-A3)", arms);
-            std::cout << "paper shape: 24 entries of two 6-bit counters "
-                         "are not detrimental vs larger buffers.\n";
+            sweep("ISRB size sweep (VI-A3)",
+                  "paper shape: 24 entries of two 6-bit counters are not "
+                  "detrimental vs larger buffers.",
+                  std::move(isrb));
         }
 
         // --- hash width (Section IV-A) ---
         {
-            std::vector<sim::Scenario> arms;
+            std::vector<sim::Scenario> hash;
             for (unsigned bits : {8u, 10u, 14u, 16u})
-                arms.push_back(
+                hash.push_back(
                     rsepArm("hash-" + std::to_string(bits),
                             {{"rsep.hash_bits", std::to_string(bits)}}));
-            sweep("hash width sweep (IV-A)", arms);
-            std::cout << "paper shape: 14 bits behave like full compare; "
-                         "narrow and power-of-two folds add false pairs.\n";
+            sweep("hash width sweep (IV-A)",
+                  "paper shape: 14 bits behave like full compare; narrow "
+                  "and power-of-two folds add false pairs.",
+                  std::move(hash));
         }
 
         // --- predictor size (IV-C vs VI-B) ---
-        {
-            std::vector<sim::Scenario> arms;
-            arms.push_back(rsepArm("pred-42.6KB", {}));
-            arms.push_back(rsepArm("pred-10.1KB",
-                                   {{"rsep.ideal_predictor", "false"}}));
-            sweep("distance predictor size (IV-C/VI-B)", arms);
-            std::cout << "paper shape: good results persist at ~10KB.\n";
-        }
+        sweep("distance predictor size (IV-C/VI-B)",
+              "paper shape: good results persist at ~10KB.",
+              {rsepArm("pred-42.6KB", {}),
+               rsepArm("pred-10.1KB", {{"rsep.ideal_predictor", "false"}})});
 
-        return bench::exportStats(ctx, all_configs, all_rows) ? 0 : 1;
+        bench::HarnessResult r = bench::runArms(
+            ctx, std::move(arms), bench::highlightBenchmarks());
+        return bench::reportArms(ctx, r, [&](const bench::HarnessResult &m) {
+            for (const Sweep &sw : sweeps) {
+                // The baseline column, then this sweep's arms.
+                std::vector<size_t> cols{0};
+                for (size_t c = sw.first; c < sw.first + sw.count; ++c)
+                    cols.push_back(c);
+                std::vector<sim::SimConfig> configs;
+                std::vector<sim::MatrixRow> rows;
+                for (const sim::MatrixRow &row : m.rows)
+                    rows.push_back({row.benchmark, {}});
+                for (size_t c : cols) {
+                    configs.push_back(m.configs[c]);
+                    for (size_t b = 0; b < rows.size(); ++b)
+                        rows[b].byConfig.push_back(m.rows[b].byConfig[c]);
+                }
+                std::cout << "\n=== " << sw.title << " ===\n";
+                sim::printSpeedupTable(std::cout, rows, configs);
+                std::cout << sw.paperShape << "\n";
+            }
+        });
     };
     return bench::runHarness(argc, argv, spec);
 }

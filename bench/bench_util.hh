@@ -3,18 +3,25 @@
  * Shared driver harness for the bench and example binaries: every
  * driver declares a HarnessSpec (its default scenarios, benchmarks and
  * bespoke report) and delegates flag handling, scenario resolution,
- * the matrix run and stat export to runHarness. All drivers accept the
- * same flags: --scenario, --scenario-file, --list-scenarios,
- * --workload, --workload-file, --list-workloads, --csv, --json,
+ * the matrix run and stat export to runHarness. Flags come from one
+ * option table (common/cli.hh), which also renders --help. Every
+ * driver takes the scenario-selection options (--scenario,
+ * --scenario-file, --list-scenarios); drivers that run a matrix also
+ * take --workload, --workload-file, --list-workloads, --csv, --json,
  * --stats, --timings, --seed, --jobs, --shard, --cache-dir,
- * --record-trace, --replay-trace, --sample-every, --sample-dir and
- * --help.
+ * --record-trace, --replay-trace, --trace-cache-mb, --sample-every,
+ * --sample-dir, --connect, --connect-timeout, --deadline, --retries
+ * and --fault.
+ *
+ * Run sizing is SimConfig's: its defaults scaled by RSEP_SIM_SCALE and
+ * RSEP_CHECKPOINTS, the same for registry arms and scenario files.
  */
 
 #ifndef RSEP_BENCH_BENCH_UTIL_HH
 #define RSEP_BENCH_BENCH_UTIL_HH
 
 #include <functional>
+#include <optional>
 #include <ostream>
 #include <string>
 #include <vector>
@@ -27,16 +34,6 @@
 namespace rsep::bench
 {
 
-/**
- * Apply the bench-default run size: harnesses default to a smaller
- * window (2 checkpoints, 0.4x instructions) than the library default
- * so the full figure suite completes in minutes on one core. Both are
- * overridable through the environment. Registry-sourced scenarios get
- * this sizing; scenario files control their own `[sim]` section and
- * are left untouched.
- */
-void applyBenchDefaults(sim::SimConfig &cfg);
-
 /** The benchmarks the paper highlights for RSEP (Section VI-B). */
 std::vector<std::string> highlightBenchmarks();
 
@@ -45,9 +42,9 @@ struct DriverContext
 {
     sim::MatrixOptions matrix; ///< jobs, --shard, --cache-dir,
                                ///< --record-trace/--replay-trace.
-    /** From --scenario / --scenario-file, in flag order. */
+    /** From --scenario / --scenario-file, in flag order; non-empty
+     *  overrides the driver's default arms. */
     std::vector<sim::Scenario> scenarios;
-    bool scenariosOverridden = false;
     /** Run-cell keys from --workload / --workload-file, in flag order
      *  (already resolved through the workload registry); non-empty
      *  overrides the driver's benchmark set. */
@@ -61,8 +58,7 @@ struct DriverContext
     bool timings = false;
     /** --seed N: override every run scenario's [sim] seed (changes the
      *  config hash, hence shard assignment and cache identity). */
-    bool seedOverridden = false;
-    u64 seedValue = 0;
+    std::optional<u64> seed;
     /** --connect SOCK: run the matrix on a warm rsep_serve daemon
      *  instead of in-process. Output is byte-identical to a direct
      *  run; server-side resources (--jobs, --cache-dir, --shard,
@@ -88,6 +84,9 @@ struct HarnessResult
     std::vector<sim::MatrixRow> rows;
 };
 
+/** A driver's bespoke tables over a full (unsharded) matrix. */
+using Report = std::function<void(const HarnessResult &)>;
+
 /** Static description of one driver binary. */
 struct HarnessSpec
 {
@@ -97,53 +96,54 @@ struct HarnessSpec
     std::vector<std::string> defaultScenarios;
     /** Default benchmark set; empty = the full 29-bench suite. */
     std::vector<std::string> benchmarks;
-    /** Apply applyBenchDefaults to registry-sourced scenarios. */
-    bool benchDefaults = true;
+    /** False for drivers that run no experiment matrix: they take only
+     *  the scenario-selection options, so a matrix flag is an unknown
+     *  option rather than a silent no-op. */
+    bool runsMatrix = true;
     /** Positional arguments name benchmarks to run. */
     bool positionalBenchmarks = false;
+    /** Usage suffix for a custom driver's positional arguments (which
+     *  are then accepted into DriverContext::positional). */
     const char *positionalHelp = nullptr;
     /** Bespoke tables for the default arm set (kept byte-identical to
      *  the pre-harness drivers); scenario overrides use the generic
      *  speedup table instead. */
-    std::function<void(const HarnessResult &)> report;
+    Report report;
     /** Full-control drivers (sweeps, single-run dumps): invoked with
-     *  the parsed context instead of the standard matrix flow. */
+     *  the parsed context instead of the default-arm matrix. Scenario
+     *  overrides still take the generic path in matrix drivers. */
     std::function<int(const DriverContext &)> custom;
 };
 
 /**
- * Run a driver: parse flags (--help and --list-scenarios exit here),
- * resolve scenarios, fan out the matrix, print the report and write
- * any requested CSV/JSON/stat-table dump. Returns the process exit
- * code.
+ * Run a driver: parse flags (--help and the listings exit here),
+ * resolve scenarios, run the arms, print the report and write any
+ * requested CSV/JSON/stat-table dump. Returns the process exit code.
  */
 int runHarness(int argc, char **argv, const HarnessSpec &spec);
 
-/** Run an explicit scenario list through the generic matrix + report
- *  + export path (what scenario overrides and sweep drivers use). */
-int runScenarioMatrix(const HarnessSpec &spec, const DriverContext &ctx,
-                      const std::vector<sim::Scenario> &scenarios);
+/**
+ * Run @p scenarios over @p benchmarks, the one arm path of every
+ * matrix driver: applies --seed to every arm and --workload in place
+ * of @p benchmarks, resolves names through the workload registry, then
+ * runs in-process or, with --connect, on the daemon (byte-identical
+ * rows either way).
+ */
+HarnessResult runArms(const DriverContext &ctx,
+                      std::vector<sim::Scenario> scenarios,
+                      std::vector<std::string> benchmarks);
 
-/** Write the CSV/JSON/table dumps requested in @p ctx. False on I/O
- *  failure (already reported to stderr). */
-bool exportStats(const DriverContext &ctx,
-                 const std::vector<sim::SimConfig> &configs,
-                 const std::vector<sim::MatrixRow> &rows);
+/**
+ * Print @p r — through @p report when given, else as the generic
+ * scenario-matrix table; a shard notice instead when the matrix is
+ * sharded — and write the CSV/JSON/stat-table dumps requested in
+ * @p ctx. Returns the exit code (1 when a dump could not be written).
+ */
+int reportArms(const DriverContext &ctx, const HarnessResult &r,
+               const Report &report = {});
 
 /** Print the registered-scenario listing (--list-scenarios). */
 void printScenarioList(std::ostream &os);
-
-/** Print the workload-registry listing (--list-workloads). */
-void printWorkloadList(std::ostream &os);
-
-/**
- * For custom drivers that run no experiment matrix: warn on stderr
- * about parsed flags the run cannot honour — a silently dropped --csv
- * would otherwise look like a successful export. @p scenarios_used is
- * how many of ctx.scenarios the driver consumed.
- */
-void warnUnusedMatrixFlags(const char *driver, const DriverContext &ctx,
-                           size_t scenarios_used);
 
 } // namespace rsep::bench
 

@@ -23,8 +23,8 @@ main(int argc, char **argv)
         "Prints Table I (simulator configuration overview) and the "
         "paper's structure\nstorage accounting; describes scenarios "
         "instead of simulating them.";
-    spec.custom = [&spec](const bench::DriverContext &ctx) {
-        bench::warnUnusedMatrixFlags(spec.name, ctx, ctx.scenarios.size());
+    spec.runsMatrix = false;
+    spec.custom = [](const bench::DriverContext &ctx) {
         std::vector<sim::Scenario> scenarios = ctx.scenarios;
         if (scenarios.empty())
             scenarios.push_back(*sim::findScenario("baseline"));
@@ -33,7 +33,7 @@ main(int argc, char **argv)
             const sim::SimConfig &cfg = scenarios[i].config;
             if (i)
                 std::cout << "\n";
-            if (ctx.scenariosOverridden)
+            if (!ctx.scenarios.empty())
                 std::cout << "--- scenario " << scenarios[i].name
                           << " (config hash " << sim::configHash(cfg)
                           << ") ---\n";

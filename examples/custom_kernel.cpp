@@ -84,8 +84,13 @@ main(int argc, char **argv)
         "Author a custom workload with the public API and measure how "
         "much a\nregistered scenario's mechanism set helps it (default "
         "arm: rsep).";
+    spec.runsMatrix = false;
     spec.custom = [&spec](const bench::DriverContext &ctx) {
-        bench::warnUnusedMatrixFlags(spec.name, ctx, 1);
+        if (ctx.scenarios.size() > 1) {
+            std::fprintf(stderr, "%s: takes one scenario, got %zu\n",
+                         spec.name, ctx.scenarios.size());
+            return 2;
+        }
 
         // 1. Write the program.
         isa::Program prog = buildChecksumKernel();
@@ -113,7 +118,6 @@ main(int argc, char **argv)
                     cov);
         std::printf("  mispredictions: %llu\n",
                     (unsigned long long)with.rsepMispredicts.value());
-        (void)spec;
         return 0;
     };
     return bench::runHarness(argc, argv, spec);

@@ -25,7 +25,6 @@ main(int argc, char **argv)
         "(compact\ninteractive version of Figs. 4 and 5).";
     spec.defaultScenarios = {"baseline",  "zero-pred", "move-elim",
                              "rsep",      "vpred",     "rsep+vpred"};
-    spec.benchDefaults = false; // full library-default run sizing.
     spec.benchmarks = {"mcf",      "dealII",  "hmmer",
                        "libquantum", "omnetpp", "perlbench"};
     spec.positionalBenchmarks = true;

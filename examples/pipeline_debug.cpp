@@ -119,8 +119,13 @@ main(int argc, char **argv)
         "Run one benchmark under one scenario and dump every "
         "pipeline/cache/predictor\ncounter.";
     spec.positionalHelp = " [benchmark] [scenario]";
+    spec.runsMatrix = false;
     spec.custom = [&spec](const bench::DriverContext &ctx) {
-        bench::warnUnusedMatrixFlags(spec.name, ctx, 1);
+        if (ctx.scenarios.size() > 1) {
+            std::cerr << spec.name << ": takes one scenario, got "
+                      << ctx.scenarios.size() << "\n";
+            return 2;
+        }
         std::string bench =
             !ctx.positional.empty() ? ctx.positional[0] : "dealII";
 

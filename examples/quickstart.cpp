@@ -23,7 +23,6 @@ main(int argc, char **argv)
         "Run one workload on the Table I core with and without RSEP and "
         "print IPC,\ncoverage and accuracy.";
     spec.defaultScenarios = {"baseline", "rsep"};
-    spec.benchDefaults = false; // full library-default run sizing.
     spec.benchmarks = {"mcf"};
     spec.positionalBenchmarks = true;
     spec.report = [](const bench::HarnessResult &r) {

@@ -165,16 +165,4 @@ simScale()
     return envDouble("RSEP_SIM_SCALE", 1.0);
 }
 
-bool
-simScaleOverridden()
-{
-    return envSet("RSEP_SIM_SCALE");
-}
-
-bool
-checkpointsOverridden()
-{
-    return envSet("RSEP_CHECKPOINTS");
-}
-
 } // namespace rsep

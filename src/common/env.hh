@@ -1,8 +1,8 @@
 /**
  * @file
  * Environment-variable helpers for scaling experiment sizes, plus the
- * strict scalar parsers shared by the env layer, the `--jobs` flag and
- * the scenario-file parser.
+ * strict scalar parsers shared by the env layer, the command-line
+ * grammar (common/cli.hh) and the scenario-file parser.
  */
 
 #ifndef RSEP_COMMON_ENV_HH
@@ -51,15 +51,10 @@ double envDouble(const char *name, double def);
 
 /**
  * Global simulation scale factor (RSEP_SIM_SCALE, default 1.0).
- * Experiment drivers multiply warmup/measure windows by this.
+ * SimConfig::applyEnv multiplies the warmup/measure windows by this;
+ * nothing else scales a run.
  */
 double simScale();
-
-/** True when the user pinned RSEP_SIM_SCALE explicitly. */
-bool simScaleOverridden();
-
-/** True when the user pinned RSEP_CHECKPOINTS explicitly. */
-bool checkpointsOverridden();
 
 } // namespace rsep
 

@@ -14,10 +14,10 @@
  *  - **LRU overflow** — when a `--max-bytes` cap is given, the oldest
  *    surviving records by mtime until the cache fits.
  *
- * Files matching neither pattern are never touched. Because registry
- * scenarios run under both the library sizing and the bench-harness
- * sizing (bench_util shrinks registry-sourced arms), callers should
- * include both hash variants in the live set (rsep_merge does).
+ * Files matching neither pattern are never touched. Registry and
+ * scenario-file arms share one run sizing (SimConfig's defaults under
+ * the environment scaling), so one config hash per arm (and per
+ * `--seed` variant) is the whole live set.
  */
 
 #ifndef RSEP_SIM_CACHE_GC_HH

@@ -5,7 +5,6 @@
 #include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <iomanip>
 #include <mutex>
 #include <thread>
@@ -55,30 +54,6 @@ parseJobsValue(const std::string &s, unsigned &jobs, std::string &err)
         return false;
     }
     jobs = static_cast<unsigned>(v);
-    return true;
-}
-
-bool
-matchJobsArg(int argc, char **argv, int &i, unsigned &jobs,
-             std::string &err)
-{
-    const char *a = argv[i];
-    const char *value = nullptr;
-    if (std::strcmp(a, "--jobs") == 0 || std::strcmp(a, "-j") == 0) {
-        if (i + 1 >= argc) {
-            err = std::string(a) + " requires a value (0 = auto)";
-            return true;
-        }
-        value = argv[++i];
-    } else if (std::strncmp(a, "--jobs=", 7) == 0) {
-        value = a + 7;
-    } else if (std::strncmp(a, "-j", 2) == 0 && a[2] != '\0') {
-        value = a + 2;
-    } else {
-        return false;
-    }
-    err.clear();
-    parseJobsValue(value, jobs, err);
     return true;
 }
 

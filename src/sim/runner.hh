@@ -76,22 +76,13 @@ constexpr unsigned maxJobs = 4096;
 unsigned resolveJobs(unsigned requested);
 
 /**
- * Strictly parse one jobs value ("0" = auto). Rejects non-numeric,
+ * Strictly parse one jobs value ("0" = auto), the value of every
+ * binary's `--jobs N` / `-jN` option. Rejects non-numeric,
  * negative, overflowing or > maxJobs values with a diagnostic in
  * @p err instead of silently treating them as 0/auto.
  */
 bool parseJobsValue(const std::string &s, unsigned &jobs,
                     std::string &err);
-
-/**
- * Match a jobs flag at argv[@p i] (`--jobs N`, `--jobs=N`, `-j N`,
- * `-jN`; every driver accepts it). Returns false when argv[i] is some
- * other argument. Otherwise parses the value into @p jobs, advances
- * @p i past a separate value, and returns true; a dangling flag or a
- * malformed value leaves a diagnostic in @p err (empty on success).
- */
-bool matchJobsArg(int argc, char **argv, int &i, unsigned &jobs,
-                  std::string &err);
 
 /**
  * Run every benchmark under every configuration (config 0 is

@@ -21,12 +21,16 @@ struct SimConfig
     core::CoreParams core{};
     core::MechConfig mech{};
 
-    u64 warmupInsts = 80'000;   ///< per checkpoint (scaled by env).
-    u64 measureInsts = 400'000; ///< per checkpoint (scaled by env).
-    u32 checkpoints = 3;        ///< paper: 10 (RSEP_CHECKPOINTS env).
+    // The one run sizing of every driver, registry arm and scenario
+    // file without a `[sim]` section: small enough that the full
+    // figure suite completes in minutes on one core.
+    u64 warmupInsts = 32'000;   ///< per checkpoint (scaled by env).
+    u64 measureInsts = 160'000; ///< per checkpoint (scaled by env).
+    u32 checkpoints = 2;        ///< paper: 10 (RSEP_CHECKPOINTS env).
     u64 seed = 0x5eed;
 
-    /** Apply RSEP_SIM_SCALE / RSEP_CHECKPOINTS env overrides. */
+    /** Apply RSEP_SIM_SCALE / RSEP_CHECKPOINTS env overrides: the only
+     *  scaling of a run's size (the registry factories call it). */
     void applyEnv();
 
     // ------------------------- Fig. 4 arms -------------------------

@@ -11,6 +11,7 @@
 #include <atomic>
 #include <cstdlib>
 
+#include "common/cli.hh"
 #include "sim/runner.hh"
 #include "sim/thread_pool.hh"
 
@@ -119,41 +120,60 @@ TEST(RunnerParallel, ThreadPoolRunsAllTasksAcrossWorkers)
     EXPECT_EQ(hits.load(), 288);
 }
 
+/** Parse @p args (argv without argv[0]) against a table holding only
+ *  the drivers' `--jobs N` / `-jN` option, which fills @p jobs. */
+cli::Parsed
+parseJobsArgs(std::vector<const char *> args, unsigned &jobs)
+{
+    args.insert(args.begin(), "prog");
+    std::vector<cli::Option> table = {
+        {"jobs", "N", "worker threads",
+         [&jobs](const std::string &v) {
+             std::string err;
+             parseJobsValue(v, jobs, err);
+             return err;
+         },
+         'j'}};
+    return cli::parse(static_cast<int>(args.size()),
+                      const_cast<char **>(args.data()), table);
+}
+
 TEST(RunnerParallel, JobsResolution)
 {
     EXPECT_EQ(resolveJobs(7), 7u);
     EXPECT_GE(resolveJobs(0), 1u);
 
-    // Each spelling matches at position 1 and leaves i on the last
-    // argv entry it consumed.
-    auto parsed = [](std::vector<const char *> args, int last) {
-        args.insert(args.begin(), "prog");
-        int i = 1;
+    // Each spelling matches and consumes exactly its value: a trailing
+    // argument is left over as the only positional.
+    auto parsed = [](std::vector<const char *> args) {
+        args.push_back("rest");
         unsigned jobs = 0;
-        std::string err;
-        EXPECT_TRUE(matchJobsArg(static_cast<int>(args.size()),
-                                 const_cast<char **>(args.data()), i, jobs,
-                                 err))
-            << args[1];
-        EXPECT_TRUE(err.empty()) << err;
-        EXPECT_EQ(i, last) << args[1];
+        cli::Parsed p = parseJobsArgs(args, jobs);
+        EXPECT_TRUE(p.ok()) << args[0] << ": " << p.error;
+        EXPECT_EQ(p.positional, std::vector<std::string>{"rest"})
+            << args[0];
         return jobs;
     };
-    EXPECT_EQ(parsed({"--jobs", "5"}, 2), 5u);
-    EXPECT_EQ(parsed({"--jobs=9"}, 1), 9u);
-    EXPECT_EQ(parsed({"-j", "4"}, 2), 4u);
-    EXPECT_EQ(parsed({"-j3"}, 1), 3u);
+    EXPECT_EQ(parsed({"--jobs", "5"}), 5u);
+    EXPECT_EQ(parsed({"--jobs=9"}), 9u);
+    EXPECT_EQ(parsed({"-j", "4"}), 4u);
+    EXPECT_EQ(parsed({"-j3"}), 3u);
 
-    // Any other argument is not a jobs flag: no match, nothing parsed.
-    for (const char *other : {"other", "--jobsx", "-", "--j=2"}) {
-        std::vector<const char *> args = {"prog", other, "7"};
-        int i = 1;
+    // Any other argument is not a jobs flag: nothing parsed. Plain
+    // words stay positional; look-alike flags are unknown options.
+    for (const char *other : {"other", "-"}) {
         unsigned jobs = 0;
-        std::string err;
-        EXPECT_FALSE(matchJobsArg(3, const_cast<char **>(args.data()), i,
-                                  jobs, err))
+        cli::Parsed p = parseJobsArgs({other, "7"}, jobs);
+        EXPECT_TRUE(p.ok()) << other;
+        EXPECT_EQ(p.positional,
+                  (std::vector<std::string>{other, "7"}));
+        EXPECT_EQ(jobs, 0u);
+    }
+    for (const char *other : {"--jobsx", "--j=2"}) {
+        unsigned jobs = 0;
+        cli::Parsed p = parseJobsArgs({other, "7"}, jobs);
+        EXPECT_NE(p.error.find("unknown option"), std::string::npos)
             << other;
-        EXPECT_EQ(i, 1);
         EXPECT_EQ(jobs, 0u);
     }
 }
@@ -177,16 +197,12 @@ TEST(RunnerParallel, JobsParsingRejectsMalformedValues)
         EXPECT_FALSE(err.empty()) << bad;
     }
 
-    // A matched flag with a bad value: matched, with a diagnostic.
+    // A matched flag with a bad value: a diagnostic.
     auto scan = [&](std::vector<const char *> args) {
-        args.insert(args.begin(), "prog");
-        int i = 1;
         jobs = 0;
-        err.clear();
-        bool matched = matchJobsArg(static_cast<int>(args.size()),
-                                    const_cast<char **>(args.data()), i,
-                                    jobs, err);
-        return matched && err.empty();
+        cli::Parsed p = parseJobsArgs(args, jobs);
+        err = p.error;
+        return p.ok();
     };
     EXPECT_TRUE(scan({"--jobs", "6"}));
     EXPECT_EQ(jobs, 6u);
@@ -206,11 +222,7 @@ TEST(RunnerParallel, JobsParsingRejectsMalformedValues)
     EXPECT_NE(err.find("ceiling"), std::string::npos);
 
     // Absent: an unrelated argument is not matched and jobs stays auto.
-    std::vector<const char *> unrelated = {"prog", "unrelated"};
-    int i = 1;
-    jobs = 0;
-    EXPECT_FALSE(matchJobsArg(2, const_cast<char **>(unrelated.data()), i,
-                              jobs, err));
+    EXPECT_TRUE(scan({"unrelated"}));
     EXPECT_EQ(jobs, 0u);
 }
 

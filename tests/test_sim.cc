@@ -70,8 +70,8 @@ TEST(SimConfig, EnvScaling)
     setenv("RSEP_SIM_SCALE", "0.5", 1);
     setenv("RSEP_CHECKPOINTS", "2", 1);
     SimConfig c = SimConfig::baseline();
-    EXPECT_EQ(c.warmupInsts, 40000u);
-    EXPECT_EQ(c.measureInsts, 200000u);
+    EXPECT_EQ(c.warmupInsts, 16000u);
+    EXPECT_EQ(c.measureInsts, 80000u);
     EXPECT_EQ(c.checkpoints, 2u);
     unsetenv("RSEP_SIM_SCALE");
     unsetenv("RSEP_CHECKPOINTS");

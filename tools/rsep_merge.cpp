@@ -22,16 +22,14 @@
  */
 
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <set>
-#include <sstream>
 #include <string>
 #include <vector>
 
-#include "bench_util.hh"
-#include "common/env.hh"
+#include "common/cli.hh"
 #include "sim/cache_gc.hh"
 #include "sim/scenario.hh"
 #include "sim/stat_merge.hh"
@@ -41,47 +39,22 @@ namespace
 {
 
 void
-printHelp()
+printHelp(const std::vector<rsep::cli::Option> &merge_options,
+          const std::vector<rsep::cli::Option> &gc_options)
 {
     std::printf(
         "usage: rsep_merge [options] DUMP [DUMP ...]\n"
         "Merge per-shard stat dumps (CSV or JSON, from the drivers'\n"
         "--csv/--json --shard runs) into one canonical table.\n"
-        "\noptions:\n"
-        "  --csv PATH       write the merged table as CSV ('-' = stdout)\n"
-        "  --json PATH      write the merged table as JSON ('-' = stdout)\n"
-        "  --summary PATH   write the figure summary: per-benchmark\n"
-        "                   speedup bars + gmean rows ('-' = stdout)\n"
-        "  --baseline NAME  baseline scenario for the summary speedups\n"
-        "                   (default: 'baseline' when present, else the\n"
-        "                   lexicographically first scenario)\n"
-        "  --expect-benchmarks NAME[,NAME...]\n"
-        "                   the benchmark set the matrix must cover\n"
-        "                   (repeatable; 'suite' = the built-in 29-bench\n"
-        "                   paper suite). Without it, a benchmark or arm\n"
-        "                   missing from EVERY input is undetectable.\n"
-        "  --allow-partial  tolerate an incomplete benchmark x scenario\n"
-        "                   matrix (missing cells warn instead of fail)\n"
-        "  --help, -h       show this help\n"
+        "\noptions:\n");
+    rsep::cli::printOptions(std::cout, merge_options);
+    std::printf(
         "\nWith no output option, the merged CSV goes to stdout.\n"
         "Validation: duplicate (benchmark, scenario, config-hash) rows\n"
         "across inputs are always an error (shards must be disjoint).\n"
-        "\ncache garbage collection (no DUMP inputs in this mode):\n"
-        "  --gc             collect a result cache instead of merging\n"
-        "  --cache-dir PATH the cache directory to collect (required)\n"
-        "  --scenario NAME[,NAME...]\n"
-        "                   registered scenarios whose records stay live\n"
-        "                   (repeatable; hashed under both the library\n"
-        "                   and the bench-harness run sizing)\n"
-        "  --scenario-file PATH\n"
-        "                   scenario file whose arms' records stay live\n"
-        "                   (repeatable)\n"
-        "  --seed N         hash the live scenarios under this [sim]\n"
-        "                   seed too (mirror of the drivers' --seed)\n"
-        "  --max-bytes N    after dropping stale records, evict the\n"
-        "                   oldest surviving records (LRU by mtime)\n"
-        "                   until the cache fits N bytes\n"
-        "  --dry-run        report what would be removed; remove nothing\n"
+        "\ncache garbage collection (no DUMP inputs in this mode):\n");
+    rsep::cli::printOptions(std::cout, gc_options, false);
+    std::printf(
         "\nWithout --scenario/--scenario-file every record is considered\n"
         "live (only quarantine debris and --max-bytes apply). Records\n"
         "are matched by the <config-hash>-p<phase>-s<seed>.cell naming;\n"
@@ -119,134 +92,101 @@ int
 main(int argc, char **argv)
 {
     using namespace rsep::sim;
+    namespace cli = rsep::cli;
 
     std::string csv_path, json_path, summary_path, baseline;
     bool allow_partial = false;
-    std::vector<std::string> inputs;
     std::vector<std::string> expect_benchmarks;
 
-    bool gc = false, gc_dry_run = false, gc_seed_overridden = false;
-    rsep::u64 gc_seed = 0, gc_max_bytes = 0;
+    bool gc = false, gc_dry_run = false;
+    std::optional<rsep::u64> gc_seed;
+    rsep::u64 gc_max_bytes = 0;
     std::string gc_cache_dir;
     std::vector<std::string> gc_scenarios, gc_scenario_files;
 
-    for (int i = 1; i < argc; ++i) {
-        std::string a = argv[i];
-        auto valueOf = [&](const char *flag, std::string &value) -> int {
-            size_t n = std::strlen(flag);
-            if (a.compare(0, n, flag) != 0)
-                return 0;
-            if (a.size() == n) {
-                if (i + 1 >= argc)
-                    return -1;
-                value = argv[++i];
-                return 1;
-            }
-            if (a[n] != '=')
-                return 0;
-            value = a.substr(n + 1);
-            return 1;
-        };
+    std::vector<cli::Option> merge_options = {
+        {"csv", "PATH", "write the merged table as CSV ('-' = stdout)",
+         cli::store(csv_path)},
+        {"json", "PATH", "write the merged table as JSON ('-' = stdout)",
+         cli::store(json_path)},
+        {"summary", "PATH",
+         "write the figure summary: per-benchmark speedup bars + gmean "
+         "rows ('-' = stdout)",
+         cli::store(summary_path)},
+        {"baseline", "NAME",
+         "baseline scenario for the summary speedups (default: "
+         "'baseline' when present, else the lexicographically first "
+         "scenario)",
+         cli::store(baseline)},
+        {"expect-benchmarks", "NAME[,NAME...]",
+         "the benchmark set the matrix must cover (repeatable; 'suite' = "
+         "the built-in 29-bench paper suite). Without it, a benchmark or "
+         "arm missing from EVERY input is undetectable.",
+         [&](const std::string &v) {
+             for (const std::string &item : cli::splitList(v)) {
+                 if (item != "suite")
+                     expect_benchmarks.push_back(item);
+                 else
+                     for (const std::string &b : rsep::wl::suiteNames())
+                         expect_benchmarks.push_back(b);
+             }
+             return std::string();
+         }},
+        {"allow-partial", nullptr,
+         "tolerate an incomplete benchmark x scenario matrix (missing "
+         "cells warn instead of fail)",
+         cli::store(allow_partial)},
+    };
+    std::vector<cli::Option> gc_options = {
+        {"gc", nullptr, "collect a result cache instead of merging",
+         cli::store(gc)},
+        {"cache-dir", "PATH", "the cache directory to collect (required)",
+         cli::store(gc_cache_dir)},
+        {"scenario", "NAME[,NAME...]",
+         "registered scenarios whose records stay live (repeatable)",
+         [&](const std::string &v) {
+             for (const std::string &name : cli::splitList(v))
+                 gc_scenarios.push_back(name);
+             return std::string();
+         }},
+        {"scenario-file", "PATH",
+         "scenario file whose arms' records stay live (repeatable)",
+         [&](const std::string &v) {
+             gc_scenario_files.push_back(v);
+             return std::string();
+         }},
+        {"seed", "N",
+         "hash the live scenarios under this [sim] seed too (mirror of "
+         "the drivers' --seed)",
+         [&](const std::string &v) {
+             rsep::u64 seed = 0;
+             std::string err = cli::parseCount(v, seed);
+             gc_seed = seed;
+             return err;
+         }},
+        {"max-bytes", "N",
+         "after dropping stale records, evict the oldest surviving "
+         "records (LRU by mtime) until the cache fits N bytes",
+         cli::storeCount(gc_max_bytes, 1)},
+        {"dry-run", nullptr,
+         "report what would be removed; remove nothing",
+         cli::store(gc_dry_run)},
+    };
+    std::vector<cli::Option> options = merge_options;
+    options.insert(options.end(), gc_options.begin(), gc_options.end());
 
-        if (a == "--help" || a == "-h") {
-            printHelp();
-            return 0;
-        }
-        if (a == "--allow-partial") {
-            allow_partial = true;
-            continue;
-        }
-        if (a == "--gc") {
-            gc = true;
-            continue;
-        }
-        if (a == "--dry-run") {
-            gc_dry_run = true;
-            continue;
-        }
-        int hit;
-        if ((hit = valueOf("--cache-dir", gc_cache_dir)) != 0) {
-            if (hit < 0)
-                return usageError("--cache-dir requires a path");
-            continue;
-        }
-        std::string value;
-        if ((hit = valueOf("--scenario-file", value)) != 0) {
-            if (hit < 0)
-                return usageError("--scenario-file requires a path");
-            gc_scenario_files.push_back(value);
-            continue;
-        }
-        if ((hit = valueOf("--scenario", value)) != 0) {
-            if (hit < 0)
-                return usageError("--scenario requires NAME[,NAME...]");
-            std::istringstream is(value);
-            std::string item;
-            while (std::getline(is, item, ','))
-                if (!item.empty())
-                    gc_scenarios.push_back(item);
-            continue;
-        }
-        if ((hit = valueOf("--seed", value)) != 0) {
-            if (hit < 0)
-                return usageError("--seed requires a value");
-            if (!rsep::parseU64(value, gc_seed))
-                return usageError("invalid --seed '" + value + "'");
-            gc_seed_overridden = true;
-            continue;
-        }
-        if ((hit = valueOf("--max-bytes", value)) != 0) {
-            if (hit < 0)
-                return usageError("--max-bytes requires a value");
-            if (!rsep::parseU64(value, gc_max_bytes) || gc_max_bytes == 0)
-                return usageError("invalid --max-bytes '" + value +
-                                  "' (expected a positive byte count)");
-            continue;
-        }
-        if ((hit = valueOf("--csv", csv_path)) != 0) {
-            if (hit < 0)
-                return usageError("--csv requires a path");
-            continue;
-        }
-        if ((hit = valueOf("--json", json_path)) != 0) {
-            if (hit < 0)
-                return usageError("--json requires a path");
-            continue;
-        }
-        if ((hit = valueOf("--summary", summary_path)) != 0) {
-            if (hit < 0)
-                return usageError("--summary requires a path");
-            continue;
-        }
-        if ((hit = valueOf("--baseline", baseline)) != 0) {
-            if (hit < 0)
-                return usageError("--baseline requires a scenario name");
-            continue;
-        }
-        std::string expect;
-        if ((hit = valueOf("--expect-benchmarks", expect)) != 0) {
-            if (hit < 0)
-                return usageError(
-                    "--expect-benchmarks requires NAME[,NAME...]");
-            std::istringstream is(expect);
-            std::string item;
-            while (std::getline(is, item, ',')) {
-                if (item == "suite")
-                    for (const std::string &b : rsep::wl::suiteNames())
-                        expect_benchmarks.push_back(b);
-                else if (!item.empty())
-                    expect_benchmarks.push_back(item);
-            }
-            continue;
-        }
-        if (!a.empty() && a[0] == '-' && a != "-")
-            return usageError("unknown option '" + a + "'");
-        inputs.push_back(a);
+    cli::Parsed args = cli::parse(argc, argv, options);
+    if (!args.ok())
+        return usageError(args.error);
+    if (args.help) {
+        printHelp(merge_options, gc_options);
+        return 0;
     }
+    const std::vector<std::string> &inputs = args.positional;
 
     if (!gc && (!gc_cache_dir.empty() || !gc_scenarios.empty() ||
                 !gc_scenario_files.empty() || gc_max_bytes > 0 ||
-                gc_dry_run || gc_seed_overridden))
+                gc_dry_run || gc_seed))
         return usageError("--cache-dir/--scenario/--scenario-file/--seed/"
                           "--max-bytes/--dry-run require --gc");
 
@@ -259,20 +199,12 @@ main(int argc, char **argv)
 
         std::set<std::string> live;
         auto addConfig = [&](SimConfig cfg) {
-            // Registry arms run under the bench-harness sizing too, and
-            // a --seed sweep runs beside the default-seed records: keep
-            // every variant's hash alive (--seed is additive, as the
-            // help promises).
-            std::vector<SimConfig> variants{cfg};
-            if (gc_seed_overridden) {
-                SimConfig seeded = cfg;
-                seeded.seed = gc_seed;
-                variants.push_back(seeded);
-            }
-            for (SimConfig &v : variants) {
-                live.insert(configHash(v));
-                rsep::bench::applyBenchDefaults(v);
-                live.insert(configHash(v));
+            // A --seed sweep runs beside the default-seed records: keep
+            // both hashes alive (--seed is additive, as the help says).
+            live.insert(configHash(cfg));
+            if (gc_seed) {
+                cfg.seed = *gc_seed;
+                live.insert(configHash(cfg));
             }
         };
         for (const std::string &name : gc_scenarios) {

@@ -25,13 +25,13 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <map>
 #include <string>
 #include <vector>
 
+#include "common/cli.hh"
 #include "common/stats.hh"
 #include "sim/sample_io.hh"
 
@@ -41,7 +41,7 @@ namespace
 using namespace rsep;
 
 void
-printHelp()
+printHelp(const std::vector<cli::Option> &options)
 {
     std::printf(
         "usage: rsep_samples COMMAND [options] FILE [FILE ...]\n"
@@ -64,12 +64,8 @@ printHelp()
         "                   windows, max delta per field. The periods\n"
         "                   must match (different periods cannot align).\n"
         "                   Exit 0 = identical, 1 = divergent\n"
-        "\noptions:\n"
-        "  --limit N        dump: stop after N rows per file (0 = all,\n"
-        "                   the default); diff: print at most N\n"
-        "                   divergence windows\n"
-        "  --csv PATH       merge: output path for the pooled CSV\n"
-        "  --help, -h       show this help\n");
+        "\noptions:\n");
+    cli::printOptions(std::cout, options);
 }
 
 int
@@ -453,53 +449,34 @@ cmdDiff(const std::vector<std::string> &files, u64 limit)
 int
 main(int argc, char **argv)
 {
-    std::string command;
-    std::vector<std::string> files;
     std::string csv_path;
     u64 limit = 0;
 
-    for (int i = 1; i < argc; ++i) {
-        std::string a = argv[i];
-        if (a == "--help" || a == "-h") {
-            printHelp();
-            return 0;
-        }
-        if (a == "--limit" || a.rfind("--limit=", 0) == 0) {
-            std::string value;
-            if (a == "--limit") {
-                if (i + 1 >= argc)
-                    return usageError("--limit requires a value");
-                value = argv[++i];
-            } else {
-                value = a.substr(8);
-            }
-            char *end = nullptr;
-            limit = std::strtoull(value.c_str(), &end, 10);
-            if (!end || *end != '\0' || value.empty())
-                return usageError("invalid --limit '" + value + "'");
-            continue;
-        }
-        if (a == "--csv" || a.rfind("--csv=", 0) == 0) {
-            if (a == "--csv") {
-                if (i + 1 >= argc)
-                    return usageError("--csv requires a path");
-                csv_path = argv[++i];
-            } else {
-                csv_path = a.substr(6);
-            }
-            continue;
-        }
-        if (!a.empty() && a[0] == '-')
-            return usageError("unknown option '" + a + "'");
-        if (command.empty())
-            command = a;
-        else
-            files.push_back(a);
+    std::vector<cli::Option> options = {
+        {"limit", "N",
+         "dump: stop after N rows per file (0 = all, the default); diff: "
+         "print at most N divergence windows",
+         cli::storeCount(limit)},
+        {"csv", "PATH", "merge: output path for the pooled CSV",
+         cli::store(csv_path)},
+    };
+    cli::Parsed args = cli::parse(argc, argv, options);
+    if (!args.ok())
+        return usageError(args.error);
+    if (args.help) {
+        printHelp(options);
+        return 0;
+    }
+    std::string command;
+    std::vector<std::string> files = std::move(args.positional);
+    if (!files.empty()) {
+        command = files.front();
+        files.erase(files.begin());
     }
 
     if (command.empty())
-        return usageError("no command given (info, dump, merge or "
-                          "summarize)");
+        return usageError("no command given (info, dump, merge, "
+                          "summarize or diff)");
     if (files.empty())
         return usageError("no sample files given");
 

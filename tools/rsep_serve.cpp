@@ -13,9 +13,9 @@
 
 #include <csignal>
 #include <cstdio>
-#include <cstring>
+#include <iostream>
 
-#include "common/env.hh"
+#include "common/cli.hh"
 #include "common/fault.hh"
 #include "serve/server.hh"
 #include "sim/runner.hh"
@@ -26,44 +26,20 @@ using namespace rsep;
 namespace
 {
 
-int
-usage(int rc)
+void
+printHelp(const std::vector<cli::Option> &options)
 {
     std::printf(
         "usage: rsep_serve [options]\n"
         "Warm simulation daemon: serve driver runs over a Unix socket,\n"
         "amortizing startup, trace decode and caches across requests.\n"
-        "\noptions:\n"
-        "  --socket PATH       listen here (default: rsep_serve.sock).\n"
-        "                      A stale socket file left by a dead server\n"
-        "                      is replaced; a live one is an error\n"
-        "  --jobs N, -jN       worker threads shared by all requests\n"
-        "                      (0 = auto: RSEP_JOBS or the hardware\n"
-        "                      thread count)\n"
-        "  --cache-dir PATH    persistent per-cell result cache shared\n"
-        "                      by every request\n"
-        "  --trace-cache-mb N  bound the decoded-trace cache (LRU);\n"
-        "                      0 = unlimited (default 1024)\n"
-        "  --max-inflight-cells N\n"
-        "                      admission control: answer Busy (with a\n"
-        "                      retry-after hint) instead of queueing\n"
-        "                      when the server-wide in-flight cell\n"
-        "                      count would exceed N (0 = unlimited)\n"
-        "  --max-queue-depth N admission control: at most N Submit\n"
-        "                      requests in flight before new ones are\n"
-        "                      answered Busy (0 = unlimited)\n"
-        "  --idle-timeout SEC  reap connections idle longer than SEC\n"
-        "                      between requests (0 = never)\n"
-        "  --fault SPEC        arm deterministic fault injection\n"
-        "                      (testing; same grammar as RSEP_FAULT —\n"
-        "                      DESIGN.md §14)\n"
-        "  --quiet             no per-request progress on stderr\n"
-        "  --help, -h          show this help\n"
+        "\noptions:\n");
+    cli::printOptions(std::cout, options);
+    std::printf(
         "\nClients: any driver with --connect PATH, e.g.\n"
         "  bench_fig4_speedup --scenario-file sweep.scn --csv out.csv \\\n"
         "      --connect rsep_serve.sock\n"
         "Stop with SIGINT/SIGTERM; in-flight requests drain first.\n");
-    return rc;
 }
 
 } // namespace
@@ -74,103 +50,71 @@ main(int argc, char **argv)
     fault::initFromEnv();
     serve::ServeOptions opts;
 
-    for (int i = 1; i < argc; ++i) {
-        std::string a = argv[i];
-        auto valueOf = [&](const char *flag, std::string &value) -> int {
-            size_t n = std::strlen(flag);
-            if (a.compare(0, n, flag) != 0)
-                return 0;
-            if (a.size() == n) {
-                if (i + 1 >= argc)
-                    return -1;
-                value = argv[++i];
-                return 1;
-            }
-            if (a[n] != '=')
-                return 0;
-            value = a.substr(n + 1);
-            return 1;
-        };
+    std::vector<cli::Option> options = {
+        {"socket", "PATH",
+         "listen here (default: rsep_serve.sock). A stale socket file "
+         "left by a dead server is replaced; a live one is an error",
+         cli::store(opts.socketPath)},
+        {"jobs", "N",
+         "worker threads shared by all requests (0 = auto: RSEP_JOBS or "
+         "the hardware thread count)",
+         [&](const std::string &v) {
+             std::string err;
+             sim::parseJobsValue(v, opts.jobs, err);
+             return err;
+         },
+         'j'},
+        {"cache-dir", "PATH",
+         "persistent per-cell result cache shared by every request",
+         cli::store(opts.cacheDir)},
+        {"trace-cache-mb", "N",
+         "bound the decoded-trace cache (LRU); 0 = unlimited (default "
+         "1024)",
+         [](const std::string &v) {
+             u64 mb = 0;
+             std::string err = cli::parseCount(v, mb, 0, 1ull << 40);
+             wl::traceCache().setCapacityBytes(mb << 20);
+             return err;
+         }},
+        {"max-inflight-cells", "N",
+         "admission control: answer Busy (with a retry-after hint) "
+         "instead of queueing when the server-wide in-flight cell count "
+         "would exceed N (0 = unlimited)",
+         cli::storeCount(opts.maxInflightCells)},
+        {"max-queue-depth", "N",
+         "admission control: at most N Submit requests in flight before "
+         "new ones are answered Busy (0 = unlimited)",
+         cli::storeCount(opts.maxQueueDepth)},
+        {"idle-timeout", "SEC",
+         "reap connections idle longer than SEC between requests (0 = "
+         "never)",
+         cli::storeCount(opts.idleTimeoutSec)},
+        {"fault", "SPEC",
+         "arm deterministic fault injection (testing; same grammar as "
+         "RSEP_FAULT, DESIGN.md §14)",
+         [](const std::string &v) {
+             std::string err;
+             fault::armFromSpec(v, &err);
+             return err;
+         }},
+        {"quiet", nullptr, "no per-request progress on stderr",
+         [&](const std::string &) {
+             opts.progress = false;
+             return std::string();
+         }},
+    };
 
-        if (a == "--help" || a == "-h")
-            return usage(0);
-        if (a == "--quiet") {
-            opts.progress = false;
-            continue;
-        }
-        std::string value, err;
-        int hit;
-        if ((hit = valueOf("--socket", value)) != 0) {
-            if (hit < 0 || value.empty()) {
-                std::fprintf(stderr,
-                             "rsep_serve: --socket requires a path\n");
-                return 2;
-            }
-            opts.socketPath = value;
-            continue;
-        }
-        if ((hit = valueOf("--cache-dir", value)) != 0) {
-            if (hit < 0 || value.empty()) {
-                std::fprintf(stderr,
-                             "rsep_serve: --cache-dir requires a path\n");
-                return 2;
-            }
-            opts.cacheDir = value;
-            continue;
-        }
-        if ((hit = valueOf("--trace-cache-mb", value)) != 0) {
-            u64 mb = 0;
-            if (hit < 0 || !parseU64(value, mb) || mb > (1ull << 40)) {
-                std::fprintf(stderr,
-                             "rsep_serve: invalid --trace-cache-mb\n");
-                return 2;
-            }
-            wl::traceCache().setCapacityBytes(mb << 20);
-            continue;
-        }
-        if ((hit = valueOf("--max-inflight-cells", value)) != 0) {
-            if (hit < 0 || !parseU64(value, opts.maxInflightCells)) {
-                std::fprintf(stderr,
-                             "rsep_serve: invalid --max-inflight-cells\n");
-                return 2;
-            }
-            continue;
-        }
-        if ((hit = valueOf("--max-queue-depth", value)) != 0) {
-            if (hit < 0 || !parseU64(value, opts.maxQueueDepth)) {
-                std::fprintf(stderr,
-                             "rsep_serve: invalid --max-queue-depth\n");
-                return 2;
-            }
-            continue;
-        }
-        if ((hit = valueOf("--idle-timeout", value)) != 0) {
-            if (hit < 0 || !parseU64(value, opts.idleTimeoutSec)) {
-                std::fprintf(stderr,
-                             "rsep_serve: invalid --idle-timeout\n");
-                return 2;
-            }
-            continue;
-        }
-        if ((hit = valueOf("--fault", value)) != 0) {
-            if (hit < 0 || !fault::armFromSpec(value, &err)) {
-                std::fprintf(stderr, "rsep_serve: %s\n",
-                             hit < 0 ? "--fault requires a spec"
-                                     : err.c_str());
-                return 2;
-            }
-            continue;
-        }
-        if (sim::matchJobsArg(argc, argv, i, opts.jobs, err)) {
-            if (!err.empty()) {
-                std::fprintf(stderr, "rsep_serve: %s\n", err.c_str());
-                return 2;
-            }
-            continue;
-        }
-        std::fprintf(stderr, "rsep_serve: unknown option '%s'\n",
-                     a.c_str());
-        return usage(2);
+    cli::Parsed args = cli::parse(argc, argv, options);
+    if (args.help) {
+        printHelp(options);
+        return 0;
+    }
+    if (args.ok() && !args.positional.empty())
+        args.error = "unexpected argument '" + args.positional.front() + "'";
+    if (!args.ok()) {
+        std::fprintf(stderr, "rsep_serve: %s (try --help)\n",
+                     args.error.c_str());
+        return 2;
     }
 
     // Block the shutdown signals before the server spawns its threads

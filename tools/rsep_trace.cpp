@@ -17,10 +17,11 @@
 
 #include <chrono>
 #include <cstdio>
-#include <cstring>
+#include <iostream>
 #include <string>
 #include <vector>
 
+#include "common/cli.hh"
 #include "common/mmap_file.hh"
 #include "sim/scenario.hh"
 #include "wl/emulator.hh"
@@ -33,7 +34,7 @@ namespace
 using namespace rsep;
 
 void
-printHelp()
+printHelp(const std::vector<cli::Option> &options)
 {
     std::printf(
         "usage: rsep_trace COMMAND [options] FILE [FILE ...]\n"
@@ -45,21 +46,8 @@ printHelp()
         "                   the workload resolves in the registry)\n"
         "  validate         check version, header, checksum and record\n"
         "                   bounds; non-zero exit on any failure\n"
-        "\noptions:\n"
-        "  --limit N        dump: stop after N records (default 32,\n"
-        "                   0 = all)\n"
-        "  --bench-decode N info: time N full validating loads of each\n"
-        "                   trace (straight off the mmap'd bytes) and\n"
-        "                   report per-pass wall time and throughput —\n"
-        "                   the microbench behind the decoded-trace\n"
-        "                   cache's savings\n"
-        "  --deep           validate: re-run the functional emulator and\n"
-        "                   require a bit-exact record match\n"
-        "  --workload-file PATH\n"
-        "                   register a file's [workload] definitions so\n"
-        "                   traces of custom workloads resolve\n"
-        "                   (repeatable)\n"
-        "  --help, -h       show this help\n");
+        "\noptions:\n");
+    cli::printOptions(std::cout, options);
 }
 
 int
@@ -270,79 +258,44 @@ cmdValidate(const std::vector<std::string> &files, bool deep)
 int
 main(int argc, char **argv)
 {
-    std::string command;
-    std::vector<std::string> files;
     u64 limit = 32;
     u64 bench_decode = 0;
     bool deep = false;
 
-    for (int i = 1; i < argc; ++i) {
-        std::string a = argv[i];
-        if (a == "--help" || a == "-h") {
-            printHelp();
-            return 0;
-        }
-        if (a == "--deep") {
-            deep = true;
-            continue;
-        }
-        if (a == "--workload-file" || a.rfind("--workload-file=", 0) == 0) {
-            std::string path;
-            if (a == "--workload-file") {
-                if (i + 1 >= argc)
-                    return usageError("--workload-file requires a path");
-                path = argv[++i];
-            } else {
-                path = a.substr(16);
-            }
-            rsep::sim::ScenarioParse parsed =
-                rsep::sim::parseScenarioFile(path);
-            if (!parsed.ok()) {
-                std::fprintf(stderr, "rsep_trace: %s\n",
-                             parsed.error.c_str());
-                return 1;
-            }
-            for (const wl::WorkloadSpec &w : parsed.workloads)
-                wl::registerWorkload(w);
-            continue;
-        }
-        if (a == "--limit" || a.rfind("--limit=", 0) == 0) {
-            std::string value;
-            if (a == "--limit") {
-                if (i + 1 >= argc)
-                    return usageError("--limit requires a value");
-                value = argv[++i];
-            } else {
-                value = a.substr(8);
-            }
-            char *end = nullptr;
-            limit = std::strtoull(value.c_str(), &end, 10);
-            if (!end || *end != '\0' || value.empty())
-                return usageError("invalid --limit '" + value + "'");
-            continue;
-        }
-        if (a == "--bench-decode" || a.rfind("--bench-decode=", 0) == 0) {
-            std::string value;
-            if (a == "--bench-decode") {
-                if (i + 1 >= argc)
-                    return usageError("--bench-decode requires a value");
-                value = argv[++i];
-            } else {
-                value = a.substr(15);
-            }
-            char *end = nullptr;
-            bench_decode = std::strtoull(value.c_str(), &end, 10);
-            if (!end || *end != '\0' || value.empty() || bench_decode == 0)
-                return usageError("invalid --bench-decode '" + value +
-                                  "' (expected a pass count >= 1)");
-            continue;
-        }
-        if (!a.empty() && a[0] == '-')
-            return usageError("unknown option '" + a + "'");
-        if (command.empty())
-            command = a;
-        else
-            files.push_back(a);
+    std::vector<cli::Option> options = {
+        {"limit", "N", "dump: stop after N records (default 32, 0 = all)",
+         cli::storeCount(limit)},
+        {"bench-decode", "N",
+         "info: time N full validating loads of each trace (straight off "
+         "the mmap'd bytes) and report per-pass wall time and throughput "
+         "— the microbench behind the decoded-trace cache's savings",
+         cli::storeCount(bench_decode, 1)},
+        {"deep", nullptr,
+         "validate: re-run the functional emulator and require a "
+         "bit-exact record match",
+         cli::store(deep)},
+        {"workload-file", "PATH",
+         "register a file's [workload] definitions so traces of custom "
+         "workloads resolve (repeatable)",
+         [](const std::string &v) {
+             sim::ScenarioParse parsed = sim::parseScenarioFile(v);
+             for (const wl::WorkloadSpec &w : parsed.workloads)
+                 wl::registerWorkload(w);
+             return parsed.error;
+         }},
+    };
+    cli::Parsed args = cli::parse(argc, argv, options);
+    if (!args.ok())
+        return usageError(args.error);
+    if (args.help) {
+        printHelp(options);
+        return 0;
+    }
+    std::string command;
+    std::vector<std::string> files = std::move(args.positional);
+    if (!files.empty()) {
+        command = files.front();
+        files.erase(files.begin());
     }
 
     if (command.empty())
