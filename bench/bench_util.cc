@@ -25,10 +25,7 @@ printScenarioList(std::ostream &os)
 {
     os << "registered scenarios:\n";
     for (const sim::ScenarioInfo &info : sim::registeredScenarios()) {
-        os << "  " << info.name;
-        for (const std::string &alias : info.aliases)
-            os << " | " << alias;
-        os << "\n      " << info.description << "\n";
+        os << "  " << info.name << "\n      " << info.description << "\n";
     }
     os << "\nScenario files (--scenario-file) can define further arms; "
           "see DESIGN.md,\n\"Scenario files and stat export\", and "

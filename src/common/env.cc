@@ -2,6 +2,7 @@
 
 #include <cctype>
 #include <cerrno>
+#include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <limits>
@@ -131,7 +132,7 @@ envSet(const char *name)
 }
 
 u64
-envU64(const char *name, u64 def)
+envU64(const char *name, u64 def, u64 lo, u64 hi)
 {
     const char *v = std::getenv(name);
     if (!v || !*v)
@@ -140,6 +141,13 @@ envU64(const char *name, u64 def)
     if (!parseU64(v, out)) {
         rsep_warn("%s='%s' is not a valid unsigned integer; using %llu",
                   name, v, static_cast<unsigned long long>(def));
+        return def;
+    }
+    if (out < lo || out > hi) {
+        rsep_warn("%s='%s' is outside [%llu, %llu]; using %llu", name, v,
+                  static_cast<unsigned long long>(lo),
+                  static_cast<unsigned long long>(hi),
+                  static_cast<unsigned long long>(def));
         return def;
     }
     return out;
@@ -162,7 +170,13 @@ envDouble(const char *name, double def)
 double
 simScale()
 {
-    return envDouble("RSEP_SIM_SCALE", 1.0);
+    double scale = envDouble("RSEP_SIM_SCALE", 1.0);
+    if (std::isfinite(scale) && scale > 0.0)
+        return scale;
+    rsep_warn("RSEP_SIM_SCALE='%s' is not a positive finite number; "
+              "using 1",
+              std::getenv("RSEP_SIM_SCALE"));
+    return 1.0;
 }
 
 } // namespace rsep

@@ -41,16 +41,17 @@ bool envSet(const char *name);
 /**
  * Read an integer env var; return @p def when unset. A set-but-
  * malformed value (non-numeric, trailing garbage, negative, overflow)
- * warns once on stderr and returns @p def instead of being silently
- * ignored or truncated.
+ * or one outside [@p lo, @p hi] warns once on stderr and returns @p def
+ * instead of being silently ignored or truncated.
  */
-u64 envU64(const char *name, u64 def);
+u64 envU64(const char *name, u64 def, u64 lo = 0, u64 hi = ~u64{0});
 
 /** Read a floating-point env var; same malformed-value policy. */
 double envDouble(const char *name, double def);
 
 /**
- * Global simulation scale factor (RSEP_SIM_SCALE, default 1.0).
+ * Global simulation scale factor (RSEP_SIM_SCALE, default 1.0; a
+ * malformed, non-finite or non-positive value warns and gives 1.0).
  * SimConfig::applyEnv multiplies the warmup/measure windows by this;
  * nothing else scales a run.
  */

@@ -1,13 +1,11 @@
 #include "sim/scenario.hh"
 
-#include <cctype>
-#include <cstdio>
 #include <fstream>
-#include <functional>
-#include <limits>
 #include <sstream>
 
 #include "common/env.hh"
+#include "common/field_codec.hh"
+#include "common/fnv.hh"
 
 namespace rsep::sim
 {
@@ -17,112 +15,125 @@ namespace
 
 // ------------------------------------------------------------ registry
 
+/** One arm: the registered arm it starts from plus the fields it
+ *  changes. Its label is its name. */
 struct RegistryEntry
 {
     ScenarioInfo info;
-    std::function<SimConfig()> make;
+    const char *base; ///< registered arm; nullptr = the Table I core.
+    void (*edit)(SimConfig &);
 };
-
-SimConfig
-fig1Redundancy()
-{
-    // What bench_fig1_redundancy runs: the probe riding the baseline
-    // core with equality prediction on solely for the commit-group
-    // histogram.
-    SimConfig c = SimConfig::fig1Probe();
-    c.label = "fig1-redundancy";
-    c.mech.equalityPred = true;
-    c.mech.rsep = equality::RsepConfig::idealLarge();
-    return c;
-}
-
-SimConfig
-withZeroPred(SimConfig c, const char *label)
-{
-    c.label = label;
-    c.mech.zeroPred = true;
-    return c;
-}
-
-SimConfig
-rsepOracle()
-{
-    // Limit-study arm: perfect pair finding over the ideal-RSEP
-    // window. Composed like the rsep arm (move elimination on, large
-    // history bounding the oracle's visibility) but with the predictor
-    // replaced by the oracle and the ISRB widened so the sharing
-    // substrate does not clip the limit.
-    SimConfig c = SimConfig::baseline();
-    c.label = "rsep-oracle";
-    c.mech.moveElim = true;
-    c.mech.oracleEq = true;
-    c.mech.rsep = equality::RsepConfig::idealLarge();
-    c.mech.rsep.isrbEntries = 512;
-    return c;
-}
 
 const std::vector<RegistryEntry> &
 registry()
 {
+    using equality::RsepConfig;
     using equality::ValidationPolicy;
     static const std::vector<RegistryEntry> entries = {
-        {{"baseline", {}, "Table I core, zero-idiom elimination only"},
-         [] { return SimConfig::baseline(); }},
-        {{"zero-pred", {"zeroPredOnly"},
-          "baseline + Section III zero prediction"},
-         [] { return SimConfig::zeroPredOnly(); }},
-        {{"move-elim", {"moveElimOnly"}, "baseline + move elimination"},
-         [] { return SimConfig::moveElimOnly(); }},
-        {{"rsep", {"rsepIdeal"},
-          "RSEP: ideal validation, large history (Fig. 4 arm)"},
-         [] { return SimConfig::rsepIdeal(); }},
-        {{"vpred", {"vpOnly", "vp"}, "D-VTAGE value prediction (~256KB)"},
-         [] { return SimConfig::vpOnly(); }},
-        {{"rsep+vpred", {"rsepPlusVp"}, "RSEP and D-VTAGE combined"},
-         [] { return SimConfig::rsepPlusVp(); }},
-        {{"rsep-val-ideal", {"rsepValIdeal"},
-          "RSEP, free validation (Fig. 6 arm)"},
-         [] { return SimConfig::rsepValidation(ValidationPolicy::Ideal); }},
-        {{"rsep-val-2x-lock", {"rsepVal2xLock"},
+        {{"baseline", "Table I core, zero-idiom elimination only"}, nullptr,
+         [](SimConfig &) {}},
+        {{"zero-pred", "baseline + Section III zero prediction"}, "baseline",
+         [](SimConfig &c) { c.mech.zeroPred = true; }},
+        {{"move-elim", "baseline + move elimination"}, "baseline",
+         [](SimConfig &c) { c.mech.moveElim = true; }},
+        {{"rsep", "RSEP: ideal validation, large history (Fig. 4 arm)"},
+         "baseline",
+         [](SimConfig &c) {
+             c.mech.moveElim = true; // side effect of sharing (IV-H1).
+             c.mech.equalityPred = true;
+             c.mech.rsep = RsepConfig::idealLarge();
+         }},
+        {{"vpred", "D-VTAGE value prediction (~256KB)"}, "baseline",
+         [](SimConfig &c) { c.mech.valuePred = true; }},
+        {{"rsep+vpred", "RSEP and D-VTAGE combined"}, "rsep",
+         [](SimConfig &c) { c.mech.valuePred = true; }},
+        {{"rsep-val-ideal", "RSEP, free validation (Fig. 6 arm)"}, "rsep",
+         [](SimConfig &c) {
+             c.mech.rsep.validation = ValidationPolicy::Ideal;
+         }},
+        {{"rsep-val-2x-lock",
           "RSEP, re-issue validation locking the FU class (Fig. 6)"},
-         [] {
-             return SimConfig::rsepValidation(
-                 ValidationPolicy::Issue2xLockFu);
+         "rsep",
+         [](SimConfig &c) {
+             c.mech.rsep.validation = ValidationPolicy::Issue2xLockFu;
          }},
-        {{"rsep-val-2x-any", {"rsepVal2xAny"},
-          "RSEP, re-issue validation to any FU (Fig. 6)"},
-         [] {
-             return SimConfig::rsepValidation(
-                 ValidationPolicy::Issue2xAnyFu);
+        {{"rsep-val-2x-any", "RSEP, re-issue validation to any FU (Fig. 6)"},
+         "rsep",
+         [](SimConfig &c) {
+             c.mech.rsep.validation = ValidationPolicy::Issue2xAnyFu;
          }},
-        {{"rsep-val-2x-sample15", {"rsepSampling15"},
+        {{"rsep-val-2x-sample15",
           "RSEP, 2x-any validation + sampled training @15 (Fig. 6)"},
-         [] { return SimConfig::rsepSampling(15); }},
-        {{"rsep-val-2x-sample63", {"rsepSampling63"},
-          "RSEP, 2x-any validation + sampled training @63 (Fig. 6)"},
-         [] { return SimConfig::rsepSampling(63); }},
-        {{"rsep-realistic", {"rsepRealistic", "realistic"},
-          "the 10.8KB realistic RSEP implementation (Fig. 7)"},
-         [] { return SimConfig::rsepRealistic(); }},
-        {{"fig1-probe", {"fig1Probe"},
-          "baseline + Fig. 1 redundancy probe"},
-         [] { return SimConfig::fig1Probe(); }},
-        {{"fig1-redundancy", {},
-          "Fig. 1 probe incl. the commit-group histogram collector"},
-         [] { return fig1Redundancy(); }},
-        {{"rsep+zp", {}, "RSEP incl. zero-prediction bars (Fig. 5 arm)"},
-         [] { return withZeroPred(SimConfig::rsepIdeal(), "rsep+zp"); }},
-        {{"rsep+vpred+zp", {},
-          "RSEP + D-VTAGE incl. zero-prediction bars (Fig. 5 arm)"},
-         [] {
-             return withZeroPred(SimConfig::rsepPlusVp(), "rsep+vpred+zp");
+         "rsep-val-2x-any",
+         [](SimConfig &c) {
+             c.mech.rsep.sampling = true;
+             c.mech.rsep.startTrainThreshold = 15;
          }},
-        {{"rsep-oracle", {"rsepOracle", "oracle-eq"},
+        {{"rsep-val-2x-sample63",
+          "RSEP, 2x-any validation + sampled training @63 (Fig. 6)"},
+         "rsep-val-2x-any",
+         [](SimConfig &c) {
+             c.mech.rsep.sampling = true;
+             c.mech.rsep.startTrainThreshold = 63;
+         }},
+        {{"rsep-realistic",
+          "the 10.8KB realistic RSEP implementation (Fig. 7)"},
+         "baseline",
+         [](SimConfig &c) {
+             c.mech.moveElim = true;
+             c.mech.equalityPred = true;
+             c.mech.rsep = RsepConfig::realistic();
+         }},
+        {{"fig1-probe", "baseline + Fig. 1 redundancy probe"}, "baseline",
+         [](SimConfig &c) { c.mech.fig1Probe = true; }},
+        // What bench_fig1_redundancy runs: equality prediction rides
+        // the probe solely for the commit-group histogram.
+        {{"fig1-redundancy",
+          "Fig. 1 probe incl. the commit-group histogram collector"},
+         "fig1-probe",
+         [](SimConfig &c) {
+             c.mech.equalityPred = true;
+             c.mech.rsep = RsepConfig::idealLarge();
+         }},
+        {{"rsep+zp", "RSEP incl. zero-prediction bars (Fig. 5 arm)"}, "rsep",
+         [](SimConfig &c) { c.mech.zeroPred = true; }},
+        {{"rsep+vpred+zp",
+          "RSEP + D-VTAGE incl. zero-prediction bars (Fig. 5 arm)"},
+         "rsep+vpred", [](SimConfig &c) { c.mech.zeroPred = true; }},
+        // Limit study: the rsep arm's window with the predictor replaced
+        // by the oracle and the ISRB widened so the sharing substrate
+        // does not clip the limit.
+        {{"rsep-oracle",
           "oracle equality prediction: perfect pair finding, no "
           "validation (limit study)"},
-         [] { return rsepOracle(); }},
+         "baseline",
+         [](SimConfig &c) {
+             c.mech.moveElim = true;
+             c.mech.oracleEq = true;
+             c.mech.rsep = RsepConfig::idealLarge();
+             c.mech.rsep.isrbEntries = 512;
+         }},
     };
     return entries;
+}
+
+const RegistryEntry *
+findEntry(const std::string &name)
+{
+    for (const RegistryEntry &e : registry())
+        if (e.info.name == name)
+            return &e;
+    return nullptr;
+}
+
+/** @p e's fields over its base chain, unsized. */
+SimConfig
+buildArm(const RegistryEntry &e)
+{
+    SimConfig c = e.base ? buildArm(*findEntry(e.base)) : SimConfig{};
+    e.edit(c);
+    c.label = e.info.name;
+    return c;
 }
 
 // -------------------------------------------------- section dispatching
@@ -162,55 +173,6 @@ visitSection(SimConfig &cfg, const std::string &section, V &&v)
     return false;
 }
 
-// -------------------------------------------------------- emit visitor
-
-struct EmitVisitor
-{
-    std::ostringstream &os;
-
-    void
-    operator()(const char *key, bool &v) const
-    {
-        os << key << " = " << (v ? "true" : "false") << "\n";
-    }
-
-    void
-    operator()(const char *key, u32 &v) const
-    {
-        os << key << " = " << v << "\n";
-    }
-
-    void
-    operator()(const char *key, u64 &v) const
-    {
-        os << key << " = " << v << "\n";
-    }
-
-    void
-    operator()(const char *key, equality::ValidationPolicy &v) const
-    {
-        os << key << " = " << equality::validationPolicyName(v) << "\n";
-    }
-
-    void
-    operator()(const char *key, ConfidenceKind &v) const
-    {
-        os << key << " = " << equality::confidenceKindName(v) << "\n";
-    }
-
-    /** Array-valued keys (ITTAGE per-component geometry): a full-width
-     *  comma list, so the canonical form is unambiguous. */
-    void
-    operator()(const char *key,
-               std::array<unsigned, pred::maxItageComps> &v) const
-    {
-        os << key << " = ";
-        for (size_t i = 0; i < v.size(); ++i)
-            os << (i ? "," : "") << v[i];
-        os << "\n";
-    }
-};
-
 /** The canonical config body (no [scenario] header): the serializer's
  *  payload and the configHash input. */
 std::string
@@ -218,7 +180,7 @@ serializeBody(const SimConfig &cfg)
 {
     SimConfig copy = cfg; // visitFields takes mutable refs.
     std::ostringstream os;
-    EmitVisitor emit{os};
+    FieldWriter emit{os};
     for (const char *section : sectionNames) {
         os << "[" << section << "]\n";
         visitSection(copy, section, emit);
@@ -226,127 +188,22 @@ serializeBody(const SimConfig &cfg)
     return os.str();
 }
 
-// ------------------------------------------------------- apply visitor
-
-struct ApplyVisitor
-{
-    const std::string &key;
-    const std::string &value;
-    bool found = false;
-    std::string expected; ///< non-empty = type error, what was expected.
-
-    void
-    operator()(const char *k, bool &v)
-    {
-        if (key != k)
-            return;
-        found = true;
-        if (!parseBool(value, v))
-            expected = "a boolean (true/false)";
-    }
-
-    void
-    operator()(const char *k, u32 &v)
-    {
-        if (key != k)
-            return;
-        found = true;
-        u64 wide = 0;
-        if (!parseU64(value, wide) ||
-            wide > std::numeric_limits<u32>::max())
-            expected = "an unsigned 32-bit integer";
-        else
-            v = static_cast<u32>(wide);
-    }
-
-    void
-    operator()(const char *k, u64 &v)
-    {
-        if (key != k)
-            return;
-        found = true;
-        if (!parseU64(value, v))
-            expected = "an unsigned integer";
-    }
-
-    void
-    operator()(const char *k, equality::ValidationPolicy &v)
-    {
-        if (key != k)
-            return;
-        found = true;
-        using equality::ValidationPolicy;
-        for (ValidationPolicy p :
-             {ValidationPolicy::Ideal, ValidationPolicy::Issue2xLockFu,
-              ValidationPolicy::Issue2xAnyFu}) {
-            if (value == equality::validationPolicyName(p)) {
-                v = p;
-                return;
-            }
-        }
-        expected = "one of ideal|issue2x-lock-fu|issue2x-any-fu";
-    }
-
-    void
-    operator()(const char *k, ConfidenceKind &v)
-    {
-        if (key != k)
-            return;
-        found = true;
-        for (ConfidenceKind c :
-             {ConfidenceKind::Deterministic8, ConfidenceKind::Fpc3}) {
-            if (value == equality::confidenceKindName(c)) {
-                v = c;
-                return;
-            }
-        }
-        expected = "one of deterministic8|fpc3";
-    }
-
-    void
-    operator()(const char *k, std::array<unsigned, pred::maxItageComps> &v)
-    {
-        if (key != k)
-            return;
-        found = true;
-        const char *want =
-            "a comma list of up to 8 unsigned 32-bit integers";
-        std::array<unsigned, pred::maxItageComps> parsed{};
-        size_t n = 0;
-        std::istringstream is(value);
-        std::string item;
-        while (std::getline(is, item, ',')) {
-            u64 wide = 0;
-            if (n >= parsed.size() || !parseU64(trimmed(item), wide) ||
-                wide > std::numeric_limits<u32>::max()) {
-                expected = want;
-                return;
-            }
-            parsed[n++] = static_cast<unsigned>(wide);
-        }
-        if (n == 0) {
-            expected = want;
-            return;
-        }
-        v = parsed; // unspecified tail components are 0.
-    }
-};
-
 /** Apply key = value in @p section. Empty return = success. */
 std::string
 applySectionKey(SimConfig &cfg, const std::string &section,
                 const std::string &key, const std::string &value)
 {
-    ApplyVisitor apply{key, value, false, {}};
+    FieldReader apply{key, value, false, {}};
     if (!visitSection(cfg, section, apply))
         return "unknown section '[" + section + "]' (expected " +
                sectionList + ")";
-    if (!apply.found)
-        return "unknown key '" + key + "' in [" + section + "]";
-    if (!apply.expected.empty())
-        return "bad value '" + value + "' for " + section + "." + key +
-               " (expected " + apply.expected + ")";
-    return {};
+    std::string err =
+        apply.diagnostic("in [" + section + "]", section + "." + key);
+    if (err.empty() && section == "sim" && key == "checkpoints" &&
+        cfg.checkpoints == 0)
+        err = "bad value '" + value +
+              "' for sim.checkpoints (expected at least 1)";
+    return err;
 }
 
 } // namespace
@@ -366,14 +223,12 @@ registeredScenarios()
 std::optional<Scenario>
 findScenario(const std::string &name)
 {
-    for (const auto &e : registry()) {
-        bool hit = e.info.name == name;
-        for (const auto &alias : e.info.aliases)
-            hit = hit || alias == name;
-        if (hit)
-            return Scenario{e.info.name, e.make()};
-    }
-    return std::nullopt;
+    const RegistryEntry *e = findEntry(name);
+    if (!e)
+        return std::nullopt;
+    SimConfig c = buildArm(*e);
+    c.applyEnv();
+    return Scenario{name, c};
 }
 
 ScenarioParse
@@ -446,6 +301,10 @@ parseScenarioText(const std::string &text, const std::string &origin)
                 if (!err.empty())
                     return fail(lineno, err);
                 (section == "scenario" ? cur.open : curWl.open) = true;
+                // The arm's one sizing; `base =` replaces the config
+                // with a registry arm sized the same way.
+                if (section == "scenario")
+                    cur.sc.config.applyEnv();
             } else {
                 bool known = false;
                 for (const char *s : sectionNames)
@@ -598,16 +457,7 @@ configHash(const SimConfig &cfg)
 {
     // FNV-1a 64 over the canonical body: stable across runs, label-
     // independent, and sensitive to every covered field.
-    std::string body = serializeBody(cfg);
-    u64 h = 0xcbf29ce484222325ull;
-    for (unsigned char c : body) {
-        h ^= c;
-        h *= 0x100000001b3ull;
-    }
-    char buf[17];
-    std::snprintf(buf, sizeof(buf), "%016llx",
-                  static_cast<unsigned long long>(h));
-    return buf;
+    return hex64(fnv1a64(serializeBody(cfg)));
 }
 
 bool

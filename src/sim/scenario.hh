@@ -4,10 +4,12 @@
  * a text scenario format, so new arms and parameter sweeps need no
  * rebuild.
  *
- * A scenario is a named SimConfig. The built-in registry exposes every
- * factory arm (`SimConfig::baseline()`, `rsepIdeal()`, ...) under its
- * config label, with the old factory spelling as an alias. The text
- * format is `key = value` lines in sections:
+ * A scenario is a named SimConfig. The built-in registry is the only
+ * place the paper's arms are defined: each is a registered base arm
+ * plus the fields it changes, labelled with its name. Every arm,
+ * registered or read from a file, gets the one run sizing
+ * (SimConfig::applyEnv) exactly once. The text format is `key = value`
+ * lines in sections:
  *
  *     # comment (';' also starts a comment)
  *     [scenario]
@@ -25,8 +27,9 @@
  *
  * Each `[scenario]` header starts a new scenario, so one file can hold
  * a whole sweep. The key set per section is generated from the
- * `visitFields` introspection hooks on the config structs — parser,
- * serializer and config hash can never drift apart.
+ * `visitFields` introspection hooks on the config structs, walked by
+ * the one field codec (common/field_codec.hh) — parser, serializer and
+ * config hash can never drift apart.
  *
  * A file may also carry `[workload]` blocks — the workload axis of the
  * same idea (see wl/workload_spec.hh): define or override benchmarks
@@ -67,8 +70,7 @@ struct Scenario
 /** Registry metadata for --list-scenarios. */
 struct ScenarioInfo
 {
-    std::string name;                 ///< canonical (the config label).
-    std::vector<std::string> aliases; ///< e.g. the factory spelling.
+    std::string name; ///< also the config label.
     std::string description;
 };
 
@@ -76,9 +78,9 @@ struct ScenarioInfo
 const std::vector<ScenarioInfo> &registeredScenarios();
 
 /**
- * Look up a built-in scenario by canonical name or alias. The config
- * is built on demand (factories apply RSEP_* env overrides at call
- * time). Returns nullopt when unknown.
+ * Look up a built-in scenario by name. The config is built on demand,
+ * sized by the RSEP_* environment at call time. Returns nullopt when
+ * unknown.
  */
 std::optional<Scenario> findScenario(const std::string &name);
 

@@ -1,8 +1,11 @@
 #include "sim/sim_config.hh"
 
+#include <algorithm>
+#include <limits>
 #include <sstream>
 
 #include "common/env.hh"
+#include "common/logging.hh"
 
 namespace rsep::sim
 {
@@ -11,116 +14,18 @@ void
 SimConfig::applyEnv()
 {
     double scale = simScale();
+    // Windows past 2^64 instructions cannot run, and casting them
+    // would be undefined.
+    if (static_cast<double>(std::max(warmupInsts, measureInsts)) * scale >=
+        0x1p64) {
+        rsep_warn("RSEP_SIM_SCALE=%g overflows the run windows; using 1",
+                  scale);
+        scale = 1.0;
+    }
     warmupInsts = static_cast<u64>(warmupInsts * scale);
     measureInsts = static_cast<u64>(measureInsts * scale);
-    checkpoints = static_cast<u32>(
-        envU64("RSEP_CHECKPOINTS", checkpoints));
-}
-
-SimConfig
-SimConfig::baseline()
-{
-    SimConfig c;
-    c.label = "baseline";
-    c.mech = core::MechConfig{};
-    c.applyEnv();
-    return c;
-}
-
-SimConfig
-SimConfig::zeroPredOnly()
-{
-    SimConfig c = baseline();
-    c.label = "zero-pred";
-    c.mech.zeroPred = true;
-    return c;
-}
-
-SimConfig
-SimConfig::moveElimOnly()
-{
-    SimConfig c = baseline();
-    c.label = "move-elim";
-    c.mech.moveElim = true;
-    return c;
-}
-
-SimConfig
-SimConfig::rsepIdeal()
-{
-    SimConfig c = baseline();
-    c.label = "rsep";
-    c.mech.moveElim = true; // side effect of sharing (Section IV-H1).
-    c.mech.equalityPred = true;
-    c.mech.rsep = equality::RsepConfig::idealLarge();
-    return c;
-}
-
-SimConfig
-SimConfig::vpOnly()
-{
-    SimConfig c = baseline();
-    c.label = "vpred";
-    c.mech.valuePred = true;
-    return c;
-}
-
-SimConfig
-SimConfig::rsepPlusVp()
-{
-    SimConfig c = rsepIdeal();
-    c.label = "rsep+vpred";
-    c.mech.valuePred = true;
-    return c;
-}
-
-SimConfig
-SimConfig::rsepValidation(equality::ValidationPolicy policy, bool)
-{
-    SimConfig c = rsepIdeal();
-    switch (policy) {
-      case equality::ValidationPolicy::Ideal:
-        c.label = "rsep-val-ideal";
-        break;
-      case equality::ValidationPolicy::Issue2xLockFu:
-        c.label = "rsep-val-2x-lock";
-        break;
-      case equality::ValidationPolicy::Issue2xAnyFu:
-        c.label = "rsep-val-2x-any";
-        break;
-    }
-    c.mech.rsep.validation = policy;
-    return c;
-}
-
-SimConfig
-SimConfig::rsepSampling(u32 start_train_threshold)
-{
-    SimConfig c = rsepValidation(equality::ValidationPolicy::Issue2xAnyFu);
-    c.label = "rsep-val-2x-sample" + std::to_string(start_train_threshold);
-    c.mech.rsep.sampling = true;
-    c.mech.rsep.startTrainThreshold = start_train_threshold;
-    return c;
-}
-
-SimConfig
-SimConfig::rsepRealistic()
-{
-    SimConfig c = baseline();
-    c.label = "rsep-realistic";
-    c.mech.moveElim = true;
-    c.mech.equalityPred = true;
-    c.mech.rsep = equality::RsepConfig::realistic();
-    return c;
-}
-
-SimConfig
-SimConfig::fig1Probe()
-{
-    SimConfig c = baseline();
-    c.label = "fig1-probe";
-    c.mech.fig1Probe = true;
-    return c;
+    checkpoints = static_cast<u32>(envU64(
+        "RSEP_CHECKPOINTS", checkpoints, 1, std::numeric_limits<u32>::max()));
 }
 
 std::string

@@ -1,7 +1,8 @@
 /**
  * @file
- * Top-level simulation configuration: Table I core defaults plus the
- * mechanism arms evaluated in the paper's figures.
+ * Top-level simulation configuration: Table I core defaults and the
+ * run sizing. The paper's arms are built from it by the scenario
+ * registry (sim/scenario.hh).
  */
 
 #ifndef RSEP_SIM_SIM_CONFIG_HH
@@ -29,31 +30,13 @@ struct SimConfig
     u32 checkpoints = 2;        ///< paper: 10 (RSEP_CHECKPOINTS env).
     u64 seed = 0x5eed;
 
-    /** Apply RSEP_SIM_SCALE / RSEP_CHECKPOINTS env overrides: the only
-     *  scaling of a run's size (the registry factories call it). */
+    /**
+     * Scale the run size by RSEP_SIM_SCALE (both windows) and
+     * RSEP_CHECKPOINTS; malformed or unusable values warn and leave the
+     * default. The scenario layer calls this once per arm, registry or
+     * file, before any `[sim]` key applies: the only scaling of a run.
+     */
     void applyEnv();
-
-    // ------------------------- Fig. 4 arms -------------------------
-    static SimConfig baseline();
-    static SimConfig zeroPredOnly();
-    static SimConfig moveElimOnly();
-    /** RSEP arm: ideal validation, large history, move elim included. */
-    static SimConfig rsepIdeal();
-    static SimConfig vpOnly();
-    static SimConfig rsepPlusVp();
-
-    // ------------------------- Fig. 6 arms -------------------------
-    static SimConfig rsepValidation(equality::ValidationPolicy policy,
-                                    bool lock_fu_label = false);
-    static SimConfig rsepSampling(u32 start_train_threshold);
-
-    // ------------------------- Fig. 7 arms -------------------------
-    /** Realistic RSEP: 10.1KB predictor, 128-entry FIFO, 24-entry
-     *  ISRB, sampling @63, issue-2x-any-FU validation. */
-    static SimConfig rsepRealistic();
-
-    /** Fig. 1 probe configuration (baseline + redundancy probe). */
-    static SimConfig fig1Probe();
 };
 
 /**

@@ -1,15 +1,12 @@
 #include "wl/workload_spec.hh"
 
-#include <cstdio>
-#include <limits>
 #include <map>
 #include <mutex>
 #include <sstream>
 #include <utility>
 
-#include "common/env.hh"
+#include "common/field_codec.hh"
 #include "common/fnv.hh"
-#include "common/logging.hh"
 
 namespace rsep::wl
 {
@@ -74,91 +71,6 @@ defaultParamsByIndex(WorkloadParams &out, size_t idx,
     return hit;
 }
 
-// --------------------------------------------------------- field visitors
-
-/** Canonical `key = value` emission (see the scenario serializer). */
-struct ParamEmit
-{
-    std::ostringstream &os;
-
-    void
-    operator()(const char *key, bool &v) const
-    {
-        os << key << " = " << (v ? "true" : "false") << "\n";
-    }
-
-    void
-    operator()(const char *key, u32 &v) const
-    {
-        os << key << " = " << v << "\n";
-    }
-
-    void
-    operator()(const char *key, u64 &v) const
-    {
-        os << key << " = " << v << "\n";
-    }
-
-    void
-    operator()(const char *key, s64 &v) const
-    {
-        os << key << " = " << v << "\n";
-    }
-};
-
-/** Apply `key = value` to the visited fields (type-checked). */
-struct ParamApply
-{
-    const std::string &key;
-    const std::string &value;
-    bool found = false;
-    std::string expected; ///< non-empty = type error.
-
-    void
-    operator()(const char *k, bool &v)
-    {
-        if (key != k)
-            return;
-        found = true;
-        if (!parseBool(value, v))
-            expected = "a boolean (true/false)";
-    }
-
-    void
-    operator()(const char *k, u32 &v)
-    {
-        if (key != k)
-            return;
-        found = true;
-        u64 wide = 0;
-        if (!parseU64(value, wide) ||
-            wide > std::numeric_limits<u32>::max())
-            expected = "an unsigned 32-bit integer";
-        else
-            v = static_cast<u32>(wide);
-    }
-
-    void
-    operator()(const char *k, u64 &v)
-    {
-        if (key != k)
-            return;
-        found = true;
-        if (!parseU64(value, v))
-            expected = "an unsigned integer";
-    }
-
-    void
-    operator()(const char *k, s64 &v)
-    {
-        if (key != k)
-            return;
-        found = true;
-        if (!parseS64(value, v))
-            expected = "a signed integer";
-    }
-};
-
 /** The hash/serializer payload: archetype plus every param field. */
 std::string
 serializeWorkloadBody(const WorkloadSpec &spec)
@@ -166,7 +78,7 @@ serializeWorkloadBody(const WorkloadSpec &spec)
     WorkloadSpec copy = spec; // visitFields takes mutable refs.
     std::ostringstream os;
     os << "archetype = " << archetypeName(copy.params) << "\n";
-    ParamEmit emit{os};
+    FieldWriter emit{os};
     visitParamFields(copy, emit);
     return os.str();
 }
@@ -229,21 +141,13 @@ bool
 applyWorkloadKey(WorkloadSpec &spec, const std::string &key,
                  const std::string &value, std::string *err)
 {
-    ParamApply apply{key, value, false, {}};
+    FieldReader apply{key, value, false, {}};
     visitParamFields(spec, apply);
-    if (!apply.found) {
-        if (err)
-            *err = "unknown key '" + key + "' for archetype '" +
-                   archetypeName(spec.params) + "'";
-        return false;
-    }
-    if (!apply.expected.empty()) {
-        if (err)
-            *err = "bad value '" + value + "' for " + key + " (expected " +
-                   apply.expected + ")";
-        return false;
-    }
-    return true;
+    std::string msg = apply.diagnostic(
+        "for archetype '" + archetypeName(spec.params) + "'", key);
+    if (!msg.empty() && err)
+        *err = msg;
+    return msg.empty();
 }
 
 std::string
@@ -259,11 +163,7 @@ serializeWorkload(const WorkloadSpec &spec)
 std::string
 workloadHash(const WorkloadSpec &spec)
 {
-    char buf[17];
-    std::snprintf(buf, sizeof(buf), "%016llx",
-                  static_cast<unsigned long long>(
-                      fnv1a64(serializeWorkloadBody(spec))));
-    return buf;
+    return hex64(fnv1a64(serializeWorkloadBody(spec)));
 }
 
 std::string

@@ -258,7 +258,7 @@ TEST(CacheGc, LiveHashesFromScenarioSetMatchRealRecords)
     // scenario; records under a perturbed config do not.
     std::string dir = scratchDir("scn");
     ResultCache cache(dir);
-    SimConfig live_cfg = SimConfig::rsepIdeal();
+    SimConfig live_cfg = findScenario("rsep")->config;
     SimConfig dead_cfg = live_cfg;
     dead_cfg.checkpoints += 1;
     std::string live = storeCell(cache, "mcf", configHash(live_cfg), 0);

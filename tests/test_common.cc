@@ -295,6 +295,17 @@ TEST(Env, MalformedValuesWarnAndFallBack)
     unsetenv("RSEP_TEST_ENV_X");
 }
 
+TEST(Env, OutOfRangeValuesWarnAndFallBack)
+{
+    setenv("RSEP_TEST_ENV_X", "0", 1);
+    EXPECT_EQ(envU64("RSEP_TEST_ENV_X", 17, 1, 100), 17u);
+    setenv("RSEP_TEST_ENV_X", "101", 1);
+    EXPECT_EQ(envU64("RSEP_TEST_ENV_X", 17, 1, 100), 17u);
+    setenv("RSEP_TEST_ENV_X", "100", 1);
+    EXPECT_EQ(envU64("RSEP_TEST_ENV_X", 17, 1, 100), 100u);
+    unsetenv("RSEP_TEST_ENV_X");
+}
+
 TEST(Env, EnvSet)
 {
     unsetenv("RSEP_TEST_ENV_X");

@@ -385,7 +385,8 @@ shrunk(sim::SimConfig c)
 std::vector<sim::Scenario>
 smokeScenarios()
 {
-    sim::Scenario base{"t-base", shrunk(sim::SimConfig::baseline())};
+    sim::Scenario base{"t-base",
+                       shrunk(sim::findScenario("baseline")->config)};
     base.config.label = "t-base";
     return {base};
 }
@@ -418,7 +419,7 @@ void
 expectServable(const std::string &sock)
 {
     std::vector<sim::Scenario> scenarios = {
-        {"t-base", shrunk(sim::SimConfig::baseline())}};
+        {"t-base", shrunk(sim::findScenario("baseline")->config)}};
     scenarios[0].config.label = "t-base";
     scenarios[0].config.checkpoints = 1;
     ClientOptions copts;

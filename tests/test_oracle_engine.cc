@@ -47,9 +47,9 @@ TEST(OracleEq, RegisteredScenarioEnablesTheEngine)
     EXPECT_FALSE(sc->config.mech.equalityPred)
         << "the oracle replaces the predictor, not rides beside it";
     EXPECT_TRUE(sc->config.mech.moveElim);
-    // Factory-name and short aliases resolve too.
-    EXPECT_TRUE(findScenario("rsepOracle").has_value());
-    EXPECT_TRUE(findScenario("oracle-eq").has_value());
+    // The registry has one spelling per arm: no aliases.
+    EXPECT_FALSE(findScenario("rsepOracle").has_value());
+    EXPECT_FALSE(findScenario("oracle-eq").has_value());
 }
 
 TEST(OracleEq, SharesWithoutEverMispredicting)

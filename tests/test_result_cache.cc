@@ -96,7 +96,7 @@ expectSamePhase(const PhaseResult &a, const PhaseResult &b)
 
 TEST(ResultCache, RecordRoundTripIsExact)
 {
-    SimConfig cfg = shrunk(SimConfig::rsepIdeal());
+    SimConfig cfg = shrunk(findScenario("rsep")->config);
     PhaseResult pr = runPhase(cfg, "hmmer", 0);
     CacheKey key{"hmmer", configHash(cfg), 0, cfg.seed};
 
@@ -115,7 +115,7 @@ TEST(ResultCache, HitMissAndKeyEcho)
     ResultCache cache(tmp.path);
     ASSERT_TRUE(cache.enabled());
 
-    SimConfig cfg = shrunk(SimConfig::baseline());
+    SimConfig cfg = shrunk(findScenario("baseline")->config);
     PhaseResult pr = runPhase(cfg, "mcf", 0);
     CacheKey key{"mcf", configHash(cfg), 0, cfg.seed};
 
@@ -151,7 +151,7 @@ TEST(ResultCache, CorruptionQuarantines)
     TempDir tmp;
     ResultCache cache(tmp.path);
 
-    SimConfig cfg = shrunk(SimConfig::baseline());
+    SimConfig cfg = shrunk(findScenario("baseline")->config);
     PhaseResult pr = runPhase(cfg, "hmmer", 1);
     CacheKey key{"hmmer", configHash(cfg), 1, cfg.seed};
     std::string path = cache.cellPath(key);
@@ -216,7 +216,7 @@ TEST(ResultCache, PreviousVersionRecordIsQuarantined)
     TempDir tmp;
     ResultCache cache(tmp.path);
 
-    SimConfig cfg = shrunk(SimConfig::baseline());
+    SimConfig cfg = shrunk(findScenario("baseline")->config);
     PhaseResult pr = runPhase(cfg, "mcf", 0);
     CacheKey key{"mcf", configHash(cfg), 0, cfg.seed};
 
@@ -255,7 +255,7 @@ TEST(ResultCache, InjectedStoreFaultsFailCleanOrQuarantine)
     TempDir tmp;
     ResultCache cache(tmp.path);
 
-    SimConfig cfg = shrunk(SimConfig::baseline());
+    SimConfig cfg = shrunk(findScenario("baseline")->config);
     PhaseResult pr = runPhase(cfg, "mcf", 0);
     CacheKey key{"mcf", configHash(cfg), 0, cfg.seed};
     std::string path = cache.cellPath(key);
@@ -340,8 +340,8 @@ TEST(ResultCache, ConcurrentStoresOfOneCellNeverTear)
 TEST(ResultCache, WarmMatrixSimulatesNothingAndMatchesCold)
 {
     TempDir tmp;
-    std::vector<SimConfig> configs = {shrunk(SimConfig::baseline()),
-                                      shrunk(SimConfig::rsepIdeal())};
+    std::vector<SimConfig> configs = {shrunk(findScenario("baseline")->config),
+                                      shrunk(findScenario("rsep")->config)};
     std::vector<std::string> benches = {"hmmer", "mcf"};
 
     MatrixOptions opts;

@@ -13,6 +13,7 @@
 
 #include "common/cli.hh"
 #include "sim/runner.hh"
+#include "sim/scenario.hh"
 #include "sim/thread_pool.hh"
 
 namespace rsep::sim
@@ -69,8 +70,9 @@ expectIdentical(const std::vector<MatrixRow> &a,
 
 TEST(RunnerParallel, MatrixIsThreadCountInvariant)
 {
-    std::vector<SimConfig> configs = {shrunk(SimConfig::baseline()),
-                                      shrunk(SimConfig::rsepRealistic())};
+    std::vector<SimConfig> configs = {
+        shrunk(findScenario("baseline")->config),
+        shrunk(findScenario("rsep-realistic")->config)};
     std::vector<std::string> benches = {"namd", "hmmer", "mcf"};
 
     MatrixOptions serial;
@@ -87,7 +89,7 @@ TEST(RunnerParallel, MatrixIsThreadCountInvariant)
 
 TEST(RunnerParallel, MatrixMatchesSerialRunWorkload)
 {
-    SimConfig cfg = shrunk(SimConfig::rsepRealistic());
+    SimConfig cfg = shrunk(findScenario("rsep-realistic")->config);
     MatrixOptions wide;
     wide.jobs = 3;
     wide.progress = false;

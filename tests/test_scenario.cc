@@ -1,16 +1,17 @@
 /**
  * @file
- * Scenario-layer tests: the registry must reproduce the old factory
- * configs exactly, the text format must round-trip losslessly through
- * parse -> serialize -> parse, diagnostics must name the offending
- * line, and the config hash must be stable, label-independent and
- * field-sensitive.
+ * Scenario-layer tests: the registry's arms must keep their pinned
+ * config hashes, every arm must get the one run sizing, the text
+ * format must round-trip losslessly through parse -> serialize ->
+ * parse, diagnostics must name the offending line, and the config hash
+ * must be stable, label-independent and field-sensitive.
  */
 
 #include <gtest/gtest.h>
 
 #include <array>
 #include <cstdlib>
+#include <utility>
 
 #include "sim/scenario.hh"
 
@@ -27,40 +28,42 @@ expectSameConfig(const SimConfig &a, const SimConfig &b)
     EXPECT_EQ(a.label, b.label);
 }
 
-TEST(ScenarioRegistry, MatchesFactoryFunctions)
+TEST(ScenarioRegistry, ConfigHashesArePinned)
 {
-    // Pin the registry to the retired hard-coded factories: every
-    // registered arm must be bit-for-bit the config the old
-    // SimConfig::* factory produced.
-    auto baseline = findScenario("baseline");
-    ASSERT_TRUE(baseline.has_value());
-    expectSameConfig(baseline->config, SimConfig::baseline());
-
-    auto rsep = findScenario("rsepIdeal"); // factory-name alias.
-    ASSERT_TRUE(rsep.has_value());
-    EXPECT_EQ(rsep->name, "rsep");
-    expectSameConfig(rsep->config, SimConfig::rsepIdeal());
-    expectSameConfig(findScenario("rsep")->config, SimConfig::rsepIdeal());
-
-    expectSameConfig(findScenario("zero-pred")->config,
-                     SimConfig::zeroPredOnly());
-    expectSameConfig(findScenario("move-elim")->config,
-                     SimConfig::moveElimOnly());
-    expectSameConfig(findScenario("vpred")->config, SimConfig::vpOnly());
-    expectSameConfig(findScenario("rsep+vpred")->config,
-                     SimConfig::rsepPlusVp());
-    expectSameConfig(findScenario("rsep-realistic")->config,
-                     SimConfig::rsepRealistic());
-    expectSameConfig(
-        findScenario("rsep-val-2x-any")->config,
-        SimConfig::rsepValidation(equality::ValidationPolicy::Issue2xAnyFu));
-    expectSameConfig(findScenario("rsep-val-2x-sample63")->config,
-                     SimConfig::rsepSampling(63));
-    expectSameConfig(findScenario("fig1-probe")->config,
-                     SimConfig::fig1Probe());
-
+    // The default-sizing config hash of every registered arm, in
+    // registry order. These are the result-cache and golden-dump keys:
+    // redefining an arm must not move them.
+    unsetenv("RSEP_SIM_SCALE");
+    unsetenv("RSEP_CHECKPOINTS");
+    const std::pair<const char *, const char *> pinned[] = {
+        {"baseline", "484afae92e03fccc"},
+        {"zero-pred", "928e3342cd00b81b"},
+        {"move-elim", "73432508a7793df3"},
+        {"rsep", "506bf8c4045d635c"},
+        {"vpred", "f2e763f8e241b5c9"},
+        {"rsep+vpred", "1c42f249efcb7a0b"},
+        {"rsep-val-ideal", "506bf8c4045d635c"},
+        {"rsep-val-2x-lock", "a73bb1e2ddcd756e"},
+        {"rsep-val-2x-any", "4add9c6d305e94af"},
+        {"rsep-val-2x-sample15", "b9f5d9ee965177bb"},
+        {"rsep-val-2x-sample63", "da4f1206f8fe867c"},
+        {"rsep-realistic", "0a25cf0ab2949985"},
+        {"fig1-probe", "d338c35b97044a67"},
+        {"fig1-redundancy", "ab84f00e6a91a5a8"},
+        {"rsep+zp", "ef1ca2b6658ad8ed"},
+        {"rsep+vpred+zp", "3cd9524fd0782a40"},
+        {"rsep-oracle", "0a4a5e4edf282a4a"},
+    };
+    const std::vector<ScenarioInfo> &infos = registeredScenarios();
+    ASSERT_EQ(infos.size(), std::size(pinned));
+    for (size_t i = 0; i < infos.size(); ++i) {
+        EXPECT_EQ(infos[i].name, pinned[i].first);
+        auto sc = findScenario(pinned[i].first);
+        ASSERT_TRUE(sc.has_value()) << pinned[i].first;
+        EXPECT_EQ(configHash(sc->config), pinned[i].second)
+            << pinned[i].first;
+    }
     EXPECT_FALSE(findScenario("no-such-arm").has_value());
-    EXPECT_FALSE(registeredScenarios().empty());
 }
 
 TEST(ScenarioFormat, ParseSerializeParseRoundTrip)
@@ -185,6 +188,18 @@ TEST(ScenarioFormat, Diagnostics)
               std::string::npos);
     EXPECT_NE(errorOf("# only a comment\n").find("no [scenario]"),
               std::string::npos);
+    // A run of no checkpoints cannot run: rejected where it is written,
+    // in a file and through the dotted-key face alike.
+    EXPECT_NE(errorOf("[scenario]\nname = x\nbase = rsep\n[sim]\n"
+                      "checkpoints = 0\n")
+                  .find("t.scn:5: bad value '0' for sim.checkpoints "
+                        "(expected at least 1)"),
+              std::string::npos);
+    SimConfig cfg;
+    std::string err;
+    EXPECT_FALSE(applyScenarioKey(cfg, "sim.checkpoints", "0", &err));
+    EXPECT_EQ(cfg.checkpoints, 0u) << "the dotted face reports, not hides";
+    EXPECT_NE(err.find("expected at least 1"), std::string::npos);
     // 'base' is a [scenario]-section key: written after a field
     // section (where it could clobber overrides) it is rejected.
     EXPECT_NE(errorOf("[scenario]\nname = x\n[sim]\ncheckpoints = 9\n"
@@ -206,16 +221,44 @@ TEST(ScenarioFormat, ScenariosAreIndependent)
     EXPECT_NE(p.scenarios[1].config.checkpoints, 9u);
     expectSameConfig(p.scenarios[1].config,
                      [] {
-                         SimConfig c = SimConfig::baseline();
+                         SimConfig c = findScenario("baseline")->config;
                          c.label = "y";
                          return c;
                      }());
 }
 
+TEST(ScenarioFormat, EveryArmIsSizedOnce)
+{
+    // The one run sizing reaches every arm exactly once: a registry
+    // arm, a file arm with `base =` and a file arm without one. A
+    // file's [sim] keys then override the sized values verbatim.
+    setenv("RSEP_SIM_SCALE", "0.01", 1);
+    setenv("RSEP_CHECKPOINTS", "1", 1);
+    SimConfig registered = findScenario("baseline")->config;
+    ScenarioParse p = parseScenarioText(
+        "[scenario]\nname = baseline\n"
+        "[scenario]\nname = based\nbase = baseline\n"
+        "[scenario]\nname = fixed\n[sim]\nmeasure_insts = 5000\n");
+    unsetenv("RSEP_SIM_SCALE");
+    unsetenv("RSEP_CHECKPOINTS");
+    ASSERT_TRUE(p.ok()) << p.error;
+    ASSERT_EQ(p.scenarios.size(), 3u);
+
+    EXPECT_EQ(registered.warmupInsts, 320u);
+    EXPECT_EQ(registered.measureInsts, 1600u);
+    EXPECT_EQ(registered.checkpoints, 1u);
+    EXPECT_EQ(configHash(registered), "603a4fdd6d55a787");
+    expectSameConfig(p.scenarios[0].config, registered);
+    EXPECT_EQ(configHash(p.scenarios[1].config), configHash(registered));
+    EXPECT_EQ(p.scenarios[2].config.warmupInsts, 320u);
+    EXPECT_EQ(p.scenarios[2].config.measureInsts, 5000u);
+    EXPECT_EQ(p.scenarios[2].config.checkpoints, 1u);
+}
+
 TEST(ScenarioHash, StableLabelIndependentFieldSensitive)
 {
-    SimConfig a = SimConfig::rsepIdeal();
-    SimConfig b = SimConfig::rsepIdeal();
+    SimConfig a = findScenario("rsep")->config;
+    SimConfig b = findScenario("rsep")->config;
     EXPECT_EQ(configHash(a), configHash(b));
     EXPECT_EQ(configHash(a).size(), 16u);
 
@@ -225,7 +268,7 @@ TEST(ScenarioHash, StableLabelIndependentFieldSensitive)
     b.mech.rsep.historyDepth += 1;
     EXPECT_NE(configHash(a), configHash(b));
 
-    SimConfig c = SimConfig::rsepIdeal();
+    SimConfig c = findScenario("rsep")->config;
     c.checkpoints += 1;
     EXPECT_NE(configHash(a), configHash(c))
         << "run sizing is part of the result-cache key";
@@ -233,7 +276,7 @@ TEST(ScenarioHash, StableLabelIndependentFieldSensitive)
 
 TEST(ScenarioOverrides, DottedKeysDriveTheSweepDrivers)
 {
-    SimConfig cfg = SimConfig::rsepIdeal();
+    SimConfig cfg = findScenario("rsep")->config;
     std::string err;
     EXPECT_TRUE(applyScenarioKey(cfg, "rsep.history_depth", "64", &err))
         << err;
@@ -294,7 +337,7 @@ TEST(ScenarioFormat, VpSectionDrivesDvtageGeometry)
               vp.itage.histLens);
 
     // Dotted overrides reach the section too (the sweep-driver face).
-    SimConfig cfg = SimConfig::vpOnly();
+    SimConfig cfg = findScenario("vpred")->config;
     std::string err;
     EXPECT_TRUE(applyScenarioKey(cfg, "vp.itage_hist_lens", "3,6", &err))
         << err;
@@ -334,6 +377,7 @@ TEST(ScenarioFormat, RegistryScenariosSerializeLosslessly)
                                             "roundtrip:" + info.name);
         ASSERT_TRUE(p.ok()) << p.error;
         ASSERT_EQ(p.scenarios.size(), 1u);
+        EXPECT_EQ(sc->config.label, info.name) << "label is the name";
         EXPECT_EQ(p.scenarios[0].name, sc->name);
         expectSameConfig(p.scenarios[0].config, sc->config);
     }

@@ -80,9 +80,11 @@ shrunk(sim::SimConfig c)
 std::vector<sim::Scenario>
 smokeScenarios()
 {
-    sim::Scenario base{"t-base", shrunk(sim::SimConfig::baseline())};
+    sim::Scenario base{"t-base",
+                       shrunk(sim::findScenario("baseline")->config)};
     base.config.label = "t-base";
-    sim::Scenario rsep{"t-rsep", shrunk(sim::SimConfig::rsepRealistic())};
+    sim::Scenario rsep{"t-rsep",
+                       shrunk(sim::findScenario("rsep-realistic")->config)};
     rsep.config.label = "t-rsep";
     return {base, rsep};
 }
@@ -125,7 +127,7 @@ void
 expectServable(const std::string &sock)
 {
     std::vector<sim::Scenario> scenarios = {
-        {"t-base", shrunk(sim::SimConfig::baseline())}};
+        {"t-base", shrunk(sim::findScenario("baseline")->config)}};
     scenarios[0].config.label = "t-base";
     scenarios[0].config.checkpoints = 1;
     ClientOptions copts;
@@ -437,7 +439,7 @@ TEST_F(ServeTest, BadRequestKeepsConnectionUsable)
     // An unknown benchmark is a request-level error: Error frame, but
     // the connection survives for the next submit.
     std::vector<sim::Scenario> scenarios = {
-        {"t-base", shrunk(sim::SimConfig::baseline())}};
+        {"t-base", shrunk(sim::findScenario("baseline")->config)}};
     scenarios[0].config.label = "t-base";
     scenarios[0].config.checkpoints = 1;
     SubmitRequest bad;
@@ -448,6 +450,18 @@ TEST_F(ServeTest, BadRequestKeepsConnectionUsable)
     ASSERT_TRUE(readFrame(fd, reply, &err)) << err;
     ASSERT_EQ(reply.type, FrameType::Error);
     EXPECT_NE(reply.payload.find("no-such-benchmark"), std::string::npos);
+
+    // A run size that cannot run fails the same parse the drivers use.
+    SubmitRequest zero;
+    zero.benchmarks = {"mcf"};
+    zero.scnText = "[scenario]\nname = t-zero\n[sim]\ncheckpoints = 0\n";
+    ASSERT_TRUE(
+        writeFrame(fd, FrameType::Submit, serializeSubmit(zero), &err));
+    ASSERT_TRUE(readFrame(fd, reply, &err)) << err;
+    ASSERT_EQ(reply.type, FrameType::Error);
+    EXPECT_NE(reply.payload.find(":4: bad value '0' for sim.checkpoints"),
+              std::string::npos)
+        << reply.payload;
 
     // Same connection, now a valid request: one cell + Done.
     SubmitRequest good = bad;
@@ -478,7 +492,7 @@ TEST_F(ServeTest, SuiteNameOverrideRejected)
     ASSERT_EQ(reply.type, FrameType::Hello);
 
     std::vector<sim::Scenario> scenarios = {
-        {"t-base", shrunk(sim::SimConfig::baseline())}};
+        {"t-base", shrunk(sim::findScenario("baseline")->config)}};
     scenarios[0].config.label = "t-base";
     SubmitRequest sub;
     sub.benchmarks = {"mcf"};

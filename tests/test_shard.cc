@@ -60,9 +60,9 @@ TEST(Shard, ParseShardValue)
 
 TEST(Shard, PartitionIsDisjointAndComplete)
 {
-    std::vector<SimConfig> configs = {shrunk(SimConfig::baseline()),
-                                      shrunk(SimConfig::rsepIdeal()),
-                                      shrunk(SimConfig::vpOnly())};
+    std::vector<SimConfig> configs = {shrunk(findScenario("baseline")->config),
+                                      shrunk(findScenario("rsep")->config),
+                                      shrunk(findScenario("vpred")->config)};
     std::vector<std::string> benches = {"hmmer", "mcf", "namd", "astar",
                                         "bzip2", "gcc", "omnetpp"};
 
@@ -101,8 +101,8 @@ TEST(Shard, PartitionIsDisjointAndComplete)
 
 TEST(Shard, AssignmentIsStableUnderScenarioAdditions)
 {
-    std::vector<SimConfig> configs = {shrunk(SimConfig::baseline()),
-                                      shrunk(SimConfig::rsepIdeal())};
+    std::vector<SimConfig> configs = {shrunk(findScenario("baseline")->config),
+                                      shrunk(findScenario("rsep")->config)};
     std::vector<std::string> benches = {"hmmer", "mcf", "namd", "astar"};
 
     constexpr unsigned count = 4;
@@ -112,8 +112,8 @@ TEST(Shard, AssignmentIsStableUnderScenarioAdditions)
 
     // Grow the matrix: new scenarios AND new benchmarks.
     std::vector<SimConfig> more = configs;
-    more.push_back(shrunk(SimConfig::rsepRealistic()));
-    more.push_back(shrunk(SimConfig::vpOnly()));
+    more.push_back(shrunk(findScenario("rsep-realistic")->config));
+    more.push_back(shrunk(findScenario("vpred")->config));
     std::vector<std::string> more_benches = benches;
     more_benches.push_back("omnetpp");
 
@@ -138,8 +138,8 @@ TEST(Shard, AssignmentIsStableUnderScenarioAdditions)
 
 TEST(Shard, ShardedMatrixRunsExactlyItsSlice)
 {
-    std::vector<SimConfig> configs = {shrunk(SimConfig::baseline()),
-                                      shrunk(SimConfig::rsepIdeal())};
+    std::vector<SimConfig> configs = {shrunk(findScenario("baseline")->config),
+                                      shrunk(findScenario("rsep")->config)};
     std::vector<std::string> benches = {"hmmer", "mcf", "namd"};
 
     MatrixOptions base;

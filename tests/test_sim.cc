@@ -5,6 +5,7 @@
 #include <sstream>
 
 #include "sim/runner.hh"
+#include "sim/scenario.hh"
 
 namespace rsep::sim
 {
@@ -13,12 +14,12 @@ namespace
 
 TEST(SimConfig, Fig4ArmToggles)
 {
-    EXPECT_FALSE(SimConfig::baseline().mech.equalityPred);
-    EXPECT_TRUE(SimConfig::baseline().mech.zeroIdiomElim);
-    EXPECT_TRUE(SimConfig::zeroPredOnly().mech.zeroPred);
-    EXPECT_TRUE(SimConfig::moveElimOnly().mech.moveElim);
+    EXPECT_FALSE(findScenario("baseline")->config.mech.equalityPred);
+    EXPECT_TRUE(findScenario("baseline")->config.mech.zeroIdiomElim);
+    EXPECT_TRUE(findScenario("zero-pred")->config.mech.zeroPred);
+    EXPECT_TRUE(findScenario("move-elim")->config.mech.moveElim);
 
-    SimConfig rsep = SimConfig::rsepIdeal();
+    SimConfig rsep = findScenario("rsep")->config;
     EXPECT_TRUE(rsep.mech.equalityPred);
     EXPECT_TRUE(rsep.mech.moveElim); // side effect of sharing (IV-H1).
     EXPECT_FALSE(rsep.mech.valuePred);
@@ -26,14 +27,14 @@ TEST(SimConfig, Fig4ArmToggles)
               equality::ValidationPolicy::Ideal);
     EXPECT_GT(rsep.mech.rsep.historyDepth, 192u); // >> ROB.
 
-    SimConfig both = SimConfig::rsepPlusVp();
+    SimConfig both = findScenario("rsep+vpred")->config;
     EXPECT_TRUE(both.mech.equalityPred);
     EXPECT_TRUE(both.mech.valuePred);
 }
 
 TEST(SimConfig, RealisticMatchesPaperSection6B)
 {
-    SimConfig c = SimConfig::rsepRealistic();
+    SimConfig c = findScenario("rsep-realistic")->config;
     EXPECT_FALSE(c.mech.rsep.idealPredictor);
     EXPECT_EQ(c.mech.rsep.historyDepth, 128u);
     EXPECT_EQ(c.mech.rsep.isrbEntries, 24u);
@@ -45,18 +46,16 @@ TEST(SimConfig, RealisticMatchesPaperSection6B)
 
 TEST(SimConfig, ValidationAndSamplingArms)
 {
-    EXPECT_EQ(SimConfig::rsepValidation(
-                  equality::ValidationPolicy::Issue2xLockFu)
-                  .mech.rsep.validation,
+    EXPECT_EQ(findScenario("rsep-val-2x-lock")->config.mech.rsep.validation,
               equality::ValidationPolicy::Issue2xLockFu);
-    SimConfig s15 = SimConfig::rsepSampling(15);
+    SimConfig s15 = findScenario("rsep-val-2x-sample15")->config;
     EXPECT_TRUE(s15.mech.rsep.sampling);
     EXPECT_EQ(s15.mech.rsep.startTrainThreshold, 15u);
 }
 
 TEST(SimConfig, Table1Description)
 {
-    std::string t = describeTable1(SimConfig::baseline());
+    std::string t = describeTable1(findScenario("baseline")->config);
     EXPECT_NE(t.find("192-entry ROB"), std::string::npos);
     EXPECT_NE(t.find("60-entry IQ"), std::string::npos);
     EXPECT_NE(t.find("72/48-entry LQ/SQ"), std::string::npos);
@@ -69,17 +68,33 @@ TEST(SimConfig, EnvScaling)
 {
     setenv("RSEP_SIM_SCALE", "0.5", 1);
     setenv("RSEP_CHECKPOINTS", "2", 1);
-    SimConfig c = SimConfig::baseline();
+    SimConfig c = findScenario("baseline")->config;
     EXPECT_EQ(c.warmupInsts, 16000u);
     EXPECT_EQ(c.measureInsts, 80000u);
     EXPECT_EQ(c.checkpoints, 2u);
+    setenv("RSEP_CHECKPOINTS", "4294967295", 1);
+    EXPECT_EQ(findScenario("baseline")->config.checkpoints, 4294967295u);
+
+    // Sizes that cannot run warn and keep the default sizing instead
+    // of casting to a huge, zero or undefined window.
+    unsetenv("RSEP_CHECKPOINTS");
+    for (const char *bad : {"-1", "0", "nan", "inf", "-inf", "x", "1e300"}) {
+        setenv("RSEP_SIM_SCALE", bad, 1);
+        SimConfig d = findScenario("baseline")->config;
+        EXPECT_EQ(d.warmupInsts, 32000u) << bad;
+        EXPECT_EQ(d.measureInsts, 160000u) << bad;
+    }
     unsetenv("RSEP_SIM_SCALE");
+    for (const char *bad : {"0", "4294967296", "-1"}) {
+        setenv("RSEP_CHECKPOINTS", bad, 1);
+        EXPECT_EQ(findScenario("baseline")->config.checkpoints, 2u) << bad;
+    }
     unsetenv("RSEP_CHECKPOINTS");
 }
 
 TEST(Runner, RunWorkloadProducesPhases)
 {
-    SimConfig c = SimConfig::baseline();
+    SimConfig c = findScenario("baseline")->config;
     c.warmupInsts = 2000;
     c.measureInsts = 8000;
     c.checkpoints = 3;
@@ -95,7 +110,7 @@ TEST(Runner, RunWorkloadProducesPhases)
 
 TEST(Runner, SpeedupPct)
 {
-    SimConfig c = SimConfig::baseline();
+    SimConfig c = findScenario("baseline")->config;
     c.warmupInsts = 1000;
     c.measureInsts = 4000;
     c.checkpoints = 1;
@@ -105,11 +120,11 @@ TEST(Runner, SpeedupPct)
 
 TEST(Runner, MatrixAndTables)
 {
-    SimConfig base = SimConfig::baseline();
+    SimConfig base = findScenario("baseline")->config;
     base.warmupInsts = 1000;
     base.measureInsts = 4000;
     base.checkpoints = 1;
-    SimConfig rsep = SimConfig::rsepIdeal();
+    SimConfig rsep = findScenario("rsep")->config;
     rsep.warmupInsts = 1000;
     rsep.measureInsts = 4000;
     rsep.checkpoints = 1;

@@ -9,11 +9,12 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "core/pipeline.hh"
-#include "sim/sim_config.hh"
+#include "sim/scenario.hh"
 #include "sim/simulator.hh"
 #include "wl/suite.hh"
 
@@ -202,16 +203,12 @@ pinned(SimConfig c)
 SimConfig
 armByLabel(const std::string &label)
 {
-    if (label == "baseline")
-        return pinned(SimConfig::baseline());
-    if (label == "rsep")
-        return pinned(SimConfig::rsepIdeal());
-    if (label == "vpred")
-        return pinned(SimConfig::vpOnly());
-    if (label == "rsep+vpred")
-        return pinned(SimConfig::rsepPlusVp());
-    ADD_FAILURE() << "unknown golden arm " << label;
-    return pinned(SimConfig::baseline());
+    std::optional<sim::Scenario> sc = sim::findScenario(label);
+    if (!sc) {
+        ADD_FAILURE() << "unknown golden arm " << label;
+        sc = sim::findScenario("baseline");
+    }
+    return pinned(sc->config);
 }
 
 TEST(SpecEngineGolden, RefactoredPipelineMatchesSeedCounters)

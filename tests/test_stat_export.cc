@@ -40,8 +40,8 @@ tinyMatrix()
 {
     static const TinyMatrix m = [] {
         TinyMatrix t;
-        t.configs = {shrunk(SimConfig::baseline()),
-                     shrunk(SimConfig::rsepIdeal())};
+        t.configs = {shrunk(findScenario("baseline")->config),
+                     shrunk(findScenario("rsep")->config)};
         MatrixOptions opts;
         opts.jobs = 2;
         opts.progress = false;

@@ -45,8 +45,8 @@ fixture()
 {
     static const Fixture f = [] {
         Fixture t;
-        t.configs = {shrunk(SimConfig::baseline()),
-                     shrunk(SimConfig::rsepIdeal())};
+        t.configs = {shrunk(findScenario("baseline")->config),
+                     shrunk(findScenario("rsep")->config)};
         t.benches = {"hmmer", "mcf", "namd"};
         MatrixOptions opts;
         opts.jobs = 2;

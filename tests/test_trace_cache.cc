@@ -449,7 +449,7 @@ TEST(DecodedTraceCache, ConcurrentColdLookupsDecodeOnce)
 sim::SimConfig
 tinyConfig(const char *label_base)
 {
-    sim::SimConfig cfg = sim::SimConfig::rsepIdeal();
+    sim::SimConfig cfg = sim::findScenario("rsep")->config;
     cfg.label = label_base;
     cfg.warmupInsts = 1'000;
     cfg.measureInsts = 3'000;
@@ -463,7 +463,7 @@ TEST(TraceCacheMatrix, CellsShareOneDecodePerTrace)
     std::string dir = scratchDir("matrix_share");
     sim::SimConfig base = tinyConfig("cache-a");
     sim::SimConfig other = tinyConfig("cache-b");
-    other.mech = sim::SimConfig::vpOnly().mech;
+    other.mech = sim::findScenario("vpred")->config.mech;
     std::vector<sim::SimConfig> configs = {base, other};
     std::vector<std::string> benches = {"gobmk", "sjeng"};
 

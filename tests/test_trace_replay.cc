@@ -258,7 +258,7 @@ TEST(TraceIo, V2CutsRealTraceSizeSeveralFold)
 sim::SimConfig
 tinyConfig()
 {
-    sim::SimConfig cfg = sim::SimConfig::rsepIdeal();
+    sim::SimConfig cfg = sim::findScenario("rsep")->config;
     cfg.warmupInsts = 2'000;
     cfg.measureInsts = 6'000;
     cfg.checkpoints = 2;
@@ -304,7 +304,7 @@ TEST(TraceReplay, RunPhaseReplayReproducesLiveBitForBit)
     // A different mechanism arm replays the same trace (record once,
     // replay many) and still matches its own live run.
     sim::SimConfig vp = tinyConfig();
-    vp.mech = sim::SimConfig::vpOnly().mech;
+    vp.mech = sim::findScenario("vpred")->config.mech;
     sim::PhaseResult vp_live = sim::runPhase(vp, "mcf", 1);
     sim::PhaseResult vp_rep = sim::runPhase(vp, "mcf", 1, replay);
     expectSamePhase(vp_live, vp_rep);
@@ -349,8 +349,9 @@ TEST(TraceReplay, ReplayEqualsLiveAcrossTheSuite)
     // live, drop every cached trace, replay, and require the same stat
     // records cell for cell.
     std::string dir = scratchDir("suite");
-    std::vector<sim::SimConfig> configs = {sim::SimConfig::baseline(),
-                                           sim::SimConfig::rsepPlusVp()};
+    std::vector<sim::SimConfig> configs = {
+        sim::findScenario("baseline")->config,
+        sim::findScenario("rsep+vpred")->config};
     for (sim::SimConfig &cfg : configs) {
         cfg.warmupInsts = 500;
         cfg.measureInsts = 2'000;
