@@ -7,12 +7,13 @@
 namespace rsep::core
 {
 
-DvtageEngine::DvtageEngine(const pred::DvtageParams &params, u64 seed)
+DvtageEngine::DvtageEngine(PipelineStats &st,
+                           const pred::DvtageParams &params, u64 seed)
     : SpeculationEngine("dvtage"), vp(params, seed)
 {
-    registerStat("predicted", &predicted);
-    registerStat("correct", &correct);
-    registerStat("mispredicts", &mispredicts);
+    registerStat("predicted", &predicted, sampleCoverage);
+    registerStat("correct", &st.vpCorrect, sampleCorrect);
+    registerStat("mispredicts", &st.vpMispredicts, sampleMispredict);
 }
 
 bool
@@ -42,8 +43,6 @@ DvtageEngine::atCommitHead(InflightInst &di, EngineContext &ctx)
     // result to its register) and squashes everything younger,
     // including not-yet-renamed fetches.
     ++ctx.st.vpMispredicts;
-    ++mispredicts;
-    ++ctx.st.commitSquashes;
     return CommitVerdict::CommitThenSquash;
 }
 
@@ -53,7 +52,6 @@ DvtageEngine::atCommit(InflightInst &di, EngineContext &ctx)
     if (di.action == RenameAction::ValuePredicted) {
         ++(di.isLoad() ? ctx.st.valuePredLoad : ctx.st.valuePredOther);
         ++ctx.st.vpCorrect;
-        ++correct;
     }
     if (di.vpLk.valid)
         vp.commit(di.vpLk, di.rec.result);

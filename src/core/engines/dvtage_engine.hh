@@ -19,7 +19,8 @@ namespace rsep::core
 class DvtageEngine : public SpeculationEngine
 {
   public:
-    DvtageEngine(const pred::DvtageParams &params, u64 seed);
+    DvtageEngine(PipelineStats &st, const pred::DvtageParams &params,
+                 u64 seed);
 
     bool atRename(InflightInst &di, bool handled,
                   EngineContext &ctx) override;
@@ -30,15 +31,7 @@ class DvtageEngine : public SpeculationEngine
 
     pred::Dvtage &predictor() { return vp; }
 
-    EngineSample
-    sampleStats() const override
-    {
-        return {predicted.value(), correct.value(), mispredicts.value()};
-    }
-
-    StatCounter predicted;   ///< rename-time confident predictions.
-    StatCounter correct;     ///< committed value-predicted instructions.
-    StatCounter mispredicts; ///< commit-time value mispredictions.
+    StatCounter predicted; ///< rename-time confident predictions.
 
   private:
     pred::Dvtage vp;

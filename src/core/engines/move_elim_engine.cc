@@ -5,9 +5,10 @@
 namespace rsep::core
 {
 
-MoveElimEngine::MoveElimEngine() : SpeculationEngine("move-elim")
+MoveElimEngine::MoveElimEngine(PipelineStats &st)
+    : SpeculationEngine("move-elim")
 {
-    registerStat("eliminated", &eliminated);
+    registerStat("eliminated", &st.moveElim, sampleCoverage);
     registerStat("shareFailures", &shareFailures);
 }
 
@@ -40,7 +41,6 @@ MoveElimEngine::atCommit(InflightInst &di, EngineContext &ctx)
     if (di.action != RenameAction::MoveElim)
         return;
     ++ctx.st.moveElim;
-    ++eliminated;
 }
 
 void

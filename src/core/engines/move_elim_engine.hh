@@ -18,7 +18,7 @@ namespace rsep::core
 class MoveElimEngine : public SpeculationEngine
 {
   public:
-    MoveElimEngine();
+    explicit MoveElimEngine(PipelineStats &st);
 
     bool atRename(InflightInst &di, bool handled,
                   EngineContext &ctx) override;
@@ -26,13 +26,6 @@ class MoveElimEngine : public SpeculationEngine
     void atCommit(InflightInst &di, EngineContext &ctx) override;
     void atSquashInst(InflightInst &di, EngineContext &ctx) override;
 
-    EngineSample
-    sampleStats() const override
-    {
-        return {eliminated.value(), 0, 0};
-    }
-
-    StatCounter eliminated;    ///< committed move eliminations.
     StatCounter shareFailures; ///< moves kept because the ISRB refused.
 };
 

@@ -7,13 +7,16 @@
 namespace rsep::core
 {
 
-OracleEqEngine::OracleEqEngine(unsigned lookback)
+OracleEqEngine::OracleEqEngine(PipelineStats &st, unsigned lookback)
     : SpeculationEngine("oracle-eq"), window(lookback)
 {
-    registerStat("shared", &shared);
+    // The Fig. 5 counters the real engine books into (a registered
+    // arm runs one of the two): the oracle never speculates wrong, so
+    // every sharing is covered and correct.
+    registerStat("shared", &st.rsepCorrect, sampleCoverage | sampleCorrect);
     registerStat("sharedWithZero", &sharedWithZero);
-    registerStat("shareFailIsrb", &shareFailIsrb);
-    registerStat("noPartner", &noPartner);
+    registerStat("shareFailIsrb", &st.shareFailIsrb);
+    registerStat("noPartner", &st.shareFailNoProducer);
 }
 
 bool
@@ -52,7 +55,6 @@ OracleEqEngine::atRename(InflightInst &di, bool handled, EngineContext &ctx)
                     // The substrate, not the oracle, is the limit
                     // here; keep scanning for an older copy of the
                     // value whose ISRB entry still has room.
-                    ++shareFailIsrb;
                     ++ctx.st.shareFailIsrb;
                     continue;
                 }
@@ -68,7 +70,6 @@ OracleEqEngine::atRename(InflightInst &di, bool handled, EngineContext &ctx)
                 return true;
             }
         }
-        ++noPartner;
         ++ctx.st.shareFailNoProducer;
         return false;
     }
@@ -88,7 +89,6 @@ OracleEqEngine::atRename(InflightInst &di, bool handled, EngineContext &ctx)
 
         PhysReg preg = prod->destPreg;
         if (preg != zeroPreg && !ctx.pipe.isrb().share(preg)) {
-            ++shareFailIsrb;
             ++ctx.st.shareFailIsrb;
             continue;
         }
@@ -99,7 +99,6 @@ OracleEqEngine::atRename(InflightInst &di, bool handled, EngineContext &ctx)
         di.needsValidation = false;
         return true;
     }
-    ++noPartner;
     ++ctx.st.shareFailNoProducer;
     return false;
 }
@@ -113,7 +112,6 @@ OracleEqEngine::atCommit(InflightInst &di, EngineContext &ctx)
     // so the coverage reports work unchanged for the limit arm.
     ++(di.isLoad() ? ctx.st.distPredLoad : ctx.st.distPredOther);
     ++ctx.st.rsepCorrect;
-    ++shared;
     if (di.destPreg == zeroPreg)
         ++sharedWithZero;
 }

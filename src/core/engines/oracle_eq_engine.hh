@@ -30,24 +30,14 @@ class OracleEqEngine : public SpeculationEngine
     /** @p lookback bounds the scan to that many older in-flight
      *  producers (the FIFO history's unit); 0 means "the whole ROB"
      *  (the scan always stops at the ROB head either way). */
-    explicit OracleEqEngine(unsigned lookback = 0);
+    explicit OracleEqEngine(PipelineStats &st, unsigned lookback = 0);
 
     bool atRename(InflightInst &di, bool handled,
                   EngineContext &ctx) override;
     void atCommit(InflightInst &di, EngineContext &ctx) override;
     void atSquashInst(InflightInst &di, EngineContext &ctx) override;
 
-    /** The oracle never speculates wrong: every sharing is correct. */
-    EngineSample
-    sampleStats() const override
-    {
-        return {shared.value(), shared.value(), 0};
-    }
-
-    StatCounter shared;          ///< committed oracle sharings.
-    StatCounter sharedWithZero;  ///< ... of which via the zero register.
-    StatCounter shareFailIsrb;   ///< partner found, ISRB refused.
-    StatCounter noPartner;       ///< no equal value in the window.
+    StatCounter sharedWithZero; ///< committed sharings via the zero reg.
 
   private:
     unsigned window; ///< 0 = ROB-bounded only.

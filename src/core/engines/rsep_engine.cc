@@ -7,19 +7,21 @@
 namespace rsep::core
 {
 
-RsepEngine::RsepEngine(const equality::RsepConfig &rsep_cfg,
+RsepEngine::RsepEngine(PipelineStats &st,
+                       const equality::RsepConfig &rsep_cfg,
                        unsigned total_pregs, u64 seed)
     : SpeculationEngine("rsep"), cfg(rsep_cfg),
       distPred(cfg.distParams(), seed),
       fifo(cfg.historyDepth), ddtUnit(cfg.ddtEntries),
       hrfUnit(total_pregs, cfg.hashBits)
 {
-    registerStat("shared", &shared);
-    registerStat("mispredicts", &mispredicts);
-    registerStat("likelyCandidates", &likelyCandidates);
-    registerStat("shareFailNoProducer", &shareFailNoProducer);
-    registerStat("shareFailIsrb", &shareFailIsrb);
-    registerStat("hashFalsePositives", &hashFalsePositives);
+    registerStat("shared", &st.rsepCorrect, sampleCoverage | sampleCorrect);
+    registerStat("mispredicts", &st.rsepMispredicts,
+                 sampleCoverage | sampleMispredict);
+    registerStat("likelyCandidates", &st.likelyCandidates);
+    registerStat("shareFailNoProducer", &st.shareFailNoProducer);
+    registerStat("shareFailIsrb", &st.shareFailIsrb);
+    registerStat("hashFalsePositives", &st.hashFalsePositives);
 }
 
 // ---------------------------------------------------------------- rename
@@ -35,7 +37,6 @@ RsepEngine::tryEqualityPredict(InflightInst &di, EngineContext &ctx)
     InflightInst *prod = ctx.pipe.findBySeq(di.traceIdx - dist);
     if (!prod || !prod->producesReg || prod->destPreg == invalidPhysReg) {
         ++ctx.st.shareFailNoProducer;
-        ++shareFailNoProducer;
         return false;
     }
     PhysReg preg = prod->destPreg;
@@ -51,7 +52,6 @@ RsepEngine::tryEqualityPredict(InflightInst &di, EngineContext &ctx)
     }
     if (!ctx.pipe.isrb().share(preg)) {
         ++ctx.st.shareFailIsrb;
-        ++shareFailIsrb;
         return false;
     }
     di.action = RenameAction::RsepShared;
@@ -78,7 +78,6 @@ RsepEngine::resolveLikelyCandidate(InflightInst &di, EngineContext &ctx)
     di.candidatePartnerValue = prod->rec.result;
     di.needsValidation = true;
     ++ctx.st.likelyCandidates;
-    ++likelyCandidates;
 }
 
 bool
@@ -127,8 +126,6 @@ RsepEngine::atCommitHead(InflightInst &di, EngineContext &ctx)
         di.rec.result == di.shareProducerValue)
         return CommitVerdict::Proceed;
     ++ctx.st.rsepMispredicts;
-    ++mispredicts;
-    ++ctx.st.commitSquashes;
     distPred.trainIncorrect(di.distLk);
     return CommitVerdict::SquashRefetch;
 }
@@ -140,7 +137,6 @@ RsepEngine::atCommit(InflightInst &di, EngineContext &ctx)
     if (di.action == RenameAction::RsepShared) {
         ++(di.isLoad() ? ctx.st.distPredLoad : ctx.st.distPredOther);
         ++ctx.st.rsepCorrect;
-        ++shared;
         if (di.vpLk.valid && di.vpLk.confident)
             ++ctx.st.rsepVpOverlap;
     }
@@ -174,10 +170,8 @@ RsepEngine::atCommit(InflightInst &di, EngineContext &ctx)
                       hash);
         if (cfg.useDdt) {
             if (auto m = ddtUnit.accessAndUpdate(hash, csn, di.traceIdx)) {
-                if (m->producerValue != di.rec.result) {
+                if (m->producerValue != di.rec.result)
                     ++ctx.st.hashFalsePositives;
-                    ++hashFalsePositives;
-                }
                 if (!di.likelyCandidate &&
                     di.action != RenameAction::RsepShared && di.distLk.valid)
                     distPred.train(di.distLk, m->distance);
@@ -223,10 +217,8 @@ RsepEngine::atCommitGroupEnd(unsigned producers_this_cycle,
             probe.distLk.distance != 0)
             pdist = probe.distLk.distance;
         if (auto m = fifo.match(probe.hash, probe.csn, pdist)) {
-            if (m->producerValue != probe.result) {
+            if (m->producerValue != probe.result)
                 ++ctx.st.hashFalsePositives;
-                ++hashFalsePositives;
-            }
             distPred.train(probe.distLk, m->distance);
         } else {
             distPred.train(probe.distLk, 0);

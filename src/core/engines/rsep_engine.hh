@@ -30,8 +30,8 @@ namespace rsep::core
 class RsepEngine : public SpeculationEngine
 {
   public:
-    RsepEngine(const equality::RsepConfig &rsep_cfg, unsigned total_pregs,
-               u64 seed);
+    RsepEngine(PipelineStats &st, const equality::RsepConfig &rsep_cfg,
+               unsigned total_pregs, u64 seed);
 
     bool atRename(InflightInst &di, bool handled,
                   EngineContext &ctx) override;
@@ -49,20 +49,6 @@ class RsepEngine : public SpeculationEngine
     equality::FifoHistory &fifoHistory() { return fifo; }
     equality::Ddt &ddt() { return ddtUnit; }
     equality::HashRegisterFile &hrf() { return hrfUnit; }
-
-    EngineSample
-    sampleStats() const override
-    {
-        return {shared.value() + mispredicts.value(), shared.value(),
-                mispredicts.value()};
-    }
-
-    StatCounter shared;      ///< committed correct register sharings.
-    StatCounter mispredicts; ///< commit-time equality mispredictions.
-    StatCounter likelyCandidates;
-    StatCounter shareFailNoProducer;
-    StatCounter shareFailIsrb;
-    StatCounter hashFalsePositives;
 
   private:
     bool tryEqualityPredict(InflightInst &di, EngineContext &ctx);

@@ -5,9 +5,10 @@
 namespace rsep::core
 {
 
-ZeroIdiomEngine::ZeroIdiomEngine() : SpeculationEngine("zero-idiom")
+ZeroIdiomEngine::ZeroIdiomEngine(PipelineStats &st)
+    : SpeculationEngine("zero-idiom")
 {
-    registerStat("eliminated", &eliminated);
+    registerStat("eliminated", &st.zeroIdiomElim, sampleCoverage);
 }
 
 bool
@@ -34,7 +35,6 @@ ZeroIdiomEngine::atCommit(InflightInst &di, EngineContext &ctx)
     if (di.action != RenameAction::ZeroIdiom)
         return;
     ++ctx.st.zeroIdiomElim;
-    ++eliminated;
 }
 
 } // namespace rsep::core

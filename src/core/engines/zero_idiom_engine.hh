@@ -17,20 +17,12 @@ namespace rsep::core
 class ZeroIdiomEngine : public SpeculationEngine
 {
   public:
-    ZeroIdiomEngine();
+    explicit ZeroIdiomEngine(PipelineStats &st);
 
     bool atRename(InflightInst &di, bool handled,
                   EngineContext &ctx) override;
     bool mayElideExecution(const isa::StaticInst &si) const override;
     void atCommit(InflightInst &di, EngineContext &ctx) override;
-
-    EngineSample
-    sampleStats() const override
-    {
-        return {eliminated.value(), 0, 0};
-    }
-
-    StatCounter eliminated; ///< committed zero-idiom eliminations.
 };
 
 } // namespace rsep::core

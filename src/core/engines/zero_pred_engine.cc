@@ -5,12 +5,13 @@
 namespace rsep::core
 {
 
-ZeroPredEngine::ZeroPredEngine(unsigned entries, ConfidenceKind kind)
+ZeroPredEngine::ZeroPredEngine(PipelineStats &st, unsigned entries,
+                               ConfidenceKind kind)
     : SpeculationEngine("zero-pred"), zp(entries, kind)
 {
-    registerStat("predictions", &predictions);
-    registerStat("correct", &correct);
-    registerStat("mispredicts", &mispredicts);
+    registerStat("predictions", &predictions, sampleCoverage);
+    registerStat("correct", &st.zeroCorrect, sampleCorrect);
+    registerStat("mispredicts", &st.zeroMispredicts, sampleMispredict);
 }
 
 bool
@@ -26,7 +27,6 @@ ZeroPredEngine::atRename(InflightInst &di, bool handled, EngineContext &)
     di.action = RenameAction::ZeroPredicted;
     di.destPreg = zeroPreg;
     di.needsValidation = true;
-    ++zp.predictions;
     ++predictions;
     return true;
 }
@@ -37,9 +37,6 @@ ZeroPredEngine::atCommitHead(InflightInst &di, EngineContext &ctx)
     if (di.action != RenameAction::ZeroPredicted || di.rec.result == 0)
         return CommitVerdict::Proceed;
     ++ctx.st.zeroMispredicts;
-    ++zp.mispredictions;
-    ++mispredicts;
-    ++ctx.st.commitSquashes;
     zp.update(di.pc, false, &ctx.rng);
     return CommitVerdict::SquashRefetch;
 }
@@ -50,7 +47,6 @@ ZeroPredEngine::atCommit(InflightInst &di, EngineContext &ctx)
     if (di.action == RenameAction::ZeroPredicted) {
         ++(di.isLoad() ? ctx.st.zeroPredLoad : ctx.st.zeroPredOther);
         ++ctx.st.zeroCorrect;
-        ++correct;
     } else if (di.zeroPredLookedUp) {
         zp.update(di.pc, di.rec.result == 0, &ctx.rng);
     }

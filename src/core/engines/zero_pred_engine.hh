@@ -19,7 +19,8 @@ namespace rsep::core
 class ZeroPredEngine : public SpeculationEngine
 {
   public:
-    ZeroPredEngine(unsigned entries, ConfidenceKind kind);
+    ZeroPredEngine(PipelineStats &st, unsigned entries,
+                   ConfidenceKind kind);
 
     bool atRename(InflightInst &di, bool handled,
                   EngineContext &ctx) override;
@@ -29,15 +30,7 @@ class ZeroPredEngine : public SpeculationEngine
 
     equality::ZeroPredictor &predictor() { return zp; }
 
-    EngineSample
-    sampleStats() const override
-    {
-        return {predictions.value(), correct.value(), mispredicts.value()};
-    }
-
     StatCounter predictions; ///< rename-time zero predictions made.
-    StatCounter correct;     ///< committed correct zero predictions.
-    StatCounter mispredicts; ///< commit-time zero mispredictions.
 
   private:
     equality::ZeroPredictor zp;

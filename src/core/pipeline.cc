@@ -38,8 +38,8 @@ Pipeline::Pipeline(const CoreParams &core_params, const MechConfig &mech_cfg,
     // chain of the paper (Fig. 3), non-speculative mechanisms first.
     // Speculative engines are built only when registered (or when an
     // accessor below asks for one).
-    zeroIdiomEngine = std::make_unique<ZeroIdiomEngine>();
-    moveElimEngine = std::make_unique<MoveElimEngine>();
+    zeroIdiomEngine = std::make_unique<ZeroIdiomEngine>(st);
+    moveElimEngine = std::make_unique<MoveElimEngine>(st);
     if (mech.zeroIdiomElim)
         active.push_back(zeroIdiomEngine.get());
     if (mech.moveElim)
@@ -52,7 +52,7 @@ Pipeline::Pipeline(const CoreParams &core_params, const MechConfig &mech_cfg,
         // compares like for like (the scan is also ROB-bounded; the
         // registered rsep-oracle arm's 1024 exceeds any ROB).
         oracleEqEngine =
-            std::make_unique<OracleEqEngine>(mech.rsep.historyDepth);
+            std::make_unique<OracleEqEngine>(st, mech.rsep.historyDepth);
         active.push_back(oracleEqEngine.get());
     }
     if (mech.equalityPred)
@@ -115,7 +115,7 @@ Pipeline::zeroPredEng()
 {
     if (!zeroPredEngine)
         zeroPredEngine =
-            std::make_unique<ZeroPredEngine>(4096, mech.rsep.confKind);
+            std::make_unique<ZeroPredEngine>(st, 4096, mech.rsep.confKind);
     return *zeroPredEngine;
 }
 
@@ -124,7 +124,7 @@ Pipeline::rsepEng()
 {
     if (!rsepEngine)
         rsepEngine = std::make_unique<RsepEngine>(
-            mech.rsep, cp.intPregs + cp.fpPregs, engineSeed ^ 0x3333);
+            st, mech.rsep, cp.intPregs + cp.fpPregs, engineSeed ^ 0x3333);
     return *rsepEngine;
 }
 
@@ -133,7 +133,7 @@ Pipeline::dvtageEng()
 {
     if (!dvtageEngine)
         dvtageEngine =
-            std::make_unique<DvtageEngine>(mech.vp, engineSeed ^ 0x2222);
+            std::make_unique<DvtageEngine>(st, mech.vp, engineSeed ^ 0x2222);
     return *dvtageEngine;
 }
 
@@ -229,17 +229,26 @@ Pipeline::captureSample(StatSample &cum) const
     cum.memOrderSquashes = st.memOrderSquashes.value();
     cum.robOcc = nRenamed;
     cum.frontendOcc = window.size() - nRenamed;
-    // Every engine slot is filled; an unregistered engine receives no
-    // hooks, so its slot stays zero whether it was built or not.
+    // Each registered engine sums its role-tagged counters into its
+    // slot. Only registered ones: an engine an accessor built shares
+    // the PipelineStats counters but receives no hooks, so its slot
+    // stays zero.
     const SpeculationEngine *slots[numSampleEngineSlots] = {
         zeroIdiomEngine.get(), moveElimEngine.get(), zeroPredEngine.get(),
         oracleEqEngine.get(),  rsepEngine.get(),     dvtageEngine.get(),
     };
-    for (size_t e = 0; e < numSampleEngineSlots; ++e) {
-        EngineSample es = slots[e] ? slots[e]->sampleStats() : EngineSample{};
-        cum.engCoverage[e] = es.coverage;
-        cum.engCorrect[e] = es.correct;
-        cum.engMispredict[e] = es.mispredict;
+    for (const SpeculationEngine *eng : active) {
+        size_t e = static_cast<size_t>(
+            std::find(std::begin(slots), std::end(slots), eng) - slots);
+        for (const auto &entry : eng->statEntries()) {
+            u64 v = entry.counter->value();
+            if (entry.roles & sampleCoverage)
+                cum.engCoverage[e] += v;
+            if (entry.roles & sampleCorrect)
+                cum.engCorrect[e] += v;
+            if (entry.roles & sampleMispredict)
+                cum.engMispredict[e] += v;
+        }
     }
 }
 
@@ -1108,6 +1117,8 @@ Pipeline::doCommit()
                     break;
             }
         }
+        if (verdict != CommitVerdict::Proceed)
+            ++st.commitSquashes;
         if (verdict == CommitVerdict::SquashRefetch) {
             squashFrom(0, true);
             break;

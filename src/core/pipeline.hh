@@ -214,7 +214,7 @@ class Pipeline
     /** Run until @p ninsts more instructions commit. */
     void run(u64 ninsts);
 
-    /** Zero all statistics (end of warmup), engine-local ones included. */
+    /** Zero all statistics (end of warmup), engine-owned ones included. */
     void resetStats();
 
     // ------------------------------------------------ time-series sampling

@@ -7,11 +7,11 @@
  * A StatSample is one fixed-schema row: the sample cycle, instantaneous
  * occupancies, and *deltas* of the commit/squash/predictor counters
  * since the previous sample. The schema is identical for every
- * mechanism arm — engines report through the uniform
- * SpeculationEngine::sampleStats() triple, with one fixed slot per
- * engine (zeros when the engine is not registered) — so sample files
- * from different arms merge and plot against each other column for
- * column.
+ * mechanism arm — one fixed coverage/correct/mispredict slot per
+ * engine, summed from the counters a registered engine tagged with
+ * those roles at registerStat (zeros when the engine is not
+ * registered) — so sample files from different arms merge and plot
+ * against each other column for column.
  *
  * Every field is a u64 and the schema is enumerated exactly once, by
  * visitSampleFields(); the binary `.rts` encoding, the CSV columns and

@@ -76,16 +76,16 @@ struct EngineContext
 };
 
 /**
- * One engine's contribution to a time-series StatSample (sampler.hh):
- * cumulative counts since the engine's last resetStats(). The sampler
- * keeps the previous snapshot per engine and emits deltas, so an
- * engine only has to report totals — no per-engine sampling state.
+ * Role tags of a registered counter for the time-series sampler
+ * (sampler.hh). Each sample row carries one coverage/correct/mispredict
+ * slot per engine; the pipeline fills a registered engine's slot by
+ * summing its counters under these tags, so the mapping lives where
+ * the counter is registered. A counter may carry several roles.
  */
-struct EngineSample
-{
-    u64 coverage = 0;   ///< instructions the mechanism acted on.
-    u64 correct = 0;    ///< ... of which verified correct at commit.
-    u64 mispredict = 0; ///< ... of which squashed at commit.
+enum SampleRole : unsigned {
+    sampleCoverage = 1,   ///< instructions the mechanism acted on.
+    sampleCorrect = 2,    ///< ... of which verified correct at commit.
+    sampleMispredict = 4, ///< ... of which squashed at commit.
 };
 
 /** Base class of all speculation engines. */
@@ -205,25 +205,23 @@ class SpeculationEngine
         (void)ctx;
     }
 
-    /**
-     * Cumulative coverage/correct/mispredict totals for the time-series
-     * sampler, mapped from the engine's own counters (the mapping — not
-     * the raw counter list — is what keeps the sample schema fixed
-     * across mechanisms). Non-speculative engines leave correct and
-     * mispredict at zero.
-     */
-    virtual EngineSample sampleStats() const { return {}; }
-
     // --------------------------------------------------- per-engine stats
+    /**
+     * One counter per fact: an engine registers the PipelineStats
+     * counter for every fact the pipeline stats already hold, and owns
+     * a counter only for a fact they lack. Either way it is exported
+     * as `engine.<name>.<stat>`.
+     */
     struct StatEntry
     {
         std::string name;
         StatCounter *counter;
+        unsigned roles; ///< SampleRole flags; 0 = not sampled.
     };
 
     const std::vector<StatEntry> &statEntries() const { return entries; }
 
-    /** Value of an engine-local counter by name; 0 when absent. */
+    /** Value of a registered counter by name; 0 when absent. */
     u64
     statValue(const std::string &stat_name) const
     {
@@ -233,7 +231,7 @@ class SpeculationEngine
         return 0;
     }
 
-    /** Zero all engine-local counters (end of warmup). */
+    /** Zero all registered counters (end of warmup). */
     void
     resetStats()
     {
@@ -243,9 +241,9 @@ class SpeculationEngine
 
   protected:
     void
-    registerStat(std::string stat_name, StatCounter *c)
+    registerStat(std::string stat_name, StatCounter *c, unsigned roles = 0)
     {
-        entries.push_back({std::move(stat_name), c});
+        entries.push_back({std::move(stat_name), c, roles});
     }
 
   private:

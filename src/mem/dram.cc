@@ -35,7 +35,6 @@ Dram::access(Addr addr, Cycle now)
         ++rowHits;
         access_lat = ns(p.tCasNs);
     } else {
-        ++rowMisses;
         access_lat = ns(bank.open ? p.tRpNs + p.tRcdNs + p.tCasNs
                                   : p.tRcdNs + p.tCasNs);
         bank.open = true;

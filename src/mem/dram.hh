@@ -48,7 +48,6 @@ class Dram
 
     StatCounter reads;
     StatCounter rowHits;
-    StatCounter rowMisses;
 
   private:
     struct Bank

@@ -34,7 +34,6 @@ BranchUnit::onFetchBranch(Addr pc, const isa::StaticInst &si,
             bp.redirect = Redirect::Decode;
         }
     } else if (si.op == Opcode::Ret) {
-        ++indirectBranches;
         bp.predTaken = true;
         Addr pred_target = ras.pop();
         if (pred_target != actual_target) {
@@ -42,7 +41,6 @@ BranchUnit::onFetchBranch(Addr pc, const isa::StaticInst &si,
             bp.redirect = Redirect::Execute;
         }
     } else if (si.op == Opcode::BrInd) {
-        ++indirectBranches;
         bp.predTaken = true;
         Addr pred_target = btb.lookup(pc);
         if (pred_target != actual_target) {

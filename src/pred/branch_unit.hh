@@ -93,7 +93,6 @@ class BranchUnit
     // Stats.
     StatCounter condBranches;
     StatCounter condMispredicts;
-    StatCounter indirectBranches;
     StatCounter indirectMispredicts;
     StatCounter returnMispredicts;
     StatCounter btbMissBubbles;

@@ -39,8 +39,6 @@ Dvtage::finishLookup(Addr pc, VpLookup lk)
 
     lk.predicted = last + static_cast<u64>(decodeDelta(lk.itageLk.payload));
     lk.confident = lk.itageLk.confident;
-    if (lk.confident)
-        ++confidentPreds;
 
     // Advance the speculative last-value window for *every* lookup
     // (BeBoP's in-flight chaining): back-to-back instances of the same

@@ -96,7 +96,6 @@ class Dvtage
     const DvtageParams &params() const { return p; }
 
     StatCounter lookups;
-    StatCounter confidentPreds;
     StatCounter correctPreds;
     StatCounter mispredicts;
 

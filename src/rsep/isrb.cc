@@ -25,7 +25,6 @@ Isrb::freeEntry(Entry &e)
 bool
 Isrb::share(PhysReg preg)
 {
-    ++shareRequests;
     if (Entry *e = find(preg)) {
         if (e->referenced >= counterMax) {
             ++shareRefusalsOverflow;

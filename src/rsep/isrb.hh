@@ -89,7 +89,6 @@ class Isrb
     /** Storage: 2 counters + preg tag per entry (Section VI-A3). */
     u64 storageBits() const;
 
-    StatCounter shareRequests;
     StatCounter shareRefusalsFull;
     StatCounter shareRefusalsOverflow;
     StatCounter entriesFreed;

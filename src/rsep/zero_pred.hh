@@ -14,7 +14,6 @@
 
 #include "common/bitutils.hh"
 #include "common/prob_counter.hh"
-#include "common/stats.hh"
 
 namespace rsep::equality
 {
@@ -53,9 +52,6 @@ class ZeroPredictor
         return table.size() *
                (table.empty() ? 8 : table[0].storageBits());
     }
-
-    StatCounter predictions;
-    StatCounter mispredictions;
 
   private:
     size_t

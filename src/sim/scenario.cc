@@ -262,6 +262,12 @@ parseScenarioText(const std::string &text, const std::string &origin)
         if (cur.open) {
             if (cur.sc.name.empty())
                 return "scenario is missing a 'name' key";
+            // Both engines book into the same equality counters.
+            const core::MechConfig &m = cur.sc.config.mech;
+            if (m.oracleEq && m.equalityPred)
+                return "scenario '" + cur.sc.name +
+                       "' enables both oracle_eq and equality_pred (an "
+                       "arm measures one equality mechanism)";
             cur.sc.config.label =
                 cur.explicitLabel ? cur.label : cur.sc.name;
             out.scenarios.push_back(std::move(cur.sc));

@@ -25,7 +25,7 @@ struct PhaseResult
 {
     double ipc = 0.0;
     core::PipelineStats stats;
-    /** Engine-local counters (SpeculationEngine::statEntries()),
+    /** Per-engine counters (SpeculationEngine::statEntries()),
      *  snapshot at end of measurement as "engine.<name>.<counter>" —
      *  the per-engine rows of the stat-export layer. */
     std::vector<std::pair<std::string, u64>> engineStats;

@@ -14,7 +14,7 @@ namespace
 {
 
 /** Sum every introspected pipeline counter plus histogram buckets and
- *  engine-local counters over the phases of one run. */
+ *  per-engine counters over the phases of one run. */
 std::vector<std::pair<std::string, u64>>
 flattenCounters(const RunResult &rr)
 {

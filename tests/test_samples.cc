@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -290,6 +291,31 @@ TEST(SampleIo, EveryTruncatedPrefixIsRejected)
 
 // ---- pipeline integration ----
 
+/** Index of engine slot @p name in core::sampleEngineSlots. */
+size_t
+slotOf(const std::string &name)
+{
+    for (size_t e = 0; e < core::numSampleEngineSlots; ++e)
+        if (name == core::sampleEngineSlots[e])
+            return e;
+    ADD_FAILURE() << "no sample slot " << name;
+    return 0;
+}
+
+/** Per-slot {coverage, correct, mispredict} sums of @p rows. */
+std::vector<std::array<u64, 3>>
+slotSums(const std::vector<core::StatSample> &rows)
+{
+    std::vector<std::array<u64, 3>> sums(core::numSampleEngineSlots);
+    for (const core::StatSample &r : rows)
+        for (size_t e = 0; e < core::numSampleEngineSlots; ++e) {
+            sums[e][0] += r.engCoverage[e];
+            sums[e][1] += r.engCorrect[e];
+            sums[e][2] += r.engMispredict[e];
+        }
+    return sums;
+}
+
 TEST(Sampling, DeltasSumToEndOfRunTotals)
 {
     SimConfig cfg = shrunk(scenarioConfig("rsep"));
@@ -321,18 +347,76 @@ TEST(Sampling, DeltasSumToEndOfRunTotals)
     for (size_t i = 0; i + 1 < sampled.samples.size(); ++i)
         EXPECT_EQ(sampled.samples[i].cycle % 500, 0u) << i;
 
-    // Engine slots: the rsep arm's own slot accumulated activity.
-    u64 rsep_cov = 0;
-    for (const core::StatSample &r : sampled.samples)
-        rsep_cov += r.engCoverage[4]; // "rsep" slot.
-    u64 shared = 0, mispredicts = 0;
-    for (const auto &[name, value] : sampled.engineStats) {
-        if (name == "engine.rsep.shared")
-            shared = value;
-        if (name == "engine.rsep.mispredicts")
-            mispredicts = value;
-    }
-    EXPECT_EQ(rsep_cov, shared + mispredicts);
+    // Every engine slot's summed deltas equal the run's engine.*
+    // counters under this mapping (an unregistered engine has no
+    // counters and its slot reads 0). zeusmp exercises every slot but
+    // zero-idiom's, perlbench that one, at this size.
+    std::vector<std::array<u64, 3>> exercised(core::numSampleEngineSlots);
+    for (const char *bench : {"zeusmp", "perlbench"})
+        for (const char *arm : {"rsep", "rsep+vpred+zp", "rsep-oracle"}) {
+            SCOPED_TRACE(std::string(bench) + " " + arm);
+            SimConfig c = shrunk(scenarioConfig(arm));
+            c.warmupInsts = 20'000;
+            c.measureInsts = 20'000;
+            PhaseResult pr = runPhase(c, bench, 0, {}, 500);
+            auto eng = [&](const std::string &name) {
+                for (const auto &[n, v] : pr.engineStats)
+                    if (n == "engine." + name)
+                        return v;
+                return u64{0};
+            };
+            const std::pair<const char *, std::array<u64, 3>> expected[] = {
+                {"zero_idiom", {eng("zero-idiom.eliminated"), 0, 0}},
+                {"move_elim", {eng("move-elim.eliminated"), 0, 0}},
+                {"zero_pred",
+                 {eng("zero-pred.predictions"), eng("zero-pred.correct"),
+                  eng("zero-pred.mispredicts")}},
+                {"oracle_eq",
+                 {eng("oracle-eq.shared"), eng("oracle-eq.shared"), 0}},
+                {"rsep",
+                 {eng("rsep.shared") + eng("rsep.mispredicts"),
+                  eng("rsep.shared"), eng("rsep.mispredicts")}},
+                {"dvtage",
+                 {eng("dvtage.predicted"), eng("dvtage.correct"),
+                  eng("dvtage.mispredicts")}},
+            };
+            std::vector<std::array<u64, 3>> sums = slotSums(pr.samples);
+            for (const auto &[slot, want] : expected) {
+                size_t e = slotOf(slot);
+                EXPECT_EQ(sums[e], want) << slot;
+                for (size_t k = 0; k < 3; ++k)
+                    exercised[e][k] += want[k];
+            }
+        }
+    for (size_t e = 0; e < core::numSampleEngineSlots; ++e)
+        EXPECT_GT(exercised[e][0], 0u) << core::sampleEngineSlots[e];
+    for (const char *slot : {"zero_pred", "rsep", "dvtage"})
+        EXPECT_GT(exercised[slotOf(slot)][2], 0u) << slot;
+
+    // rsep-oracle registers no rsep engine, but the structure accessor
+    // builds one on first use. It receives no hooks, so its slot stays
+    // 0 while the oracle's slot counts the arm's sharings.
+    SimConfig oracle = shrunk(scenarioConfig("rsep-oracle"));
+    wl::Workload w = wl::makeWorkload("mcf");
+    wl::Emulator em(w.program);
+    em.resetArchState();
+    w.init(em, 0);
+    core::Pipeline pipe(oracle.core, oracle.mech, em, oracle.seed);
+    pipe.distancePredictor();
+    ASSERT_EQ(pipe.engineByName("rsep"), nullptr);
+    pipe.run(oracle.warmupInsts);
+    pipe.resetStats();
+    core::StatSampler sampler(500);
+    pipe.attachSampler(&sampler);
+    pipe.run(oracle.measureInsts);
+    pipe.finishSampling();
+
+    std::vector<std::array<u64, 3>> sums = slotSums(sampler.rows());
+    EXPECT_EQ(sums[slotOf("rsep")], (std::array<u64, 3>{0, 0, 0}));
+    u64 shared = pipe.stats().rsepCorrect.value();
+    EXPECT_GT(shared, 0u);
+    EXPECT_EQ(sums[slotOf("oracle_eq")],
+              (std::array<u64, 3>{shared, shared, 0}));
 }
 
 TEST(Sampling, MatrixSeriesIdenticalAcrossJobs)

@@ -200,6 +200,19 @@ TEST(ScenarioFormat, Diagnostics)
     EXPECT_FALSE(applyScenarioKey(cfg, "sim.checkpoints", "0", &err));
     EXPECT_EQ(cfg.checkpoints, 0u) << "the dotted face reports, not hides";
     EXPECT_NE(err.find("expected at least 1"), std::string::npos);
+    // One arm measures one equality mechanism: the oracle and RSEP
+    // engines book into the same counters. Reported where the arm's
+    // block closes, at the next block or at the end of the file.
+    EXPECT_NE(errorOf("[scenario]\nname = x\nbase = rsep\n[mech]\n"
+                      "oracle_eq = true\n[scenario]\nname = y\n")
+                  .find("t.scn:6: scenario 'x' enables both oracle_eq "
+                        "and equality_pred"),
+              std::string::npos);
+    EXPECT_NE(errorOf("[scenario]\nname = x\nbase = rsep-oracle\n[mech]\n"
+                      "equality_pred = true\n")
+                  .find("t.scn:5: scenario 'x' enables both oracle_eq "
+                        "and equality_pred"),
+              std::string::npos);
     // 'base' is a [scenario]-section key: written after a field
     // section (where it could clobber overrides) it is rejected.
     EXPECT_NE(errorOf("[scenario]\nname = x\n[sim]\ncheckpoints = 9\n"

@@ -463,6 +463,19 @@ TEST_F(ServeTest, BadRequestKeepsConnectionUsable)
               std::string::npos)
         << reply.payload;
 
+    // So does an arm that enables both equality mechanisms.
+    SubmitRequest both;
+    both.benchmarks = {"mcf"};
+    both.scnText = "[scenario]\nname = t-both\nbase = rsep\n[mech]\n"
+                   "oracle_eq = true\n";
+    ASSERT_TRUE(
+        writeFrame(fd, FrameType::Submit, serializeSubmit(both), &err));
+    ASSERT_TRUE(readFrame(fd, reply, &err)) << err;
+    ASSERT_EQ(reply.type, FrameType::Error);
+    EXPECT_NE(reply.payload.find(":5: scenario 't-both' enables both"),
+              std::string::npos)
+        << reply.payload;
+
     // Same connection, now a valid request: one cell + Done.
     SubmitRequest good = bad;
     good.benchmarks = {"mcf"};
