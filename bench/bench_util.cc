@@ -113,6 +113,7 @@ parseDriverArgs(int argc, char **argv, const HarnessSpec &spec,
     // --connect may come later in argv.
     const char *server_knob = nullptr;  // --jobs / --trace-cache-mb.
     const char *client_knob = nullptr;  // --connect-timeout etc.
+    bool sample_dir_given = false;
 
     // [workload] definitions become part of the registry (so the
     // file's names — overridden suite benchmarks included — resolve in
@@ -198,8 +199,6 @@ parseDriverArgs(int argc, char **argv, const HarnessSpec &spec,
              cli::store(list_workloads)},
             {"csv", "PATH", "write the stat matrix as CSV",
              cli::store(ctx.csvPath)},
-            {"json", "PATH", "write the stat matrix as JSON",
-             cli::store(ctx.jsonPath)},
             {"stats", nullptr, "print per-engine counters per cell",
              cli::store(ctx.statsTable)},
             {"timings", nullptr,
@@ -259,9 +258,9 @@ parseDriverArgs(int argc, char **argv, const HarnessSpec &spec,
              }},
             {"sample-every", "N",
              "time-series sampling: snapshot the live counters every N "
-             "cycles of each cell's measurement run into per-cell "
-             ".rts/.csv series (k/M/G suffixes accepted; bypasses the "
-             "result cache; inspect with rsep_samples)",
+             "cycles of each cell's measurement run into per-cell .rts "
+             "series (k/M/G suffixes accepted; bypasses the result "
+             "cache; inspect with rsep_samples)",
              [&](const std::string &v) -> std::string {
                  u64 every = 0;
                  if (!parseScaledU64(v, every) || every == 0)
@@ -272,8 +271,13 @@ parseDriverArgs(int argc, char **argv, const HarnessSpec &spec,
                  return {};
              }},
             {"sample-dir", "PATH",
-             "sample-series output directory (default: samples)",
-             cli::store(ctx.matrix.sampling.dir)},
+             "sample-series output directory (default: samples; needs "
+             "--sample-every)",
+             [&](const std::string &v) {
+                 ctx.matrix.sampling.dir = v;
+                 sample_dir_given = true;
+                 return std::string();
+             }},
             {"connect", "SOCK",
              "run the matrix on a warm rsep_serve daemon at this Unix "
              "socket instead of in-process (byte-identical output). "
@@ -366,6 +370,12 @@ parseDriverArgs(int argc, char **argv, const HarnessSpec &spec,
                                     " only applies with --connect");
     }
 
+    // Without --sample-every nothing is sampled, so --sample-dir would
+    // be a silent no-op.
+    if (sample_dir_given && ctx.matrix.sampling.every == 0)
+        return usageError(spec, "--sample-dir only applies with "
+                                "--sample-every");
+
     // Resolve --workload names now that every file is loaded.
     for (const auto &[name, resolved] : workload_sel) {
         if (resolved) {
@@ -392,42 +402,29 @@ printShardNotice(const DriverContext &ctx)
     std::cout << "\nshard " << ctx.matrix.shard.index << "/"
               << ctx.matrix.shard.count
               << ": partial matrix; tables are suppressed.\n"
-                 "Export every shard with --csv/--json and combine with "
+                 "Export every shard with --csv and combine with "
                  "rsep_merge\nto recover the full table and figure "
                  "summaries.\n";
-    if (ctx.csvPath.empty() && ctx.jsonPath.empty())
-        std::cout << "(warning: no --csv/--json requested; this shard's "
+    if (ctx.csvPath.empty())
+        std::cout << "(warning: no --csv requested; this shard's "
                      "results are not\nexported anywhere)\n";
 }
 
-/** Write the CSV/JSON/table dumps requested in @p ctx. False on I/O
+/** Write the CSV/table dumps requested in @p ctx. False on I/O
  *  failure (already reported to stderr). */
 bool
 exportStats(const DriverContext &ctx, const HarnessResult &r)
 {
-    if (ctx.csvPath.empty() && ctx.jsonPath.empty() && !ctx.statsTable)
+    if (ctx.csvPath.empty() && !ctx.statsTable)
         return true;
     std::vector<sim::StatRow> stat_rows =
         sim::collectStatRows(r.configs, r.rows, ctx.timings);
     bool ok = true;
-    std::string err;
     if (!ctx.csvPath.empty()) {
-        if (sim::writeStatsFile(ctx.csvPath, sim::CsvStatSink{},
-                                stat_rows, &err))
-            std::fprintf(stderr, "[export] wrote %s\n",
-                         ctx.csvPath.c_str());
-        else
-            ok = (std::fprintf(stderr, "[export] %s\n", err.c_str()),
-                  false);
-    }
-    if (!ctx.jsonPath.empty()) {
-        if (sim::writeStatsFile(ctx.jsonPath, sim::JsonStatSink{},
-                                stat_rows, &err))
-            std::fprintf(stderr, "[export] wrote %s\n",
-                         ctx.jsonPath.c_str());
-        else
-            ok = (std::fprintf(stderr, "[export] %s\n", err.c_str()),
-                  false);
+        std::string err;
+        ok = sim::writeStatsFile(ctx.csvPath, stat_rows, &err);
+        std::fprintf(stderr, "[export] %s\n",
+                     ok ? ("wrote " + ctx.csvPath).c_str() : err.c_str());
     }
     if (ctx.statsTable) {
         std::cout << "\n=== per-engine counters by (benchmark, scenario, "

@@ -7,11 +7,10 @@
  * option table (common/cli.hh), which also renders --help. Every
  * driver takes the scenario-selection options (--scenario,
  * --scenario-file, --list-scenarios); drivers that run a matrix also
- * take --workload, --workload-file, --list-workloads, --csv, --json,
- * --stats, --timings, --seed, --jobs, --shard, --cache-dir,
- * --record-trace, --replay-trace, --trace-cache-mb, --sample-every,
- * --sample-dir, --connect, --connect-timeout, --deadline, --retries
- * and --fault.
+ * take --workload, --workload-file, --list-workloads, --csv, --stats,
+ * --timings, --seed, --jobs, --shard, --cache-dir, --record-trace,
+ * --replay-trace, --trace-cache-mb, --sample-every, --sample-dir,
+ * --connect, --connect-timeout, --deadline, --retries and --fault.
  *
  * Run sizing is SimConfig's: its defaults scaled by RSEP_SIM_SCALE and
  * RSEP_CHECKPOINTS, the same for registry arms and scenario files.
@@ -50,7 +49,6 @@ struct DriverContext
      *  overrides the driver's benchmark set. */
     std::vector<std::string> workloads;
     std::string csvPath;
-    std::string jsonPath;
     bool statsTable = false;
     /** --timings: add the host-dependent wall-clock and cache counters
      *  (timing.<name>) to the dumps (off by default so dumps stay
@@ -118,7 +116,7 @@ struct HarnessSpec
 /**
  * Run a driver: parse flags (--help and the listings exit here),
  * resolve scenarios, run the arms, print the report and write any
- * requested CSV/JSON/stat-table dump. Returns the process exit code.
+ * requested CSV/stat-table dump. Returns the process exit code.
  */
 int runHarness(int argc, char **argv, const HarnessSpec &spec);
 
@@ -136,7 +134,7 @@ HarnessResult runArms(const DriverContext &ctx,
 /**
  * Print @p r — through @p report when given, else as the generic
  * scenario-matrix table; a shard notice instead when the matrix is
- * sharded — and write the CSV/JSON/stat-table dumps requested in
+ * sharded — and write the CSV/stat-table dumps requested in
  * @p ctx. Returns the exit code (1 when a dump could not be written).
  */
 int reportArms(const DriverContext &ctx, const HarnessResult &r,

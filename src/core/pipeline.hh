@@ -155,7 +155,7 @@ struct PipelineStats
 
 /**
  * Stat-introspection hook: visit every PipelineStats counter as
- * `v(name, counter)`. The stat-export layer derives its table/CSV/JSON
+ * `v(name, counter)`. The stat-export layer derives its table/CSV
  * columns from this enumeration (the commitGroupProducers histogram is
  * exported bucket-wise by that layer).
  */

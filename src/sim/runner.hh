@@ -36,8 +36,8 @@ struct MatrixRow
  * sampling off, every byte of output is identical to a build without
  * the feature. With sampling on, the matrix runner bypasses the
  * result cache (a cached cell cannot replay its timeline) and flushes
- * one `.rts` + `.csv` pair per (benchmark, config, phase) cell after
- * the barrier.
+ * one `.rts` file per (benchmark, config, phase) cell after the
+ * barrier.
  */
 struct SampleOptions
 {

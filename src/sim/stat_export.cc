@@ -64,35 +64,6 @@ csvEscape(const std::string &s)
 }
 
 std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    for (char c : s) {
-        switch (c) {
-          case '"':
-            out += "\\\"";
-            break;
-          case '\\':
-            out += "\\\\";
-            break;
-          case '\n':
-            out += "\\n";
-            break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x",
-                              static_cast<unsigned>(c));
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
-}
-
-std::string
 fmtDouble(double v)
 {
     char buf[32];
@@ -175,7 +146,7 @@ TableStatSink::write(std::ostream &os,
            << std::fixed << std::setprecision(3) << row.ipcHmean << "\n";
         os.unsetf(std::ios::fixed);
         for (const auto &[name, value] : row.counters) {
-            if (enginesOnly && name.rfind("engine.", 0) != 0)
+            if (name.rfind("engine.", 0) != 0)
                 continue;
             os << "    " << std::left << std::setw(40) << name
                << std::right << std::setw(16) << value << "\n";
@@ -219,30 +190,6 @@ CsvStatSink::write(std::ostream &os, const std::vector<StatRow> &rows) const
 }
 
 void
-JsonStatSink::write(std::ostream &os,
-                    const std::vector<StatRow> &rows) const
-{
-    os << "[\n";
-    for (size_t r = 0; r < rows.size(); ++r) {
-        const StatRow &row = rows[r];
-        os << "  {\"benchmark\": \"" << jsonEscape(row.benchmark)
-           << "\", \"scenario\": \"" << jsonEscape(row.scenario)
-           << "\", \"config_hash\": \"" << row.configHash
-           << "\", \"checkpoints\": " << row.checkpoints
-           << ", \"ipc_hmean\": " << fmtDouble(row.ipcHmean)
-           << ", \"counters\": {";
-        for (size_t i = 0; i < row.counters.size(); ++i) {
-            if (i)
-                os << ", ";
-            os << "\"" << jsonEscape(row.counters[i].first)
-               << "\": " << row.counters[i].second;
-        }
-        os << "}}" << (r + 1 < rows.size() ? "," : "") << "\n";
-    }
-    os << "]\n";
-}
-
-void
 TimeSeriesSink::add(SampleSeriesHeader header,
                     std::vector<core::StatSample> rows)
 {
@@ -260,28 +207,13 @@ TimeSeriesSink::flush(std::string *err)
                                       header.configHash, header.phase);
         if (!writeSamplesFile(path, header, rows, err))
             return false;
-        std::string csv_path =
-            path.substr(0, path.size() - 4) + ".csv";
-        std::ofstream os(csv_path, std::ios::trunc);
-        if (!os) {
-            if (err)
-                *err = csv_path + ": cannot open for writing";
-            return false;
-        }
-        writeSamplesCsv(os, header, rows);
-        os.flush();
-        if (!os) {
-            if (err)
-                *err = csv_path + ": write failed";
-            return false;
-        }
     }
     return true;
 }
 
 bool
-writeStatsFile(const std::string &path, const StatSink &sink,
-               const std::vector<StatRow> &rows, std::string *err)
+writeStatsFile(const std::string &path, const std::vector<StatRow> &rows,
+               std::string *err)
 {
     std::ofstream os(path);
     if (!os) {
@@ -289,7 +221,7 @@ writeStatsFile(const std::string &path, const StatSink &sink,
             *err = path + ": cannot open for writing";
         return false;
     }
-    sink.write(os, rows);
+    CsvStatSink{}.write(os, rows);
     os.flush();
     if (!os) {
         if (err)

@@ -1,11 +1,10 @@
 /**
  * @file
  * Unified stat-export layer: flatten an experiment matrix into rows
- * keyed by (benchmark, scenario name, config hash) and write them
- * through a pluggable StatSink (human table, CSV, JSON). Counters
- * cover every PipelineStats field (via its visitStats introspection
- * hook) plus the per-engine SpeculationEngine::statEntries() snapshots
- * — the machine-readable matrix dump behind `--csv` / `--json`.
+ * keyed by (benchmark, scenario name, config hash) and write them as
+ * the CSV dump (`--csv`) or the human `--stats` table. Counters cover
+ * every PipelineStats field (via its visitStats introspection hook)
+ * plus the per-engine SpeculationEngine::statEntries() snapshots.
  */
 
 #ifndef RSEP_SIM_STAT_EXPORT_HH
@@ -57,50 +56,24 @@ collectStatRows(const std::vector<SimConfig> &configs,
                 const std::vector<MatrixRow> &rows,
                 bool include_timings = false);
 
-/** A stat-export format. */
-class StatSink
+/** Human-readable per-cell dump (the `--stats` matrix table): each
+ *  row's per-engine counters; the raw pipeline counters are left to
+ *  the CSV dump. */
+class TableStatSink
 {
   public:
-    virtual ~StatSink() = default;
-    virtual void write(std::ostream &os,
-                       const std::vector<StatRow> &rows) const = 0;
-};
-
-/** Human-readable per-cell dump (the `--stats` matrix table). */
-class TableStatSink : public StatSink
-{
-  public:
-    /** @p engines_only drops the (many) raw pipeline counters and
-     *  keeps the per-engine ones. */
-    explicit TableStatSink(bool engines_only = true)
-        : enginesOnly(engines_only)
-    {
-    }
-    void write(std::ostream &os,
-               const std::vector<StatRow> &rows) const override;
-
-  private:
-    bool enginesOnly;
+    void write(std::ostream &os, const std::vector<StatRow> &rows) const;
 };
 
 /** RFC-4180-style CSV; one column per counter (union across rows). */
-class CsvStatSink : public StatSink
+class CsvStatSink
 {
   public:
-    void write(std::ostream &os,
-               const std::vector<StatRow> &rows) const override;
+    void write(std::ostream &os, const std::vector<StatRow> &rows) const;
 };
 
-/** JSON array of row objects with a nested "counters" map. */
-class JsonStatSink : public StatSink
-{
-  public:
-    void write(std::ostream &os,
-               const std::vector<StatRow> &rows) const override;
-};
-
-/** Write rows to @p path; false + @p err on I/O failure. */
-bool writeStatsFile(const std::string &path, const StatSink &sink,
+/** Write rows to @p path as CSV; false + @p err on I/O failure. */
+bool writeStatsFile(const std::string &path,
                     const std::vector<StatRow> &rows,
                     std::string *err = nullptr);
 
@@ -108,10 +81,10 @@ bool writeStatsFile(const std::string &path, const StatSink &sink,
  * Export sink of the time-series sampling mode (`--sample-every`):
  * collects per-cell StatSample series during a matrix run and flushes
  * each to `<dir>/<bench>-<confighash>-p<phase>.rts` (atomic, see
- * sample_io.hh) plus a sibling `.csv` for direct plotting. One cell =
- * one file, so sharded runs compose by directory union exactly like
- * recorded traces, and `rsep_samples merge` pools shards' series the
- * way rsep_merge pools stat dumps.
+ * sample_io.hh). One cell = one file, so sharded runs compose by
+ * directory union exactly like recorded traces; `rsep_samples dump`
+ * renders a cell as CSV and `rsep_samples merge` pools shards' series
+ * the way rsep_merge pools stat dumps.
  *
  * Not thread-safe: the matrix runner queues cells post-barrier on the
  * coordinating thread (sample rows are deterministic, so the flush
@@ -131,8 +104,7 @@ class TimeSeriesSink
     void add(SampleSeriesHeader header,
              std::vector<core::StatSample> rows);
 
-    /** Write every queued series; returns the number of files written
-     *  (`.rts` count) or fails fast with @p err. */
+    /** Write every queued series; false (fail fast) with @p err. */
     bool flush(std::string *err = nullptr);
 
   private:

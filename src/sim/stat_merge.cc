@@ -1,8 +1,6 @@
 #include "sim/stat_merge.hh"
 
-#include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <map>
 #include <set>
@@ -104,139 +102,6 @@ parseSizeT(const std::string &s, size_t &out)
     return true;
 }
 
-bool
-parseDoubleStrict(const std::string &s, double &out)
-{
-    return parseDouble(s, out);
-}
-
-// ----------------------------------------------------------- JSON parse
-
-/** Minimal recursive-descent parser for the JsonStatSink subset. */
-struct JsonCursor
-{
-    const std::string &text;
-    size_t pos = 0;
-    std::string err;
-
-    bool failed() const { return !err.empty(); }
-
-    void
-    fail(const std::string &msg)
-    {
-        if (err.empty())
-            err = msg + " at offset " + std::to_string(pos);
-    }
-
-    void
-    skipWs()
-    {
-        while (pos < text.size() &&
-               (text[pos] == ' ' || text[pos] == '\t' ||
-                text[pos] == '\n' || text[pos] == '\r'))
-            ++pos;
-    }
-
-    bool
-    consume(char c)
-    {
-        skipWs();
-        if (pos < text.size() && text[pos] == c) {
-            ++pos;
-            return true;
-        }
-        return false;
-    }
-
-    bool
-    expect(char c)
-    {
-        if (!consume(c)) {
-            fail(std::string("expected '") + c + "'");
-            return false;
-        }
-        return true;
-    }
-
-    bool
-    parseString(std::string &out)
-    {
-        out.clear();
-        if (!expect('"'))
-            return false;
-        while (pos < text.size()) {
-            char c = text[pos++];
-            if (c == '"')
-                return true;
-            if (c == '\\') {
-                if (pos >= text.size())
-                    break;
-                char e = text[pos++];
-                switch (e) {
-                  case '"': out += '"'; break;
-                  case '\\': out += '\\'; break;
-                  case '/': out += '/'; break;
-                  case 'n': out += '\n'; break;
-                  case 't': out += '\t'; break;
-                  case 'r': out += '\r'; break;
-                  case 'u': {
-                      if (pos + 4 > text.size()) {
-                          fail("truncated \\u escape");
-                          return false;
-                      }
-                      unsigned v = 0;
-                      for (int k = 0; k < 4; ++k) {
-                          char h = text[pos++];
-                          v <<= 4;
-                          if (h >= '0' && h <= '9')
-                              v |= static_cast<unsigned>(h - '0');
-                          else if (h >= 'a' && h <= 'f')
-                              v |= static_cast<unsigned>(h - 'a' + 10);
-                          else if (h >= 'A' && h <= 'F')
-                              v |= static_cast<unsigned>(h - 'A' + 10);
-                          else {
-                              fail("bad \\u escape");
-                              return false;
-                          }
-                      }
-                      // The sinks only escape ASCII control characters.
-                      out += static_cast<char>(v & 0xff);
-                      break;
-                  }
-                  default:
-                      fail("unsupported escape");
-                      return false;
-                }
-            } else {
-                out += c;
-            }
-        }
-        fail("unterminated string");
-        return false;
-    }
-
-    /** Raw number token (validated by the caller's strict parser). */
-    bool
-    parseNumberToken(std::string &out)
-    {
-        skipWs();
-        out.clear();
-        while (pos < text.size()) {
-            char c = text[pos];
-            if ((c >= '0' && c <= '9') || c == '-' || c == '+' ||
-                c == '.' || c == 'e' || c == 'E') {
-                out += c;
-                ++pos;
-            } else {
-                break;
-            }
-        }
-        if (out.empty())
-            fail("expected a number");
-        return !out.empty();
-    }
-};
-
 // ------------------------------------------------------------ merge key
 
 std::string
@@ -305,7 +170,7 @@ parseCsvDump(const std::string &text, const std::string &origin)
         row.configHash = rec[2];
         if (!parseSizeT(rec[3], row.checkpoints))
             return fail("bad checkpoints '" + rec[3] + "'");
-        if (!parseDoubleStrict(rec[4], row.ipcHmean))
+        if (!parseDouble(rec[4], row.ipcHmean))
             return fail("bad ipc_hmean '" + rec[4] + "'");
         for (size_t i = nFixed; i < rec.size(); ++i) {
             if (rec[i].empty())
@@ -322,109 +187,6 @@ parseCsvDump(const std::string &text, const std::string &origin)
 }
 
 DumpParse
-parseJsonDump(const std::string &text, const std::string &origin)
-{
-    DumpParse out;
-    JsonCursor cur{text, 0, {}};
-
-    auto fail = [&](const std::string &msg) {
-        out.error = origin + ": " + (msg.empty() ? cur.err : msg);
-        out.rows.clear();
-        return out;
-    };
-
-    if (!cur.expect('['))
-        return fail("");
-    if (!cur.consume(']')) {
-        do {
-            if (!cur.expect('{'))
-                return fail("");
-            StatRow row;
-            bool saw_counters = false;
-            if (!cur.consume('}')) {
-                do {
-                    std::string key;
-                    if (!cur.parseString(key) || !cur.expect(':'))
-                        return fail("");
-                    if (key == "benchmark" || key == "scenario" ||
-                        key == "config_hash") {
-                        std::string v;
-                        if (!cur.parseString(v))
-                            return fail("");
-                        (key == "benchmark"
-                             ? row.benchmark
-                             : key == "scenario" ? row.scenario
-                                                 : row.configHash) = v;
-                    } else if (key == "checkpoints") {
-                        std::string tok;
-                        if (!cur.parseNumberToken(tok))
-                            return fail("");
-                        if (!parseSizeT(tok, row.checkpoints))
-                            return fail("bad checkpoints '" + tok + "'");
-                    } else if (key == "ipc_hmean") {
-                        std::string tok;
-                        if (!cur.parseNumberToken(tok))
-                            return fail("");
-                        if (!parseDoubleStrict(tok, row.ipcHmean))
-                            return fail("bad ipc_hmean '" + tok + "'");
-                    } else if (key == "counters") {
-                        saw_counters = true;
-                        if (!cur.expect('{'))
-                            return fail("");
-                        if (!cur.consume('}')) {
-                            do {
-                                std::string cname, tok;
-                                if (!cur.parseString(cname) ||
-                                    !cur.expect(':') ||
-                                    !cur.parseNumberToken(tok))
-                                    return fail("");
-                                u64 v = 0;
-                                if (!parseU64(tok, v))
-                                    return fail("bad value '" + tok +
-                                                "' for counter '" +
-                                                cname + "'");
-                                row.counters.emplace_back(cname, v);
-                            } while (cur.consume(','));
-                            if (!cur.expect('}'))
-                                return fail("");
-                        }
-                    } else {
-                        return fail("unknown row key '" + key + "'");
-                    }
-                } while (cur.consume(','));
-                if (!cur.expect('}'))
-                    return fail("");
-            }
-            if (row.benchmark.empty() || row.configHash.empty() ||
-                !saw_counters)
-                return fail("row is missing benchmark/config_hash/"
-                            "counters");
-            out.rows.push_back(std::move(row));
-        } while (cur.consume(','));
-        if (!cur.expect(']'))
-            return fail("");
-    }
-    cur.skipWs();
-    if (cur.pos != text.size())
-        return fail("trailing garbage after the row array");
-    return out;
-}
-
-DumpParse
-parseDumpText(const std::string &text, const std::string &origin)
-{
-    for (char c : text) {
-        if (c == ' ' || c == '\t' || c == '\n' || c == '\r')
-            continue;
-        return c == '[' ? parseJsonDump(text, origin)
-                        : parseCsvDump(text, origin);
-    }
-    DumpParse out;
-    out.error = origin + ": empty dump";
-    return out;
-}
-
-DumpParse
 parseDumpFile(const std::string &path)
 {
     std::ifstream is(path, std::ios::binary);
@@ -435,7 +197,7 @@ parseDumpFile(const std::string &path)
     }
     std::ostringstream buf;
     buf << is.rdbuf();
-    return parseDumpText(buf.str(), path);
+    return parseCsvDump(buf.str(), path);
 }
 
 std::string

@@ -1,16 +1,16 @@
 /**
  * @file
- * Offline half of the sharded-run toolchain: parse the CSV/JSON stat
- * dumps that sharded driver processes exported, validate that they
- * tile the experiment matrix (pairwise disjoint rows, complete
- * benchmark x scenario rectangle), merge them back into one canonical
- * row set, and derive the paper's figure summaries (per-benchmark
- * speedup bars and gmean rows) from the merged table.
+ * Offline half of the sharded-run toolchain: parse the CSV stat dumps
+ * that sharded driver processes exported, validate that they tile the
+ * experiment matrix (pairwise disjoint rows, complete benchmark x
+ * scenario rectangle), merge them back into one canonical row set, and
+ * derive the paper's figure summaries (per-benchmark speedup bars and
+ * gmean rows) from the merged table.
  *
- * Round-trip contract: parsing a dump written by CsvStatSink /
- * JsonStatSink and re-emitting it through the same sink reproduces the
- * input byte for byte, so `rsep_merge` over N shard dumps of a matrix
- * emits exactly the dump an unsharded run would have written
+ * Round-trip contract: parsing a dump written by CsvStatSink and
+ * re-emitting it through the same sink reproduces the input byte for
+ * byte, so `rsep_merge` over N shard dumps of a matrix emits exactly
+ * the dump an unsharded run would have written
  * (tests/test_stat_merge.cc pins this).
  */
 
@@ -38,13 +38,7 @@ struct DumpParse
 /** Parse a CsvStatSink dump (quoted fields, empty cell = no counter). */
 DumpParse parseCsvDump(const std::string &text, const std::string &origin);
 
-/** Parse a JsonStatSink dump. */
-DumpParse parseJsonDump(const std::string &text, const std::string &origin);
-
-/** Sniff the format ('[' starts JSON) and parse. */
-DumpParse parseDumpText(const std::string &text, const std::string &origin);
-
-/** Load and parse a dump file from disk. */
+/** Load and parse a CSV dump file from disk. */
 DumpParse parseDumpFile(const std::string &path);
 
 /**

@@ -464,14 +464,17 @@ TEST(Sampling, OffLeavesNoFilesAndCacheUntouched)
     EXPECT_TRUE(fs::exists(cache_dir.path)); // cache in use when off.
 
     // Sampling on: bypasses the cache (results would have no rows) but
-    // still produces the full series set.
+    // still produces the full series set, one .rts file per cell and
+    // nothing else (rsep_samples renders CSV on demand).
     mo.sampling.every = 1000;
     auto rows = runMatrix(configs, {"mcf"}, mo);
     EXPECT_TRUE(fs::exists(samples_dir.path));
-    size_t rts = 0;
-    for (const auto &e : fs::directory_iterator(samples_dir.path))
-        rts += e.path().extension() == ".rts";
-    EXPECT_EQ(rts, static_cast<size_t>(configs[0].checkpoints));
+    size_t files = 0;
+    for (const auto &e : fs::directory_iterator(samples_dir.path)) {
+        EXPECT_EQ(e.path().extension().string(), ".rts") << e.path();
+        ++files;
+    }
+    EXPECT_EQ(files, static_cast<size_t>(configs[0].checkpoints));
     for (const PhaseResult &ph : rows[0].byConfig[0].phases)
         EXPECT_FALSE(ph.fromCache);
 }

@@ -2,7 +2,7 @@
  * @file
  * Stat-export tests: matrix results flatten into rows keyed by
  * (benchmark, scenario, config hash), per-engine counters surface in
- * the dump, and the CSV/JSON/table sinks produce well-formed output.
+ * the dump, and the CSV and table sinks produce well-formed output.
  */
 
 #include <gtest/gtest.h>
@@ -151,26 +151,6 @@ TEST(StatExport, CsvEscapesDelimiters)
     CsvStatSink{}.write(os, {row});
     EXPECT_NE(os.str().find("\"we,ird\""), std::string::npos);
     EXPECT_NE(os.str().find("\"quo\"\"ted\""), std::string::npos);
-}
-
-TEST(StatExport, JsonIsWellFormed)
-{
-    const TinyMatrix &m = tinyMatrix();
-    std::ostringstream os;
-    JsonStatSink{}.write(os, m.stats);
-    const std::string j = os.str();
-
-    EXPECT_EQ(j.front(), '[');
-    EXPECT_EQ(j[j.size() - 2], ']');
-    EXPECT_NE(j.find("\"benchmark\": \"hmmer\""), std::string::npos);
-    EXPECT_NE(j.find("\"scenario\": \"rsep\""), std::string::npos);
-    EXPECT_NE(j.find("\"config_hash\": \""), std::string::npos);
-    EXPECT_NE(j.find("\"engine.rsep.shared\": "), std::string::npos);
-    // Balanced braces and exactly one object per row.
-    EXPECT_EQ(std::count(j.begin(), j.end(), '{'),
-              std::count(j.begin(), j.end(), '}'));
-    EXPECT_EQ((size_t)std::count(j.begin(), j.end(), '\n'),
-              m.stats.size() + 2);
 }
 
 TEST(StatExport, TableSinkListsEngineCounters)

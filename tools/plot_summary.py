@@ -15,12 +15,12 @@ Two input formats are auto-detected:
    benchmark, one bar per scenario arm) with the gmean rows as a
    legend annotation.
 
-2. Time-series sample CSV (`rsep_samples dump`/`merge`, or the `.csv`
-   sibling a `--sample-every` run writes next to each `.rts` file;
-   detected by the `benchmark,scenario,config_hash,phase,cycle,...`
-   header): per-window IPC timelines, one panel per (benchmark, phase)
-   cell with one line per scenario arm — the phase-behaviour view of
-   the paper's speedup bars.
+2. Time-series sample CSV (`rsep_samples dump`/`merge` over the `.rts`
+   files a `--sample-every` run writes; detected by the
+   `benchmark,scenario,config_hash,phase,cycle,...` header):
+   per-window IPC timelines, one panel per (benchmark, phase) cell with
+   one line per scenario arm — the phase-behaviour view of the paper's
+   speedup bars.
 
 Both modes need matplotlib, which is deliberately NOT a build
 dependency: when matplotlib is missing the script exits with status 2

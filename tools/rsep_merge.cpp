@@ -2,15 +2,15 @@
  * @file
  * rsep_merge — reassemble sharded stat dumps into the unsharded table.
  *
- * Ingests the per-shard CSV/JSON dumps that `--shard i/N` driver
- * processes exported, validates that they tile the matrix (disjoint
- * rows, complete benchmark x scenario rectangle), and emits the merged
+ * Ingests the per-shard CSV dumps that `--shard i/N` driver processes
+ * exported, validates that they tile the matrix (disjoint rows,
+ * complete benchmark x scenario rectangle), and emits the merged
  * canonical dump plus the paper's figure summaries (per-benchmark
  * speedup bars and gmean rows). Merging the shards of a matrix yields
  * a dump byte-identical to the one an unsharded run writes.
  *
  *     rsep_merge --csv merged.csv shard0.csv shard1.csv shard2.csv
- *     rsep_merge --summary - --baseline baseline shard*.json
+ *     rsep_merge --summary - --baseline baseline shard*.csv
  *
  * `--gc` switches to result-cache garbage collection: drop `--cache-dir`
  * records whose config hash no longer appears in the given scenario
@@ -44,15 +44,16 @@ printHelp(const std::vector<rsep::cli::Option> &merge_options,
 {
     std::printf(
         "usage: rsep_merge [options] DUMP [DUMP ...]\n"
-        "Merge per-shard stat dumps (CSV or JSON, from the drivers'\n"
-        "--csv/--json --shard runs) into one canonical table.\n"
+        "Merge per-shard CSV stat dumps (from the drivers' --csv\n"
+        "--shard runs) into one canonical table.\n"
         "\noptions:\n");
     rsep::cli::printOptions(std::cout, merge_options);
     std::printf(
         "\nWith no output option, the merged CSV goes to stdout.\n"
         "Validation: duplicate (benchmark, scenario, config-hash) rows\n"
         "across inputs are always an error (shards must be disjoint).\n"
-        "\ncache garbage collection (no DUMP inputs in this mode):\n");
+        "\ncache garbage collection (no DUMP inputs and none of the\n"
+        "options above in this mode):\n");
     rsep::cli::printOptions(std::cout, gc_options, false);
     std::printf(
         "\nWithout --scenario/--scenario-file every record is considered\n"
@@ -68,17 +69,17 @@ usageError(const std::string &msg)
     return 2;
 }
 
-/** Write through a sink to @p path, with '-' meaning stdout. */
+/** Write the rows as CSV to @p path, with '-' meaning stdout. */
 bool
-writeOut(const std::string &path, const rsep::sim::StatSink &sink,
+writeOut(const std::string &path,
          const std::vector<rsep::sim::StatRow> &rows)
 {
     if (path == "-") {
-        sink.write(std::cout, rows);
+        rsep::sim::CsvStatSink{}.write(std::cout, rows);
         return static_cast<bool>(std::cout);
     }
     std::string err;
-    if (!rsep::sim::writeStatsFile(path, sink, rows, &err)) {
+    if (!rsep::sim::writeStatsFile(path, rows, &err)) {
         std::fprintf(stderr, "rsep_merge: %s\n", err.c_str());
         return false;
     }
@@ -94,7 +95,7 @@ main(int argc, char **argv)
     using namespace rsep::sim;
     namespace cli = rsep::cli;
 
-    std::string csv_path, json_path, summary_path, baseline;
+    std::string csv_path, summary_path, baseline;
     bool allow_partial = false;
     std::vector<std::string> expect_benchmarks;
 
@@ -107,8 +108,6 @@ main(int argc, char **argv)
     std::vector<cli::Option> merge_options = {
         {"csv", "PATH", "write the merged table as CSV ('-' = stdout)",
          cli::store(csv_path)},
-        {"json", "PATH", "write the merged table as JSON ('-' = stdout)",
-         cli::store(json_path)},
         {"summary", "PATH",
          "write the figure summary: per-benchmark speedup bars + gmean "
          "rows ('-' = stdout)",
@@ -122,8 +121,11 @@ main(int argc, char **argv)
          "the benchmark set the matrix must cover (repeatable; 'suite' = "
          "the built-in 29-bench paper suite). Without it, a benchmark or "
          "arm missing from EVERY input is undetectable.",
-         [&](const std::string &v) {
-             for (const std::string &item : cli::splitList(v)) {
+         [&](const std::string &v) -> std::string {
+             std::vector<std::string> items = cli::splitList(v);
+             if (items.empty())
+                 return "no benchmark names in '" + v + "'";
+             for (const std::string &item : items) {
                  if (item != "suite")
                      expect_benchmarks.push_back(item);
                  else
@@ -144,10 +146,13 @@ main(int argc, char **argv)
          cli::store(gc_cache_dir)},
         {"scenario", "NAME[,NAME...]",
          "registered scenarios whose records stay live (repeatable)",
-         [&](const std::string &v) {
-             for (const std::string &name : cli::splitList(v))
+         [&](const std::string &v) -> std::string {
+             std::vector<std::string> names = cli::splitList(v);
+             if (names.empty())
+                 return "no scenario names in '" + v + "'";
+             for (const std::string &name : names)
                  gc_scenarios.push_back(name);
-             return std::string();
+             return {};
          }},
         {"scenario-file", "PATH",
          "scenario file whose arms' records stay live (repeatable)",
@@ -189,6 +194,13 @@ main(int argc, char **argv)
                 gc_dry_run || gc_seed))
         return usageError("--cache-dir/--scenario/--scenario-file/--seed/"
                           "--max-bytes/--dry-run require --gc");
+    if (gc && (!csv_path.empty() || !summary_path.empty() ||
+               !baseline.empty() || !expect_benchmarks.empty() ||
+               allow_partial))
+        return usageError("--csv/--summary/--baseline/--expect-benchmarks/"
+                          "--allow-partial do not apply with --gc");
+    if (!baseline.empty() && summary_path.empty())
+        return usageError("--baseline requires --summary");
 
     if (gc) {
         if (!inputs.empty())
@@ -329,9 +341,7 @@ main(int argc, char **argv)
 
     bool ok = true;
     if (!csv_path.empty())
-        ok = writeOut(csv_path, CsvStatSink{}, merged) && ok;
-    if (!json_path.empty())
-        ok = writeOut(json_path, JsonStatSink{}, merged) && ok;
+        ok = writeOut(csv_path, merged) && ok;
     if (!summary_path.empty()) {
         std::string serr;
         if (summary_path == "-") {
@@ -355,7 +365,7 @@ main(int argc, char **argv)
             }
         }
     }
-    if (csv_path.empty() && json_path.empty() && summary_path.empty())
-        ok = writeOut("-", CsvStatSink{}, merged) && ok;
+    if (csv_path.empty() && summary_path.empty())
+        ok = writeOut("-", merged) && ok;
     return ok ? 0 : 1;
 }

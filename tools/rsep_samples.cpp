@@ -10,9 +10,9 @@
 ///     rsep_samples diff samples/mcf-A-p0.rts samples/mcf-B-p0.rts
 ///
 /// `merge` pools many cells' series into one canonically-sorted CSV
-/// (same row grammar as the per-cell `.csv` siblings), erroring on a
-/// duplicate cell identity — the sample-side analogue of rsep_merge
-/// over sharded stat dumps. `summarize` reduces each timeline to its
+/// (same row grammar as `dump`), erroring on a duplicate cell
+/// identity — the sample-side analogue of rsep_merge over sharded stat
+/// dumps. `summarize` reduces each timeline to its
 /// phase-behaviour headline: mean vs peak window IPC and the number of
 /// abrupt phase changes, plus per-scenario geometric means. `diff`
 /// aligns two cells' timelines on their shared cycle axis and reports
