@@ -23,7 +23,9 @@ namespace
  * Quoting is not preserved in the output: an empty cell parses to an
  * empty string whether quoted or not, and parseCsvDump reads every
  * empty counter cell as "this row does not carry the counter" (the
- * sinks never emit quoted empties).
+ * sinks never emit quoted empties). A quoting error names its 1-based
+ * line and field ("line 7, field 3: ..."); an unterminated quote names
+ * where the quoted field opened.
  */
 bool
 splitCsv(const std::string &text,
@@ -32,6 +34,7 @@ splitCsv(const std::string &text,
     std::vector<std::string> fields;
     std::string cur;
     bool in_quotes = false, was_quoted = false, any = false;
+    size_t line = 1, quote_line = 0, quote_field = 0;
 
     auto endField = [&]() {
         fields.push_back(cur);
@@ -45,9 +48,15 @@ splitCsv(const std::string &text,
         fields.clear();
         any = false;
     };
+    auto position = [](size_t l, size_t f) {
+        return "line " + std::to_string(l) + ", field " + std::to_string(f) +
+               ": ";
+    };
 
     for (size_t i = 0; i < text.size(); ++i) {
         char c = text[i];
+        if (c == '\n')
+            ++line;
         if (in_quotes) {
             if (c == '"') {
                 if (i + 1 < text.size() && text[i + 1] == '"') {
@@ -64,11 +73,14 @@ splitCsv(const std::string &text,
         switch (c) {
           case '"':
             if (!cur.empty() && !was_quoted) {
-                err = "stray quote inside an unquoted field";
+                err = position(line, fields.size() + 1) +
+                      "stray quote inside an unquoted field";
                 return false;
             }
             in_quotes = true;
             was_quoted = true;
+            quote_line = line;
+            quote_field = fields.size() + 1;
             break;
           case ',':
             endField();
@@ -83,12 +95,11 @@ splitCsv(const std::string &text,
         }
     }
     if (in_quotes) {
-        err = "unterminated quoted field";
+        err = position(quote_line, quote_field) + "unterminated quoted field";
         return false;
     }
     if (any || !cur.empty())
         endRecord(); // final record without a trailing newline.
-    (void)was_quoted;
     return true;
 }
 

@@ -255,6 +255,15 @@ TEST(StatMerge, MalformedDumpsAreRejected)
                      "ipc_hmean\na,b,c,notanint,1.0\n",
                      "v.csv")
             .ok());
+    // Quoting errors name the 1-based line and field; an unterminated
+    // quote names where its field opened.
+    const std::string header =
+        "benchmark,scenario,config_hash,checkpoints,ipc_hmean\n";
+    EXPECT_EQ(parseCsvDump(header + "a,b,c,1,1.0\na,b\"x,c,1,1.0\n", "q.csv")
+                  .error,
+              "q.csv: line 3, field 2: stray quote inside an unquoted field");
+    EXPECT_EQ(parseCsvDump(header + "a,b,c,\"1,1.0\nd,e\n", "u.csv").error,
+              "u.csv: line 2, field 4: unterminated quoted field");
 }
 
 TEST(StatMerge, UnknownTimingCountersFlagsRetiredKeys)

@@ -451,12 +451,16 @@ main(int argc, char **argv)
 {
     std::string csv_path;
     u64 limit = 0;
+    bool limit_given = false;
 
     std::vector<cli::Option> options = {
         {"limit", "N",
          "dump: stop after N rows per file (0 = all, the default); diff: "
          "print at most N divergence windows",
-         cli::storeCount(limit)},
+         [&](const std::string &v) {
+             limit_given = true;
+             return cli::parseCount(v, limit);
+         }},
         {"csv", "PATH", "merge: output path for the pooled CSV",
          cli::store(csv_path)},
     };
@@ -479,6 +483,11 @@ main(int argc, char **argv)
                           "summarize or diff)");
     if (files.empty())
         return usageError("no sample files given");
+    // An option the command would ignore is a usage error.
+    if (limit_given && command != "dump" && command != "diff")
+        return usageError("--limit applies to dump and diff only");
+    if (!csv_path.empty() && command != "merge")
+        return usageError("--csv applies to merge only");
 
     if (command == "info")
         return cmdInfo(files);

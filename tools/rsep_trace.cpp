@@ -15,14 +15,12 @@
 /// functional emulator for the cell and requires the recorded stream to
 /// match it bit for bit.
 
-#include <chrono>
 #include <cstdio>
 #include <iostream>
 #include <string>
 #include <vector>
 
 #include "common/cli.hh"
-#include "common/mmap_file.hh"
 #include "sim/scenario.hh"
 #include "wl/emulator.hh"
 #include "wl/trace_io.hh"
@@ -65,7 +63,7 @@ specFor(const wl::TraceHeader &header)
 }
 
 int
-cmdInfo(const std::vector<std::string> &files, u64 bench_decode)
+cmdInfo(const std::vector<std::string> &files)
 {
     bool ok = true;
     for (const std::string &path : files) {
@@ -87,48 +85,6 @@ cmdInfo(const std::vector<std::string> &files, u64 bench_decode)
         std::printf("  program_length %llu\n",
                     static_cast<unsigned long long>(
                         t.header.programLength));
-        if (bench_decode == 0)
-            continue;
-        MmapFile file;
-        std::string err;
-        if (!file.open(path, &err)) {
-            std::fprintf(stderr, "rsep_trace: %s\n", err.c_str());
-            ok = false;
-            continue;
-        }
-        u64 best = ~0ull, total = 0, payload_bytes = 0;
-        for (u64 pass = 0; pass < bench_decode; ++pass) {
-            auto t0 = std::chrono::steady_clock::now();
-            wl::DecodedTraceParse d =
-                wl::decodeTraceImage(file.view(), path);
-            auto micros = static_cast<u64>(
-                std::chrono::duration_cast<std::chrono::microseconds>(
-                    std::chrono::steady_clock::now() - t0)
-                    .count());
-            if (!d.ok()) {
-                std::fprintf(stderr, "rsep_trace: %s\n", d.error.c_str());
-                ok = false;
-                break;
-            }
-            best = std::min(best, micros);
-            total += micros;
-            payload_bytes = d.trace->payload.size();
-        }
-        if (best == ~0ull)
-            continue;
-        double best_s = static_cast<double>(best) / 1e6;
-        std::printf("  decode x%llu    best %llu us, mean %.0f us "
-                    "(%.0f Mrec/s, %.0f MB/s of payload)\n",
-                    static_cast<unsigned long long>(bench_decode),
-                    static_cast<unsigned long long>(best),
-                    static_cast<double>(total) /
-                        static_cast<double>(bench_decode),
-                    best_s > 0.0 ? static_cast<double>(t.header.records) /
-                                       best_s / 1e6
-                                 : 0.0,
-                    best_s > 0.0 ? static_cast<double>(payload_bytes) /
-                                       best_s / (1 << 20)
-                                 : 0.0);
     }
     return ok ? 0 : 1;
 }
@@ -259,17 +215,15 @@ int
 main(int argc, char **argv)
 {
     u64 limit = 32;
-    u64 bench_decode = 0;
+    bool limit_given = false;
     bool deep = false;
 
     std::vector<cli::Option> options = {
         {"limit", "N", "dump: stop after N records (default 32, 0 = all)",
-         cli::storeCount(limit)},
-        {"bench-decode", "N",
-         "info: time N full validating loads of each trace (straight off "
-         "the mmap'd bytes) and report per-pass wall time and throughput "
-         "— the microbench behind the decoded-trace cache's savings",
-         cli::storeCount(bench_decode, 1)},
+         [&](const std::string &v) {
+             limit_given = true;
+             return cli::parseCount(v, limit);
+         }},
         {"deep", nullptr,
          "validate: re-run the functional emulator and require a "
          "bit-exact record match",
@@ -302,9 +256,14 @@ main(int argc, char **argv)
         return usageError("no command given (info, dump or validate)");
     if (files.empty())
         return usageError("no trace files given");
+    // An option the command would ignore is a usage error.
+    if (limit_given && command != "dump")
+        return usageError("--limit applies to dump only");
+    if (deep && command != "validate")
+        return usageError("--deep applies to validate only");
 
     if (command == "info")
-        return cmdInfo(files, bench_decode);
+        return cmdInfo(files);
     if (command == "dump")
         return cmdDump(files, limit);
     if (command == "validate")
