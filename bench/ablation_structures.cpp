@@ -43,12 +43,12 @@ rsepArm(const std::string &label,
     return sc;
 }
 
-/** One ablation: its arms' columns in the shared matrix. */
+/** One ablation: the labels of its arms in the shared matrix. */
 struct Sweep
 {
     std::string title;
     std::string paperShape;
-    size_t first = 0, count = 0;
+    std::vector<std::string> labels;
 };
 
 } // namespace
@@ -71,9 +71,11 @@ main(int argc, char **argv)
         std::vector<Sweep> sweeps;
         auto sweep = [&](const std::string &title, const char *shape,
                          std::vector<sim::Scenario> sweep_arms) {
-            sweeps.push_back({title, shape, arms.size(), sweep_arms.size()});
-            for (sim::Scenario &arm : sweep_arms)
+            Sweep &sw = sweeps.emplace_back(Sweep{title, shape, {}});
+            for (sim::Scenario &arm : sweep_arms) {
+                sw.labels.push_back(arm.config.label);
                 arms.push_back(std::move(arm));
+            }
         };
 
         // --- history depth / DDT (Section VI-A2) ---
@@ -125,23 +127,13 @@ main(int argc, char **argv)
 
         bench::HarnessResult r = bench::runArms(
             ctx, std::move(arms), bench::highlightBenchmarks());
-        return bench::reportArms(ctx, r, [&](const bench::HarnessResult &m) {
+        return bench::reportArms(ctx, r, [&](const bench::ReportInput &in) {
             for (const Sweep &sw : sweeps) {
                 // The baseline column, then this sweep's arms.
-                std::vector<size_t> cols{0};
-                for (size_t c = sw.first; c < sw.first + sw.count; ++c)
-                    cols.push_back(c);
-                std::vector<sim::SimConfig> configs;
-                std::vector<sim::MatrixRow> rows;
-                for (const sim::MatrixRow &row : m.rows)
-                    rows.push_back({row.benchmark, {}});
-                for (size_t c : cols) {
-                    configs.push_back(m.configs[c]);
-                    for (size_t b = 0; b < rows.size(); ++b)
-                        rows[b].byConfig.push_back(m.rows[b].byConfig[c]);
-                }
+                std::vector<std::string> cols{in.configs[0].label};
+                cols.insert(cols.end(), sw.labels.begin(), sw.labels.end());
                 std::cout << "\n=== " << sw.title << " ===\n";
-                sim::printSpeedupTable(std::cout, rows, configs);
+                in.printSpeedups(std::cout, cols);
                 std::cout << sw.paperShape << "\n";
             }
         });

@@ -1,11 +1,13 @@
 #include "bench_util.hh"
 
 #include <cstdio>
+#include <cstdlib>
 #include <iostream>
 
 #include "common/cli.hh"
 #include "common/env.hh"
 #include "common/fault.hh"
+#include "common/logging.hh"
 #include "serve/client.hh"
 #include "wl/trace_cache.hh"
 #include "wl/workload_spec.hh"
@@ -410,15 +412,12 @@ printShardNotice(const DriverContext &ctx)
                      "results are not\nexported anywhere)\n";
 }
 
-/** Write the CSV/table dumps requested in @p ctx. False on I/O
- *  failure (already reported to stderr). */
+/** Write @p stat_rows to the CSV/table dumps requested in @p ctx.
+ *  False on I/O failure (already reported to stderr). */
 bool
-exportStats(const DriverContext &ctx, const HarnessResult &r)
+exportStats(const DriverContext &ctx,
+            const std::vector<sim::StatRow> &stat_rows)
 {
-    if (ctx.csvPath.empty() && !ctx.statsTable)
-        return true;
-    std::vector<sim::StatRow> stat_rows =
-        sim::collectStatRows(r.configs, r.rows, ctx.timings);
     bool ok = true;
     if (!ctx.csvPath.empty()) {
         std::string err;
@@ -448,6 +447,31 @@ benchmarksFor(const HarnessSpec &spec, const DriverContext &ctx)
 
 } // namespace
 
+const sim::StatRow &
+ReportInput::row(const std::string &benchmark, size_t arm) const
+{
+    const sim::StatRow *r =
+        sim::findStatRow(rows, benchmark, configs.at(arm).label);
+    if (!r)
+        rsep_panic("no stat row for (%s, %s)", benchmark.c_str(),
+                   configs[arm].label.c_str());
+    return *r;
+}
+
+void
+ReportInput::printSpeedups(std::ostream &os,
+                           std::vector<std::string> arms) const
+{
+    if (arms.empty())
+        for (const sim::SimConfig &cfg : configs)
+            arms.push_back(cfg.label);
+    sim::SpeedupGrid grid;
+    std::string err;
+    if (!sim::speedupGrid(rows, arms, benchmarks, grid, &err))
+        rsep_panic("speedup table: %s", err.c_str());
+    sim::writeSpeedupTable(os, grid);
+}
+
 HarnessResult
 runArms(const DriverContext &ctx, std::vector<sim::Scenario> scenarios,
         std::vector<std::string> benchmarks)
@@ -468,8 +492,18 @@ runArms(const DriverContext &ctx, std::vector<sim::Scenario> scenarios,
                 n = *key;
 
     HarnessResult r;
-    for (const sim::Scenario &sc : scenarios)
+    for (const sim::Scenario &sc : scenarios) {
+        for (const sim::SimConfig &cfg : r.configs)
+            if (cfg.label == sc.config.label) {
+                std::fprintf(stderr,
+                             "%s: arm label '%s' is given twice; every "
+                             "arm needs its own label, which keys its "
+                             "rows (try --help)\n",
+                             ctx.driver, cfg.label.c_str());
+                std::exit(2);
+            }
         r.configs.push_back(sc.config);
+    }
     if (ctx.connectSocket.empty()) {
         r.rows = sim::runMatrix(r.configs, benchmarks, ctx.matrix);
         return r;
@@ -502,20 +536,26 @@ reportArms(const DriverContext &ctx, const HarnessResult &r,
             std::cout << "  " << cfg.label << "  (config hash "
                       << sim::configHash(cfg) << ")\n";
     }
+    std::vector<sim::StatRow> stat_rows =
+        sim::collectStatRows(r.configs, r.rows, ctx.timings);
+    std::vector<std::string> benchmarks;
+    for (const sim::MatrixRow &row : r.rows)
+        benchmarks.push_back(row.benchmark);
+    ReportInput in{r.configs, benchmarks, stat_rows};
     if (ctx.matrix.shard.active()) {
         printShardNotice(ctx);
     } else if (report) {
-        report(r);
+        report(in);
     } else if (r.configs.size() > 1) {
         std::cout << "\nspeedup over '" << r.configs[0].label << "':\n";
-        sim::printSpeedupTable(std::cout, r.rows, r.configs);
+        in.printSpeedups(std::cout);
     } else {
         std::cout << "\nbenchmark IPC (hmean over checkpoints):\n";
-        for (const auto &row : r.rows)
-            std::printf("%-12s %8.3f\n", row.benchmark.c_str(),
-                        row.byConfig[0].ipcHmean());
+        for (const std::string &bench : benchmarks)
+            std::printf("%-12s %8.3f\n", bench.c_str(),
+                        in.row(bench, 0).ipcHmean);
     }
-    return exportStats(ctx, r) ? 0 : 1;
+    return exportStats(ctx, stat_rows) ? 0 : 1;
 }
 
 int
@@ -526,6 +566,7 @@ runHarness(int argc, char **argv, const HarnessSpec &spec)
     fault::initFromEnv();
 
     DriverContext ctx;
+    ctx.driver = spec.name;
     int rc = parseDriverArgs(argc, argv, spec, ctx);
     if (rc >= 0)
         return rc;

@@ -27,7 +27,7 @@
 
 #include "sim/runner.hh"
 #include "sim/scenario.hh"
-#include "sim/stat_export.hh"
+#include "sim/stat_merge.hh"
 #include "wl/suite.hh"
 
 namespace rsep::bench
@@ -73,17 +73,38 @@ struct DriverContext
      *  failure or Busy rejection (default 3; 0 = fail fast). */
     unsigned retries = 3;
     std::vector<std::string> positional;
+    const char *driver = "driver"; ///< HarnessSpec::name, for diagnostics.
 };
 
-/** The matrix a harness run produced, for bespoke reports. */
+/** The matrix a harness run produced. */
 struct HarnessResult
 {
     std::vector<sim::SimConfig> configs;
     std::vector<sim::MatrixRow> rows;
 };
 
+/**
+ * What a report reads: the arms and benchmarks in matrix order, and
+ * the stat rows the run's `--csv` dump holds, one per (benchmark,
+ * arm). Counters are read by their dump names (sim::counterOf).
+ */
+struct ReportInput
+{
+    const std::vector<sim::SimConfig> &configs;
+    const std::vector<std::string> &benchmarks;
+    const std::vector<sim::StatRow> &rows;
+
+    /** The row of (@p benchmark, configs[@p arm]). */
+    const sim::StatRow &row(const std::string &benchmark, size_t arm) const;
+
+    /** Print the speedup table of the arms labelled @p arms, the
+     *  baseline first, over every benchmark; empty = every arm. */
+    void printSpeedups(std::ostream &os,
+                       std::vector<std::string> arms = {}) const;
+};
+
 /** A driver's bespoke tables over a full (unsharded) matrix. */
-using Report = std::function<void(const HarnessResult &)>;
+using Report = std::function<void(const ReportInput &)>;
 
 /** Static description of one driver binary. */
 struct HarnessSpec
@@ -125,17 +146,19 @@ int runHarness(int argc, char **argv, const HarnessSpec &spec);
  * matrix driver: applies --seed to every arm and --workload in place
  * of @p benchmarks, resolves names through the workload registry, then
  * runs in-process or, with --connect, on the daemon (byte-identical
- * rows either way).
+ * rows either way). Rows and tables are keyed by arm label, so a label
+ * given twice is a usage error (exit 2) before anything runs.
  */
 HarnessResult runArms(const DriverContext &ctx,
                       std::vector<sim::Scenario> scenarios,
                       std::vector<std::string> benchmarks);
 
 /**
- * Print @p r — through @p report when given, else as the generic
- * scenario-matrix table; a shard notice instead when the matrix is
- * sharded — and write the CSV/stat-table dumps requested in
- * @p ctx. Returns the exit code (1 when a dump could not be written).
+ * Collect @p r's stat rows once, print them — through @p report when
+ * given, else as the generic scenario-matrix table; a shard notice
+ * instead when the matrix is sharded — and write the same rows to the
+ * CSV/stat-table dumps requested in @p ctx. Returns the exit code (1
+ * when a dump could not be written).
  */
 int reportArms(const DriverContext &ctx, const HarnessResult &r,
                const Report &report = {});

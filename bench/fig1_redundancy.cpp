@@ -8,6 +8,7 @@
  */
 
 #include <cstdio>
+#include <string>
 
 #include "bench_util.hh"
 
@@ -15,7 +16,6 @@ int
 main(int argc, char **argv)
 {
     using namespace rsep;
-    using core::PipelineStats;
 
     bench::HarnessSpec spec;
     spec.name = "fig1_redundancy";
@@ -26,40 +26,40 @@ main(int argc, char **argv)
     // The probe rides the baseline core; equality prediction is on
     // solely to collect the commit-group histogram.
     spec.defaultScenarios = {"fig1-redundancy"};
-    spec.report = [](const bench::HarnessResult &r) {
+    spec.report = [](const bench::ReportInput &in) {
         std::printf("=== Fig. 1: result redundancy at commit ===\n");
         std::printf("%-12s %10s %10s %12s %12s %10s %10s\n", "benchmark",
                     "zero-ld%", "zero-oth%", "inPRF-ld%", "inPRF-oth%",
                     "grp>=6%", "grp=8%");
 
-        for (const auto &mrow : r.rows) {
-            const std::string &bench = mrow.benchmark;
-            const sim::RunResult &rr = mrow.byConfig[0];
-
-            double insts = static_cast<double>(
-                rr.sum(&PipelineStats::committedInsts));
-            auto pct = [&](StatCounter PipelineStats::* m) {
-                return 100.0 * static_cast<double>(rr.sum(m)) / insts;
+        for (const std::string &bench : in.benchmarks) {
+            const sim::StatRow &row = in.row(bench, 0);
+            auto count = [&](const std::string &name) {
+                return sim::counterOf(row, name);
             };
 
-            // Commit-group eligibility histogram across phases.
-            u64 cycles = 0, ge6 = 0, eq8 = 0;
-            for (const auto &ph : rr.phases) {
-                const auto &h = ph.stats.commitGroupProducers;
-                cycles += h.samples();
-                for (size_t b = 6; b < h.buckets(); ++b)
-                    ge6 += h.bucket(b);
-                eq8 += h.bucket(8);
+            double insts = static_cast<double>(count("committed_insts"));
+            auto pct = [&](const char *name) {
+                return 100.0 * static_cast<double>(count(name)) / insts;
+            };
+
+            // Commit-group eligibility histogram (buckets 0..8).
+            u64 cycles = 0, ge6 = 0;
+            for (int b = 0; b <= 8; ++b) {
+                u64 n = count("commit_group_producers_" + std::to_string(b));
+                cycles += n;
+                if (b >= 6)
+                    ge6 += n;
             }
+            u64 eq8 = count("commit_group_producers_8");
             double ge6pct = cycles ? 100.0 * ge6 / cycles : 0.0;
             double eq8pct = cycles ? 100.0 * eq8 / cycles : 0.0;
 
             std::printf(
                 "%-12s %10.2f %10.2f %12.2f %12.2f %10.2f %10.2f\n",
-                bench.c_str(), pct(&PipelineStats::fig1ZeroLoad),
-                pct(&PipelineStats::fig1ZeroOther),
-                pct(&PipelineStats::fig1InPrfLoad),
-                pct(&PipelineStats::fig1InPrfOther), ge6pct, eq8pct);
+                bench.c_str(), pct("fig1_zero_load"), pct("fig1_zero_other"),
+                pct("fig1_in_prf_load"), pct("fig1_in_prf_other"), ge6pct,
+                eq8pct);
         }
         std::printf(
             "\npaper shape: most benchmarks >=5%% redundant results; "

@@ -21,9 +21,9 @@ main(int argc, char **argv)
         "mechanism arms\nacross all 29 benchmarks.";
     spec.defaultScenarios = {"baseline",  "zero-pred", "move-elim",
                              "rsep",      "vpred",     "rsep+vpred"};
-    spec.report = [](const bench::HarnessResult &r) {
+    spec.report = [](const bench::ReportInput &in) {
         std::cout << "=== Fig. 4: speedup over baseline ===\n";
-        sim::printSpeedupTable(std::cout, r.rows, r.configs);
+        in.printSpeedups(std::cout);
         std::cout << "\npaper shape: RSEP 5-11% in {mcf, dealII, hmmer, "
                      "libquantum, omnetpp, xalancbmk}; VP better in "
                      "{perlbench, wrf, xalancbmk}; zero pred only helps "

@@ -13,7 +13,6 @@ int
 main(int argc, char **argv)
 {
     using namespace rsep;
-    using core::PipelineStats;
 
     bench::HarnessSpec spec;
     spec.name = "fig5_coverage";
@@ -22,7 +21,7 @@ main(int argc, char **argv)
         "mechanism\n(RSEP arm, then RSEP + VP arm, zero-pred bars "
         "included).";
     spec.defaultScenarios = {"rsep+zp", "rsep+vpred+zp"};
-    spec.report = [](const bench::HarnessResult &r) {
+    spec.report = [](const bench::ReportInput &in) {
         std::printf(
             "=== Fig. 5: %% of committed instructions covered ===\n");
         std::printf("(first row per benchmark: RSEP; second: RSEP + VP)\n");
@@ -30,39 +29,30 @@ main(int argc, char **argv)
                     "zidiom", "move", "zp", "zp-ld", "dist", "dist-ld",
                     "vp", "vp-ld");
 
-        auto row = [&](const sim::RunResult &rr) {
-            double insts = static_cast<double>(
-                rr.sum(&PipelineStats::committedInsts));
-            auto pct = [&](StatCounter PipelineStats::* m) {
-                return 100.0 * static_cast<double>(rr.sum(m)) / insts;
-            };
+        // Percent of committed instructions.
+        auto pct = [](const sim::StatRow &row, const char *name) {
+            return 100.0 * static_cast<double>(sim::counterOf(row, name)) /
+                   static_cast<double>(
+                       sim::counterOf(row, "committed_insts"));
+        };
+        auto line = [&](const sim::StatRow &row) {
             std::printf(
                 " %8.2f %8.2f %8.2f %8.2f %8.2f %8.2f %8.2f %8.2f\n",
-                pct(&PipelineStats::zeroIdiomElim),
-                pct(&PipelineStats::moveElim),
-                pct(&PipelineStats::zeroPredOther),
-                pct(&PipelineStats::zeroPredLoad),
-                pct(&PipelineStats::distPredOther),
-                pct(&PipelineStats::distPredLoad),
-                pct(&PipelineStats::valuePredOther),
-                pct(&PipelineStats::valuePredLoad));
+                pct(row, "zero_idiom_elim"), pct(row, "move_elim"),
+                pct(row, "zero_pred_other"), pct(row, "zero_pred_load"),
+                pct(row, "dist_pred_other"), pct(row, "dist_pred_load"),
+                pct(row, "value_pred_other"), pct(row, "value_pred_load"));
         };
 
-        for (const auto &mrow : r.rows) {
-            const sim::RunResult &r1 = mrow.byConfig[0];
-            const sim::RunResult &r2 = mrow.byConfig[1];
-            std::printf("%-12s", mrow.benchmark.c_str());
-            row(r1);
+        for (const std::string &bench : in.benchmarks) {
+            const sim::StatRow &both = in.row(bench, 1);
+            std::printf("%-12s", bench.c_str());
+            line(in.row(bench, 0));
             std::printf("%-12s", "");
-            row(r2);
+            line(both);
             // Overlap diagnostic (perlbench: VP covers RSEP's catch).
-            double overlap =
-                100.0 *
-                static_cast<double>(
-                    r2.sum(&PipelineStats::rsepVpOverlap)) /
-                static_cast<double>(
-                    r2.sum(&PipelineStats::committedInsts));
-            std::printf("%-12s rsep&vp-overlap: %.2f%%\n", "", overlap);
+            std::printf("%-12s rsep&vp-overlap: %.2f%%\n", "",
+                        pct(both, "rsep_vp_overlap"));
         }
     };
     return bench::runHarness(argc, argv, spec);

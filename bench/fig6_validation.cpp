@@ -24,9 +24,9 @@ main(int argc, char **argv)
         "baseline",           "rsep-val-ideal",
         "rsep-val-2x-lock",   "rsep-val-2x-any",
         "rsep-val-2x-sample15", "rsep-val-2x-sample63"};
-    spec.report = [](const bench::HarnessResult &r) {
+    spec.report = [](const bench::ReportInput &in) {
         std::cout << "=== Fig. 6: validation & sampling impact ===\n";
-        sim::printSpeedupTable(std::cout, r.rows, r.configs);
+        in.printSpeedups(std::cout);
         std::cout << "\npaper shape: locking the FU hurts load-heavy "
                      "benchmarks badly (validation competes for load "
                      "ports); issuing to any FU ~= ideal; sampling with "

@@ -17,7 +17,6 @@ int
 main(int argc, char **argv)
 {
     using namespace rsep;
-    using core::PipelineStats;
 
     bench::HarnessSpec spec;
     spec.name = "fig7_realistic";
@@ -25,30 +24,32 @@ main(int argc, char **argv)
         "Reproduces Fig. 7: ideal vs realistic RSEP, plus the Section "
         "VI-B\naccuracy/coverage summary.";
     spec.defaultScenarios = {"baseline", "rsep", "rsep-realistic"};
-    spec.report = [](const bench::HarnessResult &r) {
+    spec.report = [](const bench::ReportInput &in) {
+        // Each arm's storage on its own core's register file and ROB.
+        auto storage = [&](size_t arm) {
+            const sim::SimConfig &cfg = in.configs[arm];
+            return equality::describeStorage(
+                cfg.mech.rsep, cfg.core.intPregs + cfg.core.fpPregs,
+                cfg.core.robSize);
+        };
         std::cout << "=== Fig. 7: ideal vs realistic RSEP ===\n";
-        std::cout << "ideal:     "
-                  << equality::describeStorage(r.configs[1].mech.rsep, 470,
-                                               192)
-                  << "\n";
-        std::cout << "realistic: "
-                  << equality::describeStorage(r.configs[2].mech.rsep, 470,
-                                               192)
-                  << "\n\n";
-        sim::printSpeedupTable(std::cout, r.rows, r.configs);
+        std::cout << "ideal:     " << storage(1) << "\n";
+        std::cout << "realistic: " << storage(2) << "\n\n";
+        in.printSpeedups(std::cout);
 
         // Section VI-B summary: accuracy > 99.5%, coverage of eligible
         // instructions ~28.5% (eligible = register producers).
         u64 correct = 0, wrong = 0, covered = 0, eligible = 0;
-        for (const auto &row : r.rows) {
-            const sim::RunResult &rr = row.byConfig[2];
-            correct += rr.sum(&PipelineStats::rsepCorrect);
-            wrong += rr.sum(&PipelineStats::rsepMispredicts);
-            covered += rr.sum(&PipelineStats::distPredLoad) +
-                       rr.sum(&PipelineStats::distPredOther) +
-                       rr.sum(&PipelineStats::moveElim) +
-                       rr.sum(&PipelineStats::zeroIdiomElim);
-            eligible += rr.sum(&PipelineStats::committedProducers);
+        for (const std::string &bench : in.benchmarks) {
+            const sim::StatRow &row = in.row(bench, 2);
+            auto count = [&](const char *name) {
+                return sim::counterOf(row, name);
+            };
+            correct += count("rsep_correct");
+            wrong += count("rsep_mispredicts");
+            covered += count("dist_pred_load") + count("dist_pred_other") +
+                       count("move_elim") + count("zero_idiom_elim");
+            eligible += count("committed_producers");
         }
         std::printf("\nrealistic RSEP summary across the suite:\n");
         std::printf("  prediction accuracy: %.3f%% (paper: > 99.5%%)\n",

@@ -8,6 +8,7 @@
  * Usage: mechanism_comparison [bench ...]   (default: a 6-bench subset)
  */
 
+#include <cstdio>
 #include <iostream>
 
 #include "bench_util.hh"
@@ -16,7 +17,6 @@ int
 main(int argc, char **argv)
 {
     using namespace rsep;
-    using core::PipelineStats;
 
     bench::HarnessSpec spec;
     spec.name = "mechanism_comparison";
@@ -28,54 +28,38 @@ main(int argc, char **argv)
     spec.benchmarks = {"mcf",      "dealII",  "hmmer",
                        "libquantum", "omnetpp", "perlbench"};
     spec.positionalBenchmarks = true;
-    spec.report = [](const bench::HarnessResult &r) {
+    spec.report = [](const bench::ReportInput &in) {
         std::cout
             << "\n--- speedup over baseline (cf. paper Fig. 4) ---\n";
-        sim::printSpeedupTable(std::cout, r.rows, r.configs);
+        in.printSpeedups(std::cout);
 
         std::cout << "\n--- coverage, % of committed instructions "
                      "(cf. paper Fig. 5) ---\n";
         std::cout << "columns: rsep arm [zidiom|move|dist|dist-ld] then "
                      "rsep+vp arm [dist|vp|vp-ld]\n";
-        sim::printPctTable(
-            std::cout, r.rows,
-            {"zidiom", "move", "dist", "dist-ld", "dist+", "vp+",
-             "vp-ld+"},
-            [](const sim::MatrixRow &row, size_t col) {
-                const sim::RunResult &rsep_run = row.byConfig[3];
-                const sim::RunResult &both_run = row.byConfig[5];
-                switch (col) {
-                  case 0:
-                    return 100 * rsep_run.ratioOfCommitted(
-                                     &PipelineStats::zeroIdiomElim);
-                  case 1:
-                    return 100 * rsep_run.ratioOfCommitted(
-                                     &PipelineStats::moveElim);
-                  case 2:
-                    return 100 * (rsep_run.ratioOfCommitted(
-                                      &PipelineStats::distPredOther) +
-                                  rsep_run.ratioOfCommitted(
-                                      &PipelineStats::distPredLoad));
-                  case 3:
-                    return 100 * rsep_run.ratioOfCommitted(
-                                     &PipelineStats::distPredLoad);
-                  case 4:
-                    return 100 * (both_run.ratioOfCommitted(
-                                      &PipelineStats::distPredOther) +
-                                  both_run.ratioOfCommitted(
-                                      &PipelineStats::distPredLoad));
-                  case 5:
-                    return 100 * (both_run.ratioOfCommitted(
-                                      &PipelineStats::valuePredOther) +
-                                  both_run.ratioOfCommitted(
-                                      &PipelineStats::valuePredLoad));
-                  case 6:
-                    return 100 * both_run.ratioOfCommitted(
-                                     &PipelineStats::valuePredLoad);
-                  default:
-                    return 0.0;
-                }
-            });
+        std::printf("%-12s", "benchmark");
+        for (const char *col :
+             {"zidiom", "move", "dist", "dist-ld", "dist+", "vp+", "vp-ld+"})
+            std::printf("%18s", col);
+        std::printf("\n");
+        for (const std::string &bench : in.benchmarks) {
+            const sim::StatRow &rsep_run = in.row(bench, 3);
+            const sim::StatRow &both_run = in.row(bench, 5);
+            std::printf("%-12s", bench.c_str());
+            for (double pct :
+                 {100 * sim::committedShare(rsep_run, "zero_idiom_elim"),
+                  100 * sim::committedShare(rsep_run, "move_elim"),
+                  100 * (sim::committedShare(rsep_run, "dist_pred_other") +
+                         sim::committedShare(rsep_run, "dist_pred_load")),
+                  100 * sim::committedShare(rsep_run, "dist_pred_load"),
+                  100 * (sim::committedShare(both_run, "dist_pred_other") +
+                         sim::committedShare(both_run, "dist_pred_load")),
+                  100 * (sim::committedShare(both_run, "value_pred_other") +
+                         sim::committedShare(both_run, "value_pred_load")),
+                  100 * sim::committedShare(both_run, "value_pred_load")})
+                std::printf("%17.2f%%", pct);
+            std::printf("\n");
+        }
     };
     return bench::runHarness(argc, argv, spec);
 }

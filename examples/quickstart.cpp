@@ -25,13 +25,12 @@ main(int argc, char **argv)
     spec.defaultScenarios = {"baseline", "rsep"};
     spec.benchmarks = {"mcf"};
     spec.positionalBenchmarks = true;
-    spec.report = [](const bench::HarnessResult &r) {
-        const sim::SimConfig &base = r.configs[0];
-        const sim::SimConfig &rsep_cfg = r.configs[1];
+    spec.report = [](const bench::ReportInput &in) {
+        const sim::SimConfig &base = in.configs[0];
+        const sim::SimConfig &rsep_cfg = in.configs[1];
 
-        for (const auto &mrow : r.rows) {
-            std::printf("=== RSEP quickstart: %s ===\n",
-                        mrow.benchmark.c_str());
+        for (const std::string &bench : in.benchmarks) {
+            std::printf("=== RSEP quickstart: %s ===\n", bench.c_str());
             std::printf(
                 "core: 8-wide OoO, 192-entry ROB (paper Table I)\n");
             std::printf("%s\n",
@@ -41,37 +40,41 @@ main(int argc, char **argv)
                                                   base.core.robSize)
                             .c_str());
 
-            const sim::RunResult &rb = mrow.byConfig[0];
-            const sim::RunResult &rr = mrow.byConfig[1];
+            const sim::StatRow &rb = in.row(bench, 0);
+            const sim::StatRow &rr = in.row(bench, 1);
+            auto share = [&](const char *name) {
+                return sim::committedShare(rr, name);
+            };
 
-            double cov_load =
-                rr.ratioOfCommitted(&core::PipelineStats::distPredLoad);
-            double cov_other =
-                rr.ratioOfCommitted(&core::PipelineStats::distPredOther);
-            u64 correct = rr.sum(&core::PipelineStats::rsepCorrect);
-            u64 wrong = rr.sum(&core::PipelineStats::rsepMispredicts);
+            double cov_load = share("dist_pred_load");
+            double cov_other = share("dist_pred_other");
+            u64 correct = sim::counterOf(rr, "rsep_correct");
+            u64 wrong = sim::counterOf(rr, "rsep_mispredicts");
             double acc = correct + wrong
                 ? 100.0 * static_cast<double>(correct) /
                       static_cast<double>(correct + wrong)
                 : 100.0;
+            sim::SpeedupGrid speedup;
+            sim::speedupGrid(in.rows, {base.label, rsep_cfg.label}, {bench},
+                             speedup);
 
             std::printf(
                 "\nbaseline IPC (hmean of %zu checkpoints): %.3f\n",
-                rb.phases.size(), rb.ipcHmean());
+                rb.checkpoints, rb.ipcHmean);
             std::printf("RSEP     IPC (hmean of %zu checkpoints): %.3f\n",
-                        rr.phases.size(), rr.ipcHmean());
-            std::printf("speedup: %.2f%%\n", sim::speedupPct(rr, rb));
+                        rr.checkpoints, rr.ipcHmean);
+            if (speedup.bars.empty())
+                std::printf("speedup: n/a (no usable baseline IPC)\n");
+            else
+                std::printf("speedup: %.2f%%\n", speedup.bars[0][0].pct);
             std::printf("equality coverage: %.2f%% of committed insts "
                         "(loads %.2f%%, others %.2f%%)\n",
                         100.0 * (cov_load + cov_other), 100.0 * cov_load,
                         100.0 * cov_other);
             std::printf("equality prediction accuracy: %.3f%%\n", acc);
-            std::printf(
-                "move elimination: %.2f%%, zero idioms: %.2f%%\n",
-                100.0 *
-                    rr.ratioOfCommitted(&core::PipelineStats::moveElim),
-                100.0 * rr.ratioOfCommitted(
-                            &core::PipelineStats::zeroIdiomElim));
+            std::printf("move elimination: %.2f%%, zero idioms: %.2f%%\n",
+                        100.0 * share("move_elim"),
+                        100.0 * share("zero_idiom_elim"));
         }
     };
     return bench::runHarness(argc, argv, spec);

@@ -1,17 +1,14 @@
 #include "sim/runner.hh"
 
-#include <algorithm>
 #include <atomic>
 #include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
-#include <iomanip>
 #include <mutex>
 #include <thread>
 
 #include "common/env.hh"
 #include "common/logging.hh"
-#include "common/stats.hh"
 #include "sim/result_cache.hh"
 #include "sim/scenario.hh"
 #include "sim/stat_export.hh"
@@ -279,78 +276,6 @@ runMatrix(const std::vector<SimConfig> &configs,
                      static_cast<double>(ts.decodeMicros) / 1e6);
     }
     return std::move(plan.rows);
-}
-
-std::string
-fmtPct(double v)
-{
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%7.2f%%", v);
-    return buf;
-}
-
-namespace
-{
-
-/** Width of a table column: the 18-character default, widened so the
- *  header @p label keeps at least one space before it. */
-int
-columnWidth(const std::string &label)
-{
-    return static_cast<int>(std::max<size_t>(18, label.size() + 1));
-}
-
-} // namespace
-
-void
-printSpeedupTable(std::ostream &os, const std::vector<MatrixRow> &rows,
-                  const std::vector<SimConfig> &configs)
-{
-    os << std::left << std::setw(12) << "benchmark";
-    for (size_t c = 1; c < configs.size(); ++c)
-        os << std::right << std::setw(columnWidth(configs[c].label))
-           << configs[c].label;
-    os << "\n";
-
-    std::vector<std::vector<double>> ratios(configs.size());
-    for (const auto &row : rows) {
-        os << std::left << std::setw(12) << row.benchmark;
-        double base = row.byConfig[0].ipcHmean();
-        for (size_t c = 1; c < configs.size(); ++c) {
-            double pct = speedupPct(row.byConfig[c], row.byConfig[0]);
-            if (base > 0.0)
-                ratios[c].push_back(row.byConfig[c].ipcHmean() / base);
-            os << std::right << std::setw(columnWidth(configs[c].label))
-               << fmtPct(pct);
-        }
-        os << "\n";
-    }
-    os << std::left << std::setw(12) << "gmean";
-    for (size_t c = 1; c < configs.size(); ++c) {
-        double g = geometricMean(ratios[c]);
-        os << std::right << std::setw(columnWidth(configs[c].label))
-           << fmtPct(g > 0.0 ? (g - 1.0) * 100.0 : 0.0);
-    }
-    os << "\n";
-}
-
-void
-printPctTable(std::ostream &os, const std::vector<MatrixRow> &rows,
-              const std::vector<std::string> &col_names,
-              const std::function<double(const MatrixRow &, size_t col)>
-                  &cell)
-{
-    os << std::left << std::setw(12) << "benchmark";
-    for (const auto &name : col_names)
-        os << std::right << std::setw(columnWidth(name)) << name;
-    os << "\n";
-    for (const auto &row : rows) {
-        os << std::left << std::setw(12) << row.benchmark;
-        for (size_t c = 0; c < col_names.size(); ++c)
-            os << std::right << std::setw(columnWidth(col_names[c]))
-               << fmtPct(cell(row, c));
-        os << "\n";
-    }
 }
 
 } // namespace rsep::sim

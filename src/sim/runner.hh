@@ -1,14 +1,13 @@
 /**
  * @file
  * Experiment runner utilities shared by the bench harnesses: run a
- * (benchmark x configuration) matrix and print paper-style rows.
+ * (benchmark x configuration) matrix.
  */
 
 #ifndef RSEP_SIM_RUNNER_HH
 #define RSEP_SIM_RUNNER_HH
 
 #include <functional>
-#include <ostream>
 #include <string>
 #include <vector>
 
@@ -193,23 +192,6 @@ PhaseResult runCachedCell(ResultCache *cache, const SimConfig &cfg,
                           const std::string &config_hash, u32 phase,
                           const TraceIoOptions &trace_io = {},
                           u64 sample_every = 0);
-
-/**
- * Print a speedup table: one row per benchmark, one column per non-
- * baseline configuration, in percent over configuration 0, plus a
- * geometric-mean summary row (the paper reports per-benchmark bars).
- */
-void printSpeedupTable(std::ostream &os, const std::vector<MatrixRow> &rows,
-                       const std::vector<SimConfig> &configs);
-
-/** Print a generic percent table computed by @p cell per row/column. */
-void printPctTable(std::ostream &os, const std::vector<MatrixRow> &rows,
-                   const std::vector<std::string> &col_names,
-                   const std::function<double(const MatrixRow &, size_t col)>
-                       &cell);
-
-/** Simple fixed-width cell helpers. */
-std::string fmtPct(double v);
 
 } // namespace rsep::sim
 

@@ -23,15 +23,6 @@ RunResult::ipcHmean() const
     return harmonicMean(v);
 }
 
-double
-RunResult::ratioOfCommitted(StatCounter core::PipelineStats::* member) const
-{
-    u64 insts = sum(&core::PipelineStats::committedInsts);
-    if (insts == 0)
-        return 0.0;
-    return static_cast<double>(sum(member)) / static_cast<double>(insts);
-}
-
 namespace
 {
 
@@ -199,15 +190,6 @@ runWorkload(const SimConfig &cfg, const std::string &bench_name,
         accountPhaseTiming(out.timing, out.phases.back());
     }
     return out;
-}
-
-double
-speedupPct(const RunResult &a, const RunResult &b)
-{
-    double base = b.ipcHmean();
-    if (base <= 0.0)
-        return 0.0;
-    return (a.ipcHmean() / base - 1.0) * 100.0;
 }
 
 } // namespace rsep::sim

@@ -137,9 +137,6 @@ struct RunResult
             total += (ph.stats.*member).value();
         return total;
     }
-
-    /** Ratio of summed counter to summed committed instructions. */
-    double ratioOfCommitted(StatCounter core::PipelineStats::* member) const;
 };
 
 /**
@@ -177,9 +174,6 @@ RunResult runWorkload(const SimConfig &cfg, const std::string &bench_name,
  *  (cache misses are counted by the matrix runner, which knows
  *  whether a cache was configured at all). */
 void accountPhaseTiming(RunTiming &timing, const PhaseResult &pr);
-
-/** Speedup of @p a over @p b in percent. */
-double speedupPct(const RunResult &a, const RunResult &b);
 
 } // namespace rsep::sim
 

@@ -1,7 +1,9 @@
 #include "sim/stat_merge.hh"
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <iomanip>
 #include <map>
 #include <set>
 #include <sstream>
@@ -128,6 +130,15 @@ prettyKey(const StatRow &r)
            ")";
 }
 
+/** @p v printed through the printf format @p f. */
+std::string
+fmt(const char *f, double v)
+{
+    char buf[32];
+    std::snprintf(buf, sizeof(buf), f, v);
+    return buf;
+}
+
 } // namespace
 
 DumpParse
@@ -192,6 +203,9 @@ parseCsvDump(const std::string &text, const std::string &origin)
                             header[i] + "'");
             row.counters.emplace_back(header[i], v);
         }
+        // Columns are a union in first-appearance order; a row keeps
+        // its own counters sorted by name, as canonical rows do.
+        std::sort(row.counters.begin(), row.counters.end());
         out.rows.push_back(std::move(row));
     }
     return out;
@@ -328,31 +342,57 @@ unknownTimingCounters(const std::vector<StatRow> &rows)
     return {unknown.begin(), unknown.end()};
 }
 
+u64
+counterOf(const StatRow &row, std::string_view name)
+{
+    auto it = std::lower_bound(
+        row.counters.begin(), row.counters.end(), name,
+        [](const auto &c, std::string_view n) { return c.first < n; });
+    return it != row.counters.end() && it->first == name ? it->second : 0;
+}
+
+double
+committedShare(const StatRow &row, std::string_view name)
+{
+    u64 insts = counterOf(row, "committed_insts");
+    return insts ? static_cast<double>(counterOf(row, name)) /
+                       static_cast<double>(insts)
+                 : 0.0;
+}
+
+const StatRow *
+findStatRow(const std::vector<StatRow> &rows, const std::string &benchmark,
+            const std::string &scenario)
+{
+    auto it = std::find_if(rows.begin(), rows.end(), [&](const StatRow &r) {
+        return r.benchmark == benchmark && r.scenario == scenario;
+    });
+    return it != rows.end() ? &*it : nullptr;
+}
+
 bool
-writeFigureSummary(std::ostream &os, const std::vector<StatRow> &rows,
-                   const std::string &baseline_scenario, std::string *err)
+speedupGrid(const std::vector<StatRow> &rows,
+            const std::vector<std::string> &arms,
+            const std::vector<std::string> &benchmarks, SpeedupGrid &grid,
+            std::string *err)
 {
     auto fail = [&](const std::string &msg) {
         if (err)
             *err = msg;
         return false;
     };
-    if (rows.empty())
-        return fail("no rows to summarise");
+    grid = {};
+    if (arms.empty())
+        return fail("no baseline arm");
+    grid.baseline = arms[0];
+    if (std::none_of(rows.begin(), rows.end(), [&](const StatRow &r) {
+            return r.scenario == grid.baseline;
+        }))
+        return fail("baseline scenario '" + grid.baseline +
+                    "' has no rows");
 
-    std::set<std::string> scenarios;
-    for (const StatRow &r : rows)
-        scenarios.insert(r.scenario);
-
-    std::string base = baseline_scenario;
-    if (base.empty())
-        base = scenarios.count("baseline") ? "baseline" : *scenarios.begin();
-    if (!scenarios.count(base))
-        return fail("baseline scenario '" + base +
-                    "' has no rows in the merged dump");
-
-    // benchmark -> scenario -> row (rows are canonical, keys unique).
-    std::map<std::string, std::map<std::string, const StatRow *>> grid;
+    // (benchmark, scenario) -> row; an arm is one config hash.
+    std::map<std::pair<std::string, std::string>, const StatRow *> cells;
     std::map<std::string, std::string> armHash;
     for (const StatRow &r : rows) {
         auto [it, inserted] = armHash.emplace(r.scenario, r.configHash);
@@ -361,54 +401,127 @@ writeFigureSummary(std::ostream &os, const std::vector<StatRow> &rows,
                         "' appears with two config hashes (" +
                         it->second + ", " + r.configHash +
                         "); merge inputs disagree");
-        grid[r.benchmark][r.scenario] = &r;
+        cells[{r.benchmark, r.scenario}] = &r;
     }
+    for (size_t a = 1; a < arms.size(); ++a)
+        grid.arms.push_back({arms[a], armHash[arms[a]]});
 
-    auto fmtIpc = [](double v) {
-        char buf[32];
-        std::snprintf(buf, sizeof(buf), "%.6f", v);
-        return std::string(buf);
+    std::vector<std::vector<double>> ratios(grid.arms.size());
+    for (const std::string &bench : benchmarks) {
+        auto base = cells.find({bench, grid.baseline});
+        double base_ipc = base != cells.end() ? base->second->ipcHmean : 0.0;
+        if (base_ipc <= 0.0) {
+            // No (usable) baseline row, as in a partial merge: a bar
+            // would be a made-up 0.00% speedup.
+            grid.skipped.push_back(bench);
+            continue;
+        }
+        grid.benchmarks.push_back(bench);
+        std::vector<SpeedupGrid::Bar> &bars = grid.bars.emplace_back();
+        for (size_t a = 0; a < grid.arms.size(); ++a) {
+            SpeedupGrid::Bar &bar = bars.emplace_back();
+            auto it = cells.find({bench, grid.arms[a].name});
+            if (it == cells.end())
+                continue;
+            double ratio = it->second->ipcHmean / base_ipc;
+            bar.row = it->second;
+            bar.pct = (ratio - 1.0) * 100.0;
+            ratios[a].push_back(ratio);
+        }
+    }
+    for (size_t a = 0; a < grid.arms.size(); ++a) {
+        double g = geometricMean(ratios[a]);
+        grid.arms[a].bars = ratios[a].size();
+        grid.arms[a].gmeanPct = g > 0.0 ? (g - 1.0) * 100.0 : 0.0;
+    }
+    return true;
+}
+
+void
+writeSpeedupTable(std::ostream &os, const SpeedupGrid &grid)
+{
+    // The 18-character default, widened so a long header label keeps
+    // at least one space before it.
+    auto cell = [&](const std::string &label, const std::string &text) {
+        os << std::right
+           << std::setw(static_cast<int>(
+                  std::max<size_t>(18, label.size() + 1)))
+           << text;
     };
-    auto fmtPct2 = [](double v) {
-        char buf[32];
-        std::snprintf(buf, sizeof(buf), "%.2f", v);
-        return std::string(buf);
-    };
+    auto pct = [](double v) { return fmt("%7.2f%%", v); };
+
+    os << std::left << std::setw(12) << "benchmark";
+    for (const SpeedupGrid::Arm &arm : grid.arms)
+        cell(arm.name, arm.name);
+    os << "\n";
+    for (size_t b = 0; b < grid.benchmarks.size(); ++b) {
+        os << std::left << std::setw(12) << grid.benchmarks[b];
+        for (size_t a = 0; a < grid.arms.size(); ++a) {
+            const SpeedupGrid::Bar &bar = grid.bars[b][a];
+            cell(grid.arms[a].name, bar.row ? pct(bar.pct) : "-");
+        }
+        os << "\n";
+    }
+    os << std::left << std::setw(12) << "gmean";
+    for (const SpeedupGrid::Arm &arm : grid.arms)
+        cell(arm.name, pct(arm.gmeanPct));
+    os << "\n";
+    if (!grid.skipped.empty()) {
+        os << "skipped " << grid.skipped.size()
+           << " benchmark(s) with no usable '" << grid.baseline
+           << "' IPC:";
+        for (const std::string &bench : grid.skipped)
+            os << " " << bench;
+        os << "\n";
+    }
+}
+
+bool
+writeFigureSummary(std::ostream &os, const std::vector<StatRow> &rows,
+                   const std::string &baseline_scenario, std::string *err)
+{
+    if (rows.empty()) {
+        if (err)
+            *err = "no rows to summarise";
+        return false;
+    }
+    std::set<std::string> scenarios, benchmarks;
+    for (const StatRow &r : rows) {
+        scenarios.insert(r.scenario);
+        benchmarks.insert(r.benchmark);
+    }
+    std::string base = baseline_scenario;
+    if (base.empty())
+        base = scenarios.count("baseline") ? "baseline" : *scenarios.begin();
+    std::vector<std::string> arms{base};
+    for (const std::string &s : scenarios)
+        if (s != base)
+            arms.push_back(s);
+
+    SpeedupGrid grid;
+    if (!speedupGrid(rows, arms,
+                     {benchmarks.begin(), benchmarks.end()}, grid, err))
+        return false;
 
     os << "# per-benchmark speedup bars over '" << base << "' (percent)\n";
     os << "benchmark,scenario,config_hash,ipc_hmean,speedup_pct\n";
-    std::map<std::string, std::vector<double>> ratios;
-    std::vector<std::string> skipped;
-    for (const auto &[bench, byScenario] : grid) {
-        auto bit = byScenario.find(base);
-        double base_ipc =
-            bit != byScenario.end() ? bit->second->ipcHmean : 0.0;
-        if (base_ipc <= 0.0) {
-            // No (usable) baseline row for this benchmark — a partial
-            // merge. Emitting a bar would fabricate a 0.00% speedup;
-            // drop the benchmark and say so instead.
-            skipped.push_back(bench);
-            continue;
+    for (size_t b = 0; b < grid.benchmarks.size(); ++b)
+        for (size_t a = 0; a < grid.arms.size(); ++a) {
+            const SpeedupGrid::Bar &bar = grid.bars[b][a];
+            if (bar.row)
+                os << grid.benchmarks[b] << "," << grid.arms[a].name << ","
+                   << bar.row->configHash << ","
+                   << fmt("%.6f", bar.row->ipcHmean) << ","
+                   << fmt("%.2f", bar.pct) << "\n";
         }
-        for (const auto &[scenario, row] : byScenario) {
-            if (scenario == base)
-                continue;
-            double ratio = row->ipcHmean / base_ipc;
-            ratios[scenario].push_back(ratio);
-            os << bench << "," << scenario << "," << row->configHash
-               << "," << fmtIpc(row->ipcHmean) << ","
-               << fmtPct2((ratio - 1.0) * 100.0) << "\n";
-        }
-    }
-    for (const auto &[scenario, r] : ratios) {
-        double g = geometricMean(r);
-        os << "gmean," << scenario << "," << armHash[scenario] << ",,"
-           << fmtPct2(g > 0.0 ? (g - 1.0) * 100.0 : 0.0) << "\n";
-    }
-    if (!skipped.empty()) {
-        os << "# warning: skipped " << skipped.size()
+    for (const SpeedupGrid::Arm &arm : grid.arms)
+        if (arm.bars > 0)
+            os << "gmean," << arm.name << "," << arm.configHash << ",,"
+               << fmt("%.2f", arm.gmeanPct) << "\n";
+    if (!grid.skipped.empty()) {
+        os << "# warning: skipped " << grid.skipped.size()
            << " benchmark(s) with no '" << base << "' row:";
-        for (const std::string &bench : skipped)
+        for (const std::string &bench : grid.skipped)
             os << " " << bench;
         os << "\n";
     }

@@ -5,7 +5,8 @@
  * experiment matrix (pairwise disjoint rows, complete benchmark x
  * scenario rectangle), merge them back into one canonical row set, and
  * derive the paper's figure summaries (per-benchmark speedup bars and
- * gmean rows) from the merged table.
+ * gmean rows) from the merged table. The same figure computation
+ * prints the drivers' own tables from the rows of their dumps.
  *
  * Round-trip contract: parsing a dump written by CsvStatSink and
  * re-emitting it through the same sink reproduces the input byte for
@@ -19,6 +20,7 @@
 
 #include <ostream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "sim/stat_export.hh"
@@ -35,7 +37,8 @@ struct DumpParse
     bool ok() const { return error.empty(); }
 };
 
-/** Parse a CsvStatSink dump (quoted fields, empty cell = no counter). */
+/** Parse a CsvStatSink dump (quoted fields, empty cell = no counter).
+ *  Each row's counters come back sorted by name. */
 DumpParse parseCsvDump(const std::string &text, const std::string &origin);
 
 /** Load and parse a CSV dump file from disk. */
@@ -86,10 +89,67 @@ bool knownTimingCounter(const std::string &name);
 std::vector<std::string>
 unknownTimingCounters(const std::vector<StatRow> &rows);
 
+// ------------------------------------------------------------ figures
+// Every printed figure number is computed from stat rows: the drivers
+// pass the rows their `--csv` dump holds, rsep_merge the merged dumps.
+
+/** Counter @p name of @p row (rows keep counters sorted by name); 0
+ *  when the row does not carry it, as an empty dump cell reads. */
+u64 counterOf(const StatRow &row, std::string_view name);
+
+/** Counter @p name over committed_insts; 0 when nothing committed. */
+double committedShare(const StatRow &row, std::string_view name);
+
+/** The row of (@p benchmark, @p scenario) in @p rows; null if none. */
+const StatRow *findStatRow(const std::vector<StatRow> &rows,
+                           const std::string &benchmark,
+                           const std::string &scenario);
+
 /**
- * The paper's figure summaries from a merged table: one CSV-style row
- * per (benchmark, non-baseline arm) with its IPC and speedup over the
- * baseline arm, then one gmean row per arm (Fig. 4/6/7 bars data).
+ * A speedup figure: each (benchmark, arm) IPC ratio to the baseline
+ * arm, in percent, and each arm's gmean. A benchmark with no usable
+ * baseline IPC gets no bars: it is skipped and named, never shown as
+ * a made-up 0% bar. Bars point into the rows the grid was built from.
+ */
+struct SpeedupGrid
+{
+    struct Arm
+    {
+        std::string name, configHash;
+        size_t bars = 0;       ///< benchmarks with a bar.
+        double gmeanPct = 0.0; ///< 0 without bars.
+    };
+    struct Bar
+    {
+        const StatRow *row = nullptr; ///< null: the rows hold none.
+        double pct = 0.0;
+    };
+    std::string baseline;
+    std::vector<Arm> arms;               ///< the others, in order.
+    std::vector<std::string> benchmarks; ///< those with bars, in order.
+    std::vector<std::vector<Bar>> bars;  ///< [benchmark][arm].
+    std::vector<std::string> skipped;
+};
+
+/**
+ * The speedup grid of @p rows over @p arms (the baseline first) and
+ * @p benchmarks, each in display order. False (with @p err) when the
+ * baseline has no rows or an arm has two config hashes.
+ */
+bool speedupGrid(const std::vector<StatRow> &rows,
+                 const std::vector<std::string> &arms,
+                 const std::vector<std::string> &benchmarks,
+                 SpeedupGrid &grid, std::string *err = nullptr);
+
+/** The drivers' fixed-width table of @p grid: a column per arm, a
+ *  row per benchmark, a gmean row and the skipped benchmarks. */
+void writeSpeedupTable(std::ostream &os, const SpeedupGrid &grid);
+
+/**
+ * The paper's figure summaries from a merged table: the speedup grid
+ * over every benchmark and arm in name order, as one CSV-style row
+ * per (benchmark, non-baseline arm) with its IPC and speedup, then one
+ * gmean row per arm (Fig. 4/6/7 bars data).
  * @p baseline_scenario selects the divisor arm; "" means "the arm
  * named 'baseline' if present, else the lexicographically first".
  * Returns false (with @p err) when the baseline is unknown.

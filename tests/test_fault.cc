@@ -770,10 +770,13 @@ TEST(FaultClientExit, DeadlineExitsFive)
 TEST(FaultClientExit, TruncatedStreamExitsFour)
 {
     // The whole scenario runs in the death-test child: its own daemon,
-    // a client whose every receive tears, retries exhausted.
-    auto scenario = [] {
+    // a client whose every receive tears, retries exhausted. The child
+    // exits with its daemon up, so the parent names and removes the
+    // socket.
+    const std::string sock = shortSockPath();
+    auto scenario = [&sock] {
         ServeOptions sopts;
-        sopts.socketPath = shortSockPath();
+        sopts.socketPath = sock;
         sopts.jobs = 1;
         sopts.progress = false;
         Server server(sopts);
@@ -793,6 +796,7 @@ TEST(FaultClientExit, TruncatedStreamExitsFour)
     };
     EXPECT_EXIT(scenario(), ::testing::ExitedWithCode(exitTruncated),
                 "hello reply");
+    ::unlink(sock.c_str());
 }
 
 } // namespace

@@ -6,6 +6,7 @@
 
 #include "sim/runner.hh"
 #include "sim/scenario.hh"
+#include "sim/stat_merge.hh"
 
 namespace rsep::sim
 {
@@ -108,17 +109,41 @@ TEST(Runner, RunWorkloadProducesPhases)
     EXPECT_EQ(r.sum(&core::PipelineStats::committedInsts), 24000u);
 }
 
-TEST(Runner, SpeedupPct)
+TEST(Runner, SpeedupOfAnArmOverItselfIsZero)
 {
-    SimConfig c = findScenario("baseline")->config;
-    c.warmupInsts = 1000;
-    c.measureInsts = 4000;
-    c.checkpoints = 1;
-    RunResult a = runWorkload(c, "namd");
-    EXPECT_NEAR(speedupPct(a, a), 0.0, 1e-9);
+    SimConfig a = findScenario("baseline")->config;
+    a.warmupInsts = 1000;
+    a.measureInsts = 4000;
+    a.checkpoints = 1;
+    SimConfig b = a;
+    b.label = "same";
+    std::vector<SimConfig> configs{a, b};
+    std::vector<StatRow> rows =
+        collectStatRows(configs, runMatrix(configs, {"namd"}));
+
+    SpeedupGrid grid;
+    std::string err;
+    ASSERT_TRUE(speedupGrid(rows, {a.label, b.label}, {"namd"}, grid, &err))
+        << err;
+    ASSERT_EQ(grid.bars.size(), 1u);
+    ASSERT_EQ(grid.bars[0].size(), 1u);
+    EXPECT_NEAR(grid.bars[0][0].pct, 0.0, 1e-9);
+    EXPECT_NEAR(grid.arms[0].gmeanPct, 0.0, 1e-9);
 }
 
-TEST(Runner, MatrixAndTables)
+/** The words of a table's first line: every header name must stand
+ *  alone, however long. */
+std::vector<std::string>
+headerWords(const std::string &table)
+{
+    std::istringstream is(table.substr(0, table.find('\n')));
+    std::vector<std::string> words;
+    for (std::string w; is >> w;)
+        words.push_back(w);
+    return words;
+}
+
+TEST(Runner, MatrixAndSpeedupTable)
 {
     SimConfig base = findScenario("baseline")->config;
     base.warmupInsts = 1000;
@@ -131,35 +156,64 @@ TEST(Runner, MatrixAndTables)
     // 20 characters: wider than the default 18-character column.
     rsep.label = "rsep-val-2x-sample15";
 
-    auto rows = runMatrix({base, rsep}, {"namd", "dealII"});
+    std::vector<SimConfig> configs{base, rsep};
+    auto rows = runMatrix(configs, {"namd", "dealII"});
     ASSERT_EQ(rows.size(), 2u);
     ASSERT_EQ(rows[0].byConfig.size(), 2u);
 
-    // Every header name must stand alone, however long.
-    auto header_words = [](const std::string &table) {
-        std::istringstream is(table.substr(0, table.find('\n')));
-        std::vector<std::string> words;
-        for (std::string w; is >> w;)
-            words.push_back(w);
-        return words;
-    };
-
+    SpeedupGrid grid;
+    std::string err;
+    ASSERT_TRUE(speedupGrid(collectStatRows(configs, rows),
+                            {base.label, rsep.label}, {"namd", "dealII"},
+                            grid, &err))
+        << err;
     std::ostringstream os;
-    printSpeedupTable(os, rows, {base, rsep});
+    writeSpeedupTable(os, grid);
     EXPECT_NE(os.str().find("namd"), std::string::npos);
     EXPECT_NE(os.str().find("gmean"), std::string::npos);
-    EXPECT_EQ(header_words(os.str()),
+    EXPECT_EQ(headerWords(os.str()),
               (std::vector<std::string>{"benchmark", rsep.label}));
+}
 
-    std::vector<std::string> cols = {"x", "rsep-val-2x-sample15",
-                                     "rsep-val-2x-sample63"};
-    std::ostringstream os2;
-    printPctTable(os2, rows, cols,
-                  [](const MatrixRow &, size_t) { return 1.0; });
-    EXPECT_NE(os2.str().find("1.00%"), std::string::npos);
-    std::vector<std::string> want = {"benchmark"};
-    want.insert(want.end(), cols.begin(), cols.end());
-    EXPECT_EQ(header_words(os2.str()), want);
+TEST(Runner, SpeedupTableSkipsABenchmarkWithoutABaselineIpc)
+{
+    auto row = [](const std::string &bench, const std::string &arm,
+                  double ipc) {
+        StatRow r;
+        r.benchmark = bench;
+        r.scenario = arm;
+        r.configHash = arm + "-hash";
+        r.checkpoints = 1;
+        r.ipcHmean = ipc;
+        return r;
+    };
+    const std::string arm1 = "rsep-val-2x-sample15";
+    const std::string arm2 = "rsep-val-2x-sample63";
+    std::vector<StatRow> rows = {
+        row("mcf", "baseline", 1.0),  row("mcf", arm1, 1.1),
+        row("mcf", arm2, 1.2),        row("namd", "baseline", 0.0),
+        row("namd", arm1, 2.0),       row("namd", arm2, 2.0)};
+
+    SpeedupGrid grid;
+    ASSERT_TRUE(speedupGrid(rows, {"baseline", arm1, arm2},
+                            {"namd", "mcf"}, grid));
+    EXPECT_EQ(grid.benchmarks, std::vector<std::string>{"mcf"});
+    EXPECT_EQ(grid.skipped, std::vector<std::string>{"namd"});
+    std::ostringstream os;
+    writeSpeedupTable(os, grid);
+    EXPECT_EQ(headerWords(os.str()),
+              (std::vector<std::string>{"benchmark", arm1, arm2}));
+    // The gmean is mcf's bars alone; namd gets no made-up 0.00% bar.
+    std::string table = os.str();
+    std::string gmean = table.substr(table.find("\ngmean") + 1);
+    EXPECT_EQ(headerWords(gmean),
+              (std::vector<std::string>{"gmean", "10.00%", "20.00%"}))
+        << table;
+    EXPECT_EQ(table.find("\nnamd"), std::string::npos) << table;
+    EXPECT_NE(os.str().find("skipped 1 benchmark(s) with no usable "
+                            "'baseline' IPC: namd"),
+              std::string::npos)
+        << os.str();
 }
 
 } // namespace

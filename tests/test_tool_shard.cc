@@ -19,7 +19,9 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <set>
+#include <sstream>
 
 #include "sim/stat_merge.hh"
 #include "tool_harness.hh"
@@ -209,6 +211,31 @@ TEST(ToolFrontEnd, AblationSweepConnectsLikeEveryMatrixDriver)
     EXPECT_EQ(r.exitCode, 3) << r;
 }
 
+TEST(ToolFrontEnd, RepeatedArmLabelsAreUsageErrors)
+{
+    // Rows, tables and the merge key are by arm label: a label given
+    // twice, by flag or by file, stops the driver before it runs.
+    WorkDir dir;
+    Env small{{"RSEP_SIM_SCALE", "0.05"}};
+    RunResult flag = dir.run({"bench_fig4_speedup", "--scenario",
+                              "baseline,rsep,rsep", "--csv", "d.csv"},
+                             small);
+    EXPECT_EQ(flag.exitCode, 2) << flag;
+    EXPECT_TRUE(flag.mentions("label 'rsep'")) << flag;
+    EXPECT_FALSE(flag.mentions("[matrix]")) << flag;
+    EXPECT_FALSE(fs::exists(dir / "d.csv"));
+
+    writeFile(dir / "two_a.scn", "[scenario]\nname = a\nbase = baseline\n"
+                                 "[scenario]\nname = a\nbase = rsep\n");
+    RunResult file = dir.run({"bench_fig4_speedup", "--scenario-file",
+                              "two_a.scn", "--csv", "a.csv"},
+                             small);
+    EXPECT_EQ(file.exitCode, 2) << file;
+    EXPECT_TRUE(file.mentions("label 'a'")) << file;
+    EXPECT_FALSE(file.mentions("[matrix]")) << file;
+    EXPECT_FALSE(fs::exists(dir / "a.csv"));
+}
+
 TEST(ToolFrontEnd, MalformedNumbersAndNonMatrixFlagsAreUsageErrors)
 {
     WorkDir dir;
@@ -314,6 +341,108 @@ TEST(ToolFrontEnd, SubcommandOptionsThatDoNotApplyAreUsageErrors)
          }) {
         RunResult r = dir.run(argv);
         EXPECT_EQ(r.exitCode, 0) << r;
+    }
+}
+
+// ------------------------------------------------------------- figures
+
+/** (row, arm) -> percent, '%' dropped. */
+using Bars = std::map<std::pair<std::string, std::string>, std::string>;
+
+/** The first speedup table in a driver's stdout: from its `benchmark`
+ *  header through its `gmean` row. */
+Bars
+printedBars(const std::string &out)
+{
+    Bars bars;
+    std::vector<std::string> arms;
+    std::istringstream is(out);
+    for (std::string line; std::getline(is, line);) {
+        std::istringstream ls(line);
+        std::vector<std::string> words;
+        for (std::string w; ls >> w;)
+            words.push_back(w);
+        if (arms.empty()) {
+            if (!words.empty() && words[0] == "benchmark")
+                arms.assign(words.begin() + 1, words.end());
+            continue;
+        }
+        if (words.size() != arms.size() + 1) {
+            ADD_FAILURE() << "not a table row: " << line;
+            break;
+        }
+        for (size_t a = 0; a < arms.size(); ++a) {
+            std::string pct = words[a + 1];
+            if (pct.ends_with('%'))
+                pct.pop_back();
+            bars[{words[0], arms[a]}] = pct;
+        }
+        if (words[0] == "gmean")
+            break;
+    }
+    return bars;
+}
+
+/** The bar and gmean rows of an `rsep_merge --summary` CSV. */
+Bars
+summaryBars(const std::string &csv)
+{
+    Bars bars;
+    std::istringstream is(csv);
+    for (std::string line; std::getline(is, line);) {
+        if (line.starts_with("#") || line.starts_with("benchmark,"))
+            continue;
+        std::vector<std::string> f;
+        std::stringstream ls(line);
+        for (std::string cell; std::getline(ls, cell, ',');)
+            f.push_back(cell);
+        if (f.size() != 5) {
+            ADD_FAILURE() << "not a summary row: " << line;
+            continue;
+        }
+        bars[{f[0], f[1]}] = f[4];
+    }
+    return bars;
+}
+
+TEST(ToolFigures, DriverTablesAgreeWithTheMergeSummaryOfTheirDump)
+{
+    // A bespoke report (Fig. 6) and the generic scenario path (the
+    // ci_smoke sweep): every printed bar and gmean is the summary's, to
+    // the printed two decimals. The dump holds ipc_hmean to six
+    // decimals and the driver its full-precision value, so the last
+    // printed digit may round either way (mcf and h264ref do on the
+    // ci_smoke sweep).
+    const Sweep &s = sweep();
+    ASSERT_EQ(s.full.exitCode, 0) << s.full;
+    WorkDir dir;
+    RunResult fig6 = dir.run(
+        {"bench_fig6_validation", "--csv", "fig6.csv", "--jobs", "2"},
+        {{"RSEP_SIM_SCALE", "0.01"}, {"RSEP_CHECKPOINTS", "1"}});
+    ASSERT_EQ(fig6.exitCode, 0) << fig6;
+
+    struct Case
+    {
+        std::string out, dump;
+        size_t arms; // besides the baseline.
+    };
+    for (const Case &c : {Case{fig6.out, dir / "fig6.csv", 5},
+                          Case{s.full.out, s.dir / "full.csv", 1}}) {
+        RunResult summary = dir.run({"rsep_merge", "--summary", "-", c.dump});
+        ASSERT_EQ(summary.exitCode, 0) << summary;
+        Bars printed = printedBars(c.out), merged = summaryBars(summary.out);
+        EXPECT_EQ(printed.size(), (29 + 1) * c.arms) << c.out;
+        EXPECT_EQ(printed.size(), merged.size()) << c.out << summary;
+        for (const auto &[key, pct] : printed) {
+            auto it = merged.find(key);
+            if (it == merged.end()) {
+                ADD_FAILURE() << key.first << "/" << key.second
+                              << " is not in the summary" << summary;
+                continue;
+            }
+            EXPECT_NEAR(std::stod(pct), std::stod(it->second), 0.0100001)
+                << key.first << "/" << key.second << c.out << summary;
+        }
     }
 }
 

@@ -183,24 +183,32 @@ TEST(MmapFileDeathTest, NoMmapFallbackIsByteIdentical)
     // exercised in a fresh process (threadsafe death test re-executes
     // the binary) with the override set before the first open.
     ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    // The re-executed child runs this body from the top, so it writes
+    // its own scratch directory (named by its pid) and removes it
+    // before exiting.
     std::string dir = scratchDir("mmap_nofallback");
     std::string path = writeSample(dir, 500);
     std::string expected = slurp(path);
+    auto check = [&] {
+        ::setenv("RSEP_NO_MMAP", "1", 1);
+        MmapFile f;
+        std::string err;
+        if (!f.open(path, &err))
+            return 2;
+        if (f.mapped()) // override must force the read path.
+            return 3;
+        if (f.view() != std::string_view(expected))
+            return 4;
+        // The fallback feeds the same bytes through the same decoder:
+        // the decode must succeed identically.
+        wl::DecodedTraceParse p = wl::decodeTraceImage(f.view(), path);
+        return p.ok() && p.trace->size() == 500 ? 0 : 5;
+    };
     EXPECT_EXIT(
         {
-            ::setenv("RSEP_NO_MMAP", "1", 1);
-            MmapFile f;
-            std::string err;
-            if (!f.open(path, &err))
-                ::exit(2);
-            if (f.mapped()) // override must force the read path.
-                ::exit(3);
-            if (f.view() != std::string_view(expected))
-                ::exit(4);
-            // The fallback feeds the same bytes through the same
-            // decoder: the decode must succeed identically.
-            wl::DecodedTraceParse p = wl::decodeTraceImage(f.view(), path);
-            ::exit(p.ok() && p.trace->size() == 500 ? 0 : 5);
+            int code = check();
+            fs::remove_all(dir);
+            ::exit(code);
         },
         ::testing::ExitedWithCode(0), "");
     fs::remove_all(dir);
