@@ -1,7 +1,6 @@
 #include "bench_util.hh"
 
 #include <cstdio>
-#include <cstdlib>
 #include <iostream>
 
 #include "common/cli.hh"
@@ -347,6 +346,15 @@ parseDriverArgs(int argc, char **argv, const HarnessSpec &spec,
         !spec.positionalHelp)
         return usageError(spec, "unexpected argument '" +
                                     ctx.positional.front() + "'");
+    // Rows and tables are keyed by arm label.
+    for (size_t i = 0; i < ctx.scenarios.size(); ++i)
+        for (size_t j = 0; j < i; ++j)
+            if (ctx.scenarios[j].config.label ==
+                ctx.scenarios[i].config.label)
+                return usageError(spec, "arm label '" +
+                                            ctx.scenarios[i].config.label +
+                                            "' is given twice; every arm "
+                                            "needs its own label");
 
     // --connect hands execution to the daemon; flags steering resources
     // the server owns are errors, not silent no-ops (the run would
@@ -492,18 +500,8 @@ runArms(const DriverContext &ctx, std::vector<sim::Scenario> scenarios,
                 n = *key;
 
     HarnessResult r;
-    for (const sim::Scenario &sc : scenarios) {
-        for (const sim::SimConfig &cfg : r.configs)
-            if (cfg.label == sc.config.label) {
-                std::fprintf(stderr,
-                             "%s: arm label '%s' is given twice; every "
-                             "arm needs its own label, which keys its "
-                             "rows (try --help)\n",
-                             ctx.driver, cfg.label.c_str());
-                std::exit(2);
-            }
+    for (const sim::Scenario &sc : scenarios)
         r.configs.push_back(sc.config);
-    }
     if (ctx.connectSocket.empty()) {
         r.rows = sim::runMatrix(r.configs, benchmarks, ctx.matrix);
         return r;
@@ -566,7 +564,6 @@ runHarness(int argc, char **argv, const HarnessSpec &spec)
     fault::initFromEnv();
 
     DriverContext ctx;
-    ctx.driver = spec.name;
     int rc = parseDriverArgs(argc, argv, spec, ctx);
     if (rc >= 0)
         return rc;

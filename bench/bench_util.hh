@@ -73,7 +73,6 @@ struct DriverContext
      *  failure or Busy rejection (default 3; 0 = fail fast). */
     unsigned retries = 3;
     std::vector<std::string> positional;
-    const char *driver = "driver"; ///< HarnessSpec::name, for diagnostics.
 };
 
 /** The matrix a harness run produced. */
@@ -85,8 +84,9 @@ struct HarnessResult
 
 /**
  * What a report reads: the arms and benchmarks in matrix order, and
- * the stat rows the run's `--csv` dump holds, one per (benchmark,
- * arm). Counters are read by their dump names (sim::counterOf).
+ * the stat rows the run's `--csv` dump is written from, at full IPC
+ * precision, one per (benchmark, arm). Counters are read by their
+ * dump names (sim::counterOf).
  */
 struct ReportInput
 {
@@ -146,8 +146,7 @@ int runHarness(int argc, char **argv, const HarnessSpec &spec);
  * matrix driver: applies --seed to every arm and --workload in place
  * of @p benchmarks, resolves names through the workload registry, then
  * runs in-process or, with --connect, on the daemon (byte-identical
- * rows either way). Rows and tables are keyed by arm label, so a label
- * given twice is a usage error (exit 2) before anything runs.
+ * rows either way).
  */
 HarnessResult runArms(const DriverContext &ctx,
                       std::vector<sim::Scenario> scenarios,

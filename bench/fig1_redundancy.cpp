@@ -43,15 +43,17 @@ main(int argc, char **argv)
                 return 100.0 * static_cast<double>(count(name)) / insts;
             };
 
-            // Commit-group eligibility histogram (buckets 0..8).
+            // Commit-group eligibility histogram: one counter per bucket.
+            const std::string bucket = "commit_group_producers_";
             u64 cycles = 0, ge6 = 0;
-            for (int b = 0; b <= 8; ++b) {
-                u64 n = count("commit_group_producers_" + std::to_string(b));
+            for (const auto &[name, n] : row.counters) {
+                if (name.compare(0, bucket.size(), bucket) != 0)
+                    continue;
                 cycles += n;
-                if (b >= 6)
+                if (std::stoul(name.substr(bucket.size())) >= 6)
                     ge6 += n;
             }
-            u64 eq8 = count("commit_group_producers_8");
+            u64 eq8 = count(bucket + "8");
             double ge6pct = cycles ? 100.0 * ge6 / cycles : 0.0;
             double eq8pct = cycles ? 100.0 * eq8 / cycles : 0.0;
 

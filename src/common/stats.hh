@@ -1,14 +1,18 @@
 /**
  * @file
- * A small gem5-flavoured statistics package: counters, a histogram
- * and the means the figures take. Reports read counters by name from
- * stat rows (sim/stat_merge.hh), not from here.
+ * A small gem5-flavoured statistics package.
+ *
+ * Components register named counters/distributions in a StatGroup;
+ * groups can be dumped in a human-readable table or queried by name
+ * (used by the experiment harnesses to build figure rows).
  */
 
 #ifndef RSEP_COMMON_STATS_HH
 #define RSEP_COMMON_STATS_HH
 
-#include <cstddef>
+#include <map>
+#include <ostream>
+#include <string>
 #include <vector>
 
 #include "common/types.hh"
@@ -44,6 +48,7 @@ class StatHistogram
                                      : counts.size() - 1;
         counts[i] += weight;
         total += weight;
+        sum += v * weight;
     }
 
     void
@@ -52,19 +57,90 @@ class StatHistogram
         for (auto &c : counts)
             c = 0;
         total = 0;
+        sum = 0;
     }
 
     u64 bucket(size_t i) const { return counts.at(i); }
     size_t buckets() const { return counts.size(); }
     u64 samples() const { return total; }
+    double mean() const { return total ? double(sum) / double(total) : 0.0; }
+
+    /** Fraction of samples with value <= v (inclusive CDF point). */
+    double
+    cdfAt(u64 v) const
+    {
+        if (total == 0)
+            return 0.0;
+        u64 acc = 0;
+        for (size_t i = 0; i < counts.size() && i <= v; ++i)
+            acc += counts[i];
+        return double(acc) / double(total);
+    }
 
   private:
     std::vector<u64> counts;
     u64 total = 0;
+    u64 sum = 0;
+};
+
+/**
+ * A named collection of stats. Components own their counters and
+ * register them here by reference for reporting.
+ */
+class StatGroup
+{
+  public:
+    explicit StatGroup(std::string group_name = "stats")
+        : name(std::move(group_name))
+    {
+    }
+
+    void
+    addCounter(const std::string &stat_name, const StatCounter *c,
+               const std::string &desc = "")
+    {
+        counters.push_back({stat_name, desc, c});
+    }
+
+    void
+    addHistogram(const std::string &stat_name, const StatHistogram *h,
+                 const std::string &desc = "")
+    {
+        histograms.push_back({stat_name, desc, h});
+    }
+
+    /** Lookup a counter value by name; returns 0 if absent. */
+    u64 counterValue(const std::string &stat_name) const;
+
+    /** Dump all registered stats in "name value # desc" format. */
+    void dump(std::ostream &os) const;
+
+    const std::string &groupName() const { return name; }
+
+  private:
+    struct CounterRef
+    {
+        std::string name;
+        std::string desc;
+        const StatCounter *counter;
+    };
+    struct HistRef
+    {
+        std::string name;
+        std::string desc;
+        const StatHistogram *hist;
+    };
+
+    std::string name;
+    std::vector<CounterRef> counters;
+    std::vector<HistRef> histograms;
 };
 
 /** Harmonic mean of a vector of strictly positive values. */
 double harmonicMean(const std::vector<double> &vals);
+
+/** Arithmetic mean; 0 for empty input. */
+double arithmeticMean(const std::vector<double> &vals);
 
 /** Geometric mean of strictly positive values; 0 for empty input. */
 double geometricMean(const std::vector<double> &vals);

@@ -91,7 +91,8 @@ unknownTimingCounters(const std::vector<StatRow> &rows);
 
 // ------------------------------------------------------------ figures
 // Every printed figure number is computed from stat rows: the drivers
-// pass the rows their `--csv` dump holds, rsep_merge the merged dumps.
+// pass the rows their `--csv` dump is written from (full-precision
+// IPC), rsep_merge the merged dumps (six-decimal IPC).
 
 /** Counter @p name of @p row (rows keep counters sorted by name); 0
  *  when the row does not carry it, as an empty dump cell reads. */

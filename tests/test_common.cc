@@ -233,14 +233,14 @@ TEST(Stats, HarmonicMean)
     EXPECT_EQ(harmonicMean({1.0, 0.0}), 0.0);
 }
 
-TEST(Stats, GeometricMean)
+TEST(Stats, GeometricAndArithmeticMeans)
 {
     EXPECT_NEAR(geometricMean({2.0, 8.0}), 4.0, 1e-12);
+    EXPECT_DOUBLE_EQ(arithmeticMean({1.0, 3.0}), 2.0);
     EXPECT_EQ(geometricMean({}), 0.0);
-    EXPECT_EQ(geometricMean({1.0, 0.0}), 0.0);
 }
 
-TEST(Stats, HistogramSamplesAndBuckets)
+TEST(Stats, HistogramSamplesAndCdf)
 {
     StatHistogram h(8);
     h.sample(0);
@@ -250,6 +250,20 @@ TEST(Stats, HistogramSamplesAndBuckets)
     EXPECT_EQ(h.samples(), 4u);
     EXPECT_EQ(h.bucket(3), 2u);
     EXPECT_EQ(h.bucket(7), 1u);
+    EXPECT_NEAR(h.cdfAt(3), 0.75, 1e-12);
+}
+
+TEST(Stats, GroupDumpAndLookup)
+{
+    StatCounter a;
+    a += 5;
+    StatGroup g("grp");
+    g.addCounter("a", &a, "a counter");
+    EXPECT_EQ(g.counterValue("a"), 5u);
+    EXPECT_EQ(g.counterValue("missing"), 0u);
+    std::ostringstream os;
+    g.dump(os);
+    EXPECT_NE(os.str().find("grp.a"), std::string::npos);
 }
 
 TEST(Env, DefaultsWhenUnset)
