@@ -398,6 +398,14 @@ parseDriverArgs(int argc, char **argv, const HarnessSpec &spec,
                                         "' (see --list-workloads)");
         ctx.workloads.push_back(*key);
     }
+    // Rows and the merge key are by workload too: a repeat would run
+    // twice, count twice in every gmean and write duplicate rows.
+    for (size_t i = 0; i < ctx.workloads.size(); ++i)
+        for (size_t j = 0; j < i; ++j)
+            if (ctx.workloads[j] == ctx.workloads[i])
+                return usageError(spec, "workload '" + ctx.workloads[i] +
+                                            "' is given twice; every "
+                                            "row needs its own workload");
     return -1;
 }
 

@@ -4,7 +4,7 @@ namespace rsep::pred
 {
 
 Dvtage::Dvtage(const DvtageParams &params, u64 seed)
-    : p(params), lvt(size_t{1} << p.lvtBits, 0), deltas(p.itage, seed)
+    : p(params), lvt(size_t{1} << p.lvtBits), deltas(p.itage, seed)
 {
 }
 
@@ -32,10 +32,9 @@ Dvtage::finishLookup(Addr pc, VpLookup lk)
     lk.lvtIdx = static_cast<u32>(((pc >> 2) ^ (pc >> (2 + p.lvtBits)))
                                  & mask(p.lvtBits));
 
-    u64 last = lvt[lk.lvtIdx];
-    auto it = spec.find(lk.lvtIdx);
-    if (it != spec.end())
-        last = it->second.value;
+    LvtEntry &e = lvt[lk.lvtIdx];
+    bool live = specLive(e);
+    u64 last = live ? e.specValue : e.last;
 
     lk.predicted = last + static_cast<u64>(decodeDelta(lk.itageLk.payload));
     lk.confident = lk.itageLk.confident;
@@ -47,9 +46,12 @@ Dvtage::finishLookup(Addr pc, VpLookup lk)
     // that prediction; otherwise a single low-confidence instance
     // poisons every successor with a stale last value.
     lk.speculated = true;
-    SpecEntry &se = spec[lk.lvtIdx];
-    se.value = lk.predicted;
-    ++se.refs;
+    if (!live) {
+        e.specEpoch = epoch;
+        e.specRefs = 0;
+    }
+    e.specValue = lk.predicted;
+    ++e.specRefs;
     return lk;
 }
 
@@ -75,15 +77,16 @@ Dvtage::commit(VpLookup &lk, u64 actual)
 
     // Train deltas against the committed last value (in-order commit
     // makes this exact).
-    s64 delta = static_cast<s64>(actual - lvt[lk.lvtIdx]);
+    LvtEntry &e = lvt[lk.lvtIdx];
+    s64 delta = static_cast<s64>(actual - e.last);
     deltas.update(lk.itageLk, encodeDelta(delta));
-    lvt[lk.lvtIdx] = actual;
+    e.last = actual;
 
-    if (lk.speculated) {
-        auto it = spec.find(lk.lvtIdx);
-        if (it != spec.end() && --it->second.refs == 0)
-            spec.erase(it);
-    }
+    // The window slot counts in-flight lookups of this entry since the
+    // last squash, whichever of them this commit is; at zero it drops
+    // and the next lookup reads the committed value.
+    if (lk.speculated && specLive(e))
+        --e.specRefs;
 }
 
 u64

@@ -9,7 +9,7 @@
 #define RSEP_PRED_DVTAGE_HH
 
 #include <string>
-#include <unordered_map>
+#include <vector>
 
 #include "common/stats.hh"
 #include "pred/ittage.hh"
@@ -89,8 +89,15 @@ class Dvtage
     /** Commit-time training with the architectural result. */
     void commit(VpLookup &lk, u64 actual);
 
-    /** Any squash: drop the speculative last-value window. */
-    void squash() { spec.clear(); }
+    /** Any squash: drop the speculative last-value window. O(1): a
+     *  window entry is live only while its epoch is the current one. */
+    void
+    squash()
+    {
+        if (++epoch == 0)
+            for (LvtEntry &e : lvt)
+                e.specRefs = 0; // the stamps wrapped: retire them all.
+    }
 
     u64 storageBits() const;
     const DvtageParams &params() const { return p; }
@@ -114,16 +121,31 @@ class Dvtage
         return static_cast<s64>((p_ >> 1) ^ (~(p_ & 1) + 1));
     }
 
-    struct SpecEntry
+    /**
+     * One last-value-table entry with its slot of the speculative
+     * window beside it, so a lookup reads one entry. The window slot is
+     * live while specRefs > 0 and specEpoch is the current epoch: it
+     * holds the newest in-flight prediction of this entry, which the
+     * next lookup chains off instead of the committed value.
+     */
+    struct LvtEntry
     {
-        u64 value = 0;
-        u32 refs = 0;
+        u64 last = 0;       ///< committed last value.
+        u64 specValue = 0;  ///< newest in-flight predicted value.
+        u32 specRefs = 0;   ///< in-flight lookups not yet committed.
+        u32 specEpoch = 0;  ///< squash epoch that stamped the slot.
     };
 
+    bool
+    specLive(const LvtEntry &e) const
+    {
+        return e.specRefs != 0 && e.specEpoch == epoch;
+    }
+
     DvtageParams p;
-    std::vector<u64> lvt;
+    std::vector<LvtEntry> lvt;
     ItageTable deltas;
-    std::unordered_map<u32, SpecEntry> spec;
+    u32 epoch = 0; ///< bumped by every squash.
 };
 
 } // namespace rsep::pred

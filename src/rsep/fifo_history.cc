@@ -21,6 +21,7 @@ bucketCount(size_t depth)
 
 FifoHistory::FifoHistory(unsigned depth)
     : ring(depth), bucketHead(bucketCount(depth), 0), cap(depth),
+      ringMask(depth > 1 && (depth & (depth - 1)) == 0 ? depth - 1 : 0),
       bucketMask(bucketHead.size() - 1)
 {
 }
@@ -38,7 +39,7 @@ FifoHistory::push(u16 hash, u32 csn, u64 seq, u64 value)
 {
     u64 ord = nextOrd++;
     u64 &bucket = bucketHead[hash & bucketMask];
-    ring[ord % cap] = {hash, static_cast<u16>(csn & csnMask), seq, value,
+    ring[slot(ord)] = {hash, static_cast<u16>(csn & csnMask), seq, value,
                        bucket};
     bucket = ord;
     if (valid < cap)

@@ -114,8 +114,14 @@ class FifoHistory
         u64 prevInBucket = 0;
     };
 
-    /** Ring slot of push ordinal @p ord (ordinals start at 1). */
-    const Entry &at(u64 ord) const { return ring[ord % cap]; }
+    /** Ring slot of push ordinal @p ord (ordinals start at 1): a mask
+     *  when the depth is a power of two, else a division. */
+    size_t
+    slot(u64 ord) const
+    {
+        return ringMask ? ord & ringMask : ord % cap;
+    }
+    const Entry &at(u64 ord) const { return ring[slot(ord)]; }
     /** True if push ordinal @p ord is still in the window. */
     bool live(u64 ord) const { return ord != 0 && ord + valid >= nextOrd; }
 
@@ -123,6 +129,7 @@ class FifoHistory
     /** Newest ordinal per bucket (0 = none). */
     std::vector<u64> bucketHead;
     size_t cap;
+    u64 ringMask; ///< cap - 1 when cap is a power of two above 1, else 0.
     u64 bucketMask;
     u64 nextOrd = 1; ///< ordinal of the next push; never reset.
     size_t valid = 0;

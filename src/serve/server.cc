@@ -532,8 +532,10 @@ Server::handleSubmit(int fd, std::mutex &write_mtx,
 
     req.t0 = std::chrono::steady_clock::now();
     activeRequests.fetch_add(1);
-    sim::runCells(*pool, req.plan, [&](size_t b, size_t c, u32 p) {
-        runRequestCell(req, b, c, p);
+    sim::runCells(*pool, req.plan,
+                  [&](size_t b, size_t c, u32 p,
+                      const sim::InitialStateSource &initial) {
+        runRequestCell(req, b, c, p, initial);
         inflightCells.fetch_sub(1);
     });
     activeRequests.fetch_sub(1);
@@ -606,7 +608,8 @@ Server::handleSubmit(int fd, std::mutex &write_mtx,
 }
 
 void
-Server::runRequestCell(PendingRequest &req, size_t b, size_t c, u32 p)
+Server::runRequestCell(PendingRequest &req, size_t b, size_t c, u32 p,
+                       const sim::InitialStateSource &initial)
 {
     if (!req.sawFirstCell.exchange(true))
         req.queueWaitMicros.store(microsSince(req.t0));
@@ -642,7 +645,7 @@ Server::runRequestCell(PendingRequest &req, size_t b, size_t c, u32 p)
         pr = sim::runCachedCell(req.useCache ? cache.get() : nullptr,
                                 req.configs[c], req.benchmarks[b],
                                 req.plan.configHashes[c], p,
-                                req.traceIo, req.sampleEvery);
+                                req.traceIo, req.sampleEvery, initial);
     } catch (const FatalError &e) {
         failCell(e.what());
         return;

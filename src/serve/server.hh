@@ -40,6 +40,7 @@
 #include <vector>
 
 #include "common/types.hh"
+#include "sim/simulator.hh"
 
 namespace rsep::sim
 {
@@ -124,7 +125,8 @@ class Server
                       const std::string &payload);
     /** One pool task: simulate cell (b, c, p), stream its Cell (and
      *  Samples) frame, slot the result. */
-    void runRequestCell(PendingRequest &req, size_t b, size_t c, u32 p);
+    void runRequestCell(PendingRequest &req, size_t b, size_t c, u32 p,
+                        const sim::InitialStateSource &initial);
     void sendError(int fd, std::mutex &write_mtx, const std::string &msg);
     /** Admission-control rejection: a structured Busy Error frame with
      *  a retry-after hint; counted separately from protocol errors. */

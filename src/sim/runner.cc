@@ -1,5 +1,6 @@
 #include "sim/runner.hh"
 
+#include <algorithm>
 #include <atomic>
 #include <condition_variable>
 #include <cstdio>
@@ -14,6 +15,7 @@
 #include "sim/stat_export.hh"
 #include "sim/thread_pool.hh"
 #include "wl/trace_cache.hh"
+#include "wl/workload_spec.hh"
 
 namespace rsep::sim
 {
@@ -58,7 +60,8 @@ PhaseResult
 runCachedCell(ResultCache *cache, const SimConfig &cfg,
               const std::string &benchmark,
               const std::string &config_hash, u32 phase,
-              const TraceIoOptions &trace_io, u64 sample_every)
+              const TraceIoOptions &trace_io, u64 sample_every,
+              const InitialStateSource &initial)
 {
     bool use_cache = cache && cache->enabled();
     CacheKey key{benchmark, config_hash, phase, cfg.seed};
@@ -66,7 +69,7 @@ runCachedCell(ResultCache *cache, const SimConfig &cfg,
         if (std::optional<PhaseResult> pr = cache->load(key))
             return std::move(*pr);
     PhaseResult pr = runPhase(cfg, benchmark, phase, trace_io,
-                              sample_every);
+                              sample_every, initial);
     if (use_cache)
         cache->store(key, pr);
     return pr;
@@ -102,30 +105,128 @@ planMatrix(const std::vector<SimConfig> &configs,
     return plan;
 }
 
+namespace
+{
+
+/** A cell of a plan. */
+struct CellRef
+{
+    size_t b;
+    size_t c;
+    u32 p;
+};
+
+/**
+ * The initial states of one matrix: one per (row, phase), built by the
+ * first live cell that asks and dropped when the last cell of that
+ * (row, phase) finishes, result-cache hits included. A running cell
+ * holds its own reference. A state is also keyed by the workload hash
+ * the row's name resolves to when a cell asks, so a workload
+ * re-registered mid-run (a daemon serving other clients) is never
+ * served from a stale image.
+ */
+class InitialStates
+{
+  public:
+    explicit InitialStates(const MatrixPlan &plan) : plan(plan)
+    {
+        for (const MatrixRow &row : plan.rows)
+            for (const RunResult &rr : row.byConfig)
+                phases = std::max(phases, rr.phases.size());
+        slots = std::vector<Slot>(plan.rows.size() * phases);
+        for (size_t b = 0; b < plan.rows.size(); ++b)
+            for (const RunResult &rr : plan.rows[b].byConfig)
+                for (size_t p = 0; p < rr.phases.size(); ++p)
+                    ++slots[b * phases + p].pending;
+    }
+
+    std::shared_ptr<const InitialState>
+    acquire(size_t b, u32 p)
+    {
+        const std::string &bench = plan.rows[b].benchmark;
+        std::optional<wl::WorkloadSpec> spec = wl::findWorkloadSpec(bench);
+        std::string hash = spec ? wl::workloadHash(*spec) : std::string();
+        Slot &s = slots[b * phases + p];
+        // Held while building: the row's other cells need the same
+        // state and wait for it instead of building their own.
+        std::lock_guard<std::mutex> lk(s.mtx);
+        if (!s.state || s.hash != hash) {
+            s.state = std::make_shared<const InitialState>(
+                spec ? wl::buildWorkload(*spec) : wl::makeWorkload(bench),
+                p);
+            s.hash = hash;
+        }
+        return s.state;
+    }
+
+    void
+    finish(size_t b, u32 p)
+    {
+        Slot &s = slots[b * phases + p];
+        std::lock_guard<std::mutex> lk(s.mtx);
+        if (--s.pending == 0)
+            s.state.reset();
+    }
+
+  private:
+    struct Slot
+    {
+        std::mutex mtx;
+        std::string hash;
+        std::shared_ptr<const InitialState> state;
+        size_t pending = 0; ///< cells of this (row, phase) not finished.
+    };
+
+    const MatrixPlan &plan;
+    size_t phases = 0; ///< slots per row: the most checkpoints of any run.
+    std::vector<Slot> slots;
+};
+
+} // namespace
+
 void
 runCells(ThreadPool &pool, const MatrixPlan &plan,
-         const std::function<void(size_t b, size_t c, u32 p)> &run_cell)
+         const std::function<void(size_t b, size_t c, u32 p,
+                                  const InitialStateSource &initial)>
+             &run_cell)
 {
+    // Cells start in benchmark -> phase -> config order whichever
+    // worker runs them: each task takes the next cell off one cursor.
+    // A (row, phase)'s cells are then contiguous, so its initial state
+    // is built once, and a matrix holds at most one state per worker
+    // (one at a time on one worker).
+    std::vector<CellRef> order;
+    order.reserve(plan.cells);
+    for (size_t b = 0; b < plan.rows.size(); ++b) {
+        const std::vector<RunResult> &runs = plan.rows[b].byConfig;
+        size_t phases = 0;
+        for (const RunResult &rr : runs)
+            phases = std::max(phases, rr.phases.size());
+        for (u32 p = 0; p < phases; ++p)
+            for (size_t c = 0; c < runs.size(); ++c)
+                if (p < runs[c].phases.size())
+                    order.push_back({b, c, p});
+    }
+    InitialStates states(plan);
+    std::atomic<size_t> cursor{0};
+
     // A latch of this plan's own: a daemon's pool also runs other
     // requests' cells, which pool.wait() would wait for too.
     std::mutex mtx;
     std::condition_variable cv;
-    size_t pending = plan.cells;
-    for (size_t b = 0; b < plan.rows.size(); ++b) {
-        const std::vector<RunResult> &runs = plan.rows[b].byConfig;
-        for (size_t c = 0; c < runs.size(); ++c) {
-            u32 phases = static_cast<u32>(runs[c].phases.size());
-            for (u32 p = 0; p < phases; ++p) {
-                pool.submit([&, b, c, p] {
-                    run_cell(b, c, p);
-                    // Notify under the lock: the waiter cannot return
-                    // (and destroy mtx and cv) before this releases it.
-                    std::lock_guard<std::mutex> lk(mtx);
-                    if (--pending == 0)
-                        cv.notify_all();
-                });
-            }
-        }
+    size_t pending = order.size();
+    for (size_t i = 0; i < order.size(); ++i) {
+        pool.submit([&] {
+            CellRef cell = order[cursor++];
+            run_cell(cell.b, cell.c, cell.p,
+                     [&] { return states.acquire(cell.b, cell.p); });
+            states.finish(cell.b, cell.p);
+            // Notify under the lock: the waiter cannot return (and
+            // destroy mtx and cv) before this releases it.
+            std::lock_guard<std::mutex> lk(mtx);
+            if (--pending == 0)
+                cv.notify_all();
+        });
     }
     std::unique_lock<std::mutex> lk(mtx);
     cv.wait(lk, [&] { return pending == 0; });
@@ -236,11 +337,12 @@ runMatrix(const std::vector<SimConfig> &configs,
     // its own slot, so which worker runs it never changes a result.
     std::atomic<size_t> done{0};
     ThreadPool pool(jobs);
-    runCells(pool, plan, [&](size_t b, size_t c, u32 p) {
+    runCells(pool, plan, [&](size_t b, size_t c, u32 p,
+                             const InitialStateSource &initial) {
         PhaseResult &ph = plan.rows[b].byConfig[c].phases[p];
         ph = runCachedCell(use_cache ? &cache : nullptr, configs[c],
                            benchmarks[b], plan.configHashes[c], p,
-                           opts.traceIo, opts.sampling.every);
+                           opts.traceIo, opts.sampling.every, initial);
         size_t k = ++done;
         if (opts.progress)
             printCellProgress(ph, benchmarks[b], configs[c].label, p, k,

@@ -130,13 +130,21 @@ class ThreadPool;
 
 /**
  * Submit one @p pool task per cell of @p plan, calling
- * @p run_cell(b, c, p), and return when all of this plan's cells have
- * finished. Tasks other callers put on the same pool are not waited
- * for, so concurrent requests can share one pool. @p run_cell writes
- * only its own slot.
+ * @p run_cell(b, c, p, initial), and return when all of this plan's
+ * cells have finished. Tasks other callers put on the same pool are
+ * not waited for, so concurrent requests can share one pool.
+ * @p run_cell writes only its own slot.
+ *
+ * Cells start in benchmark -> phase -> config order. @p initial hands
+ * a live cell the post-init state of its (row, phase), built by the
+ * first cell that asks and shared by the rest; it is dropped when the
+ * last cell of that (row, phase) finishes, result-cache hits included,
+ * so a matrix holds at most one state per worker and none after this
+ * returns (DESIGN.md "Shared initial state").
  */
 void runCells(ThreadPool &pool, const MatrixPlan &plan,
-              const std::function<void(size_t b, size_t c, u32 p)>
+              const std::function<void(size_t b, size_t c, u32 p,
+                                       const InitialStateSource &initial)>
                   &run_cell);
 
 /**
@@ -185,13 +193,15 @@ class ResultCache;
  * one ResultCache (and the process-wide DecodedTraceCache) across many
  * clients' requests. @p cache may be null or disabled (plain
  * simulate); @p config_hash is configHash(cfg), precomputed by the
- * caller because batches hash each config exactly once.
+ * caller because batches hash each config exactly once. @p initial is
+ * runPhase's: a hit never asks it.
  */
 PhaseResult runCachedCell(ResultCache *cache, const SimConfig &cfg,
                           const std::string &benchmark,
                           const std::string &config_hash, u32 phase,
                           const TraceIoOptions &trace_io = {},
-                          u64 sample_every = 0);
+                          u64 sample_every = 0,
+                          const InitialStateSource &initial = {});
 
 } // namespace rsep::sim
 

@@ -1,5 +1,6 @@
 #include "sim/simulator.hh"
 
+#include <atomic>
 #include <chrono>
 #include <filesystem>
 
@@ -21,6 +22,34 @@ RunResult::ipcHmean() const
     for (const auto &ph : phases)
         v.push_back(ph.ipc);
     return harmonicMean(v);
+}
+
+namespace
+{
+
+std::atomic<size_t> initialStatesAlive{0};
+
+} // namespace
+
+InitialState::InitialState(wl::Workload w, u32 phase)
+    : workload(std::move(w))
+{
+    wl::Emulator emu(workload.program);
+    emu.resetArchState();
+    workload.init(emu, phase);
+    image = emu.freeze();
+    ++initialStatesAlive;
+}
+
+InitialState::~InitialState()
+{
+    --initialStatesAlive;
+}
+
+size_t
+InitialState::alive()
+{
+    return initialStatesAlive.load();
 }
 
 namespace
@@ -70,7 +99,8 @@ runTimedPhase(const SimConfig &cfg, wl::TraceSource &src, u32 phase,
 
 PhaseResult
 runPhase(const SimConfig &cfg, const std::string &bench_name, u32 phase,
-         const TraceIoOptions &trace_io, u64 sample_every)
+         const TraceIoOptions &trace_io, u64 sample_every,
+         const InitialStateSource &initial)
 {
     auto t0 = std::chrono::steady_clock::now();
     auto finish = [&](PhaseResult pr) {
@@ -133,10 +163,19 @@ runPhase(const SimConfig &cfg, const std::string &bench_name, u32 phase,
     }
 
     // ---- live-emulation path (optionally recording) ----
-    wl::Workload w = wl::makeWorkload(bench_name);
-    wl::Emulator emu(w.program);
-    emu.resetArchState();
-    w.init(emu, phase);
+    std::shared_ptr<const InitialState> shared;
+    std::optional<wl::Workload> own;
+    if (initial)
+        shared = initial();
+    else
+        own = wl::makeWorkload(bench_name);
+    wl::Emulator emu(shared ? shared->workload.program : own->program);
+    if (shared) {
+        emu.restore(shared->image);
+    } else {
+        emu.resetArchState();
+        own->init(emu, phase);
+    }
 
     if (!trace_io.recordDir.empty()) {
         wl::RecordingTraceSource rec(emu);

@@ -9,6 +9,8 @@
 #ifndef RSEP_SIM_SIMULATOR_HH
 #define RSEP_SIM_SIMULATOR_HH
 
+#include <functional>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -140,6 +142,35 @@ struct RunResult
 };
 
 /**
+ * The state a live cell starts from: the workload and its emulator
+ * image after Workload::init for one phase. init is a pure function of
+ * (spec, phase), so every cell that starts @p workload at @p phase can
+ * restore from one shared InitialState and emit the same records as
+ * from a fresh init. Immutable once built.
+ */
+struct InitialState
+{
+    InitialState(wl::Workload workload, u32 phase);
+    ~InitialState();
+    InitialState(const InitialState &) = delete;
+    InitialState &operator=(const InitialState &) = delete;
+
+    wl::Workload workload;
+    wl::EmulatorImage image;
+
+    /** InitialStates alive in this process (lifetime checks). */
+    static size_t alive();
+};
+
+/**
+ * Where a live cell gets its initial state. The matrix runner hands
+ * each cell a source that shares one InitialState per (row, phase);
+ * an empty source means the cell initialises its own emulator.
+ */
+using InitialStateSource =
+    std::function<std::shared_ptr<const InitialState>()>;
+
+/**
  * Run one checkpoint of @p bench_name under @p cfg. Checkpoints are
  * seeded independently (deterministic per-cell seeding), so any
  * (benchmark, config, checkpoint) cell can run on any thread and
@@ -153,10 +184,15 @@ struct RunResult
  * are bit-identical at any thread count. It is a run-level knob, NOT
  * part of SimConfig: it must not perturb config hashes, cached results
  * or golden dumps.
+ *
+ * A live cell takes its initial state from @p initial when it is set
+ * (replayed cells never ask), and otherwise builds and initialises the
+ * workload itself.
  */
 PhaseResult runPhase(const SimConfig &cfg, const std::string &bench_name,
                      u32 phase, const TraceIoOptions &trace_io = {},
-                     u64 sample_every = 0);
+                     u64 sample_every = 0,
+                     const InitialStateSource &initial = {});
 
 /**
  * Run @p bench_name under @p cfg (all checkpoints, serially). Routes

@@ -25,6 +25,21 @@ Emulator::resetArchState()
     icount = 0;
 }
 
+EmulatorImage
+Emulator::freeze()
+{
+    return {regs, cur, icount, mem.freeze()};
+}
+
+void
+Emulator::restore(const EmulatorImage &image)
+{
+    regs = image.regs;
+    cur = image.next;
+    icount = image.icount;
+    mem = SparseMemory(image.memory);
+}
+
 u64
 Emulator::readReg(ArchReg r) const
 {

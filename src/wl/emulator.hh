@@ -22,6 +22,20 @@ namespace rsep::wl
 {
 
 /**
+ * An emulator's frozen architectural state: registers, next PC and
+ * memory. Immutable once made, so any number of emulators on any
+ * number of threads can restore from one; each reads the memory as a
+ * base and copies a page only when it first writes it.
+ */
+struct EmulatorImage
+{
+    std::array<u64, isa::numArchRegs> regs{};
+    u32 next = 0;
+    u64 icount = 0;
+    SparseMemory::Base memory;
+};
+
+/**
  * Architectural state + single-step execution of one Program — the
  * live-emulation TraceSource.
  */
@@ -32,6 +46,13 @@ class Emulator : public TraceSource
 
     /** Reset registers and PC; memory is preserved (use memory().clear()). */
     void resetArchState();
+
+    /** Move this emulator's state into an image; its memory is left
+     *  empty. */
+    EmulatorImage freeze();
+    /** Continue from @p image: the same records follow as from the
+     *  emulator it was frozen from. */
+    void restore(const EmulatorImage &image);
 
     /**
      * Execute the next committed-path instruction and return its

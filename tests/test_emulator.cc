@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <vector>
 
 #include "wl/emulator.hh"
+#include "wl/suite.hh"
 
 namespace rsep::wl
 {
@@ -385,6 +387,125 @@ TEST(SparseMemory, PageBoundaryAccesses)
     m.clear();
     EXPECT_EQ(m.touchedPages(), 0u);
     EXPECT_EQ(m.read(page - 8), 0u);
+}
+
+TEST(SparseMemory, WritesOverABaseStayPrivate)
+{
+    SparseMemory init;
+    init.write(0x10000000, 11);
+    init.write(0x10000008, 12);
+    SparseMemory::Base image = init.freeze();
+    EXPECT_EQ(init.touchedPages(), 0u); // freezing moved every page.
+
+    SparseMemory a(image), b(image);
+    a.write(0x10000000, 99);
+    EXPECT_EQ(a.read(0x10000000), 99u);
+    // The rest of the copied page is the image's.
+    EXPECT_EQ(a.read(0x10000008), 12u);
+    EXPECT_EQ(a.read(0x10000010), 0u);
+    // Neither the image nor a second memory on it sees the write.
+    EXPECT_EQ(b.read(0x10000000), 11u);
+    EXPECT_EQ(SparseMemory(image).read(0x10000000), 11u);
+    EXPECT_EQ(a.touchedPages(), 1u);
+}
+
+TEST(SparseMemory, UnwrittenPagesReadZeroAndClearDropsTheBase)
+{
+    SparseMemory init;
+    init.write(0x20000000, 5);
+    SparseMemory m(init.freeze());
+    EXPECT_EQ(m.read(0x30000000), 0u);
+    EXPECT_EQ(m.read(0x20000000 + SparseMemory::pageBytes), 0u);
+    // A first write into an unwritten page makes a zeroed private one.
+    m.write(0x30000008, 3);
+    EXPECT_EQ(m.read(0x30000000), 0u);
+    EXPECT_EQ(m.read(0x30000008), 3u);
+    EXPECT_EQ(m.touchedPages(), 2u);
+    m.clear();
+    EXPECT_EQ(m.read(0x20000000), 0u);
+    EXPECT_EQ(m.read(0x30000008), 0u);
+    EXPECT_EQ(m.touchedPages(), 0u);
+}
+
+TEST(SparseMemory, PagesSharingACacheSlotStayDistinct)
+{
+    // More pages than the lookup cache has slots, laid out like the
+    // kernels' data (regions 256 MiB apart, pages 1024 pages apart in
+    // a region), so some pages must share a slot; cycling through them
+    // must still reach each page's own words.
+    SparseMemory init;
+    std::vector<Addr> addrs;
+    for (Addr region = 1; region <= 5; ++region)
+        for (Addr page = 0; page < 128; ++page)
+            addrs.push_back(region * 0x10000000 +
+                            (page % 2 ? page + 1024 : page) *
+                                SparseMemory::pageBytes +
+                            8 * region);
+    for (size_t i = 0; i < addrs.size(); ++i)
+        init.write(addrs[i], i + 1);
+    SparseMemory m(init.freeze());
+    for (int round = 0; round < 2; ++round) {
+        for (size_t i = 0; i < addrs.size(); ++i) {
+            EXPECT_EQ(m.read(addrs[i]), i + 1 + round * 100);
+            m.write(addrs[i], i + 1 + (round + 1) * 100);
+        }
+    }
+}
+
+/** The first @p n records of @p emu. */
+std::vector<DynRecord>
+records(Emulator &emu, size_t n)
+{
+    std::vector<DynRecord> out;
+    out.reserve(n);
+    for (size_t i = 0; i < n; ++i)
+        out.push_back(emu.step());
+    return out;
+}
+
+bool
+sameRecords(const std::vector<DynRecord> &a, const std::vector<DynRecord> &b)
+{
+    if (a.size() != b.size())
+        return false;
+    for (size_t i = 0; i < a.size(); ++i)
+        if (a[i].staticIdx != b[i].staticIdx ||
+            a[i].nextIdx != b[i].nextIdx || a[i].result != b[i].result ||
+            a[i].effAddr != b[i].effAddr || a[i].taken != b[i].taken)
+            return false;
+    return true;
+}
+
+TEST(EmulatorImage, RestoredSuiteWorkloadsMatchAFreshInit)
+{
+    // Workload::init is a pure function of (spec, phase): an emulator
+    // restored from a frozen init continues exactly as a freshly
+    // initialised one, and the image is unchanged by a restored run.
+    constexpr size_t n = 50'000;
+    for (const std::string &name : suiteNames()) {
+        Workload w = makeWorkload(name);
+        for (u32 phase : {0u, 1u}) {
+            SCOPED_TRACE(name + " phase " + std::to_string(phase));
+            Emulator fresh(w.program);
+            fresh.resetArchState();
+            w.init(fresh, phase);
+            std::vector<DynRecord> want = records(fresh, n);
+
+            Emulator init(w.program);
+            init.resetArchState();
+            w.init(init, phase);
+            EmulatorImage image = init.freeze();
+            for (int restore = 0; restore < 2; ++restore) {
+                Emulator emu(w.program);
+                emu.restore(image);
+                EXPECT_TRUE(sameRecords(records(emu, n), want))
+                    << "restore " << restore;
+                EXPECT_EQ(emu.instCount(), fresh.instCount());
+                for (ArchReg r = 0; r < isa::numArchRegs; ++r)
+                    EXPECT_EQ(emu.readReg(r), fresh.readReg(r));
+            }
+        }
+    }
 }
 
 TEST(Emulator, HaltWrapsBackToProgramStart)

@@ -196,6 +196,76 @@ TEST(Dvtage, SquashClearsSpecWindow)
     vp.commit(lk, v);
 }
 
+/** The last value @p lk chained off: its prediction minus the
+ *  (zigzag-encoded) delta its provider supplied. */
+u64
+chainedOff(const VpLookup &lk)
+{
+    u64 zz = lk.itageLk.payload;
+    s64 delta = static_cast<s64>((zz >> 1) ^ (~(zz & 1) + 1));
+    return lk.predicted - static_cast<u64>(delta);
+}
+
+/** A predictor trained on @p value at @p pc, no lookup in flight. */
+Dvtage
+trainedOn(Addr pc, const GlobalHist &h, u64 value)
+{
+    Dvtage vp;
+    for (int i = 0; i < 400; ++i) {
+        VpLookup lk = vp.lookup(pc, h);
+        vp.commit(lk, value);
+    }
+    return vp;
+}
+
+TEST(Dvtage, CommitOfASquashedLookupDropsTheNewWindowEntry)
+{
+    // The window counts the entry's in-flight lookups since the last
+    // squash. A lookup from before the squash still commits against
+    // that count: lookup A, squash, lookup B, commit A drops the entry,
+    // and the next lookup reads the committed value, not B's.
+    GlobalHist h;
+    Addr pc = 0x400500;
+    Dvtage vp = trainedOn(pc, h, 7);
+    VpLookup a = vp.lookup(pc, h);
+    vp.squash();
+    VpLookup b = vp.lookup(pc, h);
+    EXPECT_EQ(chainedOff(b), 7u);
+    vp.commit(a, 1000);
+    VpLookup c = vp.lookup(pc, h);
+    ASSERT_NE(b.predicted, 1000u);
+    EXPECT_EQ(chainedOff(c), 1000u);
+}
+
+TEST(Dvtage, SquashedLookupsNeverDecrementAnEmptyWindow)
+{
+    // A1 and A2 are squashed; B is the only lookup since. A1's commit
+    // drops B's entry; A2's then finds nothing to decrement (a wrapped
+    // count would keep B's stale value live for good), so D reads the
+    // committed value and E chains off D.
+    GlobalHist h;
+    Addr pc = 0x400600;
+    Dvtage vp = trainedOn(pc, h, 7);
+    VpLookup a1 = vp.lookup(pc, h);
+    VpLookup a2 = vp.lookup(pc, h);
+    vp.squash();
+    VpLookup b = vp.lookup(pc, h);
+    vp.commit(a1, 1000);
+    vp.commit(a2, 1000);
+    VpLookup d = vp.lookup(pc, h);
+    EXPECT_EQ(chainedOff(d), 1000u);
+    VpLookup e = vp.lookup(pc, h);
+    EXPECT_EQ(chainedOff(e), d.predicted);
+
+    // A squash with nothing in flight, and a commit of a squashed
+    // lookup into an empty window, leave the committed value in charge.
+    vp.squash();
+    vp.commit(b, 2000);
+    vp.squash();
+    VpLookup f = vp.lookup(pc, h);
+    EXPECT_EQ(chainedOff(f), 2000u);
+}
+
 TEST(Dvtage, CountsMispredictions)
 {
     Dvtage vp;

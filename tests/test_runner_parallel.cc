@@ -8,12 +8,18 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <atomic>
 #include <cstdlib>
+#include <filesystem>
+#include <sstream>
 
 #include "common/cli.hh"
+#include "sim/result_cache.hh"
 #include "sim/runner.hh"
 #include "sim/scenario.hh"
+#include "sim/stat_export.hh"
 #include "sim/thread_pool.hh"
 
 namespace rsep::sim
@@ -105,6 +111,106 @@ TEST(RunnerParallel, MatrixMatchesSerialRunWorkload)
                   serial.phases[p].stats.cycles.value());
     }
     EXPECT_EQ(par.ipcHmean(), serial.ipcHmean());
+}
+
+std::string
+csvDump(const std::vector<SimConfig> &configs,
+        const std::vector<MatrixRow> &rows)
+{
+    std::ostringstream os;
+    CsvStatSink().write(os, collectStatRows(configs, rows));
+    return os.str();
+}
+
+TEST(RunnerParallel, SharedInitialStatesGiveTheDumpOfPrivateInits)
+{
+    // The cells of a (row, phase) share one post-init image. The dump
+    // is the same at any worker count, and the same as when every
+    // cell initialises its own emulator (runWorkload); no image
+    // outlives the matrix.
+    for (u32 checkpoints : {1u, 2u}) {
+        SCOPED_TRACE(std::to_string(checkpoints) + " checkpoint(s)");
+        std::vector<SimConfig> configs;
+        for (const char *arm : {"baseline", "rsep", "vpred"}) {
+            configs.push_back(shrunk(findScenario(arm)->config));
+            configs.back().checkpoints = checkpoints;
+        }
+        std::vector<std::string> benches = {"libquantum", "mcf", "bzip2"};
+        std::string dump[2];
+        for (unsigned jobs : {1u, 4u}) {
+            MatrixOptions mo;
+            mo.jobs = jobs;
+            mo.progress = false;
+            dump[jobs == 4] = csvDump(configs, runMatrix(configs, benches, mo));
+            EXPECT_EQ(InitialState::alive(), 0u) << jobs << " jobs";
+        }
+        EXPECT_EQ(dump[0], dump[1]);
+
+        std::vector<MatrixRow> own;
+        for (const std::string &b : benches) {
+            own.push_back({b, {}});
+            for (const SimConfig &cfg : configs)
+                own.back().byConfig.push_back(runWorkload(cfg, b));
+        }
+        EXPECT_EQ(dump[0], csvDump(configs, own));
+    }
+}
+
+/** A scratch result-cache directory, removed on scope exit. */
+struct TempCacheDir
+{
+    std::string path = (std::filesystem::temp_directory_path() /
+                        ("rsep-runner-test-" + std::to_string(::getpid())))
+                           .string();
+    ~TempCacheDir()
+    {
+        std::error_code ec;
+        std::filesystem::remove_all(path, ec);
+    }
+};
+
+TEST(RunnerParallel, InitialStateIsReleasedWhenRowsMixCacheHits)
+{
+    // Each row's last cell (baseline) is a result-cache hit, and the
+    // namd row is all hits. A row's image must still be gone when the
+    // next row starts, and a row of hits builds none.
+    TempCacheDir dir;
+    SimConfig rsep = shrunk(findScenario("rsep")->config);
+    SimConfig base = shrunk(findScenario("baseline")->config);
+    rsep.checkpoints = base.checkpoints = 1;
+    std::vector<std::string> benches = {"mcf", "hmmer", "namd"};
+    MatrixOptions fill;
+    fill.jobs = 2;
+    fill.progress = false;
+    fill.cacheDir = dir.path;
+    runMatrix({base}, benches, fill);
+    runMatrix({rsep}, {"namd"}, fill);
+
+    std::vector<SimConfig> configs = {rsep, base};
+    MatrixPlan plan = planMatrix(configs, benches);
+    ResultCache cache(dir.path);
+    ThreadPool pool(1);
+    std::vector<std::string> seen;
+    runCells(pool, plan,
+             [&](size_t b, size_t c, u32 p,
+                 const InitialStateSource &initial) {
+                 seen.push_back(benches[b] + "/" + configs[c].label + " " +
+                                std::to_string(InitialState::alive()));
+                 plan.rows[b].byConfig[c].phases[p] = runCachedCell(
+                     &cache, configs[c], benches[b], plan.configHashes[c],
+                     p, {}, 0, initial);
+             });
+    // One worker starts cells row by row, config by config: the only
+    // image alive at a cell's start is its own row's, built by rsep.
+    std::vector<std::string> want = {"mcf/rsep 0",   "mcf/baseline 1",
+                                     "hmmer/rsep 0", "hmmer/baseline 1",
+                                     "namd/rsep 0",  "namd/baseline 0"};
+    EXPECT_EQ(seen, want);
+    EXPECT_EQ(InitialState::alive(), 0u);
+    for (const MatrixRow &row : plan.rows) {
+        EXPECT_EQ(row.byConfig[0].phases[0].fromCache, row.benchmark == "namd");
+        EXPECT_TRUE(row.byConfig[1].phases[0].fromCache);
+    }
 }
 
 TEST(RunnerParallel, ThreadPoolRunsAllTasksAcrossWorkers)

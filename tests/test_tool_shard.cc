@@ -236,6 +236,34 @@ TEST(ToolFrontEnd, RepeatedArmLabelsAreUsageErrors)
     EXPECT_FALSE(fs::exists(dir / "a.csv"));
 }
 
+TEST(ToolFrontEnd, RepeatedWorkloadsAreUsageErrors)
+{
+    // Rows and the merge key are by workload: a workload given twice,
+    // in one list or across --workload and --workload-file, stops the
+    // driver before it runs.
+    WorkDir dir;
+    Env small{{"RSEP_SIM_SCALE", "0.05"}};
+    RunResult flag = dir.run({"bench_fig4_speedup", "--scenario",
+                              "baseline,rsep", "--workload", "mcf,mcf",
+                              "--csv", "d.csv"},
+                             small);
+    EXPECT_EQ(flag.exitCode, 2) << flag;
+    EXPECT_TRUE(flag.mentions("workload 'mcf'")) << flag;
+    EXPECT_FALSE(flag.mentions("[matrix]")) << flag;
+    EXPECT_FALSE(fs::exists(dir / "d.csv"));
+
+    writeFile(dir / "chase.scn",
+              "[workload]\nname = chase\nbase = mcf\nnodes = 64\n");
+    RunResult mixed = dir.run({"bench_fig4_speedup", "--scenario",
+                               "baseline", "--workload-file", "chase.scn",
+                               "--workload", "chase", "--csv", "c.csv"},
+                              small);
+    EXPECT_EQ(mixed.exitCode, 2) << mixed;
+    EXPECT_TRUE(mixed.mentions("workload 'chase@")) << mixed;
+    EXPECT_FALSE(mixed.mentions("[matrix]")) << mixed;
+    EXPECT_FALSE(fs::exists(dir / "c.csv"));
+}
+
 TEST(ToolFrontEnd, MalformedNumbersAndNonMatrixFlagsAreUsageErrors)
 {
     WorkDir dir;
