@@ -3,11 +3,14 @@
 #include <algorithm>
 #include <atomic>
 #include <cctype>
+#include <cerrno>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <system_error>
 
+#include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include "common/env.hh"
@@ -25,6 +28,44 @@ namespace
 constexpr std::string_view trailerMark = "\nchecksum = ";
 /** "\nchecksum = " + 16 hex digits + "\n". */
 constexpr size_t trailerBytes = trailerMark.size() + 16 + 1;
+
+/** Read the last @p limit bytes of @p path (all of it when shorter). */
+bool
+readTail(const std::string &path, u64 limit, std::string &bytes,
+         std::string *err)
+{
+    int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+    auto fail = [&](const char *what) {
+        if (err)
+            *err = path + ": " + what + ": " + std::strerror(errno);
+        if (fd >= 0)
+            ::close(fd);
+        return false;
+    };
+    if (fd < 0)
+        return fail("cannot open");
+    struct stat st;
+    if (::fstat(fd, &st) != 0)
+        return fail("cannot stat");
+    const u64 size = static_cast<u64>(st.st_size);
+    const u64 start = size - std::min(size, limit);
+    bytes.resize(size - start);
+    size_t got = 0;
+    while (got < bytes.size()) {
+        ssize_t n = ::pread(fd, bytes.data() + got, bytes.size() - got,
+                            static_cast<off_t>(start + got));
+        if (n < 0 && errno == EINTR)
+            continue;
+        if (n < 0)
+            return fail("read failed");
+        if (n == 0)
+            break; // the file shrank since fstat: keep what was read.
+        got += static_cast<size_t>(n);
+    }
+    ::close(fd);
+    bytes.resize(got);
+    return true;
+}
 
 } // namespace
 
@@ -197,6 +238,18 @@ publishFile(const std::string &path, std::string_view bytes,
     if (ec)
         return discard("rename failed: " + ec.message());
     return true;
+}
+
+bool
+readFile(const std::string &path, std::string &bytes, std::string *err)
+{
+    return readTail(path, ~u64{0}, bytes, err);
+}
+
+bool
+readTrailer(const std::string &path, std::string &bytes, std::string *err)
+{
+    return readTail(path, trailerBytes, bytes, err);
 }
 
 } // namespace rsep::envelope

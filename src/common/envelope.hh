@@ -25,7 +25,9 @@
  *    peekChecksum(), the trailer read DecodedTraceCache keys on;
  *  - pathComponent(), the file-name sanitizer of `.rtr` and `.rts`;
  *  - publishFile(), the atomic temp-file + rename writer with its
- *    fault points, used by every file format.
+ *    fault points, used by every file format, and readFile() /
+ *    readTrailer(), the matching readers, used by every file the repo
+ *    reads whole.
  *
  * What the header values and the payload mean stays with each format.
  * Header values are not checksummed.
@@ -132,6 +134,17 @@ bool peekChecksum(std::string_view image, u64 &out);
  */
 bool publishFile(const std::string &path, std::string_view bytes,
                  const char *write_point, const char *rename_point = nullptr,
+                 std::string *err = nullptr);
+
+/** Read the whole file at @p path into @p bytes. False + @p err
+ *  ("path: message") when it cannot be opened or read. */
+bool readFile(const std::string &path, std::string &bytes,
+              std::string *err = nullptr);
+
+/** Read only the last trailer-sized bytes of the file at @p path (all
+ *  of it when shorter) into @p bytes, for peekChecksum(). Errors as
+ *  readFile(). */
+bool readTrailer(const std::string &path, std::string &bytes,
                  std::string *err = nullptr);
 
 } // namespace rsep::envelope

@@ -18,8 +18,8 @@
 namespace rsep
 {
 
-/** FNV-1a 64 of a byte string (string_view: hashes in place, so an
- *  mmap'd payload is checksummed without a userspace copy). */
+/** FNV-1a 64 of a byte string (string_view: hashes in place, so a
+ *  payload is checksummed inside the image that holds it). */
 inline u64
 fnv1a64(std::string_view s)
 {

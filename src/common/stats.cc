@@ -1,42 +1,9 @@
 #include "common/stats.hh"
 
 #include <cmath>
-#include <iomanip>
 
 namespace rsep
 {
-
-u64
-StatGroup::counterValue(const std::string &stat_name) const
-{
-    for (const auto &ref : counters) {
-        if (ref.name == stat_name)
-            return ref.counter->value();
-    }
-    return 0;
-}
-
-void
-StatGroup::dump(std::ostream &os) const
-{
-    os << "---------- " << name << " ----------\n";
-    for (const auto &ref : counters) {
-        os << std::left << std::setw(40) << (name + "." + ref.name)
-           << " " << std::right << std::setw(14) << ref.counter->value();
-        if (!ref.desc.empty())
-            os << "  # " << ref.desc;
-        os << "\n";
-    }
-    for (const auto &ref : histograms) {
-        os << std::left << std::setw(40) << (name + "." + ref.name)
-           << " samples=" << ref.hist->samples()
-           << " mean=" << std::fixed << std::setprecision(3)
-           << ref.hist->mean();
-        if (!ref.desc.empty())
-            os << "  # " << ref.desc;
-        os << "\n";
-    }
-}
 
 double
 harmonicMean(const std::vector<double> &vals)
@@ -50,17 +17,6 @@ harmonicMean(const std::vector<double> &vals)
         denom += 1.0 / v;
     }
     return static_cast<double>(vals.size()) / denom;
-}
-
-double
-arithmeticMean(const std::vector<double> &vals)
-{
-    if (vals.empty())
-        return 0.0;
-    double sum = 0.0;
-    for (double v : vals)
-        sum += v;
-    return sum / static_cast<double>(vals.size());
 }
 
 double

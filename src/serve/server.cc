@@ -406,8 +406,7 @@ Server::preflight(const PendingRequest &req)
         // Replay cells: the trace must exist, checksum clean (header-
         // only read: checksummed, not decoded, so the preflight does
         // not warm the decode cache and skew serve.trace_decode_hits)
-        // and match the cell identity. Hash equality implies program-
-        // length equality (the program is generated from the spec).
+        // and match the cell identity.
         std::string whash = wl::workloadHash(*spec);
         for (u32 p = 0; p < max_ckpts; ++p) {
             std::string path =
@@ -415,15 +414,10 @@ Server::preflight(const PendingRequest &req)
             wl::TraceParse tp = wl::readTraceFile(path);
             if (!tp.ok())
                 return "replay preflight: " + tp.error;
-            if (tp.header.workload != b || tp.header.phase != p)
-                return "replay preflight: " + path +
-                       ": trace identity mismatch (records " +
-                       tp.header.workload + " phase " +
-                       std::to_string(tp.header.phase) + ")";
-            if (tp.header.workloadHash != whash)
-                return "replay preflight: " + path +
-                       ": workload hash mismatch (trace " +
-                       tp.header.workloadHash + ", spec " + whash + ")";
+            std::string mismatch =
+                wl::traceIdentityMismatch(tp.header, b, p, whash);
+            if (!mismatch.empty())
+                return "replay preflight: " + path + ": " + mismatch;
         }
     }
     return "";

@@ -6,7 +6,7 @@
  * One Server owns the process-resident state a cold driver process
  * pays to rebuild on every invocation — the workload registry, the
  * decoded-trace cache (wl::traceCache()) and the persistent result
- * cache — plus one work-stealing ThreadPool. Each client connection
+ * cache — plus one ThreadPool. Each client connection
  * gets a handler thread that validates Submit requests, lays each out
  * with sim::planMatrix and fans its (benchmark, config, checkpoint)
  * cells into the shared pool with sim::runCells, so concurrently-

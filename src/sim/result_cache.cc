@@ -3,7 +3,6 @@
 #include <bit>
 #include <cctype>
 #include <filesystem>
-#include <fstream>
 #include <sstream>
 
 #include "common/env.hh"
@@ -249,14 +248,11 @@ ResultCache::load(const CacheKey &key)
     if (!enabled())
         return std::nullopt;
     std::string path = cellPath(key);
-    std::ifstream is(path, std::ios::binary);
-    if (!is) {
+    std::string text;
+    if (!envelope::readFile(path, text)) {
         ++nMisses;
         return std::nullopt;
     }
-    std::ostringstream buf;
-    buf << is.rdbuf();
-    std::string text = buf.str();
 
     auto quarantine = [&](const std::string &why) {
         std::error_code ec;

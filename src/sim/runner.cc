@@ -333,16 +333,34 @@ runMatrix(const std::vector<SimConfig> &configs,
         std::fprintf(stderr, "\n");
     }
 
+    // One trace writer per (row, phase), so every arm can replay what
+    // was written: of the arms that run the phase, the one with the
+    // longest run, the first of them on a tie (config 0 when the arms
+    // are sized alike). The others run live without recording.
+    auto runLength = [&](size_t k) {
+        return configs[k].warmupInsts + configs[k].measureInsts;
+    };
+    auto writesTrace = [&](size_t c, u32 p) {
+        for (size_t k = 0; k < configs.size(); ++k)
+            if (p < configs[k].checkpoints &&
+                (runLength(k) > runLength(c) ||
+                 (runLength(k) == runLength(c) && k < c)))
+                return false;
+        return true;
+    };
+
     // One pool task per cell: the cell computes from its own seed into
     // its own slot, so which worker runs it never changes a result.
     std::atomic<size_t> done{0};
     ThreadPool pool(jobs);
     runCells(pool, plan, [&](size_t b, size_t c, u32 p,
                              const InitialStateSource &initial) {
+        TraceIoOptions trace_io = opts.traceIo;
+        trace_io.writeTrace = writesTrace(c, p);
         PhaseResult &ph = plan.rows[b].byConfig[c].phases[p];
         ph = runCachedCell(use_cache ? &cache : nullptr, configs[c],
                            benchmarks[b], plan.configHashes[c], p,
-                           opts.traceIo, opts.sampling.every, initial);
+                           trace_io, opts.sampling.every, initial);
         size_t k = ++done;
         if (opts.progress)
             printCellProgress(ph, benchmarks[b], configs[c].label, p, k,

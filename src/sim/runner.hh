@@ -86,7 +86,7 @@ bool parseJobsValue(const std::string &s, unsigned &jobs,
 /**
  * Run every benchmark under every configuration (config 0 is
  * conventionally the baseline). The (benchmark x config x checkpoint)
- * cells fan out across a work-stealing thread pool; per-cell seeding
+ * cells fan out across a thread pool; per-cell seeding
  * is deterministic, so results are bit-identical at any thread count.
  * Progress goes to stderr. This is planMatrix, runCells and
  * finishMatrix plus the cache and trace-cache summaries.

@@ -3,7 +3,6 @@
 #include "common/env.hh"
 #include "common/envelope.hh"
 #include "common/fnv.hh"
-#include "common/mmap_file.hh"
 
 namespace rsep::sim
 {
@@ -129,11 +128,11 @@ parseSamplesText(std::string_view text, const std::string &origin)
 SamplesParse
 parseSamplesFile(const std::string &path)
 {
-    MmapFile file;
     SamplesParse out;
-    if (!file.open(path, &out.error))
+    std::string image;
+    if (!envelope::readFile(path, image, &out.error))
         return out;
-    return parseSamplesText(file.view(), path);
+    return parseSamplesText(image, path);
 }
 
 bool

@@ -1,9 +1,9 @@
 #include "sim/scenario.hh"
 
-#include <fstream>
 #include <sstream>
 
 #include "common/env.hh"
+#include "common/envelope.hh"
 #include "common/field_codec.hh"
 #include "common/fnv.hh"
 
@@ -423,15 +423,13 @@ parseScenarioText(const std::string &text, const std::string &origin)
 ScenarioParse
 parseScenarioFile(const std::string &path)
 {
-    std::ifstream is(path);
-    if (!is) {
+    std::string text;
+    if (!envelope::readFile(path, text)) {
         ScenarioParse out;
         out.error = path + ": cannot open scenario file";
         return out;
     }
-    std::ostringstream buf;
-    buf << is.rdbuf();
-    return parseScenarioText(buf.str(), path);
+    return parseScenarioText(text, path);
 }
 
 std::string

@@ -142,16 +142,12 @@ runPhase(const SimConfig &cfg, const std::string &bench_name, u32 phase,
             if (!cached.ok())
                 rsep_fatal("replay: %s (re-record the trace)",
                            cached.error.c_str());
-            const wl::TraceHeader &header = cached.trace->header;
-            if (header.workload != bench_name || header.phase != phase ||
-                header.workloadHash != wl::workloadHash(*spec))
-                rsep_fatal("replay: %s: trace identity (%s, phase %u, "
-                           "hash %s) does not match the requested cell "
-                           "(%s, phase %u, hash %s)",
-                           path.c_str(), header.workload.c_str(),
-                           header.phase, header.workloadHash.c_str(),
-                           bench_name.c_str(), phase,
-                           wl::workloadHash(*spec).c_str());
+            std::string mismatch = wl::traceIdentityMismatch(
+                cached.trace->header, bench_name, phase,
+                wl::workloadHash(*spec));
+            if (!mismatch.empty())
+                rsep_fatal("replay: %s: %s", path.c_str(),
+                           mismatch.c_str());
             wl::Workload w = wl::buildWorkload(*spec);
             wl::ReplayTraceSource src(cached.trace, w.program, path);
             PhaseResult pr = runTimedPhase(cfg, src, phase, sample_every);
@@ -177,7 +173,7 @@ runPhase(const SimConfig &cfg, const std::string &bench_name, u32 phase,
         own->init(emu, phase);
     }
 
-    if (!trace_io.recordDir.empty()) {
+    if (!trace_io.recordDir.empty() && trace_io.writeTrace) {
         wl::RecordingTraceSource rec(emu);
         PhaseResult pr = runTimedPhase(cfg, rec, phase, sample_every);
         rec.recordSlack(traceRecordSlack);

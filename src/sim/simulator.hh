@@ -69,12 +69,22 @@ struct PhaseResult
  * re-emulated).
  *
  * Record: live-emulated cells tee their stream and write
- * `recordDir/<workload>-p<phase>.rtr` (atomic) when the cell ends.
+ * `recordDir/<workload>-p<phase>.rtr` (atomic) when the cell ends,
+ * unless writeTrace is cleared. runMatrix sets it on one arm per
+ * (row, phase): of the arms that run the phase, the one with the
+ * longest warm-up + measurement, the first of them on a tie (config 0
+ * when the arms are sized alike). So each trace has exactly one
+ * writer, under `--shard` too, and every arm can replay it; the other
+ * arms run live without recording. A result-cache hit on the writing
+ * arm writes no trace.
  */
 struct TraceIoOptions
 {
     std::string recordDir;
     std::string replayDir;
+    /** A live cell writes its trace to recordDir (when set). A missing
+     *  replay trace falls back to live emulation either way. */
+    bool writeTrace = true;
 
     bool active() const { return !recordDir.empty() || !replayDir.empty(); }
 };

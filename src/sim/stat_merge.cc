@@ -2,13 +2,12 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <fstream>
 #include <iomanip>
 #include <map>
 #include <set>
-#include <sstream>
 
 #include "common/env.hh"
+#include "common/envelope.hh"
 #include "common/stats.hh"
 
 namespace rsep::sim
@@ -214,15 +213,13 @@ parseCsvDump(const std::string &text, const std::string &origin)
 DumpParse
 parseDumpFile(const std::string &path)
 {
-    std::ifstream is(path, std::ios::binary);
-    if (!is) {
+    std::string text;
+    if (!envelope::readFile(path, text)) {
         DumpParse out;
         out.error = path + ": cannot open";
         return out;
     }
-    std::ostringstream buf;
-    buf << is.rdbuf();
-    return parseCsvDump(buf.str(), path);
+    return parseCsvDump(text, path);
 }
 
 std::string

@@ -1,7 +1,5 @@
 #include "sim/thread_pool.hh"
 
-#include <chrono>
-
 namespace rsep::sim
 {
 
@@ -9,19 +7,16 @@ ThreadPool::ThreadPool(unsigned nthreads)
 {
     if (nthreads == 0)
         nthreads = 1;
-    queues.reserve(nthreads);
-    for (unsigned i = 0; i < nthreads; ++i)
-        queues.push_back(std::make_unique<Worker>());
     workers.reserve(nthreads);
     for (unsigned i = 0; i < nthreads; ++i)
-        workers.emplace_back([this, i] { workerLoop(i); });
+        workers.emplace_back([this] { workerLoop(); });
 }
 
 ThreadPool::~ThreadPool()
 {
     wait();
     {
-        std::lock_guard<std::mutex> lk(poolMtx);
+        std::lock_guard<std::mutex> lk(mtx);
         stopping = true;
     }
     workCv.notify_all();
@@ -32,81 +27,37 @@ ThreadPool::~ThreadPool()
 void
 ThreadPool::submit(std::function<void()> task)
 {
-    size_t target;
     {
-        std::lock_guard<std::mutex> lk(poolMtx);
+        std::lock_guard<std::mutex> lk(mtx);
+        tasks.push_back(std::move(task));
         ++pending;
-        target = nextQueue;
-        nextQueue = (nextQueue + 1) % queues.size();
-    }
-    {
-        std::lock_guard<std::mutex> lk(queues[target]->mtx);
-        queues[target]->deq.push_back(std::move(task));
     }
     workCv.notify_one();
 }
 
-bool
-ThreadPool::popOwn(size_t w, std::function<void()> &out)
-{
-    Worker &q = *queues[w];
-    std::lock_guard<std::mutex> lk(q.mtx);
-    if (q.deq.empty())
-        return false;
-    out = std::move(q.deq.back());
-    q.deq.pop_back();
-    return true;
-}
-
-bool
-ThreadPool::steal(size_t thief, std::function<void()> &out)
-{
-    for (size_t off = 1; off < queues.size(); ++off) {
-        Worker &q = *queues[(thief + off) % queues.size()];
-        std::lock_guard<std::mutex> lk(q.mtx);
-        if (q.deq.empty())
-            continue;
-        out = std::move(q.deq.front());
-        q.deq.pop_front();
-        return true;
-    }
-    return false;
-}
-
 void
-ThreadPool::workerLoop(size_t w)
+ThreadPool::workerLoop()
 {
+    std::unique_lock<std::mutex> lk(mtx);
     for (;;) {
-        std::function<void()> task;
-        if (popOwn(w, task) || steal(w, task)) {
-            task();
-            bool drained;
-            {
-                std::lock_guard<std::mutex> lk(poolMtx);
-                drained = --pending == 0;
-            }
-            if (drained)
-                idleCv.notify_all();
-            continue;
-        }
-        std::unique_lock<std::mutex> lk(poolMtx);
-        if (stopping)
-            return;
-        if (pending == 0) {
-            workCv.wait(lk, [this] { return stopping || pending > 0; });
-            continue;
-        }
-        // Tasks are pending but all deques looked empty in our sweep
-        // (they are being executed, or a submit raced us); nap until
-        // poked rather than spinning.
-        workCv.wait_for(lk, std::chrono::milliseconds(1));
+        workCv.wait(lk, [this] { return stopping || !tasks.empty(); });
+        if (tasks.empty())
+            return; // stopping, and nothing left to run.
+        std::function<void()> task = std::move(tasks.back());
+        tasks.pop_back();
+        lk.unlock();
+        task();
+        task = nullptr; // release the closure outside the lock.
+        lk.lock();
+        if (--pending == 0)
+            idleCv.notify_all();
     }
 }
 
 void
 ThreadPool::wait()
 {
-    std::unique_lock<std::mutex> lk(poolMtx);
+    std::unique_lock<std::mutex> lk(mtx);
     idleCv.wait(lk, [this] { return pending == 0; });
 }
 

@@ -1,9 +1,13 @@
 /**
  * @file
- * A small work-stealing thread pool for the experiment matrix. Each
- * worker owns a deque: it pushes/pops its own work LIFO at the back
- * and steals FIFO from the front of other workers' deques when idle
- * (oldest-first stealing keeps big per-benchmark batches flowing).
+ * The experiment matrix's thread pool: one mutex, one stack of tasks
+ * popped newest-first, and a fixed set of workers.
+ *
+ * runCells is the only submitter, and its tasks are identical closures
+ * that each take the next cell off one cursor, so the pool's order
+ * never decides which cell runs. Newest-first keeps a daemon's order
+ * between concurrent requests: the request submitted last starts
+ * first.
  *
  * Determinism contract: the pool schedules WHEN tasks run, never WHAT
  * they compute — callers give every task its own seed and its own
@@ -14,14 +18,10 @@
 #define RSEP_SIM_THREAD_POOL_HH
 
 #include <condition_variable>
-#include <deque>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
-
-#include "common/types.hh"
 
 namespace rsep::sim
 {
@@ -38,7 +38,7 @@ class ThreadPool
     ThreadPool(const ThreadPool &) = delete;
     ThreadPool &operator=(const ThreadPool &) = delete;
 
-    /** Enqueue a task (round-robin across worker deques). */
+    /** Push a task; the newest pending task runs first. */
     void submit(std::function<void()> task);
 
     /** Block until every submitted task has finished. */
@@ -47,25 +47,16 @@ class ThreadPool
     unsigned threadCount() const { return unsigned(workers.size()); }
 
   private:
-    struct Worker
-    {
-        std::deque<std::function<void()>> deq;
-        std::mutex mtx;
-    };
+    void workerLoop();
 
-    bool popOwn(size_t w, std::function<void()> &out);
-    bool steal(size_t thief, std::function<void()> &out);
-    void workerLoop(size_t w);
-
-    std::vector<std::unique_ptr<Worker>> queues;
-    std::vector<std::thread> workers;
-
-    std::mutex poolMtx;
-    std::condition_variable workCv; ///< workers: work may be available.
+    std::mutex mtx; ///< guards tasks, pending and stopping.
+    std::vector<std::function<void()>> tasks; ///< back = newest.
+    std::condition_variable workCv; ///< workers: a task or stop arrived.
     std::condition_variable idleCv; ///< waiters: pending may have hit 0.
     size_t pending = 0;             ///< submitted, not yet finished.
-    size_t nextQueue = 0;           ///< round-robin submission cursor.
     bool stopping = false;
+
+    std::vector<std::thread> workers; ///< last: they use the above.
 };
 
 } // namespace rsep::sim

@@ -4,7 +4,6 @@
 
 #include "common/envelope.hh"
 #include "common/fnv.hh"
-#include "common/mmap_file.hh"
 
 namespace rsep::wl
 {
@@ -28,22 +27,19 @@ DecodedTraceCache::get(const std::string &path)
 {
     Result out;
 
-    // Map the file up front: a hit touches only the trailer page, a
-    // miss decodes straight from this same view.
-    MmapFile file;
-    std::string io_err;
-    if (!file.open(path, &io_err)) {
-        out.error = std::move(io_err);
+    // The trailer's checksum keys the entry: a hit reads nothing else.
+    std::string bytes;
+    if (!envelope::readTrailer(path, bytes, &out.error))
         return out;
-    }
-    // The trailer's checksum keys the entry without parsing the file.
     u64 checksum = 0;
-    const bool keyed = envelope::peekChecksum(file.view(), checksum);
     // Unkeyable images (truncated/corrupt) are decoded uncached so the
     // decoder's diagnostic comes back verbatim.
-    if (!keyed) {
-        DecodedTraceParse parse = decodeTraceImage(file.view(), path);
-        out.error = parse.error;
+    if (!envelope::peekChecksum(bytes, checksum)) {
+        if (envelope::readFile(path, bytes, &out.error)) {
+            DecodedTraceParse parse = decodeTraceImage(bytes, path);
+            out.trace = parse.trace;
+            out.error = parse.error;
+        }
         return out;
     }
     const std::string key = path + '\0' + hex64(checksum);
@@ -73,46 +69,51 @@ DecodedTraceCache::get(const std::string &path)
         return out;
     }
 
-    // Miss: publish an in-flight marker and decode outside the lock.
-    // In-flight entries are in the map (so lookups can wait on them)
-    // but not in the LRU list (so eviction cannot touch them).
+    // Miss: publish an in-flight marker, then read and decode the whole
+    // file outside the lock. In-flight entries are in the map (so
+    // lookups can wait on them) but not in the LRU list (so eviction
+    // cannot touch them).
     auto e = std::make_shared<Entry>();
     entries[key] = e;
     lock.unlock();
 
     auto t0 = std::chrono::steady_clock::now();
-    DecodedTraceParse parse = decodeTraceImage(file.view(), path);
+    DecodedTraceParse parse;
+    if (envelope::readFile(path, bytes, &parse.error))
+        parse = decodeTraceImage(bytes, path);
     const u64 micros = elapsedMicros(t0);
 
     lock.lock();
     ++counters.misses;
     counters.decodeMicros += micros;
-    // The map slot may no longer be ours (clear() ran while we
-    // decoded): publish to waiters via the shared entry regardless,
-    // and only touch map/LRU state when the slot still points at us.
-    auto again = entries.find(key);
-    const bool slotOurs = again != entries.end() && again->second == e;
-    if (!parse.ok()) {
-        e->error = parse.error;
-        e->ready = true;
-        if (slotOurs)
-            entries.erase(again); // no failure tombstones in the map.
-        cv.notify_all();
-        out.error = parse.error;
-        return out;
-    }
     e->trace = parse.trace;
-    e->bytes = parse.trace->payload.size();
+    e->error = parse.error;
     e->ready = true;
-    if (slotOurs) {
-        lru.push_front(key);
+    cv.notify_all();
+    // The marker leaves the map, so a failure leaves no tombstone. A
+    // decoded trace goes back in under the checksum of the bytes it was
+    // decoded from, which differs from the trailer's when the file was
+    // replaced between the two reads. When the slot is no longer ours
+    // (clear() ran while we decoded), waiters still get the result
+    // through the shared entry, and the map gets nothing.
+    auto slot = entries.find(key);
+    const bool slot_ours = slot != entries.end() && slot->second == e;
+    if (slot_ours)
+        entries.erase(slot);
+    out.trace = parse.trace;
+    out.error = parse.error;
+    if (!slot_ours || !parse.ok())
+        return out;
+    envelope::peekChecksum(bytes, checksum);
+    const std::string decoded_key = path + '\0' + hex64(checksum);
+    if (entries.emplace(decoded_key, e).second) {
+        e->bytes = parse.trace->payload.size();
+        lru.push_front(decoded_key);
         e->lruIt = lru.begin();
         resident += e->bytes;
         counters.residentBytes = resident;
         enforceCapacity();
     }
-    cv.notify_all();
-    out.trace = parse.trace;
     return out;
 }
 

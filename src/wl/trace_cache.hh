@@ -7,15 +7,17 @@
  * bytes. DecodedTraceCache collapses that to one load (envelope,
  * checksum and a validating walk of every record) — cells ask
  * for a trace by path, the cache hands every caller the same immutable
- * `shared_ptr<const DecodedTrace>` snapshot, and the work-stealing
- * pool's threads replay it concurrently with nothing but a private
- * cursor each (ReplayTraceSource).
+ * `shared_ptr<const DecodedTrace>` snapshot, and the pool's threads
+ * replay it concurrently with nothing but a private cursor each
+ * (ReplayTraceSource).
  *
- * Keying: (path, payload checksum). The checksum is read from the
- * fixed-size trailer of the (mmap'd) file on every lookup, so a trace
- * overwritten on disk — re-recorded under a different sizing, say —
- * misses naturally instead of replaying stale records. The lookup cost
- * on a hit is one open + one trailer page touch, not a load.
+ * Keying: (path, payload checksum). Every lookup reads only the file's
+ * fixed-size trailer (envelope::readTrailer + peekChecksum), so a hit
+ * never reads the payload, and a trace overwritten on disk —
+ * re-recorded under a different sizing, say — misses naturally instead
+ * of replaying stale records. Only a miss reads the whole file; its
+ * entry is keyed by the checksum of the bytes it decoded, so a file
+ * replaced between the two reads is never cached under the old key.
  *
  * Concurrency: one mutex guards the map; a cold lookup inserts an
  * in-flight marker, loads OUTSIDE the lock, then publishes and

@@ -8,7 +8,6 @@
 #include "common/fault.hh"
 #include "common/fnv.hh"
 #include "common/logging.hh"
-#include "common/mmap_file.hh"
 
 namespace rsep::wl
 {
@@ -286,10 +285,10 @@ TraceParse
 readTraceFile(const std::string &path)
 {
     TraceParse out;
-    MmapFile file;
-    if (!file.open(path, &out.error))
+    std::string image;
+    if (!envelope::readFile(path, image, &out.error))
         return out;
-    std::string_view view = file.view();
+    std::string_view view = image;
     if (!injectTraceFault("trace.read", view, path, out.error))
         return out;
     OpenedTrace opened = openTrace(view, path);
@@ -298,14 +297,31 @@ readTraceFile(const std::string &path)
     return out;
 }
 
+std::string
+traceIdentityMismatch(const TraceHeader &header, const std::string &workload,
+                      u32 phase, const std::string &workload_hash)
+{
+    if (header.workload == workload && header.phase == phase &&
+        header.workloadHash == workload_hash)
+        return "";
+    auto cell = [](const std::string &w, u32 p, const std::string &h) {
+        return "(" + w + ", phase " + std::to_string(p) + ", hash " + h +
+               ")";
+    };
+    return "trace identity " +
+           cell(header.workload, header.phase, header.workloadHash) +
+           " does not match the requested cell " +
+           cell(workload, phase, workload_hash);
+}
+
 DecodedTraceParse
 loadDecodedTrace(const std::string &path)
 {
     DecodedTraceParse out;
-    MmapFile file;
-    if (!file.open(path, &out.error))
+    std::string image;
+    if (!envelope::readFile(path, image, &out.error))
         return out;
-    return decodeTraceImage(file.view(), path);
+    return decodeTraceImage(image, path);
 }
 
 std::shared_ptr<const DecodedTrace>

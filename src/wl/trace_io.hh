@@ -35,10 +35,10 @@
  * only it; a file of any other version is rejected with a diagnostic
  * and must be re-recorded.
  *
- * The read data path (DESIGN.md §11): files come in through MmapFile
- * (page-cache view, read() fallback), are validated once at load by
- * walking every record with a TraceCursor, and keep only their
- * encoded payload; replay decodes records from it on demand.
+ * The read data path (DESIGN.md §11): files are read whole with
+ * envelope::readFile, validated once at load by walking every record
+ * with a TraceCursor, and keep only their encoded payload; replay
+ * decodes records from it on demand.
  *
  * Files are published atomically (temp + rename). A reader rejects —
  * with a diagnostic, never a partial result — version or checksum
@@ -94,9 +94,18 @@ struct TraceParse
     bool ok() const { return error.empty(); }
 };
 
-/** Read a trace file's header (MmapFile reader). The whole envelope is
- *  validated and the payload checksummed, but not decoded. */
+/** Read a trace file's header. The whole envelope is validated and the
+ *  payload checksummed, but not decoded. */
 TraceParse readTraceFile(const std::string &path);
+
+/** Why a trace with @p header cannot feed the cell (@p workload,
+ *  @p phase) whose spec hashes to @p workload_hash: "trace identity
+ *  (...) does not match the requested cell (...)". Empty when it
+ *  matches. Hash equality implies program-length equality (the program
+ *  is generated from the spec). */
+std::string traceIdentityMismatch(const TraceHeader &header,
+                                  const std::string &workload, u32 phase,
+                                  const std::string &workload_hash);
 
 /**
  * The one `.rtr` payload decoder, one record per next() call, used by
@@ -168,12 +177,12 @@ struct DecodedTraceParse
 };
 
 /** Validate a trace image (envelope, checksum, then every record
- *  through a TraceCursor) and copy out its payload: @p text (typically
- *  mmap'd) need not outlive the call. */
+ *  through a TraceCursor) and copy out its payload: @p text need not
+ *  outlive the call. */
 DecodedTraceParse decodeTraceImage(std::string_view text,
                                    const std::string &origin);
 
-/** Map (or read-fallback), validate and load a trace file. */
+/** Read, validate and load a trace file. */
 DecodedTraceParse loadDecodedTrace(const std::string &path);
 
 /** Atomically write a trace file (temp + rename, directories created).

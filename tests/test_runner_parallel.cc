@@ -14,6 +14,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <sstream>
+#include <thread>
 
 #include "common/cli.hh"
 #include "sim/result_cache.hh"
@@ -226,6 +227,50 @@ TEST(RunnerParallel, ThreadPoolRunsAllTasksAcrossWorkers)
         pool.submit([&hits] { ++hits; });
     pool.wait();
     EXPECT_EQ(hits.load(), 288);
+}
+
+TEST(RunnerParallel, TwoPlansShareOnePool)
+{
+    // The daemon's pattern: two requests run their plans on one pool
+    // at once. Each runCells returns once its own cells are done, and
+    // each plan's dump is the one runMatrix gives alone.
+    const std::vector<SimConfig> configs[2] = {
+        {shrunk(findScenario("baseline")->config),
+         shrunk(findScenario("rsep")->config)},
+        {shrunk(findScenario("vpred")->config)}};
+    const std::vector<std::string> benches[2] = {
+        {"mcf", "hmmer"}, {"libquantum", "mcf", "bzip2"}};
+    MatrixPlan plans[2] = {planMatrix(configs[0], benches[0]),
+                           planMatrix(configs[1], benches[1])};
+    size_t unfinished[2] = {0, 0};
+    ThreadPool pool(2);
+    std::vector<std::thread> requests;
+    for (size_t i = 0; i < 2; ++i)
+        requests.emplace_back([&, i] {
+            MatrixPlan &plan = plans[i];
+            runCells(pool, plan,
+                     [&](size_t b, size_t c, u32 p,
+                         const InitialStateSource &initial) {
+                         plan.rows[b].byConfig[c].phases[p] = runCachedCell(
+                             nullptr, configs[i][c], benches[i][b],
+                             plan.configHashes[c], p, {}, 0, initial);
+                     });
+            for (const MatrixRow &row : plan.rows)
+                for (const RunResult &rr : row.byConfig)
+                    for (const PhaseResult &ph : rr.phases)
+                        unfinished[i] += ph.stats.cycles.value() == 0;
+        });
+    for (std::thread &t : requests)
+        t.join();
+    for (size_t i = 0; i < 2; ++i) {
+        SCOPED_TRACE("plan " + std::to_string(i));
+        EXPECT_EQ(unfinished[i], 0u);
+        MatrixOptions mo;
+        mo.jobs = 1;
+        mo.progress = false;
+        EXPECT_EQ(csvDump(configs[i], plans[i].rows),
+                  csvDump(configs[i], runMatrix(configs[i], benches[i], mo)));
+    }
 }
 
 /** Parse @p args (argv without argv[0]) against a table holding only

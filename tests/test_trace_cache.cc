@@ -1,11 +1,11 @@
 /**
  * @file
- * Trace data-path tests: MmapFile (mapping + read fallback are
- * indistinguishable to consumers), the zero-copy readers (mmap'd and
- * in-memory decodes are identical, every truncated prefix and every
- * corruption is diagnosed, on the mmap path too), and
- * DecodedTraceCache (hit/miss/keying/eviction semantics, decode-once
- * under concurrency, shared snapshots across runMatrix cells).
+ * Trace data-path tests: envelope::readFile / readTrailer (errors name
+ * the path, empty and multi-MiB files read back exactly), the trace
+ * file readers (every truncated prefix and every on-disk corruption is
+ * diagnosed), and DecodedTraceCache (hit/miss/keying/eviction
+ * semantics, a hit reads only the trailer, decode-once under
+ * concurrency, shared snapshots across runMatrix cells).
  */
 
 #include <gtest/gtest.h>
@@ -15,10 +15,9 @@
 #include <sstream>
 #include <thread>
 
-#include <stdlib.h>
 #include <unistd.h>
 
-#include "common/mmap_file.hh"
+#include "common/envelope.hh"
 #include "sim/runner.hh"
 #include "sim/scenario.hh"
 #include "wl/trace_cache.hh"
@@ -113,140 +112,56 @@ writeSample(const std::string &dir, size_t records, u32 phase = 2)
     return path;
 }
 
-// -------------------------------------------------------- MmapFile
+// ---------------------------------------------------- envelope::readFile
 
-TEST(MmapFile, MapsRegularFilesAndReportsErrors)
+TEST(ReadFile, MissingFileErrorNamesThePath)
 {
-    std::string dir = scratchDir("mmap_basic");
-    std::string path = dir + "/blob.bin";
-    std::string content(100000, '\0');
-    for (size_t i = 0; i < content.size(); ++i)
-        content[i] = static_cast<char>(i * 131 + 7);
-    writeFile(path, content);
-
-    MmapFile f;
-    std::string err;
-    ASSERT_TRUE(f.open(path, &err)) << err;
-    EXPECT_TRUE(f.ok());
-    EXPECT_TRUE(f.mapped()); // non-empty regular file on a normal fs.
-    EXPECT_EQ(f.view(), std::string_view(content));
-
-    // Reopen releases the old mapping and serves the new file.
-    std::string path2 = dir + "/blob2.bin";
-    writeFile(path2, "tiny");
-    ASSERT_TRUE(f.open(path2, &err)) << err;
-    EXPECT_EQ(f.view(), "tiny");
-
-    std::string missing_err;
-    MmapFile g;
-    EXPECT_FALSE(g.open(dir + "/nope.bin", &missing_err));
-    EXPECT_FALSE(g.ok());
-    EXPECT_NE(missing_err.find("nope.bin"), std::string::npos);
-
-    f.close();
-    EXPECT_FALSE(f.ok());
-    EXPECT_TRUE(f.view().empty());
+    std::string dir = scratchDir("read_missing");
+    const std::string path = dir + "/nope.bin";
+    std::string bytes, err;
+    EXPECT_FALSE(envelope::readFile(path, bytes, &err));
+    EXPECT_EQ(err.rfind(path + ": cannot open: ", 0), 0u) << err;
+    err.clear();
+    EXPECT_FALSE(envelope::readTrailer(path, bytes, &err));
+    EXPECT_EQ(err.rfind(path + ": cannot open: ", 0), 0u) << err;
     fs::remove_all(dir);
 }
 
-TEST(MmapFile, EmptyFileUsesFallbackAndYieldsEmptyView)
+TEST(ReadFile, EmptyFileReadsAsEmpty)
 {
-    std::string dir = scratchDir("mmap_empty");
+    std::string dir = scratchDir("read_empty");
     std::string path = dir + "/empty.bin";
     writeFile(path, "");
-    MmapFile f;
-    std::string err;
-    ASSERT_TRUE(f.open(path, &err)) << err; // mmap(0) is EINVAL: fallback.
-    EXPECT_TRUE(f.ok());
-    EXPECT_FALSE(f.mapped());
-    EXPECT_TRUE(f.view().empty());
+    std::string bytes = "stale", err;
+    ASSERT_TRUE(envelope::readFile(path, bytes, &err)) << err;
+    EXPECT_TRUE(bytes.empty());
+    bytes = "stale";
+    ASSERT_TRUE(envelope::readTrailer(path, bytes, &err)) << err;
+    EXPECT_TRUE(bytes.empty());
     fs::remove_all(dir);
 }
 
-TEST(MmapFile, MoveTransfersTheView)
+TEST(ReadFile, SeveralMiBReadBackByteExact)
 {
-    std::string dir = scratchDir("mmap_move");
-    std::string path = dir + "/blob.bin";
-    writeFile(path, "move me");
-    MmapFile a;
-    ASSERT_TRUE(a.open(path));
-    MmapFile b(std::move(a));
-    EXPECT_FALSE(a.ok());
-    EXPECT_TRUE(b.ok());
-    EXPECT_EQ(b.view(), "move me");
+    std::string dir = scratchDir("read_big");
+    std::string path = dir + "/big.bin";
+    std::string content((5u << 20) + 12345, '\0');
+    for (size_t i = 0; i < content.size(); ++i)
+        content[i] = static_cast<char>(i * 131 + (i >> 13));
+    writeFile(path, content);
+    std::string bytes, err;
+    ASSERT_TRUE(envelope::readFile(path, bytes, &err)) << err;
+    EXPECT_TRUE(bytes == content);
+    // The trailer read is the file's last 29 bytes: the envelope's
+    // "\nchecksum = <16 hex>\n".
+    ASSERT_TRUE(envelope::readTrailer(path, bytes, &err)) << err;
+    EXPECT_EQ(bytes, content.substr(content.size() - 29));
     fs::remove_all(dir);
 }
 
-TEST(MmapFileDeathTest, NoMmapFallbackIsByteIdentical)
-{
-    // RSEP_NO_MMAP is resolved once per process, so the fallback is
-    // exercised in a fresh process (threadsafe death test re-executes
-    // the binary) with the override set before the first open.
-    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-    // The re-executed child runs this body from the top, so it writes
-    // its own scratch directory (named by its pid) and removes it
-    // before exiting.
-    std::string dir = scratchDir("mmap_nofallback");
-    std::string path = writeSample(dir, 500);
-    std::string expected = slurp(path);
-    auto check = [&] {
-        ::setenv("RSEP_NO_MMAP", "1", 1);
-        MmapFile f;
-        std::string err;
-        if (!f.open(path, &err))
-            return 2;
-        if (f.mapped()) // override must force the read path.
-            return 3;
-        if (f.view() != std::string_view(expected))
-            return 4;
-        // The fallback feeds the same bytes through the same decoder:
-        // the decode must succeed identically.
-        wl::DecodedTraceParse p = wl::decodeTraceImage(f.view(), path);
-        return p.ok() && p.trace->size() == 500 ? 0 : 5;
-    };
-    EXPECT_EXIT(
-        {
-            int code = check();
-            fs::remove_all(dir);
-            ::exit(code);
-        },
-        ::testing::ExitedWithCode(0), "");
-    fs::remove_all(dir);
-}
+// --------------------------------------------------- trace file readers
 
-// ------------------------------------------- zero-copy trace readers
-
-TEST(TraceZeroCopy, MmapAndStreamDecodesAreIdentical)
-{
-    std::string dir = scratchDir("zc_identity");
-    std::string path = writeSample(dir, 800);
-    // Stream read (the pre-mmap data path) vs the MmapFile reader.
-    wl::DecodedTraceParse viaStream = wl::decodeTraceImage(slurp(path), path);
-    wl::DecodedTraceParse viaMmap = wl::loadDecodedTrace(path);
-    ASSERT_TRUE(viaStream.ok()) << viaStream.error;
-    ASSERT_TRUE(viaMmap.ok()) << viaMmap.error;
-    const wl::DecodedTrace &m = *viaMmap.trace;
-    const wl::DecodedTrace &st = *viaStream.trace;
-    EXPECT_EQ(m.header.records, 800u);
-    EXPECT_EQ(m.payload, st.payload);
-    // Both cursors yield the written records; re-serializing them
-    // reproduces the file exactly.
-    const std::vector<wl::DynRecord> want = sampleRecords(800);
-    const std::vector<wl::DynRecord> recs = recordsOf(m);
-    ASSERT_EQ(recs.size(), want.size());
-    EXPECT_EQ(recordsOf(st).size(), want.size());
-    for (size_t i = 0; i < want.size(); ++i) {
-        EXPECT_EQ(recs[i].staticIdx, want[i].staticIdx) << i;
-        EXPECT_EQ(recs[i].nextIdx, want[i].nextIdx) << i;
-        EXPECT_EQ(recs[i].result, want[i].result) << i;
-        EXPECT_EQ(recs[i].effAddr, want[i].effAddr) << i;
-        EXPECT_EQ(recs[i].taken, want[i].taken) << i;
-    }
-    EXPECT_EQ(wl::serializeTrace(m.header, recs), slurp(path));
-    fs::remove_all(dir);
-}
-
-TEST(TraceZeroCopy, OnDiskCorruptionDiagnosticsSurviveTheMmapPath)
+TEST(TraceFileRead, OnDiskCorruptionIsDiagnosedByBothReaders)
 {
     std::string dir = scratchDir("zc_corrupt");
     std::string path = writeSample(dir, 300);
@@ -257,7 +172,7 @@ TEST(TraceZeroCopy, OnDiskCorruptionDiagnosticsSurviveTheMmapPath)
         writeFile(p, img);
         wl::TraceParse t = wl::readTraceFile(p);
         EXPECT_FALSE(t.ok()) << tag;
-        // The SoA loader rejects the same bytes the same way.
+        // The loader rejects the same bytes the same way.
         wl::DecodedTraceParse d = wl::loadDecodedTrace(p);
         EXPECT_FALSE(d.ok()) << tag;
         return t.error;
@@ -297,7 +212,7 @@ TEST(TraceZeroCopy, OnDiskCorruptionDiagnosticsSurviveTheMmapPath)
     fs::remove_all(dir);
 }
 
-TEST(TraceZeroCopy, EveryTruncatedPrefixIsRejected)
+TEST(TraceFileRead, EveryTruncatedPrefixIsRejected)
 {
     auto recs = sampleRecords(40);
     std::string image = wl::serializeTrace(sampleHeader(recs.size()), recs);
@@ -339,6 +254,33 @@ TEST(DecodedTraceCache, MissThenHitSharesOneSnapshot)
     cache.resetStats();
     EXPECT_EQ(cache.stats().hits, 0u);
     EXPECT_EQ(cache.stats().residentBytes, a.trace->payload.size());
+    fs::remove_all(dir);
+}
+
+TEST(DecodedTraceCache, HitReadsOnlyTheTrailer)
+{
+    std::string dir = scratchDir("cache_trailer");
+    std::string path = writeSample(dir, 400);
+    wl::DecodedTraceCache cache;
+    auto a = cache.get(path);
+    ASSERT_TRUE(a.ok()) << a.error;
+
+    // Flip a payload byte in place; the trailer, and so the key, stays.
+    std::string image = slurp(path);
+    const size_t at = image.find("payload\n") + 8 + 50;
+    {
+        std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
+        f.seekp(static_cast<std::streamoff>(at));
+        f.put(static_cast<char>(image[at] ^ 0x20));
+        ASSERT_TRUE(f.good());
+    }
+    ASSERT_FALSE(wl::loadDecodedTrace(path).ok()); // the payload is bad.
+
+    // A hit never reads the payload: it returns the first snapshot.
+    auto b = cache.get(path);
+    ASSERT_TRUE(b.ok()) << b.error;
+    EXPECT_TRUE(b.hit);
+    EXPECT_EQ(b.trace.get(), a.trace.get());
     fs::remove_all(dir);
 }
 

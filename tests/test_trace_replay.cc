@@ -13,6 +13,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <map>
 
 #include <unistd.h>
 
@@ -341,6 +342,60 @@ TEST(TraceReplay, RunMatrixRecordThenReplayIsIdentical)
         }
     }
     fs::remove_all(dir);
+}
+
+/** The files under @p dir, name -> bytes. */
+std::map<std::string, std::string>
+filesIn(const std::string &dir)
+{
+    std::map<std::string, std::string> out;
+    for (const fs::directory_entry &e : fs::directory_iterator(dir)) {
+        std::ifstream is(e.path(), std::ios::binary);
+        out[e.path().filename().string()].assign(
+            std::istreambuf_iterator<char>(is), {});
+    }
+    return out;
+}
+
+TEST(TraceReplay, MultiArmRecordingHasOneWriterPerTrace)
+{
+    // Arms pull different record counts, so each trace has one writer:
+    // the longest arm, the first of them on a tie. A multi-arm
+    // recording on 4 workers writes the bytes a recording of that arm
+    // alone writes on 1.
+    sim::SimConfig base = tinyConfig();
+    base.mech = sim::findScenario("baseline")->config.mech;
+    sim::SimConfig second = tinyConfig();
+    second.mech = sim::findScenario("rsep+vpred")->config.mech;
+    sim::SimConfig shorter = second;
+    shorter.measureInsts /= 2;
+    std::vector<std::string> benches = {"mcf", "omnetpp", "xalancbmk",
+                                        "hmmer"};
+    auto record = [&](const std::vector<sim::SimConfig> &configs,
+                      unsigned jobs, const std::string &tag) {
+        std::string dir = scratchDir(tag);
+        sim::MatrixOptions opts;
+        opts.progress = false;
+        opts.jobs = jobs;
+        opts.traceIo.recordDir = dir;
+        sim::runMatrix(configs, benches, opts);
+        std::map<std::string, std::string> files = filesIn(dir);
+        fs::remove_all(dir);
+        return files;
+    };
+
+    std::map<std::string, std::string> want = record({base}, 1, "solo");
+    EXPECT_EQ(want.size(), benches.size() * base.checkpoints);
+    for (const auto &[tag, configs] :
+         {std::pair<std::string, std::vector<sim::SimConfig>>{
+              "tie", {base, second}},
+          {"shorter_first", {shorter, base}}}) {
+        SCOPED_TRACE(tag);
+        std::map<std::string, std::string> got = record(configs, 4, tag);
+        ASSERT_EQ(got.size(), want.size());
+        for (const auto &[name, bytes] : want)
+            EXPECT_TRUE(got[name] == bytes) << name << " differs";
+    }
 }
 
 TEST(TraceReplay, ReplayEqualsLiveAcrossTheSuite)
