@@ -24,7 +24,6 @@ std::string vformat(const char *fmt, std::va_list ap);
 [[noreturn]] void panicImpl(const char *file, int line, const std::string &msg);
 [[noreturn]] void fatalImpl(const char *file, int line, const std::string &msg);
 void warnImpl(const std::string &msg);
-void informImpl(const std::string &msg);
 std::string format(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
 } // namespace detail
 
@@ -65,10 +64,6 @@ class ScopedFatalCapture
 /** Non-fatal warning. */
 #define rsep_warn(...) \
     ::rsep::detail::warnImpl(::rsep::detail::format(__VA_ARGS__))
-
-/** Informational status message. */
-#define rsep_inform(...) \
-    ::rsep::detail::informImpl(::rsep::detail::format(__VA_ARGS__))
 
 } // namespace rsep
 

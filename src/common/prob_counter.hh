@@ -81,16 +81,29 @@ class ConfidenceCounter
     onCorrect(Rng *rng)
     {
         if (knd == ConfidenceKind::Deterministic8) {
-            if (level < 255)
+            if (level < saturationLevel(knd))
                 ++level;
         } else {
-            if (level >= 7)
+            if (level >= saturationLevel(knd))
                 return;
             u32 den = fpc3Denominators[level];
             assert(den >= 1);
             if (den == 1 || (rng && rng->chance(1, den)))
                 ++level;
         }
+    }
+
+    /**
+     * The level saturated() asks for. onCorrect raises the level by
+     * at most one and onIncorrect resets it, so a counter predicts
+     * only after at least this many correct outcomes in a row.
+     */
+    static constexpr u32
+    saturationLevel(ConfidenceKind kind)
+    {
+        return kind == ConfidenceKind::Deterministic8
+            ? 255
+            : static_cast<u32>(fpc3Denominators.size());
     }
 
     /** Record an incorrect outcome: confidence resets to zero. */
@@ -100,12 +113,7 @@ class ConfidenceCounter
     void reset() { level = 0; }
 
     /** True when prediction should be used. */
-    bool
-    saturated() const
-    {
-        return knd == ConfidenceKind::Deterministic8 ? level == 255
-                                                     : level == 7;
-    }
+    bool saturated() const { return level == saturationLevel(knd); }
 
     /** Confidence on the effective 0..255(+) scale. */
     u32

@@ -48,7 +48,6 @@ class RsepEngine : public SpeculationEngine
     equality::DistancePredictor &distancePredictor() { return distPred; }
     equality::FifoHistory &fifoHistory() { return fifo; }
     equality::Ddt &ddt() { return ddtUnit; }
-    equality::HashRegisterFile &hrf() { return hrfUnit; }
 
   private:
     bool tryEqualityPredict(InflightInst &di, EngineContext &ctx);

@@ -28,8 +28,6 @@ class ZeroPredEngine : public SpeculationEngine
                                EngineContext &ctx) override;
     void atCommit(InflightInst &di, EngineContext &ctx) override;
 
-    equality::ZeroPredictor &predictor() { return zp; }
-
     StatCounter predictions; ///< rename-time zero predictions made.
 
   private:

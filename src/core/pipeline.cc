@@ -95,6 +95,26 @@ Pipeline::Pipeline(const CoreParams &core_params, const MechConfig &mech_cfg,
 
 Pipeline::~Pipeline() = default;
 
+std::vector<std::string>
+registeredEngineNames(const MechConfig &mech)
+{
+    // The constructor's order above.
+    std::vector<std::string> names;
+    if (mech.zeroIdiomElim)
+        names.push_back("zero-idiom");
+    if (mech.moveElim)
+        names.push_back("move-elim");
+    if (mech.zeroPred)
+        names.push_back("zero-pred");
+    if (mech.oracleEq)
+        names.push_back("oracle-eq");
+    if (mech.equalityPred)
+        names.push_back("rsep");
+    if (mech.valuePred)
+        names.push_back("dvtage");
+    return names;
+}
+
 EngineContext
 Pipeline::makeContext()
 {
@@ -115,7 +135,9 @@ Pipeline::zeroPredEng()
 {
     if (!zeroPredEngine)
         zeroPredEngine =
-            std::make_unique<ZeroPredEngine>(st, 4096, mech.rsep.confKind);
+            std::make_unique<ZeroPredEngine>(
+                st, equality::ZeroPredictor::defaultEntries,
+                mech.rsep.confKind);
     return *zeroPredEngine;
 }
 
@@ -153,18 +175,6 @@ pred::Dvtage &
 Pipeline::valuePredictor()
 {
     return dvtageEng().predictor();
-}
-
-equality::HashRegisterFile &
-Pipeline::hrf()
-{
-    return rsepEng().hrf();
-}
-
-equality::ZeroPredictor &
-Pipeline::zeroPredictor()
-{
-    return zeroPredEng().predictor();
 }
 
 Cycle

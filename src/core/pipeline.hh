@@ -46,8 +46,6 @@
 namespace rsep::equality
 {
 class FifoHistory;
-class HashRegisterFile;
-class ZeroPredictor;
 } // namespace rsep::equality
 
 namespace rsep::core
@@ -91,6 +89,13 @@ visitFields(MechConfig &m, V &&v)
     v("value_pred", m.valuePred);
     v("fig1_probe", m.fig1Probe);
 }
+
+/**
+ * The names of the engines a Pipeline under @p mech registers, in
+ * registration (dispatch) order: what Pipeline::engines() lists,
+ * without building a pipeline.
+ */
+std::vector<std::string> registeredEngineNames(const MechConfig &mech);
 
 /** Aggregated pipeline statistics. */
 struct PipelineStats
@@ -255,8 +260,6 @@ class Pipeline
     equality::FifoHistory &fifoHistory();
     equality::DistancePredictor &distancePredictor();
     pred::Dvtage &valuePredictor();
-    equality::HashRegisterFile &hrf();
-    equality::ZeroPredictor &zeroPredictor();
 
     /** Architectural commit count (CSN source). */
     u64 committedCount() const { return committed; }

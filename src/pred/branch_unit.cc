@@ -82,10 +82,4 @@ BranchUnit::onCommitBranch(const BranchPrediction &bp, Addr pc,
         btb.update(pc, actual_target);
 }
 
-u64
-BranchUnit::storageBits() const
-{
-    return tage.storageBits() + btb.storageBits() + ras.storageBits();
-}
-
 } // namespace rsep::pred

@@ -88,8 +88,6 @@ class BranchUnit
     const GlobalHist &history() const { return hist; }
     ReturnAddressStack::Snapshot rasSnapshot() const { return ras.snapshot(); }
 
-    u64 storageBits() const;
-
     // Stats.
     StatCounter condBranches;
     StatCounter condMispredicts;

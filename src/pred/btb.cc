@@ -49,13 +49,6 @@ Btb::update(Addr pc, Addr target)
     victim->lru = 1;
 }
 
-u64
-Btb::storageBits() const
-{
-    // tag (~20b after set bits) + target (~32b compressed) + lru.
-    return static_cast<u64>(arr.size()) * (20 + 32 + 1);
-}
-
 ReturnAddressStack::ReturnAddressStack(unsigned depth) : stack(depth, 0)
 {
 }

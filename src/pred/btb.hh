@@ -28,8 +28,6 @@ class Btb
     /** Install/refresh the target of the (taken) branch at @p pc. */
     void update(Addr pc, Addr target);
 
-    u64 storageBits() const;
-
   private:
     struct Entry
     {
@@ -71,8 +69,6 @@ class ReturnAddressStack
     };
     Snapshot snapshot() const;
     void restore(const Snapshot &s);
-
-    u64 storageBits() const { return static_cast<u64>(stack.size()) * 64; }
 
   private:
     std::vector<Addr> stack;

@@ -70,11 +70,4 @@ StoreSets::reportViolation(Addr load_pc, Addr store_pc)
     }
 }
 
-u64
-StoreSets::storageBits() const
-{
-    u64 ssid_bits = floorLog2(lfst.size());
-    return ssit.size() * (1 + ssid_bits) + lfst.size() * (1 + 16);
-}
-
 } // namespace rsep::pred

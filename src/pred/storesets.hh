@@ -40,8 +40,6 @@ class StoreSets
     /** A load at @p load_pc violated ordering against @p store_pc. */
     void reportViolation(Addr load_pc, Addr store_pc);
 
-    u64 storageBits() const;
-
     StatCounter violations;
 
   private:

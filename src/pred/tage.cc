@@ -109,28 +109,6 @@ Tage::predict(Addr pc, const GlobalHist &h) const
 }
 
 void
-Tage::prefetch(Addr pc, const GlobalHist &h, const GeoFolds &folds) const
-{
-    assert(foldsRegistered);
-    const unsigned ib = p.taggedBits;
-    const unsigned shift = ib > 2 ? 1 : 0;
-    const u64 pf16 = xorFold(h.path & mask(16), ib) << shift;
-    u64 hash0 = pc >> 2;
-    hash0 ^= hash0 >> ib;
-    __builtin_prefetch(&base[(pc >> 2) & mask(p.baseBits)], 0, 1);
-    for (unsigned c = 0; c < p.numTagged; ++c) {
-        const unsigned hl = p.histLens[c];
-        u64 hash = hash0 ^ folds.fold(idxSlot[c]);
-        hash ^= hl >= 16 ? pf16
-                         : xorFold(h.path & mask(hl), ib) << shift;
-        const size_t at =
-            (size_t{c} << ib) | static_cast<u32>(hash & mask(ib));
-        __builtin_prefetch(&tTag[at], 0, 1);
-        __builtin_prefetch(&tCtr[at], 0, 1);
-    }
-}
-
-void
 Tage::update(const TageLookup &lk, Addr pc, bool taken)
 {
     const u16 *idx = lk.idx;

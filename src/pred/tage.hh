@@ -86,11 +86,6 @@ class Tage
      *  from its predict() — no history needed at commit. */
     void update(const TageLookup &lk, Addr pc, bool taken);
 
-    /** Prefetch the tagged-table lines a later predict(pc) under the
-     *  same history will touch (fetch-group batching). */
-    void prefetch(Addr pc, const GlobalHist &h,
-                  const GeoFolds &folds) const;
-
     /** Total storage in bits (for the cost model). */
     u64 storageBits() const;
 

@@ -12,13 +12,6 @@ Ddt::Ddt(unsigned entries) : table(entries)
         rsep_fatal("DDT entries must be a power of two (got %u)", entries);
 }
 
-void
-Ddt::clear()
-{
-    for (auto &e : table)
-        e.valid = false;
-}
-
 std::optional<HistoryMatch>
 Ddt::accessAndUpdate(u16 hash, u32 csn, u64 seq)
 {
@@ -39,12 +32,6 @@ Ddt::accessAndUpdate(u16 hash, u32 csn, u64 seq)
     e.csn = csn & csnMask;
     e.seq = seq;
     return out;
-}
-
-u64
-Ddt::storageBits() const
-{
-    return table.size() * (csnBits + 1 + 5); // CSN + valid + tag crumbs.
 }
 
 } // namespace rsep::equality

@@ -37,11 +37,6 @@ class Ddt
      */
     std::optional<HistoryMatch> accessAndUpdate(u16 hash, u32 csn, u64 seq);
 
-    void clear();
-
-    /** 8K entries x (10-bit CSN + valid) ~= 16KB with overheads. */
-    u64 storageBits() const;
-
     StatCounter lookups;
     StatCounter matches;
 

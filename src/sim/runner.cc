@@ -6,10 +6,12 @@
 #include <cstdio>
 #include <cstdlib>
 #include <mutex>
+#include <optional>
 #include <thread>
 
 #include "common/env.hh"
 #include "common/logging.hh"
+#include "sim/cell_alias.hh"
 #include "sim/result_cache.hh"
 #include "sim/scenario.hh"
 #include "sim/stat_export.hh"
@@ -285,11 +287,13 @@ void
 printCellProgress(const PhaseResult &ph, const std::string &benchmark,
                   const std::string &label, u32 p, size_t k, size_t total)
 {
-    std::fprintf(stderr, "[%s] %-12s %-20s ckpt %u ipc=%.3f (%zu/%zu)\n",
-                 ph.fromCache    ? "hit"
-                 : ph.replayed   ? "rpl"
-                                 : "run",
-                 benchmark.c_str(), label.c_str(), p, ph.ipc, k, total);
+    std::fprintf(stderr, "[%s] %-12s %-20s ckpt %u ipc=%.3f (%zu/%zu)%s%s\n",
+                 ph.fromCache          ? "hit"
+                 : !ph.aliasOf.empty() ? "als"
+                 : ph.replayed         ? "rpl"
+                                       : "run",
+                 benchmark.c_str(), label.c_str(), p, ph.ipc, k, total,
+                 ph.aliasOf.empty() ? "" : " from ", ph.aliasOf.c_str());
 }
 
 std::vector<MatrixRow>
@@ -349,22 +353,57 @@ runMatrix(const std::vector<SimConfig> &configs,
         return true;
     };
 
+    // A cell whose extra engines provably never act takes the result
+    // of an earlier arm of its row instead (DESIGN.md §20).
+    CellAliases aliases(configs, plan);
+    auto storeCell = [&](size_t b, size_t c, u32 p) {
+        if (use_cache)
+            cache.store({benchmarks[b], plan.configHashes[c], p,
+                         configs[c].seed},
+                        plan.rows[b].byConfig[c].phases[p]);
+    };
+    std::atomic<size_t> done{0};
+    auto report = [&](size_t b, size_t c, u32 p) {
+        size_t k = ++done;
+        if (opts.progress)
+            printCellProgress(plan.rows[b].byConfig[c].phases[p],
+                              benchmarks[b], configs[c].label, p, k,
+                              plan.cells);
+    };
+
     // One pool task per cell: the cell computes from its own seed into
     // its own slot, so which worker runs it never changes a result.
-    std::atomic<size_t> done{0};
     ThreadPool pool(jobs);
     runCells(pool, plan, [&](size_t b, size_t c, u32 p,
                              const InitialStateSource &initial) {
         TraceIoOptions trace_io = opts.traceIo;
         trace_io.writeTrace = writesTrace(c, p);
         PhaseResult &ph = plan.rows[b].byConfig[c].phases[p];
-        ph = runCachedCell(use_cache ? &cache : nullptr, configs[c],
-                           benchmarks[b], plan.configHashes[c], p,
-                           trace_io, opts.sampling.every, initial);
-        size_t k = ++done;
-        if (opts.progress)
-            printCellProgress(ph, benchmarks[b], configs[c].label, p, k,
-                              plan.cells);
+        std::optional<PhaseResult> hit;
+        if (use_cache)
+            hit = cache.load({benchmarks[b], plan.configHashes[c], p,
+                              configs[c].seed});
+        if (hit) {
+            ph = std::move(*hit);
+        } else {
+            switch (aliases.take(b, c, p, trace_io, initial)) {
+              case CellAliases::Deferred:
+                return; // taken after the barrier.
+              case CellAliases::Simulate:
+                ph = runPhase(configs[c], benchmarks[b], p, trace_io,
+                              opts.sampling.every, initial);
+                break;
+              case CellAliases::Taken:
+                break;
+            }
+            storeCell(b, c, p);
+        }
+        aliases.finish(b, c, p);
+        report(b, c, p);
+    });
+    aliases.takeDeferred([&](size_t b, size_t c, u32 p) {
+        storeCell(b, c, p);
+        report(b, c, p);
     });
     finishMatrix(plan, configs, use_cache, opts.sampling, opts.progress);
 

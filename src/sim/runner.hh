@@ -89,7 +89,8 @@ bool parseJobsValue(const std::string &s, unsigned &jobs,
  * cells fan out across a thread pool; per-cell seeding
  * is deterministic, so results are bit-identical at any thread count.
  * Progress goes to stderr. This is planMatrix, runCells and
- * finishMatrix plus the cache and trace-cache summaries.
+ * finishMatrix, the cell aliases of sim/cell_alias.hh between the last
+ * two, and the cache and trace-cache summaries.
  */
 std::vector<MatrixRow>
 runMatrix(const std::vector<SimConfig> &configs,
@@ -177,8 +178,9 @@ SampleSeriesHeader seriesHeader(const MatrixPlan &plan,
                                 const std::vector<SimConfig> &configs,
                                 size_t b, size_t c, u32 p, u64 every);
 
-/** One `[run]`/`[hit]`/`[rpl]` progress line on stderr for a finished
- *  cell, the @p k-th of @p total. */
+/** One `[run]`/`[hit]`/`[rpl]`/`[als]` progress line on stderr for a
+ *  finished cell, the @p k-th of @p total; an aliased cell also names
+ *  the arm it was taken from. */
 void printCellProgress(const PhaseResult &ph, const std::string &benchmark,
                        const std::string &label, u32 p, size_t k,
                        size_t total);
@@ -188,10 +190,11 @@ class ResultCache;
 /**
  * Run one (benchmark, config, checkpoint) cell against an optional
  * shared result cache: look the cell up, simulate on a miss, store the
- * fresh result. The unit both runMatrix and the rsep_serve batcher
- * schedule — extracting it is what lets a long-running server share
- * one ResultCache (and the process-wide DecodedTraceCache) across many
- * clients' requests. @p cache may be null or disabled (plain
+ * fresh result. The unit the rsep_serve batcher schedules, which lets
+ * a long-running server share one ResultCache (and the process-wide
+ * DecodedTraceCache) across many clients' requests; runMatrix takes
+ * the same steps with the cell aliases of sim/cell_alias.hh between
+ * the lookup and the simulation. @p cache may be null or disabled (plain
  * simulate); @p config_hash is configHash(cfg), precomputed by the
  * caller because batches hash each config exactly once. @p initial is
  * runPhase's: a hit never asks it.

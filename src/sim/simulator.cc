@@ -97,6 +97,39 @@ runTimedPhase(const SimConfig &cfg, wl::TraceSource &src, u32 phase,
 
 } // namespace
 
+ReplayTrace
+loadReplayTrace(const std::string &dir, const std::string &bench_name,
+                u32 phase, const wl::WorkloadSpec &spec)
+{
+    ReplayTrace rt;
+    rt.path = wl::tracePath(dir, bench_name, phase);
+    std::error_code ec;
+    if (!std::filesystem::exists(rt.path, ec))
+        return rt;
+    // One decode per (path, checksum) process-wide: every arm of a
+    // sweep replaying this cell shares the same immutable DecodedTrace
+    // snapshot out of the cache.
+    auto tload = std::chrono::steady_clock::now();
+    wl::DecodedTraceCache::Result cached = wl::traceCache().get(rt.path);
+    rt.loadMicros = static_cast<u64>(
+        std::chrono::duration_cast<std::chrono::microseconds>(
+            std::chrono::steady_clock::now() - tload)
+            .count());
+    rt.decodeHit = cached.hit;
+    if (!cached.ok()) {
+        rt.error = cached.error + " (re-record the trace)";
+        return rt;
+    }
+    std::string mismatch = wl::traceIdentityMismatch(
+        cached.trace->header, bench_name, phase, wl::workloadHash(spec));
+    if (!mismatch.empty()) {
+        rt.error = rt.path + ": " + mismatch;
+        return rt;
+    }
+    rt.trace = std::move(cached.trace);
+    return rt;
+}
+
 PhaseResult
 runPhase(const SimConfig &cfg, const std::string &bench_name, u32 phase,
          const TraceIoOptions &trace_io, u64 sample_every,
@@ -119,41 +152,23 @@ runPhase(const SimConfig &cfg, const std::string &bench_name, u32 phase,
             rsep_fatal("replay: unknown workload '%s' (scenario-defined "
                        "workloads must be registered before the run)",
                        bench_name.c_str());
-        std::string path =
-            wl::tracePath(trace_io.replayDir, bench_name, phase);
-        std::error_code ec;
-        if (!std::filesystem::exists(path, ec)) {
+        ReplayTrace rt =
+            loadReplayTrace(trace_io.replayDir, bench_name, phase, *spec);
+        if (!rt.trace && rt.error.empty()) {
             if (trace_io.recordDir.empty())
                 rsep_fatal("replay: %s: no trace recorded for (%s, phase "
                            "%u); record it first with --record-trace",
-                           path.c_str(), bench_name.c_str(), phase);
+                           rt.path.c_str(), bench_name.c_str(), phase);
             // Fall through: live-emulate (and record) the missing cell.
         } else {
-            // One decode per (path, checksum) process-wide: every arm
-            // of a sweep replaying this cell shares the same immutable
-            // DecodedTrace snapshot out of the cache.
-            auto tload = std::chrono::steady_clock::now();
-            wl::DecodedTraceCache::Result cached =
-                wl::traceCache().get(path);
-            u64 load_micros = static_cast<u64>(
-                std::chrono::duration_cast<std::chrono::microseconds>(
-                    std::chrono::steady_clock::now() - tload)
-                    .count());
-            if (!cached.ok())
-                rsep_fatal("replay: %s (re-record the trace)",
-                           cached.error.c_str());
-            std::string mismatch = wl::traceIdentityMismatch(
-                cached.trace->header, bench_name, phase,
-                wl::workloadHash(*spec));
-            if (!mismatch.empty())
-                rsep_fatal("replay: %s: %s", path.c_str(),
-                           mismatch.c_str());
+            if (!rt.trace)
+                rsep_fatal("replay: %s", rt.error.c_str());
             wl::Workload w = wl::buildWorkload(*spec);
-            wl::ReplayTraceSource src(cached.trace, w.program, path);
+            wl::ReplayTraceSource src(rt.trace, w.program, rt.path);
             PhaseResult pr = runTimedPhase(cfg, src, phase, sample_every);
             pr.replayed = true;
-            pr.traceLoadMicros = load_micros;
-            pr.traceDecodeHit = cached.hit;
+            pr.traceLoadMicros = rt.loadMicros;
+            pr.traceDecodeHit = rt.decodeHit;
             return finish(std::move(pr));
         }
     }

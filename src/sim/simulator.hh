@@ -18,6 +18,8 @@
 #include "core/sampler.hh"
 #include "sim/sim_config.hh"
 #include "wl/suite.hh"
+#include "wl/trace_io.hh"
+#include "wl/workload_spec.hh"
 
 namespace rsep::sim
 {
@@ -33,7 +35,8 @@ struct PhaseResult
     std::vector<std::pair<std::string, u64>> engineStats;
     /** Wall-clock cost of simulating this cell. For a result served
      *  from the result cache this is the *original* simulation cost
-     *  (the price the cache saved), not the load time. */
+     *  (the price the cache saved), not the load time; for an aliased
+     *  cell, the time taking it from the earlier arm took. */
     u64 wallMicros = 0;
     bool fromCache = false; ///< served by ResultCache, not simulated.
     /** Simulated over a recorded-trace replay instead of live
@@ -48,6 +51,10 @@ struct PhaseResult
     /** The replayed trace came out of the shared DecodedTraceCache
      *  already decoded (transient; meaningful only when replayed). */
     bool traceDecodeHit = false;
+    /** Label of the earlier arm this cell's result was taken from
+     *  instead of simulating (sim/cell_alias.hh); empty for a simulated
+     *  or cached cell. Transient, like replayed. */
+    std::string aliasOf;
     /** Time-series rows of the measurement run (`--sample-every`);
      *  empty when sampling is off. Transient, never part of the cached
      *  record: a cached cell cannot produce samples, which is why the
@@ -98,7 +105,7 @@ struct TraceIoOptions
 struct RunTiming
 {
     StatCounter wallMicros;   ///< summed per-cell simulation cost.
-    StatCounter cellsRun;     ///< cells actually simulated.
+    StatCounter cellsRun;     ///< cells simulated or aliased.
     StatCounter cacheHits;    ///< cells served by the result cache.
     StatCounter cacheMisses;  ///< cells the cache could not serve.
     /** Trace data-path cost: wall-clock spent loading traces for
@@ -179,6 +186,25 @@ struct InitialState
  */
 using InitialStateSource =
     std::function<std::shared_ptr<const InitialState>()>;
+
+/** A cell's recorded trace, loaded the way replay loads it. */
+struct ReplayTrace
+{
+    std::string path; ///< where the trace lives.
+    /** The validated trace; null when none was recorded (error empty)
+     *  or when it cannot feed the cell (error says why). */
+    std::shared_ptr<const wl::DecodedTrace> trace;
+    std::string error;
+    bool decodeHit = false; ///< see PhaseResult::traceDecodeHit.
+    u64 loadMicros = 0;     ///< see PhaseResult::traceLoadMicros.
+};
+
+/** Load the trace of cell (@p bench_name, @p phase) from @p dir
+ *  through the shared DecodedTraceCache and check it was recorded from
+ *  @p spec. */
+ReplayTrace loadReplayTrace(const std::string &dir,
+                            const std::string &bench_name, u32 phase,
+                            const wl::WorkloadSpec &spec);
 
 /**
  * Run one checkpoint of @p bench_name under @p cfg. Checkpoints are

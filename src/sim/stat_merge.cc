@@ -357,6 +357,15 @@ committedShare(const StatRow &row, std::string_view name)
                  : 0.0;
 }
 
+double
+rowIpc(const StatRow &row)
+{
+    u64 cycles = counterOf(row, "cycles");
+    return cycles ? static_cast<double>(counterOf(row, "committed_insts")) /
+                        static_cast<double>(cycles)
+                  : 0.0;
+}
+
 const StatRow *
 findStatRow(const std::vector<StatRow> &rows, const std::string &benchmark,
             const std::string &scenario)
@@ -406,7 +415,7 @@ speedupGrid(const std::vector<StatRow> &rows,
     std::vector<std::vector<double>> ratios(grid.arms.size());
     for (const std::string &bench : benchmarks) {
         auto base = cells.find({bench, grid.baseline});
-        double base_ipc = base != cells.end() ? base->second->ipcHmean : 0.0;
+        double base_ipc = base != cells.end() ? rowIpc(*base->second) : 0.0;
         if (base_ipc <= 0.0) {
             // No (usable) baseline row, as in a partial merge: a bar
             // would be a made-up 0.00% speedup.
@@ -420,7 +429,7 @@ speedupGrid(const std::vector<StatRow> &rows,
             auto it = cells.find({bench, grid.arms[a].name});
             if (it == cells.end())
                 continue;
-            double ratio = it->second->ipcHmean / base_ipc;
+            double ratio = rowIpc(*it->second) / base_ipc;
             bar.row = it->second;
             bar.pct = (ratio - 1.0) * 100.0;
             ratios[a].push_back(ratio);

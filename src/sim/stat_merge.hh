@@ -90,9 +90,10 @@ std::vector<std::string>
 unknownTimingCounters(const std::vector<StatRow> &rows);
 
 // ------------------------------------------------------------ figures
-// Every printed figure number is computed from stat rows: the drivers
-// pass the rows their `--csv` dump is written from (full-precision
-// IPC), rsep_merge the merged dumps (six-decimal IPC).
+// Every printed figure number is computed from stat rows, and from
+// their integer counters only: the drivers pass the rows their `--csv`
+// dump is written from, rsep_merge the merged dumps, and both print
+// the same digits.
 
 /** Counter @p name of @p row (rows keep counters sorted by name); 0
  *  when the row does not carry it, as an empty dump cell reads. */
@@ -101,14 +102,23 @@ u64 counterOf(const StatRow &row, std::string_view name);
 /** Counter @p name over committed_insts; 0 when nothing committed. */
 double committedShare(const StatRow &row, std::string_view name);
 
+/**
+ * The IPC of @p row from its own counters, committed_insts / cycles
+ * over its checkpoints; 0 without cycles. Every checkpoint commits its
+ * measurement window (to within one commit group), so this is the
+ * harmonic mean of the per-checkpoint IPCs, and it reads the same from
+ * a driver's rows and from their dump.
+ */
+double rowIpc(const StatRow &row);
+
 /** The row of (@p benchmark, @p scenario) in @p rows; null if none. */
 const StatRow *findStatRow(const std::vector<StatRow> &rows,
                            const std::string &benchmark,
                            const std::string &scenario);
 
 /**
- * A speedup figure: each (benchmark, arm) IPC ratio to the baseline
- * arm, in percent, and each arm's gmean. A benchmark with no usable
+ * A speedup figure: each (benchmark, arm) rowIpc ratio to the
+ * baseline arm, in percent, and each arm's gmean. A benchmark with no usable
  * baseline IPC gets no bars: it is skipped and named, never shown as
  * a made-up 0% bar. Bars point into the rows the grid was built from.
  */

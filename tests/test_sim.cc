@@ -185,6 +185,9 @@ TEST(Runner, SpeedupTableSkipsABenchmarkWithoutABaselineIpc)
         r.configHash = arm + "-hash";
         r.checkpoints = 1;
         r.ipcHmean = ipc;
+        // Speedups read the IPC off the counters (sorted by name).
+        r.counters = {{"committed_insts", static_cast<u64>(ipc * 1000)},
+                      {"cycles", 1000}};
         return r;
     };
     const std::string arm1 = "rsep-val-2x-sample15";

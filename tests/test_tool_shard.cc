@@ -436,11 +436,9 @@ summaryBars(const std::string &csv)
 TEST(ToolFigures, DriverTablesAgreeWithTheMergeSummaryOfTheirDump)
 {
     // A bespoke report (Fig. 6) and the generic scenario path (the
-    // ci_smoke sweep): every printed bar and gmean is the summary's, to
-    // the printed two decimals. The dump holds ipc_hmean to six
-    // decimals and the driver its full-precision value, so the last
-    // printed digit may round either way (mcf and h264ref do on the
-    // ci_smoke sweep).
+    // ci_smoke sweep): every printed bar and gmean is the summary's,
+    // digit for digit. Both sides compute each IPC from the row's
+    // integer counters, which the dump holds exactly.
     const Sweep &s = sweep();
     ASSERT_EQ(s.full.exitCode, 0) << s.full;
     WorkDir dir;
@@ -468,7 +466,7 @@ TEST(ToolFigures, DriverTablesAgreeWithTheMergeSummaryOfTheirDump)
                               << " is not in the summary" << summary;
                 continue;
             }
-            EXPECT_NEAR(std::stod(pct), std::stod(it->second), 0.0100001)
+            EXPECT_EQ(pct, it->second)
                 << key.first << "/" << key.second << c.out << summary;
         }
     }
