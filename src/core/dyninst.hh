@@ -74,9 +74,6 @@ struct InflightInst
     // Value prediction state.
     pred::VpLookup vpLk;
 
-    // Zero prediction bookkeeping.
-    bool zeroPredLookedUp = false;
-
     // Branch state.
     pred::BranchPrediction bp;
 

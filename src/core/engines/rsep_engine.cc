@@ -1,5 +1,6 @@
 #include "core/engines/rsep_engine.hh"
 
+#include <bit>
 #include <cassert>
 
 #include "core/pipeline.hh"
@@ -9,11 +10,13 @@ namespace rsep::core
 
 RsepEngine::RsepEngine(PipelineStats &st,
                        const equality::RsepConfig &rsep_cfg,
-                       unsigned total_pregs, u64 seed)
-    : SpeculationEngine("rsep"), cfg(rsep_cfg),
+                       unsigned total_pregs, u64 seed,
+                       unsigned shadow_window)
+    : SpeculationEngine("rsep", shadow_window > 0), cfg(rsep_cfg),
       distPred(cfg.distParams(), seed),
       fifo(cfg.historyDepth), ddtUnit(cfg.ddtEntries),
-      hrfUnit(total_pregs, cfg.hashBits)
+      hrfUnit(total_pregs, cfg.hashBits),
+      shadowLookups(shadow_window ? std::bit_ceil(shadow_window) : 0)
 {
     registerStat("shared", &st.rsepCorrect, sampleCoverage | sampleCorrect);
     registerStat("mispredicts", &st.rsepMispredicts,
@@ -29,9 +32,10 @@ RsepEngine::RsepEngine(PipelineStats &st,
 bool
 RsepEngine::tryEqualityPredict(InflightInst &di, EngineContext &ctx)
 {
-    if (!di.distLk.usePred)
+    const equality::DistLookup &lk = lookupOf(di);
+    if (!lk.usePred)
         return false;
-    u32 dist = di.distLk.distance;
+    u32 dist = lk.distance;
     if (dist == 0 || dist > di.traceIdx)
         return false;
     InflightInst *prod = ctx.pipe.findBySeq(di.traceIdx - dist);
@@ -39,6 +43,8 @@ RsepEngine::tryEqualityPredict(InflightInst &di, EngineContext &ctx)
         ++ctx.st.shareFailNoProducer;
         return false;
     }
+    if (retireShadow())
+        return false;
     PhysReg preg = prod->destPreg;
     if (preg == zeroPreg) {
         // Sharing with the hardwired zero register needs no ISRB entry
@@ -65,11 +71,11 @@ RsepEngine::tryEqualityPredict(InflightInst &di, EngineContext &ctx)
 void
 RsepEngine::resolveLikelyCandidate(InflightInst &di, EngineContext &ctx)
 {
-    u32 dist = di.distLk.distance;
+    u32 dist = lookupOf(di).distance;
     if (dist == 0 || dist > di.traceIdx)
         return;
     InflightInst *prod = ctx.pipe.findBySeq(di.traceIdx - dist);
-    if (!prod || !prod->producesReg)
+    if (!prod || !prod->producesReg || retireShadow())
         return;
     di.likelyCandidate = true;
     di.candidateHasPartner = true;
@@ -96,7 +102,7 @@ RsepEngine::atRename(InflightInst &di, bool handled, EngineContext &ctx)
     // registers make this lookup O(components) instead of O(history).
     assert(ctx.pipe.renameHist().dir == di.histFetch.dir &&
            ctx.pipe.renameHist().path == di.histFetch.path);
-    di.distLk =
+    lookupOf(di) =
         distPred.lookup(di.pc, di.histFetch, ctx.pipe.renameFolds());
     if (handled)
         return false;
@@ -111,8 +117,9 @@ RsepEngine::atRenamePost(InflightInst &di, bool handled, EngineContext &ctx)
     // claimed, when confidence is building but below the use threshold.
     if (handled || di.likelyCandidate)
         return;
-    if (!cfg.sampling || !di.distLk.valid || di.distLk.usePred ||
-        di.distLk.confidence < cfg.startTrainThreshold)
+    const equality::DistLookup &lk = lookupOf(di);
+    if (!cfg.sampling || !lk.valid || lk.usePred ||
+        lk.confidence < cfg.startTrainThreshold)
         return;
     resolveLikelyCandidate(di, ctx);
 }
@@ -126,7 +133,7 @@ RsepEngine::atCommitHead(InflightInst &di, EngineContext &ctx)
         di.rec.result == di.shareProducerValue)
         return CommitVerdict::Proceed;
     ++ctx.st.rsepMispredicts;
-    distPred.trainIncorrect(di.distLk);
+    distPred.trainIncorrect(lookupOf(di));
     return CommitVerdict::SquashRefetch;
 }
 
@@ -143,6 +150,7 @@ RsepEngine::atCommit(InflightInst &di, EngineContext &ctx)
 
     if (!di.producesReg)
         return;
+    const equality::DistLookup &lk = lookupOf(di);
 
     u32 csn = static_cast<u32>(ctx.committed & equality::csnMask);
     u16 hash = equality::foldHash(di.rec.result, cfg.hashBits);
@@ -154,13 +162,13 @@ RsepEngine::atCommit(InflightInst &di, EngineContext &ctx)
     // validation path and do not probe the history (IV-B3b).
     if (di.action == RenameAction::RsepShared) {
         if (di.rec.result == di.shareProducerValue)
-            distPred.train(di.distLk, di.distLk.distance);
+            distPred.train(lk, lk.distance);
         // (mispredicting instances never reach here; see atCommitHead).
     } else if (di.likelyCandidate && di.candidateHasPartner) {
         if (di.rec.result == di.candidatePartnerValue)
-            distPred.train(di.distLk, di.distLk.distance);
+            distPred.train(lk, lk.distance);
         else
-            distPred.trainIncorrect(di.distLk);
+            distPred.trainIncorrect(lk);
     }
 
     // Push every committed register producer whose value lives in the
@@ -173,8 +181,8 @@ RsepEngine::atCommit(InflightInst &di, EngineContext &ctx)
                 if (m->producerValue != di.rec.result)
                     ++ctx.st.hashFalsePositives;
                 if (!di.likelyCandidate &&
-                    di.action != RenameAction::RsepShared && di.distLk.valid)
-                    distPred.train(di.distLk, m->distance);
+                    di.action != RenameAction::RsepShared && lk.valid)
+                    distPred.train(lk, m->distance);
             }
         } else {
             fifo.push(hash, csn, di.traceIdx, di.rec.result);
@@ -183,11 +191,11 @@ RsepEngine::atCommit(InflightInst &di, EngineContext &ctx)
             // A commit that a squash immediately follows (VP
             // mispredict) still pushes its value but never probes —
             // its commit group ends with it.
-            if (!ctx.squashFollowsCommit && di.distLk.valid &&
+            if (!ctx.squashFollowsCommit && lk.valid &&
                 di.action != RenameAction::RsepShared &&
                 !di.likelyCandidate)
                 samplePool.push_back(
-                    PendingProbe{hash, csn, di.rec.result, di.distLk});
+                    PendingProbe{hash, csn, di.rec.result, lk});
         }
     }
 }

@@ -9,6 +9,10 @@
  * history (or the idealised DDT) over hashed results in the HRF, with
  * optional one-probe-per-cycle sampling and likely-candidate training
  * through the validation datapath (Section IV-B3).
+ *
+ * First act (a shadow retires there): a confident distance prediction
+ * whose producer is in flight, where the engine would share its
+ * register, or a likely candidate.
  */
 
 #ifndef RSEP_CORE_ENGINES_RSEP_ENGINE_HH
@@ -30,8 +34,11 @@ namespace rsep::core
 class RsepEngine : public SpeculationEngine
 {
   public:
+    /** A shadow (@p shadow_window > 0) keeps each in-flight
+     *  instruction's distance lookup in a ring of that many entries,
+     *  at least the ROB size, instead of on the host's instruction. */
     RsepEngine(PipelineStats &st, const equality::RsepConfig &rsep_cfg,
-               unsigned total_pregs, u64 seed);
+               unsigned total_pregs, u64 seed, unsigned shadow_window = 0);
 
     bool atRename(InflightInst &di, bool handled,
                   EngineContext &ctx) override;
@@ -50,6 +57,13 @@ class RsepEngine : public SpeculationEngine
     equality::Ddt &ddt() { return ddtUnit; }
 
   private:
+    equality::DistLookup &
+    lookupOf(InflightInst &di)
+    {
+        return shadowLookups.empty()
+            ? di.distLk
+            : shadowLookups[di.traceIdx & (shadowLookups.size() - 1)];
+    }
     bool tryEqualityPredict(InflightInst &di, EngineContext &ctx);
     void resolveLikelyCandidate(InflightInst &di, EngineContext &ctx);
 
@@ -68,6 +82,8 @@ class RsepEngine : public SpeculationEngine
         equality::DistLookup distLk;
     };
     std::vector<PendingProbe> samplePool;
+    /** A shadow's lookups by sequence number (a power of two). */
+    std::vector<equality::DistLookup> shadowLookups;
 };
 
 } // namespace rsep::core

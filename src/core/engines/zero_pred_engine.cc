@@ -6,8 +6,8 @@ namespace rsep::core
 {
 
 ZeroPredEngine::ZeroPredEngine(PipelineStats &st, unsigned entries,
-                               ConfidenceKind kind)
-    : SpeculationEngine("zero-pred"), zp(entries, kind)
+                               ConfidenceKind kind, bool shadow)
+    : SpeculationEngine("zero-pred", shadow), zp(entries, kind)
 {
     registerStat("predictions", &predictions, sampleCoverage);
     registerStat("correct", &st.zeroCorrect, sampleCorrect);
@@ -19,10 +19,8 @@ ZeroPredEngine::atRename(InflightInst &di, bool handled, EngineContext &)
 {
     // Lookups happen only for instructions no earlier engine claimed
     // (eliminated instructions never reach the zero predictor).
-    if (!di.producesReg || handled)
-        return false;
-    di.zeroPredLookedUp = true;
-    if (!zp.predict(di.pc))
+    if (!di.producesReg || handled || !zp.predict(di.pc) ||
+        retireShadow())
         return false;
     di.action = RenameAction::ZeroPredicted;
     di.destPreg = zeroPreg;
@@ -47,7 +45,10 @@ ZeroPredEngine::atCommit(InflightInst &di, EngineContext &ctx)
     if (di.action == RenameAction::ZeroPredicted) {
         ++(di.isLoad() ? ctx.st.zeroPredLoad : ctx.st.zeroPredOther);
         ++ctx.st.zeroCorrect;
-    } else if (di.zeroPredLookedUp) {
+    } else if (di.producesReg && di.action != RenameAction::ZeroIdiom &&
+               di.action != RenameAction::MoveElim) {
+        // atRename looked it up: a producer that the engines ahead of
+        // this one (zero idiom, move elimination) did not claim.
         zp.update(di.pc, di.rec.result == 0, &ctx.rng);
     }
 }

@@ -5,6 +5,8 @@
  * destination to the hardwired zero register. Speculative: a validation
  * micro-op executes the instruction and the verdict is enforced at
  * commit (mispredicts squash from head).
+ *
+ * First act (a shadow retires there): a confident prediction.
  */
 
 #ifndef RSEP_CORE_ENGINES_ZERO_PRED_ENGINE_HH
@@ -20,7 +22,7 @@ class ZeroPredEngine : public SpeculationEngine
 {
   public:
     ZeroPredEngine(PipelineStats &st, unsigned entries,
-                   ConfidenceKind kind);
+                   ConfidenceKind kind, bool shadow = false);
 
     bool atRename(InflightInst &di, bool handled,
                   EngineContext &ctx) override;

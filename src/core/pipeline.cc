@@ -1,6 +1,7 @@
 #include "core/pipeline.hh"
 
 #include <algorithm>
+#include <cassert>
 
 #include "common/logging.hh"
 #include "core/engines/dvtage_engine.hh"
@@ -14,6 +15,71 @@ namespace rsep::core
 {
 
 using isa::OpClass;
+
+namespace
+{
+
+/** The rename chain: the engines in registration (dispatch) order. */
+enum ChainPosition : unsigned {
+    chainZeroIdiom,
+    chainMoveElim,
+    chainZeroPred,
+    chainOracleEq,
+    chainRsep,
+    chainDvtage,
+    chainLength,
+};
+constexpr const char *chainNames[chainLength] = {
+    "zero-idiom", "move-elim", "zero-pred", "oracle-eq", "rsep", "dvtage"};
+
+unsigned
+chainRank(const std::string &engine)
+{
+    for (unsigned k = 0; k < chainLength; ++k)
+        if (engine == chainNames[k])
+            return k;
+    rsep_panic("engine '%s' is not in the rename chain", engine.c_str());
+}
+
+/** The chain position of the engine whose claim is @p a; past the end
+ *  when no engine claimed the instruction. */
+unsigned
+claimRank(RenameAction a)
+{
+    switch (a) {
+      case RenameAction::ZeroIdiom: return chainZeroIdiom;
+      case RenameAction::MoveElim: return chainMoveElim;
+      case RenameAction::ZeroPredicted: return chainZeroPred;
+      case RenameAction::OracleShared: return chainOracleEq;
+      case RenameAction::RsepShared: return chainRsep;
+      case RenameAction::ValuePredicted: return chainDvtage;
+      case RenameAction::None: break;
+    }
+    return chainLength;
+}
+
+/** Every counter of @p s, in visitStats order. */
+std::vector<StatCounter *>
+countersOf(PipelineStats &s)
+{
+    std::vector<StatCounter *> out;
+    visitStats(s, [&](const char *, StatCounter &c) { out.push_back(&c); });
+    return out;
+}
+
+} // namespace
+
+/** A later arm's engines, run beside the host pipeline. */
+struct Pipeline::Shadow
+{
+    MechConfig mech; ///< the arm's.
+    PipelineStats st;
+    Rng rng;
+    std::vector<std::unique_ptr<SpeculationEngine>> owned;
+    std::vector<SpeculationEngine *> engines; ///< registration order.
+    std::vector<unsigned> ranks;              ///< chain positions.
+    bool retired = false;
+};
 
 Pipeline::Pipeline(const CoreParams &core_params, const MechConfig &mech_cfg,
                    wl::TraceSource &src, u64 seed)
@@ -130,14 +196,27 @@ Pipeline::engineByName(const std::string &name) const
     return nullptr;
 }
 
+std::unique_ptr<ZeroPredEngine>
+Pipeline::buildZeroPred(PipelineStats &s, const MechConfig &m,
+                        bool shadow) const
+{
+    return std::make_unique<ZeroPredEngine>(
+        s, equality::ZeroPredictor::defaultEntries, m.rsep.confKind, shadow);
+}
+
+std::unique_ptr<RsepEngine>
+Pipeline::buildRsep(PipelineStats &s, const MechConfig &m, bool shadow) const
+{
+    return std::make_unique<RsepEngine>(s, m.rsep, cp.intPregs + cp.fpPregs,
+                                        engineSeed ^ 0x3333,
+                                        shadow ? cp.robSize : 0);
+}
+
 ZeroPredEngine &
 Pipeline::zeroPredEng()
 {
     if (!zeroPredEngine)
-        zeroPredEngine =
-            std::make_unique<ZeroPredEngine>(
-                st, equality::ZeroPredictor::defaultEntries,
-                mech.rsep.confKind);
+        zeroPredEngine = buildZeroPred(st, mech, false);
     return *zeroPredEngine;
 }
 
@@ -145,8 +224,7 @@ RsepEngine &
 Pipeline::rsepEng()
 {
     if (!rsepEngine)
-        rsepEngine = std::make_unique<RsepEngine>(
-            st, mech.rsep, cp.intPregs + cp.fpPregs, engineSeed ^ 0x3333);
+        rsepEngine = buildRsep(st, mech, false);
     return *rsepEngine;
 }
 
@@ -157,6 +235,97 @@ Pipeline::dvtageEng()
         dvtageEngine =
             std::make_unique<DvtageEngine>(st, mech.vp, engineSeed ^ 0x2222);
     return *dvtageEngine;
+}
+
+size_t
+Pipeline::attachShadow(const MechConfig &arm,
+                       const std::vector<std::string> &engines)
+{
+    assert(cycle == 0 && "a shadow attaches before the first run()");
+    auto s = std::make_unique<Shadow>();
+    s->mech = arm;
+    s->rng = rng; // not drawn before the first run: the arm's seed.
+    std::vector<std::string> names = engines;
+    std::sort(names.begin(), names.end(),
+              [](const std::string &a, const std::string &b) {
+                  return chainRank(a) < chainRank(b);
+              });
+    for (const std::string &name : names) {
+        if (name == "zero-pred") {
+            s->owned.push_back(buildZeroPred(s->st, arm, true));
+        } else if (name == "rsep") {
+            std::unique_ptr<RsepEngine> eng = buildRsep(s->st, arm, true);
+            // Its lookups read the rename-side folds, like the arm's.
+            eng->distancePredictor().registerFolds(renameFoldSpec);
+            renameFolds_.bind(&renameFoldSpec);
+            renameHistActive = true;
+            s->owned.push_back(std::move(eng));
+        } else {
+            rsep_panic("engine '%s' cannot run as a shadow", name.c_str());
+        }
+        s->engines.push_back(s->owned.back().get());
+        s->ranks.push_back(chainRank(name));
+    }
+    liveShadows.push_back(s.get());
+    shadows.push_back(std::move(s));
+    return shadows.size() - 1;
+}
+
+bool
+Pipeline::shadowRetired(size_t i) const
+{
+    return shadows.at(i)->retired;
+}
+
+const std::vector<SpeculationEngine *> &
+Pipeline::shadowEngines(size_t i) const
+{
+    return shadows.at(i)->engines;
+}
+
+PipelineStats
+Pipeline::shadowArmStats(size_t i)
+{
+    PipelineStats arm = st;
+    PipelineStats &delta = shadows.at(i)->st;
+    std::vector<StatCounter *> to = countersOf(arm), from = countersOf(delta);
+    for (size_t k = 0; k < to.size(); ++k)
+        *to[k] += from[k]->value();
+    const StatHistogram &hist = delta.commitGroupProducers;
+    for (size_t b = 0; b < hist.buckets(); ++b)
+        arm.commitGroupProducers.sample(b, hist.bucket(b));
+    return arm;
+}
+
+u64
+Pipeline::shadowArmValue(size_t i, const StatCounter &c)
+{
+    // Engines of both pipelines may count into PipelineStats; there
+    // the arm holds one counter where the two hold a part each.
+    std::vector<StatCounter *> host = countersOf(st),
+                               delta = countersOf(shadows.at(i)->st);
+    for (size_t k = 0; k < host.size(); ++k)
+        if (&c == host[k] || &c == delta[k])
+            return host[k]->value() + delta[k]->value();
+    return c.value(); // the engine's own.
+}
+
+template <class Hook>
+void
+Pipeline::shadowHook(Hook &&hook, bool squash_follows)
+{
+    bool retired = false;
+    for (Shadow *s : liveShadows) {
+        EngineContext ctx{*this, s->st, s->mech, s->rng, cycle, committed};
+        ctx.squashFollowsCommit = squash_follows;
+        for (size_t k = 0; k < s->engines.size() && !s->retired; ++k) {
+            hook(*s->engines[k], ctx, s->ranks[k]);
+            s->retired = s->engines[k]->retired();
+        }
+        retired = retired || s->retired;
+    }
+    if (retired)
+        std::erase_if(liveShadows, [](const Shadow *s) { return s->retired; });
 }
 
 equality::FifoHistory &
@@ -199,6 +368,11 @@ Pipeline::resetStats()
     st = PipelineStats{};
     for (auto *e : active)
         e->resetStats();
+    for (auto &s : shadows) {
+        s->st = PipelineStats{};
+        for (auto *e : s->engines)
+            e->resetStats();
+    }
 }
 
 void
@@ -373,6 +547,18 @@ Pipeline::renameOne(InflightInst &di)
         handled = e->atRename(di, handled, ctx) || handled;
     for (auto *e : active)
         e->atRenamePost(di, handled, ctx);
+    if (!liveShadows.empty()) {
+        // A shadow engine sees the claims of the engines ahead of it in
+        // its arm's chain: this pipeline's, since shadows never claim.
+        unsigned claimant = claimRank(di.action);
+        shadowHook([&](SpeculationEngine &e, EngineContext &c,
+                       unsigned rank) {
+            e.atRename(di, claimant < rank, c);
+        });
+        shadowHook([&](SpeculationEngine &e, EngineContext &c, unsigned) {
+            e.atRenamePost(di, handled, c);
+        });
+    }
 
     // Under the ideal validation policy (Fig. 4 / Fig. 6 "Ideal
     // Validation") checking costs nothing: no second issue, no IQ
@@ -937,6 +1123,9 @@ Pipeline::undoRename(InflightInst &di)
     EngineContext ctx = makeContext();
     for (auto *e : active)
         e->atSquashInst(di, ctx);
+    shadowHook([&](SpeculationEngine &e, EngineContext &c, unsigned) {
+        e.atSquashInst(di, c);
+    });
 }
 
 void
@@ -1016,6 +1205,9 @@ Pipeline::squashFrom(size_t rob_pos, bool refetch_penalty)
         for (auto *e : active)
             e->atSquashAll(ctx);
     }
+    shadowHook([](SpeculationEngine &e, EngineContext &c, unsigned) {
+        e.atSquashAll(c);
+    });
     fetchWaitingExec = false;
     lastFetchLine = ~Addr{0};
     fetchResumeCycle = cycle + (refetch_penalty ? 1 : 0);
@@ -1065,6 +1257,14 @@ Pipeline::commitOne(InflightInst &di, bool squash_follows)
         for (auto *e : active)
             e->atCommit(di, ctx);
     }
+    // Shadows get no atCommitHead: its verdict is about an instruction
+    // the engine claimed, and a shadow claims none. No shadow engine
+    // wants atIssue either.
+    shadowHook(
+        [&](SpeculationEngine &e, EngineContext &c, unsigned) {
+            e.atCommit(di, c);
+        },
+        squash_follows);
 
     // Structural commit actions.
     if (si.isBranch())
@@ -1180,6 +1380,9 @@ Pipeline::doCommit()
         for (auto *e : active)
             e->atCommitGroupEnd(producers_this_cycle, ctx);
     }
+    shadowHook([&](SpeculationEngine &e, EngineContext &c, unsigned) {
+        e.atCommitGroupEnd(producers_this_cycle, c);
+    });
 }
 
 bool
@@ -1188,25 +1391,37 @@ Pipeline::checkRegisterConservation() const
     // A physical register is LIVE iff it is the current mapping of an
     // architectural register or the old mapping recorded by an
     // in-flight instruction (to be released at its commit). Everything
-    // else must be on a free list, and nothing may be both.
-    std::vector<u8> live(rename.totalPregs(), 0);
-    live[zeroPreg] = 1;
+    // else must be on a free list, and nothing may be both. Each
+    // mapping of a shared register is one the ISRB counts.
+    std::vector<unsigned> mappings(rename.totalPregs(), 0);
     for (ArchReg r = 0; r < isa::numArchRegs; ++r) {
         PhysReg p_ = rename.map(r);
         if (p_ != invalidPhysReg && p_ != zeroPreg)
-            live[p_] = 1;
+            ++mappings[p_];
     }
     for (size_t i = 0; i < nRenamed; ++i) {
         const InflightInst &di = window[i];
         if (di.producesReg && di.oldPreg != invalidPhysReg &&
             di.oldPreg != zeroPreg)
-            live[di.oldPreg] = 1;
+            ++mappings[di.oldPreg];
     }
 
     size_t free_total = rename.intFreeCount() + rename.fpFreeCount();
-    size_t live_total = 0;
-    for (unsigned p_ = 0; p_ < rename.totalPregs(); ++p_)
-        live_total += live[p_];
+    size_t live_total = 1; // the zero register.
+    for (unsigned p_ = 0; p_ < rename.totalPregs(); ++p_) {
+        if (p_ == zeroPreg)
+            continue;
+        live_total += mappings[p_] > 0;
+        unsigned counted = isrbUnit.isShared(p_)
+            ? isrbUnit.liveMappings(p_)
+            : std::min(mappings[p_], 1u);
+        if (counted != mappings[p_]) {
+            rsep_warn("register conservation violated: preg %u has %u "
+                      "mappings, the ISRB counts %u",
+                      p_, mappings[p_], counted);
+            return false;
+        }
+    }
 
     if (free_total + live_total != rename.totalPregs()) {
         rsep_warn("register conservation violated: %zu free + %zu live "
@@ -1296,6 +1511,8 @@ Pipeline::run(u64 ninsts)
             EngineContext ctx = makeContext();
             for (auto *e : active)
                 e->atIdleCycles(skipped, ctx);
+            shadowHook([&](SpeculationEngine &e, EngineContext &c,
+                           unsigned) { e.atIdleCycles(skipped, c); });
         }
         // Time-series sampling: one null-check when off (fig1Probe
         // discipline); the tick itself is rare (every N-cycle period).

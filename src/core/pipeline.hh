@@ -250,6 +250,36 @@ class Pipeline
     /** Active engine by name; nullptr when not registered. */
     SpeculationEngine *engineByName(const std::string &name) const;
 
+    // ---------------------------------------------------- shadow engines
+    /**
+     * Run the @p engines ("zero-pred", "rsep") of another arm, whose
+     * configuration is @p arm, beside this pipeline as a *shadow*
+     * (DESIGN.md §20). That arm's pipeline is this one plus those
+     * engines, so until one of them first acts it follows this
+     * pipeline cycle for cycle. The shadow gets the hooks with a
+     * context of its own: a zeroed PipelineStats, an Rng seeded like
+     * this pipeline's, and @p arm. It never changes this pipeline: at
+     * its first act it retires and gets no hook after. Call before the
+     * first run(). @return the shadow's index.
+     */
+    size_t attachShadow(const MechConfig &arm,
+                        const std::vector<std::string> &engines);
+
+    /** Shadow @p i reached a first act: its arm left this trajectory. */
+    bool shadowRetired(size_t i) const;
+
+    /** Shadow @p i's engines, in registration order. */
+    const std::vector<SpeculationEngine *> &shadowEngines(size_t i) const;
+
+    /** What shadow @p i's arm would count while the shadow lives: this
+     *  pipeline's statistics plus the shadow's. */
+    PipelineStats shadowArmStats(size_t i);
+
+    /** The value that @p c, a counter of this pipeline's engines or of
+     *  shadow @p i's, holds in the arm's pipeline while the shadow
+     *  lives. */
+    u64 shadowArmValue(size_t i, const StatCounter &c);
+
     // -------------------------------------------------------- substrates
     pred::BranchUnit &branchUnit() { return bru; }
     mem::MemoryHierarchy &memory() { return hier; }
@@ -294,7 +324,10 @@ class Pipeline
     /**
      * Debug invariant: every physical register is accounted for exactly
      * once (free list, architectural mapping, or in-flight allocation,
-     * with ISRB-shared registers counted once). @return true if sound.
+     * with ISRB-shared registers counted once), and the ISRB counts the
+     * mappings of each shared register: its live mappings equal the
+     * architectural ones plus the in-flight old mappings, and an
+     * unshared register has at most one. @return true if sound.
      */
     bool checkRegisterConservation() const;
 
@@ -457,6 +490,22 @@ class Pipeline
     ZeroPredEngine &zeroPredEng();
     RsepEngine &rsepEng();
     DvtageEngine &dvtageEng();
+    /** An engine of the arm @p m counting into @p s, seeded like this
+     *  pipeline's own; a shadow when @p shadow. */
+    std::unique_ptr<ZeroPredEngine>
+    buildZeroPred(PipelineStats &s, const MechConfig &m, bool shadow) const;
+    std::unique_ptr<RsepEngine>
+    buildRsep(PipelineStats &s, const MechConfig &m, bool shadow) const;
+
+    /** Engines of a later arm run beside this pipeline
+     *  (attachShadow). */
+    struct Shadow;
+    std::vector<std::unique_ptr<Shadow>> shadows;
+    std::vector<Shadow *> liveShadows; ///< not retired, attach order.
+    /** Call @p hook(engine, context, chain position) on every live
+     *  shadow's engines, then drop the shadows that retired. */
+    template <class Hook>
+    void shadowHook(Hook &&hook, bool squash_follows = false);
 
     /** Emit every sample boundary st.cycles has crossed. */
     void sampleTick();

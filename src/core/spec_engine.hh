@@ -28,6 +28,10 @@
  * receive hook calls; the pipeline builds an unregistered engine only
  * when one of its structure accessors asks for it. See DESIGN.md
  * "Speculation engines".
+ *
+ * An engine may also run as a *shadow* (Pipeline::attachShadow,
+ * DESIGN.md §20): it gets the hooks of another arm's pipeline and
+ * trains on them, but at its first act it retires instead of acting.
  */
 
 #ifndef RSEP_CORE_SPEC_ENGINE_HH
@@ -92,8 +96,10 @@ enum SampleRole : unsigned {
 class SpeculationEngine
 {
   public:
-    explicit SpeculationEngine(std::string engine_name)
-        : nm(std::move(engine_name))
+    /** @p as_shadow: retire at the first act instead of acting. */
+    explicit SpeculationEngine(std::string engine_name,
+                               bool as_shadow = false)
+        : nm(std::move(engine_name)), shadow(as_shadow)
     {
     }
     virtual ~SpeculationEngine() = default;
@@ -102,6 +108,10 @@ class SpeculationEngine
     SpeculationEngine &operator=(const SpeculationEngine &) = delete;
 
     const std::string &name() const { return nm; }
+
+    /** A shadow engine reached its first act, so its arm's pipeline
+     *  leaves the host's trajectory there. */
+    bool retired() const { return hasRetired; }
 
     // ------------------------------------------------------- rename hooks
     /**
@@ -240,6 +250,18 @@ class SpeculationEngine
     }
 
   protected:
+    /**
+     * Call at a first-act point, before the engine changes anything
+     * outside itself: a shadow retires there, and the caller returns
+     * without acting. @return true when it retired.
+     */
+    bool
+    retireShadow()
+    {
+        hasRetired = shadow;
+        return shadow;
+    }
+
     void
     registerStat(std::string stat_name, StatCounter *c, unsigned roles = 0)
     {
@@ -248,6 +270,8 @@ class SpeculationEngine
 
   private:
     std::string nm;
+    bool shadow;
+    bool hasRetired = false;
     std::vector<StatEntry> entries;
 };
 

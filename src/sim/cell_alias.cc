@@ -44,21 +44,58 @@ scanZeroRun(equality::ZeroRunScan &scan, const isa::Program &prog,
 namespace
 {
 
-/** The engines an arm may switch off where they are proven silent:
- *  the bits of a mask. */
+/** The engines an arm may switch off where they are proven silent,
+ *  or where a shadow of them never acts (RSEP): the bits of a mask. */
 enum SilenceableEngine : unsigned {
     silentMoveElim = 1,
     silentZeroPred = 2,
+    silentRsep = 4,
 };
 
+/** @p cfg with the engines in @p mask switched off. Switching RSEP off
+ *  also sets the `[rsep]` fields nothing else in the arm reads to
+ *  @p ref_rsep, the reference's. */
 SimConfig
-withoutEngines(SimConfig cfg, unsigned mask)
+withoutEngines(SimConfig cfg, unsigned mask,
+               const equality::RsepConfig &ref_rsep)
 {
+    core::MechConfig &m = cfg.mech;
     if (mask & silentMoveElim)
-        cfg.mech.moveElim = false;
+        m.moveElim = false;
     if (mask & silentZeroPred)
-        cfg.mech.zeroPred = false;
+        m.zeroPred = false;
+    if (mask & silentRsep) {
+        equality::RsepConfig own = m.rsep;
+        m.equalityPred = false;
+        m.rsep = ref_rsep;
+        // What the pipeline and the other engines still read: the
+        // ISRB that move elimination and the oracle share through,
+        // the validation policy and counter kind of zero prediction,
+        // and the oracle's window.
+        if (m.moveElim || m.oracleEq) {
+            m.rsep.isrbEntries = own.isrbEntries;
+            m.rsep.isrbCounterBits = own.isrbCounterBits;
+        }
+        if (m.zeroPred) {
+            m.rsep.validation = own.validation;
+            m.rsep.confKind = own.confKind;
+        }
+        if (m.oracleEq)
+            m.rsep.historyDepth = own.historyDepth;
+    }
     return cfg;
+}
+
+/** True when cell (@p bench_name, *)'s program holds an eliminable
+ *  move: from the initial state when the cell runs live. */
+bool
+programHasMoves(const std::string &bench_name,
+                const TraceIoOptions &trace_io,
+                const InitialStateSource &initial)
+{
+    if (trace_io.replayDir.empty() && initial)
+        return hasEliminableMove(initial()->workload.program);
+    return hasEliminableMove(wl::makeWorkload(bench_name).program);
 }
 
 /** The committed records a cell of @p cfg can train on: its warm-up
@@ -170,9 +207,10 @@ silentEngine(const std::string &name, const core::MechConfig &mech,
 /**
  * The result a cell of @p cfg would have simulated, taken from @p ref,
  * the cell of an earlier arm that differs from @p cfg only by engines
- * proven silent: the pipeline counters and samples are copied, and
- * the engine counters follow @p cfg's registration order with
- * @p ref's value where @p ref has that engine and 0 otherwise.
+ * that never act (with the counters of the shadow, if one ran): the
+ * pipeline counters are copied, and the engine counters follow
+ * @p cfg's registration order with @p ref's value where @p ref has
+ * that engine and 0 otherwise. The caller copies the samples.
  */
 PhaseResult
 aliasResult(const PhaseResult &ref, const SimConfig &cfg)
@@ -180,7 +218,6 @@ aliasResult(const PhaseResult &ref, const SimConfig &cfg)
     PhaseResult pr;
     pr.ipc = ref.ipc;
     pr.stats = ref.stats;
-    pr.samples = ref.samples;
     core::PipelineStats unused;
     for (const std::string &engine : core::registeredEngineNames(cfg.mech)) {
         std::string prefix = "engine." + engine + ".";
@@ -219,20 +256,33 @@ CellAliases::CellAliases(const std::vector<SimConfig> &configs,
     // too, the first earlier arm whose hash is the arm's with that set
     // switched off.
     for (size_t c = 0; c < configs.size(); ++c) {
+        const core::MechConfig &m = configs[c].mech;
+        // An FPC zero predictor draws from the pipeline Rng that RSEP's
+        // training draws from, so a shadow of either alone would not
+        // see the arm's draws.
+        bool fpc_shares_rng =
+            m.zeroPred && m.rsep.confKind != ConfidenceKind::Deterministic8;
         unsigned silenceable =
-            (configs[c].mech.moveElim ? unsigned{silentMoveElim} : 0u) |
-            (configs[c].mech.zeroPred ? unsigned{silentZeroPred} : 0u);
+            (m.moveElim ? unsigned{silentMoveElim} : 0u) |
+            (m.zeroPred ? unsigned{silentZeroPred} : 0u) |
+            (m.equalityPred && !fpc_shares_rng ? unsigned{silentRsep} : 0u);
         for (unsigned off = 0; off <= silenceable; ++off) {
             if (off & ~silenceable)
                 continue;
+            // Switching RSEP off takes each reference's [rsep] fields,
+            // so the hash depends on the reference.
             std::string hash =
-                off ? configHash(withoutEngines(configs[c], off))
+                off ? configHash(withoutEngines(configs[c], off, m.rsep))
                     : plan.configHashes[c];
-            for (size_t r = 0; r < c; ++r)
+            for (size_t r = 0; r < c; ++r) {
+                if (off & silentRsep)
+                    hash = configHash(
+                        withoutEngines(configs[c], off, configs[r].mech.rsep));
                 if (plan.configHashes[r] == hash) {
                     candidates[c].push_back({r, off});
                     break;
                 }
+            }
         }
         std::sort(candidates[c].begin(), candidates[c].end(),
                   [](const Candidate &x, const Candidate &y) {
@@ -242,16 +292,67 @@ CellAliases::CellAliases(const std::vector<SimConfig> &configs,
         phases = std::max<size_t>(phases, configs[c].checkpoints);
     }
     finished.resize(plan.rows.size() * configs.size() * phases);
+    hostKnown.resize(finished.size());
 }
 
 CellAliases::Outcome
 CellAliases::take(size_t b, size_t c, u32 p, const TraceIoOptions &trace_io,
                   const InitialStateSource &initial)
 {
+    Outcome out = takeCell(b, c, p, trace_io, initial);
+    // A cell that is not simulated hosts nothing. (A cell with a
+    // shadow has RSEP, so it is no shadow's host even when it
+    // simulates after the shadow retired.)
+    if (out != Simulate)
+        hostsKnown(b, c, p);
+    return out;
+}
+
+void
+CellAliases::hostsKnown(size_t b, size_t c, u32 p)
+{
+    std::lock_guard<std::mutex> lk(mtx);
+    hostKnown[slot(b, c, p)] = 1;
+    hostsKnownCv.notify_all();
+}
+
+CellAliases::Outcome
+CellAliases::takeCell(size_t b, size_t c, u32 p,
+                      const TraceIoOptions &trace_io,
+                      const InitialStateSource &initial)
+{
     auto t0 = std::chrono::steady_clock::now();
     const MatrixRow &row = plan.rows[b];
+    {
+        // A cell starts after every earlier one (runCells), so each
+        // possible host is running and about to choose.
+        std::unique_lock<std::mutex> lk(mtx);
+        for (const Candidate &a : candidates[c])
+            if ((a.off & silentRsep) && p < row.byConfig[a.ref].phases.size())
+                hostsKnownCv.wait(
+                    lk, [&] { return hostKnown[slot(b, a.ref, p)] != 0; });
+        auto it = shadowed.find(slot(b, c, p));
+        if (it != shadowed.end()) {
+            Shadowed &sh = it->second;
+            if (sh.state == Shadowed::Running) {
+                sh.waiting = true;
+                sh.micros = microsSince(t0);
+                return Hosted;
+            }
+            if (sh.state == Shadowed::Retired)
+                return Simulate;
+        }
+    }
+    if (takeHosted(b, c, p)) {
+        PhaseResult &ph = plan.rows[b].byConfig[c].phases[p];
+        ph.wallMicros = microsSince(t0);
+        return Taken;
+    }
+
     auto runsHere = [&](const Candidate &a) {
-        return p < row.byConfig[a.ref].phases.size();
+        // Only a shadow switches RSEP off (host()).
+        return p < row.byConfig[a.ref].phases.size() &&
+               !(a.off & silentRsep);
     };
     const Candidate *pick = nullptr;
     unsigned wanted = 0;
@@ -293,11 +394,102 @@ CellAliases::take(size_t b, size_t c, u32 p, const TraceIoOptions &trace_io,
     return Taken;
 }
 
+CellAliases::Hosting
+CellAliases::host(size_t b, size_t r, u32 p, const TraceIoOptions &trace_io,
+                  const InitialStateSource &initial,
+                  const std::function<bool(size_t c)> &cached)
+{
+    Hosting hosting;
+    const MatrixRow &row = plan.rows[b];
+    auto runsHere = [&](size_t k) { return p < row.byConfig[k].phases.size(); };
+    for (size_t c = r + 1; c < configs.size(); ++c) {
+        if (!runsHere(c))
+            continue;
+        const Candidate *pick = nullptr;
+        bool unshadowed = false; // a candidate that needs no shadow runs.
+        for (const Candidate &a : candidates[c]) {
+            if (!runsHere(a.ref))
+                continue;
+            if (!(a.off & silentRsep))
+                unshadowed = true;
+            else if (a.ref == r && !pick)
+                pick = &a;
+        }
+        if (!pick || unshadowed || cached(c))
+            continue;
+        if ((pick->off & silentMoveElim) &&
+            programHasMoves(row.benchmark, trace_io, initial))
+            continue;
+        {
+            std::lock_guard<std::mutex> lk(mtx);
+            size_t s = slot(b, c, p);
+            if (shadowed.count(s))
+                continue;
+            shadowed[s].host = r;
+        }
+        ShadowArm arm;
+        arm.mech = configs[c].mech;
+        if (pick->off & silentZeroPred)
+            arm.engines.push_back("zero-pred");
+        arm.engines.push_back("rsep");
+        hosting.cells.push_back(c);
+        hosting.arms.push_back(std::move(arm));
+    }
+    hostsKnown(b, r, p);
+    return hosting;
+}
+
+std::vector<size_t>
+CellAliases::hostDone(size_t b, u32 p, Hosting &hosting)
+{
+    std::vector<size_t> waiting;
+    std::lock_guard<std::mutex> lk(mtx);
+    for (size_t k = 0; k < hosting.cells.size(); ++k) {
+        Shadowed &sh = shadowed.at(slot(b, hosting.cells[k], p));
+        sh.result = std::move(hosting.arms[k].result);
+        sh.state = sh.result ? Shadowed::Survived : Shadowed::Retired;
+        shadowsRetired += !sh.result;
+        if (sh.waiting)
+            waiting.push_back(hosting.cells[k]);
+    }
+    return waiting;
+}
+
+bool
+CellAliases::takeHosted(size_t b, size_t c, u32 p)
+{
+    auto t0 = std::chrono::steady_clock::now();
+    size_t host_arm;
+    u64 micros;
+    std::optional<PhaseResult> arm;
+    {
+        std::lock_guard<std::mutex> lk(mtx);
+        auto it = shadowed.find(slot(b, c, p));
+        if (it == shadowed.end() || it->second.state != Shadowed::Survived)
+            return false;
+        host_arm = it->second.host;
+        micros = it->second.micros;
+        arm = std::move(it->second.result);
+    }
+    fillFromShadow(b, c, p, host_arm, std::move(*arm));
+    plan.rows[b].byConfig[c].phases[p].wallMicros = micros + microsSince(t0);
+    return true;
+}
+
+std::pair<size_t, size_t>
+CellAliases::shadowCounts()
+{
+    std::lock_guard<std::mutex> lk(mtx);
+    return {shadowed.size(), shadowsRetired};
+}
+
 void
 CellAliases::finish(size_t b, size_t c, u32 p)
 {
     std::lock_guard<std::mutex> lk(mtx);
     finished[slot(b, c, p)] = 1;
+    hostKnown[slot(b, c, p)] = 1;
+    hostsKnownCv.notify_all();
 }
 
 void
@@ -320,12 +512,24 @@ CellAliases::takeDeferred(
 }
 
 void
+CellAliases::fillFromShadow(size_t b, size_t c, u32 p, size_t host,
+                            PhaseResult arm)
+{
+    PhaseResult pr = aliasResult(arm, configs[c]);
+    pr.samples = plan.rows[b].byConfig[host].phases[p].samples;
+    pr.aliasOf = configs[host].label;
+    pr.aliasByShadow = true;
+    plan.rows[b].byConfig[c].phases[p] = std::move(pr);
+}
+
+void
 CellAliases::fill(const Pending &cell)
 {
     PhaseResult &ph = plan.rows[cell.b].byConfig[cell.c].phases[cell.p];
-    PhaseResult pr = aliasResult(
-        plan.rows[cell.b].byConfig[cell.ref].phases[cell.p],
-        configs[cell.c]);
+    const PhaseResult &ref =
+        plan.rows[cell.b].byConfig[cell.ref].phases[cell.p];
+    PhaseResult pr = aliasResult(ref, configs[cell.c]);
+    pr.samples = ref.samples;
     pr.aliasOf = configs[cell.ref].label;
     pr.replayed = ph.replayed;
     pr.traceDecodeHit = ph.traceDecodeHit;

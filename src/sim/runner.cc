@@ -5,6 +5,7 @@
 #include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <mutex>
 #include <optional>
 #include <thread>
@@ -287,13 +288,15 @@ void
 printCellProgress(const PhaseResult &ph, const std::string &benchmark,
                   const std::string &label, u32 p, size_t k, size_t total)
 {
-    std::fprintf(stderr, "[%s] %-12s %-20s ckpt %u ipc=%.3f (%zu/%zu)%s%s\n",
+    std::fprintf(stderr,
+                 "[%s] %-12s %-20s ckpt %u ipc=%.3f (%zu/%zu)%s%s%s\n",
                  ph.fromCache          ? "hit"
                  : !ph.aliasOf.empty() ? "als"
                  : ph.replayed         ? "rpl"
                                        : "run",
                  benchmark.c_str(), label.c_str(), p, ph.ipc, k, total,
-                 ph.aliasOf.empty() ? "" : " from ", ph.aliasOf.c_str());
+                 ph.aliasOf.empty() ? "" : " from ", ph.aliasOf.c_str(),
+                 ph.aliasByShadow ? " (shadow)" : "");
 }
 
 std::vector<MatrixRow>
@@ -353,8 +356,8 @@ runMatrix(const std::vector<SimConfig> &configs,
         return true;
     };
 
-    // A cell whose extra engines provably never act takes the result
-    // of an earlier arm of its row instead (DESIGN.md §20).
+    // A cell whose extra engines never act takes the result of an
+    // earlier arm of its row instead (DESIGN.md §20).
     CellAliases aliases(configs, plan);
     auto storeCell = [&](size_t b, size_t c, u32 p) {
         if (use_cache)
@@ -370,6 +373,42 @@ runMatrix(const std::vector<SimConfig> &configs,
                               benchmarks[b], configs[c].label, p, k,
                               plan.cells);
     };
+    auto complete = [&](size_t b, size_t c, u32 p) {
+        storeCell(b, c, p);
+        aliases.finish(b, c, p);
+        report(b, c, p);
+    };
+    // A cached cell needs no shadow (a peek: the cell's own load counts
+    // the hit).
+    auto cachedCell = [&](size_t b, size_t c, u32 p) {
+        std::error_code ec;
+        return use_cache &&
+               std::filesystem::exists(
+                   cache.cellPath({benchmarks[b], plan.configHashes[c], p,
+                                   configs[c].seed}),
+                   ec);
+    };
+    // Simulate a cell with the shadows it hosts, then finish the hosted
+    // cells that already asked for their result.
+    std::function<void(size_t, size_t, u32, const InitialStateSource &)>
+        simulate = [&](size_t b, size_t c, u32 p,
+                       const InitialStateSource &initial) {
+            TraceIoOptions trace_io = opts.traceIo;
+            trace_io.writeTrace = writesTrace(c, p);
+            CellAliases::Hosting hosting = aliases.host(
+                b, c, p, trace_io, initial,
+                [&](size_t later) { return cachedCell(b, later, p); });
+            plan.rows[b].byConfig[c].phases[p] =
+                runPhase(configs[c], benchmarks[b], p, trace_io,
+                         opts.sampling.every, initial, &hosting.arms);
+            complete(b, c, p);
+            for (size_t later : aliases.hostDone(b, p, hosting)) {
+                if (aliases.takeHosted(b, later, p))
+                    complete(b, later, p);
+                else
+                    simulate(b, later, p, initial);
+            }
+        };
 
     // One pool task per cell: the cell computes from its own seed into
     // its own slot, so which worker runs it never changes a result.
@@ -385,21 +424,21 @@ runMatrix(const std::vector<SimConfig> &configs,
                               configs[c].seed});
         if (hit) {
             ph = std::move(*hit);
-        } else {
-            switch (aliases.take(b, c, p, trace_io, initial)) {
-              case CellAliases::Deferred:
-                return; // taken after the barrier.
-              case CellAliases::Simulate:
-                ph = runPhase(configs[c], benchmarks[b], p, trace_io,
-                              opts.sampling.every, initial);
-                break;
-              case CellAliases::Taken:
-                break;
-            }
-            storeCell(b, c, p);
+            aliases.finish(b, c, p);
+            report(b, c, p);
+            return;
         }
-        aliases.finish(b, c, p);
-        report(b, c, p);
+        switch (aliases.take(b, c, p, trace_io, initial)) {
+          case CellAliases::Deferred: // taken after the barrier.
+          case CellAliases::Hosted:   // finished by its host's worker.
+            return;
+          case CellAliases::Simulate:
+            simulate(b, c, p, initial);
+            return;
+          case CellAliases::Taken:
+            complete(b, c, p);
+            return;
+        }
     });
     aliases.takeDeferred([&](size_t b, size_t c, u32 p) {
         storeCell(b, c, p);
@@ -407,6 +446,12 @@ runMatrix(const std::vector<SimConfig> &configs,
     });
     finishMatrix(plan, configs, use_cache, opts.sampling, opts.progress);
 
+    if (auto [run, retired] = aliases.shadowCounts(); opts.progress && run)
+        std::fprintf(stderr,
+                     "[shadow] %zu shadow%s run, %zu retired, %zu cell%s "
+                     "taken\n",
+                     run, run == 1 ? "" : "s", retired, run - retired,
+                     run - retired == 1 ? "" : "s");
     if (opts.progress && use_cache) {
         ResultCache::Counters cc = cache.counters();
         std::fprintf(stderr,

@@ -67,10 +67,13 @@ constexpr u64 traceRecordSlack = 8192;
 /** The timing run itself, identical for every source kind. */
 PhaseResult
 runTimedPhase(const SimConfig &cfg, wl::TraceSource &src, u32 phase,
-              u64 sample_every)
+              u64 sample_every, std::vector<ShadowArm> *shadows)
 {
     core::Pipeline pipe(cfg.core, cfg.mech, src,
                         cfg.seed ^ (0x9e37 * (phase + 1)));
+    if (shadows)
+        for (const ShadowArm &arm : *shadows)
+            pipe.attachShadow(arm.mech, arm.engines);
     pipe.run(cfg.warmupInsts);
     pipe.resetStats();
     // Sampling covers exactly the measurement run: attach after the
@@ -87,11 +90,33 @@ runTimedPhase(const SimConfig &cfg, wl::TraceSource &src, u32 phase,
         pr.samples = sampler.rows();
     pr.stats = pipe.stats();
     pr.ipc = pr.stats.ipc();
+    auto exportEngine = [](PhaseResult &out,
+                           const core::SpeculationEngine &eng,
+                           const auto &value) {
+        for (const auto &entry : eng.statEntries())
+            out.engineStats.emplace_back("engine." + eng.name() + "." +
+                                             entry.name,
+                                         value(*entry.counter));
+    };
     for (const core::SpeculationEngine *eng : pipe.engines())
-        for (const auto &entry : eng->statEntries())
-            pr.engineStats.emplace_back("engine." + eng->name() + "." +
-                                            entry.name,
-                                        entry.counter->value());
+        exportEngine(pr, *eng,
+                     [](const StatCounter &c) { return c.value(); });
+    for (size_t i = 0; shadows && i < shadows->size(); ++i) {
+        if (pipe.shadowRetired(i))
+            continue;
+        // The later arm's cell: this run, plus what its shadow counted.
+        PhaseResult arm;
+        arm.stats = pipe.shadowArmStats(i);
+        arm.ipc = arm.stats.ipc();
+        auto value = [&](const StatCounter &c) {
+            return pipe.shadowArmValue(i, c);
+        };
+        for (const core::SpeculationEngine *eng : pipe.engines())
+            exportEngine(arm, *eng, value);
+        for (const core::SpeculationEngine *eng : pipe.shadowEngines(i))
+            exportEngine(arm, *eng, value);
+        (*shadows)[i].result = std::move(arm);
+    }
     return pr;
 }
 
@@ -133,7 +158,7 @@ loadReplayTrace(const std::string &dir, const std::string &bench_name,
 PhaseResult
 runPhase(const SimConfig &cfg, const std::string &bench_name, u32 phase,
          const TraceIoOptions &trace_io, u64 sample_every,
-         const InitialStateSource &initial)
+         const InitialStateSource &initial, std::vector<ShadowArm> *shadows)
 {
     auto t0 = std::chrono::steady_clock::now();
     auto finish = [&](PhaseResult pr) {
@@ -165,7 +190,8 @@ runPhase(const SimConfig &cfg, const std::string &bench_name, u32 phase,
                 rsep_fatal("replay: %s", rt.error.c_str());
             wl::Workload w = wl::buildWorkload(*spec);
             wl::ReplayTraceSource src(rt.trace, w.program, rt.path);
-            PhaseResult pr = runTimedPhase(cfg, src, phase, sample_every);
+            PhaseResult pr =
+                runTimedPhase(cfg, src, phase, sample_every, shadows);
             pr.replayed = true;
             pr.traceLoadMicros = rt.loadMicros;
             pr.traceDecodeHit = rt.decodeHit;
@@ -190,7 +216,8 @@ runPhase(const SimConfig &cfg, const std::string &bench_name, u32 phase,
 
     if (!trace_io.recordDir.empty() && trace_io.writeTrace) {
         wl::RecordingTraceSource rec(emu);
-        PhaseResult pr = runTimedPhase(cfg, rec, phase, sample_every);
+        PhaseResult pr =
+            runTimedPhase(cfg, rec, phase, sample_every, shadows);
         rec.recordSlack(traceRecordSlack);
         wl::TraceHeader header;
         header.workload = bench_name;
@@ -207,7 +234,8 @@ runPhase(const SimConfig &cfg, const std::string &bench_name, u32 phase,
         return finish(std::move(pr));
     }
 
-    return finish(runTimedPhase(cfg, emu, phase, sample_every));
+    return finish(
+        runTimedPhase(cfg, emu, phase, sample_every, shadows));
 }
 
 void
@@ -225,21 +253,6 @@ accountPhaseTiming(RunTiming &timing, const PhaseResult &pr)
         else
             ++timing.traceDecodeMisses;
     }
-}
-
-RunResult
-runWorkload(const SimConfig &cfg, const std::string &bench_name,
-            const TraceIoOptions &trace_io, u64 sample_every)
-{
-    RunResult out;
-    out.benchmark = bench_name;
-    out.configLabel = cfg.label;
-    for (u32 phase = 0; phase < cfg.checkpoints; ++phase) {
-        out.phases.push_back(
-            runPhase(cfg, bench_name, phase, trace_io, sample_every));
-        accountPhaseTiming(out.timing, out.phases.back());
-    }
-    return out;
 }
 
 } // namespace rsep::sim

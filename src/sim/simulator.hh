@@ -11,6 +11,7 @@
 
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -55,6 +56,9 @@ struct PhaseResult
      *  instead of simulating (sim/cell_alias.hh); empty for a simulated
      *  or cached cell. Transient, like replayed. */
     std::string aliasOf;
+    /** The alias rests on shadow engines that ran in that arm's cell,
+     *  not on a proof (transient). */
+    bool aliasByShadow = false;
     /** Time-series rows of the measurement run (`--sample-every`);
      *  empty when sampling is off. Transient, never part of the cached
      *  record: a cached cell cannot produce samples, which is why the
@@ -207,6 +211,19 @@ ReplayTrace loadReplayTrace(const std::string &dir,
                             const wl::WorkloadSpec &spec);
 
 /**
+ * A later arm whose extra engines run as a shadow in another arm's
+ * cell (core::Pipeline::attachShadow, DESIGN.md §20).
+ */
+struct ShadowArm
+{
+    core::MechConfig mech;            ///< the later arm's.
+    std::vector<std::string> engines; ///< its engines the shadow runs.
+    /** Set by runPhase when the shadow never acted: the later arm's
+     *  cell, without samples (they equal the host cell's). */
+    std::optional<PhaseResult> result;
+};
+
+/**
  * Run one checkpoint of @p bench_name under @p cfg. Checkpoints are
  * seeded independently (deterministic per-cell seeding), so any
  * (benchmark, config, checkpoint) cell can run on any thread and
@@ -224,23 +241,15 @@ ReplayTrace loadReplayTrace(const std::string &dir,
  * A live cell takes its initial state from @p initial when it is set
  * (replayed cells never ask), and otherwise builds and initialises the
  * workload itself.
+ *
+ * Each of @p shadows runs beside the cell's pipeline; the host cell's
+ * result is the same with or without them.
  */
 PhaseResult runPhase(const SimConfig &cfg, const std::string &bench_name,
                      u32 phase, const TraceIoOptions &trace_io = {},
                      u64 sample_every = 0,
-                     const InitialStateSource &initial = {});
-
-/**
- * Run @p bench_name under @p cfg (all checkpoints, serially). Routes
- * the same per-run options as the matrix path through runPhase, so
- * serial callers keep `--replay-trace`/`--record-trace` and
- * `--sample-every` semantics instead of silently losing them
- * (sampled rows land in PhaseResult::samples; flushing them is the
- * caller's decision, as in runMatrix).
- */
-RunResult runWorkload(const SimConfig &cfg, const std::string &bench_name,
-                      const TraceIoOptions &trace_io = {},
-                      u64 sample_every = 0);
+                     const InitialStateSource &initial = {},
+                     std::vector<ShadowArm> *shadows = nullptr);
 
 /** Fold one finished cell into a run's timing/cache accounting
  *  (cache misses are counted by the matrix runner, which knows

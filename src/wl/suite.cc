@@ -71,14 +71,4 @@ makeWorkload(const std::string &name)
     return buildWorkload(*spec);
 }
 
-std::vector<Workload>
-makeSuite()
-{
-    std::vector<Workload> all;
-    all.reserve(suiteNames().size());
-    for (const auto &n : suiteNames())
-        all.push_back(makeWorkload(n));
-    return all;
-}
-
 } // namespace rsep::wl

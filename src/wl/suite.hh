@@ -25,9 +25,6 @@ const std::vector<std::string> &suiteNames();
  */
 Workload makeWorkload(const std::string &name);
 
-/** Build every workload in suite order. */
-std::vector<Workload> makeSuite();
-
 /**
  * Number of "checkpoints" (seeded phases) per benchmark; the paper uses
  * 10 uniformly collected checkpoints and reports the harmonic mean.

@@ -1,9 +1,9 @@
 /**
  * @file
  * Cell aliasing (sim/cell_alias.hh, DESIGN.md §20): the two silence
- * proofs at their bounds, and the differential check that a matrix
- * which takes cells from earlier arms equals each arm run alone, where
- * nothing can be aliased.
+ * proofs at their bounds, shadow engines, and the differential check
+ * that a matrix which takes cells from earlier arms equals each arm
+ * run alone, where nothing can be aliased.
  */
 
 #include <gtest/gtest.h>
@@ -174,11 +174,15 @@ small(const std::string &arm)
     return c;
 }
 
+/** The Fig. 4 arms, then Fig. 6's RSEP arms. */
 const std::vector<std::string> &
-fig4Arms()
+fig4And6Arms()
 {
     static const std::vector<std::string> arms = {
-        "baseline", "zero-pred", "move-elim", "rsep", "vpred", "rsep+vpred"};
+        "baseline",         "zero-pred",        "move-elim",
+        "rsep",             "vpred",            "rsep+vpred",
+        "rsep-val-ideal",   "rsep-val-2x-lock", "rsep-val-2x-any",
+        "rsep-val-2x-sample15", "rsep-val-2x-sample63"};
     return arms;
 }
 
@@ -222,14 +226,40 @@ records(const std::vector<SimConfig> &configs,
 }
 
 size_t
-aliasedCells(const std::vector<MatrixRow> &rows)
+aliasedCells(const std::vector<MatrixRow> &rows, bool by_shadow = false)
 {
     size_t n = 0;
     for (const MatrixRow &row : rows)
         for (const RunResult &rr : row.byConfig)
             for (const PhaseResult &ph : rr.phases)
-                n += !ph.aliasOf.empty();
+                n += !ph.aliasOf.empty() && (!by_shadow || ph.aliasByShadow);
     return n;
+}
+
+/** Every arm of @p configs run alone (nothing to alias), as records. */
+std::map<std::string, std::string>
+aloneRecords(const std::vector<SimConfig> &configs,
+             const std::vector<std::string> &benches)
+{
+    std::map<std::string, std::string> alone;
+    for (const SimConfig &cfg : configs) {
+        MatrixOptions mo;
+        mo.jobs = 4;
+        mo.progress = false;
+        std::vector<MatrixRow> rows = runMatrix({cfg}, benches, mo);
+        EXPECT_EQ(aliasedCells(rows), 0u);
+        alone.merge(records({cfg}, rows));
+    }
+    return alone;
+}
+
+void
+expectRecords(const std::map<std::string, std::string> &got,
+              const std::map<std::string, std::string> &want)
+{
+    ASSERT_EQ(got.size(), want.size());
+    for (const auto &[key, rec] : want)
+        EXPECT_EQ(got.at(key), rec) << key;
 }
 
 std::string
@@ -257,7 +287,7 @@ TEST(CellAlias, EveryArmEqualsItselfRunAloneLiveAndReplayed)
 {
     TempDir tmp;
     std::vector<SimConfig> configs;
-    for (const std::string &arm : fig4Arms())
+    for (const std::string &arm : fig4And6Arms())
         configs.push_back(small(arm));
     std::vector<std::string> benches = wl::suiteNames();
 
@@ -277,6 +307,7 @@ TEST(CellAlias, EveryArmEqualsItselfRunAloneLiveAndReplayed)
     }
     ASSERT_EQ(alone.size(), benches.size() * configs.size() * 2);
 
+    size_t shadowTaken = 0;
     for (bool replay : {false, true})
         for (unsigned jobs : {1u, 4u}) {
             SCOPED_TRACE(std::string(replay ? "replay" : "live") +
@@ -290,12 +321,14 @@ TEST(CellAlias, EveryArmEqualsItselfRunAloneLiveAndReplayed)
             if (replay)
                 mo.traceIo.replayDir = (tmp.path / "traces").string();
             std::vector<MatrixRow> rows = runMatrix(configs, benches, mo);
-            size_t aliased = aliasedCells(rows);
-            EXPECT_GE(aliased, 30u);
-            std::map<std::string, std::string> got = records(configs, rows);
-            ASSERT_EQ(got.size(), alone.size());
-            for (const auto &[key, rec] : alone)
-                EXPECT_EQ(got[key], rec) << key;
+            // The same cells are taken at any worker count: 364, 213
+            // of them from shadows, when written.
+            EXPECT_GE(aliasedCells(rows), 300u);
+            EXPECT_GE(aliasedCells(rows, true), 150u);
+            if (shadowTaken == 0)
+                shadowTaken = aliasedCells(rows, true);
+            EXPECT_EQ(aliasedCells(rows, true), shadowTaken);
+            expectRecords(records(configs, rows), alone);
             EXPECT_EQ(filesIn(rts), filesIn(tmp.path / "alone-rts"));
             for (const MatrixRow &row : rows)
                 for (size_t c = 0; c < configs.size(); ++c)
@@ -304,10 +337,15 @@ TEST(CellAlias, EveryArmEqualsItselfRunAloneLiveAndReplayed)
                                      configs[c].label == "move-elim" &&
                                      !ph.aliasOf.empty())
                             << "perlbench has an eliminable move";
+                        // Only a zero-prediction proof reads the trace.
                         if (!ph.aliasOf.empty()) {
                             EXPECT_EQ(ph.replayed,
-                                      replay &&
+                                      replay && !ph.aliasByShadow &&
                                           configs[c].label == "zero-pred");
+                        }
+                        // Only an arm with RSEP has a shadow.
+                        if (ph.aliasByShadow) {
+                            EXPECT_TRUE(configs[c].mech.equalityPred);
                         }
                     }
         }
@@ -355,34 +393,181 @@ TEST(CellAlias, AnAliasIsStoredInTheResultCache)
 
 TEST(CellAlias, AReferenceInAnotherShardMeansTheCandidateSimulates)
 {
-    std::vector<SimConfig> configs = {small("baseline"), small("zero-pred"),
-                                      small("move-elim")};
-    std::vector<std::string> benches = wl::suiteNames();
+    // The proof candidates of zero-pred and move-elim, and the shadow
+    // candidate of rsep, whose only reference is baseline. Three
+    // shards: baseline and rsep land in the same one of two on every
+    // row.
+    for (const std::vector<std::string> &arms :
+         {std::vector<std::string>{"baseline", "zero-pred", "move-elim"},
+          std::vector<std::string>{"baseline", "rsep"}}) {
+        SCOPED_TRACE(arms.back());
+        std::vector<SimConfig> configs;
+        for (const std::string &arm : arms)
+            configs.push_back(small(arm));
+        std::vector<std::string> benches = wl::suiteNames();
+        MatrixOptions mo;
+        mo.jobs = 4;
+        mo.progress = false;
+        std::vector<MatrixRow> full = runMatrix(configs, benches, mo);
+        EXPECT_GT(aliasedCells(full), 0u);
+
+        std::vector<std::vector<StatRow>> parts;
+        size_t split = 0; // candidates whose reference another shard runs.
+        for (u32 i = 0; i < 3; ++i) {
+            mo.shard = {i, 3};
+            std::vector<MatrixRow> rows = runMatrix(configs, benches, mo);
+            for (const MatrixRow &row : rows)
+                for (size_t c = 1; c < configs.size(); ++c)
+                    if (row.byConfig[c].inShard &&
+                        !row.byConfig[0].inShard) {
+                        ++split;
+                        for (const PhaseResult &ph : row.byConfig[c].phases)
+                            EXPECT_TRUE(ph.aliasOf.empty()) << row.benchmark;
+                    }
+            parts.push_back(collectStatRows(configs, rows));
+        }
+        EXPECT_GT(split, 0u);
+        std::vector<StatRow> merged;
+        ASSERT_EQ(mergeStatRows(parts, {"shard0", "shard1", "shard2"}, merged),
+                  "");
+        std::ostringstream os;
+        CsvStatSink{}.write(os, merged);
+        EXPECT_EQ(os.str(), csvOf(configs, full));
+    }
+}
+
+// ---------------------------------------------------- shadow engines
+
+/** Benchmarks on which RSEP never shares at small() sizing, and two on
+ *  which it does. */
+const std::vector<std::string> silentRows = {"bwaves", "gromacs", "namd"};
+const std::vector<std::string> actingRows = {"mcf", "hmmer"};
+
+TEST(ShadowEngine, AShadowLeavesItsHostCellUnchanged)
+{
+    // Shadows of every kind: RSEP alone, RSEP with a zero predictor,
+    // and RSEP with sampled training, which draws from its Rng.
+    std::vector<ShadowArm> kinds(3);
+    kinds[0].mech = small("rsep").mech;
+    kinds[0].engines = {"rsep"};
+    kinds[1].mech = small("rsep+zp").mech;
+    kinds[1].engines = {"rsep", "zero-pred"};
+    kinds[2].mech = small("rsep-val-2x-sample15").mech;
+    kinds[2].engines = {"rsep"};
+    SimConfig host = small("baseline");
+    std::vector<std::string> benches = silentRows;
+    benches.insert(benches.end(), actingRows.begin(), actingRows.end());
+    size_t survived = 0, retired = 0;
+    for (const std::string &bench : benches)
+        for (u32 p = 0; p < host.checkpoints; ++p) {
+            SCOPED_TRACE(bench + "/" + std::to_string(p));
+            std::vector<ShadowArm> shadows = kinds;
+            PhaseResult alone = runPhase(host, bench, p);
+            PhaseResult with = runPhase(host, bench, p, {}, 0, {}, &shadows);
+            alone.wallMicros = with.wallMicros = 0;
+            CacheKey key{bench, configHash(host), p, host.seed};
+            EXPECT_EQ(ResultCache::serializeRecord(key, with),
+                      ResultCache::serializeRecord(key, alone));
+            for (const ShadowArm &arm : shadows)
+                ++(arm.result ? survived : retired);
+        }
+    EXPECT_GT(survived, 0u);
+    EXPECT_GT(retired, 0u);
+}
+
+TEST(ShadowEngine, AShadowThatActsLateRetiresAndItsCellSimulates)
+{
+    // At the Fig. 4 benchmark's sizing (4k warm-up + 20k measured),
+    // RSEP first shares on xalancbmk past the middle of the window.
+    // xalancbmk holds eliminable moves, so move-elim hosts the shadow.
+    SimConfig host = small("move-elim"), arm = small("rsep");
+    for (SimConfig *cfg : {&host, &arm}) {
+        cfg->warmupInsts = 4'000;
+        cfg->measureInsts = 20'000;
+        cfg->checkpoints = 1;
+    }
+    const std::string bench = "xalancbmk";
+
+    // The shadow retires late (at 13.2k of 24k when written), in a
+    // pipeline seeded as runPhase seeds phase 0.
+    wl::Workload w = wl::makeWorkload(bench);
+    wl::Emulator emu(w.program);
+    emu.resetArchState();
+    w.init(emu, 0);
+    core::Pipeline pipe(host.core, host.mech, emu, host.seed ^ 0x9e37);
+    pipe.attachShadow(arm.mech, {"rsep"});
+    u64 window = host.warmupInsts + host.measureInsts, retiredAt = 0;
+    for (u64 n = 0; n < window && !retiredAt; n += 500) {
+        pipe.run(500);
+        if (pipe.shadowRetired(0))
+            retiredAt = pipe.committedCount();
+    }
+    EXPECT_GT(retiredAt, window / 3);
+
+    // Its cell retires in the host and then simulates, and equals the
+    // arm run alone.
+    std::vector<ShadowArm> shadows(1);
+    shadows[0].mech = arm.mech;
+    shadows[0].engines = {"rsep"};
+    runPhase(host, bench, 0, {}, 0, {}, &shadows);
+    EXPECT_FALSE(shadows[0].result);
+    std::vector<SimConfig> configs = {host, arm};
+    MatrixOptions mo;
+    mo.jobs = 1;
+    mo.progress = false;
+    std::vector<MatrixRow> rows = runMatrix(configs, {bench}, mo);
+    EXPECT_TRUE(rows[0].byConfig[1].phases[0].aliasOf.empty());
+    expectRecords(records(configs, rows), aloneRecords(configs, {bench}));
+}
+
+TEST(ShadowEngine, ACachedHostMeansTheShadowedArmSimulates)
+{
+    TempDir tmp;
+    std::vector<SimConfig> configs = {small("baseline"), small("rsep")};
+    MatrixOptions mo;
+    mo.jobs = 2;
+    mo.progress = false;
+    mo.cacheDir = (tmp.path / "cache").string();
+    runMatrix({configs[0]}, silentRows, mo);
+
+    std::vector<MatrixRow> rows = runMatrix(configs, silentRows, mo);
+    for (const MatrixRow &row : rows)
+        for (u32 p = 0; p < 2; ++p) {
+            EXPECT_TRUE(row.byConfig[0].phases[p].fromCache);
+            EXPECT_TRUE(row.byConfig[1].phases[p].aliasOf.empty());
+        }
+    // Cold, the same matrix takes rsep from baseline's shadows.
+    mo.cacheDir.clear();
+    std::vector<MatrixRow> cold = runMatrix(configs, silentRows, mo);
+    EXPECT_EQ(aliasedCells(cold, true), silentRows.size() * 2);
+    expectRecords(records(configs, rows), records(configs, cold));
+    expectRecords(records(configs, cold), aloneRecords(configs, silentRows));
+}
+
+TEST(ShadowEngine, AZeroPredictorRidesItsArmsShadowUnlessItDrawsTheRng)
+{
+    // With a deterministic counter, rsep+zp's zero predictor is a
+    // shadow beside RSEP's; an FPC counter draws from the Rng RSEP's
+    // training shares, so such an arm gets no shadow.
+    SimConfig fpc = small("rsep+zp");
+    fpc.label = "rsep+zp-fpc";
+    fpc.mech.rsep.confKind = ConfidenceKind::Fpc3;
+    std::vector<SimConfig> configs = {small("baseline"), small("rsep+zp"),
+                                      fpc};
+    std::vector<std::string> benches = silentRows;
+    benches.insert(benches.end(), actingRows.begin(), actingRows.end());
     MatrixOptions mo;
     mo.jobs = 4;
     mo.progress = false;
-    std::vector<MatrixRow> full = runMatrix(configs, benches, mo);
-
-    std::vector<std::vector<StatRow>> parts;
-    size_t split = 0; // candidates whose reference another shard runs.
-    for (u32 i = 0; i < 2; ++i) {
-        mo.shard = {i, 2};
-        std::vector<MatrixRow> rows = runMatrix(configs, benches, mo);
-        for (const MatrixRow &row : rows)
-            for (size_t c = 1; c < configs.size(); ++c)
-                if (row.byConfig[c].inShard && !row.byConfig[0].inShard) {
-                    ++split;
-                    for (const PhaseResult &ph : row.byConfig[c].phases)
-                        EXPECT_TRUE(ph.aliasOf.empty()) << row.benchmark;
-                }
-        parts.push_back(collectStatRows(configs, rows));
-    }
-    EXPECT_GT(split, 0u);
-    std::vector<StatRow> merged;
-    ASSERT_EQ(mergeStatRows(parts, {"shard0", "shard1"}, merged), "");
-    std::ostringstream os;
-    CsvStatSink{}.write(os, merged);
-    EXPECT_EQ(os.str(), csvOf(configs, full));
+    std::vector<MatrixRow> rows = runMatrix(configs, benches, mo);
+    size_t deterministic = 0;
+    for (const MatrixRow &row : rows)
+        for (u32 p = 0; p < 2; ++p) {
+            deterministic += row.byConfig[1].phases[p].aliasByShadow;
+            EXPECT_TRUE(row.byConfig[2].phases[p].aliasOf.empty());
+        }
+    EXPECT_GT(deterministic, 0u);
+    expectRecords(records(configs, rows), aloneRecords(configs, benches));
 }
 
 } // namespace

@@ -110,7 +110,8 @@ INSTANTIATE_TEST_SUITE_P(AllBenchmarks, SuiteWorkloads,
 TEST(Suite, Has29PaperBenchmarks)
 {
     EXPECT_EQ(suiteNames().size(), 29u);
-    EXPECT_EQ(makeSuite().size(), 29u);
+    for (const std::string &name : suiteNames())
+        EXPECT_GT(makeWorkload(name).program.size(), 0u) << name;
     // The paper collects 10 checkpoints per benchmark (Section V).
     EXPECT_EQ(checkpointsPerBenchmark, 10u);
 }

@@ -106,6 +106,27 @@ TEST(Pipeline, RegisterConservationWithSharing)
     }
 }
 
+TEST(Pipeline, RegisterConservationCountsIsrbSharers)
+{
+    // After a run that shares registers, every shared register's ISRB
+    // count equals its architectural plus in-flight old mappings.
+    MechConfig mech;
+    mech.moveElim = true;
+    mech.equalityPred = true;
+    mech.rsep = equality::RsepConfig::idealLarge();
+    Rig rig("dealII", mech);
+    rig.pipe.run(20000);
+    EXPECT_GT(rig.pipe.stats().rsepCorrect.value(), 0u);
+    EXPECT_GT(rig.pipe.isrb().entriesInUse(), 0u);
+    ASSERT_TRUE(rig.pipe.checkRegisterConservation());
+
+    // One sharer the ISRB counts but no mapping holds breaks it.
+    PhysReg extra = 1;
+    while (!rig.pipe.isrb().share(extra))
+        ++extra;
+    EXPECT_FALSE(rig.pipe.checkRegisterConservation());
+}
+
 TEST(Pipeline, RegisterConservationWithAllMechanisms)
 {
     MechConfig mech;

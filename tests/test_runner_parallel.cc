@@ -94,14 +94,27 @@ TEST(RunnerParallel, MatrixIsThreadCountInvariant)
     expectIdentical(rows1, rows4);
 }
 
-TEST(RunnerParallel, MatrixMatchesSerialRunWorkload)
+/** @p cfg's run of @p bench, one runPhase per checkpoint, each cell
+ *  initialising its own emulator. */
+RunResult
+serialRun(const SimConfig &cfg, const std::string &bench)
+{
+    RunResult out;
+    out.benchmark = bench;
+    out.configLabel = cfg.label;
+    for (u32 p = 0; p < cfg.checkpoints; ++p)
+        out.phases.push_back(runPhase(cfg, bench, p));
+    return out;
+}
+
+TEST(RunnerParallel, MatrixMatchesSerialRunPhase)
 {
     SimConfig cfg = shrunk(findScenario("rsep-realistic")->config);
     MatrixOptions wide;
     wide.jobs = 3;
     wide.progress = false;
     auto rows = runMatrix({cfg}, {"hmmer"}, wide);
-    RunResult serial = runWorkload(cfg, "hmmer");
+    RunResult serial = serialRun(cfg, "hmmer");
     ASSERT_EQ(rows.size(), 1u);
     ASSERT_EQ(rows[0].byConfig.size(), 1u);
     const RunResult &par = rows[0].byConfig[0];
@@ -127,7 +140,7 @@ TEST(RunnerParallel, SharedInitialStatesGiveTheDumpOfPrivateInits)
 {
     // The cells of a (row, phase) share one post-init image. The dump
     // is the same at any worker count, and the same as when every
-    // cell initialises its own emulator (runWorkload); no image
+    // cell initialises its own emulator (serialRun); no image
     // outlives the matrix.
     for (u32 checkpoints : {1u, 2u}) {
         SCOPED_TRACE(std::to_string(checkpoints) + " checkpoint(s)");
@@ -151,7 +164,7 @@ TEST(RunnerParallel, SharedInitialStatesGiveTheDumpOfPrivateInits)
         for (const std::string &b : benches) {
             own.push_back({b, {}});
             for (const SimConfig &cfg : configs)
-                own.back().byConfig.push_back(runWorkload(cfg, b));
+                own.back().byConfig.push_back(serialRun(cfg, b));
         }
         EXPECT_EQ(dump[0], csvDump(configs, own));
     }

@@ -93,13 +93,15 @@ TEST(SimConfig, EnvScaling)
     unsetenv("RSEP_CHECKPOINTS");
 }
 
-TEST(Runner, RunWorkloadProducesPhases)
+TEST(Runner, OneArmMatrixProducesPhases)
 {
     SimConfig c = findScenario("baseline")->config;
     c.warmupInsts = 2000;
     c.measureInsts = 8000;
     c.checkpoints = 3;
-    RunResult r = runWorkload(c, "namd");
+    MatrixOptions mo;
+    mo.progress = false;
+    RunResult r = runMatrix({c}, {"namd"}, mo)[0].byConfig[0];
     ASSERT_EQ(r.phases.size(), 3u);
     for (const auto &ph : r.phases) {
         EXPECT_GT(ph.ipc, 0.0);

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "core/pipeline.hh"
+#include "sim/runner.hh"
 #include "sim/scenario.hh"
 #include "sim/simulator.hh"
 #include "wl/suite.hh"
@@ -215,7 +216,12 @@ TEST(SpecEngineGolden, RefactoredPipelineMatchesSeedCounters)
 {
     for (const GoldenRow &g : kGolden) {
         SCOPED_TRACE(std::string(g.bench) + "/" + g.label);
-        RunResult r = sim::runWorkload(armByLabel(g.label), g.bench);
+        sim::MatrixOptions mo;
+        mo.jobs = 1;
+        mo.progress = false;
+        RunResult r =
+            sim::runMatrix({armByLabel(g.label)}, {g.bench}, mo)[0]
+                .byConfig[0];
         EXPECT_NEAR(r.ipcHmean(), g.ipcHmean, 1e-12);
         EXPECT_EQ(r.sum(&PipelineStats::cycles), g.cycles);
         EXPECT_EQ(r.sum(&PipelineStats::committedInsts), g.committedInsts);
