@@ -35,6 +35,19 @@ class RingBuffer
 
     explicit RingBuffer(size_t capacity_hint) { reserve(capacity_hint); }
 
+    /** A copy holds the live elements only, in the least capacity that
+     *  fits them: reserve() again before a loop that must not grow. */
+    RingBuffer(const RingBuffer &o)
+    {
+        reserve(o.count);
+        for (size_t i = 0; i < o.count; ++i)
+            buf[i] = o[i];
+        count = o.count;
+    }
+    RingBuffer &operator=(const RingBuffer &) = delete;
+    RingBuffer(RingBuffer &&) = default;
+    RingBuffer &operator=(RingBuffer &&) = default;
+
     bool empty() const { return count == 0; }
     size_t size() const { return count; }
     size_t capacity() const { return buf.size(); }

@@ -33,6 +33,8 @@ class Rng
             s1 = 1;
     }
 
+    bool operator==(const Rng &) const = default;
+
     /** Next raw 64-bit value. */
     u64
     next()

@@ -11,8 +11,6 @@
 #include "core/wakeup.hh"
 #include "isa/static_inst.hh"
 #include "pred/branch_unit.hh"
-#include "pred/dvtage.hh"
-#include "rsep/distance_pred.hh"
 #include "wl/dynrecord.hh"
 
 namespace rsep::core
@@ -61,8 +59,8 @@ struct InflightInst
     unsigned numSrcs = 0;
     bool producesReg = false;
 
-    // Equality prediction state.
-    equality::DistLookup distLk;
+    // Equality prediction state (the engines keep their predictor
+    // lookups in rings of their own, indexed by traceIdx).
     u64 shareProducerSeq = 0;      ///< producer traceIdx (RsepShared).
     bool likelyCandidate = false;  ///< sampled training via validation.
     bool candidateHasPartner = false;
@@ -70,9 +68,6 @@ struct InflightInst
     u64 candidateProducerSeq = 0;
     u64 candidatePartnerValue = 0; ///< producer's result (for training).
     u64 shareProducerValue = 0;    ///< producer's result (for validation).
-
-    // Value prediction state.
-    pred::VpLookup vpLk;
 
     // Branch state.
     pred::BranchPrediction bp;

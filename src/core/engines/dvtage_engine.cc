@@ -1,5 +1,7 @@
 #include "core/engines/dvtage_engine.hh"
 
+#include <algorithm>
+#include <bit>
 #include <cassert>
 
 #include "core/pipeline.hh"
@@ -8,8 +10,16 @@ namespace rsep::core
 {
 
 DvtageEngine::DvtageEngine(PipelineStats &st,
-                           const pred::DvtageParams &params, u64 seed)
-    : SpeculationEngine("dvtage"), vp(params, seed)
+                           const pred::DvtageParams &params, u64 seed,
+                           unsigned window, bool shadow)
+    : SpeculationEngine("dvtage", shadow), vp(params, seed),
+      lookups(std::bit_ceil(std::max(window, 1u)))
+{
+    registerStats(st);
+}
+
+void
+DvtageEngine::registerStats(PipelineStats &st)
 {
     registerStat("predicted", &predicted, sampleCoverage);
     registerStat("correct", &st.vpCorrect, sampleCorrect);
@@ -19,16 +29,18 @@ DvtageEngine::DvtageEngine(PipelineStats &st,
 bool
 DvtageEngine::atRename(InflightInst &di, bool handled, EngineContext &ctx)
 {
+    pred::VpLookup &lk = lookupOf(di);
+    lk.valid = false;
     if (!di.producesReg || di.si->isZeroIdiom())
         return false;
     // Folded-history fast path (see Pipeline::renameHist()).
     assert(ctx.pipe.renameHist().dir == di.histFetch.dir &&
            ctx.pipe.renameHist().path == di.histFetch.path);
-    di.vpLk = vp.lookup(di.pc, di.histFetch, ctx.pipe.renameFolds());
-    if (handled || !di.vpLk.confident)
+    lk = vp.lookup(di.pc, di.histFetch, ctx.pipe.renameFolds());
+    if (handled || !lk.confident || retireShadow())
         return false;
     di.action = RenameAction::ValuePredicted;
-    vp.notifySpeculated(di.vpLk);
+    vp.notifySpeculated(lk);
     ++predicted;
     return true;
 }
@@ -37,7 +49,7 @@ CommitVerdict
 DvtageEngine::atCommitHead(InflightInst &di, EngineContext &ctx)
 {
     if (di.action != RenameAction::ValuePredicted ||
-        di.vpLk.predicted == di.rec.result)
+        lookupOf(di).predicted == di.rec.result)
         return CommitVerdict::Proceed;
     // VP commits the instruction (its own execution wrote the correct
     // result to its register) and squashes everything younger,
@@ -49,12 +61,17 @@ DvtageEngine::atCommitHead(InflightInst &di, EngineContext &ctx)
 void
 DvtageEngine::atCommit(InflightInst &di, EngineContext &ctx)
 {
+    pred::VpLookup &lk = lookupOf(di);
     if (di.action == RenameAction::ValuePredicted) {
         ++(di.isLoad() ? ctx.st.valuePredLoad : ctx.st.valuePredOther);
         ++ctx.st.vpCorrect;
     }
-    if (di.vpLk.valid)
-        vp.commit(di.vpLk, di.rec.result);
+    // An equality-shared instruction that this predictor would also
+    // have covered (Fig. 5 overlap).
+    if (di.action == RenameAction::RsepShared && lk.valid && lk.confident)
+        ++ctx.st.rsepVpOverlap;
+    if (lk.valid)
+        vp.commit(lk, di.rec.result);
 }
 
 void

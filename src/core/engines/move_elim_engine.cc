@@ -8,6 +8,12 @@ namespace rsep::core
 MoveElimEngine::MoveElimEngine(PipelineStats &st)
     : SpeculationEngine("move-elim")
 {
+    registerStats(st);
+}
+
+void
+MoveElimEngine::registerStats(PipelineStats &st)
+{
     registerStat("eliminated", &st.moveElim, sampleCoverage);
     registerStat("shareFailures", &shareFailures);
 }

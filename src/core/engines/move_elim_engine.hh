@@ -19,6 +19,11 @@ class MoveElimEngine : public SpeculationEngine
 {
   public:
     explicit MoveElimEngine(PipelineStats &st);
+    std::unique_ptr<SpeculationEngine>
+    clone(PipelineStats &st) const override
+    {
+        return cloneInto(*this, st);
+    }
 
     bool atRename(InflightInst &di, bool handled,
                   EngineContext &ctx) override;
@@ -27,6 +32,11 @@ class MoveElimEngine : public SpeculationEngine
     void atSquashInst(InflightInst &di, EngineContext &ctx) override;
 
     StatCounter shareFailures; ///< moves kept because the ISRB refused.
+
+  private:
+    friend class SpeculationEngine; // cloneInto
+    MoveElimEngine(const MoveElimEngine &) = default;
+    void registerStats(PipelineStats &st);
 };
 
 } // namespace rsep::core

@@ -10,6 +10,12 @@ namespace rsep::core
 OracleEqEngine::OracleEqEngine(PipelineStats &st, unsigned lookback)
     : SpeculationEngine("oracle-eq"), window(lookback)
 {
+    registerStats(st);
+}
+
+void
+OracleEqEngine::registerStats(PipelineStats &st)
+{
     // The Fig. 5 counters the real engine books into (a registered
     // arm runs one of the two): the oracle never speculates wrong, so
     // every sharing is covered and correct.

@@ -31,6 +31,11 @@ class OracleEqEngine : public SpeculationEngine
      *  producers (the FIFO history's unit); 0 means "the whole ROB"
      *  (the scan always stops at the ROB head either way). */
     explicit OracleEqEngine(PipelineStats &st, unsigned lookback = 0);
+    std::unique_ptr<SpeculationEngine>
+    clone(PipelineStats &st) const override
+    {
+        return cloneInto(*this, st);
+    }
 
     bool atRename(InflightInst &di, bool handled,
                   EngineContext &ctx) override;
@@ -40,6 +45,10 @@ class OracleEqEngine : public SpeculationEngine
     StatCounter sharedWithZero; ///< committed sharings via the zero reg.
 
   private:
+    friend class SpeculationEngine; // cloneInto
+    OracleEqEngine(const OracleEqEngine &) = default;
+    void registerStats(PipelineStats &st);
+
     unsigned window; ///< 0 = ROB-bounded only.
 };
 

@@ -1,5 +1,6 @@
 #include "core/engines/rsep_engine.hh"
 
+#include <algorithm>
 #include <bit>
 #include <cassert>
 
@@ -10,13 +11,27 @@ namespace rsep::core
 
 RsepEngine::RsepEngine(PipelineStats &st,
                        const equality::RsepConfig &rsep_cfg,
-                       unsigned total_pregs, u64 seed,
-                       unsigned shadow_window)
-    : SpeculationEngine("rsep", shadow_window > 0), cfg(rsep_cfg),
+                       unsigned total_pregs, u64 seed, unsigned window,
+                       bool shadow)
+    : SpeculationEngine("rsep", shadow), cfg(rsep_cfg),
       distPred(cfg.distParams(), seed),
-      fifo(cfg.historyDepth), ddtUnit(cfg.ddtEntries),
+      // Only the history in use takes its full size.
+      fifo(cfg.useDdt ? 1 : cfg.historyDepth),
+      ddtUnit(cfg.useDdt ? cfg.ddtEntries : 1),
       hrfUnit(total_pregs, cfg.hashBits),
-      shadowLookups(shadow_window ? std::bit_ceil(shadow_window) : 0)
+      lookups(std::bit_ceil(std::max(window, 1u))),
+      // Sampling acts on a likely candidate, whose confidence is at
+      // least the start-train threshold (any at threshold 0).
+      armLevel(!cfg.sampling ? distPred.actLevel(0)
+               : cfg.startTrainThreshold == 0
+                   ? 0
+                   : distPred.actLevel(cfg.startTrainThreshold))
+{
+    registerStats(st);
+}
+
+void
+RsepEngine::registerStats(PipelineStats &st)
 {
     registerStat("shared", &st.rsepCorrect, sampleCoverage | sampleCorrect);
     registerStat("mispredicts", &st.rsepMispredicts,
@@ -25,6 +40,12 @@ RsepEngine::RsepEngine(PipelineStats &st,
     registerStat("shareFailNoProducer", &st.shareFailNoProducer);
     registerStat("shareFailIsrb", &st.shareFailIsrb);
     registerStat("hashFalsePositives", &st.hashFalsePositives);
+}
+
+bool
+RsepEngine::armed() const
+{
+    return distPred.peakLevel() >= armLevel;
 }
 
 // ---------------------------------------------------------------- rename
@@ -94,16 +115,18 @@ RsepEngine::atRename(InflightInst &di, bool handled, EngineContext &ctx)
     // candidate, even if an earlier engine claimed the rename (the
     // predictor sees the fetch-time history either way). Eliminable
     // moves and zero idioms are never candidates.
+    equality::DistLookup &lk = lookupOf(di);
     if (!di.producesReg ||
-        (ctx.mech.moveElim && si.isEliminableMove()) || si.isZeroIdiom())
+        (ctx.mech.moveElim && si.isEliminableMove()) || si.isZeroIdiom()) {
+        lk.valid = false;
         return false;
+    }
     // The pipeline's rename-side history replica equals di.histFetch
     // for every renaming instruction; its incrementally folded
     // registers make this lookup O(components) instead of O(history).
     assert(ctx.pipe.renameHist().dir == di.histFetch.dir &&
            ctx.pipe.renameHist().path == di.histFetch.path);
-    lookupOf(di) =
-        distPred.lookup(di.pc, di.histFetch, ctx.pipe.renameFolds());
+    lk = distPred.lookup(di.pc, di.histFetch, ctx.pipe.renameFolds());
     if (handled)
         return false;
     return tryEqualityPredict(di, ctx);
@@ -144,8 +167,6 @@ RsepEngine::atCommit(InflightInst &di, EngineContext &ctx)
     if (di.action == RenameAction::RsepShared) {
         ++(di.isLoad() ? ctx.st.distPredLoad : ctx.st.distPredOther);
         ++ctx.st.rsepCorrect;
-        if (di.vpLk.valid && di.vpLk.confident)
-            ++ctx.st.rsepVpOverlap;
     }
 
     if (!di.producesReg)

@@ -12,7 +12,9 @@
  *
  * First act (a shadow retires there): a confident distance prediction
  * whose producer is in flight, where the engine would share its
- * register, or a likely candidate.
+ * register, or a likely candidate. Armed once a distance entry is
+ * confident enough for either (usePred, or the start-train threshold
+ * under sampling).
  */
 
 #ifndef RSEP_CORE_ENGINES_RSEP_ENGINE_HH
@@ -34,11 +36,20 @@ namespace rsep::core
 class RsepEngine : public SpeculationEngine
 {
   public:
-    /** A shadow (@p shadow_window > 0) keeps each in-flight
-     *  instruction's distance lookup in a ring of that many entries,
-     *  at least the ROB size, instead of on the host's instruction. */
+    /** Each in-flight instruction's distance lookup lives in a ring
+     *  indexed by sequence number, of at least @p window (the ROB
+     *  size) entries. */
     RsepEngine(PipelineStats &st, const equality::RsepConfig &rsep_cfg,
-               unsigned total_pregs, u64 seed, unsigned shadow_window = 0);
+               unsigned total_pregs, u64 seed, unsigned window,
+               bool shadow = false);
+
+    std::unique_ptr<SpeculationEngine>
+    clone(PipelineStats &st) const override
+    {
+        return cloneInto(*this, st);
+    }
+
+    bool armed() const override;
 
     bool atRename(InflightInst &di, bool handled,
                   EngineContext &ctx) override;
@@ -47,6 +58,7 @@ class RsepEngine : public SpeculationEngine
     CommitVerdict atCommitHead(InflightInst &di,
                                EngineContext &ctx) override;
     void atCommit(InflightInst &di, EngineContext &ctx) override;
+    bool wantsCycleHooks() const override { return true; }
     void atCommitGroupEnd(unsigned producers_this_cycle,
                           EngineContext &ctx) override;
     void atIdleCycles(u64 n, EngineContext &ctx) override;
@@ -57,12 +69,14 @@ class RsepEngine : public SpeculationEngine
     equality::Ddt &ddt() { return ddtUnit; }
 
   private:
+    friend class SpeculationEngine; // cloneInto
+    RsepEngine(const RsepEngine &) = default;
+    void registerStats(PipelineStats &st);
+
     equality::DistLookup &
-    lookupOf(InflightInst &di)
+    lookupOf(const InflightInst &di)
     {
-        return shadowLookups.empty()
-            ? di.distLk
-            : shadowLookups[di.traceIdx & (shadowLookups.size() - 1)];
+        return lookups[di.traceIdx & (lookups.size() - 1)];
     }
     bool tryEqualityPredict(InflightInst &di, EngineContext &ctx);
     void resolveLikelyCandidate(InflightInst &di, EngineContext &ctx);
@@ -82,8 +96,10 @@ class RsepEngine : public SpeculationEngine
         equality::DistLookup distLk;
     };
     std::vector<PendingProbe> samplePool;
-    /** A shadow's lookups by sequence number (a power of two). */
-    std::vector<equality::DistLookup> shadowLookups;
+    /** In-flight lookups by sequence number (a power of two). */
+    std::vector<equality::DistLookup> lookups;
+    /** The raw distance-confidence level at which the engine acts. */
+    unsigned armLevel;
 };
 
 } // namespace rsep::core

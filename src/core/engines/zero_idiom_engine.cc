@@ -8,6 +8,12 @@ namespace rsep::core
 ZeroIdiomEngine::ZeroIdiomEngine(PipelineStats &st)
     : SpeculationEngine("zero-idiom")
 {
+    registerStats(st);
+}
+
+void
+ZeroIdiomEngine::registerStats(PipelineStats &st)
+{
     registerStat("eliminated", &st.zeroIdiomElim, sampleCoverage);
 }
 

@@ -18,11 +18,21 @@ class ZeroIdiomEngine : public SpeculationEngine
 {
   public:
     explicit ZeroIdiomEngine(PipelineStats &st);
+    std::unique_ptr<SpeculationEngine>
+    clone(PipelineStats &st) const override
+    {
+        return cloneInto(*this, st);
+    }
 
     bool atRename(InflightInst &di, bool handled,
                   EngineContext &ctx) override;
     bool mayElideExecution(const isa::StaticInst &si) const override;
     void atCommit(InflightInst &di, EngineContext &ctx) override;
+
+  private:
+    friend class SpeculationEngine; // cloneInto
+    ZeroIdiomEngine(const ZeroIdiomEngine &) = default;
+    void registerStats(PipelineStats &st);
 };
 
 } // namespace rsep::core

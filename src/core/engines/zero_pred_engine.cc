@@ -9,6 +9,12 @@ ZeroPredEngine::ZeroPredEngine(PipelineStats &st, unsigned entries,
                                ConfidenceKind kind, bool shadow)
     : SpeculationEngine("zero-pred", shadow), zp(entries, kind)
 {
+    registerStats(st);
+}
+
+void
+ZeroPredEngine::registerStats(PipelineStats &st)
+{
     registerStat("predictions", &predictions, sampleCoverage);
     registerStat("correct", &st.zeroCorrect, sampleCorrect);
     registerStat("mispredicts", &st.zeroMispredicts, sampleMispredict);

@@ -6,7 +6,8 @@
  * micro-op executes the instruction and the verdict is enforced at
  * commit (mispredicts squash from head).
  *
- * First act (a shadow retires there): a confident prediction.
+ * First act (a shadow retires there): a confident prediction. Armed
+ * once a counter saturates.
  */
 
 #ifndef RSEP_CORE_ENGINES_ZERO_PRED_ENGINE_HH
@@ -23,6 +24,13 @@ class ZeroPredEngine : public SpeculationEngine
   public:
     ZeroPredEngine(PipelineStats &st, unsigned entries,
                    ConfidenceKind kind, bool shadow = false);
+    std::unique_ptr<SpeculationEngine>
+    clone(PipelineStats &st) const override
+    {
+        return cloneInto(*this, st);
+    }
+
+    bool armed() const override { return zp.everSaturated(); }
 
     bool atRename(InflightInst &di, bool handled,
                   EngineContext &ctx) override;
@@ -33,6 +41,10 @@ class ZeroPredEngine : public SpeculationEngine
     StatCounter predictions; ///< rename-time zero predictions made.
 
   private:
+    friend class SpeculationEngine; // cloneInto
+    ZeroPredEngine(const ZeroPredEngine &) = default;
+    void registerStats(PipelineStats &st);
+
     equality::ZeroPredictor zp;
 };
 

@@ -29,6 +29,7 @@ enum ChainPosition : unsigned {
     chainDvtage,
     chainLength,
 };
+static_assert(chainLength == Pipeline::chainSlots);
 constexpr const char *chainNames[chainLength] = {
     "zero-idiom", "move-elim", "zero-pred", "oracle-eq", "rsep", "dvtage"};
 
@@ -67,6 +68,37 @@ countersOf(PipelineStats &s)
     return out;
 }
 
+/** Add every counter and histogram bucket of @p from to @p to. */
+void
+addStats(PipelineStats &to, PipelineStats &from)
+{
+    std::vector<StatCounter *> dst = countersOf(to), src = countersOf(from);
+    for (size_t k = 0; k < dst.size(); ++k)
+        *dst[k] += src[k]->value();
+    const StatHistogram &hist = from.commitGroupProducers;
+    for (size_t b = 0; b < hist.buckets(); ++b)
+        to.commitGroupProducers.sample(b, hist.bucket(b));
+}
+
+/** Put @p e, an engine of @p slot's type or null, in @p slot. */
+template <class E>
+void
+adopt(std::unique_ptr<E> &slot, std::unique_ptr<SpeculationEngine> e)
+{
+    slot.reset(static_cast<E *>(e.release()));
+}
+
+/** A copy of @p e (an engine, or null) counting into @p st. */
+template <class E>
+std::unique_ptr<E>
+cloneEngine(const std::unique_ptr<E> &e, PipelineStats &st)
+{
+    std::unique_ptr<E> copy;
+    if (e)
+        adopt(copy, e->clone(st));
+    return copy;
+}
+
 } // namespace
 
 /** A later arm's engines, run beside the host pipeline. */
@@ -75,15 +107,40 @@ struct Pipeline::Shadow
     MechConfig mech; ///< the arm's.
     PipelineStats st;
     Rng rng;
+    Rng rngAtAttach; ///< rng before its engines drew from it.
     std::vector<std::unique_ptr<SpeculationEngine>> owned;
     std::vector<SpeculationEngine *> engines; ///< registration order.
     std::vector<unsigned> ranks;              ///< chain positions.
+    std::vector<SpeculationEngine *> cycleEngines; ///< wantsCycleHooks().
     bool retired = false;
+    Cycle actCycle = 0; ///< when retired: the cycle of the first act.
+
+    /** A copy whose engines count into its own statistics (a retired
+     *  shadow has none left). */
+    std::unique_ptr<Shadow>
+    copy() const
+    {
+        auto s = std::make_unique<Shadow>();
+        s->mech = mech;
+        s->st = st;
+        s->rng = rng;
+        s->rngAtAttach = rngAtAttach;
+        s->retired = retired;
+        s->actCycle = actCycle;
+        s->ranks = ranks;
+        for (const auto &e : owned) {
+            s->owned.push_back(e->clone(s->st));
+            s->engines.push_back(s->owned.back().get());
+            if (e->wantsCycleHooks())
+                s->cycleEngines.push_back(s->engines.back());
+        }
+        return s;
+    }
 };
 
 Pipeline::Pipeline(const CoreParams &core_params, const MechConfig &mech_cfg,
                    wl::TraceSource &src, u64 seed)
-    : cp(core_params), mech(mech_cfg), engineSeed(seed), emul(src),
+    : cp(core_params), mech(mech_cfg), engineSeed(seed), emul(&src),
       trace(src), hier(mem::HierarchyParams{}),
       bru(pred::TageParams{}, seed ^ 0x1111),
       isrbUnit(mech.rsep.isrbEntries, mech.rsep.isrbCounterBits),
@@ -92,12 +149,7 @@ Pipeline::Pipeline(const CoreParams &core_params, const MechConfig &mech_cfg,
       memIdx(4 * (core_params.lqSize + core_params.sqSize)),
       rng(seed ^ 0x4444)
 {
-    // Fixed-capacity ring: reserve the structural bound (ROB plus the
-    // frontend queue plus one fetch group) once so the steady-state
-    // cycle loop never allocates — and in-place references into the
-    // window are never invalidated by growth.
-    window.reserve(cp.robSize + 1 + cp.frontendDepth * cp.fetchWidth +
-                   16 + cp.fetchWidth);
+    reserveWindow();
     pregWaiterHead.assign(pregReady.size(), invalidWaiter);
     idealVal = mech.rsep.validation == equality::ValidationPolicy::Ideal;
     // Registration order is dispatch order: the rename-stage priority
@@ -106,12 +158,8 @@ Pipeline::Pipeline(const CoreParams &core_params, const MechConfig &mech_cfg,
     // accessor below asks for one).
     zeroIdiomEngine = std::make_unique<ZeroIdiomEngine>(st);
     moveElimEngine = std::make_unique<MoveElimEngine>(st);
-    if (mech.zeroIdiomElim)
-        active.push_back(zeroIdiomEngine.get());
-    if (mech.moveElim)
-        active.push_back(moveElimEngine.get());
     if (mech.zeroPred)
-        active.push_back(&zeroPredEng());
+        zeroPredEng();
     if (mech.oracleEq) {
         // The oracle's pair-visibility window is rsep.history_depth
         // *producers* — the FIFO's unit — so "rsep vs its oracle"
@@ -119,15 +167,17 @@ Pipeline::Pipeline(const CoreParams &core_params, const MechConfig &mech_cfg,
         // registered rsep-oracle arm's 1024 exceeds any ROB).
         oracleEqEngine =
             std::make_unique<OracleEqEngine>(st, mech.rsep.historyDepth);
-        active.push_back(oracleEqEngine.get());
     }
     if (mech.equalityPred)
-        active.push_back(&rsepEng());
+        rsepEng();
     if (mech.valuePred)
-        active.push_back(&dvtageEng());
-    for (auto *e : active)
-        if (e->wantsIssueHook())
-            issueSubscribers.push_back(e);
+        dvtageEng();
+    // Every engine built so far is registered, but for the two always
+    // built.
+    relist([&](const SpeculationEngine *e) {
+        return (e != zeroIdiomEngine.get() || mech.zeroIdiomElim) &&
+               (e != moveElimEngine.get() || mech.moveElim);
+    });
 
     // Rename-side folded history: the engines doing history-indexed
     // lookups at rename register their fold geometry here; one replica
@@ -159,7 +209,84 @@ Pipeline::Pipeline(const CoreParams &core_params, const MechConfig &mech_cfg,
     }
 }
 
+Pipeline::Pipeline(const Pipeline &o)
+    : elideCache(o.elideCache), cp(o.cp), mech(o.mech),
+      engineSeed(o.engineSeed), emul(nullptr), ownedSrc(o.emul->clone()),
+      trace(o.trace), hier(o.hier), bru(o.bru),
+      renameFoldSpec(o.renameFoldSpec),
+      renameHist_(o.renameHist_), renameFolds_(o.renameFolds_),
+      renameHistActive(o.renameHistActive), storeSets(o.storeSets),
+      isrbUnit(o.isrbUnit), rename(o.rename), fuPool(o.fuPool),
+      window(o.window), nRenamed(o.nRenamed), pregReady(o.pregReady),
+      waiters(o.waiters), pregWaiterHead(o.pregWaiterHead),
+      wakeHeap(o.wakeHeap), readyList(o.readyList),
+      pendingValidation(o.pendingValidation), memIdx(o.memIdx),
+      valIdx(o.valIdx ? std::make_unique<ValueEqIndex>(*o.valIdx)
+                      : nullptr),
+      valOrdNext(o.valOrdNext), deferredReady(o.deferredReady),
+      deferredPos(o.deferredPos), inIssueScan(o.inIssueScan),
+      schedCounter(o.schedCounter), idealVal(o.idealVal),
+      runTarget(o.runTarget), atRenameStage(o.atRenameStage),
+      fig1(o.fig1 ? std::make_unique<Fig1State>(*o.fig1) : nullptr),
+      iqUsed(o.iqUsed), lqUsed(o.lqUsed), sqUsed(o.sqUsed),
+      fetchIdx(o.fetchIdx), cycle(o.cycle),
+      fetchResumeCycle(o.fetchResumeCycle),
+      fetchWaitingExec(o.fetchWaitingExec), committed(o.committed),
+      lastFetchLine(o.lastFetchLine), rng(o.rng), st(o.st)
+{
+    if (!ownedSrc)
+        rsep_panic("pipeline copy: the trace source cannot be copied");
+    emul = ownedSrc.get();
+    trace.rebind(*emul);
+    zeroIdiomEngine = cloneEngine(o.zeroIdiomEngine, st);
+    moveElimEngine = cloneEngine(o.moveElimEngine, st);
+    zeroPredEngine = cloneEngine(o.zeroPredEngine, st);
+    oracleEqEngine = cloneEngine(o.oracleEqEngine, st);
+    rsepEngine = cloneEngine(o.rsepEngine, st);
+    dvtageEngine = cloneEngine(o.dvtageEngine, st);
+    std::array<SpeculationEngine *, chainLength> mine = engineSlots(),
+                                                 theirs = o.engineSlots();
+    relist([&](const SpeculationEngine *e) {
+        size_t k = static_cast<size_t>(
+            std::find(mine.begin(), mine.end(), e) - mine.begin());
+        return std::find(o.active.begin(), o.active.end(), theirs[k]) !=
+               o.active.end();
+    });
+    for (const auto &sh : o.shadows) {
+        shadows.push_back(sh->copy());
+        if (!shadows.back()->retired)
+            liveShadows.push_back(shadows.back().get());
+    }
+}
+
 Pipeline::~Pipeline() = default;
+
+std::array<SpeculationEngine *, Pipeline::chainSlots>
+Pipeline::engineSlots() const
+{
+    // Chain (registration) order.
+    return {zeroIdiomEngine.get(), moveElimEngine.get(),
+            zeroPredEngine.get(),  oracleEqEngine.get(),
+            rsepEngine.get(),      dvtageEngine.get()};
+}
+
+void
+Pipeline::relist(
+    const std::function<bool(const SpeculationEngine *)> &registered)
+{
+    active.clear();
+    issueSubscribers.clear();
+    cycleSubscribers.clear();
+    for (SpeculationEngine *e : engineSlots())
+        if (e && registered(e)) {
+            active.push_back(e);
+            if (e->wantsIssueHook())
+                issueSubscribers.push_back(e);
+            if (e->wantsCycleHooks())
+                cycleSubscribers.push_back(e);
+        }
+    elideCache = {};
+}
 
 std::vector<std::string>
 registeredEngineNames(const MechConfig &mech)
@@ -208,8 +335,16 @@ std::unique_ptr<RsepEngine>
 Pipeline::buildRsep(PipelineStats &s, const MechConfig &m, bool shadow) const
 {
     return std::make_unique<RsepEngine>(s, m.rsep, cp.intPregs + cp.fpPregs,
-                                        engineSeed ^ 0x3333,
-                                        shadow ? cp.robSize : 0);
+                                        engineSeed ^ 0x3333, cp.robSize,
+                                        shadow);
+}
+
+std::unique_ptr<DvtageEngine>
+Pipeline::buildDvtage(PipelineStats &s, const MechConfig &m,
+                      bool shadow) const
+{
+    return std::make_unique<DvtageEngine>(s, m.vp, engineSeed ^ 0x2222,
+                                          cp.robSize, shadow);
 }
 
 ZeroPredEngine &
@@ -232,8 +367,7 @@ DvtageEngine &
 Pipeline::dvtageEng()
 {
     if (!dvtageEngine)
-        dvtageEngine =
-            std::make_unique<DvtageEngine>(st, mech.vp, engineSeed ^ 0x2222);
+        dvtageEngine = buildDvtage(st, mech, false);
     return *dvtageEngine;
 }
 
@@ -245,6 +379,7 @@ Pipeline::attachShadow(const MechConfig &arm,
     auto s = std::make_unique<Shadow>();
     s->mech = arm;
     s->rng = rng; // not drawn before the first run: the arm's seed.
+    s->rngAtAttach = rng;
     std::vector<std::string> names = engines;
     std::sort(names.begin(), names.end(),
               [](const std::string &a, const std::string &b) {
@@ -260,11 +395,19 @@ Pipeline::attachShadow(const MechConfig &arm,
             renameFolds_.bind(&renameFoldSpec);
             renameHistActive = true;
             s->owned.push_back(std::move(eng));
+        } else if (name == "dvtage") {
+            std::unique_ptr<DvtageEngine> eng = buildDvtage(s->st, arm, true);
+            eng->predictor().registerFolds(renameFoldSpec);
+            renameFolds_.bind(&renameFoldSpec);
+            renameHistActive = true;
+            s->owned.push_back(std::move(eng));
         } else {
             rsep_panic("engine '%s' cannot run as a shadow", name.c_str());
         }
         s->engines.push_back(s->owned.back().get());
         s->ranks.push_back(chainRank(name));
+        if (s->engines.back()->wantsCycleHooks())
+            s->cycleEngines.push_back(s->engines.back());
     }
     liveShadows.push_back(s.get());
     shadows.push_back(std::move(s));
@@ -277,6 +420,12 @@ Pipeline::shadowRetired(size_t i) const
     return shadows.at(i)->retired;
 }
 
+Cycle
+Pipeline::shadowActCycle(size_t i) const
+{
+    return shadows.at(i)->actCycle;
+}
+
 const std::vector<SpeculationEngine *> &
 Pipeline::shadowEngines(size_t i) const
 {
@@ -287,14 +436,53 @@ PipelineStats
 Pipeline::shadowArmStats(size_t i)
 {
     PipelineStats arm = st;
-    PipelineStats &delta = shadows.at(i)->st;
-    std::vector<StatCounter *> to = countersOf(arm), from = countersOf(delta);
-    for (size_t k = 0; k < to.size(); ++k)
-        *to[k] += from[k]->value();
-    const StatHistogram &hist = delta.commitGroupProducers;
-    for (size_t b = 0; b < hist.buckets(); ++b)
-        arm.commitGroupProducers.sample(b, hist.bucket(b));
+    addStats(arm, shadows.at(i)->st);
     return arm;
+}
+
+void
+Pipeline::promoteShadow(size_t i)
+{
+    Shadow &s = *shadows.at(i);
+    if (s.retired)
+        rsep_panic("pipeline: shadow %zu acted and cannot be promoted", i);
+    addStats(st, s.st);
+    // An ISRB of another geometry has never held an entry: only its
+    // sharers read it, and this pipeline's have the arm's geometry
+    // (withoutEngines keeps it for them).
+    if (s.mech.rsep.isrbEntries != mech.rsep.isrbEntries ||
+        s.mech.rsep.isrbCounterBits != mech.rsep.isrbCounterBits) {
+        if (isrbUnit.entriesInUse() != 0)
+            rsep_panic("pipeline: promoting a shadow over a shared ISRB "
+                       "of another geometry");
+        isrbUnit = equality::Isrb(s.mech.rsep.isrbEntries,
+                                  s.mech.rsep.isrbCounterBits);
+    }
+    mech = s.mech;
+    idealVal = mech.rsep.validation == equality::ValidationPolicy::Ideal;
+    // The engines of at most one side draw from an Rng (the Rng rule,
+    // DESIGN.md §20): the arm's is the one that moved.
+    if (!(s.rng == s.rngAtAttach))
+        rng = s.rng;
+    std::vector<const SpeculationEngine *> registered(active.begin(),
+                                                      active.end());
+    for (SpeculationEngine *e : s.engines) {
+        std::unique_ptr<SpeculationEngine> copy = e->clone(st);
+        copy->promote();
+        registered.push_back(copy.get());
+        if (e->name() == "zero-pred")
+            adopt(zeroPredEngine, std::move(copy));
+        else if (e->name() == "rsep")
+            adopt(rsepEngine, std::move(copy));
+        else
+            adopt(dvtageEngine, std::move(copy));
+    }
+    relist([&](const SpeculationEngine *e) {
+        return std::find(registered.begin(), registered.end(), e) !=
+               registered.end();
+    });
+    shadows.clear();
+    liveShadows.clear();
 }
 
 u64
@@ -322,10 +510,28 @@ Pipeline::shadowHook(Hook &&hook, bool squash_follows)
             hook(*s->engines[k], ctx, s->ranks[k]);
             s->retired = s->engines[k]->retired();
         }
+        if (s->retired) {
+            s->actCycle = cycle;
+            // It gets no hook again: only its act cycle is kept.
+            s->owned.clear();
+            s->engines.clear();
+            s->cycleEngines.clear();
+        }
         retired = retired || s->retired;
     }
     if (retired)
         std::erase_if(liveShadows, [](const Shadow *s) { return s->retired; });
+}
+
+template <class Hook>
+void
+Pipeline::shadowCycleHook(Hook &&hook)
+{
+    for (Shadow *s : liveShadows)
+        for (SpeculationEngine *e : s->cycleEngines) {
+            EngineContext ctx{*this, s->st, s->mech, s->rng, cycle, committed};
+            hook(*e, ctx);
+        }
 }
 
 equality::FifoHistory &
@@ -475,7 +681,7 @@ Pipeline::doFetch()
     unsigned taken_seen = 0;
     for (unsigned n = 0; n < cp.fetchWidth; ++n) {
         const wl::DynRecord &rec = trace.at(fetchIdx);
-        const isa::StaticInst &si = emul.program().at(rec.staticIdx);
+        const isa::StaticInst &si = emul->program().at(rec.staticIdx);
         Addr pc = isa::Program::pcOf(rec.staticIdx);
 
         // I-cache: fetching a new line may stall the group.
@@ -1377,10 +1583,10 @@ Pipeline::doCommit()
     // probes live in the engines.
     {
         EngineContext ctx = makeContext();
-        for (auto *e : active)
+        for (auto *e : cycleSubscribers)
             e->atCommitGroupEnd(producers_this_cycle, ctx);
     }
-    shadowHook([&](SpeculationEngine &e, EngineContext &c, unsigned) {
+    shadowCycleHook([&](SpeculationEngine &e, EngineContext &c) {
         e.atCommitGroupEnd(producers_this_cycle, c);
     });
 }
@@ -1490,14 +1696,66 @@ Pipeline::nextEventCycle() const
 }
 
 void
+Pipeline::reserveWindow()
+{
+    // Fixed-capacity ring: reserve the structural bound (ROB plus the
+    // frontend queue plus one fetch group) so the cycle loop never
+    // allocates — and in-place references into the window are never
+    // invalidated by growth. A copy holds only its live instructions
+    // until it runs.
+    window.reserve(cp.robSize + 1 + cp.frontendDepth * cp.fetchWidth +
+                   16 + cp.fetchWidth);
+}
+
+void
 Pipeline::run(u64 ninsts)
 {
-    u64 target = committed + ninsts;
-    while (committed < target) {
-        ++cycle;
-        ++st.cycles;
-        doCommit();
-        doIssueAndValidate();
+    hier.thaw();
+    reserveWindow();
+    runTarget = committed + ninsts;
+    runLoop(false);
+}
+
+void
+Pipeline::resume()
+{
+    if (!atRenameStage)
+        rsep_panic("pipeline: resume() without a snapshot to resume");
+    atRenameStage = false;
+    hier.thaw();
+    reserveWindow();
+    runLoop(true);
+}
+
+bool
+Pipeline::shadowArmed() const
+{
+    for (const Shadow *s : liveShadows)
+        for (const SpeculationEngine *e : s->engines)
+            if (e->armed())
+                return true;
+    return false;
+}
+
+void
+Pipeline::runLoop(bool at_rename)
+{
+    const u64 target = runTarget;
+    while (at_rename || committed < target) {
+        if (!at_rename) {
+            ++cycle;
+            ++st.cycles;
+            doCommit();
+            doIssueAndValidate();
+            // The snapshot point: every act of this cycle is still to
+            // come (DESIGN.md §20, "Forks").
+            if (snapshotWanted && shadowArmed()) {
+                snapshotWanted = false;
+                snapshot = std::make_unique<Pipeline>(*this);
+                snapshot->atRenameStage = true;
+            }
+        }
+        at_rename = false;
         doRename();
         doFetch();
         // Fast-forward stretches where provably nothing can happen
@@ -1509,10 +1767,11 @@ Pipeline::run(u64 ninsts)
             st.cycles += skipped;
             cycle += skipped;
             EngineContext ctx = makeContext();
-            for (auto *e : active)
+            for (auto *e : cycleSubscribers)
                 e->atIdleCycles(skipped, ctx);
-            shadowHook([&](SpeculationEngine &e, EngineContext &c,
-                           unsigned) { e.atIdleCycles(skipped, c); });
+            shadowCycleHook([&](SpeculationEngine &e, EngineContext &c) {
+                e.atIdleCycles(skipped, c);
+            });
         }
         // Time-series sampling: one null-check when off (fig1Probe
         // discipline); the tick itself is rare (every N-cycle period).

@@ -21,6 +21,7 @@
 #define RSEP_CORE_PIPELINE_HH
 
 #include <array>
+#include <functional>
 #include <memory>
 #include <string>
 #include <unordered_map>
@@ -216,8 +217,39 @@ class Pipeline
              wl::TraceSource &src, u64 seed = 1234);
     ~Pipeline();
 
+    /**
+     * A copy that continues exactly as this pipeline would: every core
+     * structure, the memory hierarchy (its cache levels frozen until
+     * the copy next runs), the predictors, the engines (cloned to count
+     * into the copy's statistics), the live shadows and a copy of the
+     * trace source (wl::TraceSource::clone, which must not be null).
+     * The source's program must outlive the copy. Not copied: an
+     * attached sampler and a pending snapshot.
+     */
+    Pipeline(const Pipeline &o);
+    Pipeline &operator=(const Pipeline &) = delete;
+
     /** Run until @p ninsts more instructions commit. */
     void run(u64 ninsts);
+
+    // -------------------------------------------------------- snapshots
+    /**
+     * Take a snapshot (a copy, the live shadows included) during the
+     * following run() calls, between the issue and rename stages of the
+     * first cycle in which a live shadow is armed
+     * (SpeculationEngine::armed). Every first act of a shadow happens
+     * at rename after it is armed, so each shadow live in the snapshot
+     * has not acted there yet (DESIGN.md §20, "Forks").
+     */
+    void requestSnapshot() { snapshotWanted = true; }
+
+    /** The snapshot requestSnapshot() asked for, once taken (moved
+     *  out); null before. */
+    std::unique_ptr<Pipeline> takeSnapshot() { return std::move(snapshot); }
+
+    /** Continue the run() a snapshot was taken in, from that cycle's
+     *  rename stage to that run's target. */
+    void resume();
 
     /** Zero all statistics (end of warmup), engine-owned ones included. */
     void resetStats();
@@ -241,6 +273,9 @@ class Pipeline
     const MechConfig &mechConfig() const { return mech; }
 
     // ------------------------------------------------ speculation engines
+    /** Engines in the rename chain, registered or not. */
+    static constexpr size_t chainSlots = 6;
+
     /** Registered (active) engines in dispatch order. */
     const std::vector<SpeculationEngine *> &engines() const
     {
@@ -268,6 +303,18 @@ class Pipeline
     /** Shadow @p i reached a first act: its arm left this trajectory. */
     bool shadowRetired(size_t i) const;
 
+    /** The cycle in which retired shadow @p i reached its first act. */
+    Cycle shadowActCycle(size_t i) const;
+
+    /**
+     * Make live shadow @p i's engines registered engines that act, in
+     * their chain positions, count their statistics into this
+     * pipeline's, take the shadow's arm configuration and drop every
+     * shadow: this pipeline is then that arm's (a fork, when this is a
+     * snapshot).
+     */
+    void promoteShadow(size_t i);
+
     /** Shadow @p i's engines, in registration order. */
     const std::vector<SpeculationEngine *> &shadowEngines(size_t i) const;
 
@@ -293,6 +340,10 @@ class Pipeline
 
     /** Architectural commit count (CSN source). */
     u64 committedCount() const { return committed; }
+
+    /** Cycles simulated since construction (statistics resets
+     *  included). */
+    Cycle cycleCount() const { return cycle; }
 
     /**
      * Rename-side global-history replica and its folded registers:
@@ -413,7 +464,9 @@ class Pipeline
     u64 engineSeed; ///< the constructor's seed (engine RNG streams).
 
     // --- substrate ---
-    wl::TraceSource &emul; ///< the committed-path record stream.
+    wl::TraceSource *emul; ///< the committed-path record stream.
+    /** A copy's own source (emul points to it); null otherwise. */
+    std::unique_ptr<wl::TraceSource> ownedSrc;
     TraceBuffer trace;
     mem::MemoryHierarchy hier;
     pred::BranchUnit bru;
@@ -438,6 +491,7 @@ class Pipeline
     std::unique_ptr<DvtageEngine> dvtageEngine;
     std::vector<SpeculationEngine *> active; ///< registered, in order.
     std::vector<SpeculationEngine *> issueSubscribers; ///< wantsIssueHook().
+    std::vector<SpeculationEngine *> cycleSubscribers; ///< wantsCycleHooks().
 
     // --- core state ---
     RenameState rename;
@@ -449,7 +503,7 @@ class Pipeline
      * ROB, [nRenamed, size) the frontend queue. Fetch constructs each
      * instruction in place at the back, rename advances the boundary
      * and renames in place, commit pops the front — an InflightInst
-     * (~0.5 KB) is never copied between stages.
+     * (~0.3 KB) is never copied between stages.
      */
     RingBuffer<InflightInst> window;
     size_t nRenamed = 0; ///< ROB/frontend boundary within @c window.
@@ -496,16 +550,40 @@ class Pipeline
     buildZeroPred(PipelineStats &s, const MechConfig &m, bool shadow) const;
     std::unique_ptr<RsepEngine>
     buildRsep(PipelineStats &s, const MechConfig &m, bool shadow) const;
+    std::unique_ptr<DvtageEngine>
+    buildDvtage(PipelineStats &s, const MechConfig &m, bool shadow) const;
+    /** The engine slots in chain (registration) order. */
+    std::array<SpeculationEngine *, chainSlots> engineSlots() const;
+    /** Rebuild the dispatch lists from the engine slots in chain order,
+     *  keeping those for which @p registered holds. */
+    void relist(const std::function<bool(const SpeculationEngine *)>
+                    &registered);
 
     /** Engines of a later arm run beside this pipeline
      *  (attachShadow). */
     struct Shadow;
     std::vector<std::unique_ptr<Shadow>> shadows;
     std::vector<Shadow *> liveShadows; ///< not retired, attach order.
+
+    /** The cycle loop of run(); a snapshot enters it at the rename
+     *  stage (resume()). */
+    void runLoop(bool at_rename);
+    /** Some live shadow's engine is armed. */
+    bool shadowArmed() const;
+    /** Give the window its structural capacity (a copy's is tight). */
+    void reserveWindow();
+    u64 runTarget = 0; ///< the committed count the current run ends at.
+    bool snapshotWanted = false;
+    bool atRenameStage = false; ///< a snapshot not resumed yet.
+    std::unique_ptr<Pipeline> snapshot;
     /** Call @p hook(engine, context, chain position) on every live
      *  shadow's engines, then drop the shadows that retired. */
     template <class Hook>
     void shadowHook(Hook &&hook, bool squash_follows = false);
+    /** Call @p hook(engine, context) on every live shadow's engines
+     *  that want the per-cycle hooks (none acts there). */
+    template <class Hook>
+    void shadowCycleHook(Hook &&hook);
 
     /** Emit every sample boundary st.cycles has crossed. */
     void sampleTick();

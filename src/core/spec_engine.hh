@@ -32,11 +32,14 @@
  * An engine may also run as a *shadow* (Pipeline::attachShadow,
  * DESIGN.md §20): it gets the hooks of another arm's pipeline and
  * trains on them, but at its first act it retires instead of acting.
+ * A shadow that is promoted (Pipeline::promoteShadow) acts from then
+ * on.
  */
 
 #ifndef RSEP_CORE_SPEC_ENGINE_HH
 #define RSEP_CORE_SPEC_ENGINE_HH
 
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -104,14 +107,35 @@ class SpeculationEngine
     }
     virtual ~SpeculationEngine() = default;
 
-    SpeculationEngine(const SpeculationEngine &) = delete;
     SpeculationEngine &operator=(const SpeculationEngine &) = delete;
+
+    /**
+     * A copy of this engine, its tables and counters included, whose
+     * registered counters are @p st's where this engine's are a
+     * PipelineStats' (a copied pipeline's engines count into the
+     * copy's statistics).
+     */
+    virtual std::unique_ptr<SpeculationEngine>
+    clone(PipelineStats &st) const = 0;
 
     const std::string &name() const { return nm; }
 
     /** A shadow engine reached its first act, so its arm's pipeline
      *  leaves the host's trajectory there. */
     bool retired() const { return hasRetired; }
+
+    /**
+     * True from the first commit-side update that lifts an entry the
+     * engine reads at rename to the confidence at which it acts there.
+     * Confidence rises only at commit and every first act happens at
+     * rename, so a pipeline copied before the rename stage of the
+     * first cycle in which this holds precedes the engine's first act.
+     * Only the engines that can run as a shadow implement it.
+     */
+    virtual bool armed() const { return false; }
+
+    /** A live shadow becomes a registered engine that acts. */
+    void promote() { shadow = false; }
 
     // ------------------------------------------------------- rename hooks
     /**
@@ -179,6 +203,13 @@ class SpeculationEngine
     {
         (void)di, (void)ctx;
     }
+
+    /**
+     * True when atCommitGroupEnd or atIdleCycles does something. They
+     * run every cycle, so the pipeline calls them only on engines that
+     * opt in.
+     */
+    virtual bool wantsCycleHooks() const { return false; }
 
     /** Once per commit cycle, after the whole group retired. */
     virtual void
@@ -250,6 +281,24 @@ class SpeculationEngine
     }
 
   protected:
+    /** Copies all but the registered counters: the copy registers its
+     *  own (clone()). */
+    SpeculationEngine(const SpeculationEngine &o)
+        : nm(o.nm), shadow(o.shadow), hasRetired(o.hasRetired)
+    {
+    }
+
+    /** A copy of @p engine (an E) that registers its counters in
+     *  @p st: what each engine's clone() returns. */
+    template <class E>
+    static std::unique_ptr<SpeculationEngine>
+    cloneInto(const E &engine, PipelineStats &st)
+    {
+        std::unique_ptr<E> copy(new E(engine));
+        copy->registerStats(st);
+        return copy;
+    }
+
     /**
      * Call at a first-act point, before the engine changes anything
      * outside itself: a shadow retires there, and the caller returns

@@ -24,9 +24,13 @@ class TraceBuffer
     /** The window spans the ROB plus the frontend queue plus the fetch
      *  lookahead; reserve comfortably past that so the steady state
      *  never allocates (the ring still grows if a config exceeds it). */
-    explicit TraceBuffer(wl::TraceSource &src) : em(src), window(1024)
+    explicit TraceBuffer(wl::TraceSource &src) : em(&src), window(1024)
     {
     }
+
+    /** Read further records from @p src, which continues the stream
+     *  where the current source stands (a copy's own source). */
+    void rebind(wl::TraceSource &src) { em = &src; }
 
     /** Record of dynamic instruction @p idx (0-based, grows forever). */
     const wl::DynRecord &
@@ -37,7 +41,7 @@ class TraceBuffer
                        static_cast<unsigned long long>(idx),
                        static_cast<unsigned long long>(base));
         while (base + window.size() <= idx)
-            window.push_back(em.step());
+            window.push_back(em->step());
         return window[static_cast<size_t>(idx - base)];
     }
 
@@ -55,7 +59,7 @@ class TraceBuffer
     size_t windowSize() const { return window.size(); }
 
   private:
-    wl::TraceSource &em;
+    wl::TraceSource *em;
     RingBuffer<wl::DynRecord> window;
     u64 base = 0;
 };

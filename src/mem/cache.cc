@@ -26,6 +26,40 @@ CacheLevel::CacheLevel(const CacheParams &params) : p(params)
     outstanding.reserve(p.mshrs);
 }
 
+CacheLevel::CacheLevel(const CacheLevel &o)
+    : hits(o.hits), misses(o.misses), mshrMerges(o.mshrMerges),
+      mshrStalls(o.mshrStalls), prefetchFills(o.prefetchFills), p(o.p),
+      sets(o.sets), fill(o.fill), useClock(o.useClock),
+      outstanding(o.outstanding), earliestReady(o.earliestReady)
+{
+    if (!o.ways) {
+        packed = o.packed;
+        return;
+    }
+    size_t valid = 0;
+    for (u8 n : fill)
+        valid += n;
+    packed.reserve(valid);
+    for (size_t s = 0; s < sets; ++s)
+        packed.insert(packed.end(), &o.ways[s * p.assoc],
+                      &o.ways[s * p.assoc + fill[s]]);
+}
+
+void
+CacheLevel::thaw()
+{
+    if (ways)
+        return;
+    ways.reset(new Way[size_t{sets} * p.assoc]);
+    const Way *from = packed.data();
+    for (size_t s = 0; s < sets; ++s) {
+        std::copy(from, from + fill[s], &ways[s * p.assoc]);
+        from += fill[s];
+    }
+    packed = {};
+    outstanding.reserve(p.mshrs);
+}
+
 bool
 CacheLevel::accessTags(Addr addr, bool)
 {

@@ -53,6 +53,17 @@ class CacheLevel
     explicit CacheLevel(const CacheParams &params);
 
     /**
+     * A frozen copy: only the valid ways, packed set after set, so a
+     * copy of a large, sparsely touched level costs what it holds, not
+     * its capacity. Call thaw() before any access.
+     */
+    CacheLevel(const CacheLevel &o);
+    CacheLevel &operator=(const CacheLevel &) = delete;
+
+    /** Unpack a frozen copy into the way array (a no-op otherwise). */
+    void thaw();
+
+    /**
      * Probe for line presence *and* update LRU/allocate on miss.
      * @return true on hit.
      */
@@ -107,8 +118,11 @@ class CacheLevel
 
     CacheParams p;
     unsigned sets;
-    /** sets x assoc ways, left uninitialised beyond each set's fill. */
+    /** sets x assoc ways, left uninitialised beyond each set's fill;
+     *  null while frozen. */
     std::unique_ptr<Way[]> ways;
+    /** A frozen copy's valid ways, set after set (empty otherwise). */
+    std::vector<Way> packed;
     /** Valid ways per set: ways [0, fill[s]) of set s hold lines. */
     std::vector<u8> fill;
     u64 useClock = 0;

@@ -10,6 +10,13 @@ MemoryHierarchy::MemoryHierarchy(const HierarchyParams &params)
 {
 }
 
+void
+MemoryHierarchy::thaw()
+{
+    for (CacheLevel *level : {&l1i, &l1d, &l2, &l3})
+        level->thaw();
+}
+
 Cycle
 MemoryHierarchy::fillFromBeyondL1(Addr addr, Cycle now, bool is_write,
                                   bool run_prefetch)

@@ -52,6 +52,10 @@ class MemoryHierarchy
 
     const HierarchyParams &params() const { return p; }
 
+    /** A copy holds its cache levels frozen (CacheLevel's copy):
+     *  unpack them before the first access. */
+    void thaw();
+
     CacheLevel &l1iCache() { return l1i; }
     CacheLevel &l1dCache() { return l1d; }
     CacheLevel &l2Cache() { return l2; }

@@ -8,6 +8,14 @@ Tlb::Tlb(unsigned n, Cycle walk_latency, unsigned page_shift)
 {
 }
 
+Tlb::Tlb(const Tlb &o)
+    : hits(o.hits), misses(o.misses), entries(o.entries),
+      mru(o.mru ? entries.data() + (o.mru - o.entries.data()) : nullptr),
+      walkLatency(o.walkLatency), pageShift(o.pageShift),
+      useClock(o.useClock)
+{
+}
+
 Cycle
 Tlb::access(Addr vaddr)
 {

@@ -22,6 +22,10 @@ class Tlb
     explicit Tlb(unsigned entries = 64, Cycle walk_latency = 30,
                  unsigned page_shift = 12);
 
+    /** A copy's MRU shortcut points into its own entries. */
+    Tlb(const Tlb &o);
+    Tlb &operator=(const Tlb &) = delete;
+
     /** Translate; @return additional cycles (0 = hit, walk on miss). */
     Cycle access(Addr vaddr);
 

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "common/bitutils.hh"
+#include "common/zero_table.hh"
 #include "common/types.hh"
 
 namespace rsep::pred
@@ -39,7 +40,7 @@ class Btb
 
     unsigned sets;
     unsigned ways;
-    std::vector<Entry> arr;
+    ZeroTable<Entry> arr; ///< an all-zero entry is an invalid one.
 
     size_t setOf(Addr pc) const { return (pc >> 2) & (sets - 1); }
     Addr tagOf(Addr pc) const { return pc >> 2; }

@@ -4,7 +4,8 @@ namespace rsep::pred
 {
 
 Dvtage::Dvtage(const DvtageParams &params, u64 seed)
-    : p(params), lvt(size_t{1} << p.lvtBits), deltas(p.itage, seed)
+    : p(params), lvt(size_t{1} << p.lvtBits), deltas(p.itage, seed),
+      confident(deltas.actLevel(0))
 {
 }
 

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "common/stats.hh"
+#include "common/zero_table.hh"
 #include "pred/ittage.hh"
 
 namespace rsep::pred
@@ -102,6 +103,10 @@ class Dvtage
     u64 storageBits() const;
     const DvtageParams &params() const { return p; }
 
+    /** True once some delta entry is confident: no lookup is before
+     *  (a confidence rises only in commit()). */
+    bool everConfident() const { return deltas.peakLevel() >= confident; }
+
     StatCounter lookups;
     StatCounter correctPreds;
     StatCounter mispredicts;
@@ -143,8 +148,9 @@ class Dvtage
     }
 
     DvtageParams p;
-    std::vector<LvtEntry> lvt;
+    ZeroTable<LvtEntry> lvt; ///< an all-zero entry is an empty one.
     ItageTable deltas;
+    unsigned confident; ///< the raw level of a confident lookup.
     u32 epoch = 0; ///< bumped by every squash.
 };
 

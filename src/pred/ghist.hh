@@ -133,16 +133,17 @@ class GeoFoldSpec
 class GeoFolds
 {
   public:
-    /** Bind to a fully populated spec and zero the registers. */
+    /** Take the slots of a fully populated spec and zero the
+     *  registers. Keeps no pointer to @p spec, so the folds copy as a
+     *  value. */
     void
     bind(const GeoFoldSpec *spec)
     {
-        sp = spec;
-        f.assign(sp->size(), 0);
+        f.assign(spec->size(), 0);
         // insertDir's per-slot constants, so no division runs per
         // branch. An empty window's zero mask keeps its fold at 0.
         upd.clear();
-        for (const GeoFoldSpec::Slot &s : sp->slots())
+        for (const GeoFoldSpec::Slot &s : spec->slots())
             upd.push_back({s.len ? mask(s.bits) : 0, s.bits - 1,
                            s.len ? s.len - 1 : 0, s.len % s.bits});
     }
@@ -166,11 +167,14 @@ class GeoFolds
     void
     recompute(u64 dir)
     {
-        const auto &slots = sp->slots();
-        for (unsigned i = 0; i < slots.size(); ++i)
-            f[i] = slots[i].len == 0
+        // A slot's window is evictBit + 1 bits and its fold topBit + 1
+        // wide; an empty window has a zero mask.
+        for (size_t i = 0; i < f.size(); ++i) {
+            const Update &u = upd[i];
+            f[i] = u.mask == 0
                 ? 0
-                : xorFold(dir & mask(slots[i].len), slots[i].bits);
+                : xorFold(dir & mask(u.evictBit + 1), u.topBit + 1);
+        }
     }
 
     u64 fold(unsigned slot) const { return f[slot]; }
@@ -180,7 +184,6 @@ class GeoFolds
      *  carries to 0; L - 1, the evicted bit; L % B, where it lands. */
     struct Update { u64 mask; unsigned topBit, evictBit, evictPos; };
 
-    const GeoFoldSpec *sp = nullptr;
     std::vector<u64> f;
     std::vector<Update> upd; ///< per slot, parallel to f.
 };

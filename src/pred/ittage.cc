@@ -13,13 +13,13 @@ ItageTable::ItageTable(const ItageParams &params, u64 seed)
     if (p.taggedBits > 16)
         rsep_fatal("ItageTable: taggedBits %u > 16 (lookup indices are "
                    "carried as u16)", p.taggedBits);
-    basePayload.assign(size_t{1} << p.baseBits, 0);
-    baseConf.assign(size_t{1} << p.baseBits, 0);
+    basePayload = ZeroTable<u64>(size_t{1} << p.baseBits);
+    baseConf = ZeroTable<u8>(size_t{1} << p.baseBits);
     size_t tagged = size_t{p.numTagged} << p.taggedBits;
-    tTag.assign(tagged, 0);
-    tPayload.assign(tagged, 0);
-    tConf.assign(tagged, 0);
-    tU.assign(tagged, 0);
+    tTag = ZeroTable<u32>(tagged);
+    tPayload = ZeroTable<u64>(tagged);
+    tConf = ZeroTable<u8>(tagged);
+    tU = ZeroTable<u8>(tagged);
 }
 
 void
@@ -105,7 +105,7 @@ ItageTable::update(const ItageLookup &lk, u64 actual, bool allocate_on_wrong)
             (size_t{static_cast<unsigned>(lk.provider)} << p.taggedBits) |
             lk.idx[lk.provider];
         if (provider_correct) {
-            confOnCorrect(tConf[at]);
+            confOnCorrect(tConf[at], actual);
             if (lk.altValid && lk.altPayload != actual && tU[at] < 1)
                 ++tU[at];
         } else {
@@ -122,7 +122,7 @@ ItageTable::update(const ItageLookup &lk, u64 actual, bool allocate_on_wrong)
     } else {
         u8 &bc = baseConf[lk.baseIdx];
         if (provider_correct) {
-            confOnCorrect(bc);
+            confOnCorrect(bc, actual);
         } else if (confEffective(bc) == 0) {
             if (representable(actual))
                 basePayload[lk.baseIdx] = actual;
@@ -178,6 +178,18 @@ ItageTable::updateIncorrect(const ItageLookup &lk)
               lk.idx[lk.provider]] = 0;
     else
         baseConf[lk.baseIdx] = 0;
+}
+
+unsigned
+ItageTable::actLevel(unsigned min_effective) const
+{
+    unsigned level = 0;
+    while (!confSaturated(static_cast<u8>(level)) &&
+           !(min_effective &&
+             static_cast<u8>(confEffective(static_cast<u8>(level))) >=
+                 min_effective))
+        ++level;
+    return level;
 }
 
 u64

@@ -17,10 +17,12 @@
 #ifndef RSEP_PRED_ITTAGE_HH
 #define RSEP_PRED_ITTAGE_HH
 
+#include <algorithm>
 #include <array>
 #include <vector>
 
 #include "common/prob_counter.hh"
+#include "common/zero_table.hh"
 #include "common/rng.hh"
 #include "pred/ghist.hh"
 
@@ -67,9 +69,9 @@ visitFields(ItageParams &p, V &&v)
 }
 
 /**
- * Result of a lookup; carried with the instruction until commit. Two
- * copies ride in every InflightInst (D-VTAGE and the distance
- * predictor), so the layout is packed: indices fit u16 (taggedBits is
+ * Result of a lookup; carried with the instruction until commit. The
+ * engines keep one per in-flight instruction (D-VTAGE and the distance
+ * predictor, each in a ring), so the layout is packed: indices fit u16 (taggedBits is
  * checked <= 16 at construction), providers fit s8, confidence is the
  * effective 0..255 scale.
  */
@@ -131,6 +133,27 @@ class ItageTable
     u64 storageBits() const;
     const ItageParams &params() const { return p; }
 
+    /**
+     * The highest raw confidence level any entry has reached, or, with
+     * @p nonzero, any entry holding a nonzero payload. Only update()
+     * raises a level, one step at a time and never while it replaces
+     * the payload, so an entry at level l has passed through every
+     * level below it with the payload it holds.
+     */
+    unsigned
+    peakLevel(bool nonzero = false) const
+    {
+        return nonzero ? peakNonzero : peak;
+    }
+
+    /**
+     * The lowest raw level at which a lookup is confident or, when
+     * @p min_effective > 0, reports ItageLookup::confidence of at least
+     * @p min_effective: no lookup does either before peakLevel()
+     * reaches it.
+     */
+    unsigned actLevel(unsigned min_effective) const;
+
   private:
     void indicesInto(Addr pc, const GlobalHist &h, ItageLookup &lk) const;
     ItageLookup lookupWith(Addr pc, ItageLookup lk) const;
@@ -138,8 +161,9 @@ class ItageTable
     // Confidence counters stored as raw levels with a table-wide kind;
     // the helpers replicate ConfidenceCounter exactly (including the
     // FPC rng-call sequence, which is shared with allocation rolls).
+    /** A correct outcome of an entry holding @p payload. */
     void
-    confOnCorrect(u8 &lvl) const
+    confOnCorrect(u8 &lvl, u64 payload)
     {
         if (p.confKind == ConfidenceKind::Deterministic8) {
             if (lvl < 255)
@@ -151,6 +175,9 @@ class ItageTable
             if (den == 1 || rng.chance(1, den))
                 ++lvl;
         }
+        peak = std::max<unsigned>(peak, lvl);
+        if (payload != 0)
+            peakNonzero = std::max<unsigned>(peakNonzero, lvl);
     }
     u32
     confEffective(u8 lvl) const
@@ -170,17 +197,19 @@ class ItageTable
     ItageParams p;
     /** Banked SoA storage: tagged entry (c, i) lives at flat position
      *  (c << taggedBits) | i in each array. */
-    std::vector<u64> basePayload;
-    std::vector<u8> baseConf;
-    std::vector<u32> tTag;
-    std::vector<u64> tPayload;
-    std::vector<u8> tConf;
-    std::vector<u8> tU; ///< 1-bit useful counters.
+    ZeroTable<u64> basePayload;
+    ZeroTable<u8> baseConf;
+    ZeroTable<u32> tTag;
+    ZeroTable<u64> tPayload;
+    ZeroTable<u8> tConf;
+    ZeroTable<u8> tU; ///< 1-bit useful counters.
     std::array<u16, maxItageComps> idxSlot{};
     std::array<u16, maxItageComps> tagSlot{};
     bool foldsRegistered = false;
     mutable Rng rng;
     u64 updates = 0;
+    unsigned peak = 0;        ///< see peakLevel().
+    unsigned peakNonzero = 0; ///< see peakLevel().
 };
 
 } // namespace rsep::pred

@@ -58,7 +58,8 @@ struct DistancePredictorParams
 };
 
 /** Lookup result carried with the instruction (largest member first —
- *  this rides in every InflightInst, so padding matters). */
+ *  the RSEP engine keeps one per in-flight instruction, so padding
+ *  matters). */
 struct DistLookup
 {
     pred::ItageLookup itageLk;
@@ -144,6 +145,20 @@ class DistancePredictor
     }
 
     const DistancePredictorParams &params() const { return p; }
+
+    /** The raw confidence level at which a lookup is usable (usePred)
+     *  or, when @p min_confidence > 0, reports at least that confidence
+     *  (see pred::ItageTable::actLevel). */
+    unsigned
+    actLevel(unsigned min_confidence) const
+    {
+        return table.actLevel(min_confidence);
+    }
+
+    /** The highest raw confidence level any entry predicting a
+     *  distance has reached: an entry predicting 0 (no partner) is
+     *  never used. */
+    unsigned peakLevel() const { return table.peakLevel(true); }
 
     mutable StatCounter lookups;
     StatCounter trainEvents;

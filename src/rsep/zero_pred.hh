@@ -51,11 +51,17 @@ class ZeroPredictor
     update(Addr pc, bool was_zero, Rng *rng)
     {
         ConfidenceCounter &c = table[indexOf(pc, table.size())];
-        if (was_zero)
+        if (was_zero) {
             c.onCorrect(rng);
-        else
+            saturatedOnce = saturatedOnce || c.saturated();
+        } else {
             c.onIncorrect();
+        }
     }
+
+    /** True once some counter saturated: predict() is false before
+     *  (a counter rises only in update()). */
+    bool everSaturated() const { return saturatedOnce; }
 
     u64
     storageBits() const
@@ -66,6 +72,7 @@ class ZeroPredictor
 
   private:
     std::vector<ConfidenceCounter> table;
+    bool saturatedOnce = false;
 };
 
 /**

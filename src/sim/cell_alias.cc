@@ -1,6 +1,7 @@
 #include "sim/cell_alias.hh"
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
 #include <memory>
 #include <tuple>
@@ -45,29 +46,37 @@ namespace
 {
 
 /** The engines an arm may switch off where they are proven silent,
- *  or where a shadow of them never acts (RSEP): the bits of a mask. */
+ *  or where a shadow of them never acts: the bits of a mask. */
 enum SilenceableEngine : unsigned {
     silentMoveElim = 1,
     silentZeroPred = 2,
     silentRsep = 4,
+    silentDvtage = 8,
 };
+/** The engines a shadow can run. */
+constexpr unsigned shadowEngines = silentZeroPred | silentRsep | silentDvtage;
+/** The engines only a shadow can show silent. */
+constexpr unsigned shadowOnly = silentRsep | silentDvtage;
 
-/** @p cfg with the engines in @p mask switched off. Switching RSEP off
- *  also sets the `[rsep]` fields nothing else in the arm reads to
- *  @p ref_rsep, the reference's. */
+/** @p cfg with the engines in @p mask switched off. Switching RSEP or
+ *  D-VTAGE off also sets the `[rsep]` fields nothing else in the arm
+ *  reads, or the `[vp]` section, to @p ref's, the reference's. */
 SimConfig
-withoutEngines(SimConfig cfg, unsigned mask,
-               const equality::RsepConfig &ref_rsep)
+withoutEngines(SimConfig cfg, unsigned mask, const core::MechConfig &ref)
 {
     core::MechConfig &m = cfg.mech;
     if (mask & silentMoveElim)
         m.moveElim = false;
     if (mask & silentZeroPred)
         m.zeroPred = false;
+    if (mask & silentDvtage) {
+        m.valuePred = false;
+        m.vp = ref.vp;
+    }
     if (mask & silentRsep) {
         equality::RsepConfig own = m.rsep;
         m.equalityPred = false;
-        m.rsep = ref_rsep;
+        m.rsep = ref.rsep;
         // What the pipeline and the other engines still read: the
         // ISRB that move elimination and the oracle share through,
         // the validation policy and counter kind of zero prediction,
@@ -106,15 +115,6 @@ committedBound(const SimConfig &cfg)
 {
     return cfg.warmupInsts + cfg.measureInsts + 2 * cfg.core.commitWidth;
 }
-
-/** What a cell proved, and the trace it read to prove it. */
-struct SilenceProof
-{
-    unsigned silent = 0; ///< SilenceableEngine bits.
-    bool replayed = false;
-    bool traceDecodeHit = false;
-    u64 traceLoadMicros = 0;
-};
 
 /**
  * Which of the @p wanted engines of @p cfg never act on cell
@@ -201,6 +201,9 @@ silentEngine(const std::string &name, const core::MechConfig &mech,
         return std::make_unique<core::ZeroPredEngine>(
             st, equality::ZeroPredictor::defaultEntries,
             mech.rsep.confKind);
+    if (name == "rsep" || name == "dvtage")
+        rsep_panic("engine '%s' is switched off only by a shadow, which "
+                   "exports its counters", name.c_str());
     rsep_panic("engine '%s' cannot be switched off", name.c_str());
 }
 
@@ -250,34 +253,36 @@ microsSince(std::chrono::steady_clock::time_point t0)
 
 CellAliases::CellAliases(const std::vector<SimConfig> &configs,
                          MatrixPlan &plan)
-    : configs(configs), plan(plan), candidates(configs.size())
+    : configs(configs), plan(plan), candidates(configs.size()),
+      shadowCandidates(configs.size())
 {
     // For every set of an arm's silenceable engines, the empty one
     // too, the first earlier arm whose hash is the arm's with that set
     // switched off.
+    std::vector<char> fpcSharesRng(configs.size());
     for (size_t c = 0; c < configs.size(); ++c) {
         const core::MechConfig &m = configs[c].mech;
         // An FPC zero predictor draws from the pipeline Rng that RSEP's
         // training draws from, so a shadow of either alone would not
         // see the arm's draws.
-        bool fpc_shares_rng =
-            m.zeroPred && m.rsep.confKind != ConfidenceKind::Deterministic8;
+        fpcSharesRng[c] = m.zeroPred && m.equalityPred &&
+                          m.rsep.confKind != ConfidenceKind::Deterministic8;
         unsigned silenceable =
             (m.moveElim ? unsigned{silentMoveElim} : 0u) |
             (m.zeroPred ? unsigned{silentZeroPred} : 0u) |
-            (m.equalityPred && !fpc_shares_rng ? unsigned{silentRsep} : 0u);
+            (m.equalityPred && !fpcSharesRng[c] ? unsigned{silentRsep}
+                                                : 0u) |
+            (m.valuePred ? unsigned{silentDvtage} : 0u);
         for (unsigned off = 0; off <= silenceable; ++off) {
             if (off & ~silenceable)
                 continue;
-            // Switching RSEP off takes each reference's [rsep] fields,
-            // so the hash depends on the reference.
-            std::string hash =
-                off ? configHash(withoutEngines(configs[c], off, m.rsep))
-                    : plan.configHashes[c];
+            // Switching RSEP or D-VTAGE off takes each reference's
+            // fields, so the hash depends on the reference.
             for (size_t r = 0; r < c; ++r) {
-                if (off & silentRsep)
-                    hash = configHash(
-                        withoutEngines(configs[c], off, configs[r].mech.rsep));
+                std::string hash =
+                    off ? configHash(withoutEngines(configs[c], off,
+                                                    configs[r].mech))
+                        : plan.configHashes[c];
                 if (plan.configHashes[r] == hash) {
                     candidates[c].push_back({r, off});
                     break;
@@ -286,10 +291,40 @@ CellAliases::CellAliases(const std::vector<SimConfig> &configs,
         }
         std::sort(candidates[c].begin(), candidates[c].end(),
                   [](const Candidate &x, const Candidate &y) {
-                      return std::pair(x.off != 0, x.ref) <
-                             std::pair(y.off != 0, y.ref);
+                      return std::tuple(x.off != 0, x.ref,
+                                        std::popcount(x.off)) <
+                             std::tuple(y.off != 0, y.ref,
+                                        std::popcount(y.off));
                   });
         phases = std::max<size_t>(phases, configs[c].checkpoints);
+    }
+
+    // The no-nesting rule: an arm that hosts a later arm's shadow is
+    // never shadowed itself, so no host is skipped and no fork carries
+    // shadows. From the last arm back, each arm that is no host keeps
+    // the shadow candidates that switch off the fewest engines, those
+    // switching off RSEP when some do (an arm with RSEP is usually
+    // shadowed itself), and their references become hosts.
+    std::vector<char> hostArm(configs.size());
+    for (size_t c = configs.size(); c-- > 0;) {
+        if (hostArm[c] || fpcSharesRng[c])
+            continue;
+        auto rank = [](const Candidate &a) {
+            return std::pair(std::popcount(a.off & shadowEngines),
+                             !(a.off & silentRsep));
+        };
+        std::vector<Candidate> &kept = shadowCandidates[c];
+        for (const Candidate &a : candidates[c]) {
+            if (!(a.off & shadowEngines))
+                continue;
+            if (!kept.empty() && rank(a) > rank(kept[0]))
+                continue;
+            if (!kept.empty() && rank(a) < rank(kept[0]))
+                kept.clear();
+            kept.push_back(a);
+        }
+        for (const Candidate &a : kept)
+            hostArm[a.ref] = 1;
     }
     finished.resize(plan.rows.size() * configs.size() * phases);
     hostKnown.resize(finished.size());
@@ -327,8 +362,8 @@ CellAliases::takeCell(size_t b, size_t c, u32 p,
         // A cell starts after every earlier one (runCells), so each
         // possible host is running and about to choose.
         std::unique_lock<std::mutex> lk(mtx);
-        for (const Candidate &a : candidates[c])
-            if ((a.off & silentRsep) && p < row.byConfig[a.ref].phases.size())
+        for (const Candidate &a : shadowCandidates[c])
+            if (p < row.byConfig[a.ref].phases.size())
                 hostsKnownCv.wait(
                     lk, [&] { return hostKnown[slot(b, a.ref, p)] != 0; });
         auto it = shadowed.find(slot(b, c, p));
@@ -350,9 +385,9 @@ CellAliases::takeCell(size_t b, size_t c, u32 p,
     }
 
     auto runsHere = [&](const Candidate &a) {
-        // Only a shadow switches RSEP off (host()).
+        // Only a shadow switches RSEP or D-VTAGE off (host()).
         return p < row.byConfig[a.ref].phases.size() &&
-               !(a.off & silentRsep);
+               !(a.off & shadowOnly);
     };
     const Candidate *pick = nullptr;
     unsigned wanted = 0;
@@ -365,17 +400,27 @@ CellAliases::takeCell(size_t b, size_t c, u32 p,
             wanted |= a.off;
         }
     if (!pick && wanted) {
-        SilenceProof proof = proveSilent(configs[c], wanted, row.benchmark,
-                                         p, trace_io, initial);
+        // The proof its would-be host made, or one made now.
+        std::optional<SilenceProof> proof;
+        {
+            std::lock_guard<std::mutex> lk(mtx);
+            if (auto it = proofs.find(slot(b, c, p)); it != proofs.end()) {
+                proof = it->second;
+                t0 -= std::chrono::microseconds(proof->micros);
+            }
+        }
+        if (!proof)
+            proof = proveSilent(configs[c], wanted, row.benchmark, p,
+                                trace_io, initial);
         for (const Candidate &a : candidates[c])
-            if (runsHere(a) && (a.off & ~proof.silent) == 0) {
+            if (runsHere(a) && (a.off & ~proof->silent) == 0) {
                 pick = &a;
                 break;
             }
         PhaseResult &ph = plan.rows[b].byConfig[c].phases[p];
-        ph.replayed = proof.replayed;
-        ph.traceDecodeHit = proof.traceDecodeHit;
-        ph.traceLoadMicros = proof.traceLoadMicros;
+        ph.replayed = proof->replayed;
+        ph.traceDecodeHit = proof->traceDecodeHit;
+        ph.traceLoadMicros = proof->traceLoadMicros;
     }
     if (!pick)
         return Simulate;
@@ -402,24 +447,53 @@ CellAliases::host(size_t b, size_t r, u32 p, const TraceIoOptions &trace_io,
     Hosting hosting;
     const MatrixRow &row = plan.rows[b];
     auto runsHere = [&](size_t k) { return p < row.byConfig[k].phases.size(); };
+    std::optional<bool> moves; // the program holds an eliminable move.
+    auto hasMoves = [&] {
+        if (!moves)
+            moves = programHasMoves(row.benchmark, trace_io, initial);
+        return *moves;
+    };
     for (size_t c = r + 1; c < configs.size(); ++c) {
         if (!runsHere(c))
             continue;
         const Candidate *pick = nullptr;
-        bool unshadowed = false; // a candidate that needs no shadow runs.
-        for (const Candidate &a : candidates[c]) {
-            if (!runsHere(a.ref))
-                continue;
-            if (!(a.off & silentRsep))
-                unshadowed = true;
-            else if (a.ref == r && !pick)
+        for (const Candidate &a : shadowCandidates[c])
+            if (a.ref == r) {
                 pick = &a;
+                break;
+            }
+        if (!pick || cached(c))
+            continue;
+        // A repeated config, or switching off move elimination alone
+        // by its static proof, costs nothing: no shadow is needed.
+        bool proven = false;
+        for (const Candidate &a : candidates[c])
+            if (runsHere(a.ref) &&
+                (a.off == 0 || (a.off == silentMoveElim && !hasMoves())))
+                proven = true;
+        if (proven || ((pick->off & silentMoveElim) && hasMoves()))
+            continue;
+        // A shadow costs its host as much as a zero-prediction proof
+        // costs the cell, so where the proof could stand for the
+        // shadow it goes first, and the cell keeps its outcome.
+        if (!(pick->off & shadowOnly)) {
+            unsigned wanted = 0;
+            for (const Candidate &a : candidates[c])
+                if (runsHere(a.ref) && !(a.off & shadowOnly))
+                    wanted |= a.off;
+            auto t0 = std::chrono::steady_clock::now();
+            SilenceProof proof = proveSilent(configs[c], wanted, row.benchmark,
+                                             p, trace_io, initial);
+            proof.micros = microsSince(t0);
+            for (const Candidate &a : candidates[c])
+                if (runsHere(a.ref) && !(a.off & shadowOnly) &&
+                    (a.off & ~proof.silent) == 0)
+                    proven = true;
+            std::lock_guard<std::mutex> lk(mtx);
+            proofs[slot(b, c, p)] = proof;
+            if (proven)
+                continue;
         }
-        if (!pick || unshadowed || cached(c))
-            continue;
-        if ((pick->off & silentMoveElim) &&
-            programHasMoves(row.benchmark, trace_io, initial))
-            continue;
         {
             std::lock_guard<std::mutex> lk(mtx);
             size_t s = slot(b, c, p);
@@ -431,7 +505,10 @@ CellAliases::host(size_t b, size_t r, u32 p, const TraceIoOptions &trace_io,
         arm.mech = configs[c].mech;
         if (pick->off & silentZeroPred)
             arm.engines.push_back("zero-pred");
-        arm.engines.push_back("rsep");
+        if (pick->off & silentRsep)
+            arm.engines.push_back("rsep");
+        if (pick->off & silentDvtage)
+            arm.engines.push_back("dvtage");
         hosting.cells.push_back(c);
         hosting.arms.push_back(std::move(arm));
     }
@@ -446,8 +523,11 @@ CellAliases::hostDone(size_t b, u32 p, Hosting &hosting)
     std::lock_guard<std::mutex> lk(mtx);
     for (size_t k = 0; k < hosting.cells.size(); ++k) {
         Shadowed &sh = shadowed.at(slot(b, hosting.cells[k], p));
-        sh.result = std::move(hosting.arms[k].result);
+        ShadowArm &arm = hosting.arms[k];
+        sh.result = std::move(arm.result);
         sh.state = sh.result ? Shadowed::Survived : Shadowed::Retired;
+        sh.fork = std::move(arm.fork);
+        sh.forkShadow = arm.forkShadow;
         shadowsRetired += !sh.result;
         if (sh.waiting)
             waiting.push_back(hosting.cells[k]);
@@ -476,11 +556,44 @@ CellAliases::takeHosted(size_t b, size_t c, u32 p)
     return true;
 }
 
-std::pair<size_t, size_t>
+bool
+CellAliases::fork(size_t b, size_t c, u32 p)
+{
+    auto t0 = std::chrono::steady_clock::now();
+    std::shared_ptr<ForkPoint> point;
+    size_t shadow, host_arm;
+    u64 micros;
+    {
+        std::lock_guard<std::mutex> lk(mtx);
+        auto it = shadowed.find(slot(b, c, p));
+        if (it == shadowed.end() || !it->second.fork)
+            return false;
+        point = std::move(it->second.fork);
+        shadow = it->second.forkShadow;
+        host_arm = it->second.host;
+        micros = it->second.micros;
+        ++forks;
+        forkPermille += point->committedAt() * 1000 /
+                        (configs[c].warmupInsts + configs[c].measureInsts);
+    }
+    PhaseResult pr = aliasResult(point->run(configs[c], shadow), configs[c]);
+    // It replays the host's decoded trace, if the host replayed.
+    pr.replayed = pr.traceDecodeHit = point->replayed();
+    pr.forkOf = configs[host_arm].label;
+    pr.forkAt = point->committedAt();
+    pr.wallMicros = micros + microsSince(t0);
+    plan.rows[b].byConfig[c].phases[p] = std::move(pr);
+    return true;
+}
+
+CellAliases::ShadowCounts
 CellAliases::shadowCounts()
 {
     std::lock_guard<std::mutex> lk(mtx);
-    return {shadowed.size(), shadowsRetired};
+    return {shadowed.size(), shadowsRetired, forks,
+            forks ? static_cast<double>(forkPermille) /
+                        (1000.0 * static_cast<double>(forks))
+                  : 0.0};
 }
 
 void
@@ -515,10 +628,13 @@ void
 CellAliases::fillFromShadow(size_t b, size_t c, u32 p, size_t host,
                             PhaseResult arm)
 {
+    const PhaseResult &ref = plan.rows[b].byConfig[host].phases[p];
     PhaseResult pr = aliasResult(arm, configs[c]);
-    pr.samples = plan.rows[b].byConfig[host].phases[p].samples;
+    pr.samples = ref.samples;
     pr.aliasOf = configs[host].label;
     pr.aliasByShadow = true;
+    // The shadow replayed the host's trace.
+    pr.replayed = pr.traceDecodeHit = ref.replayed;
     plan.rows[b].byConfig[c].phases[p] = std::move(pr);
 }
 

@@ -11,10 +11,13 @@
  *    so a scan of the committed stream bounds every counter before
  *    the cell runs (a streaming proof, equality::ZeroRunScan);
  *
- * or by a shadow run: RSEP's training depends on commit timing, so
- * its engine (with a zero predictor of the same arm) runs as a shadow
- * in the earlier arm's cell (core::Pipeline::attachShadow), and the
- * later cell is taken from that run when the shadow never acted.
+ * or by a shadow run: RSEP's and D-VTAGE's training depends on commit
+ * timing, so their engines (and zero prediction, which a shadow shows
+ * silent more cheaply than a proof) run as a shadow in the earlier
+ * arm's cell (core::Pipeline::attachShadow), and the later cell is
+ * taken from that run when the shadow never acted. When it acted, the
+ * later cell resumes from the host's snapshot taken before the act
+ * (a fork, sim::ForkPoint) instead of simulating from cycle 0.
  *
  * With nothing switched off the rule reuses a repeated config: two
  * arms with one config hash under different labels.
@@ -34,6 +37,16 @@
 
 namespace rsep::sim
 {
+
+/** What a cell proved silent, and the trace it read to prove it. */
+struct SilenceProof
+{
+    unsigned silent = 0; ///< engine bits (cell_alias.cc).
+    bool replayed = false;
+    bool traceDecodeHit = false;
+    u64 traceLoadMicros = 0;
+    u64 micros = 0; ///< the proof's wall time, when made ahead.
+};
 
 /** True when @p prog holds an instruction move elimination acts on. */
 bool hasEliminableMove(const isa::Program &prog);
@@ -99,8 +112,23 @@ class CellAliases
      *  counters. False when the shadow retired: simulate the cell. */
     bool takeHosted(size_t b, size_t c, u32 p);
 
-    /** Shadows run so far, and those that retired. */
-    std::pair<size_t, size_t> shadowCounts();
+    /**
+     * Cell (b, c, p)'s shadow retired after its host's snapshot: finish
+     * the cell from the snapshot (ForkPoint::run) into its slot. False
+     * when there is no such snapshot: simulate the cell from cycle 0.
+     */
+    bool fork(size_t b, size_t c, u32 p);
+
+    struct ShadowCounts
+    {
+        size_t run = 0;     ///< shadows run.
+        size_t retired = 0; ///< of which acted.
+        size_t forked = 0;  ///< cells resumed from a snapshot.
+        /** Mean committed share of its cell's window at which a fork
+         *  resumed. */
+        double meanForkShare = 0.0;
+    };
+    ShadowCounts shadowCounts();
 
     /** Cell (b, c, p)'s slot holds its final result (a result-cache
      *  hit included). */
@@ -134,6 +162,10 @@ class CellAliases
         bool waiting = false; ///< its take() returned Hosted.
         u64 micros = 0;       ///< spent in that take().
         std::optional<PhaseResult> result; ///< when Survived.
+        /** When Retired after the host's snapshot: where its cell
+         *  resumes, as that snapshot's shadow forkShadow. */
+        std::shared_ptr<ForkPoint> fork;
+        size_t forkShadow = 0;
     };
 
     size_t
@@ -154,6 +186,9 @@ class CellAliases
     MatrixPlan &plan;
     /** Per config: those needing no proof first, then by reference. */
     std::vector<std::vector<Candidate>> candidates;
+    /** Per config: the candidates a shadow may stand for, after the
+     *  no-nesting rule (an arm with any is never a host). */
+    std::vector<std::vector<Candidate>> shadowCandidates;
     size_t phases = 0; ///< slots per (row, config).
     std::mutex mtx;
     std::condition_variable hostsKnownCv; ///< a hostKnown slot was set.
@@ -161,7 +196,14 @@ class CellAliases
     std::vector<char> hostKnown;   ///< per slot: hostsKnown(); under mtx.
     std::vector<Pending> deferred; ///< under mtx.
     std::map<size_t, Shadowed> shadowed; ///< by slot; under mtx.
+    /** Proofs a host made for a later cell before choosing its
+     *  shadows, by slot; under mtx. */
+    std::map<size_t, SilenceProof> proofs;
     size_t shadowsRetired = 0;           ///< under mtx.
+    size_t forks = 0;                    ///< under mtx.
+    /** Per-mille of its window each fork resumed at, summed in
+     *  integers so the mean is the same in any order; under mtx. */
+    u64 forkPermille = 0;
 };
 
 } // namespace rsep::sim

@@ -289,14 +289,19 @@ printCellProgress(const PhaseResult &ph, const std::string &benchmark,
                   const std::string &label, u32 p, size_t k, size_t total)
 {
     std::fprintf(stderr,
-                 "[%s] %-12s %-20s ckpt %u ipc=%.3f (%zu/%zu)%s%s%s\n",
+                 "[%s] %-12s %-20s ckpt %u ipc=%.3f (%zu/%zu)%s%s%s%s\n",
                  ph.fromCache          ? "hit"
                  : !ph.aliasOf.empty() ? "als"
                  : ph.replayed         ? "rpl"
                                        : "run",
                  benchmark.c_str(), label.c_str(), p, ph.ipc, k, total,
                  ph.aliasOf.empty() ? "" : " from ", ph.aliasOf.c_str(),
-                 ph.aliasByShadow ? " (shadow)" : "");
+                 ph.aliasByShadow ? " (shadow)" : "",
+                 ph.forkOf.empty()
+                     ? ""
+                     : (" (forked from " + ph.forkOf + " at " +
+                        std::to_string(ph.forkAt) + ")")
+                           .c_str());
 }
 
 std::vector<MatrixRow>
@@ -389,12 +394,19 @@ runMatrix(const std::vector<SimConfig> &configs,
                    ec);
     };
     // Simulate a cell with the shadows it hosts, then finish the hosted
-    // cells that already asked for their result.
+    // cells that already asked for their result. A cell whose shadow
+    // acted after its host's snapshot resumes from there instead (it
+    // hosts nothing, and never writes the trace: its host ran first).
     std::function<void(size_t, size_t, u32, const InitialStateSource &)>
         simulate = [&](size_t b, size_t c, u32 p,
                        const InitialStateSource &initial) {
             TraceIoOptions trace_io = opts.traceIo;
             trace_io.writeTrace = writesTrace(c, p);
+            bool records = !trace_io.recordDir.empty() && trace_io.writeTrace;
+            if (!records && aliases.fork(b, c, p)) {
+                complete(b, c, p);
+                return;
+            }
             CellAliases::Hosting hosting = aliases.host(
                 b, c, p, trace_io, initial,
                 [&](size_t later) { return cachedCell(b, later, p); });
@@ -446,12 +458,17 @@ runMatrix(const std::vector<SimConfig> &configs,
     });
     finishMatrix(plan, configs, use_cache, opts.sampling, opts.progress);
 
-    if (auto [run, retired] = aliases.shadowCounts(); opts.progress && run)
+    if (CellAliases::ShadowCounts sc = aliases.shadowCounts();
+        opts.progress && sc.run) {
+        size_t taken = sc.run - sc.retired;
         std::fprintf(stderr,
-                     "[shadow] %zu shadow%s run, %zu retired, %zu cell%s "
+                     "[shadow] %zu shadow%s run, %zu retired, %zu forked "
+                     "(mean fork at %.0f%% of the window), %zu cell%s "
                      "taken\n",
-                     run, run == 1 ? "" : "s", retired, run - retired,
-                     run - retired == 1 ? "" : "s");
+                     sc.run, sc.run == 1 ? "" : "s", sc.retired, sc.forked,
+                     100.0 * sc.meanForkShare, taken,
+                     taken == 1 ? "" : "s");
+    }
     if (opts.progress && use_cache) {
         ResultCache::Counters cc = cache.counters();
         std::fprintf(stderr,

@@ -30,8 +30,16 @@ shardOf(const std::string &benchmark, const std::string &config_hash,
 {
     if (shard_count <= 1)
         return 0;
-    return static_cast<unsigned>(cellIdentityHash(benchmark, config_hash) %
-                                 shard_count);
+    // FNV-1a's low bits depend only on the low bits of the input bytes,
+    // so a power-of-two count would split by a few character parities.
+    // The murmur3 finalizer spreads every input bit over the low ones.
+    u64 h = cellIdentityHash(benchmark, config_hash);
+    h ^= h >> 33;
+    h *= 0xff51afd7ed558ccdull;
+    h ^= h >> 33;
+    h *= 0xc4ceb9fe1a85ec53ull;
+    h ^= h >> 33;
+    return static_cast<unsigned>(h % shard_count);
 }
 
 bool

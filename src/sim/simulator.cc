@@ -64,17 +64,60 @@ namespace
  */
 constexpr u64 traceRecordSlack = 8192;
 
+/** Append @p eng's registered counters to @p out as
+ *  "engine.<name>.<counter>", each read through @p value. */
+template <class Value>
+void
+exportEngine(PhaseResult &out, const core::SpeculationEngine &eng,
+             const Value &value)
+{
+    for (const auto &entry : eng.statEntries())
+        out.engineStats.emplace_back("engine." + eng.name() + "." +
+                                         entry.name,
+                                     value(*entry.counter));
+}
+
+/** @p pipe's statistics at the end of its measurement run. */
+PhaseResult
+collectResult(core::Pipeline &pipe)
+{
+    PhaseResult pr;
+    pr.stats = pipe.stats();
+    pr.ipc = pr.stats.ipc();
+    for (const core::SpeculationEngine *eng : pipe.engines())
+        exportEngine(pr, *eng,
+                     [](const StatCounter &c) { return c.value(); });
+    return pr;
+}
+
+/** How a cell's timing run may hand out forks: the program its
+ *  snapshot points into, null when the cell must not fork. */
+struct ForkSource
+{
+    std::shared_ptr<const void> programOwner;
+    bool replayed = false;
+};
+
 /** The timing run itself, identical for every source kind. */
 PhaseResult
 runTimedPhase(const SimConfig &cfg, wl::TraceSource &src, u32 phase,
-              u64 sample_every, std::vector<ShadowArm> *shadows)
+              u64 sample_every, std::vector<ShadowArm> *shadows,
+              const ForkSource &forks = {})
 {
     core::Pipeline pipe(cfg.core, cfg.mech, src,
                         cfg.seed ^ (0x9e37 * (phase + 1)));
     if (shadows)
         for (const ShadowArm &arm : *shadows)
             pipe.attachShadow(arm.mech, arm.engines);
+    // A sampled cell never forks: a fork would need the host's rows up
+    // to the snapshot.
+    bool may_fork = shadows && !shadows->empty() && forks.programOwner &&
+                    sample_every == 0;
+    if (may_fork)
+        pipe.requestSnapshot();
     pipe.run(cfg.warmupInsts);
+    std::unique_ptr<core::Pipeline> snapshot = pipe.takeSnapshot();
+    bool in_warmup = snapshot != nullptr;
     pipe.resetStats();
     // Sampling covers exactly the measurement run: attach after the
     // stats reset so cycle 0 of the series is cycle 0 of measurement.
@@ -84,26 +127,28 @@ runTimedPhase(const SimConfig &cfg, wl::TraceSource &src, u32 phase,
     pipe.run(cfg.measureInsts);
     if (sample_every)
         pipe.finishSampling();
+    if (!snapshot)
+        snapshot = pipe.takeSnapshot();
 
-    PhaseResult pr;
+    PhaseResult pr = collectResult(pipe);
     if (sample_every)
         pr.samples = sampler.rows();
-    pr.stats = pipe.stats();
-    pr.ipc = pr.stats.ipc();
-    auto exportEngine = [](PhaseResult &out,
-                           const core::SpeculationEngine &eng,
-                           const auto &value) {
-        for (const auto &entry : eng.statEntries())
-            out.engineStats.emplace_back("engine." + eng.name() + "." +
-                                             entry.name,
-                                         value(*entry.counter));
-    };
-    for (const core::SpeculationEngine *eng : pipe.engines())
-        exportEngine(pr, *eng,
-                     [](const StatCounter &c) { return c.value(); });
+    std::shared_ptr<ForkPoint> fork;
+    if (snapshot)
+        fork = std::make_shared<ForkPoint>(std::move(snapshot), in_warmup,
+                                           forks.replayed,
+                                           forks.programOwner);
+    size_t forking = 0;
     for (size_t i = 0; shadows && i < shadows->size(); ++i) {
-        if (pipe.shadowRetired(i))
+        if (pipe.shadowRetired(i)) {
+            // Acted after the snapshot: its cell resumes from there.
+            if (fork && fork->shadowLive(i)) {
+                (*shadows)[i].fork = fork;
+                (*shadows)[i].forkShadow = i;
+                ++forking;
+            }
             continue;
+        }
         // The later arm's cell: this run, plus what its shadow counted.
         PhaseResult arm;
         arm.stats = pipe.shadowArmStats(i);
@@ -117,10 +162,59 @@ runTimedPhase(const SimConfig &cfg, wl::TraceSource &src, u32 phase,
             exportEngine(arm, *eng, value);
         (*shadows)[i].result = std::move(arm);
     }
+    if (fork)
+        fork->setForks(forking);
     return pr;
 }
 
 } // namespace
+
+ForkPoint::ForkPoint(std::unique_ptr<core::Pipeline> snapshot,
+                     bool in_warmup, bool replayed,
+                     std::shared_ptr<const void> program_owner)
+    : snap(std::move(snapshot)), inWarmup(in_warmup), fromReplay(replayed),
+      at(snap->committedCount()), owner(std::move(program_owner))
+{
+}
+
+ForkPoint::~ForkPoint() = default;
+
+bool
+ForkPoint::shadowLive(size_t i) const
+{
+    return !snap->shadowRetired(i);
+}
+
+void
+ForkPoint::setForks(size_t n)
+{
+    std::lock_guard<std::mutex> lk(mtx);
+    forksLeft = n;
+}
+
+PhaseResult
+ForkPoint::run(const SimConfig &cfg, size_t shadow)
+{
+    std::unique_ptr<core::Pipeline> pipe;
+    {
+        // The last fork takes the snapshot itself.
+        std::lock_guard<std::mutex> lk(mtx);
+        if (!snap)
+            rsep_panic("fork point: more forks than its shadows");
+        if (forksLeft > 0)
+            --forksLeft;
+        pipe = forksLeft == 0
+            ? std::move(snap)
+            : std::make_unique<core::Pipeline>(*snap);
+    }
+    pipe->promoteShadow(shadow);
+    pipe->resume();
+    if (inWarmup) {
+        pipe->resetStats();
+        pipe->run(cfg.measureInsts);
+    }
+    return collectResult(*pipe);
+}
 
 ReplayTrace
 loadReplayTrace(const std::string &dir, const std::string &bench_name,
@@ -188,10 +282,11 @@ runPhase(const SimConfig &cfg, const std::string &bench_name, u32 phase,
         } else {
             if (!rt.trace)
                 rsep_fatal("replay: %s", rt.error.c_str());
-            wl::Workload w = wl::buildWorkload(*spec);
-            wl::ReplayTraceSource src(rt.trace, w.program, rt.path);
-            PhaseResult pr =
-                runTimedPhase(cfg, src, phase, sample_every, shadows);
+            auto w = std::make_shared<const wl::Workload>(
+                wl::buildWorkload(*spec));
+            wl::ReplayTraceSource src(rt.trace, w->program, rt.path);
+            PhaseResult pr = runTimedPhase(cfg, src, phase, sample_every,
+                                           shadows, {w, true});
             pr.replayed = true;
             pr.traceLoadMicros = rt.loadMicros;
             pr.traceDecodeHit = rt.decodeHit;
@@ -201,11 +296,11 @@ runPhase(const SimConfig &cfg, const std::string &bench_name, u32 phase,
 
     // ---- live-emulation path (optionally recording) ----
     std::shared_ptr<const InitialState> shared;
-    std::optional<wl::Workload> own;
+    std::shared_ptr<wl::Workload> own;
     if (initial)
         shared = initial();
     else
-        own = wl::makeWorkload(bench_name);
+        own = std::make_shared<wl::Workload>(wl::makeWorkload(bench_name));
     wl::Emulator emu(shared ? shared->workload.program : own->program);
     if (shared) {
         emu.restore(shared->image);
@@ -234,8 +329,10 @@ runPhase(const SimConfig &cfg, const std::string &bench_name, u32 phase,
         return finish(std::move(pr));
     }
 
+    std::shared_ptr<const void> owner =
+        shared ? std::shared_ptr<const void>(shared) : own;
     return finish(
-        runTimedPhase(cfg, emu, phase, sample_every, shadows));
+        runTimedPhase(cfg, emu, phase, sample_every, shadows, {owner}));
 }
 
 void
@@ -247,6 +344,8 @@ accountPhaseTiming(RunTiming &timing, const PhaseResult &pr)
     else
         ++timing.cellsRun;
     timing.traceLoadMicros += pr.traceLoadMicros;
+    if (!pr.forkOf.empty())
+        ++timing.cellsForked;
     if (pr.replayed) {
         if (pr.traceDecodeHit)
             ++timing.traceDecodeHits;

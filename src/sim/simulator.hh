@@ -11,6 +11,7 @@
 
 #include <functional>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <string>
 #include <utility>
@@ -59,6 +60,11 @@ struct PhaseResult
     /** The alias rests on shadow engines that ran in that arm's cell,
      *  not on a proof (transient). */
     bool aliasByShadow = false;
+    /** Label of the arm whose snapshot this cell resumed from instead
+     *  of simulating from cycle 0, and the instructions that arm had
+     *  committed there (transient; empty and 0 otherwise). */
+    std::string forkOf;
+    u64 forkAt = 0;
     /** Time-series rows of the measurement run (`--sample-every`);
      *  empty when sampling is off. Transient, never part of the cached
      *  record: a cached cell cannot produce samples, which is why the
@@ -121,6 +127,9 @@ struct RunTiming
      *  multi-arm sweep is the decode-once-replay-many evidence. */
     StatCounter traceDecodeHits;
     StatCounter traceDecodeMisses;
+    /** Cells resumed from an earlier arm's snapshot (a subset of
+     *  cellsRun). */
+    StatCounter cellsForked;
 };
 
 /** Stat-introspection hook (mirrors visitStats on PipelineStats). */
@@ -135,6 +144,7 @@ visitStats(RunTiming &t, V &&v)
     v("timing.trace_load_micros", t.traceLoadMicros);
     v("timing.trace_decode_hits", t.traceDecodeHits);
     v("timing.trace_decode_misses", t.traceDecodeMisses);
+    v("timing.cells_forked", t.cellsForked);
 }
 
 /** Result of one (workload, config) run across checkpoints. */
@@ -211,6 +221,46 @@ ReplayTrace loadReplayTrace(const std::string &dir,
                             const wl::WorkloadSpec &spec);
 
 /**
+ * A host cell's snapshot (core::Pipeline::requestSnapshot), from which
+ * the cells of its shadows that retired later resume (DESIGN.md §20,
+ * "Forks"). It keeps the program the snapshot's instructions point
+ * into alive. Thread-safe: forks may run on any worker.
+ */
+class ForkPoint
+{
+  public:
+    ForkPoint(std::unique_ptr<core::Pipeline> snapshot, bool in_warmup,
+              bool replayed, std::shared_ptr<const void> program_owner);
+    ~ForkPoint();
+
+    /** Instructions the host had committed at the snapshot. */
+    u64 committedAt() const { return at; }
+    bool replayed() const { return fromReplay; }
+
+    /** Shadow @p i was live in the snapshot (it acted later). */
+    bool shadowLive(size_t i) const;
+
+    /** The number of forks that will run: the last one takes the
+     *  snapshot itself instead of a copy. */
+    void setForks(size_t n);
+
+    /** Finish the cell of shadow @p shadow's arm, @p cfg, from the
+     *  snapshot with that shadow's engines promoted. The result has the
+     *  engine counters of the host's and the shadow's engines, in
+     *  chain order; no samples. */
+    PhaseResult run(const SimConfig &cfg, size_t shadow);
+
+  private:
+    std::mutex mtx;
+    std::unique_ptr<core::Pipeline> snap; ///< under mtx.
+    size_t forksLeft = 0;                 ///< under mtx.
+    bool inWarmup;
+    bool fromReplay;
+    u64 at;
+    std::shared_ptr<const void> owner;
+};
+
+/**
  * A later arm whose extra engines run as a shadow in another arm's
  * cell (core::Pipeline::attachShadow, DESIGN.md §20).
  */
@@ -221,6 +271,10 @@ struct ShadowArm
     /** Set by runPhase when the shadow never acted: the later arm's
      *  cell, without samples (they equal the host cell's). */
     std::optional<PhaseResult> result;
+    /** Set by runPhase when the shadow acted after its host's snapshot:
+     *  the later arm's cell resumes from it as shadow @c forkShadow. */
+    std::shared_ptr<ForkPoint> fork;
+    size_t forkShadow = 0;
 };
 
 /**
@@ -243,7 +297,9 @@ struct ShadowArm
  * workload itself.
  *
  * Each of @p shadows runs beside the cell's pipeline; the host cell's
- * result is the same with or without them.
+ * result is the same with or without them. Unless the cell samples or
+ * records a trace, the pipeline takes a snapshot when a shadow is
+ * first armed, and each shadow that acts later gets a ForkPoint.
  */
 PhaseResult runPhase(const SimConfig &cfg, const std::string &bench_name,
                      u32 phase, const TraceIoOptions &trace_io = {},

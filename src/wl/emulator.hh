@@ -70,6 +70,13 @@ class Emulator : public TraceSource
     const SparseMemory &memory() const { return mem; }
 
     const isa::Program &program() const override { return prog; }
+    /** Copies the registers and the private pages; the base is
+     *  shared. */
+    std::unique_ptr<TraceSource>
+    clone() const override
+    {
+        return std::make_unique<Emulator>(*this);
+    }
     /** Total instructions executed (excluding skipped Halts). */
     u64 instCount() const { return icount; }
     /** Static index of the next instruction to execute. */

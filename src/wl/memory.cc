@@ -12,6 +12,13 @@ const SparseMemory::Page zeroPage{};
 
 } // namespace
 
+SparseMemory::SparseMemory(const SparseMemory &o) : base(o.base)
+{
+    pages.reserve(o.pages.size());
+    for (const auto &[pn, page] : o.pages)
+        pages.emplace(pn, std::make_unique<Page>(*page));
+}
+
 const SparseMemory::Page *
 SparseMemory::basePage(Addr pn) const
 {

@@ -51,6 +51,12 @@ class SparseMemory
     /** A memory that reads @p base until it writes a page itself. */
     explicit SparseMemory(Base base) : base(std::move(base)) {}
 
+    /** Copies the private pages and shares the base. */
+    SparseMemory(const SparseMemory &o);
+    SparseMemory &operator=(const SparseMemory &) = delete;
+    SparseMemory(SparseMemory &&) = default;
+    SparseMemory &operator=(SparseMemory &&) = default;
+
     /** Read the 64-bit word at @p addr (aligned down). */
     u64
     read(Addr addr) const

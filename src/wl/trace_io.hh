@@ -211,6 +211,9 @@ class RecordingTraceSource : public TraceSource
 
     const isa::Program &program() const override { return src.program(); }
 
+    /** A recording is one stream: it is never copied. */
+    std::unique_ptr<TraceSource> clone() const override { return nullptr; }
+
     /**
      * Pull @p n more records from the wrapped source into the buffer
      * without handing them to the consumer — slack appended after the
@@ -255,6 +258,12 @@ class ReplayTraceSource : public TraceSource
 
     const DynRecord &step() override;
     const isa::Program &program() const override { return prog; }
+    /** A cursor at the same record over the same shared trace. */
+    std::unique_ptr<TraceSource>
+    clone() const override
+    {
+        return std::make_unique<ReplayTraceSource>(*this);
+    }
 
   private:
     std::shared_ptr<const DecodedTrace> trace;

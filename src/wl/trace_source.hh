@@ -20,6 +20,8 @@
 #ifndef RSEP_WL_TRACE_SOURCE_HH
 #define RSEP_WL_TRACE_SOURCE_HH
 
+#include <memory>
+
 #include "isa/program.hh"
 #include "wl/dynrecord.hh"
 
@@ -42,6 +44,13 @@ class TraceSource
 
     /** The static program the records' indices refer to. */
     virtual const isa::Program &program() const = 0;
+
+    /**
+     * A source that continues with the records this one would produce
+     * next, over the same program (which must outlive both); null when
+     * the source cannot be copied.
+     */
+    virtual std::unique_ptr<TraceSource> clone() const = 0;
 };
 
 } // namespace rsep::wl

@@ -283,72 +283,125 @@ filesIn(const fs::path &dir)
     return out;
 }
 
+size_t
+forkedCells(const std::vector<MatrixRow> &rows)
+{
+    size_t n = 0;
+    for (const MatrixRow &row : rows)
+        for (const RunResult &rr : row.byConfig)
+            for (const PhaseResult &ph : rr.phases)
+                n += !ph.forkOf.empty();
+    return n;
+}
+
+/** The floors of one arm set's differential run. */
+struct DifferentialCase
+{
+    std::vector<std::string> arms;
+    size_t aliased, byShadow, forked;
+};
+
 TEST(CellAlias, EveryArmEqualsItselfRunAloneLiveAndReplayed)
 {
-    TempDir tmp;
-    std::vector<SimConfig> configs;
-    for (const std::string &arm : fig4And6Arms())
-        configs.push_back(small(arm));
+    // The Fig. 4 and Fig. 6 arms, where vpred hosts rsep+vpred's
+    // shadow, and the replay sweep's arms, where vpred is shadowed.
+    // When written they aliased 367 and 112 cells, 216 and 19 of them
+    // from shadows, and forked 127 and 48.
+    const std::vector<DifferentialCase> cases = {
+        {fig4And6Arms(), 300, 180, 100},
+        {{"baseline", "zero-pred", "move-elim", "vpred"}, 90, 15, 40},
+    };
     std::vector<std::string> benches = wl::suiteNames();
+    for (const DifferentialCase &dc : cases) {
+        SCOPED_TRACE(dc.arms.back());
+        TempDir tmp;
+        std::vector<SimConfig> configs;
+        for (const std::string &arm : dc.arms)
+            configs.push_back(small(arm));
 
-    // Alone, an arm has no earlier arm to take cells from. Baseline
-    // records the traces; every arm samples its timeline.
-    std::map<std::string, std::string> alone;
-    for (const SimConfig &cfg : configs) {
-        MatrixOptions mo;
-        mo.jobs = 4;
-        mo.progress = false;
-        mo.sampling = {1000, (tmp.path / "alone-rts").string()};
-        if (cfg.label == "baseline")
-            mo.traceIo.recordDir = (tmp.path / "traces").string();
-        std::vector<MatrixRow> rows = runMatrix({cfg}, benches, mo);
-        EXPECT_EQ(aliasedCells(rows), 0u);
-        alone.merge(records({cfg}, rows));
-    }
-    ASSERT_EQ(alone.size(), benches.size() * configs.size() * 2);
-
-    size_t shadowTaken = 0;
-    for (bool replay : {false, true})
-        for (unsigned jobs : {1u, 4u}) {
-            SCOPED_TRACE(std::string(replay ? "replay" : "live") +
-                         ", jobs " + std::to_string(jobs));
+        // Alone, an arm has no earlier arm to take cells from. Baseline
+        // records the traces; every arm samples its timeline.
+        std::map<std::string, std::string> alone;
+        for (const SimConfig &cfg : configs) {
             MatrixOptions mo;
-            mo.jobs = jobs;
+            mo.jobs = 4;
             mo.progress = false;
-            fs::path rts = tmp.path / ("rts-" + std::to_string(replay) +
-                                       std::to_string(jobs));
-            mo.sampling = {1000, rts.string()};
-            if (replay)
-                mo.traceIo.replayDir = (tmp.path / "traces").string();
-            std::vector<MatrixRow> rows = runMatrix(configs, benches, mo);
-            // The same cells are taken at any worker count: 364, 213
-            // of them from shadows, when written.
-            EXPECT_GE(aliasedCells(rows), 300u);
-            EXPECT_GE(aliasedCells(rows, true), 150u);
-            if (shadowTaken == 0)
-                shadowTaken = aliasedCells(rows, true);
-            EXPECT_EQ(aliasedCells(rows, true), shadowTaken);
-            expectRecords(records(configs, rows), alone);
-            EXPECT_EQ(filesIn(rts), filesIn(tmp.path / "alone-rts"));
-            for (const MatrixRow &row : rows)
-                for (size_t c = 0; c < configs.size(); ++c)
-                    for (const PhaseResult &ph : row.byConfig[c].phases) {
-                        EXPECT_FALSE(row.benchmark == "perlbench" &&
-                                     configs[c].label == "move-elim" &&
-                                     !ph.aliasOf.empty())
-                            << "perlbench has an eliminable move";
-                        // Only a zero-prediction proof reads the trace.
-                        if (!ph.aliasOf.empty()) {
-                            EXPECT_EQ(ph.replayed,
-                                      replay && !ph.aliasByShadow &&
-                                          configs[c].label == "zero-pred");
-                        }
-                        // Only an arm with RSEP has a shadow.
-                        if (ph.aliasByShadow) {
-                            EXPECT_TRUE(configs[c].mech.equalityPred);
-                        }
-                    }
+            mo.sampling = {1000, (tmp.path / "alone-rts").string()};
+            if (cfg.label == "baseline")
+                mo.traceIo.recordDir = (tmp.path / "traces").string();
+            std::vector<MatrixRow> rows = runMatrix({cfg}, benches, mo);
+            EXPECT_EQ(aliasedCells(rows), 0u);
+            EXPECT_EQ(forkedCells(rows), 0u);
+            alone.merge(records({cfg}, rows));
         }
+        ASSERT_EQ(alone.size(), benches.size() * configs.size() * 2);
+
+        // A sampled cell never forks; without sampling the same cells
+        // fork at any worker count.
+        size_t shadowTaken = 0, forked = 0;
+        for (bool sampled : {true, false})
+            for (bool replay : {false, true})
+                for (unsigned jobs : {1u, 4u}) {
+                    SCOPED_TRACE(std::string(sampled ? "sampled " : "") +
+                                 (replay ? "replay" : "live") + ", jobs " +
+                                 std::to_string(jobs));
+                    MatrixOptions mo;
+                    mo.jobs = jobs;
+                    mo.progress = false;
+                    fs::path rts =
+                        tmp.path / ("rts-" + std::to_string(replay) +
+                                    std::to_string(jobs));
+                    if (sampled)
+                        mo.sampling = {1000, rts.string()};
+                    if (replay)
+                        mo.traceIo.replayDir = (tmp.path / "traces").string();
+                    std::vector<MatrixRow> rows =
+                        runMatrix(configs, benches, mo);
+                    EXPECT_GE(aliasedCells(rows), dc.aliased);
+                    EXPECT_GE(aliasedCells(rows, true), dc.byShadow);
+                    if (shadowTaken == 0)
+                        shadowTaken = aliasedCells(rows, true);
+                    EXPECT_EQ(aliasedCells(rows, true), shadowTaken);
+                    if (sampled) {
+                        EXPECT_EQ(forkedCells(rows), 0u);
+                    } else {
+                        EXPECT_GE(forkedCells(rows), dc.forked);
+                        if (forked == 0)
+                            forked = forkedCells(rows);
+                        EXPECT_EQ(forkedCells(rows), forked);
+                    }
+                    expectRecords(records(configs, rows), alone);
+                    if (sampled) {
+                        EXPECT_EQ(filesIn(rts),
+                                  filesIn(tmp.path / "alone-rts"));
+                    }
+                    for (const MatrixRow &row : rows)
+                        for (size_t c = 0; c < configs.size(); ++c)
+                            for (const PhaseResult &ph :
+                                 row.byConfig[c].phases) {
+                                const core::MechConfig &m = configs[c].mech;
+                                EXPECT_FALSE(row.benchmark == "perlbench" &&
+                                             configs[c].label == "move-elim" &&
+                                             !ph.aliasOf.empty())
+                                    << "perlbench has an eliminable move";
+                                // A zero-prediction proof and a shadow
+                                // read the trace.
+                                if (!ph.aliasOf.empty()) {
+                                    EXPECT_EQ(ph.replayed,
+                                              replay &&
+                                                  (ph.aliasByShadow ||
+                                                   configs[c].label ==
+                                                       "zero-pred"));
+                                }
+                                // Only an arm with an engine a shadow
+                                // runs has a shadow.
+                                if (ph.aliasByShadow || !ph.forkOf.empty()) {
+                                    EXPECT_TRUE(m.equalityPred ||
+                                                m.valuePred || m.zeroPred);
+                                }
+                            }
+                }
+    }
 }
 
 TEST(CellAlias, ARepeatedConfigIsTakenWithoutProof)
@@ -394,9 +447,7 @@ TEST(CellAlias, AnAliasIsStoredInTheResultCache)
 TEST(CellAlias, AReferenceInAnotherShardMeansTheCandidateSimulates)
 {
     // The proof candidates of zero-pred and move-elim, and the shadow
-    // candidate of rsep, whose only reference is baseline. Three
-    // shards: baseline and rsep land in the same one of two on every
-    // row.
+    // candidate of rsep, whose only reference is baseline.
     for (const std::vector<std::string> &arms :
          {std::vector<std::string>{"baseline", "zero-pred", "move-elim"},
           std::vector<std::string>{"baseline", "rsep"}}) {
@@ -413,8 +464,8 @@ TEST(CellAlias, AReferenceInAnotherShardMeansTheCandidateSimulates)
 
         std::vector<std::vector<StatRow>> parts;
         size_t split = 0; // candidates whose reference another shard runs.
-        for (u32 i = 0; i < 3; ++i) {
-            mo.shard = {i, 3};
+        for (u32 i = 0; i < 2; ++i) {
+            mo.shard = {i, 2};
             std::vector<MatrixRow> rows = runMatrix(configs, benches, mo);
             for (const MatrixRow &row : rows)
                 for (size_t c = 1; c < configs.size(); ++c)
@@ -428,8 +479,7 @@ TEST(CellAlias, AReferenceInAnotherShardMeansTheCandidateSimulates)
         }
         EXPECT_GT(split, 0u);
         std::vector<StatRow> merged;
-        ASSERT_EQ(mergeStatRows(parts, {"shard0", "shard1", "shard2"}, merged),
-                  "");
+        ASSERT_EQ(mergeStatRows(parts, {"shard0", "shard1"}, merged), "");
         std::ostringstream os;
         CsvStatSink{}.write(os, merged);
         EXPECT_EQ(os.str(), csvOf(configs, full));
@@ -475,7 +525,7 @@ TEST(ShadowEngine, AShadowLeavesItsHostCellUnchanged)
     EXPECT_GT(retired, 0u);
 }
 
-TEST(ShadowEngine, AShadowThatActsLateRetiresAndItsCellSimulates)
+TEST(ShadowEngine, AShadowThatActsLateRetiresAndItsCellForks)
 {
     // At the Fig. 4 benchmark's sizing (4k warm-up + 20k measured),
     // RSEP first shares on xalancbmk past the middle of the window.
@@ -504,8 +554,8 @@ TEST(ShadowEngine, AShadowThatActsLateRetiresAndItsCellSimulates)
     }
     EXPECT_GT(retiredAt, window / 3);
 
-    // Its cell retires in the host and then simulates, and equals the
-    // arm run alone.
+    // Its shadow retires in the host, its cell resumes from the host's
+    // snapshot, and it equals the arm run alone.
     std::vector<ShadowArm> shadows(1);
     shadows[0].mech = arm.mech;
     shadows[0].engines = {"rsep"};
@@ -517,6 +567,7 @@ TEST(ShadowEngine, AShadowThatActsLateRetiresAndItsCellSimulates)
     mo.progress = false;
     std::vector<MatrixRow> rows = runMatrix(configs, {bench}, mo);
     EXPECT_TRUE(rows[0].byConfig[1].phases[0].aliasOf.empty());
+    EXPECT_EQ(rows[0].byConfig[1].phases[0].forkOf, "move-elim");
     expectRecords(records(configs, rows), aloneRecords(configs, {bench}));
 }
 
@@ -568,6 +619,221 @@ TEST(ShadowEngine, AZeroPredictorRidesItsArmsShadowUnlessItDrawsTheRng)
         }
     EXPECT_GT(deterministic, 0u);
     expectRecords(records(configs, rows), aloneRecords(configs, benches));
+}
+
+// -------------------------------------------------------------- forks
+
+/** A host arm and a later arm that is the host plus some engines. */
+struct ForkCase
+{
+    std::string host;
+    core::MechConfig arm;
+    std::vector<std::string> engines;
+};
+
+std::vector<ForkCase>
+forkCases()
+{
+    core::MechConfig vpredRsep = small("rsep+vpred").mech;
+    vpredRsep.moveElim = false;
+    core::MechConfig sampled = small("rsep-val-2x-sample15").mech;
+    core::MechConfig fpc = small("zero-pred").mech;
+    fpc.rsep.confKind = ConfidenceKind::Fpc3;
+    return {
+        {"move-elim", small("rsep").mech, {"rsep"}},
+        {"move-elim", sampled, {"rsep"}},
+        {"baseline", small("zero-pred").mech, {"zero-pred"}},
+        {"baseline", fpc, {"zero-pred"}},
+        {"baseline", small("vpred").mech, {"dvtage"}},
+        {"rsep", small("rsep+vpred").mech, {"dvtage"}},
+        {"vpred", vpredRsep, {"rsep"}},
+    };
+}
+
+/** @p pr's record without its wall time. */
+std::string
+recordOf(const SimConfig &cfg, const std::string &bench, u32 p,
+         PhaseResult pr)
+{
+    pr.wallMicros = 0;
+    pr.forkOf.clear();
+    pr.forkAt = 0;
+    pr.replayed = pr.traceDecodeHit = false;
+    pr.traceLoadMicros = 0;
+    return ResultCache::serializeRecord({bench, configHash(cfg), p, cfg.seed},
+                                        pr);
+}
+
+TEST(Fork, AForkedCellEqualsItsArmRunAlone)
+{
+    // Every kind of shadow, at 2k + 10k instructions so that most of
+    // them act: each one that acts after its host's snapshot resumes
+    // from it, and that cell equals its arm run alone (46 forks when
+    // written).
+    size_t forked = 0;
+    for (const ForkCase &fc : forkCases())
+        for (const std::string bench :
+             {"mcf", "hmmer", "xalancbmk", "gobmk", "astar", "perlbench"})
+            for (u32 p = 0; p < 2; ++p) {
+                SCOPED_TRACE(fc.host + " + " + fc.engines[0] + " on " +
+                             bench + "/" + std::to_string(p));
+                SimConfig host = small(fc.host);
+                host.warmupInsts = 2'000;
+                host.measureInsts = 10'000;
+                SimConfig arm = host;
+                arm.mech = fc.arm;
+                std::vector<ShadowArm> shadows(1);
+                shadows[0].mech = fc.arm;
+                shadows[0].engines = fc.engines;
+                InitialStateSource initial = [&] {
+                    return std::make_shared<const InitialState>(
+                        wl::makeWorkload(bench), p);
+                };
+                runPhase(host, bench, p, {}, 0, initial, &shadows);
+                if (!shadows[0].fork)
+                    continue;
+                ++forked;
+                PhaseResult fork = shadows[0].fork->run(arm, 0);
+                EXPECT_EQ(recordOf(arm, bench, p, fork),
+                          recordOf(arm, bench, p, runPhase(arm, bench, p)));
+            }
+    EXPECT_GT(forked, 30u);
+}
+
+/** Every counter of @p pipe, its engines' included. */
+std::vector<u64>
+countersOf(core::Pipeline &pipe)
+{
+    std::vector<u64> out;
+    core::visitStats(pipe.stats(), [&](const char *, StatCounter &c) {
+        out.push_back(c.value());
+    });
+    const StatHistogram &hist = pipe.stats().commitGroupProducers;
+    for (size_t b = 0; b < hist.buckets(); ++b)
+        out.push_back(hist.bucket(b));
+    for (const core::SpeculationEngine *e : pipe.engines())
+        for (const auto &entry : e->statEntries())
+            out.push_back(entry.counter->value());
+    return out;
+}
+
+TEST(Fork, ACopiedPipelineRunsToTheSameStatRecord)
+{
+    // Every engine at once, live and replayed, copied mid-warm-up and
+    // mid-measurement: the copy and the original finish alike.
+    TempDir tmp;
+    SimConfig cfg = small("rsep+vpred+zp");
+    const std::string bench = "hmmer";
+    MatrixOptions rec;
+    rec.progress = false;
+    rec.traceIo.recordDir = tmp.path.string();
+    runMatrix({cfg}, {bench}, rec);
+    wl::Workload w = wl::makeWorkload(bench);
+    ReplayTrace rt = loadReplayTrace(tmp.path.string(), bench, 0,
+                                     *wl::findWorkloadSpec(bench));
+    ASSERT_TRUE(rt.trace) << rt.error;
+    InitialState init(wl::makeWorkload(bench), 0);
+    for (bool replay : {false, true})
+        for (u64 at : {cfg.warmupInsts / 2,
+                       cfg.warmupInsts + cfg.measureInsts / 2}) {
+            SCOPED_TRACE((replay ? "replayed, at " : "live, at ") +
+                         std::to_string(at));
+            wl::Emulator emu(init.workload.program);
+            emu.restore(init.image);
+            wl::ReplayTraceSource rsrc(rt.trace, w.program, rt.path);
+            wl::TraceSource &src =
+                replay ? static_cast<wl::TraceSource &>(rsrc) : emu;
+            core::Pipeline pipe(cfg.core, cfg.mech, src, 77);
+            bool warm = at < cfg.warmupInsts;
+            if (warm) {
+                pipe.run(at);
+            } else {
+                pipe.run(cfg.warmupInsts);
+                pipe.resetStats();
+                pipe.run(at - cfg.warmupInsts);
+            }
+            core::Pipeline copy(pipe);
+            for (core::Pipeline *p : {&pipe, &copy}) {
+                if (warm) {
+                    p->run(cfg.warmupInsts - at);
+                    p->resetStats();
+                    p->run(cfg.measureInsts);
+                } else {
+                    p->run(cfg.warmupInsts + cfg.measureInsts - at);
+                }
+            }
+            EXPECT_EQ(countersOf(copy), countersOf(pipe));
+            EXPECT_TRUE(copy.checkRegisterConservation());
+        }
+}
+
+TEST(Fork, NoShadowActsBeforeItIsArmed)
+{
+    // For each kind of shadow engine over the suite, a shadow that
+    // acts is live in the snapshot taken in the first cycle in which
+    // it is armed, before that cycle's rename stage: its act comes
+    // later, possibly in the same cycle.
+    size_t acted = 0, sameCycle = 0;
+    for (const ForkCase &fc : forkCases())
+        for (const std::string &bench : wl::suiteNames()) {
+            SCOPED_TRACE(fc.host + " + " + fc.engines[0] + " on " + bench);
+            SimConfig host = small(fc.host);
+            InitialState init(wl::makeWorkload(bench), 0);
+            wl::Emulator emu(init.workload.program);
+            emu.restore(init.image);
+            core::Pipeline pipe(host.core, host.mech, emu, host.seed);
+            pipe.attachShadow(fc.arm, fc.engines);
+            pipe.requestSnapshot();
+            pipe.run(host.warmupInsts);
+            std::unique_ptr<core::Pipeline> snap = pipe.takeSnapshot();
+            pipe.resetStats();
+            pipe.run(host.measureInsts);
+            if (!snap)
+                snap = pipe.takeSnapshot();
+            if (!pipe.shadowRetired(0))
+                continue;
+            ++acted;
+            ASSERT_TRUE(snap);
+            EXPECT_FALSE(snap->shadowRetired(0));
+            bool armed = false;
+            for (const core::SpeculationEngine *e : snap->shadowEngines(0))
+                armed = armed || e->armed();
+            EXPECT_TRUE(armed);
+            EXPECT_LE(snap->cycleCount(), pipe.shadowActCycle(0));
+            sameCycle += snap->cycleCount() == pipe.shadowActCycle(0);
+        }
+    // 82 acted, 29 of them in the snapshot's cycle, when written: a
+    // snapshot one cycle late would have missed those.
+    EXPECT_GT(acted, 50u);
+    EXPECT_GT(sameCycle, 10u);
+}
+
+TEST(Fork, ACellThatRecordsATraceNeverForks)
+{
+    // The recording host takes no snapshot, so a shadow that acts
+    // leaves its cell to simulate from cycle 0; without recording the
+    // same cells fork. Either way the records are the arms' own, and
+    // no initial state outlives the matrix (a fork holds its host's).
+    TempDir tmp;
+    std::vector<SimConfig> configs = {small("baseline"), small("zero-pred"),
+                                      small("vpred")};
+    for (SimConfig &cfg : configs) {
+        cfg.warmupInsts = 2'000;
+        cfg.measureInsts = 10'000;
+    }
+    const std::vector<std::string> benches = {"gobmk", "astar", "hmmer"};
+    std::map<std::string, std::string> alone = aloneRecords(configs, benches);
+    MatrixOptions mo;
+    mo.jobs = 2;
+    mo.progress = false;
+    std::vector<MatrixRow> forked = runMatrix(configs, benches, mo);
+    EXPECT_GT(forkedCells(forked), 0u);
+    expectRecords(records(configs, forked), alone);
+    mo.traceIo.recordDir = tmp.path.string();
+    std::vector<MatrixRow> recorded = runMatrix(configs, benches, mo);
+    EXPECT_EQ(forkedCells(recorded), 0u);
+    expectRecords(records(configs, recorded), alone);
+    EXPECT_EQ(InitialState::alive(), 0u);
 }
 
 } // namespace

@@ -11,11 +11,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 
 #include "sim/runner.hh"
 #include "sim/scenario.hh"
 #include "sim/shard.hh"
+#include "wl/suite.hh"
 
 namespace rsep::sim
 {
@@ -175,6 +177,43 @@ TEST(Shard, ShardedMatrixRunsExactlyItsSlice)
         }
     }
     EXPECT_EQ(across_shards, benches.size() * configs.size());
+}
+
+TEST(Shard, PowerOfTwoCountsSplitTheSuiteAndItsArms)
+{
+    // Over the suite and the Fig. 4 and Fig. 6 arms at default sizing,
+    // with 2, 4 and 8 shards: every shard owns cells, and no two arms
+    // of distinct configs share a shard on every row. (Bare FNV-1a put
+    // baseline and rsep in one shard of two on all 29 rows.)
+    std::vector<std::string> hashes;
+    for (const char *arm :
+         {"baseline", "zero-pred", "move-elim", "rsep", "vpred", "rsep+vpred",
+          "rsep-val-ideal", "rsep-val-2x-lock", "rsep-val-2x-any",
+          "rsep-val-2x-sample15", "rsep-val-2x-sample63"}) {
+        std::string h = configHash(findScenario(arm)->config);
+        if (std::find(hashes.begin(), hashes.end(), h) == hashes.end())
+            hashes.push_back(h);
+    }
+    ASSERT_GE(hashes.size(), 10u);
+    const std::vector<std::string> benches = wl::suiteNames();
+    for (unsigned count : {2u, 4u, 8u}) {
+        SCOPED_TRACE(count);
+        std::vector<size_t> owned(count, 0);
+        for (const std::string &b : benches)
+            for (const std::string &h : hashes)
+                ++owned[shardOf(b, h, count)];
+        for (unsigned i = 0; i < count; ++i)
+            EXPECT_GT(owned[i], 0u) << "shard " << i;
+        for (size_t x = 0; x < hashes.size(); ++x)
+            for (size_t y = x + 1; y < hashes.size(); ++y) {
+                bool apart = false;
+                for (const std::string &b : benches)
+                    apart = apart ||
+                            shardOf(b, hashes[x], count) !=
+                                shardOf(b, hashes[y], count);
+                EXPECT_TRUE(apart) << hashes[x] << " and " << hashes[y];
+            }
+    }
 }
 
 } // namespace

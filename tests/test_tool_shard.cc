@@ -472,6 +472,38 @@ TEST(ToolFigures, DriverTablesAgreeWithTheMergeSummaryOfTheirDump)
     }
 }
 
+TEST(ToolFigures, ForkedCellsAndTheShadowLineDoNotDependOnWorkers)
+{
+    // Fig. 4 at a twentieth of its sizing: the same cells are taken
+    // from shadows and forked from snapshots on one worker and on four,
+    // and the table and dump are the same.
+    WorkDir dir;
+    Env small{{"RSEP_SIM_SCALE", "0.05"}, {"RSEP_CHECKPOINTS", "1"}};
+    std::map<unsigned, RunResult> runs;
+    for (unsigned jobs : {1u, 4u}) {
+        runs[jobs] = dir.run({"bench_fig4_speedup", "--csv",
+                              "j" + std::to_string(jobs) + ".csv", "--jobs",
+                              std::to_string(jobs)},
+                             small);
+        ASSERT_EQ(runs[jobs].exitCode, 0) << runs[jobs];
+    }
+    auto shadowLine = [](const std::string &err) {
+        std::vector<std::string> m = grep(
+            err, "\\[shadow\\] [0-9]+ shadows run, [0-9]+ retired, "
+                 "([0-9]+) forked \\(mean fork at [0-9]+% of the "
+                 "window\\), [0-9]+ cells taken");
+        return m;
+    };
+    std::vector<std::string> one = shadowLine(runs[1].err),
+                             four = shadowLine(runs[4].err);
+    ASSERT_EQ(one.size(), 2u) << runs[1];
+    EXPECT_EQ(one, four) << runs[4];
+    EXPECT_GT(std::stoul(one[1]), 0u) << one[0];
+    EXPECT_TRUE(runs[1].mentions(" (forked from ")) << runs[1];
+    EXPECT_EQ(runs[1].out, runs[4].out);
+    EXPECT_TRUE(sameFile(dir / "j1.csv", dir / "j4.csv"));
+}
+
 // ------------------------------------------------------ shard and merge
 
 TEST(ToolShard, ShardedRunsMergeIntoTheUnshardedDump)
