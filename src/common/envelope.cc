@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cctype>
 #include <cerrno>
 #include <cstring>
@@ -28,6 +29,49 @@ namespace
 constexpr std::string_view trailerMark = "\nchecksum = ";
 /** "\nchecksum = " + 16 hex digits + "\n". */
 constexpr size_t trailerBytes = trailerMark.size() + 16 + 1;
+
+// XXH64 (seed 0). Words are read with memcpy, so a payload at any
+// offset of its image is read without alignment UB. XXH64 defines its
+// words as little-endian; a native load is that only on a little-endian
+// host, and a big-endian build would write other sums.
+static_assert(std::endian::native == std::endian::little,
+              "envelope::checksum reads payload words little-endian");
+
+constexpr u64 xxPrime1 = 0x9e3779b185ebca87ull;
+constexpr u64 xxPrime2 = 0xc2b2ae3d27d4eb4full;
+constexpr u64 xxPrime3 = 0x165667b19e3779f9ull;
+constexpr u64 xxPrime4 = 0x85ebca77c2b2ae63ull;
+constexpr u64 xxPrime5 = 0x27d4eb2f165667c5ull;
+
+inline u64
+load64(const char *p)
+{
+    u64 v;
+    std::memcpy(&v, p, sizeof(v));
+    return v;
+}
+
+inline u64
+load32(const char *p)
+{
+    u32 v;
+    std::memcpy(&v, p, sizeof(v));
+    return v;
+}
+
+inline u64
+xxRound(u64 acc, u64 input)
+{
+    acc += input * xxPrime2;
+    return std::rotl(acc, 31) * xxPrime1;
+}
+
+inline u64
+xxMerge(u64 acc, u64 lane)
+{
+    acc ^= xxRound(0, lane);
+    return acc * xxPrime1 + xxPrime4;
+}
 
 /** Read the last @p limit bytes of @p path (all of it when shorter). */
 bool
@@ -69,6 +113,51 @@ readTail(const std::string &path, u64 limit, std::string &bytes,
 
 } // namespace
 
+u64
+checksum(std::string_view bytes)
+{
+    const char *p = bytes.data();
+    const char *const end = p + bytes.size();
+    u64 h;
+    if (bytes.size() >= 32) {
+        // Four independent lanes, one 8-byte word each per stripe.
+        u64 v1 = xxPrime1 + xxPrime2, v2 = xxPrime2, v3 = 0,
+            v4 = 0 - xxPrime1;
+        const char *const limit = end - 32;
+        do {
+            v1 = xxRound(v1, load64(p));
+            v2 = xxRound(v2, load64(p + 8));
+            v3 = xxRound(v3, load64(p + 16));
+            v4 = xxRound(v4, load64(p + 24));
+            p += 32;
+        } while (p <= limit);
+        h = std::rotl(v1, 1) + std::rotl(v2, 7) + std::rotl(v3, 12) +
+            std::rotl(v4, 18);
+        h = xxMerge(h, v1);
+        h = xxMerge(h, v2);
+        h = xxMerge(h, v3);
+        h = xxMerge(h, v4);
+    } else {
+        h = xxPrime5;
+    }
+    h += bytes.size();
+    for (; end - p >= 8; p += 8)
+        h = std::rotl(h ^ xxRound(0, load64(p)), 27) * xxPrime1 + xxPrime4;
+    if (end - p >= 4) {
+        h = std::rotl(h ^ (load32(p) * xxPrime1), 23) * xxPrime2 +
+            xxPrime3;
+        p += 4;
+    }
+    for (; p < end; ++p)
+        h = std::rotl(h ^ (static_cast<u8>(*p) * xxPrime5), 11) * xxPrime1;
+    h ^= h >> 33;
+    h *= xxPrime2;
+    h ^= h >> 29;
+    h *= xxPrime3;
+    h ^= h >> 32;
+    return h;
+}
+
 std::string
 pathComponent(const std::string &name)
 {
@@ -92,7 +181,7 @@ seal(std::string_view magic, unsigned version,
     for (const Field &f : fields)
         out.append(f.key).append(" = ").append(f.value).append("\n");
     out.append("payload\n").append(payload).append(trailerMark);
-    out.append(hex64(fnv1a64(payload))).append("\n");
+    out.append(hex64(checksum(payload))).append("\n");
     return out;
 }
 
@@ -153,7 +242,7 @@ open(std::string_view image, std::string_view magic, unsigned version,
                     " or missing checksum trailer at offset " +
                     std::to_string(pos + payload_bytes));
     std::string_view payload = image.substr(pos, payload_bytes);
-    u64 got = fnv1a64(payload);
+    u64 got = checksum(payload);
     if (got != want)
         return fail("checksum mismatch over " +
                     std::to_string(payload_bytes) +
@@ -161,7 +250,6 @@ open(std::string_view image, std::string_view magic, unsigned version,
                     ": expected " + hex64(want) + ", computed " +
                     hex64(got));
     out.payload = payload;
-    out.checksum = want;
     return out;
 }
 

@@ -2,10 +2,11 @@
  * @file
  * The one envelope behind the repo's four formats: `.rtr` traces,
  * `.rts` sample series, `.cell` result-cache records and the
- * rsep_serve frame payloads (DESIGN.md §17). It owns five things, so no
+ * rsep_serve frame payloads (DESIGN.md §17). It owns six things, so no
  * format carries its own copy of them:
  *
  *  - the LEB128 varint codec the binary payloads are built from;
+ *  - checksum(), the payload checksum in every trailer;
  *  - seal(), which writes the checksummed layout every format shares:
  *
  *        <magic> <version>
@@ -13,7 +14,7 @@
  *        ...
  *        payload
  *        <payload bytes>
- *        checksum = <16-hex FNV-1a 64 of the payload bytes>
+ *        checksum = <16-hex XXH64 of the payload bytes>
  *
  *    (the checksum line is preceded by a newline of its own, so the
  *    image always ends in a fixed 29-byte trailer and the payload is
@@ -66,6 +67,11 @@ putVarint(std::string &s, u64 v)
 inline bool
 getVarint(const char *&p, const char *end, u64 &v)
 {
+    // One byte is the most frequent length in a trace: skip the loop.
+    if (p != end && !(static_cast<u8>(*p) & 0x80)) {
+        v = static_cast<u8>(*p++);
+        return true;
+    }
     v = 0;
     for (unsigned shift = 0; shift < 64; shift += 7) {
         if (p == end)
@@ -77,6 +83,11 @@ getVarint(const char *&p, const char *end, u64 &v)
     }
     return false; // over-long varint.
 }
+
+/** The trailer checksum of a payload: XXH64 with seed 0, read as
+ *  little-endian words whatever the alignment of @p bytes. Every byte
+ *  counts; it is not an identity hash (those stay FNV-1a, fnv.hh). */
+u64 checksum(std::string_view bytes);
 
 /** A name made safe as one path component: anything but
  *  [A-Za-z0-9.+_@-] becomes '_' (`name@hash` workload keys keep their
@@ -101,7 +112,6 @@ struct Opened
     std::vector<std::string> values;
     /** Aliases the opened image; valid only while the image lives. */
     std::string_view payload;
-    u64 checksum = 0;  ///< the payload's FNV-1a 64 (trailer value).
     std::string error; ///< "origin: message"; empty on success.
 
     bool ok() const { return error.empty(); }

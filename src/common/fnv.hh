@@ -2,8 +2,16 @@
  * @file
  * The repo's one FNV-1a 64 definition plus the 16-hex-digit spelling
  * helpers. Every stable identity key (config hash, workload hash,
- * cache-record checksum, trace checksum) is this exact hash of a
- * canonical byte string — keep one definition so they cannot drift.
+ * shard assignment, the golden CSV fingerprints) is this exact hash of
+ * a canonical byte string — keep one definition so they cannot drift.
+ *
+ * FNV-1a is only the identity hash. The envelope trailers of `.rtr`,
+ * `.rts`, `.cell` and the serve frames use envelope::checksum (XXH64)
+ * instead: FNV-1a consumes one byte per dependent multiply, so it
+ * checked a trace at about 0.7 GB/s, a large share of every trace
+ * load; XXH64 reads four independent 8-byte lanes and runs at memory
+ * speed. The identity keys hash short strings, and changing their
+ * function would move every config hash, cache path and golden.
  */
 
 #ifndef RSEP_COMMON_FNV_HH

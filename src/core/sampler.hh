@@ -38,8 +38,9 @@ namespace rsep::core
 {
 
 /** Sample-schema version, echoed in every `.rts` header; bump on any
- *  field addition/removal/reorder. */
-constexpr unsigned sampleSchemaVersion = 1;
+ *  field addition/removal/reorder or envelope change.
+ *  v2: the trailer checksum is XXH64 (envelope::checksum). */
+constexpr unsigned sampleSchemaVersion = 2;
 
 /** Fixed engine-slot order of the per-engine sample fields: the
  *  pipeline's construction order, independent of which engines a

@@ -98,9 +98,9 @@ knownFrameType(u8 t)
 
 // ---------------------------------------------- sealed payloads
 
-/** Every payload but Hello is an envelope image of version 1 under
+/** Every payload but Hello is an envelope image of version 2 under
  *  its own magic; protocolVersion covers their layouts as a set. */
-constexpr unsigned payloadVersion = 1;
+constexpr unsigned payloadVersion = 2;
 constexpr std::string_view submitMagic = "rsep-serve-submit";
 constexpr std::string_view cellMagic = "rsep-serve-cell";
 constexpr std::string_view samplesMagic = "rsep-serve-samples";

@@ -27,7 +27,7 @@
  * Hello is the one plain-text payload. Every other payload is an
  * envelope::seal image (common/envelope.hh) under its own magic
  * (`rsep-serve-submit`, `-cell`, `-samples`, `-done`, `-busy`), version
- * 1: fixed-order `key = value` header lines, then the frame's blob
+ * 2: fixed-order `key = value` header lines, then the frame's blob
  * (`.scn` text, cell record, `.rts` image, CSV dump, busy reason) as the
  * payload, then the checksum trailer. The parsers are envelope::open,
  * so a torn, reordered or bit-flipped payload is rejected with the same
@@ -51,8 +51,9 @@ namespace rsep::serve
 
 /** Protocol version, exchanged in Hello; bump on any wire change
  *  (including the layout of the `.cell` record a Cell frame carries).
- *  v3: every payload but Hello is a sealed envelope image. */
-constexpr unsigned protocolVersion = 3;
+ *  v3: every payload but Hello is a sealed envelope image.
+ *  v4: their trailer checksum is XXH64 (envelope::checksum). */
+constexpr unsigned protocolVersion = 4;
 
 /** Hard ceiling on one frame's payload. Generous for a full-suite
  *  dump, small enough that a garbage length prefix (random 4 bytes

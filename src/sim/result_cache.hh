@@ -44,8 +44,9 @@ struct CacheKey
     u64 seed = 0; ///< echoed for legibility; already part of the hash.
 };
 
-/** Record-format version; bump on any layout change. */
-constexpr unsigned resultCacheVersion = 2;
+/** Record-format version; bump on any layout change.
+ *  v3: the trailer checksum is XXH64 (envelope::checksum). */
+constexpr unsigned resultCacheVersion = 3;
 
 /** A file-backed, thread-safe cell cache rooted at one directory. */
 class ResultCache

@@ -36,7 +36,7 @@ DecodedTraceCache::get(const std::string &path)
     // decoder's diagnostic comes back verbatim.
     if (!envelope::peekChecksum(bytes, checksum)) {
         if (envelope::readFile(path, bytes, &out.error)) {
-            DecodedTraceParse parse = decodeTraceImage(bytes, path);
+            DecodedTraceParse parse = decodeTraceImage(std::move(bytes), path);
             out.trace = parse.trace;
             out.error = parse.error;
         }
@@ -80,7 +80,7 @@ DecodedTraceCache::get(const std::string &path)
     auto t0 = std::chrono::steady_clock::now();
     DecodedTraceParse parse;
     if (envelope::readFile(path, bytes, &parse.error))
-        parse = decodeTraceImage(bytes, path);
+        parse = decodeTraceImage(std::move(bytes), path);
     const u64 micros = elapsedMicros(t0);
 
     lock.lock();
@@ -104,7 +104,7 @@ DecodedTraceCache::get(const std::string &path)
     out.error = parse.error;
     if (!slot_ours || !parse.ok())
         return out;
-    envelope::peekChecksum(bytes, checksum);
+    envelope::peekChecksum(parse.trace->image, checksum);
     const std::string decoded_key = path + '\0' + hex64(checksum);
     if (entries.emplace(decoded_key, e).second) {
         e->bytes = parse.trace->payload.size();

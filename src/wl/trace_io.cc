@@ -15,32 +15,16 @@ namespace rsep::wl
 namespace
 {
 
-using envelope::getVarint;
 using envelope::putVarint;
+using namespace rtr;
 
 constexpr const char *traceMagic = "rsep-trace";
-
-// Per-record flag bits (see trace_io.hh).
-enum : u8 {
-    fSameStatic = 1 << 0, ///< staticIdx == previous record's nextIdx.
-    fTaken = 1 << 1,
-    fSeqNext = 1 << 2,    ///< nextIdx == staticIdx + 1.
-    fResultZero = 1 << 3,
-    fResultSame = 1 << 4, ///< result == previous record's result.
-    fEffZero = 1 << 5,    ///< effAddr == 0 (non-memory record).
-};
 
 u64
 zigzag(u64 v)
 {
     s64 sv = static_cast<s64>(v);
     return (static_cast<u64>(sv) << 1) ^ static_cast<u64>(sv >> 63);
-}
-
-u64
-unzigzag(u64 v)
-{
-    return (v >> 1) ^ (~(v & 1) + 1);
 }
 
 std::string
@@ -165,54 +149,6 @@ injectTraceFault(const char *point_name, std::string_view &text,
 } // namespace
 
 bool
-TraceCursor::next(DynRecord &r)
-{
-    if (p == end)
-        return fail("truncated payload");
-    const u8 flags = static_cast<u8>(*p++);
-    u64 v = 0;
-    if (flags & fSameStatic) {
-        r.staticIdx = prevNext;
-    } else {
-        if (!getVarint(p, end, v) || v > 0xffffffffull)
-            return fail("bad staticIdx varint");
-        r.staticIdx = static_cast<u32>(v);
-    }
-    if (flags & fSeqNext) {
-        r.nextIdx = r.staticIdx + 1;
-    } else {
-        if (!getVarint(p, end, v))
-            return fail("bad nextIdx varint");
-        u64 next = static_cast<u64>(r.staticIdx) + 1 + unzigzag(v);
-        if ((next & 0xffffffffull) != next)
-            return fail("nextIdx overflow");
-        r.nextIdx = static_cast<u32>(next);
-    }
-    if (flags & fResultZero) {
-        r.result = 0;
-    } else if (flags & fResultSame) {
-        r.result = prevResult;
-    } else {
-        if (!getVarint(p, end, v))
-            return fail("bad result varint");
-        r.result = prevResult + unzigzag(v);
-    }
-    if (flags & fEffZero) {
-        r.effAddr = 0;
-    } else {
-        if (!getVarint(p, end, v))
-            return fail("bad effAddr varint");
-        r.effAddr = prevEff + unzigzag(v);
-        prevEff = r.effAddr;
-    }
-    r.taken = (flags & fTaken) != 0;
-    prevNext = r.nextIdx;
-    prevResult = r.result;
-    ++idx;
-    return true;
-}
-
-bool
 TraceCursor::fail(const char *what)
 {
     // The byte offset matters: a torn download or short copy fails
@@ -246,9 +182,14 @@ serializeTrace(const TraceHeader &header,
 }
 
 DecodedTraceParse
-decodeTraceImage(std::string_view text, const std::string &origin)
+decodeTraceImage(std::string image, const std::string &origin)
 {
     DecodedTraceParse out;
+    // The trace owns the image from here on, so the payload view taken
+    // below stays valid for the trace's lifetime.
+    auto decoded = std::make_shared<DecodedTrace>();
+    decoded->image = std::move(image);
+    std::string_view text = decoded->image;
     // "trace.decode" injects here so every decode path — the tooling
     // loader and the shared DecodedTraceCache alike — is covered.
     if (!injectTraceFault("trace.decode", text, origin, out.error))
@@ -259,7 +200,7 @@ decodeTraceImage(std::string_view text, const std::string &origin)
         return out;
     }
     // Validate every record once, here, so replay never meets a bad
-    // byte; then keep the payload itself rather than a decoded copy.
+    // byte; then keep the encoded payload rather than a decoded copy.
     TraceCursor cursor(opened.env.payload);
     DynRecord r;
     for (u64 i = 0; i < opened.header.records; ++i) {
@@ -274,9 +215,8 @@ decodeTraceImage(std::string_view text, const std::string &origin)
                     " trailing bytes after the last record";
         return out;
     }
-    auto decoded = std::make_shared<DecodedTrace>();
     decoded->header = opened.header;
-    decoded->payload.assign(opened.env.payload);
+    decoded->payload = opened.env.payload;
     out.trace = std::move(decoded);
     return out;
 }
@@ -321,7 +261,7 @@ loadDecodedTrace(const std::string &path)
     std::string image;
     if (!envelope::readFile(path, image, &out.error))
         return out;
-    return decodeTraceImage(image, path);
+    return decodeTraceImage(std::move(image), path);
 }
 
 std::shared_ptr<const DecodedTrace>
@@ -331,7 +271,8 @@ DecodedTrace::fromRecords(TraceHeader header,
     auto out = std::make_shared<DecodedTrace>();
     header.records = records.size();
     out->header = std::move(header);
-    out->payload = encodePayload(records);
+    out->image = encodePayload(records);
+    out->payload = out->image;
     return out;
 }
 

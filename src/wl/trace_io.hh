@@ -13,7 +13,7 @@
  * On-disk layout: the common/envelope.hh envelope (DESIGN.md §17)
  * with these header keys:
  *
- *     rsep-trace 2
+ *     rsep-trace 3
  *     workload = mcf                 # run-cell key (name or name@hash)
  *     workload_hash = 16-hex         # workloadHash of the spec
  *     phase = 0
@@ -37,7 +37,7 @@
  *
  * The read data path (DESIGN.md §11): files are read whole with
  * envelope::readFile, validated once at load by walking every record
- * with a TraceCursor, and keep only their encoded payload; replay
+ * with a TraceCursor, and kept as read, payload in place; replay
  * decodes records from it on demand.
  *
  * Files are published atomically (temp + rename). A reader rejects —
@@ -55,14 +55,16 @@
 #include <string_view>
 #include <vector>
 
+#include "common/envelope.hh"
 #include "wl/trace_source.hh"
 
 namespace rsep::wl
 {
 
 /** The trace-format version: the only one written and read. Bump on
- *  any layout change; files of other versions must be re-recorded. */
-constexpr unsigned traceFormatVersion = 2;
+ *  any layout change; files of other versions must be re-recorded.
+ *  v3: the trailer checksum is XXH64 (envelope::checksum). */
+constexpr unsigned traceFormatVersion = 3;
 
 /** Conventional file extension (tracePath appends it). */
 constexpr const char *traceFileExtension = ".rtr";
@@ -107,10 +109,33 @@ std::string traceIdentityMismatch(const TraceHeader &header,
                                   const std::string &workload, u32 phase,
                                   const std::string &workload_hash);
 
+/** The `.rtr` payload's per-record flag bits and delta coding (layout
+ *  above), shared by the encoder and TraceCursor. */
+namespace rtr
+{
+
+enum : u8 {
+    fSameStatic = 1 << 0, ///< staticIdx == previous record's nextIdx.
+    fTaken = 1 << 1,
+    fSeqNext = 1 << 2,    ///< nextIdx == staticIdx + 1.
+    fResultZero = 1 << 3,
+    fResultSame = 1 << 4, ///< result == previous record's result.
+    fEffZero = 1 << 5,    ///< effAddr == 0 (non-memory record).
+};
+
+inline u64
+unzigzag(u64 v)
+{
+    return (v >> 1) ^ (~(v & 1) + 1);
+}
+
+} // namespace rtr
+
 /**
  * The one `.rtr` payload decoder, one record per next() call, used by
  * load-time validation, replay and the tooling. It reads the payload
- * in place; the bytes must outlive it.
+ * in place; the bytes must outlive it. next() is inline: the load-time
+ * walk and ReplayTraceSource::step() call it once per record.
  */
 class TraceCursor
 {
@@ -149,16 +174,76 @@ class TraceCursor
     std::string err;
 };
 
+inline bool
+TraceCursor::next(DynRecord &r)
+{
+    using namespace rtr;
+    using envelope::getVarint;
+    if (p == end)
+        return fail("truncated payload");
+    const u8 flags = static_cast<u8>(*p++);
+    u64 v = 0;
+    if (flags & fSameStatic) {
+        r.staticIdx = prevNext;
+    } else {
+        if (!getVarint(p, end, v) || v > 0xffffffffull)
+            return fail("bad staticIdx varint");
+        r.staticIdx = static_cast<u32>(v);
+    }
+    if (flags & fSeqNext) {
+        r.nextIdx = r.staticIdx + 1;
+    } else {
+        if (!getVarint(p, end, v))
+            return fail("bad nextIdx varint");
+        u64 next = static_cast<u64>(r.staticIdx) + 1 + unzigzag(v);
+        if ((next & 0xffffffffull) != next)
+            return fail("nextIdx overflow");
+        r.nextIdx = static_cast<u32>(next);
+    }
+    if (flags & fResultZero) {
+        r.result = 0;
+    } else if (flags & fResultSame) {
+        r.result = prevResult;
+    } else {
+        if (!getVarint(p, end, v))
+            return fail("bad result varint");
+        r.result = prevResult + unzigzag(v);
+    }
+    if (flags & fEffZero) {
+        r.effAddr = 0;
+    } else {
+        if (!getVarint(p, end, v))
+            return fail("bad effAddr varint");
+        r.effAddr = prevEff + unzigzag(v);
+        prevEff = r.effAddr;
+    }
+    r.taken = (flags & fTaken) != 0;
+    prevNext = r.nextIdx;
+    prevResult = r.result;
+    ++idx;
+    return true;
+}
+
 /**
  * A trace whose every record decoded cleanly at load: its header and
  * encoded payload, which replay decodes on demand, so a cell pays only
- * for the records it consumes. Immutable; DecodedTraceCache shares one
- * instance across every matrix cell replaying the same file.
+ * for the records it consumes. The payload is a view into the image
+ * the trace was loaded from, which the trace owns, so it is never
+ * copied; for the same reason a DecodedTrace is not copyable.
+ * Immutable; DecodedTraceCache shares one instance across every matrix
+ * cell replaying the same file.
  */
 struct DecodedTrace
 {
+    DecodedTrace() = default;
+    DecodedTrace(const DecodedTrace &) = delete;
+    DecodedTrace &operator=(const DecodedTrace &) = delete;
+
     TraceHeader header;
-    std::string payload; ///< header.records encoded records.
+    /** What the payload views: the sealed image as read, or the bare
+     *  payload of fromRecords(). */
+    std::string image;
+    std::string_view payload; ///< header.records encoded records.
 
     size_t size() const { return header.records; }
 
@@ -177,9 +262,9 @@ struct DecodedTraceParse
 };
 
 /** Validate a trace image (envelope, checksum, then every record
- *  through a TraceCursor) and copy out its payload: @p text need not
- *  outlive the call. */
-DecodedTraceParse decodeTraceImage(std::string_view text,
+ *  through a TraceCursor). The trace keeps @p image; nothing is
+ *  copied out of it. */
+DecodedTraceParse decodeTraceImage(std::string image,
                                    const std::string &origin);
 
 /** Read, validate and load a trace file. */

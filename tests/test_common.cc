@@ -2,10 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "common/bitutils.hh"
 #include "common/env.hh"
+#include "common/envelope.hh"
 #include "common/prob_counter.hh"
 #include "common/rng.hh"
 #include "common/sat_counter.hh"
@@ -325,6 +329,104 @@ TEST(Env, StrictScalarParses)
     EXPECT_TRUE(parseBool("off", b));
     EXPECT_FALSE(b);
     EXPECT_FALSE(parseBool("maybe", b));
+}
+
+TEST(EnvelopeChecksum, KnownAnswers)
+{
+    // XXH64 with seed 0; the last input (39 bytes) takes the
+    // 32-byte-stripe path.
+    EXPECT_EQ(envelope::checksum(""), 0xef46db3751d8e999ull);
+    EXPECT_EQ(envelope::checksum("abc"), 0x44bc2cf5ad770999ull);
+    EXPECT_EQ(envelope::checksum("Nobody inspects the spammish repetition"),
+              0xfbcea83c8a378bf1ull);
+}
+
+TEST(EnvelopeChecksum, EveryBitFlipChangesTheSumAtAnUnalignedOffset)
+{
+    // Lengths 0..96 cover the byte, 4-byte, 8-byte and 32-byte-stripe
+    // paths; the odd start puts every word load off alignment (the
+    // sanitizer build checks those loads).
+    std::string buf(1 + 96, '\0');
+    for (size_t i = 0; i < buf.size(); ++i)
+        buf[i] = static_cast<char>(i * 37 + 11);
+    for (size_t len = 0; len <= 96; ++len) {
+        std::string_view bytes(buf.data() + 1, len);
+        const u64 sum = envelope::checksum(bytes);
+        // The sum is of the bytes, not of where they sit.
+        EXPECT_EQ(sum, envelope::checksum(std::string(bytes))) << len;
+        for (size_t bit = 0; bit < 8 * len; ++bit) {
+            buf[1 + bit / 8] ^= static_cast<char>(1 << (bit % 8));
+            EXPECT_NE(envelope::checksum(bytes), sum)
+                << "length " << len << " bit " << bit;
+            buf[1 + bit / 8] ^= static_cast<char>(1 << (bit % 8));
+        }
+    }
+}
+
+/** The LEB128 reader as it was before its one-byte fast path: the
+ *  reference getVarint must agree with, value and position included. */
+bool
+referenceGetVarint(const char *&p, const char *end, u64 &v)
+{
+    v = 0;
+    for (unsigned shift = 0; shift < 64; shift += 7) {
+        if (p == end)
+            return false;
+        u8 byte = static_cast<u8>(*p++);
+        v |= static_cast<u64>(byte & 0x7f) << shift;
+        if (!(byte & 0x80))
+            return true;
+    }
+    return false;
+}
+
+/** getVarint and the reference agree on @p bytes and on every
+ *  truncation of it. */
+void
+expectVarintAsBefore(const std::string &bytes)
+{
+    for (size_t len = 0; len <= bytes.size(); ++len) {
+        const char *p = bytes.data(), *q = bytes.data();
+        const char *end = bytes.data() + len;
+        u64 v = 1, w = 2;
+        const bool ok = envelope::getVarint(p, end, v);
+        ASSERT_EQ(ok, referenceGetVarint(q, end, w)) << len;
+        EXPECT_EQ(p - bytes.data(), q - bytes.data()) << len;
+        if (ok) {
+            EXPECT_EQ(v, w) << len;
+        }
+    }
+}
+
+TEST(Varint, AcceptsAndRejectsExactlyAsBefore)
+{
+    // Every one-byte value, alone and with a following byte.
+    for (unsigned b = 0; b < 256; ++b) {
+        expectVarintAsBefore(std::string(1, static_cast<char>(b)));
+        expectVarintAsBefore(std::string(1, static_cast<char>(b)) + 'x');
+    }
+    // The 2..10-byte boundaries 2^(7k)-1 and 2^(7k), and UINT64_MAX.
+    std::vector<u64> values = {UINT64_MAX};
+    for (unsigned k = 1; k <= 9; ++k) {
+        values.push_back((u64{1} << (7 * k)) - 1);
+        values.push_back(u64{1} << (7 * k));
+    }
+    for (u64 value : values) {
+        std::string enc;
+        envelope::putVarint(enc, value);
+        expectVarintAsBefore(enc);
+        const char *p = enc.data();
+        u64 v = 0;
+        ASSERT_TRUE(envelope::getVarint(p, enc.data() + enc.size(), v));
+        EXPECT_EQ(v, value);
+        EXPECT_EQ(p, enc.data() + enc.size());
+    }
+    std::string widest;
+    envelope::putVarint(widest, UINT64_MAX);
+    EXPECT_EQ(widest.size(), 10u);
+    // An over-long run: eleven continuation bytes.
+    expectVarintAsBefore(std::string(11, '\x80'));
+    expectVarintAsBefore(std::string(10, '\xff') + '\x01');
 }
 
 } // namespace

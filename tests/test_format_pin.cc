@@ -1,12 +1,16 @@
 /**
  * @file
- * Byte pins for the persisted and wire formats: a `.rtr` v2 trace, a
- * `.rts` sample series, a `.cell` result-cache record and two
- * rsep_serve frame payloads, each built from fixed inputs and hashed
- * (FNV-1a 64); the files are also written through the format's own
- * publish path. The constants were generated once and must never move
- * with a refactor of the envelope code: any change to them is a format
- * change and needs a version bump, not a new constant.
+ * Byte pins for the persisted and wire formats: a `.rtr` v3 trace, a
+ * `.rts` v2 sample series, a `.cell` v3 result-cache record and two
+ * rsep_serve frame payloads (protocol 4), each built from fixed inputs
+ * and hashed (FNV-1a 64, the identity hash; the images' own trailers
+ * are XXH64); the files are also written through the format's own
+ * publish path. The constants must never move with a refactor of the
+ * envelope code: any change to them is a format change and moves only
+ * together with a version bump (the XXH64 trailer moved all five, with
+ * `.rtr` 2->3, `.rts` 1->2, `.cell` 2->3 and protocol 3->4). A last
+ * pin holds the `.rtr` record decoder's diagnostics for every cut of
+ * the pin payload.
  *
  * The `.cell` image lists every introspected pipeline counter, so
  * adding a counter legitimately moves its pin (as it moves the
@@ -22,6 +26,7 @@
 
 #include <unistd.h>
 
+#include "common/envelope.hh"
 #include "common/fnv.hh"
 #include "core/sampler.hh"
 #include "serve/protocol.hh"
@@ -36,11 +41,13 @@ namespace rsep
 namespace
 {
 
-constexpr u64 rtrPin = 0x237a0fa6c644f533ull;
-constexpr u64 rtsPin = 0x034883504a15ab7aull;
-constexpr u64 cellPin = 0xc3fdc4e6d3620073ull;
-constexpr u64 submitPin = 0xae89b2a4fee1dae9ull;
-constexpr u64 cellFramePin = 0x6d0c729441bcb96eull;
+constexpr u64 rtrPin = 0xd6c8e76e501046e7ull;
+constexpr u64 rtsPin = 0x433b72731b23c6c6ull;
+constexpr u64 cellPin = 0x02a1b0ab46c6e6faull;
+constexpr u64 submitPin = 0xa29f2419eb561983ull;
+constexpr u64 cellFramePin = 0xccead854d0d6aad3ull;
+/** Every diagnostic of the pin trace's payload cut at each offset. */
+constexpr u64 payloadCutPin = 0xfccc66f120be8258ull;
 
 std::string
 scratchDir(const std::string &tag)
@@ -63,7 +70,7 @@ slurp(const std::string &path)
     return os.str();
 }
 
-/** Records exercising every v2 flag path: sequential and jumping
+/** Records exercising every flag path: sequential and jumping
  *  control flow, zero / repeated / changing results, memory and
  *  non-memory records, and extreme values. */
 std::vector<wl::DynRecord>
@@ -153,7 +160,7 @@ pinPhase()
     return pr;
 }
 
-TEST(FormatPin, RtrV2ImageAndFileBytesArePinned)
+TEST(FormatPin, RtrV3ImageAndFileBytesArePinned)
 {
     std::string image = wl::serializeTrace(pinTraceHeader(), pinRecords());
     EXPECT_EQ(hex64(fnv1a64(image)), hex64(rtrPin));
@@ -228,6 +235,68 @@ TEST(FormatPin, ServeFramePayloadsArePinned)
     cell.record = "record bytes\n";
     EXPECT_EQ(hex64(fnv1a64(serve::serializeCell(cell))),
               hex64(cellFramePin));
+}
+
+// The record decoder's diagnostics are part of the format's contract:
+// every cut of the pin payload, walked by a TraceCursor and loaded as a
+// sealed trace claiming all its records, must fail with the same text,
+// "<what> at record N (payload offset O of B bytes)". The cuts cover
+// every field of every record.
+TEST(FormatPin, EveryPayloadCutIsDiagnosedAsPinned)
+{
+    wl::TraceHeader h = pinTraceHeader();
+    wl::DecodedTraceParse full =
+        wl::decodeTraceImage(wl::serializeTrace(h, pinRecords()), "<pin>");
+    ASSERT_TRUE(full.ok()) << full.error;
+    const std::string payload(full.trace->payload);
+
+    std::string all;
+    for (size_t len = 0; len < payload.size(); ++len) {
+        const std::string cut = payload.substr(0, len);
+        wl::TraceCursor cursor(cut);
+        wl::DynRecord r;
+        u64 decoded = 0;
+        while (decoded < h.records && cursor.next(r))
+            ++decoded;
+        ASSERT_LT(decoded, h.records) << "cut at " << len;
+        const std::string loaded =
+            wl::decodeTraceImage(
+                envelope::seal("rsep-trace", wl::traceFormatVersion,
+                               {{"workload", h.workload},
+                                {"workload_hash", h.workloadHash},
+                                {"phase", std::to_string(h.phase)},
+                                {"program_length",
+                                 std::to_string(h.programLength)},
+                                {"records", std::to_string(h.records)}},
+                               cut),
+                "<cut>")
+                .error;
+        // A cut shorter than one flag byte per record fails on the
+        // header's record count; every other one reaches the walk.
+        if (len >= h.records) {
+            EXPECT_EQ(loaded, "<cut>: " + cursor.error());
+        } else {
+            EXPECT_EQ(loaded, "<cut>: truncated payload: record count " +
+                                  std::to_string(h.records) +
+                                  " exceeds the available bytes");
+        }
+        all += cursor.error() + "\n" + loaded + "\n";
+    }
+    // The pinned text, spelled out at a few cuts.
+    auto cutError = [&](size_t len) {
+        wl::TraceCursor cursor(std::string_view(payload).substr(0, len));
+        wl::DynRecord r;
+        while (cursor.next(r)) {
+        }
+        return cursor.error();
+    };
+    EXPECT_EQ(cutError(5), "bad staticIdx varint at record 0 "
+                           "(payload offset 5 of 5 bytes)");
+    EXPECT_EQ(cutError(14), "truncated payload at record 2 "
+                            "(payload offset 14 of 14 bytes)");
+    EXPECT_EQ(cutError(404), "bad result varint at record 56 "
+                             "(payload offset 404 of 404 bytes)");
+    EXPECT_EQ(hex64(fnv1a64(all)), hex64(payloadCutPin));
 }
 
 } // namespace

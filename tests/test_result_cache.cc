@@ -2,8 +2,9 @@
  * @file
  * Result-cache tests: record serialization round-trips a PhaseResult
  * exactly, hits/misses behave, every corruption mode (garbage,
- * truncation, version drift, wrong-key echo, a record in the previous
- * version's layout) quarantines instead of serving bad data,
+ * truncation, version drift, wrong-key echo, a record in an earlier
+ * version's layout) quarantines instead of serving bad data and is
+ * re-simulated once,
  * concurrent stores of one cell never tear it, and a warm-cache
  * runMatrix re-simulates nothing while producing bit-identical results.
  */
@@ -213,40 +214,75 @@ TEST(ResultCache, CorruptionQuarantines)
 
 TEST(ResultCache, PreviousVersionRecordIsQuarantined)
 {
-    TempDir tmp;
-    ResultCache cache(tmp.path);
-
     SimConfig cfg = shrunk(findScenario("baseline")->config);
     PhaseResult pr = runPhase(cfg, "mcf", 0);
     CacheKey key{"mcf", configHash(cfg), 0, cfg.seed};
 
-    // The version-1 layout: the key echo and the same counter lines as
-    // one text body, then `checksum = <fnv1a64(body)>`. It is
-    // self-consistent, so only the version check can turn it away.
     std::string image = ResultCache::serializeRecord(key, pr);
     envelope::Opened cur = envelope::open(
         image, "rsep-cell-cache", resultCacheVersion,
         {"benchmark", "config_hash", "phase", "seed"}, "test");
     ASSERT_TRUE(cur.ok()) << cur.error;
+    // The version-1 layout: the key echo and the same counter lines as
+    // one text body, then `checksum = <fnv1a64(body)>`.
     std::string body = "rsep-cell-cache 1\nbenchmark = " + key.benchmark +
                        "\nconfig_hash = " + key.configHash +
                        "\nphase = " + std::to_string(key.phase) +
                        "\nseed = " + hex64(key.seed) + "\n" +
                        std::string(cur.payload);
-    std::string path = cache.cellPath(key);
-    fs::create_directories(fs::path(path).parent_path());
-    {
-        std::ofstream os(path, std::ios::binary);
-        os << body << "checksum = " << hex64(fnv1a64(body)) << "\n";
-    }
+    const std::string v1 =
+        body + "checksum = " + hex64(fnv1a64(body)) + "\n";
+    // The version-2 layout: today's image under version 2, with an
+    // FNV-1a 64 trailer over the payload.
+    std::string v2 = image.substr(0, image.size() - 17) +
+                     hex64(fnv1a64(cur.payload)) + "\n";
+    ASSERT_TRUE(v2.starts_with("rsep-cell-cache 3\n"));
+    v2[16] = '2';
 
-    EXPECT_FALSE(cache.load(key).has_value());
-    EXPECT_FALSE(fs::exists(path));
-    EXPECT_TRUE(fs::exists(path + ".corrupt"));
-    ResultCache::Counters c = cache.counters();
-    EXPECT_EQ(c.hits, 0u);
-    EXPECT_EQ(c.misses, 1u);
-    EXPECT_EQ(c.quarantined, 1u);
+    // Both are self-consistent, so only the version check can turn them
+    // away.
+    auto plant = [&](const std::string &dir, const std::string &stale) {
+        std::string path = ResultCache(dir).cellPath(key);
+        fs::create_directories(fs::path(path).parent_path());
+        std::ofstream os(path, std::ios::binary);
+        os << stale;
+        return path;
+    };
+    for (const std::string &stale : {v1, v2}) {
+        SCOPED_TRACE(stale.substr(0, stale.find('\n')));
+        {
+            TempDir tmp;
+            ResultCache cache(tmp.path);
+            std::string path = plant(tmp.path, stale);
+            EXPECT_FALSE(cache.load(key).has_value());
+            EXPECT_FALSE(fs::exists(path));
+            EXPECT_TRUE(fs::exists(path + ".corrupt"));
+            ResultCache::Counters c = cache.counters();
+            EXPECT_EQ(c.hits, 0u);
+            EXPECT_EQ(c.misses, 1u);
+            EXPECT_EQ(c.quarantined, 1u);
+        }
+
+        // A run meets the stale record, quarantines and re-simulates
+        // the cell; the run after that hits the cache.
+        TempDir tmp;
+        std::string path = plant(tmp.path, stale);
+        MatrixOptions opts;
+        opts.jobs = 1;
+        opts.progress = false;
+        opts.cacheDir = tmp.path;
+        auto rerun = runMatrix({cfg}, {"mcf"}, opts);
+        const RunResult &cold = rerun[0].byConfig[0];
+        EXPECT_EQ(cold.timing.cacheHits.value(), 0u);
+        EXPECT_EQ(cold.timing.cellsRun.value(), cold.phases.size());
+        EXPECT_TRUE(fs::exists(path + ".corrupt"));
+        ASSERT_FALSE(cold.phases.empty());
+        expectSamePhase(cold.phases[0], pr);
+        auto again = runMatrix({cfg}, {"mcf"}, opts);
+        const RunResult &warm = again[0].byConfig[0];
+        EXPECT_EQ(warm.timing.cellsRun.value(), 0u);
+        EXPECT_EQ(warm.timing.cacheHits.value(), warm.phases.size());
+    }
 }
 
 TEST(ResultCache, InjectedStoreFaultsFailCleanOrQuarantine)

@@ -6,13 +6,16 @@
  *  - traces recorded during a live ci_smoke run pass `rsep_trace
  *    info`, `validate --deep` and `dump`;
  *  - a flipped payload byte and a truncated file are rejected by the
- *    validator and by a replay run, naming the fault;
+ *    validator and by a replay run, naming the fault, and a trace
+ *    written by the previous format version is rejected by its version,
+ *    not as corruption;
  *  - replay reproduces the live dump byte for byte, run over run, and
  *    one process decodes each trace once however many arms replay it.
  */
 
 #include <gtest/gtest.h>
 
+#include "common/fnv.hh"
 #include "sim/stat_merge.hh"
 #include "tool_harness.hh"
 
@@ -73,7 +76,7 @@ TEST(ToolReplay, CorruptAndTruncatedTracesAreRejectedAtLoad)
     const Recording &rec = recording();
     ASSERT_EQ(rec.live.exitCode, 0) << rec.live;
     WorkDir dir;
-    for (const char *bad : {"bad_flip", "bad_trunc"})
+    for (const char *bad : {"bad_flip", "bad_trunc", "bad_v2"})
         fs::copy(rec.dir / "traces", dir / bad);
     std::string flip = readFile(dir / "bad_flip/mcf-p0.rtr");
     size_t payload = flip.find("payload\n");
@@ -83,10 +86,25 @@ TEST(ToolReplay, CorruptAndTruncatedTracesAreRejectedAtLoad)
     writeFile(dir / "bad_flip/mcf-p0.rtr", flip);
     fs::resize_file(dir / "bad_trunc/hmmer-p0.rtr",
                     fs::file_size(dir / "bad_trunc/hmmer-p0.rtr") / 2);
+    // The same trace as version 2 wrote it: its version line and an
+    // FNV-1a 64 trailer over the unchanged payload.
+    std::string v2 = readFile(dir / "bad_v2/mcf-p0.rtr");
+    ASSERT_TRUE(v2.starts_with("rsep-trace 3\n"));
+    v2[11] = '2';
+    const size_t body = v2.find("payload\n") + 8;
+    const size_t trailer = v2.size() - 29;
+    ASSERT_EQ(v2.substr(trailer, 12), "\nchecksum = ");
+    v2 = v2.substr(0, trailer + 12) +
+         hex64(fnv1a64(std::string_view(v2).substr(body, trailer - body))) +
+         "\n";
+    writeFile(dir / "bad_v2/mcf-p0.rtr", v2);
 
+    const char *stale = "unsupported rsep-trace version 2 (this build reads "
+                        "version 3 only)";
     for (auto [pattern, bad, file] :
          {std::tuple{"checksum mismatch", "bad_flip", "mcf-p0.rtr"},
-          std::tuple{"truncated", "bad_trunc", "hmmer-p0.rtr"}}) {
+          std::tuple{"truncated", "bad_trunc", "hmmer-p0.rtr"},
+          std::tuple{stale, "bad_v2", "mcf-p0.rtr"}}) {
         RunResult validate = dir.run(
             {"rsep_trace", "validate", std::string(bad) + "/" + file});
         EXPECT_NE(validate.exitCode, 0) << validate;
@@ -94,6 +112,10 @@ TEST(ToolReplay, CorruptAndTruncatedTracesAreRejectedAtLoad)
         RunResult replayed = replay(dir, bad, "rejected.csv");
         EXPECT_NE(replayed.exitCode, 0) << replayed;
         EXPECT_TRUE(replayed.mentions(pattern)) << pattern << replayed;
+        if (pattern == stale) {
+            EXPECT_FALSE(validate.mentions("checksum mismatch")) << validate;
+            EXPECT_FALSE(replayed.mentions("checksum mismatch")) << replayed;
+        }
     }
 }
 

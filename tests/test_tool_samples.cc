@@ -3,7 +3,7 @@
  * Tool tests of sampling with the built binaries
  * (tests/tool_harness.hh):
  *
- *  - a sampled ci_smoke run writes one schema-v1 `.rts` per cell and
+ *  - a sampled ci_smoke run writes one schema-v2 `.rts` per cell and
  *    nothing else, and `rsep_samples info|summarize|merge` read them;
  *  - the same run through an rsep_serve daemon writes identical files;
  *  - every engine slot's summed sample deltas equal the dump's
@@ -72,11 +72,11 @@ TEST(ToolSamples, SampledRunWritesOneSeriesPerCell)
     ASSERT_EQ(t.merged.exitCode, 0) << t.merged;
     ASSERT_EQ(t.engMerged.exitCode, 0) << t.engMerged;
 
-    // 3 workloads x 2 arms x 1 checkpoint, each schema v1.
+    // 3 workloads x 2 arms x 1 checkpoint, each schema v2.
     std::vector<std::string> rts = filesUnder(t.dir / "samples", ".rts");
     EXPECT_EQ(rts.size(), 6u);
     for (const std::string &path : rts) {
-        EXPECT_TRUE(readFile(path).starts_with("rsep-samples 1\n")) << path;
+        EXPECT_TRUE(readFile(path).starts_with("rsep-samples 2\n")) << path;
         sim::SamplesParse p = sim::parseSamplesFile(path);
         EXPECT_TRUE(p.ok()) << p.error;
     }

@@ -152,7 +152,7 @@ TEST(TraceIo, CorruptionIsRejectedWithDiagnostics)
 
     // Version mismatch.
     std::string v = image;
-    v[11] = '9'; // "rsep-trace 2" -> "rsep-trace 9"
+    v[11] = '9'; // "rsep-trace 3" -> "rsep-trace 9"
     EXPECT_NE(errOf(v).find("version"), std::string::npos);
 
     // Flipped payload byte -> checksum mismatch.
