@@ -348,6 +348,10 @@ runMatrixRemote(const std::vector<sim::Scenario> &scenarios,
                 pr.replayed = cell.replayed;
                 pr.traceDecodeHit = cell.decodeHit;
                 pr.traceLoadMicros = cell.traceLoadMicros;
+                pr.aliasOf = cell.aliasOf;
+                pr.aliasByShadow = cell.byShadow;
+                pr.forkOf = cell.forkOf;
+                pr.forkAt = cell.forkAt;
                 if (opts.progress)
                     sim::printCellProgress(pr, cell.benchmark,
                                            configs[c].label, cell.phase,

@@ -401,7 +401,11 @@ serializeCell(const CellResult &cell)
          {"from_cache", cell.fromCache ? "1" : "0"},
          {"replayed", cell.replayed ? "1" : "0"},
          {"decode_hit", cell.decodeHit ? "1" : "0"},
-         {"trace_load_micros", std::to_string(cell.traceLoadMicros)}},
+         {"trace_load_micros", std::to_string(cell.traceLoadMicros)},
+         {"alias_of", cell.aliasOf},
+         {"by_shadow", cell.byShadow ? "1" : "0"},
+         {"fork_of", cell.forkOf},
+         {"fork_at", std::to_string(cell.forkAt)}},
         cell.record);
 }
 
@@ -410,7 +414,8 @@ parseCell(std::string_view payload, CellResult &out, std::string *err)
 {
     SealedPayload p(payload, cellMagic,
                     {"bench", "config", "phase", "from_cache", "replayed",
-                     "decode_hit", "trace_load_micros"});
+                     "decode_hit", "trace_load_micros", "alias_of",
+                     "by_shadow", "fork_of", "fork_at"});
     out.benchmark = p.text();
     out.config = static_cast<u32>(p.number(u32Max));
     out.phase = static_cast<u32>(p.number(u32Max));
@@ -418,6 +423,10 @@ parseCell(std::string_view payload, CellResult &out, std::string *err)
     out.replayed = p.number(1);
     out.decodeHit = p.number(1);
     out.traceLoadMicros = p.number();
+    out.aliasOf = p.text();
+    out.byShadow = p.number(1);
+    out.forkOf = p.text();
+    out.forkAt = p.number();
     out.record = p.blob();
     return p.ok(err);
 }

@@ -52,8 +52,9 @@ namespace rsep::serve
 /** Protocol version, exchanged in Hello; bump on any wire change
  *  (including the layout of the `.cell` record a Cell frame carries).
  *  v3: every payload but Hello is a sealed envelope image.
- *  v4: their trailer checksum is XXH64 (envelope::checksum). */
-constexpr unsigned protocolVersion = 4;
+ *  v4: their trailer checksum is XXH64 (envelope::checksum).
+ *  v5: a Cell frame carries its alias and fork provenance. */
+constexpr unsigned protocolVersion = 5;
 
 /** Hard ceiling on one frame's payload. Generous for a full-suite
  *  dump, small enough that a garbage length prefix (random 4 bytes
@@ -151,6 +152,13 @@ struct CellResult
     bool replayed = false;
     bool decodeHit = false;
     u64 traceLoadMicros = 0;
+    /** PhaseResult::aliasOf, aliasByShadow, forkOf and forkAt (so the
+     *  client prints the `[als]` and fork progress a direct run does
+     *  and counts timing.cells_forked). */
+    std::string aliasOf;
+    bool byShadow = false;
+    std::string forkOf;
+    u64 forkAt = 0;
     /** ResultCache::serializeRecord image of the PhaseResult. */
     std::string record;
 };

@@ -17,6 +17,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <list>
 #include <optional>
 #include <sstream>
 
@@ -109,6 +110,9 @@ struct Server::PendingRequest
      *  daemon keeps serving. */
     std::mutex failMtx;
     std::string failMsg;
+
+    /** Stream finished cell (b, c, p)'s Cell (and Samples) frame. */
+    void streamCell(size_t b, size_t c, u32 p);
 };
 
 Server::Server(ServeOptions o) : opts(std::move(o)) {}
@@ -210,14 +214,13 @@ Server::stop()
         for (int fd : activeConnFds)
             ::shutdown(fd, SHUT_RDWR);
     }
-    std::vector<std::thread> threads;
+    std::list<Connection> threads;
     {
         std::lock_guard<std::mutex> lk(connMtx);
-        threads.swap(connThreads);
+        threads.swap(conns);
     }
-    for (std::thread &t : threads)
-        if (t.joinable())
-            t.join();
+    for (Connection &conn : threads)
+        conn.thread.join();
 
     ::close(listenFd);
     listenFd = -1;
@@ -261,9 +264,34 @@ Server::acceptLoop()
             ::close(cfd);
             break;
         }
+        // Join the handlers that have finished, so a long-lived daemon
+        // holds one thread per live connection, not per connection
+        // ever served.
+        conns.remove_if([](Connection &conn) {
+            if (!conn.finished)
+                return false;
+            conn.thread.join();
+            return true;
+        });
         activeConnFds.insert(cfd);
-        connThreads.emplace_back([this, cfd] { handleConnection(cfd); });
+        Connection &conn = conns.emplace_back();
+        conn.thread = std::thread([this, cfd, &conn] {
+            handleConnection(cfd);
+            // Closed under the lock, so the next accept cannot reuse
+            // the fd number before it leaves activeConnFds.
+            std::lock_guard<std::mutex> lk(connMtx);
+            activeConnFds.erase(cfd);
+            ::close(cfd);
+            conn.finished = true;
+        });
     }
+}
+
+size_t
+Server::connectionThreads() const
+{
+    std::lock_guard<std::mutex> lk(connMtx);
+    return conns.size();
 }
 
 void
@@ -374,10 +402,6 @@ Server::handleConnection(int fd)
                 break;
         }
     }
-
-    ::close(fd);
-    std::lock_guard<std::mutex> lk(connMtx);
-    activeConnFds.erase(fd);
 }
 
 std::string
@@ -524,14 +548,18 @@ Server::handleSubmit(int fd, std::mutex &write_mtx,
         inflightCells.fetch_add(total_cells);
     }
 
+    // A direct run's cell step; each cell streams as it finishes.
     req.t0 = std::chrono::steady_clock::now();
     activeRequests.fetch_add(1);
-    sim::runCells(*pool, req.plan,
-                  [&](size_t b, size_t c, u32 p,
-                      const sim::InitialStateSource &initial) {
-        runRequestCell(req, b, c, p, initial);
-        inflightCells.fetch_sub(1);
-    });
+    sim::runCells(
+        *pool, req.configs, req.plan, req.useCache ? cache.get() : nullptr,
+        req.traceIo, req.sampleEvery,
+        [&](size_t b, size_t c, u32 p) { req.streamCell(b, c, p); },
+        [&](size_t b, size_t c, u32 p, const std::function<void()> &step) {
+            bool ok = runRequestCell(req, b, c, p, step);
+            inflightCells.fetch_sub(1);
+            return ok;
+        });
     activeRequests.fetch_sub(1);
     u64 wall = microsSince(req.t0);
 
@@ -601,89 +629,87 @@ Server::handleSubmit(int fd, std::mutex &write_mtx,
                       "serve.send");
 }
 
-void
+bool
 Server::runRequestCell(PendingRequest &req, size_t b, size_t c, u32 p,
-                       const sim::InitialStateSource &initial)
+                       const std::function<void()> &step)
 {
     if (!req.sawFirstCell.exchange(true))
         req.queueWaitMicros.store(microsSince(req.t0));
     if (activeRequests.load() > 1)
         ++req.batchedCells;
 
-    auto failCell = [&](const std::string &why) {
-        std::lock_guard<std::mutex> lk(req.failMtx);
-        if (req.failMsg.empty())
-            req.failMsg = "cell (" + req.benchmarks[b] + ", config " +
-                          std::to_string(c) + ", phase " +
-                          std::to_string(p) + "): " + why;
-    };
-
     // "serve.cell": delay stalls this one cell (straggler simulation);
     // an errno mode fails it outright, exercising the containment path
     // without needing a real on-disk corruption.
+    std::string why;
     if (fault::Injected inj = fault::point("serve.cell")) {
-        if (inj.kind == fault::Kind::Delay) {
+        if (inj.kind == fault::Kind::Delay)
             fault::sleepMicros(inj.amount);
-        } else {
-            failCell(std::string("injected ") + std::strerror(inj.err));
-            return;
+        else
+            why = std::string("injected ") + std::strerror(inj.err);
+    }
+    if (why.empty()) {
+        try {
+            // Anything runPhase fatals on past preflight (a trace torn
+            // on disk after validation, an injected decode fault) must
+            // fail this request, not the daemon.
+            ScopedFatalCapture capture;
+            step();
+            return true;
+        } catch (const FatalError &e) {
+            why = e.what();
         }
     }
+    std::lock_guard<std::mutex> lk(req.failMtx);
+    if (req.failMsg.empty())
+        req.failMsg = "cell (" + req.benchmarks[b] + ", config " +
+                      std::to_string(c) + ", phase " + std::to_string(p) +
+                      "): " + why;
+    return false;
+}
 
-    sim::PhaseResult pr;
-    try {
-        // Anything runPhase fatals on past preflight (a trace torn on
-        // disk after validation, an injected decode fault) must fail
-        // this request, not the daemon.
-        ScopedFatalCapture capture;
-        pr = sim::runCachedCell(req.useCache ? cache.get() : nullptr,
-                                req.configs[c], req.benchmarks[b],
-                                req.plan.configHashes[c], p,
-                                req.traceIo, req.sampleEvery, initial);
-    } catch (const FatalError &e) {
-        failCell(e.what());
+void
+Server::PendingRequest::streamCell(size_t b, size_t c, u32 p)
+{
+    if (writeFailed.load())
         return;
+    const sim::PhaseResult &pr = plan.rows[b].byConfig[c].phases[p];
+    CellResult cell;
+    cell.benchmark = benchmarks[b];
+    cell.config = static_cast<u32>(c);
+    cell.phase = p;
+    cell.fromCache = pr.fromCache;
+    cell.replayed = pr.replayed;
+    cell.decodeHit = pr.traceDecodeHit;
+    cell.traceLoadMicros = pr.traceLoadMicros;
+    cell.aliasOf = pr.aliasOf;
+    cell.byShadow = pr.aliasByShadow;
+    cell.forkOf = pr.forkOf;
+    cell.forkAt = pr.forkAt;
+    cell.record = sim::ResultCache::serializeRecord(
+        {benchmarks[b], plan.configHashes[c], p, configs[c].seed}, pr);
+
+    std::string sframe;
+    if (sampleEvery > 0 && !pr.samples.empty()) {
+        SamplesFrame sf;
+        sf.benchmark = benchmarks[b];
+        sf.config = static_cast<u32>(c);
+        sf.phase = p;
+        sf.rts = sim::serializeSamples(
+            sim::seriesHeader(plan, configs, b, c, p, sampleEvery),
+            pr.samples);
+        sframe = serializeSamplesFrame(sf);
     }
 
-    if (!req.writeFailed.load()) {
-        CellResult cell;
-        cell.benchmark = req.benchmarks[b];
-        cell.config = static_cast<u32>(c);
-        cell.phase = p;
-        cell.fromCache = pr.fromCache;
-        cell.replayed = pr.replayed;
-        cell.decodeHit = pr.traceDecodeHit;
-        cell.traceLoadMicros = pr.traceLoadMicros;
-        sim::CacheKey key{req.benchmarks[b], req.plan.configHashes[c],
-                          p, req.configs[c].seed};
-        cell.record = sim::ResultCache::serializeRecord(key, pr);
-
-        std::string sframe;
-        if (req.sampleEvery > 0 && !pr.samples.empty()) {
-            SamplesFrame sf;
-            sf.benchmark = req.benchmarks[b];
-            sf.config = static_cast<u32>(c);
-            sf.phase = p;
-            sf.rts = sim::serializeSamples(
-                sim::seriesHeader(req.plan, req.configs, b, c, p,
-                                  req.sampleEvery),
-                pr.samples);
-            sframe = serializeSamplesFrame(sf);
-        }
-
-        // Cell then its Samples under one lock hold, so the pair stays
-        // adjacent in the stream even while other cells interleave.
-        std::string werr;
-        std::lock_guard<std::mutex> lk(*req.writeMtx);
-        if (!writeFrame(req.fd, FrameType::Cell, serializeCell(cell),
-                        &werr, "serve.send") ||
-            (!sframe.empty() && !writeFrame(req.fd, FrameType::Samples,
-                                            sframe, &werr,
-                                            "serve.send")))
-            req.writeFailed.store(true);
-    }
-
-    req.plan.rows[b].byConfig[c].phases[p] = std::move(pr);
+    // Cell then its Samples under one lock hold, so the pair stays
+    // adjacent in the stream even while other cells interleave.
+    std::string werr;
+    std::lock_guard<std::mutex> lk(*writeMtx);
+    if (!writeFrame(fd, FrameType::Cell, serializeCell(cell), &werr,
+                    "serve.send") ||
+        (!sframe.empty() && !writeFrame(fd, FrameType::Samples, sframe,
+                                        &werr, "serve.send")))
+        writeFailed.store(true);
 }
 
 } // namespace rsep::serve

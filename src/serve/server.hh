@@ -12,7 +12,9 @@
  * cells into the shared pool with sim::runCells, so concurrently-
  * pending requests batch into one execution: their cells interleave on
  * the same workers, share the same caches, and stream back to their
- * own clients as they complete. The Done counters come from the
+ * own clients as they complete. runCells gives each cell a direct
+ * run's step, so the daemon takes the same aliased, shadow-taken and
+ * forked cells as runMatrix. The Done counters come from the
  * RunTiming that sim::finishMatrix folds, as in a direct run.
  *
  * Determinism contract: a cell's result depends only on its
@@ -32,6 +34,8 @@
 #define RSEP_SERVE_SERVER_HH
 
 #include <atomic>
+#include <functional>
+#include <list>
 #include <memory>
 #include <mutex>
 #include <set>
@@ -114,6 +118,10 @@ class Server
     };
     Counters counters() const;
 
+    /** Connection handler threads held (running, or finished since the
+     *  last accept). */
+    size_t connectionThreads() const;
+
   private:
     struct PendingRequest;
 
@@ -123,10 +131,11 @@ class Server
      *  (a write to the client already failed). */
     bool handleSubmit(int fd, std::mutex &write_mtx,
                       const std::string &payload);
-    /** One pool task: simulate cell (b, c, p), stream its Cell (and
-     *  Samples) frame, slot the result. */
-    void runRequestCell(PendingRequest &req, size_t b, size_t c, u32 p,
-                        const sim::InitialStateSource &initial);
+    /** One pool task: cell (b, c, p)'s @p step, inside the
+     *  "serve.cell" fault point and a fatal capture. False when the
+     *  cell failed, which fails the request. */
+    bool runRequestCell(PendingRequest &req, size_t b, size_t c, u32 p,
+                        const std::function<void()> &step);
     void sendError(int fd, std::mutex &write_mtx, const std::string &msg);
     /** Admission-control rejection: a structured Busy Error frame with
      *  a retry-after hint; counted separately from protocol errors. */
@@ -147,9 +156,19 @@ class Server
     std::unique_ptr<sim::ThreadPool> pool;
     std::unique_ptr<sim::ResultCache> cache;
 
+    /** A connection's handler thread; finished once it has closed
+     *  the connection (under connMtx). */
+    struct Connection
+    {
+        std::thread thread;
+        bool finished = false;
+    };
+
     std::thread acceptThread;
-    std::mutex connMtx;
-    std::vector<std::thread> connThreads;
+    mutable std::mutex connMtx;
+    /** Handler threads not yet joined: acceptLoop joins the finished
+     *  ones before it starts another, stop() the rest. */
+    std::list<Connection> conns;
     std::set<int> activeConnFds;
 
     std::atomic<unsigned> activeRequests{0};

@@ -586,7 +586,7 @@ CellAliases::fork(size_t b, size_t c, u32 p)
     return true;
 }
 
-CellAliases::ShadowCounts
+ShadowCounts
 CellAliases::shadowCounts()
 {
     std::lock_guard<std::mutex> lk(mtx);

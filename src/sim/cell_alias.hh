@@ -56,7 +56,7 @@ void scanZeroRun(equality::ZeroRunScan &scan, const isa::Program &prog,
                  const wl::DynRecord &rec);
 
 /**
- * The aliasing of one matrix run (runMatrix): which cells take an
+ * The aliasing of one matrix run (runCells): which cells take an
  * earlier arm's result, and those whose reference was still running on
  * another worker when they asked. Cells start in config order within a
  * (row, phase), so on one worker every reference has finished first.
@@ -119,20 +119,15 @@ class CellAliases
      */
     bool fork(size_t b, size_t c, u32 p);
 
-    struct ShadowCounts
-    {
-        size_t run = 0;     ///< shadows run.
-        size_t retired = 0; ///< of which acted.
-        size_t forked = 0;  ///< cells resumed from a snapshot.
-        /** Mean committed share of its cell's window at which a fork
-         *  resumed. */
-        double meanForkShare = 0.0;
-    };
     ShadowCounts shadowCounts();
 
     /** Cell (b, c, p)'s slot holds its final result (a result-cache
      *  hit included). */
     void finish(size_t b, size_t c, u32 p);
+
+    /** Cell (b, c, p) will claim no (more) shadows: the later cells
+     *  waiting in take() for it to choose go on. */
+    void hostsKnown(size_t b, size_t c, u32 p);
 
     /** After the barrier: fill each deferred cell in cell order, so a
      *  reference that is itself deferred comes first, then call
@@ -176,8 +171,6 @@ class CellAliases
     Outcome takeCell(size_t b, size_t c, u32 p,
                      const TraceIoOptions &trace_io,
                      const InitialStateSource &initial);
-    /** Cell (b, c, p) will claim no (more) shadows. */
-    void hostsKnown(size_t b, size_t c, u32 p);
     void fill(const Pending &cell);
     void fillFromShadow(size_t b, size_t c, u32 p, size_t host,
                         PhaseResult arm);

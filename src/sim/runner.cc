@@ -59,25 +59,6 @@ parseJobsValue(const std::string &s, unsigned &jobs, std::string &err)
     return true;
 }
 
-PhaseResult
-runCachedCell(ResultCache *cache, const SimConfig &cfg,
-              const std::string &benchmark,
-              const std::string &config_hash, u32 phase,
-              const TraceIoOptions &trace_io, u64 sample_every,
-              const InitialStateSource &initial)
-{
-    bool use_cache = cache && cache->enabled();
-    CacheKey key{benchmark, config_hash, phase, cfg.seed};
-    if (use_cache)
-        if (std::optional<PhaseResult> pr = cache->load(key))
-            return std::move(*pr);
-    PhaseResult pr = runPhase(cfg, benchmark, phase, trace_io,
-                              sample_every, initial);
-    if (use_cache)
-        cache->store(key, pr);
-    return pr;
-}
-
 MatrixPlan
 planMatrix(const std::vector<SimConfig> &configs,
            const std::vector<std::string> &benchmarks,
@@ -185,13 +166,13 @@ class InitialStates
     std::vector<Slot> slots;
 };
 
-} // namespace
-
+/** Submit one @p pool task per cell of @p plan, calling
+ *  @p run_cell(b, c, p, initial) (runCells). */
 void
-runCells(ThreadPool &pool, const MatrixPlan &plan,
-         const std::function<void(size_t b, size_t c, u32 p,
-                                  const InitialStateSource &initial)>
-             &run_cell)
+scheduleCells(ThreadPool &pool, const MatrixPlan &plan,
+              const std::function<void(size_t b, size_t c, u32 p,
+                                       const InitialStateSource &initial)>
+                  &run_cell)
 {
     // Cells start in benchmark -> phase -> config order whichever
     // worker runs them: each task takes the next cell off one cursor.
@@ -233,6 +214,127 @@ runCells(ThreadPool &pool, const MatrixPlan &plan,
     }
     std::unique_lock<std::mutex> lk(mtx);
     cv.wait(lk, [&] { return pending == 0; });
+}
+
+} // namespace
+
+ShadowCounts
+runCells(ThreadPool &pool, const std::vector<SimConfig> &configs,
+         MatrixPlan &plan, ResultCache *cache, const TraceIoOptions &trace_io,
+         u64 sample_every, const CellFn &done, const CellGuard &guard)
+{
+    // One trace writer per (row, phase), so every arm can replay what
+    // was written: of the arms that run the phase, the one with the
+    // longest run, the first of them on a tie (config 0 when the arms
+    // are sized alike). The others run live without recording.
+    auto runLength = [&](size_t k) {
+        return configs[k].warmupInsts + configs[k].measureInsts;
+    };
+    auto cellTraceIo = [&](size_t c, u32 p) {
+        TraceIoOptions io = trace_io;
+        for (size_t k = 0; k < configs.size(); ++k)
+            if (p < configs[k].checkpoints &&
+                (runLength(k) > runLength(c) ||
+                 (runLength(k) == runLength(c) && k < c)))
+                io.writeTrace = false;
+        return io;
+    };
+    auto key = [&](size_t b, size_t c, u32 p) {
+        return CacheKey{plan.rows[b].benchmark, plan.configHashes[c], p,
+                        configs[c].seed};
+    };
+
+    // A cell whose extra engines never act takes the result of an
+    // earlier arm of its row instead (DESIGN.md §20).
+    CellAliases aliases(configs, plan);
+    auto storeCell = [&](size_t b, size_t c, u32 p) {
+        if (cache)
+            cache->store(key(b, c, p), plan.rows[b].byConfig[c].phases[p]);
+    };
+    auto complete = [&](size_t b, size_t c, u32 p) {
+        storeCell(b, c, p);
+        aliases.finish(b, c, p);
+        done(b, c, p);
+    };
+    // A cached cell needs no shadow (a peek: the cell's own load counts
+    // the hit).
+    auto cachedCell = [&](size_t b, size_t c, u32 p) {
+        std::error_code ec;
+        return cache &&
+               std::filesystem::exists(cache->cellPath(key(b, c, p)), ec);
+    };
+    // Simulate a cell with the shadows it hosts, then finish the hosted
+    // cells that already asked for their result. A cell whose shadow
+    // acted after its host's snapshot resumes from there instead (it
+    // hosts nothing, and never writes the trace: its host ran first).
+    std::function<void(size_t, size_t, u32, const InitialStateSource &)>
+        simulate = [&](size_t b, size_t c, u32 p,
+                       const InitialStateSource &initial) {
+            TraceIoOptions io = cellTraceIo(c, p);
+            bool records = !io.recordDir.empty() && io.writeTrace;
+            if (!records && aliases.fork(b, c, p)) {
+                complete(b, c, p);
+                return;
+            }
+            CellAliases::Hosting hosting = aliases.host(
+                b, c, p, io, initial,
+                [&](size_t later) { return cachedCell(b, later, p); });
+            plan.rows[b].byConfig[c].phases[p] =
+                runPhase(configs[c], plan.rows[b].benchmark, p, io,
+                         sample_every, initial, &hosting.arms);
+            complete(b, c, p);
+            for (size_t later : aliases.hostDone(b, p, hosting)) {
+                if (aliases.takeHosted(b, later, p))
+                    complete(b, later, p);
+                else
+                    simulate(b, later, p, initial);
+            }
+        };
+    auto step = [&](size_t b, size_t c, u32 p,
+                    const InitialStateSource &initial) {
+        PhaseResult &ph = plan.rows[b].byConfig[c].phases[p];
+        std::optional<PhaseResult> hit;
+        if (cache)
+            hit = cache->load(key(b, c, p));
+        if (hit) {
+            ph = std::move(*hit);
+            aliases.finish(b, c, p);
+            done(b, c, p);
+            return;
+        }
+        switch (aliases.take(b, c, p, cellTraceIo(c, p), initial)) {
+          case CellAliases::Deferred: // taken after the barrier.
+          case CellAliases::Hosted:   // finished by its host's worker.
+            return;
+          case CellAliases::Simulate:
+            simulate(b, c, p, initial);
+            return;
+          case CellAliases::Taken:
+            complete(b, c, p);
+            return;
+        }
+    };
+
+    // One pool task per cell: the cell computes from its own seed into
+    // its own slot, so which worker runs it never changes a result.
+    std::atomic<bool> failed{false};
+    scheduleCells(pool, plan, [&](size_t b, size_t c, u32 p,
+                                  const InitialStateSource &initial) {
+        if (!guard) {
+            step(b, c, p, initial);
+        } else if (!guard(b, c, p, [&] { step(b, c, p, initial); })) {
+            // Nothing takes a failed cell's result, but the later cells
+            // waiting for it to choose its shadows go on.
+            aliases.hostsKnown(b, c, p);
+            failed = true;
+        }
+    });
+    if (!failed)
+        aliases.takeDeferred([&](size_t b, size_t c, u32 p) {
+            storeCell(b, c, p);
+            done(b, c, p);
+        });
+    return aliases.shadowCounts();
 }
 
 SampleSeriesHeader
@@ -345,121 +447,20 @@ runMatrix(const std::vector<SimConfig> &configs,
         std::fprintf(stderr, "\n");
     }
 
-    // One trace writer per (row, phase), so every arm can replay what
-    // was written: of the arms that run the phase, the one with the
-    // longest run, the first of them on a tie (config 0 when the arms
-    // are sized alike). The others run live without recording.
-    auto runLength = [&](size_t k) {
-        return configs[k].warmupInsts + configs[k].measureInsts;
-    };
-    auto writesTrace = [&](size_t c, u32 p) {
-        for (size_t k = 0; k < configs.size(); ++k)
-            if (p < configs[k].checkpoints &&
-                (runLength(k) > runLength(c) ||
-                 (runLength(k) == runLength(c) && k < c)))
-                return false;
-        return true;
-    };
-
-    // A cell whose extra engines never act takes the result of an
-    // earlier arm of its row instead (DESIGN.md §20).
-    CellAliases aliases(configs, plan);
-    auto storeCell = [&](size_t b, size_t c, u32 p) {
-        if (use_cache)
-            cache.store({benchmarks[b], plan.configHashes[c], p,
-                         configs[c].seed},
-                        plan.rows[b].byConfig[c].phases[p]);
-    };
-    std::atomic<size_t> done{0};
-    auto report = [&](size_t b, size_t c, u32 p) {
-        size_t k = ++done;
-        if (opts.progress)
-            printCellProgress(plan.rows[b].byConfig[c].phases[p],
-                              benchmarks[b], configs[c].label, p, k,
-                              plan.cells);
-    };
-    auto complete = [&](size_t b, size_t c, u32 p) {
-        storeCell(b, c, p);
-        aliases.finish(b, c, p);
-        report(b, c, p);
-    };
-    // A cached cell needs no shadow (a peek: the cell's own load counts
-    // the hit).
-    auto cachedCell = [&](size_t b, size_t c, u32 p) {
-        std::error_code ec;
-        return use_cache &&
-               std::filesystem::exists(
-                   cache.cellPath({benchmarks[b], plan.configHashes[c], p,
-                                   configs[c].seed}),
-                   ec);
-    };
-    // Simulate a cell with the shadows it hosts, then finish the hosted
-    // cells that already asked for their result. A cell whose shadow
-    // acted after its host's snapshot resumes from there instead (it
-    // hosts nothing, and never writes the trace: its host ran first).
-    std::function<void(size_t, size_t, u32, const InitialStateSource &)>
-        simulate = [&](size_t b, size_t c, u32 p,
-                       const InitialStateSource &initial) {
-            TraceIoOptions trace_io = opts.traceIo;
-            trace_io.writeTrace = writesTrace(c, p);
-            bool records = !trace_io.recordDir.empty() && trace_io.writeTrace;
-            if (!records && aliases.fork(b, c, p)) {
-                complete(b, c, p);
-                return;
-            }
-            CellAliases::Hosting hosting = aliases.host(
-                b, c, p, trace_io, initial,
-                [&](size_t later) { return cachedCell(b, later, p); });
-            plan.rows[b].byConfig[c].phases[p] =
-                runPhase(configs[c], benchmarks[b], p, trace_io,
-                         opts.sampling.every, initial, &hosting.arms);
-            complete(b, c, p);
-            for (size_t later : aliases.hostDone(b, p, hosting)) {
-                if (aliases.takeHosted(b, later, p))
-                    complete(b, later, p);
-                else
-                    simulate(b, later, p, initial);
-            }
-        };
-
-    // One pool task per cell: the cell computes from its own seed into
-    // its own slot, so which worker runs it never changes a result.
+    std::atomic<size_t> reported{0};
     ThreadPool pool(jobs);
-    runCells(pool, plan, [&](size_t b, size_t c, u32 p,
-                             const InitialStateSource &initial) {
-        TraceIoOptions trace_io = opts.traceIo;
-        trace_io.writeTrace = writesTrace(c, p);
-        PhaseResult &ph = plan.rows[b].byConfig[c].phases[p];
-        std::optional<PhaseResult> hit;
-        if (use_cache)
-            hit = cache.load({benchmarks[b], plan.configHashes[c], p,
-                              configs[c].seed});
-        if (hit) {
-            ph = std::move(*hit);
-            aliases.finish(b, c, p);
-            report(b, c, p);
-            return;
-        }
-        switch (aliases.take(b, c, p, trace_io, initial)) {
-          case CellAliases::Deferred: // taken after the barrier.
-          case CellAliases::Hosted:   // finished by its host's worker.
-            return;
-          case CellAliases::Simulate:
-            simulate(b, c, p, initial);
-            return;
-          case CellAliases::Taken:
-            complete(b, c, p);
-            return;
-        }
-    });
-    aliases.takeDeferred([&](size_t b, size_t c, u32 p) {
-        storeCell(b, c, p);
-        report(b, c, p);
-    });
+    ShadowCounts sc = runCells(
+        pool, configs, plan, use_cache ? &cache : nullptr, opts.traceIo,
+        opts.sampling.every, [&](size_t b, size_t c, u32 p) {
+            size_t k = ++reported;
+            if (opts.progress)
+                printCellProgress(plan.rows[b].byConfig[c].phases[p],
+                                  benchmarks[b], configs[c].label, p, k,
+                                  plan.cells);
+        });
     finishMatrix(plan, configs, use_cache, opts.sampling, opts.progress);
 
-    if (CellAliases::ShadowCounts sc = aliases.shadowCounts();
-        opts.progress && sc.run) {
+    if (opts.progress && sc.run) {
         size_t taken = sc.run - sc.retired;
         std::fprintf(stderr,
                      "[shadow] %zu shadow%s run, %zu retired, %zu forked "

@@ -88,9 +88,9 @@ bool parseJobsValue(const std::string &s, unsigned &jobs,
  * conventionally the baseline). The (benchmark x config x checkpoint)
  * cells fan out across a thread pool; per-cell seeding
  * is deterministic, so results are bit-identical at any thread count.
- * Progress goes to stderr. This is planMatrix, runCells and
- * finishMatrix, the cell aliases of sim/cell_alias.hh between the last
- * two, and the cache and trace-cache summaries.
+ * Progress goes to stderr. This is planMatrix, runCells with the
+ * progress printer as its done callback, and finishMatrix, as in the
+ * rsep_serve daemon, plus the shadow, cache and trace-cache summaries.
  */
 std::vector<MatrixRow>
 runMatrix(const std::vector<SimConfig> &configs,
@@ -127,26 +127,45 @@ MatrixPlan planMatrix(const std::vector<SimConfig> &configs,
                       const std::vector<std::string> &benchmarks,
                       const ShardSpec &shard = {});
 
+class ResultCache;
 class ThreadPool;
 
+/** The shadows a matrix ran (DESIGN.md §20). */
+struct ShadowCounts
+{
+    size_t run = 0;     ///< shadows run.
+    size_t retired = 0; ///< of which acted.
+    size_t forked = 0;  ///< cells resumed from a snapshot.
+    /** Mean committed share of its cell's window at which a fork
+     *  resumed. */
+    double meanForkShare = 0.0;
+};
+
+/** Cell (b, c, p) of a plan: rows[b].byConfig[c].phases[p]. */
+using CellFn = std::function<void(size_t b, size_t c, u32 p)>;
+/** Calls a cell's @p step; false when the cell failed. */
+using CellGuard = std::function<bool(size_t b, size_t c, u32 p,
+                                     const std::function<void()> &step)>;
+
 /**
- * Submit one @p pool task per cell of @p plan, calling
- * @p run_cell(b, c, p, initial), and return when all of this plan's
- * cells have finished. Tasks other callers put on the same pool are
- * not waited for, so concurrent requests can share one pool.
- * @p run_cell writes only its own slot.
- *
- * Cells start in benchmark -> phase -> config order. @p initial hands
- * a live cell the post-init state of its (row, phase), built by the
- * first cell that asks and shared by the rest; it is dropped when the
- * last cell of that (row, phase) finishes, result-cache hits included,
- * so a matrix holds at most one state per worker and none after this
- * returns (DESIGN.md "Shared initial state").
+ * Run every cell of @p plan as a @p pool task, in benchmark -> phase
+ * -> config order, and return when all of them have finished (tasks of
+ * other plans on the pool are not waited for). Each takes the one cell
+ * step of direct and daemon runs: @p cache (when non-null), then the
+ * cell aliases of sim/cell_alias.hh, then runPhase with the shadows the
+ * cell hosts, then the cache store. @p done reports each finished cell
+ * once, its slot filled; a cell deferred to an arm still running is
+ * reported before this returns. The live cells of a (row, phase) share
+ * one post-init state, dropped when its last cell finishes, so a
+ * matrix holds at most one per worker (DESIGN.md "Shared initial
+ * state"). @p guard, when set, calls each step (the daemon's fault
+ * point and fatal capture); a failed cell releases the cells waiting
+ * for it to choose its shadows, and no cell taken from it is reported.
  */
-void runCells(ThreadPool &pool, const MatrixPlan &plan,
-              const std::function<void(size_t b, size_t c, u32 p,
-                                       const InitialStateSource &initial)>
-                  &run_cell);
+ShadowCounts runCells(ThreadPool &pool, const std::vector<SimConfig> &configs,
+                      MatrixPlan &plan, ResultCache *cache,
+                      const TraceIoOptions &trace_io, u64 sample_every,
+                      const CellFn &done, const CellGuard &guard = {});
 
 /**
  * The post-barrier step of a matrix. Folds every in-shard phase into
@@ -184,27 +203,6 @@ SampleSeriesHeader seriesHeader(const MatrixPlan &plan,
 void printCellProgress(const PhaseResult &ph, const std::string &benchmark,
                        const std::string &label, u32 p, size_t k,
                        size_t total);
-
-class ResultCache;
-
-/**
- * Run one (benchmark, config, checkpoint) cell against an optional
- * shared result cache: look the cell up, simulate on a miss, store the
- * fresh result. The unit the rsep_serve batcher schedules, which lets
- * a long-running server share one ResultCache (and the process-wide
- * DecodedTraceCache) across many clients' requests; runMatrix takes
- * the same steps with the cell aliases of sim/cell_alias.hh between
- * the lookup and the simulation. @p cache may be null or disabled (plain
- * simulate); @p config_hash is configHash(cfg), precomputed by the
- * caller because batches hash each config exactly once. @p initial is
- * runPhase's: a hit never asks it.
- */
-PhaseResult runCachedCell(ResultCache *cache, const SimConfig &cfg,
-                          const std::string &benchmark,
-                          const std::string &config_hash, u32 phase,
-                          const TraceIoOptions &trace_io = {},
-                          u64 sample_every = 0,
-                          const InitialStateSource &initial = {});
 
 } // namespace rsep::sim
 

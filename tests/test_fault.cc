@@ -19,10 +19,12 @@
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <sys/un.h>
 #include <unistd.h>
 
 #include <cerrno>
+#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -574,6 +576,108 @@ TEST_F(FaultServeTest, CellFaultAnswersErrorAndDaemonSurvives)
     EXPECT_GE(server->counters().errors, 1u);
     fault::disarmAll();
     expectServable(sock);
+}
+
+TEST_F(FaultServeTest, FailedShadowHostAnswersErrorAndDaemonSurvives)
+{
+    // The first cell of a Fig. 4 row, baseline, hosts the shadows of
+    // the later arms, which wait in their take() until it has chosen
+    // them. It fails two ways: an injected errno before it runs, and a
+    // captured fatal (every trace decode torn) after it chose its
+    // shadows. Either way the request answers Error in bounded time,
+    // on one worker and on two, no cell is streamed from the failed
+    // one's empty slot, and the daemon serves the next request.
+    std::vector<sim::Scenario> scenarios;
+    for (const char *arm : {"baseline", "zero-pred", "move-elim", "rsep",
+                            "vpred", "rsep+vpred"}) {
+        scenarios.push_back({arm, shrunk(sim::findScenario(arm)->config)});
+        scenarios.back().config.checkpoints = 1;
+    }
+    const std::vector<std::string> benchmarks = {"hmmer", "xalancbmk"};
+    fs::path traces = fs::temp_directory_path() /
+                      ("rsep_fault_hosts_" + std::to_string(::getpid()));
+    fs::remove_all(traces);
+    std::vector<sim::SimConfig> configs;
+    for (const sim::Scenario &sc : scenarios)
+        configs.push_back(sc.config);
+    sim::MatrixOptions record;
+    record.jobs = 2;
+    record.progress = false;
+    record.traceIo.recordDir = traces.string();
+    sim::runMatrix(configs, benchmarks, record);
+
+    struct Case
+    {
+        const char *spec;
+        const char *diagnostic;
+        bool replay;
+    };
+    for (const Case &k :
+         {Case{"serve.cell:fail=eio", "injected", false},
+          Case{"trace.decode:fail=truncate:bytes=120:count=0", "replay: ",
+               true}}) {
+        for (unsigned jobs : {1u, 2u}) {
+            SCOPED_TRACE(std::string(k.spec) + " at " +
+                         std::to_string(jobs) + " workers");
+            ServeOptions sopts;
+            sopts.jobs = jobs;
+            startServer(sopts);
+            arm(k.spec);
+            SubmitRequest sub;
+            sub.benchmarks = benchmarks;
+            sub.scnText = sim::serializeScenarios(scenarios);
+            if (k.replay)
+                sub.replayDir = traces.string();
+            int fd = rawConnect(sock);
+            timeval budget{60, 0};
+            ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &budget,
+                         sizeof(budget));
+            std::string err;
+            Frame f;
+            ASSERT_TRUE(
+                writeFrame(fd, FrameType::Hello, helloPayload(), &err));
+            ASSERT_TRUE(readFrame(fd, f, &err)) << err;
+            ASSERT_TRUE(
+                writeFrame(fd, FrameType::Submit, serializeSubmit(sub), &err));
+            // Cells that finished stream first. None was taken from the
+            // failed cell: an arm filled from its empty slot would read
+            // ipc 0.
+            for (;;) {
+                bool timed_out = false;
+                if (!readFrame(fd, f, &err, nullptr, nullptr, &timed_out)) {
+                    ADD_FAILURE() << (timed_out ? "no answer in 60 s"
+                                                : err);
+                    // A hung request cannot be stopped: leave now.
+                    std::_Exit(1);
+                }
+                if (f.type != FrameType::Cell)
+                    break;
+                CellResult cell;
+                ASSERT_TRUE(parseCell(f.payload, cell, &err)) << err;
+                const sim::SimConfig &cfg = configs[cell.config];
+                sim::PhaseResult pr;
+                EXPECT_EQ(sim::ResultCache::parseRecord(
+                              cell.record,
+                              {cell.benchmark, sim::configHash(cfg),
+                               cell.phase, cfg.seed},
+                              pr),
+                          "");
+                EXPECT_GT(pr.ipc, 0.0)
+                    << cell.benchmark << " " << cfg.label;
+            }
+            ::close(fd);
+            ASSERT_EQ(f.type, FrameType::Error);
+            EXPECT_NE(f.payload.find(k.diagnostic), std::string::npos)
+                << f.payload;
+            EXPECT_NE(f.payload.find("cell ("), std::string::npos)
+                << f.payload;
+            EXPECT_GE(server->counters().errors, 1u);
+            fault::disarmAll();
+            expectServable(sock);
+            server->stop();
+        }
+    }
+    fs::remove_all(traces);
 }
 
 TEST_F(FaultServeTest, InflightCellCeilingAnswersBusy)

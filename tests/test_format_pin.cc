@@ -45,7 +45,7 @@ constexpr u64 rtrPin = 0xd6c8e76e501046e7ull;
 constexpr u64 rtsPin = 0x433b72731b23c6c6ull;
 constexpr u64 cellPin = 0x02a1b0ab46c6e6faull;
 constexpr u64 submitPin = 0xa29f2419eb561983ull;
-constexpr u64 cellFramePin = 0xccead854d0d6aad3ull;
+constexpr u64 cellFramePin = 0x3174be123af136faull;
 /** Every diagnostic of the pin trace's payload cut at each offset. */
 constexpr u64 payloadCutPin = 0xfccc66f120be8258ull;
 
@@ -232,6 +232,10 @@ TEST(FormatPin, ServeFramePayloadsArePinned)
     cell.replayed = false;
     cell.decodeHit = true;
     cell.traceLoadMicros = 4321;
+    cell.aliasOf = "baseline";
+    cell.byShadow = true;
+    cell.forkOf = "move-elim";
+    cell.forkAt = 9496;
     cell.record = "record bytes\n";
     EXPECT_EQ(hex64(fnv1a64(serve::serializeCell(cell))),
               hex64(cellFramePin));

@@ -205,14 +205,12 @@ TEST(RunnerParallel, InitialStateIsReleasedWhenRowsMixCacheHits)
     ResultCache cache(dir.path);
     ThreadPool pool(1);
     std::vector<std::string> seen;
-    runCells(pool, plan,
-             [&](size_t b, size_t c, u32 p,
-                 const InitialStateSource &initial) {
+    runCells(pool, configs, plan, &cache, {}, 0, [](size_t, size_t, u32) {},
+             [&](size_t b, size_t c, u32, const std::function<void()> &step) {
                  seen.push_back(benches[b] + "/" + configs[c].label + " " +
                                 std::to_string(InitialState::alive()));
-                 plan.rows[b].byConfig[c].phases[p] = runCachedCell(
-                     &cache, configs[c], benches[b], plan.configHashes[c],
-                     p, {}, 0, initial);
+                 step();
+                 return true;
              });
     // One worker starts cells row by row, config by config: the only
     // image alive at a cell's start is its own row's, built by rsep.
@@ -261,13 +259,8 @@ TEST(RunnerParallel, TwoPlansShareOnePool)
     for (size_t i = 0; i < 2; ++i)
         requests.emplace_back([&, i] {
             MatrixPlan &plan = plans[i];
-            runCells(pool, plan,
-                     [&](size_t b, size_t c, u32 p,
-                         const InitialStateSource &initial) {
-                         plan.rows[b].byConfig[c].phases[p] = runCachedCell(
-                             nullptr, configs[i][c], benches[i][b],
-                             plan.configHashes[c], p, {}, 0, initial);
-                     });
+            runCells(pool, configs[i], plan, nullptr, {}, 0,
+                     [](size_t, size_t, u32) {});
             for (const MatrixRow &row : plan.rows)
                 for (const RunResult &rr : row.byConfig)
                     for (const PhaseResult &ph : rr.phases)

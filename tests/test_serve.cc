@@ -158,6 +158,10 @@ sampleCell(const std::string &record)
     c.replayed = false;
     c.decodeHit = true;
     c.traceLoadMicros = 987654321;
+    c.aliasOf = "t-base";
+    c.byShadow = true;
+    c.forkOf = "t-rsep";
+    c.forkAt = 123456789;
     c.record = record;
     return c;
 }
@@ -196,6 +200,10 @@ TEST(ServeProtocol, CellRoundTrips)
         EXPECT_EQ(out.replayed, in.replayed);
         EXPECT_EQ(out.decodeHit, in.decodeHit);
         EXPECT_EQ(out.traceLoadMicros, in.traceLoadMicros);
+        EXPECT_EQ(out.aliasOf, in.aliasOf);
+        EXPECT_EQ(out.byShadow, in.byShadow);
+        EXPECT_EQ(out.forkOf, in.forkOf);
+        EXPECT_EQ(out.forkAt, in.forkAt);
         EXPECT_EQ(out.record, blob);
     }
 }
@@ -623,8 +631,9 @@ timingCounters(const std::vector<sim::SimConfig> &configs,
                const std::vector<sim::MatrixRow> &rows)
 {
     static const std::set<std::string> kept = {
-        "timing.cells_run", "timing.cache_hits", "timing.cache_misses",
-        "timing.trace_decode_hits", "timing.trace_decode_misses"};
+        "timing.cells_run",          "timing.cache_hits",
+        "timing.cache_misses",       "timing.trace_decode_hits",
+        "timing.trace_decode_misses", "timing.cells_forked"};
     std::map<std::string, u64> out;
     for (const sim::StatRow &r : sim::collectStatRows(configs, rows, true))
         for (const auto &[name, value] : r.counters)
@@ -633,45 +642,115 @@ timingCounters(const std::vector<sim::SimConfig> &configs,
     return out;
 }
 
+/** The Fig. 4 arms, shrunk. */
+std::vector<sim::Scenario>
+fig4Scenarios()
+{
+    std::vector<sim::Scenario> scenarios;
+    for (const char *arm : {"baseline", "zero-pred", "move-elim", "rsep",
+                            "vpred", "rsep+vpred"})
+        scenarios.push_back(
+            {arm, shrunk(sim::findScenario(arm)->config)});
+    return scenarios;
+}
+
+/** Each row's `timing.cells_forked`, summed. */
+u64
+forkedCells(const std::map<std::string, u64> &counters)
+{
+    u64 n = 0;
+    for (const auto &[key, value] : counters)
+        if (key.ends_with("/timing.cells_forked"))
+            n += value;
+    return n;
+}
+
 TEST_F(ServeTest, TimingCountersMatchDirectRun)
 {
     // `--timings` through the daemon: the client folds the streamed
     // cells exactly like a direct run, against the server's cache, so
-    // cold and warm rounds count the same runs, hits and misses.
-    fs::path base = fs::temp_directory_path() /
-                    ("rsep_serve_timings_" + std::to_string(::getpid()));
-    fs::remove_all(base);
-    ServeOptions sopts;
-    sopts.cacheDir = (base / "server").string();
-    startServer(sopts);
+    // cold and warm rounds count the same runs, hits, misses and forks
+    // at any worker count. The Fig. 4 rows are ones where shadows are
+    // taken, retire and fork, which the daemon must do as a direct run
+    // does.
+    struct Case
+    {
+        const char *name;
+        std::vector<sim::Scenario> scenarios;
+        std::vector<std::string> benchmarks;
+        bool forks;
+    };
+    const Case cases[] = {
+        {"smoke", smokeScenarios(), {"mcf", "hmmer"}, false},
+        {"fig4", fig4Scenarios(), {"hmmer", "xalancbmk", "gamess"}, true}};
+    for (unsigned jobs : {1u, 2u}) {
+        fs::path base = fs::temp_directory_path() /
+                        ("rsep_serve_timings_" + std::to_string(::getpid()) +
+                         "_j" + std::to_string(jobs));
+        fs::remove_all(base);
+        for (const Case &k : cases) {
+            SCOPED_TRACE(std::string(k.name) + " at " +
+                         std::to_string(jobs) + " workers");
+            ServeOptions sopts;
+            sopts.jobs = jobs;
+            sopts.cacheDir = (base / k.name / "server").string();
+            startServer(sopts);
+            std::vector<sim::SimConfig> configs = configsOf(k.scenarios);
+            sim::MatrixOptions mopts;
+            mopts.jobs = jobs;
+            mopts.progress = false;
+            mopts.cacheDir = (base / k.name / "direct").string();
+            ClientOptions copts;
+            copts.socketPath = sock;
+            copts.progress = false;
 
-    std::vector<sim::Scenario> scenarios = smokeScenarios();
-    std::vector<sim::SimConfig> configs = configsOf(scenarios);
-    std::vector<std::string> benchmarks = {"mcf", "hmmer"};
-    sim::MatrixOptions mopts;
-    mopts.jobs = 2;
-    mopts.progress = false;
-    mopts.cacheDir = (base / "direct").string();
-    ClientOptions copts;
-    copts.socketPath = sock;
-    copts.progress = false;
-
-    const size_t cells_per_row = configs[0].checkpoints;
-    for (bool warm : {false, true}) {
-        SCOPED_TRACE(warm ? "warm" : "cold");
-        std::map<std::string, u64> direct = timingCounters(
-            configs, sim::runMatrix(configs, benchmarks, mopts));
-        std::map<std::string, u64> remote = timingCounters(
-            configs, runMatrixRemote(scenarios, benchmarks, copts));
-        // Five counters for each (benchmark, scenario) row.
-        EXPECT_EQ(direct.size(), 5 * benchmarks.size() * configs.size());
-        EXPECT_EQ(direct, remote);
-        EXPECT_EQ(direct["mcf/t-base/timing.cells_run"],
-                  warm ? 0 : cells_per_row);
-        EXPECT_EQ(direct["mcf/t-base/timing.cache_hits"],
-                  warm ? cells_per_row : 0);
+            const size_t cells_per_row = configs[0].checkpoints;
+            const std::string first =
+                k.benchmarks[0] + "/" + configs[0].label + "/timing.";
+            for (bool warm : {false, true}) {
+                SCOPED_TRACE(warm ? "warm" : "cold");
+                std::map<std::string, u64> direct = timingCounters(
+                    configs, sim::runMatrix(configs, k.benchmarks, mopts));
+                std::map<std::string, u64> remote = timingCounters(
+                    configs,
+                    runMatrixRemote(k.scenarios, k.benchmarks, copts));
+                // Six counters for each (benchmark, scenario) row.
+                EXPECT_EQ(direct.size(),
+                          6 * k.benchmarks.size() * configs.size());
+                EXPECT_EQ(direct, remote);
+                EXPECT_EQ(direct[first + "cells_run"],
+                          warm ? 0 : cells_per_row);
+                EXPECT_EQ(direct[first + "cache_hits"],
+                          warm ? cells_per_row : 0);
+                if (k.forks) {
+                    EXPECT_EQ(forkedCells(direct) > 0, !warm);
+                }
+            }
+            server->stop();
+        }
+        fs::remove_all(base);
     }
-    fs::remove_all(base);
+}
+
+TEST_F(ServeTest, FinishedConnectionThreadsAreJoined)
+{
+    // Each connection gets a handler thread; a daemon that served many
+    // clients one after another holds the threads of the live ones,
+    // not one per connection ever made.
+    startServer();
+    size_t most = 0;
+    for (int i = 0; i < 64; ++i) {
+        int fd = rawConnect(sock);
+        std::string err;
+        Frame f;
+        ASSERT_TRUE(writeFrame(fd, FrameType::Hello, helloPayload(), &err));
+        ASSERT_TRUE(readFrame(fd, f, &err)) << err;
+        ::close(fd);
+        most = std::max(most, server->connectionThreads());
+    }
+    EXPECT_LE(most, 8u);
+    expectServable(sock);
+    EXPECT_LE(server->connectionThreads(), 8u);
 }
 
 /** Accept one client on @p listen_fd (10 s budget) and play a daemon:
@@ -720,8 +799,7 @@ TEST_F(ServeTest, MismatchedSamplesFramesAreRejected)
     std::vector<std::pair<FrameType, std::string>> cell_frames;
     for (size_t b = 0; b < benchmarks.size(); ++b) {
         sim::PhaseResult &pr = plan.rows[b].byConfig[0].phases[0];
-        pr = sim::runCachedCell(nullptr, configs[0], benchmarks[b],
-                                plan.configHashes[0], 0, {}, every);
+        pr = sim::runPhase(configs[0], benchmarks[b], 0, {}, every);
         ASSERT_FALSE(pr.samples.empty());
         CellResult cell;
         cell.benchmark = benchmarks[b];
